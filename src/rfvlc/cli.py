@@ -22,7 +22,8 @@ from dataclasses import replace
 
 from . import __version__
 from .config import config_digest, parse_config
-from .engine import SWEEP_DISTANCE, SWEEP_T_TH, SweepSpec, SweepTable, run_sweep
+from .engine import (_CHUNK, RNG_SCHEME, SWEEP_DISTANCE, SWEEP_T_TH, SweepSpec,
+                     SweepTable, run_sweep)
 from .errors import ConfigError, InvalidArgumentError
 from .metrics import MODE_LA, MODE_NON_LA, MODE_PURE_RF, MODE_PURE_VLC, MODES
 from .scenario import ScenarioConfig, WeatherCondition
@@ -114,6 +115,8 @@ def _write_manifest(out: _OutputSet, args, config, spec, subcommand: str):
         "output_dir": args.out,
         "master_seed": spec.master_seed,
         "n_trials": spec.n_trials,
+        "rng_scheme": RNG_SCHEME,
+        "chunk_size": _CHUNK,
         "config_sha256": config_digest(config, spec),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }

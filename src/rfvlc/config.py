@@ -116,9 +116,12 @@ def parse_config(text: str) -> tuple[ScenarioConfig, SweepSpec]:
     rsu_height = take_float("geometry.rsu_height", base.geometry.rsu_pose.z)
     rsu_tilt = take_float("geometry.rsu_tilt_deg", 45.0)
     t = math.radians(rsu_tilt)
-    rsu_pose = Pose3(0.0, 0.0, rsu_height,
-                     axis=(math.cos(t), 0.0, -math.sin(t)))
-    geometry = replace(base.geometry, rsu_pose=rsu_pose, **geo_kwargs)
+    try:
+        rsu_pose = Pose3(0.0, 0.0, rsu_height,
+                         axis=(math.cos(t), 0.0, -math.sin(t)))
+        geometry = replace(base.geometry, rsu_pose=rsu_pose, **geo_kwargs)
+    except InvalidArgumentError as exc:
+        raise ConfigError(f"geometry: {exc}") from None
 
     vlc = base.vlc
     rf = base.rf

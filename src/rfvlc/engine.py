@@ -1,11 +1,13 @@
 """Sweep orchestration: seeding, trial batching, and result tables.
 
-Every (sweep point, trial) pair owns a private counter-derived random
-stream, so results are a pure function of (config, spec): reruns and runs
-with different worker counts produce bit-identical tables.  Trials are
-accumulated in fixed-size chunks and the chunk partials are reduced in
-index order, which keeps floating-point summation order independent of
-the worker count.
+Trials are simulated in chunks of _CHUNK on a fixed grid, and every
+(sweep point, chunk) pair owns a private counter-derived random stream
+(the counter-based stream idea of Salmon et al., "Parallel random numbers:
+as easy as 1, 2, 3", SC'11).  Results are therefore a pure function of
+(config, spec): reruns and runs with different worker counts produce
+bit-identical tables.  Each chunk is one array pass (simulate_trials), and
+the chunk partials are reduced in chunk order, which keeps floating-point
+summation order independent of the worker count.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .estimate import MetricEstimate, confidence_interval, mean_estimate, proportion_estimate
-from .metrics import MODES, db_to_linear, run_trial
+from .metrics import MODES, db_to_linear, outage_rate, score_modes, simulate_trials
 from .scenario import ScenarioConfig, WeatherCondition, validate
 
 __all__ = [
@@ -29,8 +31,11 @@ __all__ = [
 SWEEP_DISTANCE = "distance_r"
 SWEEP_T_TH = "t_th"
 
-_CHUNK = 4096  # trials per accumulation chunk; fixed so worker count cannot
-               # change summation order
+_CHUNK = 4096  # trials per chunk and random stream; fixed so the worker
+               # count cannot change the streams or the summation order
+
+# Recorded in run manifests: SplitMix64 keys one PCG64 stream per chunk.
+RNG_SCHEME = "splitmix64-chunk/pcg64"
 
 _MASK64 = (1 << 64) - 1
 
@@ -43,18 +48,19 @@ def _splitmix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def derive_seed(master_seed: int, point_index: int, trial_index: int) -> int:
-    """64-bit stream seed for one (point, trial) pair.
+def derive_seed(master_seed: int, point_index: int, stream_index: int) -> int:
+    """64-bit stream seed for one (point, stream) pair.
 
     s0 = splitmix64(master); s1 = splitmix64(s0 ^ splitmix64(point));
-    seed = splitmix64(s1 ^ splitmix64(trial)).  Deterministic across runs
-    and platforms; collision-free in practical index ranges.
+    seed = splitmix64(s1 ^ splitmix64(stream)).  Deterministic across runs
+    and platforms; collision-free in practical index ranges.  The engine
+    uses one stream per chunk: stream_index = first trial // _CHUNK.
     """
-    if point_index < 0 or trial_index < 0:
+    if point_index < 0 or stream_index < 0:
         raise ConfigError("indices must be >= 0")
     s = _splitmix64(master_seed & _MASK64)
     s = _splitmix64(s ^ _splitmix64(point_index))
-    return _splitmix64(s ^ _splitmix64(trial_index))
+    return _splitmix64(s ^ _splitmix64(stream_index))
 
 
 # A 64-bit stream seed expands to a PCG64 stream as follows (bit-exact):
@@ -75,7 +81,7 @@ def _seed_state(seed: int) -> dict:
 
 
 def trial_rng(seed: int) -> np.random.Generator:
-    """The random stream used for one trial, given its derive_seed value."""
+    """The random stream for one derive_seed value (one chunk of trials)."""
     bg = np.random.PCG64(0)
     bg.state = _seed_state(seed)
     return np.random.Generator(bg)
@@ -98,8 +104,12 @@ class SweepSpec:
             out.append(f"sweep.variable: unknown {self.variable!r}")
         if not self.values:
             out.append("sweep.values: must be nonempty")
+        elif not all(math.isfinite(v) for v in self.values):
+            out.append("sweep.values: must be finite")
         elif any(b <= a for a, b in zip(self.values, self.values[1:])):
             out.append("sweep.values: must be strictly increasing")
+        elif self.variable == SWEEP_T_TH and self.values[0] <= 0:
+            out.append("sweep.values: delay thresholds must be > 0")
         if self.n_trials < 100:
             out.append("sweep.n_trials: must be >= 100")
         if not self.weathers:
@@ -128,48 +138,22 @@ class SweepTable:
 def _chunk_stats(config: ScenarioConfig, master_seed: int, point_index: int,
                  start: int, end: int, theta_vlc: float, theta_rf: float,
                  rate_threshold: float | None):
-    """Accumulate one chunk of trials.
+    """Simulate one chunk of trials, start a multiple of _CHUNK.
 
     Returns per-mode success counts, rate sums (Mbps), rate sums of
     squares, and delay-outage counts (trials whose rate falls below
     rate_threshold bits/s), all in MODES order.
     """
-    n_modes = len(MODES)
-    succ = [0] * n_modes
-    rate_sum = [0.0] * n_modes
-    rate_sq = [0.0] * n_modes
-    late = [0] * n_modes
-
-    b_v = config.vlc.bandwidth
-    b_r = config.rf.bandwidth
-    rho_a = config.rho_a
-    beta = config.beta_ov
-
-    # seed = splitmix64(s_point ^ splitmix64(j)); identical to derive_seed.
-    s_point = _splitmix64(_splitmix64(master_seed & _MASK64)
-                          ^ _splitmix64(point_index))
-    bg = np.random.PCG64(0)
-    rng = np.random.Generator(bg)
-    for j in range(start, end):
-        bg.state = _seed_state(_splitmix64(s_point ^ _splitmix64(j)))
-        o = run_trial(config, rng)
-        ok_v = o.sinr_vlc >= theta_vlc
-        ok_r = o.sinr_rf >= theta_rf
-        r_v = b_v * math.log2(1.0 + o.sinr_vlc)
-        r_r = b_r * math.log2(1.0 + o.sinr_rf)
-        # MODES order: pure_vlc, pure_rf, la, non_la
-        oks = (ok_v, ok_r, ok_v or ok_r, ok_v or ok_r)
-        rates = (rho_a * r_v, rho_a * r_r,
-                 beta * rho_a * (r_v + r_r), rho_a * max(r_v, r_r))
-        for i in range(n_modes):
-            if oks[i]:
-                succ[i] += 1
-            if rate_threshold is not None and rates[i] < rate_threshold:
-                late[i] += 1
-            m = rates[i] / 1e6
-            rate_sum[i] += m
-            rate_sq[i] += m * m
-    return succ, rate_sum, rate_sq, late
+    rng = trial_rng(derive_seed(master_seed, point_index, start // _CHUNK))
+    sinr_vlc, sinr_rf = simulate_trials(config, rng, end - start)
+    ok, rate = score_modes(sinr_vlc, sinr_rf, config, theta_vlc, theta_rf)
+    mbps = rate / 1e6
+    if rate_threshold is None:
+        late = [0] * len(MODES)
+    else:
+        late = (rate < rate_threshold).sum(axis=1).tolist()
+    return (ok.sum(axis=1).tolist(), mbps.sum(axis=1).tolist(),
+            (mbps * mbps).sum(axis=1).tolist(), late)
 
 
 def _point_config(config: ScenarioConfig, spec: SweepSpec, value: float,
@@ -191,6 +175,14 @@ def run_sweep(config: ScenarioConfig, spec: SweepSpec,
     comparisons across weather conditions see identical randomness.
     """
     problems = validate(config) + spec.check()
+    if n_workers < 1:
+        problems.append(f"n_workers: must be >= 1, got {n_workers}")
+    if problems:
+        raise ConfigError("; ".join(problems))
+    points = [[_point_config(config, spec, value, weather)
+               for weather in spec.weathers] for value in spec.values]
+    problems = list(dict.fromkeys(p for row in points for cfg in row
+                                  for p in validate(cfg)))
     if problems:
         raise ConfigError("; ".join(problems))
 
@@ -201,12 +193,10 @@ def run_sweep(config: ScenarioConfig, spec: SweepSpec,
     chunks = []
     for p_idx, value in enumerate(spec.values):
         if spec.variable == SWEEP_T_TH:
-            # outage iff rate < 8H / t_th
-            rate_threshold = 8.0 * config.payload_h / value
+            rate_threshold = outage_rate(config.payload_h, value)
         else:
             rate_threshold = None
-        for w_idx, weather in enumerate(spec.weathers):
-            cfg = _point_config(config, spec, value, weather)
+        for w_idx, cfg in enumerate(points[p_idx]):
             for start in range(0, spec.n_trials, _CHUNK):
                 end = min(start + _CHUNK, spec.n_trials)
                 chunks.append((cfg, spec.master_seed, p_idx, start, end,

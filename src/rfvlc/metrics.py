@@ -3,15 +3,17 @@
 One trial shares a single interferer deployment between the optical and
 radio links: the VLC SINR is fully deterministic given the deployment,
 while every RF power (desired and interfering) gets an independent fading
-draw.  The four operating modes are evaluated on the same TrialOutcome, so
-mode comparisons are exact event inclusions rather than statistical ones.
+draw.  Trials are simulated as arrays, a chunk at a time (simulate_trials);
+run_trial is the one-trial view of the same code.  The four operating
+modes are scored on the same trials by one function (score_modes), so mode
+comparisons are exact event inclusions rather than statistical ones.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,8 +21,11 @@ from .errors import InvalidArgumentError, UnsupportedModelError
 from .estimate import MetricEstimate, proportion_estimate
 from .rf_channel import (FADING_RAYLEIGH, RfParams, rf_mean_rx_power,
                          rf_noise_power, sample_fading)
-from .scenario import ScenarioConfig, attenuation_factor, sample_interferers
-from .vlc_channel import (VlcParams, vlc_los_gain, vlc_noise_power,
+from .scenario import (EXCLUSION_RADIUS_M, LANE_PERP, LANE_SAME, LANES,
+                       Deployment, ScenarioConfig, attenuation_factor,
+                       draw_deployment, interferer_counts, lane_poses,
+                       outside_exclusion)
+from .vlc_channel import (los_gain, vlc_los_gain, vlc_noise_power,
                           vlc_rx_electrical_power)
 
 MODE_PURE_VLC = "pure_vlc"
@@ -28,6 +33,13 @@ MODE_PURE_RF = "pure_rf"
 MODE_LA = "la"
 MODE_NON_LA = "non_la"
 MODES = (MODE_PURE_VLC, MODE_PURE_RF, MODE_LA, MODE_NON_LA)
+
+# Interferers per kernel block.  Blocks bound the kernel's temporaries
+# (about a dozen arrays of this length) whatever the density; counting
+# interferers rather than trials keeps sparse chunks in one block.
+_BLOCK = 4096
+
+_SIMPSON_PANELS = 20_000   # per integral in prp_rf_closed_form
 
 
 @dataclass(frozen=True)
@@ -44,136 +56,182 @@ def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
-def sinr(signal: float, interference_sum: float, noise: float) -> float:
+def sinr(signal, interference_sum, noise: float):
+    """signal / (interference + noise); signal and interference may be arrays."""
     if noise <= 0:
         raise InvalidArgumentError("noise must be > 0")
-    if signal < 0 or interference_sum < 0:
+    if np.asarray(signal < 0).any() or np.asarray(interference_sum < 0).any():
         raise InvalidArgumentError("signal and interference must be >= 0")
     return signal / (interference_sum + noise)
 
 
-# Identity-keyed cache: hashing a nested frozen config on every trial is
-# measurably slower than the trial itself.
-_statics_cache: dict[int, tuple] = {}
+class _Statics(NamedTuple):
+    """Deterministic per-config quantities shared by the trials of a chunk."""
+
+    d3d: float         # desired vehicle's headlamp -> RSU, meters
+    s_vlc: float
+    n_vlc: float
+    s_rf_mean: float
+    n_rf: float
 
 
-def _statics(config: ScenarioConfig):
-    key = id(config)
-    hit = _statics_cache.get(key)
-    if hit is not None and hit[0]() is config:
-        return hit[1]
-    value = _compute_statics(config)
-    if len(_statics_cache) > 1024:
-        _statics_cache.clear()
-    _statics_cache[key] = (weakref.ref(config), value)
-    return value
-
-
-def _compute_statics(config: ScenarioConfig):
-    """Deterministic per-config quantities reused across trials."""
+def _statics(config: ScenarioConfig) -> _Statics:
     rsu = config.geometry.rsu_pose
     desired = config.desired_pose()
-    dx = rsu.x - desired.x
-    dy = rsu.y - desired.y
-    dz = rsu.z - desired.z
-    d3d = math.sqrt(dx * dx + dy * dy + dz * dz)
-
+    d3d = math.dist((rsu.x, rsu.y, rsu.z), (desired.x, desired.y, desired.z))
     gain = vlc_los_gain(desired, rsu, config.vlc)
     wfac = attenuation_factor(config.weather.attenuation_db_per_km, d3d)
-    s_vlc = vlc_rx_electrical_power(gain, wfac, config.vlc)
-    n_vlc = vlc_noise_power(config.vlc)
-    s_rf_mean = rf_mean_rx_power(d3d, config.rf)
-    n_rf = rf_noise_power(config.rf)
-    return rsu, d3d, s_vlc, n_vlc, s_rf_mean, n_rf
+    return _Statics(d3d=d3d,
+                    s_vlc=vlc_rx_electrical_power(gain, wfac, config.vlc),
+                    n_vlc=vlc_noise_power(config.vlc),
+                    s_rf_mean=rf_mean_rx_power(d3d, config.rf),
+                    n_rf=rf_noise_power(config.rf))
 
 
 def vlc_snr(config: ScenarioConfig) -> float:
     """Deterministic no-interference VLC SNR of the desired link."""
-    _, _, s_vlc, n_vlc, _, _ = _statics(config)
-    return s_vlc / n_vlc
+    st = _statics(config)
+    return st.s_vlc / st.n_vlc
+
+
+def interference_sums(config: ScenarioConfig, deployment: Deployment,
+                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Per-trial interference powers (VLC, RF) of a deployment.
+
+    Draws one RF fading gain per lane point, in storage order, whether
+    or not the point is excluded.  Each trial's interferer terms are added
+    in storage order, same lane first; excluded points add zero.
+    """
+    n = deployment.counts.shape[1]
+    geo = config.geometry
+    rsu = geo.rsu_pose
+    coeff = config.weather.attenuation_db_per_km
+    dz = rsu.z - geo.tx_height
+    i_vlc = np.zeros(n)
+    i_rf = np.zeros(n)
+    for lane, part in zip(LANES, deployment.lane_slices()):
+        for lo in range(part.start, part.stop, _BLOCK):
+            block = slice(lo, min(lo + _BLOCK, part.stop))
+            trial = deployment.trial[block]
+            x, y, axis = lane_poses(geo, lane, deployment.coord[block])
+            active = outside_exclusion(config, x, y)
+            dx = rsu.x - x
+            dy = rsu.y - y
+            d = np.sqrt(dx * dx + dy * dy + dz * dz)
+            fade = sample_fading(config.rf, rng, len(trial))
+            p_rf = rf_mean_rx_power(d, config.rf) * fade
+            i_rf += np.bincount(trial, np.where(active, p_rf, 0.0), minlength=n)
+            gain = los_gain(dx, dy, dz, axis, rsu.axis, config.vlc)
+            p_vlc = vlc_rx_electrical_power(gain, attenuation_factor(coeff, d),
+                                            config.vlc)
+            i_vlc += np.bincount(trial, np.where(active, p_vlc, 0.0), minlength=n)
+    return i_vlc, i_rf
+
+
+def _sinrs(config: ScenarioConfig, deployment: Deployment,
+           rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    st = _statics(config)
+    desired_fade = sample_fading(config.rf, rng, deployment.counts.shape[1])
+    i_vlc, i_rf = interference_sums(config, deployment, rng)
+    return (sinr(st.s_vlc, i_vlc, st.n_vlc),
+            sinr(st.s_rf_mean * desired_fade, i_rf, st.n_rf))
+
+
+def simulate_trials(config: ScenarioConfig, rng: np.random.Generator,
+                    n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n coupled draws: per-trial VLC and RF SINR arrays.
+
+    The stream is consumed in a weather-independent order: Poisson counts,
+    lane positions, desired RF fades, one RF fade per lane point.  Runs
+    that differ only in weather therefore see identical randomness.
+    """
+    return _sinrs(config, draw_deployment(config, rng, n), rng)
 
 
 def run_trial(config: ScenarioConfig, rng: np.random.Generator) -> TrialOutcome:
-    """One coupled draw: deployment, then both links' SINRs.
+    """One coupled draw: simulate_trials with n = 1, plus interferer counts."""
+    deployment = draw_deployment(config, rng, 1)
+    sinr_vlc, sinr_rf = _sinrs(config, deployment, rng)
+    n_same, n_perp = interferer_counts(config, deployment)[:, 0]
+    return TrialOutcome(sinr_vlc=float(sinr_vlc[0]), sinr_rf=float(sinr_rf[0]),
+                        n_interferers_same=int(n_same),
+                        n_interferers_perp=int(n_perp))
 
-    The random stream is consumed in a weather-independent order
-    (deployment draws, desired RF fading, per-interferer RF fading), so
-    runs that differ only in weather see identical randomness.
+
+def score_modes(sinr_vlc, sinr_rf, config: ScenarioConfig | None,
+                theta_vlc: float | None = None, theta_rf: float | None = None):
+    """Reception and achievable rate of every mode, rows in MODES order.
+
+    Returns ok[4, n] and rate[4, n] (bits/s) for SINR arrays of n trials
+    (shape [4] for scalar SINRs).  Link aggregation duplicates the packet
+    on both links, so it succeeds if either link decodes; best-link
+    selection cannot beat that, so the non-aggregated hybrid shares the
+    same reception event.  Rates are Shannon-form: the desired vehicle's
+    access probability rho_a scales every mode, the aggregation overhead
+    beta_ov only the aggregated sum.
+
+    The thresholds default to the config's decode thresholds.  config is
+    only needed for the rates: without one, rate is None.
     """
-    rsu, _, s_vlc, n_vlc, s_rf_mean, n_rf = _statics(config)
-    interferers = sample_interferers(config, rng)
+    if theta_vlc is None:
+        theta_vlc = db_to_linear(config.sinr_threshold_vlc_db)
+    if theta_rf is None:
+        theta_rf = db_to_linear(config.sinr_threshold_rf_db)
+    sinr_vlc = np.asarray(sinr_vlc)
+    sinr_rf = np.asarray(sinr_rf)
+    ok_v = sinr_vlc >= theta_vlc
+    ok_r = sinr_rf >= theta_rf
+    either = ok_v | ok_r
+    ok = np.stack([ok_v, ok_r, either, either])
+    if config is None:
+        return ok, None
+    r_v = config.vlc.bandwidth * np.log2(1.0 + sinr_vlc)
+    r_r = config.rf.bandwidth * np.log2(1.0 + sinr_rf)
+    rho = config.rho_a
+    rate = np.stack([rho * r_v, rho * r_r, config.beta_ov * rho * (r_v + r_r),
+                     rho * np.maximum(r_v, r_r)])
+    return ok, rate
 
-    i_vlc = 0.0
-    i_rf = 0.0
-    coeff = config.weather.attenuation_db_per_km
-    desired_fade = sample_fading(config.rf, rng)
-    for pose in interferers.positions:
-        ddx = rsu.x - pose.x
-        ddy = rsu.y - pose.y
-        ddz = rsu.z - pose.z
-        d_k = math.sqrt(ddx * ddx + ddy * ddy + ddz * ddz)
-        fade = sample_fading(config.rf, rng)
-        i_rf += rf_mean_rx_power(d_k, config.rf) * fade
-        g_k = vlc_los_gain(pose, rsu, config.vlc)
-        if g_k > 0.0:
-            w_k = attenuation_factor(coeff, d_k)
-            i_vlc += vlc_rx_electrical_power(g_k, w_k, config.vlc)
 
-    return TrialOutcome(
-        sinr_vlc=sinr(s_vlc, i_vlc, n_vlc),
-        sinr_rf=sinr(s_rf_mean * desired_fade, i_rf, n_rf),
-        n_interferers_same=interferers.n_same,
-        n_interferers_perp=interferers.n_perpendicular,
-    )
+def _mode_row(mode: str) -> int:
+    if mode not in MODES:
+        raise InvalidArgumentError(f"unknown mode {mode!r}")
+    return MODES.index(mode)
+
+
+def _sinr_arrays(outcomes) -> tuple[np.ndarray, np.ndarray]:
+    if not outcomes:
+        raise InvalidArgumentError("outcomes must be nonempty")
+    return (np.array([o.sinr_vlc for o in outcomes]),
+            np.array([o.sinr_rf for o in outcomes]))
+
+
+def _check_thresholds(theta_vlc: float, theta_rf: float):
+    if theta_vlc <= 0 or theta_rf <= 0:
+        raise InvalidArgumentError("thresholds must be > 0")
 
 
 def success(outcome: TrialOutcome, mode: str,
             theta_vlc: float, theta_rf: float) -> bool:
-    """Packet reception for one trial under the given mode.
-
-    Link aggregation duplicates the packet on both links, so it succeeds
-    if either link decodes; best-link selection cannot beat that, so the
-    non-aggregated hybrid shares the same reception event.
-    """
-    if theta_vlc <= 0 or theta_rf <= 0:
-        raise InvalidArgumentError("thresholds must be > 0")
-    ok_v = outcome.sinr_vlc >= theta_vlc
-    ok_r = outcome.sinr_rf >= theta_rf
-    if mode == MODE_PURE_VLC:
-        return ok_v
-    if mode == MODE_PURE_RF:
-        return ok_r
-    if mode in (MODE_LA, MODE_NON_LA):
-        return ok_v or ok_r
-    raise InvalidArgumentError(f"unknown mode {mode!r}")
+    """Packet reception for one trial under the given mode."""
+    _check_thresholds(theta_vlc, theta_rf)
+    ok, _ = score_modes(outcome.sinr_vlc, outcome.sinr_rf, None, theta_vlc, theta_rf)
+    return bool(ok[_mode_row(mode)])
 
 
 def prp(outcomes, mode: str, theta_vlc: float, theta_rf: float) -> MetricEstimate:
     """Packet reception probability over a trial set."""
-    if not outcomes:
-        raise InvalidArgumentError("outcomes must be nonempty")
-    wins = sum(1 for o in outcomes if success(o, mode, theta_vlc, theta_rf))
-    return proportion_estimate(wins, len(outcomes))
+    sinr_vlc, sinr_rf = _sinr_arrays(outcomes)
+    _check_thresholds(theta_vlc, theta_rf)
+    ok, _ = score_modes(sinr_vlc, sinr_rf, None, theta_vlc, theta_rf)
+    return proportion_estimate(int(ok[_mode_row(mode)].sum()), len(outcomes))
 
 
 def instantaneous_rate(outcome: TrialOutcome, mode: str,
                        config: ScenarioConfig) -> float:
-    """Shannon-form achievable rate for one trial, in bits/second.
-
-    The desired vehicle's access probability rho_a scales every mode; the
-    aggregation overhead beta_ov scales only the aggregated sum.
-    """
-    r_v = config.vlc.bandwidth * math.log2(1.0 + outcome.sinr_vlc)
-    r_r = config.rf.bandwidth * math.log2(1.0 + outcome.sinr_rf)
-    if mode == MODE_PURE_VLC:
-        return config.rho_a * r_v
-    if mode == MODE_PURE_RF:
-        return config.rho_a * r_r
-    if mode == MODE_NON_LA:
-        return config.rho_a * max(r_v, r_r)
-    if mode == MODE_LA:
-        return config.beta_ov * config.rho_a * (r_v + r_r)
-    raise InvalidArgumentError(f"unknown mode {mode!r}")
+    """Shannon-form achievable rate for one trial, in bits/second."""
+    _, rate = score_modes(outcome.sinr_vlc, outcome.sinr_rf, config)
+    return float(rate[_mode_row(mode)])
 
 
 def minimum_transmission_time(rate_bps: float, payload_bytes: float) -> float:
@@ -183,18 +241,24 @@ def minimum_transmission_time(rate_bps: float, payload_bytes: float) -> float:
     return 8.0 * payload_bytes / rate_bps
 
 
-def dor(outcomes, mode: str, config: ScenarioConfig, t_th: float) -> MetricEstimate:
-    """Delay outage rate: fraction of trials whose MTT exceeds t_th."""
-    if not outcomes:
-        raise InvalidArgumentError("outcomes must be nonempty")
+def outage_rate(payload_bytes: float, t_th: float) -> float:
+    """Rate (bits/s) below which the payload misses the delay threshold.
+
+    A trial is in delay outage iff its rate < 8H / t_th, i.e. its minimum
+    transmission time exceeds t_th.
+    """
     if t_th <= 0:
         raise InvalidArgumentError("t_th must be > 0")
-    late = 0
-    for o in outcomes:
-        rate = instantaneous_rate(o, mode, config)
-        if minimum_transmission_time(rate, config.payload_h) > t_th:
-            late += 1
-    return proportion_estimate(late, len(outcomes))
+    return 8.0 * payload_bytes / t_th
+
+
+def dor(outcomes, mode: str, config: ScenarioConfig, t_th: float) -> MetricEstimate:
+    """Delay outage rate: fraction of trials whose MTT exceeds t_th."""
+    sinr_vlc, sinr_rf = _sinr_arrays(outcomes)
+    cutoff = outage_rate(config.payload_h, t_th)
+    _, rate = score_modes(sinr_vlc, sinr_rf, config)
+    return proportion_estimate(int((rate[_mode_row(mode)] < cutoff).sum()),
+                               len(outcomes))
 
 
 def prp_rf_closed_form_no_interference(distance: float, rf: RfParams,
@@ -208,6 +272,60 @@ def prp_rf_closed_form_no_interference(distance: float, rf: RfParams,
         raise UnsupportedModelError("closed form requires Rayleigh fading")
     p_mean = rf_mean_rx_power(distance, rf)
     return math.exp(-theta * rf_noise_power(rf) / p_mean)
+
+
+def _simpson(f, a: float, b: float) -> float:
+    x = np.linspace(a, b, 2 * _SIMPSON_PANELS + 1)
+    y = f(x)
+    return (b - a) / (6 * _SIMPSON_PANELS) * (
+        y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
+
+
+def prp_rf_closed_form(config: ScenarioConfig) -> float:
+    """Exact RF PRP under Rayleigh fading with the PPP interferers.
+
+    The desired link decodes iff P0 g0 >= theta (I + N), with unit-mean
+    exponential g0, so PRP = exp(-theta N / P0) * E[exp(-s I)] with
+    s = theta / P0.  Interferers form a Poisson process of density
+    lambda * rho on each lane, each with its own Rayleigh fade, so the
+    Laplace functional of the process gives
+
+        E[exp(-s I)] = exp(-lambda rho sum_lanes int s P(t) / (1 + s P(t)) dt)
+
+    with P(t) the mean received power from lane position t, integrated
+    over each lane minus the points within EXCLUSION_RADIUS_M of the
+    desired vehicle (Haenggi, Stochastic Geometry for Wireless Networks,
+    2012, ch. 5).  Integrals by composite Simpson quadrature.
+    """
+    st = _statics(config)
+    theta = db_to_linear(config.sinr_threshold_rf_db)
+    no_interference = prp_rf_closed_form_no_interference(st.d3d, config.rf, theta)
+    s = theta / st.s_rf_mean
+    geo = config.geometry
+    rsu = geo.rsu_pose
+    L = geo.lane_half_length
+    # Each lane's excluded interval: centred on the desired vehicle's
+    # projection onto the lane, half-width from its offset off the lane.
+    near = {LANE_SAME: (config.distance_r, 0.0),
+            LANE_PERP: (geo.lane_y_offset, geo.lane_x_offset - config.distance_r)}
+    integral = 0.0
+    for lane in LANES:
+        def load(t, lane=lane):
+            x, y, _ = lane_poses(geo, lane, t)
+            d = np.sqrt((rsu.x - x) ** 2 + (rsu.y - y) ** 2
+                        + (rsu.z - geo.tx_height) ** 2)
+            sp = s * rf_mean_rx_power(d, config.rf)
+            return sp / (1.0 + sp)
+
+        integral += _simpson(load, -L, L)
+        centre, offset = near[lane]
+        if abs(offset) < EXCLUSION_RADIUS_M:
+            half = math.sqrt(EXCLUSION_RADIUS_M ** 2 - offset ** 2)
+            lo, hi = max(-L, centre - half), min(L, centre + half)
+            if lo < hi:
+                integral -= _simpson(load, lo, hi)
+    return no_interference * math.exp(
+        -config.lambda_density * config.rho_access * integral)
 
 
 def prp_vlc_no_interference(config: ScenarioConfig, theta: float) -> int:

@@ -7,7 +7,7 @@ rain/fog/snow at these ranges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,7 +37,8 @@ class RfParams:
     bandwidth: float = 20e6             # Hz
 
     def check(self) -> list[str]:
-        out = []
+        out = [f"rf.{f.name}: must be finite" for f in fields(self)
+               if f.name != "fading" and not math.isfinite(getattr(self, f.name))]
         if self.tx_power <= 0:
             out.append("rf.tx_power: must be > 0")
         if self.path_loss_exponent < 2.0:
@@ -55,24 +56,31 @@ class RfParams:
         return out
 
 
-def rf_mean_rx_power(distance: float, params: RfParams) -> float:
-    """Mean received power under log-distance path loss, in watts."""
-    if distance <= 0:
+def rf_mean_rx_power(distance, params: RfParams):
+    """Mean received power under log-distance path loss, in watts.
+
+    distance may be a float or an array of distances.
+    """
+    if np.asarray(distance <= 0).any():
         raise InvalidArgumentError(f"distance must be > 0, got {distance!r}")
     ref = params.tx_power * 10.0 ** (-params.reference_loss_db / 10.0)
     return ref * (distance / params.reference_distance) ** (-params.path_loss_exponent)
 
 
-def sample_fading(params: RfParams, rng: np.random.Generator) -> float:
-    """Draw one unit-mean small-scale power fading gain.
+def sample_fading(params: RfParams, rng: np.random.Generator, size=None):
+    """Draw unit-mean small-scale power fading gains: one float, or an array.
 
     Rayleigh amplitude fading gives an exponential power gain; Nakagami-m
-    gives gamma(shape m, scale 1/m).  Both have mean 1.
+    gives gamma(shape m, scale 1/m).  Both have mean 1.  Each gain is drawn
+    in turn from the stream, so drawing a and then b gains yields the same
+    values as drawing a + b at once.
     """
     if params.fading == FADING_RAYLEIGH:
-        return float(rng.exponential())
-    m = params.nakagami_m
-    return float(rng.gamma(m, 1.0 / m))
+        g = rng.exponential(size=size)
+    else:
+        m = params.nakagami_m
+        g = rng.gamma(m, 1.0 / m, size)
+    return float(g) if size is None else g
 
 
 def rf_noise_power(params: RfParams) -> float:

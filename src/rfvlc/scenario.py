@@ -22,6 +22,23 @@ from .vlc_channel import VlcParams
 # (vehicles cannot physically overlap; also avoids singular draws).
 EXCLUSION_RADIUS_M = 1.0
 
+# Lanes in deployment order.
+LANE_SAME = 0   # the desired vehicle's lane, along x
+LANE_PERP = 1   # the perpendicular lane, along y
+LANES = (LANE_SAME, LANE_PERP)
+_LANE_TAGS = ("same", "perpendicular")
+
+# Bound on the expected interferers per trial over both lanes (one active
+# vehicle per meter on the default 1 km lanes).  A chunk's deployments are
+# held in memory at once, 12 bytes per point.
+MAX_MEAN_INTERFERERS = 2000.0
+
+_SCALAR_FIELDS = ("lambda_density", "rho_access", "rho_a", "beta_ov",
+                  "distance_r", "payload_h", "sinr_threshold_vlc_db",
+                  "sinr_threshold_rf_db")
+_GEOMETRY_FIELDS = ("lane_half_length", "lane_x_offset", "lane_y_offset",
+                    "tx_height")
+
 _WEATHER_KINDS = ("clear", "rain", "fog", "dry_snow")
 
 # kind -> (descriptor name, descriptor value, attenuation dB/km)
@@ -48,9 +65,6 @@ class Pose3:
             raise InvalidArgumentError(f"axis must be a unit vector, norm={norm!r}")
         if self.z < 0:
             raise InvalidArgumentError(f"z must be >= 0, got {self.z!r}")
-
-    def position(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
 
 
 @dataclass(frozen=True)
@@ -129,14 +143,15 @@ class InterfererSet:
         return sum(1 for t in self.lane_tags if t == "perpendicular")
 
 
-def attenuation_factor(attenuation_db_per_km: float, distance_m: float) -> float:
+def attenuation_factor(attenuation_db_per_km: float, distance_m):
     """Beer-Lambert transmission factor for an optical path.
 
-    Returns 10**(-coeff * (distance/1000) / 10), in (0, 1].
+    Returns 10**(-coeff * (distance/1000) / 10), in (0, 1]; distance_m may
+    be a float or an array.
     """
     if attenuation_db_per_km < 0:
         raise InvalidArgumentError("attenuation_db_per_km must be >= 0")
-    if distance_m < 0:
+    if np.asarray(distance_m < 0).any():
         raise InvalidArgumentError("distance_m must be >= 0")
     return 10.0 ** (-attenuation_db_per_km * (distance_m / 1000.0) / 10.0)
 
@@ -188,11 +203,22 @@ class ScenarioConfig:
 
 def validate(config: ScenarioConfig) -> list[str]:
     """Check every configuration invariant; empty list means ok."""
-    violations = []
+    geo = config.geometry
+    rsu = geo.rsu_pose
+    numbers = [(name, getattr(config, name)) for name in _SCALAR_FIELDS]
+    numbers += [(f"geometry.{name}", getattr(geo, name)) for name in _GEOMETRY_FIELDS]
+    numbers += [("geometry.rsu_pose", v) for v in (rsu.x, rsu.y, rsu.z, *rsu.axis)]
+    violations = [f"{name}: must be finite" for name in dict.fromkeys(
+        name for name, v in numbers if v is not None and not math.isfinite(v))]
     if config.lambda_density < 0:
         violations.append("lambda_density: must be >= 0")
     if not 0.0 <= config.rho_access <= 1.0:
         violations.append("rho_access: must be in [0, 1]")
+    mean = config.lambda_density * config.rho_access * 4.0 * geo.lane_half_length
+    if math.isfinite(mean) and mean > MAX_MEAN_INTERFERERS:
+        violations.append(f"lambda_density: lambda * rho_access * 4 * lane_half_length "
+                          f"= {mean:g} expected interferers per trial, at most "
+                          f"{MAX_MEAN_INTERFERERS:g}")
     if not 0.0 < config.rho_a <= 1.0:
         violations.append("rho_a: must be in (0, 1]")
     if not 0.0 < config.beta_ov <= 1.0:
@@ -210,46 +236,87 @@ def validate(config: ScenarioConfig) -> list[str]:
     return violations
 
 
-def sample_interferers(config: ScenarioConfig, rng: np.random.Generator) -> InterfererSet:
-    """Draw one interferer deployment.
+@dataclass(frozen=True)
+class Deployment:
+    """Lane points drawn for n trials, as flat arrays.
+
+    Points are stored lane by lane: every same-lane point in trial order,
+    then every perpendicular-lane one.  coord is the position along the
+    lane (x on the desired vehicle's lane, y on the other one) and trial
+    the index of the trial it belongs to; counts[lane, t] is the number of
+    points of trial t on that lane.  Points within EXCLUSION_RADIUS_M of
+    the desired vehicle are drawn but are not interferers (see
+    outside_exclusion).
+    """
+
+    counts: np.ndarray
+    trial: np.ndarray
+    coord: np.ndarray
+
+    def lane_slices(self) -> tuple[slice, slice]:
+        n_same = int(self.counts[LANE_SAME].sum())
+        return slice(0, n_same), slice(n_same, len(self.coord))
+
+
+def lane_poses(geo: LaneGeometry, lane: int, coord):
+    """(x, y, axis) of vehicles at positions coord along a lane.
+
+    Headlamps sit at tx_height and point along the lane toward the
+    intersection; x, y and the axis components are scalars or arrays.
+    """
+    toward = np.where(coord >= 0, -1.0, 1.0)
+    if lane == LANE_SAME:
+        return coord, geo.lane_y_offset, (toward, 0.0, 0.0)
+    return geo.lane_x_offset, coord, (0.0, toward, 0.0)
+
+
+def outside_exclusion(config: ScenarioConfig, x, y):
+    """True for points farther than EXCLUSION_RADIUS_M from the desired vehicle."""
+    return ((x - config.distance_r) ** 2 + (y - config.geometry.lane_y_offset) ** 2
+            > EXCLUSION_RADIUS_M ** 2)
+
+
+def draw_deployment(config: ScenarioConfig, rng: np.random.Generator,
+                    n: int) -> Deployment:
+    """Draw the lane points of n trials.
 
     Each lane carries a homogeneous Poisson point process of density
-    lambda * rho over [-L, L]; points within EXCLUSION_RADIUS_M of the
-    desired vehicle are removed.  The same active set is later used for
-    both the VLC and RF links.
+    lambda * rho over [-L, L]; the points outside the exclusion radius are
+    the trial's interferers, shared by the VLC and RF links.  Stream
+    consumption: the (2, n) Poisson counts, then one uniform per point in
+    storage order.
     """
-    geo = config.geometry
-    L = geo.lane_half_length
+    L = config.geometry.lane_half_length
     mean = config.lambda_density * config.rho_access * 2.0 * L
-    h = geo.tx_height
-    desired = (config.distance_r, geo.lane_y_offset, h)
+    counts = rng.poisson(mean, (2, n))
+    coord = rng.uniform(-L, L, int(counts.sum()))
+    trial = np.repeat(np.arange(2 * n, dtype=np.int32) % n, counts.ravel())
+    return Deployment(counts, trial, coord)
 
+
+def interferer_counts(config: ScenarioConfig, deployment: Deployment) -> np.ndarray:
+    """Interferers per lane and trial: the counts outside the exclusion radius."""
+    n = deployment.counts.shape[1]
+    out = np.empty_like(deployment.counts)
+    for lane, part in zip(LANES, deployment.lane_slices()):
+        x, y, _ = lane_poses(config.geometry, lane, deployment.coord[part])
+        active = outside_exclusion(config, x, y)
+        out[lane] = np.bincount(deployment.trial[part][active], minlength=n)
+    return out
+
+
+def sample_interferers(config: ScenarioConfig, rng: np.random.Generator) -> InterfererSet:
+    """Draw one interferer deployment (draw_deployment with n = 1)."""
+    geo = config.geometry
+    deployment = draw_deployment(config, rng, 1)
     positions: list[Pose3] = []
     tags: list[str] = []
-
-    # Same lane (along x).  Boresight points toward the intersection.
-    # Position draws are skipped entirely for empty lanes, so the stream
-    # consumption per trial is (poisson, uniforms?, poisson, uniforms?).
-    n_same = int(rng.poisson(mean))
-    xs = rng.uniform(-L, L, n_same) if n_same else ()
-    for x in xs:
-        px, py = float(x), geo.lane_y_offset
-        dx = px - desired[0]
-        if dx * dx + (py - desired[1]) ** 2 <= EXCLUSION_RADIUS_M ** 2:
-            continue
-        ax = -1.0 if x >= 0 else 1.0
-        positions.append(Pose3(px, py, h, axis=(ax, 0.0, 0.0)))
-        tags.append("same")
-
-    # Perpendicular lane (along y).
-    n_perp = int(rng.poisson(mean))
-    ys = rng.uniform(-L, L, n_perp) if n_perp else ()
-    for y in ys:
-        px, py = geo.lane_x_offset, float(y)
-        if (px - desired[0]) ** 2 + (py - desired[1]) ** 2 <= EXCLUSION_RADIUS_M ** 2:
-            continue
-        ay = -1.0 if y >= 0 else 1.0
-        positions.append(Pose3(px, py, h, axis=(0.0, ay, 0.0)))
-        tags.append("perpendicular")
-
+    for lane, part in zip(LANES, deployment.lane_slices()):
+        xs, ys, axis = lane_poses(geo, lane, deployment.coord[part])
+        active = outside_exclusion(config, xs, ys)
+        for x, y, ax, ay, keep in np.broadcast(xs, ys, axis[0], axis[1], active):
+            if keep:
+                positions.append(Pose3(float(x), float(y), geo.tx_height,
+                                       axis=(float(ax), float(ay), 0.0)))
+                tags.append(_LANE_TAGS[lane])
     return InterfererSet(positions=tuple(positions), lane_tags=tuple(tags))

@@ -10,8 +10,10 @@ optical path before detection, so a loss of c dB/km optically costs
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .errors import InvalidArgumentError
 
@@ -34,7 +36,8 @@ class VlcParams:
     bandwidth: float = 20e6                 # Hz
 
     def check(self) -> list[str]:
-        out = []
+        out = [f"vlc.{f.name}: must be finite" for f in fields(self)
+               if not math.isfinite(getattr(self, f.name))]
         for name in ("optical_tx_power", "pd_area", "optical_filter_gain",
                      "concentrator_refractive_index", "responsivity",
                      "noise_psd", "bandwidth"):
@@ -63,41 +66,47 @@ def vlc_los_gain(tx: "Pose3", rx: "Pose3", params: VlcParams) -> float:
     angle off the rx normal.  Zero outside the receiver FOV or behind the
     emitter.
     """
-    dx = rx.x - tx.x
-    dy = rx.y - tx.y
-    dz = rx.z - tx.z
-    d2 = dx * dx + dy * dy + dz * dz
-    if d2 == 0.0:
+    dx, dy, dz = rx.x - tx.x, rx.y - tx.y, rx.z - tx.z
+    if dx == dy == dz == 0.0:
         raise InvalidArgumentError("tx and rx poses coincide")
-    d = math.sqrt(d2)
+    return float(los_gain(dx, dy, dz, tx.axis, rx.axis, params))
 
-    cos_phi = (dx * tx.axis[0] + dy * tx.axis[1] + dz * tx.axis[2]) / d
-    if cos_phi <= 0.0:
-        return 0.0
+
+def los_gain(dx, dy, dz, tx_axis, rx_axis, params: VlcParams) -> np.ndarray:
+    """vlc_los_gain over arrays of links.
+
+    (dx, dy, dz) are the emitter -> detector offsets, one entry per link;
+    tx_axis and rx_axis are (x, y, z) triples whose components may be
+    scalars or per-link arrays.  Offsets must be nonzero.
+    """
+    d2 = dx * dx + dy * dy + dz * dz
+    d = np.sqrt(d2)
+    cos_phi = (dx * tx_axis[0] + dy * tx_axis[1] + dz * tx_axis[2]) / d
     # rx -> tx direction against the receiver normal
-    cos_psi = (-dx * rx.axis[0] - dy * rx.axis[1] - dz * rx.axis[2]) / d
+    cos_psi = (-dx * rx_axis[0] - dy * rx_axis[1] - dz * rx_axis[2]) / d
     psi_c = math.radians(params.fov)
-    if cos_psi < math.cos(psi_c):
-        return 0.0
+    seen = (cos_phi > 0.0) & (cos_psi >= math.cos(psi_c))
 
     m = lambertian_order(params.semi_angle_half_power)
     n = params.concentrator_refractive_index
     concentrator = n * n / (math.sin(psi_c) ** 2)
+    lobe = np.power(cos_phi, m, out=np.zeros(np.shape(d2)), where=seen)
     return ((m + 1.0) * params.pd_area / (2.0 * math.pi * d2)
-            * cos_phi ** m
-            * params.optical_filter_gain * concentrator * cos_psi)
+            * lobe
+            * params.optical_filter_gain * concentrator
+            * np.where(seen, cos_psi, 0.0))
 
 
-def vlc_rx_electrical_power(gain: float, weather_factor: float,
-                            params: VlcParams) -> float:
+def vlc_rx_electrical_power(gain, weather_factor, params: VlcParams):
     """Electrical signal power after square-law detection.
 
     (responsivity * optical power * gain * weather factor)^2; the weather
-    factor multiplies the optical power, hence the squared penalty.
+    factor multiplies the optical power, hence the squared penalty.  gain
+    and weather_factor may be floats or arrays.
     """
-    if gain < 0:
+    if np.asarray(gain < 0).any():
         raise InvalidArgumentError("gain must be >= 0")
-    if not 0.0 <= weather_factor <= 1.0:
+    if not np.asarray((weather_factor >= 0.0) & (weather_factor <= 1.0)).all():
         raise InvalidArgumentError("weather_factor must be in [0, 1]")
     photocurrent = params.responsivity * params.optical_tx_power * gain * weather_factor
     return photocurrent * photocurrent

@@ -61,6 +61,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("weather = drizzle\n")
 
+    def test_non_finite_values_rejected(self):
+        for key in ("distance_r", "payload_h", "rf.tx_power", "vlc.pd_area",
+                    "geometry.tx_height", "geometry.rsu_tilt_deg"):
+            with pytest.raises(ConfigError, match="finite"):
+                parse_config(f"{key} = nan\n")
+
+    def test_bad_geometry_is_config_error(self):
+        with pytest.raises(ConfigError, match="lane_half_length"):
+            parse_config("geometry.lane_half_length = -1\n")
+
     def test_geometry_keys(self):
         config, _ = parse_config(
             "geometry.rsu_height = 6\ngeometry.rsu_tilt_deg = 30\n")
@@ -112,6 +122,9 @@ class TestCliPrpSweep:
         assert manifest["master_seed"] == 7
         assert manifest["n_trials"] == 200
         assert len(manifest["config_sha256"]) == 64
+        assert manifest["rng_scheme"] == "splitmix64-chunk/pcg64"
+        assert manifest["chunk_size"] == 4096
+        assert manifest["tool_version"] == "0.2.0"
 
     def test_gnuplot_files(self, tmp_path):
         out = str(tmp_path / "out")
@@ -188,6 +201,36 @@ class TestCliErrors:
         assert _run(["prp-sweep", "--out", str(tmp_path / "o"),
                      "--distances", "50,abc"] + FAST) == 2
         capsys.readouterr()
+
+    def test_nan_distance_fails_validate(self, tmp_path, capsys):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("distance_r = nan\n")
+        assert _run(["validate", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert "distance_r: must be finite" in captured.err
+        assert captured.out == ""
+
+    def test_infinite_density_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text("lambda_density = inf\n")
+        assert _run(["prp-sweep", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--distances", "50"] + FAST) == 2
+        assert "lambda_density: must be finite" in capsys.readouterr().err
+
+    def test_zero_delay_threshold_is_config_error(self, tmp_path, capsys):
+        assert _run(["dor-sweep", "--out", str(tmp_path / "o"),
+                     "--t-th-ms", "0,1"] + FAST) == 2
+        assert "delay thresholds must be > 0" in capsys.readouterr().err
+
+    def test_negative_distance_is_config_error(self, tmp_path, capsys):
+        assert _run(["prp-sweep", "--out", str(tmp_path / "o"),
+                     "--distances=-50,10"] + FAST) == 2
+        assert "distance_r: must be > 0" in capsys.readouterr().err
+
+    def test_zero_workers_is_config_error(self, tmp_path, capsys):
+        assert _run(["prp-sweep", "--out", str(tmp_path / "o"), "--distances", "50",
+                     "--workers", "0"] + FAST) == 2
+        assert "n_workers" in capsys.readouterr().err
 
     def test_failed_run_leaves_no_partial_csv(self, tmp_path):
         out = tmp_path / "o"

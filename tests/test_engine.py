@@ -10,10 +10,15 @@ from rfvlc import (ConfigError, InvalidArgumentError, MODE_LA, MODE_PURE_RF,
                    MODE_PURE_VLC, ScenarioConfig, SweepSpec, WeatherCondition,
                    confidence_interval, db_to_linear, derive_seed,
                    prp_rf_closed_form_no_interference, run_sweep)
-from rfvlc.engine import SWEEP_DISTANCE, SWEEP_T_TH, trial_rng
+from rfvlc.engine import SWEEP_DISTANCE, SWEEP_T_TH, _CHUNK, trial_rng
+from rfvlc.metrics import score_modes, simulate_trials
 from rfvlc.estimate import mean_estimate, proportion_estimate
 
 CLEAR = (WeatherCondition.preset("clear"),)
+ALL_WEATHERS = tuple(WeatherCondition.preset(k)
+                     for k in ("clear", "rain", "fog", "dry_snow"))
+# lambda * rho = 1e-2: ~20 interferers per trial
+DENSE = dataclasses.replace(ScenarioConfig(), rho_access=1.0)
 
 
 def _spec(**over):
@@ -117,6 +122,33 @@ class TestRunSweep:
         spec = _spec(n_trials=5000)
         assert run_sweep(cfg, spec, n_workers=1) == run_sweep(cfg, spec, n_workers=3)
 
+    def test_worker_count_does_not_change_results_at_density(self):
+        # two full chunks and a partial one per point
+        spec = _spec(n_trials=2 * _CHUNK + 300)
+        assert run_sweep(DENSE, spec, n_workers=1) == run_sweep(DENSE, spec, n_workers=2)
+
+    def test_pure_rf_identical_across_weathers_at_density(self):
+        spec = _spec(weathers=ALL_WEATHERS, n_trials=_CHUNK + 300)
+        rows = run_sweep(DENSE, spec).rows
+        for value in spec.values:
+            for metric in ("prp", "rate_mbps"):
+                estimates = [r.estimate for r in rows
+                             if r.sweep_value == value and r.mode == MODE_PURE_RF
+                             and r.metric == metric]
+                assert len(estimates) == 4 and len(set(estimates)) == 1
+
+    def test_one_stream_per_chunk(self):
+        # chunk c of point p draws from trial_rng(derive_seed(master, p, c))
+        spec = _spec(values=(150.0,), modes=(MODE_PURE_RF,), n_trials=_CHUNK + 500)
+        row = [r for r in run_sweep(DENSE, spec).rows if r.metric == "prp"][0]
+        cfg = DENSE.with_distance(150.0)
+        wins = 0
+        for chunk, n in enumerate((_CHUNK, 500)):
+            rng = trial_rng(derive_seed(spec.master_seed, 0, chunk))
+            ok, _ = score_modes(*simulate_trials(cfg, rng, n), cfg)
+            wins += int(ok[1].sum())
+        assert row.estimate.value == wins / spec.n_trials
+
     def test_seed_changes_results(self):
         cfg = ScenarioConfig()
         a = run_sweep(cfg, _spec(n_trials=2000))
@@ -149,6 +181,21 @@ class TestRunSweep:
         bad = dataclasses.replace(ScenarioConfig(), beta_ov=2.0)
         with pytest.raises(ConfigError):
             run_sweep(bad, _spec())
+
+    def test_every_point_is_validated(self):
+        with pytest.raises(ConfigError, match="distance_r"):
+            run_sweep(ScenarioConfig(), _spec(values=(-50.0, 10.0)))
+        with pytest.raises(ConfigError, match="finite"):
+            run_sweep(ScenarioConfig(), _spec(values=(10.0, math.inf)))
+
+    def test_nonpositive_delay_threshold_rejected(self):
+        with pytest.raises(ConfigError, match="delay thresholds"):
+            run_sweep(ScenarioConfig(), _spec(variable=SWEEP_T_TH, values=(0.0, 1e-3)))
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_must_be_positive(self, workers):
+        with pytest.raises(ConfigError, match="n_workers"):
+            run_sweep(ScenarioConfig(), _spec(), n_workers=workers)
 
     def test_matches_rf_closed_form_without_interferers(self):
         cfg = dataclasses.replace(ScenarioConfig(), lambda_density=0.0)

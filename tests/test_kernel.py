@@ -1,0 +1,158 @@
+"""Chunk kernel tests: the array code against the scalar channel functions."""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from rfvlc import (FADING_NAKAGAMI, FADING_RAYLEIGH, Pose3, ScenarioConfig,
+                   WeatherCondition, attenuation_factor, rf_mean_rx_power,
+                   rf_noise_power, run_trial, sample_fading, sample_interferers,
+                   sinr, vlc_los_gain, vlc_noise_power, vlc_rx_electrical_power)
+from rfvlc import metrics
+from rfvlc.engine import trial_rng
+from rfvlc.metrics import interference_sums, simulate_trials
+from rfvlc.scenario import EXCLUSION_RADIUS_M, draw_deployment
+
+# lambda * rho = 1e-2: ~20 interferers per trial; rain makes the optical
+# attenuation factor differ from 1.
+DENSE = dataclasses.replace(ScenarioConfig(), rho_access=1.0, distance_r=30.0,
+                            weather=WeatherCondition.preset("rain"))
+N = 256
+SEED = 0x5EED
+
+
+def _dense(fading):
+    rf = dataclasses.replace(DENSE.rf, fading=fading, nakagami_m=2.5)
+    return dataclasses.replace(DENSE, rf=rf)
+
+
+def _lane_poses(config, deployment):
+    """Poses of the drawn lane points in storage order, and whether each is
+    an interferer (outside the exclusion radius), from the lane layout."""
+    geo = config.geometry
+    desired = config.desired_pose()
+    n_same = int(deployment.counts[0].sum())
+    poses, active = [], []
+    for k, c in enumerate(deployment.coord):
+        toward = -1.0 if c >= 0 else 1.0
+        if k < n_same:
+            pose = Pose3(float(c), geo.lane_y_offset, geo.tx_height,
+                         axis=(toward, 0.0, 0.0))
+        else:
+            pose = Pose3(geo.lane_x_offset, float(c), geo.tx_height,
+                         axis=(0.0, toward, 0.0))
+        poses.append(pose)
+        active.append(math.dist((pose.x, pose.y), (desired.x, desired.y))
+                      > EXCLUSION_RADIUS_M)
+    return poses, active
+
+
+def _scalar_reference(config, seed, n):
+    """Per-trial interference sums and SINRs from the scalar public functions.
+
+    Consumes the stream in the kernel's documented order: deployment,
+    desired fades, then one fade per lane point in storage order.
+    """
+    rng = trial_rng(seed)
+    deployment = draw_deployment(config, rng, n)
+    desired_fade = sample_fading(config.rf, rng, n)
+    fades = sample_fading(config.rf, rng, len(deployment.coord))
+
+    rsu = config.geometry.rsu_pose
+    coeff = config.weather.attenuation_db_per_km
+    i_vlc = [0.0] * n
+    i_rf = [0.0] * n
+    poses, active = _lane_poses(config, deployment)
+    for pose, keep, t, fade in zip(poses, active, deployment.trial, fades):
+        if not keep:
+            continue
+        d_k = math.dist((rsu.x, rsu.y, rsu.z), (pose.x, pose.y, pose.z))
+        i_rf[t] += rf_mean_rx_power(d_k, config.rf) * fade
+        g_k = vlc_los_gain(pose, rsu, config.vlc)
+        i_vlc[t] += vlc_rx_electrical_power(g_k, attenuation_factor(coeff, d_k),
+                                            config.vlc)
+
+    desired = config.desired_pose()
+    d0 = math.dist((rsu.x, rsu.y, rsu.z), (desired.x, desired.y, desired.z))
+    s_vlc = vlc_rx_electrical_power(vlc_los_gain(desired, rsu, config.vlc),
+                                    attenuation_factor(coeff, d0), config.vlc)
+    s_rf = rf_mean_rx_power(d0, config.rf)
+    sinr_vlc = [sinr(s_vlc, i, vlc_noise_power(config.vlc)) for i in i_vlc]
+    sinr_rf = [sinr(s_rf * g, i, rf_noise_power(config.rf))
+               for g, i in zip(desired_fade, i_rf)]
+    excluded = active.count(False)
+    return deployment, excluded, np.array(i_vlc), np.array(i_rf), sinr_vlc, sinr_rf
+
+
+def _kernel_sums(config, seed, n):
+    rng = trial_rng(seed)
+    deployment = draw_deployment(config, rng, n)
+    sample_fading(config.rf, rng, n)
+    return interference_sums(config, deployment, rng)
+
+
+def _assert_matches_scalar(config):
+    deployment, excluded, i_vlc, i_rf, sinr_vlc, sinr_rf = _scalar_reference(
+        config, SEED, N)
+    k_vlc, k_rf = _kernel_sums(config, SEED, N)
+    np.testing.assert_allclose(k_vlc, i_vlc, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(k_rf, i_rf, rtol=1e-12, atol=0.0)
+    got_vlc, got_rf = simulate_trials(config, trial_rng(SEED), N)
+    np.testing.assert_allclose(got_vlc, sinr_vlc, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(got_rf, sinr_rf, rtol=1e-12, atol=0.0)
+    return deployment, excluded, i_vlc
+
+
+@pytest.mark.parametrize("fading", [FADING_RAYLEIGH, FADING_NAKAGAMI])
+def test_kernel_matches_scalar_channel_loop(fading):
+    deployment, excluded, i_vlc = _assert_matches_scalar(_dense(fading))
+    # the fixture really is dense, on both lanes, with visible interferers
+    # and with points inside the exclusion radius
+    assert deployment.counts[0].mean() > 5 and deployment.counts[1].mean() > 5
+    assert (i_vlc > 0).sum() > N // 2
+    assert excluded > 0
+
+
+@pytest.mark.parametrize("fading", [FADING_RAYLEIGH, FADING_NAKAGAMI])
+def test_kernel_matches_scalar_loop_across_block_boundaries(fading, monkeypatch):
+    # 7-interferer blocks split trials, and the lane boundary, across blocks
+    config = _dense(fading)
+    default = simulate_trials(config, trial_rng(SEED), N)
+    monkeypatch.setattr(metrics, "_BLOCK", 7)
+    deployment, _, _ = _assert_matches_scalar(config)
+    assert len(deployment.coord) > 10 * 7
+    blocked = simulate_trials(config, trial_rng(SEED), N)
+    for a, b in zip(default, blocked):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
+
+
+def test_run_trial_is_the_one_trial_kernel():
+    for seed in range(20):
+        outcome = run_trial(DENSE, trial_rng(seed))
+        sinr_vlc, sinr_rf = simulate_trials(DENSE, trial_rng(seed), 1)
+        assert (outcome.sinr_vlc, outcome.sinr_rf) == (sinr_vlc[0], sinr_rf[0])
+        deployment = draw_deployment(DENSE, trial_rng(seed), 1)
+        _, active = _lane_poses(DENSE, deployment)
+        n_same = int(deployment.counts[0, 0])
+        assert (outcome.n_interferers_same, outcome.n_interferers_perp) == \
+            (sum(active[:n_same]), sum(active[n_same:]))
+
+
+def test_sample_interferers_is_the_one_trial_deployment():
+    for seed in range(20):
+        poses = sample_interferers(DENSE, trial_rng(seed)).positions
+        drawn, active = _lane_poses(DENSE, draw_deployment(DENSE, trial_rng(seed), 1))
+        assert poses == tuple(p for p, keep in zip(drawn, active) if keep)
+
+
+def test_weathers_share_every_draw():
+    # weather only rescales optical terms: RF SINRs are identical, VLC ones not
+    clear = dataclasses.replace(DENSE, weather=WeatherCondition.preset("clear"))
+    rf = {simulate_trials(dataclasses.replace(DENSE, weather=w), trial_rng(SEED), N)[1]
+          .tobytes() for w in map(WeatherCondition.preset,
+                                  ("clear", "rain", "fog", "dry_snow"))}
+    assert len(rf) == 1
+    assert not np.array_equal(simulate_trials(clear, trial_rng(SEED), N)[0],
+                              simulate_trials(DENSE, trial_rng(SEED), N)[0])

@@ -8,12 +8,16 @@ import pytest
 from scipy import stats
 
 from rfvlc import (InvalidArgumentError, MODE_LA, MODE_NON_LA, MODE_PURE_RF,
-                   MODE_PURE_VLC, MODES, ScenarioConfig, TrialOutcome,
-                   UnsupportedModelError, WeatherCondition, db_to_linear, dor,
-                   instantaneous_rate, minimum_transmission_time, prp,
+                   MODE_PURE_VLC, MODES, ScenarioConfig, SweepSpec,
+                   TrialOutcome, UnsupportedModelError, WeatherCondition,
+                   db_to_linear, dor, instantaneous_rate,
+                   minimum_transmission_time, prp, prp_rf_closed_form,
                    prp_rf_closed_form_no_interference,
                    prp_vlc_no_interference, rf_mean_rx_power, rf_noise_power,
-                   run_trial, sinr, success, vlc_cutoff_distance, vlc_snr)
+                   run_sweep, run_trial, sinr, success, vlc_cutoff_distance,
+                   vlc_snr)
+from rfvlc.engine import SWEEP_DISTANCE
+from rfvlc.metrics import score_modes
 
 NO_INTERFERENCE = dataclasses.replace(ScenarioConfig(), lambda_density=0.0)
 
@@ -131,6 +135,35 @@ class TestSuccessAndPrp:
             prp([], MODE_LA, 1.0, 1.0)
 
 
+class TestScoreModes:
+    def test_rows_follow_modes_and_wrappers(self):
+        cfg = ScenarioConfig()
+        sinr_vlc = np.array([0.0, 0.5, 2.0, 15.0])
+        sinr_rf = np.array([15.0, 0.5, 0.5, 15.0])
+        ok, rate = score_modes(sinr_vlc, sinr_rf, cfg, 1.0, 1.0)
+        assert ok.shape == rate.shape == (len(MODES), 4)
+        for j, (v, r) in enumerate(zip(sinr_vlc, sinr_rf)):
+            o = TrialOutcome(float(v), float(r), 0, 0)
+            for i, mode in enumerate(MODES):
+                assert ok[i, j] == success(o, mode, 1.0, 1.0)
+                assert rate[i, j] == pytest.approx(
+                    instantaneous_rate(o, mode, cfg), rel=1e-12)
+
+    def test_thresholds_default_to_config(self):
+        cfg = ScenarioConfig()
+        theta_v = db_to_linear(cfg.sinr_threshold_vlc_db)
+        theta_r = db_to_linear(cfg.sinr_threshold_rf_db)
+        sinrs = (np.array([theta_v, theta_v * 0.999]), np.array([theta_r * 0.999, theta_r]))
+        ok, _ = score_modes(*sinrs, cfg)
+        assert np.array_equal(ok, score_modes(*sinrs, cfg, theta_v, theta_r)[0])
+        assert ok[:2].tolist() == [[True, False], [False, True]]
+
+    def test_rate_needs_config(self):
+        ok, rate = score_modes(2.0, 0.5, None, 1.0, 1.0)
+        assert ok.tolist() == [True, False, True, True]
+        assert rate is None
+
+
 class TestRates:
     def test_worked_example(self):
         # both links at SINR 15 over 20 MHz: r = 80 Mbps each;
@@ -230,6 +263,67 @@ class TestClosedFormOracles:
         d3d = math.dist((rsu.x, rsu.y, rsu.z), (des.x, des.y, des.z))
         exact = prp_rf_closed_form_no_interference(d3d, cfg.rf, theta_r)
         assert abs(est.value - exact) < 3 * max(est.stderr, 1e-4)
+
+    def test_interference_oracle_without_interferers(self):
+        cfg = NO_INTERFERENCE.with_distance(100.0)
+        rsu = cfg.geometry.rsu_pose
+        des = cfg.desired_pose()
+        d3d = math.dist((rsu.x, rsu.y, rsu.z), (des.x, des.y, des.z))
+        assert prp_rf_closed_form(cfg) == prp_rf_closed_form_no_interference(
+            d3d, cfg.rf, db_to_linear(cfg.sinr_threshold_rf_db))
+
+    def test_interference_oracle_requires_rayleigh(self):
+        naka = dataclasses.replace(ScenarioConfig().rf, fading="nakagami")
+        with pytest.raises(UnsupportedModelError):
+            prp_rf_closed_form(dataclasses.replace(ScenarioConfig(), rf=naka))
+
+    @pytest.mark.parametrize("distance", [0.5, 50.0, 200.0])
+    def test_interference_oracle_quadrature(self, distance):
+        # With alpha = 2 the per-lane integral of sP / (1 + sP) is an
+        # arctangent: a / sqrt(b2 + a) * atan((t - t0) / sqrt(b2 + a)).
+        # At 0.5 m the exclusion interval also cuts the perpendicular lane.
+        cfg = dataclasses.replace(ScenarioConfig(), rho_access=0.5,
+                                  distance_r=distance)
+        geo = cfg.geometry
+        rsu = geo.rsu_pose
+        des = cfg.desired_pose()
+        d0 = math.dist((rsu.x, rsu.y, rsu.z), (des.x, des.y, des.z))
+        theta = db_to_linear(cfg.sinr_threshold_rf_db)
+        a = theta / rf_mean_rx_power(d0, cfg.rf) * rf_mean_rx_power(1.0, cfg.rf)
+        dz2 = (rsu.z - geo.tx_height) ** 2
+        L = geo.lane_half_length
+
+        def integral(t0, b2, lo, hi):
+            w = math.sqrt(b2 + a)
+            return a / w * (math.atan((hi - t0) / w) - math.atan((lo - t0) / w))
+
+        r = cfg.distance_r
+        same = integral(rsu.x, rsu.y ** 2 + dz2, -L, L) - integral(
+            rsu.x, rsu.y ** 2 + dz2, r - 1.0, r + 1.0)
+        perp = integral(rsu.y, rsu.x ** 2 + dz2, -L, L)
+        if r < 1.0:
+            half = math.sqrt(1.0 - r * r)
+            perp -= integral(rsu.y, rsu.x ** 2 + dz2, -half, half)
+        exact = prp_rf_closed_form_no_interference(d0, cfg.rf, theta) * math.exp(
+            -cfg.lambda_density * cfg.rho_access * (same + perp))
+        assert prp_rf_closed_form(cfg) == pytest.approx(exact, rel=1e-9)
+
+    def test_interference_oracle_matches_monte_carlo(self):
+        # lambda * rho = 1e-3: interference moves the RF PRP well away from
+        # the interference-free value at every distance
+        cfg = dataclasses.replace(ScenarioConfig(), rho_access=0.1)
+        spec = SweepSpec(variable=SWEEP_DISTANCE, values=(50.0, 100.0, 200.0),
+                         weathers=(WeatherCondition.preset("clear"),),
+                         modes=(MODE_PURE_RF,), n_trials=20_000, master_seed=2208)
+        for row in run_sweep(cfg, spec).rows:
+            if row.metric != "prp":
+                continue
+            point = cfg.with_distance(row.sweep_value)
+            exact = prp_rf_closed_form(point)
+            assert exact < 0.9 * prp_rf_closed_form(
+                dataclasses.replace(point, lambda_density=0.0))
+            z = (row.estimate.value - exact) / row.estimate.stderr
+            assert abs(z) < 4.0, (row.sweep_value, row.estimate.value, exact)
 
     def test_vlc_oracle_step(self):
         cfg = NO_INTERFERENCE
