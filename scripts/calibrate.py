@@ -21,7 +21,6 @@ from rfvlc import (MODE_LA, ScenarioConfig, SweepSpec, WeatherCondition,
                    db_to_linear, prp_rf_closed_form_no_interference,
                    prp_vlc_no_interference, run_sweep, vlc_cutoff_distance,
                    vlc_snr)
-from rfvlc.engine import SWEEP_DISTANCE
 
 
 def main():
@@ -52,12 +51,12 @@ def main():
         print(f"  d = {d:3d} m: PRP_rf = {p_rf:.4f}   PRP_vlc = {p_v}")
 
     print("== clear-weather LA mean rate at the calibration endpoints ==")
-    spec = SweepSpec(variable=SWEEP_DISTANCE, values=(50.0, 250.0),
+    spec = SweepSpec(distances=(50.0, 250.0),
                      weathers=(WeatherCondition.preset("clear"),),
                      modes=(MODE_LA,), n_trials=args.trials, master_seed=1)
     for row in run_sweep(cfg, spec).rows:
         if row.metric == "rate_mbps":
-            print(f"  R = {row.sweep_value:5.0f} m: "
+            print(f"  R = {row.distance:5.0f} m: "
                   f"{row.estimate.value:6.1f} Mbps "
                   f"(+- {row.estimate.stderr:.2f})")
     print("  targets: 83.2 Mbps +- 25% at 50 m, 39.8 Mbps +- 25% at 250 m,")

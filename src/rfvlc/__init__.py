@@ -19,4 +19,4 @@ from .scenario import (Deployment, InterfererSet, LaneGeometry, Pose3,
 from .vlc_channel import (VlcParams, lambertian_order, vlc_los_gain,
                           vlc_noise_power, vlc_rx_electrical_power)
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

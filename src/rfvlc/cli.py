@@ -22,8 +22,7 @@ from dataclasses import replace
 
 from . import __version__
 from .config import config_digest, parse_config
-from .engine import (_CHUNK, RNG_SCHEME, SWEEP_DISTANCE, SWEEP_T_TH, SweepSpec,
-                     SweepTable, run_sweep)
+from .engine import _CHUNK, RNG_SCHEME, SweepSpec, SweepTable, run_sweep
 from .errors import ConfigError, InvalidArgumentError
 from .metrics import MODE_LA, MODE_NON_LA, MODE_PURE_RF, MODE_PURE_VLC, MODES
 from .scenario import ScenarioConfig, WeatherCondition
@@ -133,28 +132,34 @@ def _distance_csv(table: SweepTable, metric: str, value_header: str) -> str:
     for row in table.rows:
         if row.metric != metric:
             continue
-        lines.append(",".join([_fmt(row.sweep_value), row.weather, row.mode]
+        lines.append(",".join([_fmt(row.distance), row.weather, row.mode]
                               + _estimate_fields(row.estimate)))
     return "\n".join(lines) + "\n"
 
 
 def _gnuplot_files(out: _OutputSet, table: SweepTable, metric: str, stem: str):
-    """One whitespace-delimited file per (weather, mode) curve."""
-    curves: dict[tuple[str, str], list[str]] = {}
+    """One whitespace-delimited file per curve.
+
+    A curve is a (weather, mode) pair over distance, or for DOR rows a
+    (distance, weather, mode) triple over the delay threshold in seconds.
+    """
+    curves: dict[str, list[str]] = {}
     for row in table.rows:
         if row.metric != metric:
             continue
-        curves.setdefault((row.weather, row.mode), []).append(
-            f"{_fmt(row.sweep_value)} {_fmt(row.estimate.value)} "
-            f"{_fmt(row.estimate.stderr)}")
-    for (weather, mode), lines in curves.items():
-        out.write_text(f"{stem}_{weather}_{mode}.dat", "\n".join(lines) + "\n")
+        if row.t_th is None:
+            name, x = f"{stem}_{row.weather}_{row.mode}", row.distance
+        else:
+            name, x = f"{stem}_{_fmt(row.distance)}m_{row.weather}_{row.mode}", row.t_th
+        curves.setdefault(name, []).append(
+            f"{_fmt(x)} {_fmt(row.estimate.value)} {_fmt(row.estimate.stderr)}")
+    for name, lines in curves.items():
+        out.write_text(f"{name}.dat", "\n".join(lines) + "\n")
 
 
 def cmd_prp_sweep(args) -> int:
     config, spec = _load(args)
-    spec = replace(spec, variable=SWEEP_DISTANCE,
-                   values=_parse_list(args.distances))
+    spec = replace(spec, distances=_parse_list(args.distances))
     with _OutputSet(args.out) as out:
         table = run_sweep(config, spec, n_workers=args.workers)
         out.write_text("prp_sweep.csv", _distance_csv(table, "prp", "prp"))
@@ -169,8 +174,7 @@ def cmd_rate_sweep(args) -> int:
     if not args.modes:
         spec = replace(spec, modes=(MODE_PURE_VLC, MODE_PURE_RF, MODE_LA,
                                     MODE_NON_LA))
-    spec = replace(spec, variable=SWEEP_DISTANCE,
-                   values=_parse_list(args.distances))
+    spec = replace(spec, distances=_parse_list(args.distances))
     with _OutputSet(args.out) as out:
         table = run_sweep(config, spec, n_workers=args.workers)
         out.write_text("rate_sweep.csv",
@@ -183,25 +187,21 @@ def cmd_rate_sweep(args) -> int:
 
 def cmd_dor_sweep(args) -> int:
     config, spec = _load(args)
-    t_th_ms = _parse_list(args.t_th_ms)
-    distances = _parse_list(args.distances)
+    t_th = tuple(t / 1000.0 for t in _parse_list(args.t_th_ms))
+    if not t_th:
+        raise ConfigError("sweep.t_th: must be nonempty")
+    spec = replace(spec, distances=_parse_list(args.distances), t_th=t_th)
     with _OutputSet(args.out) as out:
+        table = run_sweep(config, spec, n_workers=args.workers)
         lines = ["t_th_ms,distance_m,weather,mode,dor,stderr,ci95_low,ci95_high,n_trials"]
-        tables = []
-        for distance in distances:
-            dspec = replace(spec, variable=SWEEP_T_TH,
-                            values=tuple(t / 1000.0 for t in t_th_ms))
-            table = run_sweep(config.with_distance(distance), dspec,
-                              n_workers=args.workers)
-            tables.append((distance, table))
-            for row in table.rows:
+        for row in table.rows:
+            if row.metric == "dor":
                 lines.append(",".join(
-                    [_fmt(row.sweep_value * 1000.0), _fmt(distance),
-                     row.weather, row.mode] + _estimate_fields(row.estimate)))
+                    [_fmt(row.t_th * 1000.0), _fmt(row.distance), row.weather,
+                     row.mode] + _estimate_fields(row.estimate)))
         out.write_text("dor_sweep.csv", "\n".join(lines) + "\n")
         if args.gnuplot:
-            for distance, table in tables:
-                _gnuplot_files(out, table, "dor", f"dor_{_fmt(distance)}m")
+            _gnuplot_files(out, table, "dor", "dor")
         _write_manifest(out, args, config, spec, "dor-sweep")
     return 0
 

@@ -12,7 +12,7 @@ import hashlib
 import math
 from dataclasses import replace
 
-from .engine import SWEEP_DISTANCE, SweepSpec
+from .engine import SweepSpec
 from .errors import ConfigError, InvalidArgumentError
 from .metrics import MODE_LA, MODE_PURE_RF, MODE_PURE_VLC
 from .scenario import (LaneGeometry, Pose3, ScenarioConfig, WeatherCondition,
@@ -149,8 +149,7 @@ def parse_config(text: str) -> tuple[ScenarioConfig, SweepSpec]:
         raise ConfigError("; ".join(problems))
 
     spec = SweepSpec(
-        variable=SWEEP_DISTANCE,
-        values=tuple(float(d) for d in range(10, 251, 10)),
+        distances=tuple(float(d) for d in range(10, 251, 10)),
         weathers=(WeatherCondition.preset("clear"),
                   WeatherCondition.preset("rain"),
                   WeatherCondition.preset("fog"),

@@ -5,9 +5,10 @@ Trials are simulated in chunks of _CHUNK on a fixed grid, and every
 (the counter-based stream idea of Salmon et al., "Parallel random numbers:
 as easy as 1, 2, 3", SC'11).  Results are therefore a pure function of
 (config, spec): reruns and runs with different worker counts produce
-bit-identical tables.  Each chunk is one array pass (simulate_trials), and
-the chunk partials are reduced in chunk order, which keeps floating-point
-summation order independent of the worker count.
+bit-identical tables.  Each chunk is one array pass (simulate_trials)
+scored for every mode and delay threshold, and the chunk partials are
+reduced in chunk order, which keeps floating-point summation order
+independent of the worker count.
 """
 
 from __future__ import annotations
@@ -20,16 +21,13 @@ import numpy as np
 
 from .errors import ConfigError
 from .estimate import MetricEstimate, confidence_interval, mean_estimate, proportion_estimate
-from .metrics import MODES, db_to_linear, outage_rate, score_modes, simulate_trials
+from .metrics import MODES, outage_rate, score_modes, simulate_trials
 from .scenario import ScenarioConfig, WeatherCondition, validate
 
 __all__ = [
     "SweepSpec", "SweepRow", "SweepTable", "MetricEstimate",
     "derive_seed", "run_sweep", "confidence_interval", "trial_rng",
 ]
-
-SWEEP_DISTANCE = "distance_r"
-SWEEP_T_TH = "t_th"
 
 _CHUNK = 4096  # trials per chunk and random stream; fixed so the worker
                # count cannot change the streams or the summation order
@@ -89,27 +87,31 @@ def trial_rng(seed: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One sweep: which variable, which values, how many trials."""
+    """One sweep: distances x weathers, scored per mode and delay threshold.
 
-    variable: str                       # "distance_r" or "t_th"
-    values: tuple[float, ...]
+    Each (distance, weather) point is simulated once.  Its trials give the
+    PRP and rate of every mode, and the DOR of every delay threshold in
+    t_th (seconds; empty for a sweep without DOR rows).
+    """
+
+    distances: tuple[float, ...]
     weathers: tuple[WeatherCondition, ...]
     modes: tuple[str, ...]
     n_trials: int
     master_seed: int
+    t_th: tuple[float, ...] = ()
 
     def check(self) -> list[str]:
         out = []
-        if self.variable not in (SWEEP_DISTANCE, SWEEP_T_TH):
-            out.append(f"sweep.variable: unknown {self.variable!r}")
-        if not self.values:
-            out.append("sweep.values: must be nonempty")
-        elif not all(math.isfinite(v) for v in self.values):
-            out.append("sweep.values: must be finite")
-        elif any(b <= a for a, b in zip(self.values, self.values[1:])):
-            out.append("sweep.values: must be strictly increasing")
-        elif self.variable == SWEEP_T_TH and self.values[0] <= 0:
-            out.append("sweep.values: delay thresholds must be > 0")
+        if not self.distances:
+            out.append("sweep.distances: must be nonempty")
+        for name, values in (("distances", self.distances), ("t_th", self.t_th)):
+            if not all(math.isfinite(v) for v in values):
+                out.append(f"sweep.{name}: must be finite")
+            elif any(b <= a for a, b in zip(values, values[1:])):
+                out.append(f"sweep.{name}: must be strictly increasing")
+        if any(t <= 0 for t in self.t_th):
+            out.append("sweep.t_th: delay thresholds must be > 0")
         if self.n_trials < 100:
             out.append("sweep.n_trials: must be >= 100")
         if not self.weathers:
@@ -122,7 +124,8 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepRow:
-    sweep_value: float
+    distance: float
+    t_th: float | None                  # None on "prp" and "rate_mbps" rows
     weather: str
     mode: str
     metric: str
@@ -131,76 +134,58 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepTable:
-    variable: str
     rows: tuple[SweepRow, ...]
 
 
 def _chunk_stats(config: ScenarioConfig, master_seed: int, point_index: int,
-                 start: int, end: int, theta_vlc: float, theta_rf: float,
-                 rate_threshold: float | None):
+                 start: int, end: int, t_th: tuple[float, ...]):
     """Simulate one chunk of trials, start a multiple of _CHUNK.
 
-    Returns per-mode success counts, rate sums (Mbps), rate sums of
-    squares, and delay-outage counts (trials whose rate falls below
-    rate_threshold bits/s), all in MODES order.
+    Returns per-mode success counts, rate sums (Mbps) and rate sums of
+    squares, in MODES order, and late[mode, k]: the trials whose rate
+    falls below outage_rate(H, t_th[k]).
     """
     rng = trial_rng(derive_seed(master_seed, point_index, start // _CHUNK))
     sinr_vlc, sinr_rf = simulate_trials(config, rng, end - start)
-    ok, rate = score_modes(sinr_vlc, sinr_rf, config, theta_vlc, theta_rf)
+    ok, rate = score_modes(sinr_vlc, sinr_rf, config)
     mbps = rate / 1e6
-    if rate_threshold is None:
-        late = [0] * len(MODES)
-    else:
-        late = (rate < rate_threshold).sum(axis=1).tolist()
-    return (ok.sum(axis=1).tolist(), mbps.sum(axis=1).tolist(),
-            (mbps * mbps).sum(axis=1).tolist(), late)
-
-
-def _point_config(config: ScenarioConfig, spec: SweepSpec, value: float,
-                  weather: WeatherCondition) -> ScenarioConfig:
-    cfg = replace(config, weather=weather)
-    if spec.variable == SWEEP_DISTANCE:
-        cfg = replace(cfg, distance_r=value)
-    return cfg
+    cutoffs = np.array([outage_rate(config.payload_h, t) for t in t_th])
+    late = (rate[:, None, :] < cutoffs[:, None]).sum(axis=2)
+    return ok.sum(axis=1), mbps.sum(axis=1), (mbps * mbps).sum(axis=1), late
 
 
 def run_sweep(config: ScenarioConfig, spec: SweepSpec,
               n_workers: int = 1) -> SweepTable:
     """Run the full sweep and return the ordered result table.
 
-    Distance sweeps report "prp" and "rate_mbps" rows; delay-threshold
-    sweeps report "dor" rows (the trials themselves do not depend on the
-    threshold).  The point index that seeds the trials is the position of
-    the value in spec.values, shared across weathers, so equal-seed
-    comparisons across weather conditions see identical randomness.
+    Each (distance, weather) point is simulated once, and every row of the
+    point is scored on the same trials: per distance, a "prp" and a
+    "rate_mbps" row per (weather, mode), then a "dor" row per (delay
+    threshold, weather, mode), a trial being late iff its rate is below
+    8H / t_th.  DOR is therefore exactly nonincreasing in t_th.  The
+    streams are keyed by the distance's index in spec.distances, shared
+    across weathers, so equal-seed comparisons across weather conditions
+    see identical randomness.
     """
     problems = validate(config) + spec.check()
     if n_workers < 1:
         problems.append(f"n_workers: must be >= 1, got {n_workers}")
     if problems:
         raise ConfigError("; ".join(problems))
-    points = [[_point_config(config, spec, value, weather)
-               for weather in spec.weathers] for value in spec.values]
+    points = [[replace(config, distance_r=distance, weather=weather)
+               for weather in spec.weathers] for distance in spec.distances]
     problems = list(dict.fromkeys(p for row in points for cfg in row
                                   for p in validate(cfg)))
     if problems:
         raise ConfigError("; ".join(problems))
 
-    theta_vlc = db_to_linear(config.sinr_threshold_vlc_db)
-    theta_rf = db_to_linear(config.sinr_threshold_rf_db)
-
     # Fixed chunk grid, independent of worker count.
-    chunks = []
-    for p_idx, value in enumerate(spec.values):
-        if spec.variable == SWEEP_T_TH:
-            rate_threshold = outage_rate(config.payload_h, value)
-        else:
-            rate_threshold = None
-        for w_idx, cfg in enumerate(points[p_idx]):
-            for start in range(0, spec.n_trials, _CHUNK):
-                end = min(start + _CHUNK, spec.n_trials)
-                chunks.append((cfg, spec.master_seed, p_idx, start, end,
-                               theta_vlc, theta_rf, rate_threshold, w_idx))
+    n = spec.n_trials
+    starts = range(0, n, _CHUNK)
+    chunks = [(cfg, spec.master_seed, d_idx, start, min(start + _CHUNK, n),
+               spec.t_th)
+              for d_idx, row in enumerate(points) for cfg in row
+              for start in starts]
 
     if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
@@ -208,37 +193,34 @@ def run_sweep(config: ScenarioConfig, spec: SweepSpec,
     else:
         partials = [_chunk_stats_job(c) for c in chunks]
 
-    # Reduce per (point, weather) in chunk order.
-    n_modes = len(MODES)
-    acc: dict[tuple[int, int], list] = {}
-    for job, part in zip(chunks, partials):
-        key = (job[2], job[8])
-        if key not in acc:
-            acc[key] = [[0] * n_modes, [0.0] * n_modes, [0.0] * n_modes,
-                        [0] * n_modes]
-        a = acc[key]
-        for field_idx in range(4):
-            for i in range(n_modes):
-                a[field_idx][i] += part[field_idx][i]
+    # Reduce per (distance, weather), adding the partials in chunk order.
+    grid = (len(spec.distances), len(spec.weathers), len(starts))
+    sums = []
+    for field in zip(*partials):
+        per_chunk = np.reshape(field, grid + np.shape(field[0]))
+        total = np.zeros_like(per_chunk[:, :, 0])
+        for c in range(len(starts)):
+            total += per_chunk[:, :, c]
+        sums.append(total)
+    succ, rsum, rsq, late = sums
 
     rows = []
-    n = spec.n_trials
-    for p_idx, value in enumerate(spec.values):
+    for d_idx, distance in enumerate(spec.distances):
         for w_idx, weather in enumerate(spec.weathers):
-            succ, rsum, rsq, late = acc[(p_idx, w_idx)]
             for mode in spec.modes:
-                m_idx = MODES.index(mode)
-                if spec.variable == SWEEP_DISTANCE:
-                    rows.append(SweepRow(value, weather.kind, mode, "prp",
-                                         proportion_estimate(succ[m_idx], n)))
-                    rows.append(SweepRow(value, weather.kind, mode, "rate_mbps",
-                                         mean_estimate(rsum[m_idx], rsq[m_idx], n)))
-                else:
-                    rows.append(SweepRow(value, weather.kind, mode, "dor",
-                                         proportion_estimate(late[m_idx], n)))
-    return SweepTable(variable=spec.variable, rows=tuple(rows))
+                at = (d_idx, w_idx, MODES.index(mode))
+                rows.append(SweepRow(distance, None, weather.kind, mode, "prp",
+                                     proportion_estimate(int(succ[at]), n)))
+                rows.append(SweepRow(distance, None, weather.kind, mode, "rate_mbps",
+                                     mean_estimate(float(rsum[at]), float(rsq[at]), n)))
+        for k, t_th in enumerate(spec.t_th):
+            for w_idx, weather in enumerate(spec.weathers):
+                for mode in spec.modes:
+                    at = (d_idx, w_idx, MODES.index(mode), k)
+                    rows.append(SweepRow(distance, t_th, weather.kind, mode, "dor",
+                                         proportion_estimate(int(late[at]), n)))
+    return SweepTable(rows=tuple(rows))
 
 
 def _chunk_stats_job(args):
-    cfg, seed, p_idx, start, end, tv, tr, rate_threshold, _w_idx = args
-    return _chunk_stats(cfg, seed, p_idx, start, end, tv, tr, rate_threshold)
+    return _chunk_stats(*args)

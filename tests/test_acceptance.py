@@ -22,7 +22,7 @@ from rfvlc import (FADING_RAYLEIGH, MODE_LA, MODE_NON_LA, MODE_PURE_RF,
                    prp_vlc_no_interference, run_sweep, run_trial,
                    sample_fading, sample_interferers, vlc_cutoff_distance)
 from rfvlc.cli import main as cli_main
-from rfvlc.engine import SWEEP_DISTANCE, SWEEP_T_TH, trial_rng
+from rfvlc.engine import trial_rng
 
 ALL_WEATHERS = tuple(WeatherCondition.preset(k)
                      for k in ("clear", "rain", "fog", "dry_snow"))
@@ -40,18 +40,22 @@ def _prp_rows(table):
     return [r for r in table.rows if r.metric == "prp"]
 
 
+def _dor_rows(table):
+    return [r for r in table.rows if r.metric == "dor"]
+
+
 def test_criterion_01_rf_oracle_equivalence(capsys):
     """lambda=0 Rayleigh Monte Carlo PRP matches the closed form, < 10 s."""
     t0 = time.monotonic()
     cfg = dataclasses.replace(ScenarioConfig(), lambda_density=0.0)
     theta_r = db_to_linear(cfg.sinr_threshold_rf_db)
-    spec = SweepSpec(variable=SWEEP_DISTANCE, values=(50.0, 100.0, 200.0),
+    spec = SweepSpec(distances=(50.0, 100.0, 200.0),
                      weathers=CLEAR, modes=(MODE_PURE_RF,), n_trials=100_000,
                      master_seed=101)
     rows = _prp_rows(run_sweep(cfg, spec))
     worst = 0.0
     for row in rows:
-        des = cfg.with_distance(row.sweep_value).desired_pose()
+        des = cfg.with_distance(row.distance).desired_pose()
         rsu = cfg.geometry.rsu_pose
         d3d = math.dist((rsu.x, rsu.y, rsu.z), (des.x, des.y, des.z))
         exact = prp_rf_closed_form_no_interference(d3d, cfg.rf, theta_r)
@@ -95,8 +99,7 @@ def test_criterion_02_vlc_oracle_equivalence(capsys):
 
 @pytest.fixture(scope="module")
 def prp_grid_table():
-    spec = SweepSpec(variable=SWEEP_DISTANCE,
-                     values=tuple(float(d) for d in range(10, 251, 10)),
+    spec = SweepSpec(distances=tuple(float(d) for d in range(10, 251, 10)),
                      weathers=ALL_WEATHERS,
                      modes=(MODE_PURE_VLC, MODE_PURE_RF, MODE_LA),
                      n_trials=10_000, master_seed=303)
@@ -108,10 +111,10 @@ def test_criterion_03_la_dominance(capsys, prp_grid_table):
     spec, table = prp_grid_table
     rows = _prp_rows(table)
     violations = 0
-    for value in spec.values:
+    for value in spec.distances:
         for weather in spec.weathers:
             by_mode = {r.mode: r.estimate.value for r in rows
-                       if r.sweep_value == value and r.weather == weather.kind}
+                       if r.distance == value and r.weather == weather.kind}
             if by_mode[MODE_LA] < max(by_mode[MODE_PURE_VLC],
                                       by_mode[MODE_PURE_RF]):
                 violations += 1
@@ -151,15 +154,15 @@ def test_criterion_04_weather_ordering(capsys, prp_grid_table):
     # engine level: VLC-involving PRP ordered, pure-RF estimates identical
     spec, table = prp_grid_table
     order = [w.kind for w in ALL_WEATHERS]
-    for value in spec.values:
+    for value in spec.distances:
         for mode in (MODE_PURE_VLC, MODE_LA):
             by_weather = {r.weather: r.estimate.value for r in _prp_rows(table)
-                          if r.sweep_value == value and r.mode == mode}
+                          if r.distance == value and r.mode == mode}
             curve = [by_weather[w] for w in order]
             if any(b > a for a, b in zip(curve, curve[1:])):
                 bad += 1
         rf_rows = {r.estimate for r in _prp_rows(table)
-                   if r.sweep_value == value and r.mode == MODE_PURE_RF}
+                   if r.distance == value and r.mode == MODE_PURE_RF}
         if len(rf_rows) != 1:
             bad += 1
     ok = bad == 0
@@ -171,17 +174,16 @@ def test_criterion_04_weather_ordering(capsys, prp_grid_table):
 def test_criterion_05_prp_crossover(capsys):
     """Clear-weather VLC / RF PRP curves cross once in [100, 140] m."""
     t0 = time.monotonic()
-    spec = SweepSpec(variable=SWEEP_DISTANCE,
-                     values=tuple(float(d) for d in range(50, 251, 10)),
+    spec = SweepSpec(distances=tuple(float(d) for d in range(50, 251, 10)),
                      weathers=CLEAR, modes=(MODE_PURE_VLC, MODE_PURE_RF),
                      n_trials=100_000, master_seed=505)
     rows = _prp_rows(run_sweep(ScenarioConfig(), spec))
     diff = []
-    for value in spec.values:
+    for value in spec.distances:
         by_mode = {r.mode: r.estimate.value for r in rows
-                   if r.sweep_value == value}
+                   if r.distance == value}
         diff.append(by_mode[MODE_PURE_VLC] - by_mode[MODE_PURE_RF])
-    crossings = [(spec.values[i], spec.values[i + 1])
+    crossings = [(spec.distances[i], spec.distances[i + 1])
                  for i in range(len(diff) - 1)
                  if diff[i] > 0.0 >= diff[i + 1]]
     elapsed = time.monotonic() - t0
@@ -195,13 +197,12 @@ def test_criterion_05_prp_crossover(capsys):
 
 def test_criterion_06_rate_endpoints(capsys):
     """Calibrated LA mean rate: 83.2 Mbps +-25% at 50 m, 39.8 +-25% at 250 m."""
-    spec = SweepSpec(variable=SWEEP_DISTANCE,
-                     values=(50.0, 100.0, 150.0, 200.0, 250.0),
+    spec = SweepSpec(distances=(50.0, 100.0, 150.0, 200.0, 250.0),
                      weathers=CLEAR, modes=(MODE_LA,), n_trials=20_000,
                      master_seed=606)
     rows = [r for r in run_sweep(ScenarioConfig(), spec).rows
             if r.metric == "rate_mbps"]
-    rate = {r.sweep_value: r.estimate.value for r in rows}
+    rate = {r.distance: r.estimate.value for r in rows}
     ok = (abs(rate[50.0] - 83.2) <= 0.25 * 83.2
           and abs(rate[250.0] - 39.8) <= 0.25 * 39.8
           and all(rate[d] >= 10.0 for d in (100.0, 150.0, 200.0, 250.0)))
@@ -216,24 +217,23 @@ def dor_grid():
     """Default DOR grid: t_th 0.5-10 ms at 50 and 200 m, all weathers."""
     thresholds = (0.5e-3, 1e-3, 1.5e-3, 2e-3, 2.5e-3, 3e-3, 4e-3, 5e-3,
                   7.5e-3, 10e-3)
-    spec = SweepSpec(variable=SWEEP_T_TH, values=thresholds,
+    spec = SweepSpec(distances=(50.0, 200.0), t_th=thresholds,
                      weathers=ALL_WEATHERS,
                      modes=(MODE_PURE_VLC, MODE_PURE_RF, MODE_LA),
                      n_trials=10_000, master_seed=707)
-    tables = {d: run_sweep(ScenarioConfig().with_distance(d), spec)
-              for d in (50.0, 200.0)}
-    return spec, tables
+    return spec, _dor_rows(run_sweep(ScenarioConfig(), spec))
 
 
 def test_criterion_07a_dor_monotone(capsys, dor_grid):
     """DOR nonincreasing in t_th for every (distance, weather, mode) curve."""
-    spec, tables = dor_grid
+    spec, rows = dor_grid
     bad = 0
-    for table in tables.values():
+    for distance in spec.distances:
         for weather in spec.weathers:
             for mode in spec.modes:
-                curve = [r.estimate.value for r in table.rows
-                         if r.weather == weather.kind and r.mode == mode]
+                curve = [r.estimate.value for r in rows
+                         if r.distance == distance and r.weather == weather.kind
+                         and r.mode == mode]
                 if any(b > a for a, b in zip(curve, curve[1:])):
                     bad += 1
     ok = bad == 0
@@ -251,13 +251,13 @@ def test_criterion_07b_dor_la_dominance(capsys, dor_grid):
     better pure mode is on time.  An overhead-discounted sum cannot
     dominate its best summand at every threshold.
     """
-    spec, tables = dor_grid
+    spec, rows = dor_grid
     violations = []
-    for distance, table in tables.items():
-        for t_th in spec.values:
+    for distance in spec.distances:
+        for t_th in spec.t_th:
             for weather in spec.weathers:
-                by_mode = {r.mode: r.estimate.value for r in table.rows
-                           if r.sweep_value == t_th
+                by_mode = {r.mode: r.estimate.value for r in rows
+                           if r.distance == distance and r.t_th == t_th
                            and r.weather == weather.kind}
                 if by_mode[MODE_LA] > min(by_mode[MODE_PURE_VLC],
                                           by_mode[MODE_PURE_RF]) + 1e-12:
@@ -297,10 +297,10 @@ def test_criterion_08_la_dor_tail(capsys):
     nearly every trial is in outage; the target would need a mean rate
     roughly three times the long-range calibration targets.
     """
-    spec = SweepSpec(variable=SWEEP_T_TH, values=(3e-3,), weathers=CLEAR,
+    spec = SweepSpec(distances=(200.0,), t_th=(3e-3,), weathers=CLEAR,
                      modes=(MODE_LA,), n_trials=1_000_000, master_seed=808)
-    table = run_sweep(ScenarioConfig().with_distance(200.0), spec, n_workers=4)
-    value = table.rows[0].estimate.value
+    table = run_sweep(ScenarioConfig(), spec, n_workers=4)
+    value = _dor_rows(table)[0].estimate.value
     ok = value < 1e-3
     _verdict(capsys, 8, ok,
              f"LA DOR at 200 m / 3 ms = {value:.4f} (target < 1e-3); "
@@ -312,10 +312,10 @@ def test_criterion_08_la_dor_tail(capsys):
                     reason="10^7-trial tail estimate; set RFVLC_LONG_TESTS=1")
 def test_criterion_08_long_tail_estimate(capsys):
     """Optional 10^7-trial version of the 3 ms tail probe."""
-    spec = SweepSpec(variable=SWEEP_T_TH, values=(3e-3,), weathers=CLEAR,
+    spec = SweepSpec(distances=(200.0,), t_th=(3e-3,), weathers=CLEAR,
                      modes=(MODE_LA,), n_trials=10_000_000, master_seed=808)
-    table = run_sweep(ScenarioConfig().with_distance(200.0), spec, n_workers=8)
-    value = table.rows[0].estimate.value
+    table = run_sweep(ScenarioConfig(), spec, n_workers=8)
+    value = _dor_rows(table)[0].estimate.value
     _verdict(capsys, "8L", value < 1e-3,
              f"LA DOR at 200 m / 3 ms over 10^7 trials = {value:.6f}")
 

@@ -124,7 +124,7 @@ class TestCliPrpSweep:
         assert len(manifest["config_sha256"]) == 64
         assert manifest["rng_scheme"] == "splitmix64-chunk/pcg64"
         assert manifest["chunk_size"] == 4096
-        assert manifest["tool_version"] == "0.2.0"
+        assert manifest["tool_version"] == "0.3.0"
 
     def test_gnuplot_files(self, tmp_path):
         out = str(tmp_path / "out")
@@ -176,6 +176,38 @@ class TestCliDorSweep:
                   _read(os.path.join(out, "dor_sweep.csv")).splitlines()[1:]]
         assert all(b <= a for a, b in zip(values, values[1:]))
 
+    def test_dor_exactly_nonincreasing_on_a_fine_grid(self, tmp_path):
+        # 51 thresholds 0.01 ms apart, where DOR(la) at 150 m falls from
+        # ~0.93 to ~0.85: each step moves it by less than its standard
+        # error, so only thresholds scored on shared trials stay monotone
+        out = str(tmp_path / "out")
+        t_th = ",".join(format(5.0 + 0.01 * i, ".9g") for i in range(51))
+        assert _run(["dor-sweep", "--out", out, "--distances", "150",
+                     "--t-th-ms", t_th, "--weather", "clear", "--modes", "la",
+                     "--trials", "4096", "--seed", "7"]) == 0
+        values = [float(l.split(",")[4]) for l in
+                  _read(os.path.join(out, "dor_sweep.csv")).splitlines()[1:]]
+        assert len(values) == 51 and values[-1] < values[0] < 1.0
+        assert all(b <= a for a, b in zip(values, values[1:]))
+
+    def test_workers_do_not_change_bytes(self, tmp_path):
+        a, b = str(tmp_path / "a"), str(tmp_path / "b")
+        args = ["dor-sweep", "--distances", "50,200", "--t-th-ms", "2,4,8",
+                "--weather", "clear,fog"] + FAST
+        assert _run(args + ["--out", a]) == 0
+        assert _run(args + ["--out", b, "--workers", "2"]) == 0
+        assert _read(os.path.join(a, "dor_sweep.csv")) == \
+            _read(os.path.join(b, "dor_sweep.csv"))
+
+    def test_gnuplot_files(self, tmp_path):
+        out = str(tmp_path / "out")
+        assert _run(["dor-sweep", "--out", out, "--distances", "50,200",
+                     "--t-th-ms", "1,3,10", "--weather", "clear", "--modes", "la",
+                     "--gnuplot"] + FAST) == 0
+        dat = _read(os.path.join(out, "dor_50m_clear_la.dat")).splitlines()
+        assert [line.split()[0] for line in dat] == ["0.001", "0.003", "0.01"]
+        assert os.path.exists(os.path.join(out, "dor_200m_clear_la.dat"))
+
 
 class TestCliValidate:
     def test_good_config(self, tmp_path, capsys):
@@ -222,6 +254,11 @@ class TestCliErrors:
                      "--t-th-ms", "0,1"] + FAST) == 2
         assert "delay thresholds must be > 0" in capsys.readouterr().err
 
+    def test_empty_delay_thresholds_are_config_error(self, tmp_path, capsys):
+        assert _run(["dor-sweep", "--out", str(tmp_path / "o"),
+                     "--t-th-ms", ","] + FAST) == 2
+        assert "t_th: must be nonempty" in capsys.readouterr().err
+
     def test_negative_distance_is_config_error(self, tmp_path, capsys):
         assert _run(["prp-sweep", "--out", str(tmp_path / "o"),
                      "--distances=-50,10"] + FAST) == 2
@@ -231,6 +268,20 @@ class TestCliErrors:
         assert _run(["prp-sweep", "--out", str(tmp_path / "o"), "--distances", "50",
                      "--workers", "0"] + FAST) == 2
         assert "n_workers" in capsys.readouterr().err
+
+    def test_duplicate_dor_distances_are_config_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert _run(["dor-sweep", "--out", str(out), "--distances", "50,50",
+                     "--t-th-ms", "1"] + FAST) == 2
+        assert "strictly increasing" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_decreasing_dor_distances_are_config_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert _run(["dor-sweep", "--out", str(out), "--distances", "200,50",
+                     "--t-th-ms", "1"] + FAST) == 2
+        assert "strictly increasing" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_failed_run_leaves_no_partial_csv(self, tmp_path):
         out = tmp_path / "o"

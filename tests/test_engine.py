@@ -10,8 +10,9 @@ from rfvlc import (ConfigError, InvalidArgumentError, MODE_LA, MODE_PURE_RF,
                    MODE_PURE_VLC, ScenarioConfig, SweepSpec, WeatherCondition,
                    confidence_interval, db_to_linear, derive_seed,
                    prp_rf_closed_form_no_interference, run_sweep)
-from rfvlc.engine import SWEEP_DISTANCE, SWEEP_T_TH, _CHUNK, trial_rng
-from rfvlc.metrics import score_modes, simulate_trials
+from rfvlc import engine
+from rfvlc.engine import _CHUNK, trial_rng
+from rfvlc.metrics import outage_rate, score_modes, simulate_trials
 from rfvlc.estimate import mean_estimate, proportion_estimate
 
 CLEAR = (WeatherCondition.preset("clear"),)
@@ -22,7 +23,7 @@ DENSE = dataclasses.replace(ScenarioConfig(), rho_access=1.0)
 
 
 def _spec(**over):
-    base = dict(variable=SWEEP_DISTANCE, values=(50.0, 150.0), weathers=CLEAR,
+    base = dict(distances=(50.0, 150.0), weathers=CLEAR,
                 modes=(MODE_PURE_VLC, MODE_PURE_RF, MODE_LA), n_trials=500,
                 master_seed=12345)
     base.update(over)
@@ -98,7 +99,11 @@ class TestEstimators:
 
 class TestSweepSpec:
     def test_values_must_increase(self):
-        assert any("increasing" in v for v in _spec(values=(100.0, 50.0)).check())
+        assert any("increasing" in v for v in _spec(distances=(100.0, 50.0)).check())
+
+    def test_thresholds_must_increase(self):
+        assert any("t_th: must be strictly increasing" in v
+                   for v in _spec(t_th=(2e-3, 1e-3)).check())
 
     def test_minimum_trials(self):
         assert any("n_trials" in v for v in _spec(n_trials=10).check())
@@ -130,16 +135,16 @@ class TestRunSweep:
     def test_pure_rf_identical_across_weathers_at_density(self):
         spec = _spec(weathers=ALL_WEATHERS, n_trials=_CHUNK + 300)
         rows = run_sweep(DENSE, spec).rows
-        for value in spec.values:
+        for value in spec.distances:
             for metric in ("prp", "rate_mbps"):
                 estimates = [r.estimate for r in rows
-                             if r.sweep_value == value and r.mode == MODE_PURE_RF
+                             if r.distance == value and r.mode == MODE_PURE_RF
                              and r.metric == metric]
                 assert len(estimates) == 4 and len(set(estimates)) == 1
 
     def test_one_stream_per_chunk(self):
         # chunk c of point p draws from trial_rng(derive_seed(master, p, c))
-        spec = _spec(values=(150.0,), modes=(MODE_PURE_RF,), n_trials=_CHUNK + 500)
+        spec = _spec(distances=(150.0,), modes=(MODE_PURE_RF,), n_trials=_CHUNK + 500)
         row = [r for r in run_sweep(DENSE, spec).rows if r.metric == "prp"][0]
         cfg = DENSE.with_distance(150.0)
         wins = 0
@@ -148,6 +153,34 @@ class TestRunSweep:
             ok, _ = score_modes(*simulate_trials(cfg, rng, n), cfg)
             wins += int(ok[1].sum())
         assert row.estimate.value == wins / spec.n_trials
+
+    def test_dor_rows_score_the_prp_trials(self):
+        # every threshold counts the late trials of the same chunk streams
+        spec = _spec(distances=(150.0,), modes=(MODE_LA,), n_trials=_CHUNK + 500,
+                     t_th=(4e-3, 8e-3))
+        table = run_sweep(DENSE, spec)
+        cfg = DENSE.with_distance(150.0)
+        rates = np.concatenate([
+            score_modes(*simulate_trials(
+                cfg, trial_rng(derive_seed(spec.master_seed, 0, chunk)), n), cfg)[1][2]
+            for chunk, n in enumerate((_CHUNK, 500))])
+        for row in table.rows:
+            if row.metric == "dor":
+                late = (rates < outage_rate(cfg.payload_h, row.t_th)).sum()
+                assert row.estimate.value == late / spec.n_trials
+
+    @pytest.mark.parametrize("n_thresholds", [0, 1, 10])
+    def test_one_chunk_call_per_point_whatever_the_thresholds(
+            self, monkeypatch, n_thresholds):
+        calls = []
+        job = engine._chunk_stats_job
+        monkeypatch.setattr(engine, "_chunk_stats_job",
+                            lambda args: calls.append(args) or job(args))
+        spec = _spec(weathers=ALL_WEATHERS, n_trials=_CHUNK + 300,
+                     t_th=tuple(1e-3 * (k + 1) for k in range(n_thresholds)))
+        run_sweep(ScenarioConfig(), spec, n_workers=1)
+        assert len(calls) == (len(spec.distances) * len(spec.weathers)
+                              * math.ceil(spec.n_trials / _CHUNK))
 
     def test_seed_changes_results(self):
         cfg = ScenarioConfig()
@@ -158,23 +191,26 @@ class TestRunSweep:
     def test_row_layout_distance_sweep(self):
         spec = _spec()
         table = run_sweep(ScenarioConfig(), spec)
-        assert table.variable == SWEEP_DISTANCE
-        # one prp row and one rate row per (value, weather, mode)
-        assert len(table.rows) == 2 * len(spec.values) * len(spec.modes)
+        assert all(r.t_th is None for r in table.rows)
+        # one prp row and one rate row per (distance, weather, mode)
+        assert len(table.rows) == 2 * len(spec.distances) * len(spec.modes)
         assert {r.metric for r in table.rows} == {"prp", "rate_mbps"}
 
     def test_row_layout_threshold_sweep(self):
-        spec = _spec(variable=SWEEP_T_TH, values=(1e-3, 3e-3, 10e-3))
+        # prp and rate rows per (distance, weather, mode), plus one dor row
+        # per (distance, threshold, weather, mode)
+        spec = _spec(t_th=(1e-3, 3e-3, 10e-3))
         table = run_sweep(ScenarioConfig(), spec)
-        assert {r.metric for r in table.rows} == {"dor"}
-        assert len(table.rows) == 3 * 3
+        assert {r.metric for r in table.rows} == {"prp", "rate_mbps", "dor"}
+        assert len(table.rows) == 2 * 3 * 2 + 2 * 3 * 3
 
     def test_dor_nonincreasing_in_threshold(self):
-        spec = _spec(variable=SWEEP_T_TH, values=(0.5e-3, 1e-3, 2e-3, 4e-3, 8e-3),
+        spec = _spec(distances=(150.0,), t_th=(0.5e-3, 1e-3, 2e-3, 4e-3, 8e-3),
                      n_trials=2000)
-        table = run_sweep(ScenarioConfig().with_distance(150.0), spec)
+        table = run_sweep(ScenarioConfig(), spec)
         for mode in spec.modes:
-            curve = [r.estimate.value for r in table.rows if r.mode == mode]
+            curve = [r.estimate.value for r in table.rows
+                     if r.metric == "dor" and r.mode == mode]
             assert all(b <= a for a, b in zip(curve, curve[1:]))
 
     def test_invalid_config_rejected(self):
@@ -184,13 +220,13 @@ class TestRunSweep:
 
     def test_every_point_is_validated(self):
         with pytest.raises(ConfigError, match="distance_r"):
-            run_sweep(ScenarioConfig(), _spec(values=(-50.0, 10.0)))
+            run_sweep(ScenarioConfig(), _spec(distances=(-50.0, 10.0)))
         with pytest.raises(ConfigError, match="finite"):
-            run_sweep(ScenarioConfig(), _spec(values=(10.0, math.inf)))
+            run_sweep(ScenarioConfig(), _spec(distances=(10.0, math.inf)))
 
     def test_nonpositive_delay_threshold_rejected(self):
         with pytest.raises(ConfigError, match="delay thresholds"):
-            run_sweep(ScenarioConfig(), _spec(variable=SWEEP_T_TH, values=(0.0, 1e-3)))
+            run_sweep(ScenarioConfig(), _spec(t_th=(0.0, 1e-3)))
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_worker_count_must_be_positive(self, workers):
@@ -199,7 +235,7 @@ class TestRunSweep:
 
     def test_matches_rf_closed_form_without_interferers(self):
         cfg = dataclasses.replace(ScenarioConfig(), lambda_density=0.0)
-        spec = _spec(values=(100.0,), modes=(MODE_PURE_RF,), n_trials=20_000)
+        spec = _spec(distances=(100.0,), modes=(MODE_PURE_RF,), n_trials=20_000)
         row = [r for r in run_sweep(cfg, spec).rows if r.metric == "prp"][0]
         des = cfg.with_distance(100.0).desired_pose()
         rsu = cfg.geometry.rsu_pose
@@ -212,8 +248,8 @@ class TestRunSweep:
         spec = _spec(n_trials=2000)
         rows = [r for r in run_sweep(ScenarioConfig(), spec).rows
                 if r.metric == "prp"]
-        for value in spec.values:
+        for value in spec.distances:
             by_mode = {r.mode: r.estimate.value for r in rows
-                       if r.sweep_value == value}
+                       if r.distance == value}
             assert by_mode[MODE_LA] >= max(by_mode[MODE_PURE_VLC],
                                            by_mode[MODE_PURE_RF])

@@ -16,8 +16,8 @@ from rfvlc import (InvalidArgumentError, MODE_LA, MODE_NON_LA, MODE_PURE_RF,
                    prp_vlc_no_interference, rf_mean_rx_power, rf_noise_power,
                    run_sweep, run_trial, sinr, success, vlc_cutoff_distance,
                    vlc_snr)
-from rfvlc.engine import SWEEP_DISTANCE
-from rfvlc.metrics import score_modes
+from rfvlc.estimate import proportion_estimate
+from rfvlc.metrics import score_modes, simulate_trials
 
 NO_INTERFERENCE = dataclasses.replace(ScenarioConfig(), lambda_density=0.0)
 
@@ -256,8 +256,9 @@ class TestClosedFormOracles:
     def test_rf_oracle_matches_monte_carlo(self):
         cfg = NO_INTERFERENCE.with_distance(100.0)
         theta_r = db_to_linear(cfg.sinr_threshold_rf_db)
-        outs = _trials(cfg, 38, 50_000)
-        est = prp(outs, MODE_PURE_RF, 1.0, theta_r)
+        sinr_vlc, sinr_rf = simulate_trials(cfg, np.random.default_rng(38), 50_000)
+        ok, _ = score_modes(sinr_vlc, sinr_rf, None, 1.0, theta_r)
+        est = proportion_estimate(int(ok[MODES.index(MODE_PURE_RF)].sum()), 50_000)
         rsu = cfg.geometry.rsu_pose
         des = cfg.desired_pose()
         d3d = math.dist((rsu.x, rsu.y, rsu.z), (des.x, des.y, des.z))
@@ -312,18 +313,18 @@ class TestClosedFormOracles:
         # lambda * rho = 1e-3: interference moves the RF PRP well away from
         # the interference-free value at every distance
         cfg = dataclasses.replace(ScenarioConfig(), rho_access=0.1)
-        spec = SweepSpec(variable=SWEEP_DISTANCE, values=(50.0, 100.0, 200.0),
+        spec = SweepSpec(distances=(50.0, 100.0, 200.0),
                          weathers=(WeatherCondition.preset("clear"),),
                          modes=(MODE_PURE_RF,), n_trials=20_000, master_seed=2208)
         for row in run_sweep(cfg, spec).rows:
             if row.metric != "prp":
                 continue
-            point = cfg.with_distance(row.sweep_value)
+            point = cfg.with_distance(row.distance)
             exact = prp_rf_closed_form(point)
             assert exact < 0.9 * prp_rf_closed_form(
                 dataclasses.replace(point, lambda_density=0.0))
             z = (row.estimate.value - exact) / row.estimate.stderr
-            assert abs(z) < 4.0, (row.sweep_value, row.estimate.value, exact)
+            assert abs(z) < 4.0, (row.distance, row.estimate.value, exact)
 
     def test_vlc_oracle_step(self):
         cfg = NO_INTERFERENCE

@@ -8,9 +8,9 @@ import pytest
 from scipy import stats
 
 from rfvlc import (InvalidArgumentError, LaneGeometry, Pose3, ScenarioConfig,
-                   WeatherCondition, attenuation_factor, sample_interferers,
-                   validate)
-from rfvlc.scenario import EXCLUSION_RADIUS_M
+                   WeatherCondition, attenuation_factor, draw_deployment,
+                   sample_interferers, validate)
+from rfvlc.scenario import EXCLUSION_RADIUS_M, LANE_SAME, interferer_counts
 
 
 class TestAttenuationFactor:
@@ -114,10 +114,14 @@ class TestValidate:
             LaneGeometry(tx_height=6.0)  # above the default RSU
 
 
-def _count_draws(config, seed, n_draws):
+def _lane_counts(config, seed, n_draws):
+    # interferers per (lane, draw), from one kernel deployment of n_draws trials
     rng = np.random.default_rng(seed)
-    return np.array([len(sample_interferers(config, rng).positions)
-                     for _ in range(n_draws)])
+    return interferer_counts(config, draw_deployment(config, rng, n_draws))
+
+
+def _count_draws(config, seed, n_draws):
+    return _lane_counts(config, seed, n_draws).sum(axis=0)
 
 
 class TestSampleInterferers:
@@ -144,8 +148,7 @@ class TestSampleInterferers:
     def test_poisson_dispersion(self):
         # lambda=0.01, rho=1: mean per lane = 10, variance = mean
         cfg = dataclasses.replace(ScenarioConfig(), rho_access=1.0)
-        rng = np.random.default_rng(99)
-        same = np.array([sample_interferers(cfg, rng).n_same for _ in range(20_000)])
+        same = _lane_counts(cfg, 99, 20_000)[LANE_SAME]
         assert same.mean() == pytest.approx(10.0, abs=0.15)
         assert same.var(ddof=1) == pytest.approx(same.mean(), rel=0.05)
 
@@ -154,8 +157,7 @@ class TestSampleInterferers:
         # desired vehicle's exclusion disc removes an expected 2 m / 1000 m
         # of the lane mass; negligible against these bin widths.
         cfg = ScenarioConfig()
-        rng = np.random.default_rng(2024)
-        same = np.array([sample_interferers(cfg, rng).n_same for _ in range(100_000)])
+        same = _lane_counts(cfg, 2024, 100_000)[LANE_SAME]
         mean = 0.1
         observed = np.array([(same == 0).sum(), (same == 1).sum(), (same >= 2).sum()])
         p0 = stats.poisson.pmf(0, mean)
