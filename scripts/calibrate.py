@@ -14,7 +14,6 @@ move; docs/CALIBRATION.md explains how each knob was chosen.
 """
 
 import argparse
-import dataclasses
 import math
 
 from rfvlc import (MODE_LA, ScenarioConfig, SweepSpec, WeatherCondition,

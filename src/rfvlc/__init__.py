@@ -4,18 +4,16 @@ from .engine import (MetricEstimate, SweepRow, SweepSpec, SweepTable,
                      confidence_interval, derive_seed, run_sweep)
 from .errors import ConfigError, InvalidArgumentError, UnsupportedModelError
 from .metrics import (MODE_LA, MODE_NON_LA, MODE_PURE_RF, MODE_PURE_VLC,
-                      MODES, TrialOutcome, db_to_linear, dor,
-                      instantaneous_rate, minimum_transmission_time,
-                      outage_rate, prp, prp_rf_closed_form,
+                      MODES, db_to_linear, minimum_transmission_time,
+                      outage_rate, prp_rf_closed_form,
                       prp_rf_closed_form_no_interference,
-                      prp_vlc_no_interference, run_trial, score_modes,
-                      simulate_trials, sinr, success, vlc_cutoff_distance,
-                      vlc_snr)
+                      prp_vlc_no_interference, score_modes, simulate_trials,
+                      sinr, vlc_cutoff_distance, vlc_snr)
 from .rf_channel import (FADING_NAKAGAMI, FADING_RAYLEIGH, RfParams,
                          rf_mean_rx_power, rf_noise_power, sample_fading)
-from .scenario import (Deployment, InterfererSet, LaneGeometry, Pose3,
-                       ScenarioConfig, WeatherCondition, attenuation_factor,
-                       draw_deployment, sample_interferers, validate)
+from .scenario import (Deployment, LaneGeometry, Pose3, ScenarioConfig,
+                       WeatherCondition, attenuation_factor, draw_deployment,
+                       validate)
 from .vlc_channel import (VlcParams, lambertian_order, vlc_los_gain,
                           vlc_noise_power, vlc_rx_electrical_power)
 

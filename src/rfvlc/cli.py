@@ -21,13 +21,12 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .config import config_digest, parse_config
+from .config import DEFAULT_PRP_DISTANCES, config_digest, parse_config
 from .engine import _CHUNK, RNG_SCHEME, SweepSpec, SweepTable, run_sweep
 from .errors import ConfigError, InvalidArgumentError
-from .metrics import MODE_LA, MODE_NON_LA, MODE_PURE_RF, MODE_PURE_VLC, MODES
+from .metrics import MODES
 from .scenario import ScenarioConfig, WeatherCondition
 
-_DEFAULT_PRP_DISTANCES = tuple(float(d) for d in range(10, 251, 10))
 _DEFAULT_RATE_DISTANCES = (50.0, 100.0, 150.0, 200.0, 250.0)
 _DEFAULT_DOR_DISTANCES = (50.0, 200.0)
 _DEFAULT_T_TH_MS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 7.5, 10.0)
@@ -127,8 +126,8 @@ def _estimate_fields(est) -> list[str]:
             _fmt(est.ci95_high), str(est.n_trials)]
 
 
-def _distance_csv(table: SweepTable, metric: str, value_header: str) -> str:
-    lines = [f"distance_m,weather,mode,{value_header},stderr,ci95_low,ci95_high,n_trials"]
+def _distance_csv(table: SweepTable, metric: str) -> str:
+    lines = [f"distance_m,weather,mode,{metric},stderr,ci95_low,ci95_high,n_trials"]
     for row in table.rows:
         if row.metric != metric:
             continue
@@ -157,32 +156,27 @@ def _gnuplot_files(out: _OutputSet, table: SweepTable, metric: str, stem: str):
         out.write_text(f"{name}.dat", "\n".join(lines) + "\n")
 
 
-def cmd_prp_sweep(args) -> int:
+def _distance_sweep(args, metric: str, stem: str, default_modes=None) -> int:
+    """One metric per (distance, weather, mode): prp-sweep and rate-sweep."""
     config, spec = _load(args)
+    if default_modes and not args.modes:
+        spec = replace(spec, modes=default_modes)
     spec = replace(spec, distances=_parse_list(args.distances))
     with _OutputSet(args.out) as out:
         table = run_sweep(config, spec, n_workers=args.workers)
-        out.write_text("prp_sweep.csv", _distance_csv(table, "prp", "prp"))
+        out.write_text(f"{stem}_sweep.csv", _distance_csv(table, metric))
         if args.gnuplot:
-            _gnuplot_files(out, table, "prp", "prp")
-        _write_manifest(out, args, config, spec, "prp-sweep")
+            _gnuplot_files(out, table, metric, stem)
+        _write_manifest(out, args, config, spec, f"{stem}-sweep")
     return 0
+
+
+def cmd_prp_sweep(args) -> int:
+    return _distance_sweep(args, "prp", "prp")
 
 
 def cmd_rate_sweep(args) -> int:
-    config, spec = _load(args)
-    if not args.modes:
-        spec = replace(spec, modes=(MODE_PURE_VLC, MODE_PURE_RF, MODE_LA,
-                                    MODE_NON_LA))
-    spec = replace(spec, distances=_parse_list(args.distances))
-    with _OutputSet(args.out) as out:
-        table = run_sweep(config, spec, n_workers=args.workers)
-        out.write_text("rate_sweep.csv",
-                       _distance_csv(table, "rate_mbps", "rate_mbps"))
-        if args.gnuplot:
-            _gnuplot_files(out, table, "rate_mbps", "rate")
-        _write_manifest(out, args, config, spec, "rate-sweep")
-    return 0
+    return _distance_sweep(args, "rate_mbps", "rate", default_modes=MODES)
 
 
 def cmd_dor_sweep(args) -> int:
@@ -247,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prp-sweep", help="packet reception probability vs distance")
     _add_common(p)
     p.add_argument("--distances",
-                   default=",".join(_fmt(d) for d in _DEFAULT_PRP_DISTANCES))
+                   default=",".join(_fmt(d) for d in DEFAULT_PRP_DISTANCES))
     p.set_defaults(func=cmd_prp_sweep)
 
     p = sub.add_parser("dor-sweep", help="delay outage rate vs delay threshold")

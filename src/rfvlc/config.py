@@ -15,11 +15,11 @@ from dataclasses import replace
 from .engine import SweepSpec
 from .errors import ConfigError, InvalidArgumentError
 from .metrics import MODE_LA, MODE_PURE_RF, MODE_PURE_VLC
-from .scenario import (LaneGeometry, Pose3, ScenarioConfig, WeatherCondition,
-                       validate)
+from .scenario import Pose3, ScenarioConfig, WeatherCondition, validate
 
 DEFAULT_SEED = 20260823
 DEFAULT_TRIALS = 100_000
+DEFAULT_PRP_DISTANCES = tuple(float(d) for d in range(10, 251, 10))
 
 # key -> (target, attribute); "scenario", "vlc", "rf", "geometry" or special
 _FLOAT_KEYS = {
@@ -115,6 +115,8 @@ def parse_config(text: str) -> tuple[ScenarioConfig, SweepSpec]:
             geo_kwargs[attr] = take_float(key, 0.0)
     rsu_height = take_float("geometry.rsu_height", base.geometry.rsu_pose.z)
     rsu_tilt = take_float("geometry.rsu_tilt_deg", 45.0)
+    if not math.isfinite(rsu_tilt):
+        raise ConfigError("geometry.rsu_tilt_deg: must be finite")
     t = math.radians(rsu_tilt)
     try:
         rsu_pose = Pose3(0.0, 0.0, rsu_height,
@@ -149,7 +151,7 @@ def parse_config(text: str) -> tuple[ScenarioConfig, SweepSpec]:
         raise ConfigError("; ".join(problems))
 
     spec = SweepSpec(
-        distances=tuple(float(d) for d in range(10, 251, 10)),
+        distances=DEFAULT_PRP_DISTANCES,
         weathers=(WeatherCondition.preset("clear"),
                   WeatherCondition.preset("rain"),
                   WeatherCondition.preset("fog"),

@@ -116,9 +116,15 @@ class SweepSpec:
             out.append("sweep.n_trials: must be >= 100")
         if not self.weathers:
             out.append("sweep.weathers: must be nonempty")
+        if not self.modes:
+            out.append("sweep.modes: must be nonempty")
         for m in self.modes:
             if m not in MODES:
                 out.append(f"sweep.modes: unknown mode {m!r}")
+        for name, keys in (("modes", self.modes),
+                           ("weathers", [w.kind for w in self.weathers])):
+            if len(set(keys)) < len(keys):
+                out.append(f"sweep.{name}: must not repeat")
         return out
 
 
@@ -187,6 +193,9 @@ def run_sweep(config: ScenarioConfig, spec: SweepSpec,
               for d_idx, row in enumerate(points) for cfg in row
               for start in starts]
 
+    # The pool starts all its workers at once: start no more than there
+    # are chunks, and none for a single chunk.
+    n_workers = min(n_workers, len(chunks))
     if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             partials = list(pool.map(_chunk_stats_job, chunks, chunksize=4))

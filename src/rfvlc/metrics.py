@@ -3,28 +3,25 @@
 One trial shares a single interferer deployment between the optical and
 radio links: the VLC SINR is fully deterministic given the deployment,
 while every RF power (desired and interfering) gets an independent fading
-draw.  Trials are simulated as arrays, a chunk at a time (simulate_trials);
-run_trial is the one-trial view of the same code.  The four operating
-modes are scored on the same trials by one function (score_modes), so mode
-comparisons are exact event inclusions rather than statistical ones.
+draw.  Trials are simulated as arrays, a chunk at a time (simulate_trials).
+The four operating modes are scored on the same trials by one function
+(score_modes), so mode comparisons are exact event inclusions rather than
+statistical ones.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidArgumentError, UnsupportedModelError
-from .estimate import MetricEstimate, proportion_estimate
 from .rf_channel import (FADING_RAYLEIGH, RfParams, rf_mean_rx_power,
                          rf_noise_power, sample_fading)
 from .scenario import (EXCLUSION_RADIUS_M, LANE_PERP, LANE_SAME, LANES,
                        Deployment, ScenarioConfig, attenuation_factor,
-                       draw_deployment, interferer_counts, lane_poses,
-                       outside_exclusion)
+                       draw_deployment, lane_poses, outside_exclusion)
 from .vlc_channel import (los_gain, vlc_los_gain, vlc_noise_power,
                           vlc_rx_electrical_power)
 
@@ -40,16 +37,6 @@ MODES = (MODE_PURE_VLC, MODE_PURE_RF, MODE_LA, MODE_NON_LA)
 _BLOCK = 4096
 
 _SIMPSON_PANELS = 20_000   # per integral in prp_rf_closed_form
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    """SINRs of both links for one coupled Monte Carlo draw."""
-
-    sinr_vlc: float
-    sinr_rf: float
-    n_interferers_same: int
-    n_interferers_perp: int
 
 
 def db_to_linear(db: float) -> float:
@@ -128,15 +115,6 @@ def interference_sums(config: ScenarioConfig, deployment: Deployment,
     return i_vlc, i_rf
 
 
-def _sinrs(config: ScenarioConfig, deployment: Deployment,
-           rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    st = _statics(config)
-    desired_fade = sample_fading(config.rf, rng, deployment.counts.shape[1])
-    i_vlc, i_rf = interference_sums(config, deployment, rng)
-    return (sinr(st.s_vlc, i_vlc, st.n_vlc),
-            sinr(st.s_rf_mean * desired_fade, i_rf, st.n_rf))
-
-
 def simulate_trials(config: ScenarioConfig, rng: np.random.Generator,
                     n: int) -> tuple[np.ndarray, np.ndarray]:
     """n coupled draws: per-trial VLC and RF SINR arrays.
@@ -145,93 +123,38 @@ def simulate_trials(config: ScenarioConfig, rng: np.random.Generator,
     lane positions, desired RF fades, one RF fade per lane point.  Runs
     that differ only in weather therefore see identical randomness.
     """
-    return _sinrs(config, draw_deployment(config, rng, n), rng)
+    st = _statics(config)
+    deployment = draw_deployment(config, rng, n)
+    desired_fade = sample_fading(config.rf, rng, n)
+    i_vlc, i_rf = interference_sums(config, deployment, rng)
+    return (sinr(st.s_vlc, i_vlc, st.n_vlc),
+            sinr(st.s_rf_mean * desired_fade, i_rf, st.n_rf))
 
 
-def run_trial(config: ScenarioConfig, rng: np.random.Generator) -> TrialOutcome:
-    """One coupled draw: simulate_trials with n = 1, plus interferer counts."""
-    deployment = draw_deployment(config, rng, 1)
-    sinr_vlc, sinr_rf = _sinrs(config, deployment, rng)
-    n_same, n_perp = interferer_counts(config, deployment)[:, 0]
-    return TrialOutcome(sinr_vlc=float(sinr_vlc[0]), sinr_rf=float(sinr_rf[0]),
-                        n_interferers_same=int(n_same),
-                        n_interferers_perp=int(n_perp))
-
-
-def score_modes(sinr_vlc, sinr_rf, config: ScenarioConfig | None,
-                theta_vlc: float | None = None, theta_rf: float | None = None):
+def score_modes(sinr_vlc, sinr_rf, config: ScenarioConfig):
     """Reception and achievable rate of every mode, rows in MODES order.
 
     Returns ok[4, n] and rate[4, n] (bits/s) for SINR arrays of n trials
-    (shape [4] for scalar SINRs).  Link aggregation duplicates the packet
-    on both links, so it succeeds if either link decodes; best-link
-    selection cannot beat that, so the non-aggregated hybrid shares the
-    same reception event.  Rates are Shannon-form: the desired vehicle's
-    access probability rho_a scales every mode, the aggregation overhead
-    beta_ov only the aggregated sum.
-
-    The thresholds default to the config's decode thresholds.  config is
-    only needed for the rates: without one, rate is None.
+    (shape [4] for scalar SINRs).  A link decodes iff its SINR reaches the
+    config's decode threshold.  Link aggregation duplicates the packet on
+    both links, so it succeeds if either link decodes; best-link selection
+    cannot beat that, so the non-aggregated hybrid shares the same
+    reception event.  Rates are Shannon-form: the desired vehicle's access
+    probability rho_a scales every mode, the aggregation overhead beta_ov
+    only the aggregated sum.
     """
-    if theta_vlc is None:
-        theta_vlc = db_to_linear(config.sinr_threshold_vlc_db)
-    if theta_rf is None:
-        theta_rf = db_to_linear(config.sinr_threshold_rf_db)
     sinr_vlc = np.asarray(sinr_vlc)
     sinr_rf = np.asarray(sinr_rf)
-    ok_v = sinr_vlc >= theta_vlc
-    ok_r = sinr_rf >= theta_rf
+    ok_v = sinr_vlc >= db_to_linear(config.sinr_threshold_vlc_db)
+    ok_r = sinr_rf >= db_to_linear(config.sinr_threshold_rf_db)
     either = ok_v | ok_r
     ok = np.stack([ok_v, ok_r, either, either])
-    if config is None:
-        return ok, None
     r_v = config.vlc.bandwidth * np.log2(1.0 + sinr_vlc)
     r_r = config.rf.bandwidth * np.log2(1.0 + sinr_rf)
     rho = config.rho_a
     rate = np.stack([rho * r_v, rho * r_r, config.beta_ov * rho * (r_v + r_r),
                      rho * np.maximum(r_v, r_r)])
     return ok, rate
-
-
-def _mode_row(mode: str) -> int:
-    if mode not in MODES:
-        raise InvalidArgumentError(f"unknown mode {mode!r}")
-    return MODES.index(mode)
-
-
-def _sinr_arrays(outcomes) -> tuple[np.ndarray, np.ndarray]:
-    if not outcomes:
-        raise InvalidArgumentError("outcomes must be nonempty")
-    return (np.array([o.sinr_vlc for o in outcomes]),
-            np.array([o.sinr_rf for o in outcomes]))
-
-
-def _check_thresholds(theta_vlc: float, theta_rf: float):
-    if theta_vlc <= 0 or theta_rf <= 0:
-        raise InvalidArgumentError("thresholds must be > 0")
-
-
-def success(outcome: TrialOutcome, mode: str,
-            theta_vlc: float, theta_rf: float) -> bool:
-    """Packet reception for one trial under the given mode."""
-    _check_thresholds(theta_vlc, theta_rf)
-    ok, _ = score_modes(outcome.sinr_vlc, outcome.sinr_rf, None, theta_vlc, theta_rf)
-    return bool(ok[_mode_row(mode)])
-
-
-def prp(outcomes, mode: str, theta_vlc: float, theta_rf: float) -> MetricEstimate:
-    """Packet reception probability over a trial set."""
-    sinr_vlc, sinr_rf = _sinr_arrays(outcomes)
-    _check_thresholds(theta_vlc, theta_rf)
-    ok, _ = score_modes(sinr_vlc, sinr_rf, None, theta_vlc, theta_rf)
-    return proportion_estimate(int(ok[_mode_row(mode)].sum()), len(outcomes))
-
-
-def instantaneous_rate(outcome: TrialOutcome, mode: str,
-                       config: ScenarioConfig) -> float:
-    """Shannon-form achievable rate for one trial, in bits/second."""
-    _, rate = score_modes(outcome.sinr_vlc, outcome.sinr_rf, config)
-    return float(rate[_mode_row(mode)])
 
 
 def minimum_transmission_time(rate_bps: float, payload_bytes: float) -> float:
@@ -250,15 +173,6 @@ def outage_rate(payload_bytes: float, t_th: float) -> float:
     if t_th <= 0:
         raise InvalidArgumentError("t_th must be > 0")
     return 8.0 * payload_bytes / t_th
-
-
-def dor(outcomes, mode: str, config: ScenarioConfig, t_th: float) -> MetricEstimate:
-    """Delay outage rate: fraction of trials whose MTT exceeds t_th."""
-    sinr_vlc, sinr_rf = _sinr_arrays(outcomes)
-    cutoff = outage_rate(config.payload_h, t_th)
-    _, rate = score_modes(sinr_vlc, sinr_rf, config)
-    return proportion_estimate(int((rate[_mode_row(mode)] < cutoff).sum()),
-                               len(outcomes))
 
 
 def prp_rf_closed_form_no_interference(distance: float, rf: RfParams,

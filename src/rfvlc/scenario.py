@@ -26,7 +26,6 @@ EXCLUSION_RADIUS_M = 1.0
 LANE_SAME = 0   # the desired vehicle's lane, along x
 LANE_PERP = 1   # the perpendicular lane, along y
 LANES = (LANE_SAME, LANE_PERP)
-_LANE_TAGS = ("same", "perpendicular")
 
 # Bound on the expected interferers per trial over both lanes (one active
 # vehicle per meter on the default 1 km lanes).  A chunk's deployments are
@@ -121,26 +120,6 @@ class LaneGeometry:
             raise InvalidArgumentError("tx_height must be > 0")
         if self.rsu_pose.z <= self.tx_height:
             raise InvalidArgumentError("rsu_pose.z must exceed tx_height")
-
-
-@dataclass(frozen=True)
-class InterfererSet:
-    """Transmit-active interferers for one trial, both lanes."""
-
-    positions: tuple[Pose3, ...]
-    lane_tags: tuple[str, ...]   # "same" or "perpendicular", parallel to positions
-
-    def __post_init__(self):
-        if len(self.positions) != len(self.lane_tags):
-            raise InvalidArgumentError("positions and lane_tags length mismatch")
-
-    @property
-    def n_same(self) -> int:
-        return sum(1 for t in self.lane_tags if t == "same")
-
-    @property
-    def n_perpendicular(self) -> int:
-        return sum(1 for t in self.lane_tags if t == "perpendicular")
 
 
 def attenuation_factor(attenuation_db_per_km: float, distance_m):
@@ -303,20 +282,3 @@ def interferer_counts(config: ScenarioConfig, deployment: Deployment) -> np.ndar
         active = outside_exclusion(config, x, y)
         out[lane] = np.bincount(deployment.trial[part][active], minlength=n)
     return out
-
-
-def sample_interferers(config: ScenarioConfig, rng: np.random.Generator) -> InterfererSet:
-    """Draw one interferer deployment (draw_deployment with n = 1)."""
-    geo = config.geometry
-    deployment = draw_deployment(config, rng, 1)
-    positions: list[Pose3] = []
-    tags: list[str] = []
-    for lane, part in zip(LANES, deployment.lane_slices()):
-        xs, ys, axis = lane_poses(geo, lane, deployment.coord[part])
-        active = outside_exclusion(config, xs, ys)
-        for x, y, ax, ay, keep in np.broadcast(xs, ys, axis[0], axis[1], active):
-            if keep:
-                positions.append(Pose3(float(x), float(y), geo.tx_height,
-                                       axis=(float(ax), float(ay), 0.0)))
-                tags.append(_LANE_TAGS[lane])
-    return InterfererSet(positions=tuple(positions), lane_tags=tuple(tags))

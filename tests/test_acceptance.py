@@ -15,14 +15,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from rfvlc import (FADING_RAYLEIGH, MODE_LA, MODE_NON_LA, MODE_PURE_RF,
-                   MODE_PURE_VLC, RfParams, ScenarioConfig, SweepSpec,
-                   WeatherCondition, db_to_linear, derive_seed,
+from rfvlc import (FADING_RAYLEIGH, MODE_LA, MODE_PURE_RF, MODE_PURE_VLC,
+                   RfParams, ScenarioConfig, SweepSpec, WeatherCondition,
+                   db_to_linear, derive_seed, draw_deployment,
                    prp_rf_closed_form_no_interference,
-                   prp_vlc_no_interference, run_sweep, run_trial,
-                   sample_fading, sample_interferers, vlc_cutoff_distance)
+                   prp_vlc_no_interference, run_sweep, sample_fading,
+                   simulate_trials, vlc_cutoff_distance)
 from rfvlc.cli import main as cli_main
 from rfvlc.engine import trial_rng
+from rfvlc.scenario import LANE_SAME, interferer_counts
 
 ALL_WEATHERS = tuple(WeatherCondition.preset(k)
                      for k in ("clear", "rain", "fog", "dry_snow"))
@@ -80,9 +81,9 @@ def test_criterion_02_vlc_oracle_equivalence(capsys):
         for d in distances:
             point = cfg.with_distance(float(d))
             oracle = prp_vlc_no_interference(point, theta_v)
-            outs = [run_trial(point, trial_rng(derive_seed(seed, 0, t)))
-                    for t in range(200)]
-            mc = sum(o.sinr_vlc >= theta_v for o in outs) / len(outs)
+            sinr_vlc, _ = simulate_trials(point, trial_rng(derive_seed(seed, 0, 0)),
+                                          200)
+            mc = (sinr_vlc >= theta_v).mean()
             if mc != oracle:
                 mismatches += 1
         # the Monte Carlo step sits at d* itself for every seed
@@ -139,18 +140,14 @@ def test_criterion_04_weather_ordering(capsys, prp_grid_table):
     bad = 0
     for d in range(10, 251, 20):
         point = cfg.with_distance(float(d))
-        per_weather = []
-        for weather in ALL_WEATHERS:
-            wcfg = point.with_weather(weather)
-            outs = [run_trial(wcfg, trial_rng(derive_seed(404, d, t)))
-                    for t in range(200)]
-            per_weather.append(outs)
-        for trials in zip(*per_weather):
-            ok_v = [o.sinr_vlc >= theta_v for o in trials]
-            if any(b > a for a, b in zip(ok_v, ok_v[1:])):
-                bad += 1
-            if len({o.sinr_rf for o in trials}) != 1:
-                bad += 1
+        # rows: weathers, best first; columns: the 200 shared trials
+        sinr_vlc, sinr_rf = np.array([
+            simulate_trials(point.with_weather(weather),
+                            trial_rng(derive_seed(404, d, 0)), 200)
+            for weather in ALL_WEATHERS]).transpose(1, 0, 2)
+        ok_v = sinr_vlc >= theta_v
+        bad += int((ok_v[1:] > ok_v[:-1]).any(axis=0).sum())
+        bad += int((sinr_rf != sinr_rf[0]).any(axis=0).sum())
     # engine level: VLC-involving PRP ordered, pure-RF estimates identical
     spec, table = prp_grid_table
     order = [w.kind for w in ALL_WEATHERS]
@@ -340,8 +337,8 @@ def test_criterion_09_determinism(capsys, tmp_path):
 def test_criterion_10_statistical_sanity(capsys):
     """Poisson deployment chi-square and fading mean / KS at the 1% level."""
     cfg = ScenarioConfig()
-    rng = np.random.default_rng(1010)
-    same = np.array([sample_interferers(cfg, rng).n_same for _ in range(50_000)])
+    deployment = draw_deployment(cfg, np.random.default_rng(1010), 50_000)
+    same = interferer_counts(cfg, deployment)[LANE_SAME]
     p0 = stats.poisson.pmf(0, 0.1)
     p1 = stats.poisson.pmf(1, 0.1)
     observed = np.array([(same == 0).sum(), (same == 1).sum(), (same >= 2).sum()])
@@ -350,7 +347,7 @@ def test_criterion_10_statistical_sanity(capsys):
 
     rng = np.random.default_rng(1011)
     p = RfParams(fading=FADING_RAYLEIGH)
-    draws = np.array([sample_fading(p, rng) for _ in range(50_000)])
+    draws = sample_fading(p, rng, 50_000)
     stderr = draws.std(ddof=1) / math.sqrt(len(draws))
     mean_ok = abs(draws.mean() - 1.0) < 3 * stderr
     _, p_ks = stats.kstest(draws[:20_000], "expon")

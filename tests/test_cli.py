@@ -4,10 +4,27 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rfvlc import ConfigError
+from rfvlc import ConfigError, validate
 from rfvlc.cli import main
-from rfvlc.config import DEFAULT_SEED, DEFAULT_TRIALS, parse_config
+from rfvlc.config import (_FLOAT_KEYS, _SPECIAL_KEYS, DEFAULT_SEED,
+                          DEFAULT_TRIALS, parse_config)
+
+# Mostly `key = value` lines with known keys, and some junk lines.  Values
+# are numbers, special values, names the special keys take, or junk.
+_WORD = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"),
+                              blacklist_characters="#="), max_size=8)
+_VALUE = st.one_of(
+    st.floats().map(repr), st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["inf", "-inf", "nan", "1e400", "-1e400", "0x10", "0",
+                     "1e-320", "clear", "fog", "drizzle", "rayleigh",
+                     "nakagami"]),
+    _WORD)
+_KEY = st.sampled_from(sorted(_FLOAT_KEYS) + list(_SPECIAL_KEYS))
+_LINE = st.tuples(_KEY, _VALUE).map(" = ".join)
+_DOCUMENT = st.lists(st.one_of(_LINE, _LINE, _LINE, _WORD),
+                     max_size=6).map("\n".join)
 
 
 class TestParseConfig:
@@ -70,6 +87,15 @@ class TestParseConfig:
     def test_bad_geometry_is_config_error(self):
         with pytest.raises(ConfigError, match="lane_half_length"):
             parse_config("geometry.lane_half_length = -1\n")
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(_DOCUMENT)
+    def test_any_document_validates_or_is_config_error(self, text):
+        try:
+            config, _ = parse_config(text)
+        except ConfigError:
+            return
+        assert validate(config) == []
 
     def test_geometry_keys(self):
         config, _ = parse_config(
@@ -281,6 +307,33 @@ class TestCliErrors:
         assert _run(["dor-sweep", "--out", str(out), "--distances", "200,50",
                      "--t-th-ms", "1"] + FAST) == 2
         assert "strictly increasing" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_infinite_rsu_tilt_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "tilt.cfg"
+        cfg.write_text("geometry.rsu_tilt_deg = inf\n")
+        assert _run(["validate", "--config", str(cfg)]) == 2
+        assert "geometry.rsu_tilt_deg: must be finite" in capsys.readouterr().err
+
+    def test_empty_mode_list_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert _run(["prp-sweep", "--out", str(out), "--distances", "50",
+                     "--modes", ","] + FAST) == 2
+        assert "sweep.modes: must be nonempty" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_repeated_modes_are_config_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert _run(["prp-sweep", "--out", str(out), "--distances", "50",
+                     "--modes", "la,la"] + FAST) == 2
+        assert "sweep.modes: must not repeat" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_repeated_weathers_are_config_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert _run(["rate-sweep", "--out", str(out), "--distances", "50",
+                     "--weather", "clear,clear"] + FAST) == 2
+        assert "sweep.weathers: must not repeat" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     def test_failed_run_leaves_no_partial_csv(self, tmp_path):

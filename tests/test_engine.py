@@ -182,6 +182,32 @@ class TestRunSweep:
         assert len(calls) == (len(spec.distances) * len(spec.weathers)
                               * math.ceil(spec.n_trials / _CHUNK))
 
+    def test_pool_starts_no_more_workers_than_chunks(self, monkeypatch):
+        pools = []
+
+        class RecordingPool:
+            """Stands in for the process pool and runs the chunks inline."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+        cfg = ScenarioConfig()
+        one_chunk = _spec(distances=(50.0,))
+        assert run_sweep(cfg, one_chunk, n_workers=8) == run_sweep(cfg, one_chunk)
+        assert pools == []
+        run_sweep(cfg, _spec(distances=(50.0, 100.0, 150.0)), n_workers=8)
+        assert pools == [3]
+
     def test_seed_changes_results(self):
         cfg = ScenarioConfig()
         a = run_sweep(cfg, _spec(n_trials=2000))

@@ -8,12 +8,13 @@ import pytest
 
 from rfvlc import (FADING_NAKAGAMI, FADING_RAYLEIGH, Pose3, ScenarioConfig,
                    WeatherCondition, attenuation_factor, rf_mean_rx_power,
-                   rf_noise_power, run_trial, sample_fading, sample_interferers,
-                   sinr, vlc_los_gain, vlc_noise_power, vlc_rx_electrical_power)
+                   rf_noise_power, sample_fading, sinr, vlc_los_gain,
+                   vlc_noise_power, vlc_rx_electrical_power)
 from rfvlc import metrics
 from rfvlc.engine import trial_rng
 from rfvlc.metrics import interference_sums, simulate_trials
-from rfvlc.scenario import EXCLUSION_RADIUS_M, draw_deployment
+from rfvlc.scenario import (EXCLUSION_RADIUS_M, LANES, draw_deployment,
+                            interferer_counts, lane_poses, outside_exclusion)
 
 # lambda * rho = 1e-2: ~20 interferers per trial; rain makes the optical
 # attenuation factor differ from 1.
@@ -128,23 +129,28 @@ def test_kernel_matches_scalar_loop_across_block_boundaries(fading, monkeypatch)
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
 
 
-def test_run_trial_is_the_one_trial_kernel():
-    for seed in range(20):
-        outcome = run_trial(DENSE, trial_rng(seed))
-        sinr_vlc, sinr_rf = simulate_trials(DENSE, trial_rng(seed), 1)
-        assert (outcome.sinr_vlc, outcome.sinr_rf) == (sinr_vlc[0], sinr_rf[0])
-        deployment = draw_deployment(DENSE, trial_rng(seed), 1)
-        _, active = _lane_poses(DENSE, deployment)
-        n_same = int(deployment.counts[0, 0])
-        assert (outcome.n_interferers_same, outcome.n_interferers_perp) == \
-            (sum(active[:n_same]), sum(active[n_same:]))
+def test_interferer_counts_match_the_reference_mask():
+    deployment = draw_deployment(DENSE, trial_rng(SEED), N)
+    _, active = _lane_poses(DENSE, deployment)
+    n_same = int(deployment.counts[0].sum())
+    expected = np.zeros((2, N), dtype=int)
+    for k, (t, keep) in enumerate(zip(deployment.trial, active)):
+        expected[int(k >= n_same), t] += keep
+    assert np.array_equal(interferer_counts(DENSE, deployment), expected)
+    assert 0 < expected.sum() < len(active)
 
 
-def test_sample_interferers_is_the_one_trial_deployment():
-    for seed in range(20):
-        poses = sample_interferers(DENSE, trial_rng(seed)).positions
-        drawn, active = _lane_poses(DENSE, draw_deployment(DENSE, trial_rng(seed), 1))
-        assert poses == tuple(p for p, keep in zip(drawn, active) if keep)
+def test_lane_poses_match_the_reference_deployment():
+    deployment = draw_deployment(DENSE, trial_rng(SEED), N)
+    poses, active = _lane_poses(DENSE, deployment)
+    assert 0 < active.count(True) < len(active)
+    for lane, part in zip(LANES, deployment.lane_slices()):
+        x, y, axis = lane_poses(DENSE.geometry, lane, deployment.coord[part])
+        got = np.broadcast_arrays(x, y, *axis[:2],
+                                  outside_exclusion(DENSE, x, y))
+        assert [tuple(row) for row in np.transpose(got).tolist()] == [
+            (p.x, p.y, p.axis[0], p.axis[1], keep)
+            for p, keep in zip(poses[part], active[part])]
 
 
 def test_weathers_share_every_draw():

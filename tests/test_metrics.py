@@ -9,22 +9,26 @@ from scipy import stats
 
 from rfvlc import (InvalidArgumentError, MODE_LA, MODE_NON_LA, MODE_PURE_RF,
                    MODE_PURE_VLC, MODES, ScenarioConfig, SweepSpec,
-                   TrialOutcome, UnsupportedModelError, WeatherCondition,
-                   db_to_linear, dor, instantaneous_rate,
-                   minimum_transmission_time, prp, prp_rf_closed_form,
-                   prp_rf_closed_form_no_interference,
+                   UnsupportedModelError, WeatherCondition, db_to_linear,
+                   draw_deployment, minimum_transmission_time, outage_rate,
+                   prp_rf_closed_form, prp_rf_closed_form_no_interference,
                    prp_vlc_no_interference, rf_mean_rx_power, rf_noise_power,
-                   run_sweep, run_trial, sinr, success, vlc_cutoff_distance,
-                   vlc_snr)
+                   run_sweep, score_modes, simulate_trials, sinr,
+                   vlc_cutoff_distance, vlc_snr)
 from rfvlc.estimate import proportion_estimate
-from rfvlc.metrics import score_modes, simulate_trials
+from rfvlc.scenario import interferer_counts
 
 NO_INTERFERENCE = dataclasses.replace(ScenarioConfig(), lambda_density=0.0)
+# Both decode thresholds at 0 dB: a link decodes iff its SINR >= 1.
+UNIT = dataclasses.replace(ScenarioConfig(), sinr_threshold_vlc_db=0.0,
+                           sinr_threshold_rf_db=0.0)
+VLC, RF, LA, NON_LA = (MODES.index(m) for m in
+                       (MODE_PURE_VLC, MODE_PURE_RF, MODE_LA, MODE_NON_LA))
 
 
 def _trials(config, seed, n):
-    rng = np.random.default_rng(seed)
-    return [run_trial(config, rng) for _ in range(n)]
+    # (sinr_vlc[n], sinr_rf[n]) of one kernel call
+    return simulate_trials(config, np.random.default_rng(seed), n)
 
 
 class TestSinr:
@@ -48,12 +52,12 @@ class TestSinr:
 
 class TestRunTrial:
     def test_vlc_sinr_deterministic_without_interferers(self):
-        outs = _trials(NO_INTERFERENCE, 31, 500)
-        values = {o.sinr_vlc for o in outs}
+        sinr_vlc, _ = _trials(NO_INTERFERENCE, 31, 500)
+        values = set(sinr_vlc.tolist())
         assert len(values) == 1
         assert values.pop() == pytest.approx(vlc_snr(NO_INTERFERENCE), rel=1e-12)
-        assert all(o.n_interferers_same == 0 and o.n_interferers_perp == 0
-                   for o in outs)
+        deployment = draw_deployment(NO_INTERFERENCE, np.random.default_rng(31), 500)
+        assert not interferer_counts(NO_INTERFERENCE, deployment).any()
 
     def test_rf_sinr_is_scaled_exponential_without_interferers(self):
         # sinr_rf = (P_mean / N) * g with g ~ exp(1)
@@ -62,7 +66,7 @@ class TestRunTrial:
         des = cfg.desired_pose()
         d3d = math.dist((rsu.x, rsu.y, rsu.z), (des.x, des.y, des.z))
         scale = rf_mean_rx_power(d3d, cfg.rf) / rf_noise_power(cfg.rf)
-        draws = np.array([o.sinr_rf for o in _trials(cfg, 32, 20_000)]) / scale
+        draws = _trials(cfg, 32, 20_000)[1] / scale
         _, pvalue = stats.kstest(draws, "expon")
         assert pvalue > 0.01
 
@@ -77,10 +81,10 @@ class TestRunTrial:
                                                                rel=1e-9)
 
     def test_weather_does_not_touch_rf(self):
-        clear = _trials(NO_INTERFERENCE, 33, 200)
+        clear = _trials(NO_INTERFERENCE, 33, 200)[1]
         fog = _trials(NO_INTERFERENCE.with_weather(WeatherCondition.preset("fog")),
-                      33, 200)
-        assert [o.sinr_rf for o in clear] == [o.sinr_rf for o in fog]
+                      33, 200)[1]
+        assert np.array_equal(clear, fog)
 
     def test_interference_only_reduces_sinr(self):
         # same seeds, same desired draws; adding interferers can only hurt
@@ -88,113 +92,90 @@ class TestRunTrial:
         dense = _trials(dataclasses.replace(ScenarioConfig(), lambda_density=0.2,
                                             rho_access=1.0), 34, 300)
         # deployment draws shift the stream, so compare distributions instead
-        assert np.mean([o.sinr_rf for o in dense]) < np.mean([o.sinr_rf for o in base])
-        assert np.mean([o.sinr_vlc for o in dense]) <= np.mean([o.sinr_vlc for o in base])
+        assert dense[1].mean() < base[1].mean()
+        assert dense[0].mean() <= base[0].mean()
 
 
 class TestSuccessAndPrp:
     def test_mode_truth_table(self):
-        theta_v, theta_r = 1.0, 1.0
-        both = TrialOutcome(2.0, 2.0, 0, 0)
-        vlc_only = TrialOutcome(2.0, 0.5, 0, 0)
-        rf_only = TrialOutcome(0.5, 2.0, 0, 0)
-        neither = TrialOutcome(0.5, 0.5, 0, 0)
-        for o, expect in ((both, (True, True, True, True)),
-                          (vlc_only, (True, False, True, True)),
-                          (rf_only, (False, True, True, True)),
-                          (neither, (False, False, False, False))):
-            got = tuple(success(o, m, theta_v, theta_r) for m in MODES)
-            assert got == expect
+        # both, VLC only, RF only, neither
+        ok, _ = score_modes(np.array([2.0, 2.0, 0.5, 0.5]),
+                            np.array([2.0, 0.5, 2.0, 0.5]), UNIT)
+        assert [tuple(col) for col in ok.T.tolist()] == [
+            (True, True, True, True), (True, False, True, True),
+            (False, True, True, True), (False, False, False, False)]
 
     def test_threshold_is_inclusive(self):
-        o = TrialOutcome(1.0, 1.0, 0, 0)
-        assert success(o, MODE_PURE_VLC, 1.0, 1.0)
-        assert success(o, MODE_PURE_RF, 1.0, 1.0)
+        ok, _ = score_modes(1.0, 1.0, UNIT)
+        assert ok[VLC] and ok[RF]
 
     def test_la_dominates_pure_modes_per_trial(self):
         cfg = dataclasses.replace(ScenarioConfig(), lambda_density=0.05,
                                   rho_access=0.5)
-        theta_v = db_to_linear(cfg.sinr_threshold_vlc_db)
-        theta_r = db_to_linear(cfg.sinr_threshold_rf_db)
-        for o in _trials(cfg, 35, 2000):
-            ok_la = success(o, MODE_LA, theta_v, theta_r)
-            assert ok_la >= success(o, MODE_PURE_VLC, theta_v, theta_r)
-            assert ok_la >= success(o, MODE_PURE_RF, theta_v, theta_r)
-            assert ok_la == success(o, MODE_NON_LA, theta_v, theta_r)
+        ok, _ = score_modes(*_trials(cfg, 35, 2000), cfg)
+        assert (ok[LA] >= ok[VLC]).all()
+        assert (ok[LA] >= ok[RF]).all()
+        assert np.array_equal(ok[LA], ok[NON_LA])
 
     def test_prp_counts(self):
-        outs = [TrialOutcome(2.0, 0.5, 0, 0), TrialOutcome(0.5, 0.5, 0, 0),
-                TrialOutcome(2.0, 2.0, 0, 0), TrialOutcome(0.5, 2.0, 0, 0)]
-        est = prp(outs, MODE_PURE_VLC, 1.0, 1.0)
+        ok, _ = score_modes(np.array([2.0, 0.5, 2.0, 0.5]),
+                            np.array([0.5, 0.5, 2.0, 2.0]), UNIT)
+        est = proportion_estimate(int(ok[VLC].sum()), 4)
         assert est.value == 0.5
         assert est.n_trials == 4
-        assert prp(outs, MODE_LA, 1.0, 1.0).value == 0.75
-
-    def test_empty_outcomes_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            prp([], MODE_LA, 1.0, 1.0)
+        assert proportion_estimate(int(ok[LA].sum()), 4).value == 0.75
 
 
 class TestScoreModes:
     def test_rows_follow_modes_and_wrappers(self):
-        cfg = ScenarioConfig()
+        # each column of the array call is the scalar call on that trial
+        cfg = UNIT
         sinr_vlc = np.array([0.0, 0.5, 2.0, 15.0])
         sinr_rf = np.array([15.0, 0.5, 0.5, 15.0])
-        ok, rate = score_modes(sinr_vlc, sinr_rf, cfg, 1.0, 1.0)
+        ok, rate = score_modes(sinr_vlc, sinr_rf, cfg)
         assert ok.shape == rate.shape == (len(MODES), 4)
         for j, (v, r) in enumerate(zip(sinr_vlc, sinr_rf)):
-            o = TrialOutcome(float(v), float(r), 0, 0)
-            for i, mode in enumerate(MODES):
-                assert ok[i, j] == success(o, mode, 1.0, 1.0)
-                assert rate[i, j] == pytest.approx(
-                    instantaneous_rate(o, mode, cfg), rel=1e-12)
+            ok_j, rate_j = score_modes(float(v), float(r), cfg)
+            assert ok_j.shape == rate_j.shape == (len(MODES),)
+            assert ok[:, j].tolist() == ok_j.tolist()
+            assert ok_j.tolist() == [v >= 1.0, r >= 1.0, max(v, r) >= 1.0,
+                                     max(v, r) >= 1.0]
+            np.testing.assert_allclose(rate[:, j], rate_j, rtol=1e-12)
 
-    def test_thresholds_default_to_config(self):
-        cfg = ScenarioConfig()
-        theta_v = db_to_linear(cfg.sinr_threshold_vlc_db)
-        theta_r = db_to_linear(cfg.sinr_threshold_rf_db)
-        sinrs = (np.array([theta_v, theta_v * 0.999]), np.array([theta_r * 0.999, theta_r]))
-        ok, _ = score_modes(*sinrs, cfg)
-        assert np.array_equal(ok, score_modes(*sinrs, cfg, theta_v, theta_r)[0])
-        assert ok[:2].tolist() == [[True, False], [False, True]]
 
-    def test_rate_needs_config(self):
-        ok, rate = score_modes(2.0, 0.5, None, 1.0, 1.0)
-        assert ok.tolist() == [True, False, True, True]
-        assert rate is None
+def _rates(sinr_vlc, sinr_rf, cfg):
+    return score_modes(sinr_vlc, sinr_rf, cfg)[1]
 
 
 class TestRates:
     def test_worked_example(self):
         # both links at SINR 15 over 20 MHz: r = 80 Mbps each;
         # rho_a=0.9 and beta_ov=0.8 give 72 / 72 / 115.2 / 72 Mbps
-        cfg = ScenarioConfig()
-        o = TrialOutcome(15.0, 15.0, 0, 0)
-        assert instantaneous_rate(o, MODE_PURE_VLC, cfg) == pytest.approx(72e6, rel=1e-12)
-        assert instantaneous_rate(o, MODE_PURE_RF, cfg) == pytest.approx(72e6, rel=1e-12)
-        assert instantaneous_rate(o, MODE_NON_LA, cfg) == pytest.approx(72e6, rel=1e-12)
-        assert instantaneous_rate(o, MODE_LA, cfg) == pytest.approx(115.2e6, rel=1e-12)
+        rate = _rates(15.0, 15.0, ScenarioConfig())
+        assert rate[VLC] == pytest.approx(72e6, rel=1e-12)
+        assert rate[RF] == pytest.approx(72e6, rel=1e-12)
+        assert rate[NON_LA] == pytest.approx(72e6, rel=1e-12)
+        assert rate[LA] == pytest.approx(115.2e6, rel=1e-12)
 
     def test_la_vs_non_la_bound(self):
         # la >= beta_ov * non_la always; la >= non_la whenever the weaker
         # link carries at least (1 - beta_ov) / beta_ov of the stronger one
         cfg = ScenarioConfig()
-        for ratio in np.linspace(0.0, 1.0, 41):
-            o = TrialOutcome(db_to_linear(10.0) * ratio + 1e-12, db_to_linear(10.0), 0, 0)
-            la = instantaneous_rate(o, MODE_LA, cfg)
-            non_la = instantaneous_rate(o, MODE_NON_LA, cfg)
-            assert la >= cfg.beta_ov * non_la - 1e-6
-            r_v = cfg.vlc.bandwidth * math.log2(1.0 + o.sinr_vlc)
-            r_r = cfg.rf.bandwidth * math.log2(1.0 + o.sinr_rf)
-            if min(r_v, r_r) >= 0.25 * max(r_v, r_r):
-                assert la >= non_la - 1e-6
+        sinr_vlc = db_to_linear(10.0) * np.linspace(0.0, 1.0, 41) + 1e-12
+        sinr_rf = np.full(41, db_to_linear(10.0))
+        rate = _rates(sinr_vlc, sinr_rf, cfg)
+        assert (rate[LA] >= cfg.beta_ov * rate[NON_LA] - 1e-6).all()
+        r_v = cfg.vlc.bandwidth * np.log2(1.0 + sinr_vlc)
+        r_r = cfg.rf.bandwidth * np.log2(1.0 + sinr_rf)
+        balanced = np.minimum(r_v, r_r) >= 0.25 * np.maximum(r_v, r_r)
+        assert balanced.any()
+        assert (rate[LA][balanced] >= rate[NON_LA][balanced] - 1e-6).all()
 
     def test_dead_link_contributes_nothing(self):
         cfg = ScenarioConfig()
-        o = TrialOutcome(0.0, 15.0, 0, 0)
-        assert instantaneous_rate(o, MODE_PURE_VLC, cfg) == 0.0
-        assert instantaneous_rate(o, MODE_LA, cfg) == pytest.approx(
-            cfg.beta_ov * instantaneous_rate(o, MODE_PURE_RF, cfg), rel=1e-12)
+        rate = _rates(0.0, 15.0, cfg)
+        assert rate[VLC] == 0.0
+        assert rate[LA] == pytest.approx(cfg.beta_ov * rate[RF], rel=1e-12)
 
 
 class TestDelay:
@@ -210,30 +191,33 @@ class TestDelay:
     def test_dor_brackets_the_mtt(self):
         # the 115.2 Mbps outcome has MTT 3.56 ms: late at 3 ms, fine at 4 ms
         cfg = ScenarioConfig()
-        outs = [TrialOutcome(15.0, 15.0, 0, 0)]
-        assert dor(outs, MODE_LA, cfg, 3e-3).value == 1.0
-        assert dor(outs, MODE_LA, cfg, 4e-3).value == 0.0
+        rate = _rates(15.0, 15.0, cfg)[LA]
+        assert rate < outage_rate(cfg.payload_h, 3e-3)
+        assert not rate < outage_rate(cfg.payload_h, 4e-3)
 
     def test_dor_nonincreasing_in_threshold(self):
         cfg = ScenarioConfig()
-        outs = _trials(cfg.with_distance(200.0), 36, 2000)
+        rate = _rates(*_trials(cfg.with_distance(200.0), 36, 2000), cfg)[LA]
         grid = [0.5e-3, 1e-3, 2e-3, 3e-3, 5e-3, 10e-3]
-        values = [dor(outs, MODE_LA, cfg, t).value for t in grid]
+        values = [(rate < outage_rate(cfg.payload_h, t)).mean() for t in grid]
         assert all(b <= a for a, b in zip(values, values[1:]))
 
     def test_dor_is_rate_tail_probability(self):
         # DOR(t) must equal the empirical mass of {rate < 8H / t} exactly
         cfg = ScenarioConfig()
-        outs = _trials(cfg, 37, 1000)
+        sinr_vlc, sinr_rf = _trials(cfg, 37, 1000)
+        rate = _rates(sinr_vlc, sinr_rf, cfg)[LA]
         for t_th in (1e-3, 3e-3, 7.5e-3):
             cutoff = 8.0 * cfg.payload_h / t_th
-            direct = sum(1 for o in outs
-                         if instantaneous_rate(o, MODE_LA, cfg) < cutoff) / len(outs)
-            assert dor(outs, MODE_LA, cfg, t_th).value == direct
+            direct = sum(1 for v, r in zip(sinr_vlc, sinr_rf)
+                         if _rates(float(v), float(r), cfg)[LA] < cutoff) / len(rate)
+            dor = proportion_estimate(
+                int((rate < outage_rate(cfg.payload_h, t_th)).sum()), len(rate))
+            assert dor.value == direct
 
     def test_bad_threshold(self):
         with pytest.raises(InvalidArgumentError):
-            dor([TrialOutcome(1.0, 1.0, 0, 0)], MODE_LA, ScenarioConfig(), 0.0)
+            outage_rate(ScenarioConfig().payload_h, 0.0)
 
 
 class TestClosedFormOracles:
@@ -257,8 +241,8 @@ class TestClosedFormOracles:
         cfg = NO_INTERFERENCE.with_distance(100.0)
         theta_r = db_to_linear(cfg.sinr_threshold_rf_db)
         sinr_vlc, sinr_rf = simulate_trials(cfg, np.random.default_rng(38), 50_000)
-        ok, _ = score_modes(sinr_vlc, sinr_rf, None, 1.0, theta_r)
-        est = proportion_estimate(int(ok[MODES.index(MODE_PURE_RF)].sum()), 50_000)
+        ok, _ = score_modes(sinr_vlc, sinr_rf, cfg)
+        est = proportion_estimate(int(ok[RF].sum()), 50_000)
         rsu = cfg.geometry.rsu_pose
         des = cfg.desired_pose()
         d3d = math.dist((rsu.x, rsu.y, rsu.z), (des.x, des.y, des.z))
@@ -349,6 +333,7 @@ class TestClosedFormOracles:
         cfg = NO_INTERFERENCE
         theta_v = db_to_linear(cfg.sinr_threshold_vlc_db)
         for d in (60.0, 110.0, 130.0, 200.0):
-            outs = _trials(cfg.with_distance(d), 39, 200)
-            est = prp(outs, MODE_PURE_VLC, theta_v, 1.0)
-            assert est.value == prp_vlc_no_interference(cfg.with_distance(d), theta_v)
+            point = cfg.with_distance(d)
+            ok, _ = score_modes(*_trials(point, 39, 200), point)
+            est = proportion_estimate(int(ok[VLC].sum()), 200)
+            assert est.value == prp_vlc_no_interference(point, theta_v)

@@ -9,8 +9,9 @@ from scipy import stats
 
 from rfvlc import (InvalidArgumentError, LaneGeometry, Pose3, ScenarioConfig,
                    WeatherCondition, attenuation_factor, draw_deployment,
-                   sample_interferers, validate)
-from rfvlc.scenario import EXCLUSION_RADIUS_M, LANE_SAME, interferer_counts
+                   validate)
+from rfvlc.scenario import (EXCLUSION_RADIUS_M, LANE_SAME, LANES,
+                            interferer_counts, lane_poses, outside_exclusion)
 
 
 class TestAttenuationFactor:
@@ -124,18 +125,26 @@ def _count_draws(config, seed, n_draws):
     return _lane_counts(config, seed, n_draws).sum(axis=0)
 
 
+def _interferers(config, seed, n_draws):
+    """(lane, x, y, axis) of the interferers of n_draws trials, lane by lane."""
+    deployment = draw_deployment(config, np.random.default_rng(seed), n_draws)
+    for lane, part in zip(LANES, deployment.lane_slices()):
+        x, y, axis = lane_poses(config.geometry, lane, deployment.coord[part])
+        x, y, ax, ay, active = np.broadcast_arrays(
+            x, y, *axis[:2], outside_exclusion(config, x, y))
+        yield lane, x[active], y[active], (ax[active], ay[active])
+
+
 class TestSampleInterferers:
     def test_zero_density_always_empty(self):
         cfg = dataclasses.replace(ScenarioConfig(), lambda_density=0.0)
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            assert sample_interferers(cfg, rng).positions == ()
+        assert all(len(x) == 0 for _, x, _, _ in _interferers(cfg, 1, 50))
+        assert not _lane_counts(cfg, 1, 50).any()
 
     def test_zero_access_always_empty(self):
         cfg = dataclasses.replace(ScenarioConfig(), rho_access=0.0)
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            assert sample_interferers(cfg, rng).positions == ()
+        assert all(len(x) == 0 for _, x, _, _ in _interferers(cfg, 2, 50))
+        assert not _lane_counts(cfg, 2, 50).any()
 
     def test_mean_count_matches_thinned_poisson(self):
         # mean per lane = lambda * rho * 2L = 0.01 * 0.01 * 1000 = 0.1
@@ -176,26 +185,27 @@ class TestSampleInterferers:
         assert abs(ca.mean() - cb.mean()) < 3 * pooled
 
     def test_positions_on_centerlines_at_tx_height(self):
+        # lane_poses gives each headlamp's x, y and axis (the kernel puts
+        # every headlamp at tx_height): on its lane's centerline, aimed
+        # horizontally along the lane toward the intersection
         cfg = dataclasses.replace(ScenarioConfig(), lambda_density=0.05, rho_access=1.0)
-        rng = np.random.default_rng(3)
         geo = cfg.geometry
-        for _ in range(20):
-            s = sample_interferers(cfg, rng)
-            for pose, tag in zip(s.positions, s.lane_tags):
-                assert pose.z == geo.tx_height
-                if tag == "same":
-                    assert pose.y == geo.lane_y_offset
-                    assert abs(pose.x) <= geo.lane_half_length
-                else:
-                    assert pose.x == geo.lane_x_offset
-                    assert abs(pose.y) <= geo.lane_half_length
+        for lane, x, y, (ax, ay) in _interferers(cfg, 3, 20):
+            assert len(x) > 0
+            along, across, toward, sideways, offset = (
+                (x, y, ax, ay, geo.lane_y_offset) if lane == LANE_SAME
+                else (y, x, ay, ax, geo.lane_x_offset))
+            assert (across == offset).all()
+            assert (np.abs(along) <= geo.lane_half_length).all()
+            assert (toward == -np.sign(along)).all() and (sideways == 0.0).all()
 
     def test_exclusion_radius(self):
         cfg = dataclasses.replace(ScenarioConfig(), lambda_density=1.0,
                                   rho_access=1.0, distance_r=100.0)
-        rng = np.random.default_rng(4)
         desired = cfg.desired_pose()
-        for _ in range(20):
-            for pose in sample_interferers(cfg, rng).positions:
-                d = math.dist((pose.x, pose.y), (desired.x, desired.y))
-                assert d > EXCLUSION_RADIUS_M
+        for _, x, y, _ in _interferers(cfg, 4, 20):
+            d = np.hypot(x - desired.x, y - desired.y)
+            assert (d > EXCLUSION_RADIUS_M).all()
+        # the radius really removes drawn points
+        deployment = draw_deployment(cfg, np.random.default_rng(4), 20)
+        assert interferer_counts(cfg, deployment).sum() < len(deployment.coord)
