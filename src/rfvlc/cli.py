@@ -21,11 +21,12 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .config import DEFAULT_PRP_DISTANCES, config_digest, parse_config
+from .config import (DEFAULT_PRP_DISTANCES, config_digest, parse_config,
+                     parse_weathers)
 from .engine import _CHUNK, RNG_SCHEME, SweepSpec, SweepTable, run_sweep
-from .errors import ConfigError, InvalidArgumentError
+from .errors import ConfigError
 from .metrics import MODES
-from .scenario import ScenarioConfig, WeatherCondition
+from .scenario import ScenarioConfig
 
 _DEFAULT_RATE_DISTANCES = (50.0, 100.0, 150.0, 200.0, 250.0)
 _DEFAULT_DOR_DISTANCES = (50.0, 200.0)
@@ -55,17 +56,9 @@ def _load(args) -> tuple[ScenarioConfig, SweepSpec]:
     if args.trials is not None:
         spec = replace(spec, n_trials=args.trials)
     if args.weather:
-        try:
-            spec = replace(spec, weathers=tuple(
-                WeatherCondition.preset(k) for k in _parse_list(args.weather, str)))
-        except InvalidArgumentError as exc:
-            raise ConfigError(str(exc)) from None
+        spec = replace(spec, weathers=parse_weathers(args.weather))
     if args.modes:
-        modes = _parse_list(args.modes, str)
-        for m in modes:
-            if m not in MODES:
-                raise ConfigError(f"unknown mode {m!r}")
-        spec = replace(spec, modes=modes)
+        spec = replace(spec, modes=_parse_list(args.modes, str))
     return config, spec
 
 
@@ -201,13 +194,10 @@ def cmd_dor_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    from .scenario import validate as validate_config
-    config, spec = _load(args)
-    problems = validate_config(config) + spec.check()
+    # parse_config has checked the file; the flags may still spoil the sweep
+    problems = _load(args)[1].check()
     if problems:
-        for p in problems:
-            print(p, file=sys.stderr)
-        return 1
+        raise ConfigError("; ".join(problems))
     print("ok")
     return 0
 
@@ -220,7 +210,8 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--trials", type=int, default=None,
                    help="trials per sweep point")
     p.add_argument("--weather", default="",
-                   help="comma list of clear,rain,fog,dry_snow")
+                   help="comma list of clear,rain,fog,dry_snow (overrides "
+                        "the config's weather key)")
     p.add_argument("--modes", default="",
                    help="comma list of pure_vlc,pure_rf,la,non_la")
     p.add_argument("--workers", type=int, default=1,

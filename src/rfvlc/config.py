@@ -15,7 +15,8 @@ from dataclasses import replace
 from .engine import SweepSpec
 from .errors import ConfigError, InvalidArgumentError
 from .metrics import MODE_LA, MODE_PURE_RF, MODE_PURE_VLC
-from .scenario import Pose3, ScenarioConfig, WeatherCondition, validate
+from .scenario import (WEATHER_KINDS, Pose3, ScenarioConfig, WeatherCondition,
+                       validate)
 
 DEFAULT_SEED = 20260823
 DEFAULT_TRIALS = 100_000
@@ -56,6 +57,19 @@ _FLOAT_KEYS = {
 
 _SPECIAL_KEYS = ("weather", "rf.fading", "geometry.rsu_height",
                  "geometry.rsu_tilt_deg", "trials", "seed")
+
+
+def parse_weathers(text: str) -> tuple[WeatherCondition, ...]:
+    """The swept weathers: the `weather` key and the --weather flag.
+
+    A comma list of presets; SweepSpec.check rejects empty and repeated
+    lists.
+    """
+    try:
+        return tuple(WeatherCondition.preset(kind.strip())
+                     for kind in text.split(",") if kind.strip())
+    except InvalidArgumentError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def parse_config(text: str) -> tuple[ScenarioConfig, SweepSpec]:
@@ -101,13 +115,7 @@ def parse_config(text: str) -> tuple[ScenarioConfig, SweepSpec]:
             raise ConfigError(f"{key}: not an integer: {text_value!r}") from None
 
     base = ScenarioConfig()
-
-    weather = base.weather
-    if "weather" in assignments:
-        try:
-            weather = WeatherCondition.preset(assignments.pop("weather"))
-        except InvalidArgumentError as exc:
-            raise ConfigError(str(exc)) from None
+    weathers = parse_weathers(assignments.pop("weather", ",".join(WEATHER_KINDS)))
 
     geo_kwargs = {}
     for key, (target, attr) in _FLOAT_KEYS.items():
@@ -144,22 +152,17 @@ def parse_config(text: str) -> tuple[ScenarioConfig, SweepSpec]:
     n_trials = take_int("trials", DEFAULT_TRIALS)
     master_seed = take_int("seed", DEFAULT_SEED)
 
-    config = replace(base, geometry=geometry, weather=weather, vlc=vlc, rf=rf,
-                     **scenario_kwargs)
-    problems = validate(config)
-    if problems:
-        raise ConfigError("; ".join(problems))
-
+    config = replace(base, geometry=geometry, vlc=vlc, rf=rf, **scenario_kwargs)
     spec = SweepSpec(
         distances=DEFAULT_PRP_DISTANCES,
-        weathers=(WeatherCondition.preset("clear"),
-                  WeatherCondition.preset("rain"),
-                  WeatherCondition.preset("fog"),
-                  WeatherCondition.preset("dry_snow")),
+        weathers=weathers,
         modes=(MODE_PURE_VLC, MODE_PURE_RF, MODE_LA),
         n_trials=n_trials,
         master_seed=master_seed,
     )
+    problems = validate(config) + spec.check()
+    if problems:
+        raise ConfigError("; ".join(problems))
     return config, spec
 
 

@@ -6,16 +6,17 @@ Trials are simulated in chunks of _CHUNK on a fixed grid, and every
 as easy as 1, 2, 3", SC'11).  Results are therefore a pure function of
 (config, spec): reruns and runs with different worker counts produce
 bit-identical tables.  Each chunk is one array pass (simulate_trials)
-scored for every mode and delay threshold, and the chunk partials are
-reduced in chunk order, which keeps floating-point summation order
-independent of the worker count.
+scored for every weather, mode and delay threshold, and the chunk
+partials are reduced in chunk order, which keeps floating-point
+summation order independent of the worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,9 +90,10 @@ def trial_rng(seed: int) -> np.random.Generator:
 class SweepSpec:
     """One sweep: distances x weathers, scored per mode and delay threshold.
 
-    Each (distance, weather) point is simulated once.  Its trials give the
-    PRP and rate of every mode, and the DOR of every delay threshold in
-    t_th (seconds; empty for a sweep without DOR rows).
+    Each distance is simulated once for all weathers.  The trials of a
+    (distance, weather) point give the PRP and rate of every mode, and the
+    DOR of every delay threshold in t_th (seconds; empty for a sweep
+    without DOR rows).
     """
 
     distances: tuple[float, ...]
@@ -144,44 +146,41 @@ class SweepTable:
 
 
 def _chunk_stats(config: ScenarioConfig, master_seed: int, point_index: int,
-                 start: int, end: int, t_th: tuple[float, ...]):
+                 start: int, end: int, weathers: tuple[WeatherCondition, ...],
+                 t_th: tuple[float, ...]):
     """Simulate one chunk of trials, start a multiple of _CHUNK.
 
-    Returns per-mode success counts, rate sums (Mbps) and rate sums of
-    squares, in MODES order, and late[mode, k]: the trials whose rate
-    falls below outage_rate(H, t_th[k]).
+    Returns, per weather, the per-mode success counts, rate sums (Mbps)
+    and rate sums of squares, in MODES order ([W, 4] each), and
+    late[weather, mode, k]: the trials whose rate falls below
+    outage_rate(H, t_th[k]).
     """
     rng = trial_rng(derive_seed(master_seed, point_index, start // _CHUNK))
-    sinr_vlc, sinr_rf = simulate_trials(config, rng, end - start)
-    ok, rate = score_modes(sinr_vlc, sinr_rf, config)
+    ok, rate = score_modes(*simulate_trials(config, weathers, rng, end - start), config)
     mbps = rate / 1e6
     cutoffs = np.array([outage_rate(config.payload_h, t) for t in t_th])
-    late = (rate[:, None, :] < cutoffs[:, None]).sum(axis=2)
-    return ok.sum(axis=1), mbps.sum(axis=1), (mbps * mbps).sum(axis=1), late
+    late = (rate[..., None, :] < cutoffs[:, None]).sum(axis=-1)
+    return ok.sum(axis=-1), mbps.sum(axis=-1), (mbps * mbps).sum(axis=-1), late
 
 
 def run_sweep(config: ScenarioConfig, spec: SweepSpec,
               n_workers: int = 1) -> SweepTable:
     """Run the full sweep and return the ordered result table.
 
-    Each (distance, weather) point is simulated once, and every row of the
-    point is scored on the same trials: per distance, a "prp" and a
-    "rate_mbps" row per (weather, mode), then a "dor" row per (delay
-    threshold, weather, mode), a trial being late iff its rate is below
-    8H / t_th.  DOR is therefore exactly nonincreasing in t_th.  The
-    streams are keyed by the distance's index in spec.distances, shared
-    across weathers, so equal-seed comparisons across weather conditions
-    see identical randomness.
+    Each distance is simulated once for every weather: weather only
+    attenuates optical paths, so one deployment and one set of RF draws
+    per chunk serve all of them.  Every row of a (distance, weather) point
+    is scored on the same trials: per distance, a "prp" and a "rate_mbps"
+    row per (weather, mode), then a "dor" row per (delay threshold,
+    weather, mode), a trial being late iff its rate is below 8H / t_th.
+    DOR is therefore exactly nonincreasing in t_th.  The streams are keyed
+    by the distance's index in spec.distances.
     """
-    problems = validate(config) + spec.check()
+    points = [config.with_distance(distance) for distance in spec.distances]
+    problems = list(dict.fromkeys(p for cfg in points for p in validate(cfg)))
+    problems += spec.check()
     if n_workers < 1:
         problems.append(f"n_workers: must be >= 1, got {n_workers}")
-    if problems:
-        raise ConfigError("; ".join(problems))
-    points = [[replace(config, distance_r=distance, weather=weather)
-               for weather in spec.weathers] for distance in spec.distances]
-    problems = list(dict.fromkeys(p for row in points for cfg in row
-                                  for p in validate(cfg)))
     if problems:
         raise ConfigError("; ".join(problems))
 
@@ -189,29 +188,23 @@ def run_sweep(config: ScenarioConfig, spec: SweepSpec,
     n = spec.n_trials
     starts = range(0, n, _CHUNK)
     chunks = [(cfg, spec.master_seed, d_idx, start, min(start + _CHUNK, n),
-               spec.t_th)
-              for d_idx, row in enumerate(points) for cfg in row
-              for start in starts]
+               spec.weathers, spec.t_th)
+              for d_idx, cfg in enumerate(points) for start in starts]
 
     # The pool starts all its workers at once: start no more than there
-    # are chunks, and none for a single chunk.
-    n_workers = min(n_workers, len(chunks))
+    # are chunks or CPUs, and none for a single chunk.
+    n_workers = min(n_workers, len(chunks), os.cpu_count() or 1)
     if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             partials = list(pool.map(_chunk_stats_job, chunks, chunksize=4))
     else:
         partials = [_chunk_stats_job(c) for c in chunks]
 
-    # Reduce per (distance, weather), adding the partials in chunk order.
-    grid = (len(spec.distances), len(spec.weathers), len(starts))
-    sums = []
-    for field in zip(*partials):
-        per_chunk = np.reshape(field, grid + np.shape(field[0]))
-        total = np.zeros_like(per_chunk[:, :, 0])
-        for c in range(len(starts)):
-            total += per_chunk[:, :, c]
-        sums.append(total)
-    succ, rsum, rsq, late = sums
+    # Reduce per distance (and weather): sum() adds the partials in chunk order.
+    grid = (len(spec.distances), len(starts))
+    succ, rsum, rsq, late = (
+        sum(np.reshape(field, grid + np.shape(field[0])).swapaxes(0, 1))
+        for field in zip(*partials))
 
     rows = []
     for d_idx, distance in enumerate(spec.distances):

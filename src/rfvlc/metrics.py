@@ -3,7 +3,8 @@
 One trial shares a single interferer deployment between the optical and
 radio links: the VLC SINR is fully deterministic given the deployment,
 while every RF power (desired and interfering) gets an independent fading
-draw.  Trials are simulated as arrays, a chunk at a time (simulate_trials).
+draw.  Trials are simulated as arrays, a chunk at a time and for every
+weather at once (simulate_trials): weather only attenuates optical paths.
 The four operating modes are scored on the same trials by one function
 (score_modes), so mode comparisons are exact event inclusions rather than
 statistical ones.
@@ -20,8 +21,9 @@ from .errors import InvalidArgumentError, UnsupportedModelError
 from .rf_channel import (FADING_RAYLEIGH, RfParams, rf_mean_rx_power,
                          rf_noise_power, sample_fading)
 from .scenario import (EXCLUSION_RADIUS_M, LANE_PERP, LANE_SAME, LANES,
-                       Deployment, ScenarioConfig, attenuation_factor,
-                       draw_deployment, lane_poses, outside_exclusion)
+                       Deployment, ScenarioConfig, WeatherCondition,
+                       attenuation_factor, draw_deployment, lane_poses,
+                       outside_exclusion)
 from .vlc_channel import (los_gain, vlc_los_gain, vlc_noise_power,
                           vlc_rx_electrical_power)
 
@@ -56,7 +58,7 @@ class _Statics(NamedTuple):
     """Deterministic per-config quantities shared by the trials of a chunk."""
 
     d3d: float         # desired vehicle's headlamp -> RSU, meters
-    s_vlc: float
+    gain: float        # desired link's Lambertian gain
     n_vlc: float
     s_rf_mean: float
     n_rf: float
@@ -66,35 +68,39 @@ def _statics(config: ScenarioConfig) -> _Statics:
     rsu = config.geometry.rsu_pose
     desired = config.desired_pose()
     d3d = math.dist((rsu.x, rsu.y, rsu.z), (desired.x, desired.y, desired.z))
-    gain = vlc_los_gain(desired, rsu, config.vlc)
-    wfac = attenuation_factor(config.weather.attenuation_db_per_km, d3d)
     return _Statics(d3d=d3d,
-                    s_vlc=vlc_rx_electrical_power(gain, wfac, config.vlc),
+                    gain=vlc_los_gain(desired, rsu, config.vlc),
                     n_vlc=vlc_noise_power(config.vlc),
                     s_rf_mean=rf_mean_rx_power(d3d, config.rf),
                     n_rf=rf_noise_power(config.rf))
 
 
-def vlc_snr(config: ScenarioConfig) -> float:
+def _s_vlc(config: ScenarioConfig, st: _Statics, weather: WeatherCondition) -> float:
+    wfac = attenuation_factor(weather.attenuation_db_per_km, st.d3d)
+    return vlc_rx_electrical_power(st.gain, wfac, config.vlc)
+
+
+def vlc_snr(config: ScenarioConfig, weather: WeatherCondition) -> float:
     """Deterministic no-interference VLC SNR of the desired link."""
     st = _statics(config)
-    return st.s_vlc / st.n_vlc
+    return _s_vlc(config, st, weather) / st.n_vlc
 
 
-def interference_sums(config: ScenarioConfig, deployment: Deployment,
+def interference_sums(config: ScenarioConfig, weathers, deployment: Deployment,
                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial interference powers (VLC, RF) of a deployment.
+    """Per-trial interference powers of a deployment: VLC[W, n] and RF[n].
 
     Draws one RF fading gain per lane point, in storage order, whether
     or not the point is excluded.  Each trial's interferer terms are added
-    in storage order, same lane first; excluded points add zero.
+    in storage order, same lane first; excluded points add zero.  The
+    geometry, the Lambertian gains and the RF terms are computed once;
+    only the optical attenuation differs between the W weathers.
     """
     n = deployment.counts.shape[1]
     geo = config.geometry
     rsu = geo.rsu_pose
-    coeff = config.weather.attenuation_db_per_km
     dz = rsu.z - geo.tx_height
-    i_vlc = np.zeros(n)
+    i_vlc = np.zeros((len(weathers), n))
     i_rf = np.zeros(n)
     for lane, part in zip(LANES, deployment.lane_slices()):
         for lo in range(part.start, part.stop, _BLOCK):
@@ -108,52 +114,58 @@ def interference_sums(config: ScenarioConfig, deployment: Deployment,
             fade = sample_fading(config.rf, rng, len(trial))
             p_rf = rf_mean_rx_power(d, config.rf) * fade
             i_rf += np.bincount(trial, np.where(active, p_rf, 0.0), minlength=n)
-            gain = los_gain(dx, dy, dz, axis, rsu.axis, config.vlc)
-            p_vlc = vlc_rx_electrical_power(gain, attenuation_factor(coeff, d),
-                                            config.vlc)
-            i_vlc += np.bincount(trial, np.where(active, p_vlc, 0.0), minlength=n)
+            # an excluded point has zero gain, hence zero power in any weather
+            gain = np.where(active, los_gain(dx, dy, dz, axis, rsu.axis, config.vlc),
+                            0.0)
+            for row, weather in zip(i_vlc, weathers):
+                wfac = attenuation_factor(weather.attenuation_db_per_km, d)
+                row += np.bincount(trial, vlc_rx_electrical_power(gain, wfac, config.vlc),
+                                   minlength=n)
     return i_vlc, i_rf
 
 
-def simulate_trials(config: ScenarioConfig, rng: np.random.Generator,
+def simulate_trials(config: ScenarioConfig, weathers, rng: np.random.Generator,
                     n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n coupled draws: per-trial VLC and RF SINR arrays.
+    """n coupled draws: VLC SINRs per weather, [W, n], and RF SINRs, [n].
 
     The stream is consumed in a weather-independent order: Poisson counts,
-    lane positions, desired RF fades, one RF fade per lane point.  Runs
-    that differ only in weather therefore see identical randomness.
+    lane positions, desired RF fades, one RF fade per lane point.  Every
+    weather therefore sees the same trials, and row w equals a run with
+    weathers[w] alone; weather does not touch the RF link.
     """
     st = _statics(config)
     deployment = draw_deployment(config, rng, n)
     desired_fade = sample_fading(config.rf, rng, n)
-    i_vlc, i_rf = interference_sums(config, deployment, rng)
-    return (sinr(st.s_vlc, i_vlc, st.n_vlc),
+    i_vlc, i_rf = interference_sums(config, weathers, deployment, rng)
+    s_vlc = np.array([_s_vlc(config, st, w) for w in weathers])
+    return (sinr(s_vlc[:, None], i_vlc, st.n_vlc),
             sinr(st.s_rf_mean * desired_fade, i_rf, st.n_rf))
 
 
 def score_modes(sinr_vlc, sinr_rf, config: ScenarioConfig):
-    """Reception and achievable rate of every mode, rows in MODES order.
+    """Reception and achievable rate of every mode, in MODES order.
 
-    Returns ok[4, n] and rate[4, n] (bits/s) for SINR arrays of n trials
-    (shape [4] for scalar SINRs).  A link decodes iff its SINR reaches the
-    config's decode threshold.  Link aggregation duplicates the packet on
-    both links, so it succeeds if either link decodes; best-link selection
-    cannot beat that, so the non-aggregated hybrid shares the same
-    reception event.  Rates are Shannon-form: the desired vehicle's access
-    probability rho_a scales every mode, the aggregation overhead beta_ov
-    only the aggregated sum.
+    Returns ok[..., 4, n] and rate[..., 4, n] (bits/s) for SINR arrays
+    that broadcast to [..., n]: sinr_vlc[W, n] with sinr_rf[n] gives
+    [W, 4, n], one row block per weather; scalar SINRs give shape [4].  A
+    link decodes iff its SINR reaches the config's decode threshold.  Link
+    aggregation duplicates the packet on both links, so it succeeds if
+    either link decodes; best-link selection cannot beat that, so the
+    non-aggregated hybrid shares the same reception event.  Rates are
+    Shannon-form: the desired vehicle's access probability rho_a scales
+    every mode, the aggregation overhead beta_ov only the aggregated sum.
     """
-    sinr_vlc = np.asarray(sinr_vlc)
-    sinr_rf = np.asarray(sinr_rf)
+    sinr_vlc, sinr_rf = np.broadcast_arrays(sinr_vlc, sinr_rf)
+    axis = max(sinr_vlc.ndim - 1, 0)
     ok_v = sinr_vlc >= db_to_linear(config.sinr_threshold_vlc_db)
     ok_r = sinr_rf >= db_to_linear(config.sinr_threshold_rf_db)
     either = ok_v | ok_r
-    ok = np.stack([ok_v, ok_r, either, either])
+    ok = np.stack([ok_v, ok_r, either, either], axis=axis)
     r_v = config.vlc.bandwidth * np.log2(1.0 + sinr_vlc)
     r_r = config.rf.bandwidth * np.log2(1.0 + sinr_rf)
     rho = config.rho_a
     rate = np.stack([rho * r_v, rho * r_r, config.beta_ov * rho * (r_v + r_r),
-                     rho * np.maximum(r_v, r_r)])
+                     rho * np.maximum(r_v, r_r)], axis=axis)
     return ok, rate
 
 
@@ -242,13 +254,14 @@ def prp_rf_closed_form(config: ScenarioConfig) -> float:
         -config.lambda_density * config.rho_access * integral)
 
 
-def prp_vlc_no_interference(config: ScenarioConfig, theta: float) -> int:
+def prp_vlc_no_interference(config: ScenarioConfig, weather: WeatherCondition,
+                            theta: float) -> int:
     """Deterministic interference-free VLC PRP: 1 iff SNR >= theta."""
-    return 1 if vlc_snr(config) >= theta else 0
+    return 1 if vlc_snr(config, weather) >= theta else 0
 
 
-def vlc_cutoff_distance(config: ScenarioConfig, theta: float,
-                        lo: float = 10.0, hi: float = 1000.0,
+def vlc_cutoff_distance(config: ScenarioConfig, weather: WeatherCondition,
+                        theta: float, lo: float = 10.0, hi: float = 1000.0,
                         tol: float = 1e-3) -> float:
     """Distance where the deterministic VLC SNR crosses theta, by bisection.
 
@@ -257,13 +270,14 @@ def vlc_cutoff_distance(config: ScenarioConfig, theta: float,
     than ~10 m the headlamp no longer points at the lamp-post receiver,
     so the bracket starts beyond the near field).
     """
-    f_lo = vlc_snr(config.with_distance(lo)) - theta
-    f_hi = vlc_snr(config.with_distance(hi)) - theta
-    if f_lo < 0 or f_hi >= 0:
+    def snr(distance):
+        return vlc_snr(config.with_distance(distance), weather)
+
+    if snr(lo) < theta or snr(hi) >= theta:
         raise InvalidArgumentError("cutoff is not bracketed by [lo, hi]")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if vlc_snr(config.with_distance(mid)) >= theta:
+        if snr(mid) >= theta:
             lo = mid
         else:
             hi = mid

@@ -38,7 +38,7 @@ _SCALAR_FIELDS = ("lambda_density", "rho_access", "rho_a", "beta_ov",
 _GEOMETRY_FIELDS = ("lane_half_length", "lane_x_offset", "lane_y_offset",
                     "tx_height")
 
-_WEATHER_KINDS = ("clear", "rain", "fog", "dry_snow")
+WEATHER_KINDS = ("clear", "rain", "fog", "dry_snow")
 
 # kind -> (descriptor name, descriptor value, attenuation dB/km)
 _WEATHER_PRESETS = {
@@ -80,7 +80,7 @@ class WeatherCondition:
     attenuation_db_per_km: float
 
     def __post_init__(self):
-        if self.kind not in _WEATHER_KINDS:
+        if self.kind not in WEATHER_KINDS:
             raise InvalidArgumentError(f"unknown weather kind {self.kind!r}")
         if self.attenuation_db_per_km < 0:
             raise InvalidArgumentError("attenuation_db_per_km must be >= 0")
@@ -153,7 +153,6 @@ class ScenarioConfig:
     """
 
     geometry: LaneGeometry = field(default_factory=LaneGeometry)
-    weather: WeatherCondition = field(default_factory=lambda: WeatherCondition.preset("clear"))
     lambda_density: float = 0.01       # vehicles per meter on each lane
     rho_access: float = 0.01           # interferer channel access probability
     rho_a: float = 0.9                 # desired-vehicle transmission probability
@@ -176,9 +175,6 @@ class ScenarioConfig:
     def with_distance(self, distance_r: float) -> "ScenarioConfig":
         return replace(self, distance_r=distance_r)
 
-    def with_weather(self, weather: WeatherCondition) -> "ScenarioConfig":
-        return replace(self, weather=weather)
-
 
 def validate(config: ScenarioConfig) -> list[str]:
     """Check every configuration invariant; empty list means ok."""
@@ -193,8 +189,11 @@ def validate(config: ScenarioConfig) -> list[str]:
         violations.append("lambda_density: must be >= 0")
     if not 0.0 <= config.rho_access <= 1.0:
         violations.append("rho_access: must be in [0, 1]")
+    if math.isfinite(geo.lane_half_length) and math.isinf(2.0 * geo.lane_half_length):
+        violations.append("geometry.lane_half_length: lane length 2 * lane_half_length "
+                          "must be finite")
     mean = config.lambda_density * config.rho_access * 4.0 * geo.lane_half_length
-    if math.isfinite(mean) and mean > MAX_MEAN_INTERFERERS:
+    if mean > MAX_MEAN_INTERFERERS:
         violations.append(f"lambda_density: lambda * rho_access * 4 * lane_half_length "
                           f"= {mean:g} expected interferers per trial, at most "
                           f"{MAX_MEAN_INTERFERERS:g}")

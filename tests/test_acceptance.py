@@ -73,24 +73,25 @@ def test_criterion_02_vlc_oracle_equivalence(capsys):
     """lambda=0 VLC PRP equals the 0/1 oracle around d*; d* seed-stable."""
     cfg = dataclasses.replace(ScenarioConfig(), lambda_density=0.0)
     theta_v = db_to_linear(cfg.sinr_threshold_vlc_db)
-    cutoff = vlc_cutoff_distance(cfg, theta_v, tol=1e-4)
+    clear = CLEAR[0]
+    cutoff = vlc_cutoff_distance(cfg, clear, theta_v, tol=1e-4)
 
     distances = np.linspace(cutoff - 10.0, cutoff + 10.0, 20)
     mismatches = 0
     for seed in (1, 2, 3):
         for d in distances:
             point = cfg.with_distance(float(d))
-            oracle = prp_vlc_no_interference(point, theta_v)
-            sinr_vlc, _ = simulate_trials(point, trial_rng(derive_seed(seed, 0, 0)),
-                                          200)
-            mc = (sinr_vlc >= theta_v).mean()
+            oracle = prp_vlc_no_interference(point, clear, theta_v)
+            sinr_vlc, _ = simulate_trials(point, CLEAR,
+                                          trial_rng(derive_seed(seed, 0, 0)), 200)
+            mc = (sinr_vlc[0] >= theta_v).mean()
             if mc != oracle:
                 mismatches += 1
         # the Monte Carlo step sits at d* itself for every seed
         lo = cfg.with_distance(cutoff - 0.05)
         hi = cfg.with_distance(cutoff + 0.05)
-        if not (prp_vlc_no_interference(lo, theta_v) == 1
-                and prp_vlc_no_interference(hi, theta_v) == 0):
+        if not (prp_vlc_no_interference(lo, clear, theta_v) == 1
+                and prp_vlc_no_interference(hi, clear, theta_v) == 0):
             mismatches += 1
     ok = mismatches == 0
     _verdict(capsys, 2, ok,
@@ -133,7 +134,10 @@ def test_criterion_04_weather_ordering(capsys, prp_grid_table):
     must also be received under better weather.  (The raw SINR itself is
     not pointwise monotone: weather attenuates a far interferer more than
     a near desired signal, which can raise the SINR of an interference-
-    dominated near-field trial without ever changing reception.)
+    dominated near-field trial without ever changing reception.)  The
+    kernel returns one RF SINR array for all weathers, so per trial RF is
+    weather-invariant by construction; the engine-level check below still
+    compares the pure-RF rows of every weather.
     """
     cfg = ScenarioConfig()
     theta_v = db_to_linear(cfg.sinr_threshold_vlc_db)
@@ -141,13 +145,10 @@ def test_criterion_04_weather_ordering(capsys, prp_grid_table):
     for d in range(10, 251, 20):
         point = cfg.with_distance(float(d))
         # rows: weathers, best first; columns: the 200 shared trials
-        sinr_vlc, sinr_rf = np.array([
-            simulate_trials(point.with_weather(weather),
-                            trial_rng(derive_seed(404, d, 0)), 200)
-            for weather in ALL_WEATHERS]).transpose(1, 0, 2)
+        sinr_vlc, _ = simulate_trials(point, ALL_WEATHERS,
+                                      trial_rng(derive_seed(404, d, 0)), 200)
         ok_v = sinr_vlc >= theta_v
         bad += int((ok_v[1:] > ok_v[:-1]).any(axis=0).sum())
-        bad += int((sinr_rf != sinr_rf[0]).any(axis=0).sum())
     # engine level: VLC-involving PRP ordered, pure-RF estimates identical
     spec, table = prp_grid_table
     order = [w.kind for w in ALL_WEATHERS]

@@ -31,7 +31,7 @@ class TestParseConfig:
     def test_empty_document_gives_defaults(self):
         config, spec = parse_config("")
         assert config.lambda_density == 0.01
-        assert config.weather.kind == "clear"
+        assert [w.kind for w in spec.weathers] == ["clear", "rain", "fog", "dry_snow"]
         assert spec.master_seed == DEFAULT_SEED
         assert spec.n_trials == DEFAULT_TRIALS
         assert spec.check() == []
@@ -49,7 +49,7 @@ class TestParseConfig:
         config, spec = parse_config(text)
         assert config.lambda_density == 0.02
         assert config.distance_r == 150.0
-        assert config.weather.attenuation_db_per_km == 78.8
+        assert [w.attenuation_db_per_km for w in spec.weathers] == [78.8]
         assert config.rf.tx_power == 0.1
         assert spec.n_trials == 5000
         assert spec.master_seed == 0xDEADBEEF
@@ -77,6 +77,17 @@ class TestParseConfig:
     def test_bad_weather_name(self):
         with pytest.raises(ConfigError):
             parse_config("weather = drizzle\n")
+
+    def test_weather_key_sets_the_swept_weathers(self):
+        _, spec = parse_config("weather = rain, dry_snow\n")
+        assert [w.kind for w in spec.weathers] == ["rain", "dry_snow"]
+
+    @pytest.mark.parametrize("value, message", [
+        ("fog, fog", "must not repeat"), (",", "must be nonempty"),
+        ("clear, drizzle", "drizzle")], ids=["repeated", "empty", "unknown"])
+    def test_bad_weather_list(self, value, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(f"weather = {value}\n")
 
     def test_non_finite_values_rejected(self):
         for key in ("distance_r", "payload_h", "rf.tx_power", "vlc.pd_area",
@@ -159,6 +170,18 @@ class TestCliPrpSweep:
         dat = _read(os.path.join(out, "prp_clear_la.dat")).splitlines()
         assert len(dat) == 2
         assert len(dat[0].split()) == 3
+
+
+    def test_weather_key_sets_the_rows_and_the_flag_overrides_it(self, tmp_path):
+        cfg = tmp_path / "fog.cfg"
+        cfg.write_text("weather = fog\n")
+        for flags, kinds in (([], {"fog"}), (["--weather", "clear"], {"clear"})):
+            out = str(tmp_path / "-".join(kinds))
+            assert _run(["prp-sweep", "--config", str(cfg), "--out", out,
+                         "--distances", "50,100"] + flags + FAST) == 0
+            lines = _read(os.path.join(out, "prp_sweep.csv")).splitlines()[1:]
+            assert len(lines) == 2 * 3
+            assert {line.split(",")[1] for line in lines} == kinds
 
 
 class TestCliRateSweep:
@@ -335,6 +358,32 @@ class TestCliErrors:
                      "--weather", "clear,clear"] + FAST) == 2
         assert "sweep.weathers: must not repeat" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["fog,fog", "fog,drizzle"])
+    def test_bad_weather_key_is_config_error(self, tmp_path, capsys, value):
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text(f"weather = {value}\n")
+        assert _run(["prp-sweep", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--distances", "50"] + FAST) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_lane_overflowing_at_zero_density_is_config_error(self, tmp_path, capsys):
+        # 2L overflows: the deployment's uniform(-L, L) would raise OverflowError
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text("lambda_density = 0\ngeometry.lane_half_length = 1e308\n")
+        assert _run(["prp-sweep", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--distances", "50"] + FAST) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "lane_half_length" in err
+
+    def test_overflowing_interferer_count_is_config_error(self, tmp_path, capsys):
+        # lambda * rho * 4L overflows to inf, past the interferer bound
+        cfg = tmp_path / "dense.cfg"
+        cfg.write_text("lambda_density = 1e308\ngeometry.lane_half_length = 1e308\n")
+        assert _run(["prp-sweep", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--distances", "50"] + FAST) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "expected interferers" in err
 
     def test_failed_run_leaves_no_partial_csv(self, tmp_path):
         out = tmp_path / "o"

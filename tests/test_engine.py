@@ -150,8 +150,8 @@ class TestRunSweep:
         wins = 0
         for chunk, n in enumerate((_CHUNK, 500)):
             rng = trial_rng(derive_seed(spec.master_seed, 0, chunk))
-            ok, _ = score_modes(*simulate_trials(cfg, rng, n), cfg)
-            wins += int(ok[1].sum())
+            ok, _ = score_modes(*simulate_trials(cfg, CLEAR, rng, n), cfg)
+            wins += int(ok[0, 1].sum())
         assert row.estimate.value == wins / spec.n_trials
 
     def test_dor_rows_score_the_prp_trials(self):
@@ -162,7 +162,8 @@ class TestRunSweep:
         cfg = DENSE.with_distance(150.0)
         rates = np.concatenate([
             score_modes(*simulate_trials(
-                cfg, trial_rng(derive_seed(spec.master_seed, 0, chunk)), n), cfg)[1][2]
+                cfg, CLEAR, trial_rng(derive_seed(spec.master_seed, 0, chunk)), n),
+                cfg)[1][0, 2]
             for chunk, n in enumerate((_CHUNK, 500))])
         for row in table.rows:
             if row.metric == "dor":
@@ -172,6 +173,7 @@ class TestRunSweep:
     @pytest.mark.parametrize("n_thresholds", [0, 1, 10])
     def test_one_chunk_call_per_point_whatever_the_thresholds(
             self, monkeypatch, n_thresholds):
+        # one job per (distance, chunk) serves all four weathers
         calls = []
         job = engine._chunk_stats_job
         monkeypatch.setattr(engine, "_chunk_stats_job",
@@ -179,15 +181,20 @@ class TestRunSweep:
         spec = _spec(weathers=ALL_WEATHERS, n_trials=_CHUNK + 300,
                      t_th=tuple(1e-3 * (k + 1) for k in range(n_thresholds)))
         run_sweep(ScenarioConfig(), spec, n_workers=1)
-        assert len(calls) == (len(spec.distances) * len(spec.weathers)
+        assert len(calls) == (len(spec.distances)
                               * math.ceil(spec.n_trials / _CHUNK))
+        # the job layout (config, seed, point, start, end, weathers, t_th)
+        assert [(c[2], c[3], c[4], c[5], c[6]) for c in calls] == [
+            (p, start, min(start + _CHUNK, spec.n_trials), ALL_WEATHERS, spec.t_th)
+            for p in range(len(spec.distances)) for start in (0, _CHUNK)]
 
-    def test_pool_starts_no_more_workers_than_chunks(self, monkeypatch):
+    @staticmethod
+    def _recording_pool(monkeypatch, cpus):
+        """Replace the process pool by a stand-in that records its size and
+        runs the chunks inline, and report cpus CPUs."""
         pools = []
 
         class RecordingPool:
-            """Stands in for the process pool and runs the chunks inline."""
-
             def __init__(self, max_workers):
                 pools.append(max_workers)
 
@@ -201,12 +208,25 @@ class TestRunSweep:
                 return map(fn, items)
 
         monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
+        return pools
+
+    def test_pool_starts_no_more_workers_than_chunks(self, monkeypatch):
+        pools = self._recording_pool(monkeypatch, cpus=64)
         cfg = ScenarioConfig()
         one_chunk = _spec(distances=(50.0,))
         assert run_sweep(cfg, one_chunk, n_workers=8) == run_sweep(cfg, one_chunk)
         assert pools == []
         run_sweep(cfg, _spec(distances=(50.0, 100.0, 150.0)), n_workers=8)
         assert pools == [3]
+
+    @pytest.mark.parametrize("cpus, started", [(2, [2]), (1, []), (None, [])])
+    def test_pool_starts_no_more_workers_than_cpus(self, monkeypatch, cpus, started):
+        pools = self._recording_pool(monkeypatch, cpus)
+        cfg = ScenarioConfig()
+        spec = _spec(distances=(50.0, 100.0, 150.0))
+        assert run_sweep(cfg, spec, n_workers=100_000) == run_sweep(cfg, spec)
+        assert pools == started
 
     def test_seed_changes_results(self):
         cfg = ScenarioConfig()

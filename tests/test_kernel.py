@@ -18,8 +18,10 @@ from rfvlc.scenario import (EXCLUSION_RADIUS_M, LANES, draw_deployment,
 
 # lambda * rho = 1e-2: ~20 interferers per trial; rain makes the optical
 # attenuation factor differ from 1.
-DENSE = dataclasses.replace(ScenarioConfig(), rho_access=1.0, distance_r=30.0,
-                            weather=WeatherCondition.preset("rain"))
+DENSE = dataclasses.replace(ScenarioConfig(), rho_access=1.0, distance_r=30.0)
+RAIN = WeatherCondition.preset("rain")
+ALL_WEATHERS = tuple(map(WeatherCondition.preset,
+                         ("clear", "rain", "fog", "dry_snow")))
 N = 256
 SEED = 0x5EED
 
@@ -50,7 +52,7 @@ def _lane_poses(config, deployment):
     return poses, active
 
 
-def _scalar_reference(config, seed, n):
+def _scalar_reference(config, weather, seed, n):
     """Per-trial interference sums and SINRs from the scalar public functions.
 
     Consumes the stream in the kernel's documented order: deployment,
@@ -62,7 +64,7 @@ def _scalar_reference(config, seed, n):
     fades = sample_fading(config.rf, rng, len(deployment.coord))
 
     rsu = config.geometry.rsu_pose
-    coeff = config.weather.attenuation_db_per_km
+    coeff = weather.attenuation_db_per_km
     i_vlc = [0.0] * n
     i_rf = [0.0] * n
     poses, active = _lane_poses(config, deployment)
@@ -87,21 +89,22 @@ def _scalar_reference(config, seed, n):
     return deployment, excluded, np.array(i_vlc), np.array(i_rf), sinr_vlc, sinr_rf
 
 
-def _kernel_sums(config, seed, n):
+def _kernel_sums(config, weather, seed, n):
     rng = trial_rng(seed)
     deployment = draw_deployment(config, rng, n)
     sample_fading(config.rf, rng, n)
-    return interference_sums(config, deployment, rng)
+    i_vlc, i_rf = interference_sums(config, (weather,), deployment, rng)
+    return i_vlc[0], i_rf
 
 
 def _assert_matches_scalar(config):
     deployment, excluded, i_vlc, i_rf, sinr_vlc, sinr_rf = _scalar_reference(
-        config, SEED, N)
-    k_vlc, k_rf = _kernel_sums(config, SEED, N)
+        config, RAIN, SEED, N)
+    k_vlc, k_rf = _kernel_sums(config, RAIN, SEED, N)
     np.testing.assert_allclose(k_vlc, i_vlc, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(k_rf, i_rf, rtol=1e-12, atol=0.0)
-    got_vlc, got_rf = simulate_trials(config, trial_rng(SEED), N)
-    np.testing.assert_allclose(got_vlc, sinr_vlc, rtol=1e-12, atol=0.0)
+    got_vlc, got_rf = simulate_trials(config, (RAIN,), trial_rng(SEED), N)
+    np.testing.assert_allclose(got_vlc[0], sinr_vlc, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(got_rf, sinr_rf, rtol=1e-12, atol=0.0)
     return deployment, excluded, i_vlc
 
@@ -120,11 +123,11 @@ def test_kernel_matches_scalar_channel_loop(fading):
 def test_kernel_matches_scalar_loop_across_block_boundaries(fading, monkeypatch):
     # 7-interferer blocks split trials, and the lane boundary, across blocks
     config = _dense(fading)
-    default = simulate_trials(config, trial_rng(SEED), N)
+    default = simulate_trials(config, ALL_WEATHERS, trial_rng(SEED), N)
     monkeypatch.setattr(metrics, "_BLOCK", 7)
     deployment, _, _ = _assert_matches_scalar(config)
     assert len(deployment.coord) > 10 * 7
-    blocked = simulate_trials(config, trial_rng(SEED), N)
+    blocked = simulate_trials(config, ALL_WEATHERS, trial_rng(SEED), N)
     for a, b in zip(default, blocked):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
 
@@ -154,11 +157,13 @@ def test_lane_poses_match_the_reference_deployment():
 
 
 def test_weathers_share_every_draw():
-    # weather only rescales optical terms: RF SINRs are identical, VLC ones not
-    clear = dataclasses.replace(DENSE, weather=WeatherCondition.preset("clear"))
-    rf = {simulate_trials(dataclasses.replace(DENSE, weather=w), trial_rng(SEED), N)[1]
-          .tobytes() for w in map(WeatherCondition.preset,
-                                  ("clear", "rain", "fog", "dry_snow"))}
-    assert len(rf) == 1
-    assert not np.array_equal(simulate_trials(clear, trial_rng(SEED), N)[0],
-                              simulate_trials(DENSE, trial_rng(SEED), N)[0])
+    # one call with the weather axis: row w equals the run with weather w
+    # alone, and the RF SINRs are the same whatever the weathers
+    sinr_vlc, sinr_rf = simulate_trials(DENSE, ALL_WEATHERS, trial_rng(SEED), N)
+    assert sinr_vlc.shape == (len(ALL_WEATHERS), N) and sinr_rf.shape == (N,)
+    for row, weather in zip(sinr_vlc, ALL_WEATHERS):
+        alone_vlc, alone_rf = simulate_trials(DENSE, (weather,), trial_rng(SEED), N)
+        assert np.array_equal(row, alone_vlc[0])
+        assert np.array_equal(sinr_rf, alone_rf)
+    # weather only rescales optical terms: the VLC rows differ
+    assert len({row.tobytes() for row in sinr_vlc}) == len(ALL_WEATHERS)

@@ -9,14 +9,16 @@ from scipy import stats
 
 from rfvlc import (InvalidArgumentError, MODE_LA, MODE_NON_LA, MODE_PURE_RF,
                    MODE_PURE_VLC, MODES, ScenarioConfig, SweepSpec,
-                   UnsupportedModelError, WeatherCondition, db_to_linear,
-                   draw_deployment, minimum_transmission_time, outage_rate,
-                   prp_rf_closed_form, prp_rf_closed_form_no_interference,
-                   prp_vlc_no_interference, rf_mean_rx_power, rf_noise_power,
-                   run_sweep, score_modes, simulate_trials, sinr,
-                   vlc_cutoff_distance, vlc_snr)
+                   UnsupportedModelError, WeatherCondition, attenuation_factor,
+                   db_to_linear, draw_deployment, minimum_transmission_time,
+                   outage_rate, prp_rf_closed_form,
+                   prp_rf_closed_form_no_interference, prp_vlc_no_interference,
+                   rf_mean_rx_power, rf_noise_power, run_sweep, score_modes,
+                   simulate_trials, sinr, vlc_cutoff_distance, vlc_noise_power,
+                   vlc_rx_electrical_power, vlc_snr)
 from rfvlc.estimate import proportion_estimate
-from rfvlc.scenario import interferer_counts
+from rfvlc.scenario import LANES, interferer_counts, lane_poses, outside_exclusion
+from rfvlc.vlc_channel import los_gain
 
 NO_INTERFERENCE = dataclasses.replace(ScenarioConfig(), lambda_density=0.0)
 # Both decode thresholds at 0 dB: a link decodes iff its SINR >= 1.
@@ -24,11 +26,16 @@ UNIT = dataclasses.replace(ScenarioConfig(), sinr_threshold_vlc_db=0.0,
                            sinr_threshold_rf_db=0.0)
 VLC, RF, LA, NON_LA = (MODES.index(m) for m in
                        (MODE_PURE_VLC, MODE_PURE_RF, MODE_LA, MODE_NON_LA))
+CLEAR = WeatherCondition.preset("clear")
+ALL_WEATHERS = tuple(map(WeatherCondition.preset,
+                         ("clear", "rain", "fog", "dry_snow")))
 
 
-def _trials(config, seed, n):
-    # (sinr_vlc[n], sinr_rf[n]) of one kernel call
-    return simulate_trials(config, np.random.default_rng(seed), n)
+def _trials(config, seed, n, weather=CLEAR):
+    # (sinr_vlc[n], sinr_rf[n]) of one kernel call in one weather
+    sinr_vlc, sinr_rf = simulate_trials(config, (weather,),
+                                        np.random.default_rng(seed), n)
+    return sinr_vlc[0], sinr_rf
 
 
 class TestSinr:
@@ -55,7 +62,8 @@ class TestRunTrial:
         sinr_vlc, _ = _trials(NO_INTERFERENCE, 31, 500)
         values = set(sinr_vlc.tolist())
         assert len(values) == 1
-        assert values.pop() == pytest.approx(vlc_snr(NO_INTERFERENCE), rel=1e-12)
+        assert values.pop() == pytest.approx(vlc_snr(NO_INTERFERENCE, CLEAR),
+                                             rel=1e-12)
         deployment = draw_deployment(NO_INTERFERENCE, np.random.default_rng(31), 500)
         assert not interferer_counts(NO_INTERFERENCE, deployment).any()
 
@@ -71,19 +79,18 @@ class TestRunTrial:
         assert pvalue > 0.01
 
     def test_weather_scales_vlc_by_square_of_field_loss(self):
-        clear = NO_INTERFERENCE
-        snow = clear.with_weather(WeatherCondition.preset("dry_snow"))
-        rsu = clear.geometry.rsu_pose
-        des = clear.desired_pose()
+        cfg = NO_INTERFERENCE
+        snow = WeatherCondition.preset("dry_snow")
+        rsu = cfg.geometry.rsu_pose
+        des = cfg.desired_pose()
         d3d = math.dist((rsu.x, rsu.y, rsu.z), (des.x, des.y, des.z))
         field = 10.0 ** (-131.0 * (d3d / 1000.0) / 10.0)
-        assert vlc_snr(snow) / vlc_snr(clear) == pytest.approx(field * field,
-                                                               rel=1e-9)
+        assert vlc_snr(cfg, snow) / vlc_snr(cfg, CLEAR) == pytest.approx(
+            field * field, rel=1e-9)
 
     def test_weather_does_not_touch_rf(self):
         clear = _trials(NO_INTERFERENCE, 33, 200)[1]
-        fog = _trials(NO_INTERFERENCE.with_weather(WeatherCondition.preset("fog")),
-                      33, 200)[1]
+        fog = _trials(NO_INTERFERENCE, 33, 200, WeatherCondition.preset("fog"))[1]
         assert np.array_equal(clear, fog)
 
     def test_interference_only_reduces_sinr(self):
@@ -141,6 +148,18 @@ class TestScoreModes:
             assert ok_j.tolist() == [v >= 1.0, r >= 1.0, max(v, r) >= 1.0,
                                      max(v, r) >= 1.0]
             np.testing.assert_allclose(rate[:, j], rate_j, rtol=1e-12)
+
+    def test_weather_axis_broadcasts(self):
+        # sinr_vlc[W, n] with the shared sinr_rf[n]: block w is the call
+        # with weather w's row alone
+        sinr_vlc = np.array([[0.0, 0.5, 2.0], [15.0, 0.9, 1.0]])
+        sinr_rf = np.array([15.0, 0.5, 0.5])
+        ok, rate = score_modes(sinr_vlc, sinr_rf, UNIT)
+        assert ok.shape == rate.shape == (2, len(MODES), 3)
+        for w in range(2):
+            ok_w, rate_w = score_modes(sinr_vlc[w], sinr_rf, UNIT)
+            assert np.array_equal(ok[w], ok_w)
+            assert np.array_equal(rate[w], rate_w)
 
 
 def _rates(sinr_vlc, sinr_rf, cfg):
@@ -220,6 +239,50 @@ class TestDelay:
             outage_rate(ScenarioConfig().payload_h, 0.0)
 
 
+_BRACKET_GRID = 500_000   # lane points per lane, midpoint rule
+_BRACKET_MAX_N = 60       # lane points summed explicitly; the tail fails
+
+
+def prp_vlc_bracket(config, weather):
+    """Rigorous bounds (lo, hi) on the pure-VLC PRP with Poisson interferers.
+
+    An interferer's VLC power is a deterministic function of its lane
+    position, and the packet is lost iff the interference sum exceeds the
+    margin M = N_vlc (snr / theta - 1).  Let q(t) be the fraction of the
+    4L lane length where one point's power exceeds t (points inside the
+    exclusion radius have zero power) and mu = lambda rho 4L the mean
+    lane-point count.  One point above M loses the packet, so
+    PRP <= exp(-mu q(M)) = hi; a sum of n terms above M has a term above
+    M / n, so PRP >= 1 - sum_n Pois(n; mu) [1 - (1 - q(M / n))^n] = lo.
+    q is read from the sorted powers of a uniform grid over both lanes.
+    """
+    geo = config.geometry
+    rsu = geo.rsu_pose
+    L = geo.lane_half_length
+    coord = -L + (np.arange(_BRACKET_GRID) + 0.5) * (2.0 * L / _BRACKET_GRID)
+    powers = []
+    for lane in LANES:
+        x, y, axis = lane_poses(geo, lane, coord)
+        dx, dy, dz = rsu.x - x, rsu.y - y, rsu.z - geo.tx_height
+        gain = np.where(outside_exclusion(config, x, y),
+                        los_gain(dx, dy, dz, axis, rsu.axis, config.vlc), 0.0)
+        wfac = attenuation_factor(weather.attenuation_db_per_km,
+                                  np.sqrt(dx * dx + dy * dy + dz * dz))
+        powers.append(vlc_rx_electrical_power(gain, wfac, config.vlc))
+    powers = np.sort(np.concatenate(powers))
+
+    def q(level):
+        return 1.0 - np.searchsorted(powers, level, side="right") / len(powers)
+
+    theta = db_to_linear(config.sinr_threshold_vlc_db)
+    margin = vlc_noise_power(config.vlc) * (vlc_snr(config, weather) / theta - 1.0)
+    assert margin > 0, "the bracket needs a live VLC link"
+    mu = config.lambda_density * config.rho_access * 4.0 * L
+    n = np.arange(1, _BRACKET_MAX_N + 1)
+    lost = (stats.poisson.pmf(n, mu) * (1.0 - (1.0 - q(margin / n)) ** n)).sum()
+    return 1.0 - lost - stats.poisson.sf(_BRACKET_MAX_N, mu), math.exp(-mu * q(margin))
+
+
 class TestClosedFormOracles:
     def test_rf_oracle_median_point(self):
         # exp(-x) = 0.5 when theta * N / P_mean = ln 2
@@ -240,8 +303,7 @@ class TestClosedFormOracles:
     def test_rf_oracle_matches_monte_carlo(self):
         cfg = NO_INTERFERENCE.with_distance(100.0)
         theta_r = db_to_linear(cfg.sinr_threshold_rf_db)
-        sinr_vlc, sinr_rf = simulate_trials(cfg, np.random.default_rng(38), 50_000)
-        ok, _ = score_modes(sinr_vlc, sinr_rf, cfg)
+        ok, _ = score_modes(*_trials(cfg, 38, 50_000), cfg)
         est = proportion_estimate(int(ok[RF].sum()), 50_000)
         rsu = cfg.geometry.rsu_pose
         des = cfg.desired_pose()
@@ -293,41 +355,67 @@ class TestClosedFormOracles:
             -cfg.lambda_density * cfg.rho_access * (same + perp))
         assert prp_rf_closed_form(cfg) == pytest.approx(exact, rel=1e-9)
 
-    def test_interference_oracle_matches_monte_carlo(self):
-        # lambda * rho = 1e-3: interference moves the RF PRP well away from
-        # the interference-free value at every distance
-        cfg = dataclasses.replace(ScenarioConfig(), rho_access=0.1)
-        spec = SweepSpec(distances=(50.0, 100.0, 200.0),
-                         weathers=(WeatherCondition.preset("clear"),),
+    @pytest.mark.parametrize("rho_access, distances, visible", [
+        (0.01, (50.0, 100.0, 200.0), 0.96),
+        (0.1, (50.0, 100.0, 200.0), 0.9),
+        # at 1e-2 the PRP beyond 50 m is too small to test with 20k trials
+        (1.0, (10.0, 25.0, 50.0), 0.5),
+    ], ids=["1e-4", "1e-3", "1e-2"])
+    def test_interference_oracle_matches_monte_carlo(self, rho_access, distances,
+                                                     visible):
+        # lambda * rho in {1e-4, 1e-3, 1e-2}: interference moves the RF PRP
+        # away from the interference-free value at every distance
+        cfg = dataclasses.replace(ScenarioConfig(), rho_access=rho_access)
+        spec = SweepSpec(distances=distances, weathers=(CLEAR,),
                          modes=(MODE_PURE_RF,), n_trials=20_000, master_seed=2208)
         for row in run_sweep(cfg, spec).rows:
             if row.metric != "prp":
                 continue
             point = cfg.with_distance(row.distance)
             exact = prp_rf_closed_form(point)
-            assert exact < 0.9 * prp_rf_closed_form(
+            assert exact < visible * prp_rf_closed_form(
                 dataclasses.replace(point, lambda_density=0.0))
             z = (row.estimate.value - exact) / row.estimate.stderr
             assert abs(z) < 4.0, (row.distance, row.estimate.value, exact)
 
+    @pytest.mark.parametrize("rho_access", [0.01, 0.1], ids=["1e-4", "1e-3"])
+    def test_vlc_interference_oracle_brackets_monte_carlo(self, rho_access):
+        # 50 m in every weather (one kernel call with the weather axis; the
+        # VLC link is live in all four) and 100 m in clear weather
+        cfg = dataclasses.replace(ScenarioConfig(), rho_access=rho_access)
+        theta = db_to_linear(cfg.sinr_threshold_vlc_db)
+        n = 200_000
+        for distance, weathers in ((50.0, ALL_WEATHERS), (100.0, (CLEAR,))):
+            point = cfg.with_distance(distance)
+            sinr_vlc, _ = simulate_trials(point, weathers,
+                                          np.random.default_rng(40), n)
+            for weather, row in zip(weathers, sinr_vlc):
+                est = proportion_estimate(int((row >= theta).sum()), n)
+                lo, hi = prp_vlc_bracket(point, weather)
+                assert 0.0 < lo <= hi < 1.0
+                assert lo - 4.0 * est.stderr <= est.value <= hi + 4.0 * est.stderr, (
+                    distance, weather.kind, est.value, est.stderr, lo, hi)
+
     def test_vlc_oracle_step(self):
         cfg = NO_INTERFERENCE
         theta_v = db_to_linear(cfg.sinr_threshold_vlc_db)
-        cutoff = vlc_cutoff_distance(cfg, theta_v)
-        assert prp_vlc_no_interference(cfg.with_distance(cutoff - 1.0), theta_v) == 1
-        assert prp_vlc_no_interference(cfg.with_distance(cutoff + 1.0), theta_v) == 0
+        cutoff = vlc_cutoff_distance(cfg, CLEAR, theta_v)
+        assert prp_vlc_no_interference(cfg.with_distance(cutoff - 1.0), CLEAR,
+                                       theta_v) == 1
+        assert prp_vlc_no_interference(cfg.with_distance(cutoff + 1.0), CLEAR,
+                                       theta_v) == 0
 
     def test_vlc_cutoff_bisection_consistency(self):
         cfg = NO_INTERFERENCE
         theta_v = db_to_linear(cfg.sinr_threshold_vlc_db)
-        cutoff = vlc_cutoff_distance(cfg, theta_v, tol=1e-4)
-        assert vlc_snr(cfg.with_distance(cutoff - 1e-3)) >= theta_v
-        assert vlc_snr(cfg.with_distance(cutoff + 1e-3)) < theta_v
+        cutoff = vlc_cutoff_distance(cfg, CLEAR, theta_v, tol=1e-4)
+        assert vlc_snr(cfg.with_distance(cutoff - 1e-3), CLEAR) >= theta_v
+        assert vlc_snr(cfg.with_distance(cutoff + 1e-3), CLEAR) < theta_v
 
     def test_vlc_cutoff_bracket_check(self):
         cfg = NO_INTERFERENCE
         with pytest.raises(InvalidArgumentError):
-            vlc_cutoff_distance(cfg, db_to_linear(50.0))  # no SNR that high
+            vlc_cutoff_distance(cfg, CLEAR, db_to_linear(50.0))  # no SNR that high
 
     def test_vlc_monte_carlo_matches_oracle(self):
         cfg = NO_INTERFERENCE
@@ -336,4 +424,4 @@ class TestClosedFormOracles:
             point = cfg.with_distance(d)
             ok, _ = score_modes(*_trials(point, 39, 200), point)
             est = proportion_estimate(int(ok[VLC].sum()), 200)
-            assert est.value == prp_vlc_no_interference(point, theta_v)
+            assert est.value == prp_vlc_no_interference(point, CLEAR, theta_v)
