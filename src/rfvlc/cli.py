@@ -114,18 +114,18 @@ def _write_manifest(out: _OutputSet, args, config, spec, subcommand: str):
     out.write_text("run.manifest", json.dumps(manifest, indent=2) + "\n")
 
 
-def _estimate_fields(est) -> list[str]:
-    return [_fmt(est.value), _fmt(est.stderr), _fmt(est.ci95_low),
-            _fmt(est.ci95_high), str(est.n_trials)]
-
-
-def _distance_csv(table: SweepTable, metric: str) -> str:
-    lines = [f"distance_m,weather,mode,{metric},stderr,ci95_low,ci95_high,n_trials"]
+def _sweep_csv(table: SweepTable, metric: str) -> str:
+    """One row per (distance, weather, mode), led by t_th_ms on DOR rows."""
+    header = "t_th_ms," if metric == "dor" else ""
+    lines = [f"{header}distance_m,weather,mode,{metric},stderr,ci95_low,ci95_high,n_trials"]
     for row in table.rows:
         if row.metric != metric:
             continue
-        lines.append(",".join([_fmt(row.distance), row.weather, row.mode]
-                              + _estimate_fields(row.estimate)))
+        lead = [] if row.t_th is None else [_fmt(row.t_th * 1000.0)]
+        est = row.estimate
+        lines.append(",".join(lead + [
+            _fmt(row.distance), row.weather, row.mode, _fmt(est.value), _fmt(est.stderr),
+            _fmt(est.ci95_low), _fmt(est.ci95_high), str(est.n_trials)]))
     return "\n".join(lines) + "\n"
 
 
@@ -149,15 +149,20 @@ def _gnuplot_files(out: _OutputSet, table: SweepTable, metric: str, stem: str):
         out.write_text(f"{name}.dat", "\n".join(lines) + "\n")
 
 
-def _distance_sweep(args, metric: str, stem: str, default_modes=None) -> int:
-    """One metric per (distance, weather, mode): prp-sweep and rate-sweep."""
+def _sweep(args, metric: str, stem: str, default_modes=None) -> int:
+    """One metric per sweep point and mode: prp-, rate- and dor-sweep."""
     config, spec = _load(args)
     if default_modes and not args.modes:
         spec = replace(spec, modes=default_modes)
     spec = replace(spec, distances=_parse_list(args.distances))
+    if metric == "dor":
+        t_th = tuple(t / 1000.0 for t in _parse_list(args.t_th_ms))
+        if not t_th:
+            raise ConfigError("sweep.t_th: must be nonempty")
+        spec = replace(spec, t_th=t_th)
     with _OutputSet(args.out) as out:
         table = run_sweep(config, spec, n_workers=args.workers)
-        out.write_text(f"{stem}_sweep.csv", _distance_csv(table, metric))
+        out.write_text(f"{stem}_sweep.csv", _sweep_csv(table, metric))
         if args.gnuplot:
             _gnuplot_files(out, table, metric, stem)
         _write_manifest(out, args, config, spec, f"{stem}-sweep")
@@ -165,32 +170,15 @@ def _distance_sweep(args, metric: str, stem: str, default_modes=None) -> int:
 
 
 def cmd_prp_sweep(args) -> int:
-    return _distance_sweep(args, "prp", "prp")
+    return _sweep(args, "prp", "prp")
 
 
 def cmd_rate_sweep(args) -> int:
-    return _distance_sweep(args, "rate_mbps", "rate", default_modes=MODES)
+    return _sweep(args, "rate_mbps", "rate", default_modes=MODES)
 
 
 def cmd_dor_sweep(args) -> int:
-    config, spec = _load(args)
-    t_th = tuple(t / 1000.0 for t in _parse_list(args.t_th_ms))
-    if not t_th:
-        raise ConfigError("sweep.t_th: must be nonempty")
-    spec = replace(spec, distances=_parse_list(args.distances), t_th=t_th)
-    with _OutputSet(args.out) as out:
-        table = run_sweep(config, spec, n_workers=args.workers)
-        lines = ["t_th_ms,distance_m,weather,mode,dor,stderr,ci95_low,ci95_high,n_trials"]
-        for row in table.rows:
-            if row.metric == "dor":
-                lines.append(",".join(
-                    [_fmt(row.t_th * 1000.0), _fmt(row.distance), row.weather,
-                     row.mode] + _estimate_fields(row.estimate)))
-        out.write_text("dor_sweep.csv", "\n".join(lines) + "\n")
-        if args.gnuplot:
-            _gnuplot_files(out, table, "dor", "dor")
-        _write_manifest(out, args, config, spec, "dor-sweep")
-    return 0
+    return _sweep(args, "dor", "dor")
 
 
 def cmd_validate(args) -> int:

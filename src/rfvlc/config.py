@@ -3,7 +3,8 @@
 The format is deliberately trivial: one assignment per line, `#` starts a
 comment, nested radio parameters use dotted keys (`vlc.pd_area`).  Unknown
 keys are hard errors; a silent typo in a physics parameter is the worst
-failure mode a simulator can have.
+failure mode a simulator can have.  The keys are the float fields of the
+config dataclasses (scenario.FLOAT_KEYS) and the _SPECIAL_KEYS below.
 """
 
 from __future__ import annotations
@@ -15,45 +16,12 @@ from dataclasses import replace
 from .engine import SweepSpec
 from .errors import ConfigError, InvalidArgumentError
 from .metrics import MODE_LA, MODE_PURE_RF, MODE_PURE_VLC
-from .scenario import (WEATHER_KINDS, Pose3, ScenarioConfig, WeatherCondition,
-                       validate)
+from .scenario import (CONFIG_SECTIONS, FLOAT_KEYS, WEATHER_KINDS, Pose3,
+                       ScenarioConfig, WeatherCondition, validate)
 
 DEFAULT_SEED = 20260823
 DEFAULT_TRIALS = 100_000
 DEFAULT_PRP_DISTANCES = tuple(float(d) for d in range(10, 251, 10))
-
-# key -> (target, attribute); "scenario", "vlc", "rf", "geometry" or special
-_FLOAT_KEYS = {
-    "lambda_density": ("scenario", "lambda_density"),
-    "rho_access": ("scenario", "rho_access"),
-    "rho_a": ("scenario", "rho_a"),
-    "beta_ov": ("scenario", "beta_ov"),
-    "distance_r": ("scenario", "distance_r"),
-    "payload_h": ("scenario", "payload_h"),
-    "sinr_threshold_vlc_db": ("scenario", "sinr_threshold_vlc_db"),
-    "sinr_threshold_rf_db": ("scenario", "sinr_threshold_rf_db"),
-    "vlc.optical_tx_power": ("vlc", "optical_tx_power"),
-    "vlc.semi_angle_half_power": ("vlc", "semi_angle_half_power"),
-    "vlc.pd_area": ("vlc", "pd_area"),
-    "vlc.fov": ("vlc", "fov"),
-    "vlc.optical_filter_gain": ("vlc", "optical_filter_gain"),
-    "vlc.concentrator_refractive_index": ("vlc", "concentrator_refractive_index"),
-    "vlc.responsivity": ("vlc", "responsivity"),
-    "vlc.noise_psd": ("vlc", "noise_psd"),
-    "vlc.bandwidth": ("vlc", "bandwidth"),
-    "rf.tx_power": ("rf", "tx_power"),
-    "rf.path_loss_exponent": ("rf", "path_loss_exponent"),
-    "rf.reference_distance": ("rf", "reference_distance"),
-    "rf.reference_loss_db": ("rf", "reference_loss_db"),
-    "rf.nakagami_m": ("rf", "nakagami_m"),
-    "rf.noise_psd": ("rf", "noise_psd"),
-    "rf.noise_figure_db": ("rf", "noise_figure_db"),
-    "rf.bandwidth": ("rf", "bandwidth"),
-    "geometry.lane_half_length": ("geometry", "lane_half_length"),
-    "geometry.lane_x_offset": ("geometry", "lane_x_offset"),
-    "geometry.lane_y_offset": ("geometry", "lane_y_offset"),
-    "geometry.tx_height": ("geometry", "tx_height"),
-}
 
 _SPECIAL_KEYS = ("weather", "rf.fading", "geometry.rsu_height",
                  "geometry.rsu_tilt_deg", "trials", "seed")
@@ -78,7 +46,9 @@ def parse_config(text: str) -> tuple[ScenarioConfig, SweepSpec]:
     Missing keys take the calibrated defaults (the case-study values where
     the source material states them: lambda = rho = 0.01, rho_a = 0.9,
     beta_ov = 0.8, B = 20 MHz, H = 50 KB).  Raises ConfigError with a line
-    number on syntax problems and with field names on domain violations.
+    number on syntax problems, and at once on a value that is not a number
+    or a special key it cannot convert; every other problem is reported
+    together, by config key.
     """
     assignments: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -90,69 +60,51 @@ def parse_config(text: str) -> tuple[ScenarioConfig, SweepSpec]:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key or not value:
             raise ConfigError(f"line {lineno}: empty key or value in {raw!r}")
-        if key not in _FLOAT_KEYS and key not in _SPECIAL_KEYS:
+        if key not in FLOAT_KEYS and key not in _SPECIAL_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in assignments:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         assignments[key] = value
 
-    def take_float(key: str, default: float) -> float:
+    def take_float(key: str, default: float | None = None) -> float:
         if key not in assignments:
             return default
-        text_value = assignments.pop(key)
         try:
-            return float(text_value)
+            return float(assignments[key])
         except ValueError:
-            raise ConfigError(f"{key}: not a number: {text_value!r}") from None
+            raise ConfigError(f"{key}: not a number: {assignments[key]!r}") from None
 
     def take_int(key: str, default: int) -> int:
         if key not in assignments:
             return default
-        text_value = assignments.pop(key)
         try:
-            return int(text_value, 0)
+            return int(assignments[key], 0)
         except ValueError:
-            raise ConfigError(f"{key}: not an integer: {text_value!r}") from None
+            raise ConfigError(f"{key}: not an integer: {assignments[key]!r}") from None
 
     base = ScenarioConfig()
-    weathers = parse_weathers(assignments.pop("weather", ",".join(WEATHER_KINDS)))
-
-    geo_kwargs = {}
-    for key, (target, attr) in _FLOAT_KEYS.items():
-        if target == "geometry" and key in assignments:
-            geo_kwargs[attr] = take_float(key, 0.0)
-    rsu_height = take_float("geometry.rsu_height", base.geometry.rsu_pose.z)
+    # section -> field -> value, one replace() per section
+    kwargs = {section: {} for section in CONFIG_SECTIONS}
+    for key in assignments:
+        if key in FLOAT_KEYS:
+            section, name = FLOAT_KEYS[key]
+            kwargs[section][name] = take_float(key)
+    if "rf.fading" in assignments:
+        kwargs["rf"]["fading"] = assignments["rf.fading"]
     rsu_tilt = take_float("geometry.rsu_tilt_deg", 45.0)
     if not math.isfinite(rsu_tilt):
         raise ConfigError("geometry.rsu_tilt_deg: must be finite")
     t = math.radians(rsu_tilt)
-    try:
-        rsu_pose = Pose3(0.0, 0.0, rsu_height,
-                         axis=(math.cos(t), 0.0, -math.sin(t)))
-        geometry = replace(base.geometry, rsu_pose=rsu_pose, **geo_kwargs)
-    except InvalidArgumentError as exc:
-        raise ConfigError(f"geometry: {exc}") from None
+    kwargs["geometry"]["rsu_pose"] = Pose3(
+        0.0, 0.0, take_float("geometry.rsu_height", base.geometry.rsu_pose.z),
+        axis=(math.cos(t), 0.0, -math.sin(t)))
+    config = replace(base, **kwargs.pop(""), **{
+        section: replace(getattr(base, section), **values)
+        for section, values in kwargs.items()})
 
-    vlc = base.vlc
-    rf = base.rf
-    scenario_kwargs = {}
-    for key, (target, attr) in _FLOAT_KEYS.items():
-        if key not in assignments or target == "geometry":
-            continue
-        value = take_float(key, 0.0)
-        if target == "vlc":
-            vlc = replace(vlc, **{attr: value})
-        elif target == "rf":
-            rf = replace(rf, **{attr: value})
-        else:
-            scenario_kwargs[attr] = value
-    if "rf.fading" in assignments:
-        rf = replace(rf, fading=assignments.pop("rf.fading"))
-
+    weathers = parse_weathers(assignments.get("weather", ",".join(WEATHER_KINDS)))
     n_trials = take_int("trials", DEFAULT_TRIALS)
     master_seed = take_int("seed", DEFAULT_SEED)
-
-    config = replace(base, geometry=geometry, vlc=vlc, rf=rf, **scenario_kwargs)
     spec = SweepSpec(
         distances=DEFAULT_PRP_DISTANCES,
         weathers=weathers,

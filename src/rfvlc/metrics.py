@@ -18,8 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidArgumentError, UnsupportedModelError
-from .rf_channel import (FADING_RAYLEIGH, RfParams, rf_mean_rx_power,
-                         rf_noise_power, sample_fading)
+from .rf_channel import (FADING_RAYLEIGH, RfParams, db_to_linear,
+                         rf_mean_rx_power, rf_noise_power, sample_fading)
 from .scenario import (EXCLUSION_RADIUS_M, LANE_PERP, LANE_SAME, LANES,
                        Deployment, ScenarioConfig, WeatherCondition,
                        attenuation_factor, draw_deployment, lane_poses,
@@ -39,10 +39,6 @@ MODES = (MODE_PURE_VLC, MODE_PURE_RF, MODE_LA, MODE_NON_LA)
 _BLOCK = 4096
 
 _SIMPSON_PANELS = 20_000   # per integral in prp_rf_closed_form
-
-
-def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
 
 
 def sinr(signal, interference_sum, noise: float):

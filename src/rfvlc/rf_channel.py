@@ -7,7 +7,7 @@ rain/fog/snow at these ranges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,8 +37,7 @@ class RfParams:
     bandwidth: float = 20e6             # Hz
 
     def check(self) -> list[str]:
-        out = [f"rf.{f.name}: must be finite" for f in fields(self)
-               if f.name != "fading" and not math.isfinite(getattr(self, f.name))]
+        out = []
         if self.tx_power <= 0:
             out.append("rf.tx_power: must be > 0")
         if self.path_loss_exponent < 2.0:
@@ -56,6 +55,14 @@ class RfParams:
         return out
 
 
+def db_to_linear(db: float) -> float:
+    """10^(db / 10); inf where that overflows a float."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 def rf_mean_rx_power(distance, params: RfParams):
     """Mean received power under log-distance path loss, in watts.
 
@@ -63,7 +70,7 @@ def rf_mean_rx_power(distance, params: RfParams):
     """
     if np.asarray(distance <= 0).any():
         raise InvalidArgumentError(f"distance must be > 0, got {distance!r}")
-    ref = params.tx_power * 10.0 ** (-params.reference_loss_db / 10.0)
+    ref = params.tx_power * db_to_linear(-params.reference_loss_db)
     return ref * (distance / params.reference_distance) ** (-params.path_loss_exponent)
 
 
@@ -85,4 +92,4 @@ def sample_fading(params: RfParams, rng: np.random.Generator, size=None):
 
 def rf_noise_power(params: RfParams) -> float:
     """Receiver noise power: PSD * bandwidth * noise figure."""
-    return params.noise_psd * params.bandwidth * 10.0 ** (params.noise_figure_db / 10.0)
+    return params.noise_psd * params.bandwidth * db_to_linear(params.noise_figure_db)

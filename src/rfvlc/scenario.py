@@ -10,13 +10,14 @@ access probability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .rf_channel import RfParams
-from .vlc_channel import VlcParams
+from .rf_channel import RfParams, rf_mean_rx_power, rf_noise_power
+from .vlc_channel import (VlcParams, concentrator_gain, lambertian_order,
+                          los_gain, vlc_noise_power, vlc_rx_electrical_power)
 
 # No interferer may fall within this distance of the desired vehicle
 # (vehicles cannot physically overlap; also avoids singular draws).
@@ -32,11 +33,12 @@ LANES = (LANE_SAME, LANE_PERP)
 # held in memory at once, 12 bytes per point.
 MAX_MEAN_INTERFERERS = 2000.0
 
-_SCALAR_FIELDS = ("lambda_density", "rho_access", "rho_a", "beta_ov",
-                  "distance_r", "payload_h", "sinr_threshold_vlc_db",
-                  "sinr_threshold_rf_db")
-_GEOMETRY_FIELDS = ("lane_half_length", "lane_x_offset", "lane_y_offset",
-                    "tx_height")
+# A peak received power times this must stay finite (below 1.8e298), also
+# over the noise: room for an interference sum over 1e4 interferers
+# (MAX_MEAN_INTERFERERS expects at most 2000 per trial) faded to 1e6 times
+# their mean, and for the fade of the desired link.  The default config
+# peaks near 7e-11 (VLC) and 2e-8 (RF), at SNRs near 3e3 and 3e4.
+_POWER_HEADROOM = 1e10
 
 WEATHER_KINDS = ("clear", "rain", "fog", "dry_snow")
 
@@ -57,13 +59,6 @@ class Pose3:
     y: float
     z: float
     axis: tuple[float, float, float]
-
-    def __post_init__(self):
-        norm = math.sqrt(sum(a * a for a in self.axis))
-        if abs(norm - 1.0) > 1e-9:
-            raise InvalidArgumentError(f"axis must be a unit vector, norm={norm!r}")
-        if self.z < 0:
-            raise InvalidArgumentError(f"z must be >= 0, got {self.z!r}")
 
 
 @dataclass(frozen=True)
@@ -113,14 +108,6 @@ class LaneGeometry:
     rsu_pose: Pose3 = field(default_factory=_default_rsu_pose)
     tx_height: float = 0.75      # vehicle headlamp height
 
-    def __post_init__(self):
-        if self.lane_half_length <= 0:
-            raise InvalidArgumentError("lane_half_length must be > 0")
-        if self.tx_height <= 0:
-            raise InvalidArgumentError("tx_height must be > 0")
-        if self.rsu_pose.z <= self.tx_height:
-            raise InvalidArgumentError("rsu_pose.z must exceed tx_height")
-
 
 def attenuation_factor(attenuation_db_per_km: float, distance_m):
     """Beer-Lambert transmission factor for an optical path.
@@ -133,14 +120,6 @@ def attenuation_factor(attenuation_db_per_km: float, distance_m):
     if np.asarray(distance_m < 0).any():
         raise InvalidArgumentError("distance_m must be >= 0")
     return 10.0 ** (-attenuation_db_per_km * (distance_m / 1000.0) / 10.0)
-
-
-def _default_vlc() -> VlcParams:
-    return VlcParams()
-
-
-def _default_rf() -> RfParams:
-    return RfParams()
 
 
 @dataclass(frozen=True)
@@ -159,8 +138,8 @@ class ScenarioConfig:
     beta_ov: float = 0.8               # link-aggregation overhead factor
     distance_r: float = 100.0          # RSU <-> desired vehicle, meters
     payload_h: float = 50.0 * 1024.0   # bytes (50 KB, 1 KB = 1024 bytes)
-    vlc: VlcParams = field(default_factory=_default_vlc)
-    rf: RfParams = field(default_factory=_default_rf)
+    vlc: VlcParams = field(default_factory=VlcParams)
+    rf: RfParams = field(default_factory=RfParams)
     # Decode thresholds.  The VLC threshold is a calibration outcome: it
     # places the deterministic VLC cutoff near 122 m so the pure-VLC and
     # pure-RF reliability curves cross where the case study expects.
@@ -176,27 +155,65 @@ class ScenarioConfig:
         return replace(self, distance_r=distance_r)
 
 
+# The config schema: key prefix -> the section of a ScenarioConfig it sets
+# ("" is the config itself).  Every float field of a section is a config
+# key, prefix + "." + field name, and no other field is.
+CONFIG_SECTIONS = {"": ScenarioConfig, "geometry": LaneGeometry,
+                   "vlc": VlcParams, "rf": RfParams}
+
+# config key -> (section, field name), for every float field
+FLOAT_KEYS = {f"{prefix}.{f.name}" if prefix else f.name: (prefix, f.name)
+              for prefix, cls in CONFIG_SECTIONS.items()
+              for f in fields(cls) if f.type == "float"}
+
+
+def config_floats(config: ScenarioConfig) -> dict[str, float]:
+    """Every float config key with its value in config."""
+    return {key: getattr(getattr(config, section) if section else config, name)
+            for key, (section, name) in FLOAT_KEYS.items()}
+
+
 def validate(config: ScenarioConfig) -> list[str]:
-    """Check every configuration invariant; empty list means ok."""
+    """Check every configuration invariant; empty list means ok.
+
+    Every problem of the config's fields is reported; the constants the
+    kernel derives from them are checked once the fields pass.
+    """
     geo = config.geometry
     rsu = geo.rsu_pose
-    numbers = [(name, getattr(config, name)) for name in _SCALAR_FIELDS]
-    numbers += [(f"geometry.{name}", getattr(geo, name)) for name in _GEOMETRY_FIELDS]
-    numbers += [("geometry.rsu_pose", v) for v in (rsu.x, rsu.y, rsu.z, *rsu.axis)]
-    violations = [f"{name}: must be finite" for name in dict.fromkeys(
-        name for name, v in numbers if v is not None and not math.isfinite(v))]
+    violations = [f"{key}: must be finite"
+                  for key, value in config_floats(config).items() if not math.isfinite(value)]
+    if not all(map(math.isfinite, (rsu.x, rsu.y, rsu.z, *rsu.axis))):
+        violations.append("geometry.rsu_pose: must be finite")
     if config.lambda_density < 0:
         violations.append("lambda_density: must be >= 0")
     if not 0.0 <= config.rho_access <= 1.0:
         violations.append("rho_access: must be in [0, 1]")
-    if math.isfinite(geo.lane_half_length) and math.isinf(2.0 * geo.lane_half_length):
-        violations.append("geometry.lane_half_length: lane length 2 * lane_half_length "
-                          "must be finite")
+    if geo.lane_half_length <= 0:
+        violations.append("geometry.lane_half_length: must be > 0")
+    # bounds the offsets the kernel squares: RSU, desired vehicle, lane points
+    reach = (abs(rsu.x) + abs(config.distance_r) + abs(geo.lane_x_offset)
+             + geo.lane_half_length,
+             abs(rsu.y) + abs(geo.lane_y_offset) + geo.lane_half_length,
+             rsu.z - geo.tx_height)
+    if math.isinf(sum(r * r for r in reach)):
+        violations.append("distance_r, geometry.lane_half_length, geometry.lane_x_offset, "
+                          "geometry.lane_y_offset: the squared distances between the RSU, "
+                          "the desired vehicle and the lane points must be finite")
     mean = config.lambda_density * config.rho_access * 4.0 * geo.lane_half_length
     if mean > MAX_MEAN_INTERFERERS:
         violations.append(f"lambda_density: lambda * rho_access * 4 * lane_half_length "
                           f"= {mean:g} expected interferers per trial, at most "
                           f"{MAX_MEAN_INTERFERERS:g}")
+    if geo.tx_height <= 0:
+        violations.append("geometry.tx_height: must be > 0")
+    if rsu.z < 0:
+        violations.append("geometry.rsu_pose: z (geometry.rsu_height) must be >= 0")
+    if rsu.z <= geo.tx_height:
+        violations.append("geometry.rsu_pose: z (geometry.rsu_height) must exceed "
+                          "geometry.tx_height")
+    if abs(math.hypot(*rsu.axis) - 1.0) > 1e-9:
+        violations.append("geometry.rsu_pose: axis must be a unit vector")
     if not 0.0 < config.rho_a <= 1.0:
         violations.append("rho_a: must be in (0, 1]")
     if not 0.0 < config.beta_ov <= 1.0:
@@ -205,13 +222,44 @@ def validate(config: ScenarioConfig) -> list[str]:
         violations.append("distance_r: must be > 0")
     if config.payload_h <= 0:
         violations.append("payload_h: must be > 0")
-    if config.sinr_threshold_vlc_db is None:
-        violations.append("sinr_threshold_vlc_db: missing")
-    if config.sinr_threshold_rf_db is None:
-        violations.append("sinr_threshold_rf_db: missing")
     violations.extend(config.vlc.check())
     violations.extend(config.rf.check())
-    return violations
+    return violations or _derived_problems(config)
+
+
+def _derived_problems(config: ScenarioConfig) -> list[str]:
+    """Check the constants the kernel derives from a config whose fields pass.
+
+    Each must be finite and > 0, else the kernel divides by zero or writes
+    nan/inf rates.  The peak powers are taken at the closest possible link,
+    straight below the RSU at rsu.z - tx_height with every cos term 1, and
+    must stay finite times _POWER_HEADROOM, alone and over the noise.
+    """
+    vlc, rf = config.vlc, config.rf
+    out = [f"{keys}: {name} = {value:g}, must be finite and > 0"
+           for keys, name, value in (
+               ("vlc.semi_angle_half_power", "Lambertian order",
+                lambertian_order(vlc.semi_angle_half_power)),
+               ("vlc.fov, vlc.concentrator_refractive_index", "concentrator gain",
+                concentrator_gain(vlc)),
+               ("vlc.noise_psd, vlc.bandwidth", "noise power", vlc_noise_power(vlc)),
+               ("rf.noise_psd, rf.bandwidth, rf.noise_figure_db", "noise power",
+                rf_noise_power(rf)))
+           if not 0.0 < value < math.inf]
+    if out:
+        return out
+    near = np.float64(config.geometry.rsu_pose.z - config.geometry.tx_height)
+    with np.errstate(all="ignore"):
+        up, down = (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)
+        peak_vlc = vlc_rx_electrical_power(los_gain(0.0, 0.0, near, up, down, vlc), 1.0, vlc)
+        for link, peak, noise in (("vlc", peak_vlc, vlc_noise_power(vlc)),
+                                  ("rf", rf_mean_rx_power(near, rf), rf_noise_power(rf))):
+            top = peak * _POWER_HEADROOM
+            if not (np.isfinite(top) and np.isfinite(top / noise)):
+                out.append(f"{link}: peak received power {peak:g} at {near:g} m "
+                           f"(SNR {peak / noise:g}) must stay finite times "
+                           f"{_POWER_HEADROOM:g}")
+    return out
 
 
 @dataclass(frozen=True)

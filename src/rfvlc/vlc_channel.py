@@ -10,7 +10,7 @@ optical path before detection, so a loss of c dB/km optically costs
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -36,8 +36,7 @@ class VlcParams:
     bandwidth: float = 20e6                 # Hz
 
     def check(self) -> list[str]:
-        out = [f"vlc.{f.name}: must be finite" for f in fields(self)
-               if not math.isfinite(getattr(self, f.name))]
+        out = []
         for name in ("optical_tx_power", "pd_area", "optical_filter_gain",
                      "concentrator_refractive_index", "responsivity",
                      "noise_psd", "bandwidth"):
@@ -55,7 +54,16 @@ def lambertian_order(semi_angle_half_power: float) -> float:
     if not 0.0 < semi_angle_half_power < 90.0:
         raise InvalidArgumentError(
             f"semi_angle_half_power must be in (0, 90), got {semi_angle_half_power!r}")
-    return -math.log(2.0) / math.log(math.cos(math.radians(semi_angle_half_power)))
+    log_cos = math.log(math.cos(math.radians(semi_angle_half_power)))
+    # cos rounds to 1 below ~1e-6 degrees: the limit of a narrowing lobe
+    return -math.log(2.0) / log_cos if log_cos < 0.0 else math.inf
+
+
+def concentrator_gain(params: VlcParams) -> float:
+    """Ideal non-imaging concentrator gain n^2 / sin^2(FOV); inf if sin^2 underflows."""
+    sin2 = math.sin(math.radians(params.fov)) ** 2
+    n = params.concentrator_refractive_index
+    return n * n / sin2 if sin2 > 0.0 else math.inf
 
 
 def vlc_los_gain(tx: "Pose3", rx: "Pose3", params: VlcParams) -> float:
@@ -88,8 +96,7 @@ def los_gain(dx, dy, dz, tx_axis, rx_axis, params: VlcParams) -> np.ndarray:
     seen = (cos_phi > 0.0) & (cos_psi >= math.cos(psi_c))
 
     m = lambertian_order(params.semi_angle_half_power)
-    n = params.concentrator_refractive_index
-    concentrator = n * n / (math.sin(psi_c) ** 2)
+    concentrator = concentrator_gain(params)
     lobe = np.power(cos_phi, m, out=np.zeros(np.shape(d2)), where=seen)
     return ((m + 1.0) * params.pd_area / (2.0 * math.pi * d2)
             * lobe

@@ -3,13 +3,17 @@
 import json
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rfvlc import ConfigError, validate
+from rfvlc import ConfigError, ScenarioConfig, simulate_trials, validate
 from rfvlc.cli import main
-from rfvlc.config import (_FLOAT_KEYS, _SPECIAL_KEYS, DEFAULT_SEED,
-                          DEFAULT_TRIALS, parse_config)
+from rfvlc.config import (_SPECIAL_KEYS, DEFAULT_SEED, DEFAULT_TRIALS,
+                          parse_config)
+from rfvlc.scenario import FLOAT_KEYS, config_floats
+
+_DEFAULTS = config_floats(ScenarioConfig())
 
 # Mostly `key = value` lines with known keys, and some junk lines.  Values
 # are numbers, special values, names the special keys take, or junk.
@@ -18,10 +22,10 @@ _WORD = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"),
 _VALUE = st.one_of(
     st.floats().map(repr), st.integers(-10**20, 10**20).map(str),
     st.sampled_from(["inf", "-inf", "nan", "1e400", "-1e400", "0x10", "0",
-                     "1e-320", "clear", "fog", "drizzle", "rayleigh",
-                     "nakagami"]),
+                     "1e-320", "1e-8", "1e200", "-5000", "clear", "fog",
+                     "drizzle", "rayleigh", "nakagami"]),
     _WORD)
-_KEY = st.sampled_from(sorted(_FLOAT_KEYS) + list(_SPECIAL_KEYS))
+_KEY = st.sampled_from(sorted(FLOAT_KEYS) + list(_SPECIAL_KEYS))
 _LINE = st.tuples(_KEY, _VALUE).map(" = ".join)
 _DOCUMENT = st.lists(st.one_of(_LINE, _LINE, _LINE, _WORD),
                      max_size=6).map("\n".join)
@@ -99,14 +103,42 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="lane_half_length"):
             parse_config("geometry.lane_half_length = -1\n")
 
+    def test_geometry_problems_do_not_hide_the_others(self):
+        with pytest.raises(ConfigError) as info:
+            parse_config("geometry.lane_half_length = -1\nbeta_ov = 2\n")
+        assert "geometry.lane_half_length: must be > 0" in str(info.value)
+        assert "beta_ov: must be in (0, 1]" in str(info.value)
+
+    def test_negative_rsu_height_names_its_key(self):
+        with pytest.raises(ConfigError, match=r"geometry\.rsu_pose: z \(geometry\.rsu_height\)"):
+            parse_config("geometry.rsu_height = -1\n")
+
+    def test_schema_has_the_twenty_nine_float_keys(self):
+        # prefix + field name over ScenarioConfig and its three sections
+        assert len(FLOAT_KEYS) == 29
+        assert {section for section, _ in FLOAT_KEYS.values()} == \
+            {"", "geometry", "vlc", "rf"}
+        assert all(key.endswith(name) for key, (_, name) in FLOAT_KEYS.items())
+
+    @pytest.mark.parametrize("key", sorted(FLOAT_KEYS))
+    def test_each_float_key_sets_its_field(self, key):
+        value = _DEFAULTS[key] * 1.01 if _DEFAULTS[key] else 0.5
+        config, _ = parse_config(f"{key} = {value!r}\n")
+        assert config_floats(config) == {**_DEFAULTS, key: value}
+
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
     @given(_DOCUMENT)
     def test_any_document_validates_or_is_config_error(self, text):
+        # and a document that validates runs: a small kernel pass at its
+        # distance gives finite SINRs
         try:
-            config, _ = parse_config(text)
+            config, spec = parse_config(text)
         except ConfigError:
             return
         assert validate(config) == []
+        sinr_vlc, sinr_rf = simulate_trials(config, spec.weathers[:1],
+                                            np.random.default_rng(1), 64)
+        assert np.isfinite(sinr_vlc).all() and np.isfinite(sinr_rf).all()
 
     def test_geometry_keys(self):
         config, _ = parse_config(
@@ -384,6 +416,29 @@ class TestCliErrors:
                      "--distances", "50"] + FAST) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and "expected interferers" in err
+
+    @pytest.mark.parametrize("text", [
+        "vlc.semi_angle_half_power = 1e-8",      # Lambertian order: ln(cos) = 0
+        "vlc.fov = 1e-320",                      # concentrator: sin^2 = 0
+        "rf.noise_figure_db = -5000",            # RF noise power underflows
+        "vlc.optical_tx_power = 1e200",          # VLC power overflows: nan
+        "vlc.responsivity = 1e160",              # VLC power overflows: inf
+        "rf.tx_power = 1e300\nrf.reference_loss_db = -100",  # RF overflows: nan
+        "rf.reference_loss_db = -5000",          # 10^500 overflows
+        "rf.noise_figure_db = 5000",
+        "rf.reference_distance = 1e200",         # (d / d0)^-alpha overflows
+        "geometry.lane_x_offset = 1e200",        # squared distances overflow
+        "distance_r = 1e200",
+    ])
+    def test_degenerate_scale_is_config_error(self, tmp_path, capsys, text):
+        cfg = tmp_path / "scale.cfg"
+        cfg.write_text(text + "\n")
+        out = tmp_path / "o"
+        assert _run(["rate-sweep", "--config", str(cfg), "--out", str(out),
+                     "--distances", "50"] + FAST) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "Traceback" not in err
+        assert not list(out.glob("*"))
 
     def test_failed_run_leaves_no_partial_csv(self, tmp_path):
         out = tmp_path / "o"

@@ -55,6 +55,9 @@ class TestSinr:
         assert db_to_linear(0.0) == 1.0
         assert db_to_linear(10.0) == pytest.approx(10.0, rel=1e-12)
         assert db_to_linear(-25.7) == pytest.approx(10.0 ** -2.57, rel=1e-12)
+        # beyond the float range: inf and 0 rather than OverflowError
+        assert db_to_linear(5000.0) == math.inf
+        assert db_to_linear(-5000.0) == 0.0
 
 
 class TestRunTrial:

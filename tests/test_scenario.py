@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from rfvlc import (InvalidArgumentError, LaneGeometry, Pose3, ScenarioConfig,
-                   WeatherCondition, attenuation_factor, draw_deployment,
-                   validate)
+from rfvlc import (InvalidArgumentError, ScenarioConfig, WeatherCondition,
+                   attenuation_factor, draw_deployment, validate)
 from rfvlc.scenario import (EXCLUSION_RADIUS_M, LANE_SAME, LANES,
                             interferer_counts, lane_poses, outside_exclusion)
 
@@ -76,14 +75,26 @@ class TestWeatherPresets:
             WeatherCondition.preset("hail")
 
 
+def _with_geometry(**changes):
+    cfg = ScenarioConfig()
+    return dataclasses.replace(cfg, geometry=dataclasses.replace(cfg.geometry, **changes))
+
+
+def _with_rsu(**changes):
+    rsu = dataclasses.replace(ScenarioConfig().geometry.rsu_pose, **changes)
+    return _with_geometry(rsu_pose=rsu)
+
+
 class TestPose3:
+    # validate checks the RSU pose: the one pose a config carries
     def test_axis_must_be_unit(self):
-        with pytest.raises(InvalidArgumentError):
-            Pose3(0, 0, 1, axis=(1.0, 1.0, 0.0))
+        assert validate(_with_rsu(axis=(1.0, 1.0, 0.0))) == [
+            "geometry.rsu_pose: axis must be a unit vector"]
+        assert validate(_with_rsu(axis=(0.6, 0.0, -0.8))) == []
 
     def test_below_ground_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            Pose3(0, 0, -0.1, axis=(1.0, 0.0, 0.0))
+        problems = validate(_with_rsu(z=-0.1))
+        assert "geometry.rsu_pose: z (geometry.rsu_height) must be >= 0" in problems
 
 
 class TestValidate:
@@ -109,10 +120,12 @@ class TestValidate:
         assert any("distance_r" in v for v in validate(bad))
 
     def test_lane_geometry_invariants(self):
-        with pytest.raises(InvalidArgumentError):
-            LaneGeometry(lane_half_length=-1.0)
-        with pytest.raises(InvalidArgumentError):
-            LaneGeometry(tx_height=6.0)  # above the default RSU
+        assert validate(_with_geometry(lane_half_length=-1.0)) == [
+            "geometry.lane_half_length: must be > 0"]
+        assert validate(_with_geometry(tx_height=0.0)) == [
+            "geometry.tx_height: must be > 0"]
+        assert validate(_with_geometry(tx_height=6.0)) == [  # above the default RSU
+            "geometry.rsu_pose: z (geometry.rsu_height) must exceed geometry.tx_height"]
 
 
 def _lane_counts(config, seed, n_draws):

@@ -8,6 +8,7 @@ import pytest
 
 from rfvlc import (InvalidArgumentError, Pose3, VlcParams, lambertian_order,
                    vlc_los_gain, vlc_noise_power, vlc_rx_electrical_power)
+from rfvlc.vlc_channel import concentrator_gain
 
 # m=1 emitter, unity concentrator (fov 90 deg, n=1), unity filter
 _SIMPLE = VlcParams(semi_angle_half_power=60.0, pd_area=1e-4, fov=90.0,
@@ -38,10 +39,24 @@ class TestLambertianOrder:
         orders = [lambertian_order(a) for a in (60.0, 45.0, 30.0, 15.0)]
         assert orders == sorted(orders)
 
+    def test_pencil_beam_limit_is_infinite(self):
+        # cos(1e-8 deg) rounds to 1: the order's limit, not a ZeroDivisionError
+        assert lambertian_order(1e-8) == math.inf
+
     @pytest.mark.parametrize("angle", [0.0, 90.0, -5.0, 120.0])
     def test_out_of_range(self, angle):
         with pytest.raises(InvalidArgumentError):
             lambertian_order(angle)
+
+
+class TestConcentratorGain:
+    def test_n_squared_over_sin_squared_fov(self):
+        # n = 1.5, FOV 60 deg: 2.25 / 0.75
+        assert concentrator_gain(VlcParams()) == pytest.approx(3.0, rel=1e-12)
+
+    def test_vanishing_fov_limit_is_infinite(self):
+        # sin^2 of 1e-320 degrees underflows to 0
+        assert concentrator_gain(VlcParams(fov=1e-320)) == math.inf
 
 
 class TestLosGain:
