@@ -16,10 +16,9 @@ move; docs/CALIBRATION.md explains how each knob was chosen.
 import argparse
 import math
 
-from rfvlc import (MODE_LA, ScenarioConfig, SweepSpec, WeatherCondition,
-                   db_to_linear, prp_rf_closed_form_no_interference,
-                   prp_vlc_no_interference, run_sweep, vlc_cutoff_distance,
-                   vlc_snr)
+from rfvlc import (MODE_LA, ScenarioConfig, SweepSpec, db_to_linear,
+                   prp_rf_closed_form_no_interference, prp_vlc_no_interference,
+                   run_sweep, vlc_cutoff_distance, vlc_snr)
 
 
 def main():
@@ -29,15 +28,14 @@ def main():
     args = parser.parse_args()
 
     cfg = ScenarioConfig()
-    clear = WeatherCondition.preset("clear")
     theta_v = db_to_linear(cfg.sinr_threshold_vlc_db)
     theta_r = db_to_linear(cfg.sinr_threshold_rf_db)
 
     print("== deterministic VLC link ==")
     for d in (30.0, 50.0, 80.0, 100.0, 122.0, 150.0):
-        snr = vlc_snr(cfg.with_distance(d), clear)
+        snr = vlc_snr(cfg.with_distance(d), "clear")
         print(f"  SNR({d:5.0f} m) = {snr:.4e}  ({10*math.log10(snr):7.2f} dB)")
-    cutoff = vlc_cutoff_distance(cfg, clear, theta_v)
+    cutoff = vlc_cutoff_distance(cfg, "clear", theta_v)
     print(f"  threshold {cfg.sinr_threshold_vlc_db} dB -> cutoff d* = {cutoff:.2f} m")
 
     print("== interference-free RF PRP (closed form) vs VLC oracle ==")
@@ -47,12 +45,12 @@ def main():
         des = point.desired_pose()
         d3d = math.dist((rsu.x, rsu.y, rsu.z), (des.x, des.y, des.z))
         p_rf = prp_rf_closed_form_no_interference(d3d, cfg.rf, theta_r)
-        p_v = prp_vlc_no_interference(point, clear, theta_v)
+        p_v = prp_vlc_no_interference(point, "clear", theta_v)
         print(f"  d = {d:3d} m: PRP_rf = {p_rf:.4f}   PRP_vlc = {p_v}")
 
     print("== clear-weather LA mean rate at the calibration endpoints ==")
     spec = SweepSpec(distances=(50.0, 250.0),
-                     weathers=(clear,),
+                     weathers=("clear",),
                      modes=(MODE_LA,), n_trials=args.trials, master_seed=1)
     for row in run_sweep(cfg, spec).rows:
         if row.metric == "rate_mbps":

@@ -11,9 +11,9 @@ from .metrics import (MODE_LA, MODE_NON_LA, MODE_PURE_RF, MODE_PURE_VLC,
                       sinr, vlc_cutoff_distance, vlc_snr)
 from .rf_channel import (FADING_NAKAGAMI, FADING_RAYLEIGH, RfParams,
                          rf_mean_rx_power, rf_noise_power, sample_fading)
-from .scenario import (Deployment, LaneGeometry, Pose3, ScenarioConfig,
-                       WeatherCondition, attenuation_factor, draw_deployment,
-                       validate)
+from .scenario import (WEATHER_ATTENUATION_DB_PER_KM, WEATHER_KINDS, Deployment,
+                       LaneGeometry, Pose3, ScenarioConfig, attenuation_factor,
+                       draw_deployment, validate)
 from .vlc_channel import (VlcParams, lambertian_order, vlc_los_gain,
                           vlc_noise_power, vlc_rx_electrical_power)
 

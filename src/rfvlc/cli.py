@@ -21,8 +21,7 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .config import (DEFAULT_PRP_DISTANCES, config_digest, parse_config,
-                     parse_weathers)
+from .config import DEFAULT_PRP_DISTANCES, config_digest, parse_config, parse_list
 from .engine import _CHUNK, RNG_SCHEME, SweepSpec, SweepTable, run_sweep
 from .errors import ConfigError
 from .metrics import MODES
@@ -37,13 +36,6 @@ def _fmt(x: float) -> str:
     return format(x, ".9g")
 
 
-def _parse_list(text: str, cast=float) -> tuple:
-    try:
-        return tuple(cast(part.strip()) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad list {text!r}: {exc}") from None
-
-
 def _load(args) -> tuple[ScenarioConfig, SweepSpec]:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -56,9 +48,9 @@ def _load(args) -> tuple[ScenarioConfig, SweepSpec]:
     if args.trials is not None:
         spec = replace(spec, n_trials=args.trials)
     if args.weather:
-        spec = replace(spec, weathers=parse_weathers(args.weather))
+        spec = replace(spec, weathers=parse_list(args.weather, str))
     if args.modes:
-        spec = replace(spec, modes=_parse_list(args.modes, str))
+        spec = replace(spec, modes=parse_list(args.modes, str))
     return config, spec
 
 
@@ -154,9 +146,9 @@ def _sweep(args, metric: str, stem: str, default_modes=None) -> int:
     config, spec = _load(args)
     if default_modes and not args.modes:
         spec = replace(spec, modes=default_modes)
-    spec = replace(spec, distances=_parse_list(args.distances))
+    spec = replace(spec, distances=parse_list(args.distances))
     if metric == "dor":
-        t_th = tuple(t / 1000.0 for t in _parse_list(args.t_th_ms))
+        t_th = tuple(t / 1000.0 for t in parse_list(args.t_th_ms))
         if not t_th:
             raise ConfigError("sweep.t_th: must be nonempty")
         spec = replace(spec, t_th=t_th)

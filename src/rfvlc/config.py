@@ -10,34 +10,30 @@ config dataclasses (scenario.FLOAT_KEYS) and the _SPECIAL_KEYS below.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import replace
 
 from .engine import SweepSpec
-from .errors import ConfigError, InvalidArgumentError
+from .errors import ConfigError
 from .metrics import MODE_LA, MODE_PURE_RF, MODE_PURE_VLC
-from .scenario import (CONFIG_SECTIONS, FLOAT_KEYS, WEATHER_KINDS, Pose3,
-                       ScenarioConfig, WeatherCondition, validate)
+from .scenario import (CONFIG_SECTIONS, FLOAT_KEYS, WEATHER_KINDS, ScenarioConfig,
+                       validate)
 
 DEFAULT_SEED = 20260823
 DEFAULT_TRIALS = 100_000
 DEFAULT_PRP_DISTANCES = tuple(float(d) for d in range(10, 251, 10))
 
-_SPECIAL_KEYS = ("weather", "rf.fading", "geometry.rsu_height",
-                 "geometry.rsu_tilt_deg", "trials", "seed")
+_SPECIAL_KEYS = ("weather", "rf.fading", "trials", "seed")
 
 
-def parse_weathers(text: str) -> tuple[WeatherCondition, ...]:
-    """The swept weathers: the `weather` key and the --weather flag.
+def parse_list(text: str, cast=float) -> tuple:
+    """A comma list, each item cast: the `weather` key and the list flags.
 
-    A comma list of presets; SweepSpec.check rejects empty and repeated
-    lists.
+    Empty items are dropped; SweepSpec.check judges the list that is left.
     """
     try:
-        return tuple(WeatherCondition.preset(kind.strip())
-                     for kind in text.split(",") if kind.strip())
-    except InvalidArgumentError as exc:
-        raise ConfigError(str(exc)) from None
+        return tuple(cast(part.strip()) for part in text.split(",") if part.strip())
+    except ValueError as exc:
+        raise ConfigError(f"bad list {text!r}: {exc}") from None
 
 
 def parse_config(text: str) -> tuple[ScenarioConfig, SweepSpec]:
@@ -66,9 +62,7 @@ def parse_config(text: str) -> tuple[ScenarioConfig, SweepSpec]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         assignments[key] = value
 
-    def take_float(key: str, default: float | None = None) -> float:
-        if key not in assignments:
-            return default
+    def take_float(key: str) -> float:
         try:
             return float(assignments[key])
         except ValueError:
@@ -91,18 +85,11 @@ def parse_config(text: str) -> tuple[ScenarioConfig, SweepSpec]:
             kwargs[section][name] = take_float(key)
     if "rf.fading" in assignments:
         kwargs["rf"]["fading"] = assignments["rf.fading"]
-    rsu_tilt = take_float("geometry.rsu_tilt_deg", 45.0)
-    if not math.isfinite(rsu_tilt):
-        raise ConfigError("geometry.rsu_tilt_deg: must be finite")
-    t = math.radians(rsu_tilt)
-    kwargs["geometry"]["rsu_pose"] = Pose3(
-        0.0, 0.0, take_float("geometry.rsu_height", base.geometry.rsu_pose.z),
-        axis=(math.cos(t), 0.0, -math.sin(t)))
     config = replace(base, **kwargs.pop(""), **{
         section: replace(getattr(base, section), **values)
         for section, values in kwargs.items()})
 
-    weathers = parse_weathers(assignments.get("weather", ",".join(WEATHER_KINDS)))
+    weathers = parse_list(assignments.get("weather", ",".join(WEATHER_KINDS)), str)
     n_trials = take_int("trials", DEFAULT_TRIALS)
     master_seed = take_int("seed", DEFAULT_SEED)
     spec = SweepSpec(

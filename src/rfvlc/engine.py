@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConfigError
 from .estimate import MetricEstimate, confidence_interval, mean_estimate, proportion_estimate
 from .metrics import MODES, outage_rate, score_modes, simulate_trials
-from .scenario import ScenarioConfig, WeatherCondition, validate
+from .scenario import WEATHER_KINDS, ScenarioConfig, validate
 
 __all__ = [
     "SweepSpec", "SweepRow", "SweepTable", "MetricEstimate",
@@ -97,7 +97,7 @@ class SweepSpec:
     """
 
     distances: tuple[float, ...]
-    weathers: tuple[WeatherCondition, ...]
+    weathers: tuple[str, ...]       # WEATHER_KINDS names
     modes: tuple[str, ...]
     n_trials: int
     master_seed: int
@@ -116,16 +116,13 @@ class SweepSpec:
             out.append("sweep.t_th: delay thresholds must be > 0")
         if self.n_trials < 100:
             out.append("sweep.n_trials: must be >= 100")
-        if not self.weathers:
-            out.append("sweep.weathers: must be nonempty")
-        if not self.modes:
-            out.append("sweep.modes: must be nonempty")
-        for m in self.modes:
-            if m not in MODES:
-                out.append(f"sweep.modes: unknown mode {m!r}")
-        for name, keys in (("modes", self.modes),
-                           ("weathers", [w.kind for w in self.weathers])):
-            if len(set(keys)) < len(keys):
+        for name, values, known in (("weathers", self.weathers, WEATHER_KINDS),
+                                    ("modes", self.modes, MODES)):
+            if not values:
+                out.append(f"sweep.{name}: must be nonempty")
+            out.extend(f"sweep.{name}: unknown {name[:-1]} {v!r}"
+                       for v in values if v not in known)
+            if len(set(values)) < len(values):
                 out.append(f"sweep.{name}: must not repeat")
         return out
 
@@ -146,7 +143,7 @@ class SweepTable:
 
 
 def _chunk_stats(config: ScenarioConfig, master_seed: int, point_index: int,
-                 start: int, end: int, weathers: tuple[WeatherCondition, ...],
+                 start: int, end: int, weathers: tuple[str, ...],
                  t_th: tuple[float, ...]):
     """Simulate one chunk of trials, start a multiple of _CHUNK.
 
@@ -211,15 +208,15 @@ def run_sweep(config: ScenarioConfig, spec: SweepSpec,
         for w_idx, weather in enumerate(spec.weathers):
             for mode in spec.modes:
                 at = (d_idx, w_idx, MODES.index(mode))
-                rows.append(SweepRow(distance, None, weather.kind, mode, "prp",
+                rows.append(SweepRow(distance, None, weather, mode, "prp",
                                      proportion_estimate(int(succ[at]), n)))
-                rows.append(SweepRow(distance, None, weather.kind, mode, "rate_mbps",
+                rows.append(SweepRow(distance, None, weather, mode, "rate_mbps",
                                      mean_estimate(float(rsum[at]), float(rsq[at]), n)))
         for k, t_th in enumerate(spec.t_th):
             for w_idx, weather in enumerate(spec.weathers):
                 for mode in spec.modes:
                     at = (d_idx, w_idx, MODES.index(mode), k)
-                    rows.append(SweepRow(distance, t_th, weather.kind, mode, "dor",
+                    rows.append(SweepRow(distance, t_th, weather, mode, "dor",
                                          proportion_estimate(int(late[at]), n)))
     return SweepTable(rows=tuple(rows))
 

@@ -21,7 +21,7 @@ from .errors import InvalidArgumentError, UnsupportedModelError
 from .rf_channel import (FADING_RAYLEIGH, RfParams, db_to_linear,
                          rf_mean_rx_power, rf_noise_power, sample_fading)
 from .scenario import (EXCLUSION_RADIUS_M, LANE_PERP, LANE_SAME, LANES,
-                       Deployment, ScenarioConfig, WeatherCondition,
+                       WEATHER_ATTENUATION_DB_PER_KM, Deployment, ScenarioConfig,
                        attenuation_factor, draw_deployment, lane_poses,
                        outside_exclusion)
 from .vlc_channel import (los_gain, vlc_los_gain, vlc_noise_power,
@@ -71,12 +71,12 @@ def _statics(config: ScenarioConfig) -> _Statics:
                     n_rf=rf_noise_power(config.rf))
 
 
-def _s_vlc(config: ScenarioConfig, st: _Statics, weather: WeatherCondition) -> float:
-    wfac = attenuation_factor(weather.attenuation_db_per_km, st.d3d)
+def _s_vlc(config: ScenarioConfig, st: _Statics, weather: str) -> float:
+    wfac = attenuation_factor(WEATHER_ATTENUATION_DB_PER_KM[weather], st.d3d)
     return vlc_rx_electrical_power(st.gain, wfac, config.vlc)
 
 
-def vlc_snr(config: ScenarioConfig, weather: WeatherCondition) -> float:
+def vlc_snr(config: ScenarioConfig, weather: str) -> float:
     """Deterministic no-interference VLC SNR of the desired link."""
     st = _statics(config)
     return _s_vlc(config, st, weather) / st.n_vlc
@@ -90,7 +90,7 @@ def interference_sums(config: ScenarioConfig, weathers, deployment: Deployment,
     or not the point is excluded.  Each trial's interferer terms are added
     in storage order, same lane first; excluded points add zero.  The
     geometry, the Lambertian gains and the RF terms are computed once;
-    only the optical attenuation differs between the W weathers.
+    only the optical attenuation differs between the W weather names.
     """
     n = deployment.counts.shape[1]
     geo = config.geometry
@@ -114,7 +114,7 @@ def interference_sums(config: ScenarioConfig, weathers, deployment: Deployment,
             gain = np.where(active, los_gain(dx, dy, dz, axis, rsu.axis, config.vlc),
                             0.0)
             for row, weather in zip(i_vlc, weathers):
-                wfac = attenuation_factor(weather.attenuation_db_per_km, d)
+                wfac = attenuation_factor(WEATHER_ATTENUATION_DB_PER_KM[weather], d)
                 row += np.bincount(trial, vlc_rx_electrical_power(gain, wfac, config.vlc),
                                    minlength=n)
     return i_vlc, i_rf
@@ -122,7 +122,7 @@ def interference_sums(config: ScenarioConfig, weathers, deployment: Deployment,
 
 def simulate_trials(config: ScenarioConfig, weathers, rng: np.random.Generator,
                     n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n coupled draws: VLC SINRs per weather, [W, n], and RF SINRs, [n].
+    """n coupled draws: VLC SINRs per weather name, [W, n], and RF SINRs, [n].
 
     The stream is consumed in a weather-independent order: Poisson counts,
     lane positions, desired RF fades, one RF fade per lane point.  Every
@@ -250,13 +250,13 @@ def prp_rf_closed_form(config: ScenarioConfig) -> float:
         -config.lambda_density * config.rho_access * integral)
 
 
-def prp_vlc_no_interference(config: ScenarioConfig, weather: WeatherCondition,
+def prp_vlc_no_interference(config: ScenarioConfig, weather: str,
                             theta: float) -> int:
     """Deterministic interference-free VLC PRP: 1 iff SNR >= theta."""
     return 1 if vlc_snr(config, weather) >= theta else 0
 
 
-def vlc_cutoff_distance(config: ScenarioConfig, weather: WeatherCondition,
+def vlc_cutoff_distance(config: ScenarioConfig, weather: str,
                         theta: float, lo: float = 10.0, hi: float = 1000.0,
                         tol: float = 1e-3) -> float:
     """Distance where the deterministic VLC SNR crosses theta, by bisection.

@@ -40,15 +40,11 @@ MAX_MEAN_INTERFERERS = 2000.0
 # peaks near 7e-11 (VLC) and 2e-8 (RF), at SNRs near 3e3 and 3e4.
 _POWER_HEADROOM = 1e10
 
-WEATHER_KINDS = ("clear", "rain", "fog", "dry_snow")
-
-# kind -> (descriptor name, descriptor value, attenuation dB/km)
-_WEATHER_PRESETS = {
-    "clear": (None, None, 0.0),
-    "rain": ("rain_rate_mm_per_hr", 90.0, 21.9),
-    "fog": ("visibility_km", 0.05, 78.8),
-    "dry_snow": ("snow_rate_mm_per_hr", 10.0, 131.0),
-}
+# Optical attenuation of each swept weather, dB/km: heavy rain (90 mm/hr),
+# thick fog (50 m visibility) and dry snow (10 mm/hr), against clear air.
+WEATHER_ATTENUATION_DB_PER_KM = {"clear": 0.0, "rain": 21.9, "fog": 78.8,
+                                 "dry_snow": 131.0}
+WEATHER_KINDS = tuple(WEATHER_ATTENUATION_DB_PER_KM)
 
 
 @dataclass(frozen=True)
@@ -62,51 +58,25 @@ class Pose3:
 
 
 @dataclass(frozen=True)
-class WeatherCondition:
-    """Weather kind with its optical attenuation coefficient.
-
-    descriptor_value is the rain rate (mm/hr), visibility (km) or snow rate
-    (mm/hr) for the built-in presets, None for clear weather.
-    """
-
-    kind: str
-    descriptor_name: str | None
-    descriptor_value: float | None
-    attenuation_db_per_km: float
-
-    def __post_init__(self):
-        if self.kind not in WEATHER_KINDS:
-            raise InvalidArgumentError(f"unknown weather kind {self.kind!r}")
-        if self.attenuation_db_per_km < 0:
-            raise InvalidArgumentError("attenuation_db_per_km must be >= 0")
-        if self.kind == "clear" and self.attenuation_db_per_km != 0.0:
-            raise InvalidArgumentError("clear weather must have zero attenuation")
-
-    @classmethod
-    def preset(cls, kind: str) -> "WeatherCondition":
-        if kind not in _WEATHER_PRESETS:
-            raise InvalidArgumentError(f"unknown weather kind {kind!r}")
-        name, value, att = _WEATHER_PRESETS[kind]
-        return cls(kind=kind, descriptor_name=name, descriptor_value=value,
-                   attenuation_db_per_km=att)
-
-
-def _default_rsu_pose() -> Pose3:
-    # Lamp-post RSU 5 m above the intersection, receiver normal tilted 45
-    # degrees downward toward the desired vehicle's lane (+x).
-    s = 1.0 / math.sqrt(2.0)
-    return Pose3(0.0, 0.0, 5.0, axis=(s, 0.0, -s))
-
-
-@dataclass(frozen=True)
 class LaneGeometry:
-    """Lane layout and transmitter/receiver mounting heights."""
+    """Lane layout and transmitter/receiver mounting heights.
+
+    The RSU sits on a lamp post above the intersection, its receiver
+    normal tilted rsu_tilt_deg downward toward the desired vehicle's lane
+    (+x).
+    """
 
     lane_half_length: float = 500.0
     lane_x_offset: float = 0.0   # x-offset of the perpendicular (y-axis) lane
     lane_y_offset: float = 0.0   # y-offset of the desired (x-axis) lane
-    rsu_pose: Pose3 = field(default_factory=_default_rsu_pose)
+    rsu_height: float = 5.0
+    rsu_tilt_deg: float = 45.0
     tx_height: float = 0.75      # vehicle headlamp height
+
+    @property
+    def rsu_pose(self) -> Pose3:
+        t = math.radians(self.rsu_tilt_deg)
+        return Pose3(0.0, 0.0, self.rsu_height, axis=(math.cos(t), 0.0, -math.sin(t)))
 
 
 def attenuation_factor(attenuation_db_per_km: float, distance_m):
@@ -180,11 +150,8 @@ def validate(config: ScenarioConfig) -> list[str]:
     kernel derives from them are checked once the fields pass.
     """
     geo = config.geometry
-    rsu = geo.rsu_pose
     violations = [f"{key}: must be finite"
                   for key, value in config_floats(config).items() if not math.isfinite(value)]
-    if not all(map(math.isfinite, (rsu.x, rsu.y, rsu.z, *rsu.axis))):
-        violations.append("geometry.rsu_pose: must be finite")
     if config.lambda_density < 0:
         violations.append("lambda_density: must be >= 0")
     if not 0.0 <= config.rho_access <= 1.0:
@@ -192,10 +159,9 @@ def validate(config: ScenarioConfig) -> list[str]:
     if geo.lane_half_length <= 0:
         violations.append("geometry.lane_half_length: must be > 0")
     # bounds the offsets the kernel squares: RSU, desired vehicle, lane points
-    reach = (abs(rsu.x) + abs(config.distance_r) + abs(geo.lane_x_offset)
-             + geo.lane_half_length,
-             abs(rsu.y) + abs(geo.lane_y_offset) + geo.lane_half_length,
-             rsu.z - geo.tx_height)
+    reach = (abs(config.distance_r) + abs(geo.lane_x_offset) + geo.lane_half_length,
+             abs(geo.lane_y_offset) + geo.lane_half_length,
+             geo.rsu_height - geo.tx_height)
     if math.isinf(sum(r * r for r in reach)):
         violations.append("distance_r, geometry.lane_half_length, geometry.lane_x_offset, "
                           "geometry.lane_y_offset: the squared distances between the RSU, "
@@ -207,13 +173,10 @@ def validate(config: ScenarioConfig) -> list[str]:
                           f"{MAX_MEAN_INTERFERERS:g}")
     if geo.tx_height <= 0:
         violations.append("geometry.tx_height: must be > 0")
-    if rsu.z < 0:
-        violations.append("geometry.rsu_pose: z (geometry.rsu_height) must be >= 0")
-    if rsu.z <= geo.tx_height:
-        violations.append("geometry.rsu_pose: z (geometry.rsu_height) must exceed "
-                          "geometry.tx_height")
-    if abs(math.hypot(*rsu.axis) - 1.0) > 1e-9:
-        violations.append("geometry.rsu_pose: axis must be a unit vector")
+    if geo.rsu_height < 0:
+        violations.append("geometry.rsu_height: must be >= 0")
+    if geo.rsu_height <= geo.tx_height:
+        violations.append("geometry.rsu_height: must exceed geometry.tx_height")
     if not 0.0 < config.rho_a <= 1.0:
         violations.append("rho_a: must be in (0, 1]")
     if not 0.0 < config.beta_ov <= 1.0:
@@ -232,8 +195,11 @@ def _derived_problems(config: ScenarioConfig) -> list[str]:
 
     Each must be finite and > 0, else the kernel divides by zero or writes
     nan/inf rates.  The peak powers are taken at the closest possible link,
-    straight below the RSU at rsu.z - tx_height with every cos term 1, and
-    must stay finite times _POWER_HEADROOM, alone and over the noise.
+    straight below the RSU at rsu_height - tx_height with every cos term 1,
+    and must stay finite times _POWER_HEADROOM, alone and over the noise.
+    The sweep sums squared rates in Mbps, so the peak rate, at the peak
+    SNR times _POWER_HEADROOM, must stay finite squared and times
+    _POWER_HEADROOM.
     """
     vlc, rf = config.vlc, config.rf
     out = [f"{keys}: {name} = {value:g}, must be finite and > 0"
@@ -248,17 +214,22 @@ def _derived_problems(config: ScenarioConfig) -> list[str]:
            if not 0.0 < value < math.inf]
     if out:
         return out
-    near = np.float64(config.geometry.rsu_pose.z - config.geometry.tx_height)
+    near = np.float64(config.geometry.rsu_height - config.geometry.tx_height)
     with np.errstate(all="ignore"):
         up, down = (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)
         peak_vlc = vlc_rx_electrical_power(los_gain(0.0, 0.0, near, up, down, vlc), 1.0, vlc)
-        for link, peak, noise in (("vlc", peak_vlc, vlc_noise_power(vlc)),
-                                  ("rf", rf_mean_rx_power(near, rf), rf_noise_power(rf))):
+        for link, peak, noise, bandwidth in (
+                ("vlc", peak_vlc, vlc_noise_power(vlc), vlc.bandwidth),
+                ("rf", rf_mean_rx_power(near, rf), rf_noise_power(rf), rf.bandwidth)):
             top = peak * _POWER_HEADROOM
+            mbps = bandwidth * np.log2(1.0 + top / noise) / 1e6
             if not (np.isfinite(top) and np.isfinite(top / noise)):
                 out.append(f"{link}: peak received power {peak:g} at {near:g} m "
                            f"(SNR {peak / noise:g}) must stay finite times "
                            f"{_POWER_HEADROOM:g}")
+            elif not np.isfinite(mbps * mbps * _POWER_HEADROOM):
+                out.append(f"{link}: peak rate {mbps:g} Mbps at {near:g} m must stay "
+                           f"finite squared times {_POWER_HEADROOM:g}")
     return out
 
 

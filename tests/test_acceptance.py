@@ -16,7 +16,7 @@ import pytest
 from scipy import stats
 
 from rfvlc import (FADING_RAYLEIGH, MODE_LA, MODE_PURE_RF, MODE_PURE_VLC,
-                   RfParams, ScenarioConfig, SweepSpec, WeatherCondition,
+                   RfParams, WEATHER_KINDS, ScenarioConfig, SweepSpec,
                    db_to_linear, derive_seed, draw_deployment,
                    prp_rf_closed_form_no_interference,
                    prp_vlc_no_interference, run_sweep, sample_fading,
@@ -25,9 +25,8 @@ from rfvlc.cli import main as cli_main
 from rfvlc.engine import trial_rng
 from rfvlc.scenario import LANE_SAME, interferer_counts
 
-ALL_WEATHERS = tuple(WeatherCondition.preset(k)
-                     for k in ("clear", "rain", "fog", "dry_snow"))
-CLEAR = (WeatherCondition.preset("clear"),)
+ALL_WEATHERS = WEATHER_KINDS
+CLEAR = ("clear",)
 
 
 def _verdict(capsys, cid, ok, detail):
@@ -116,7 +115,7 @@ def test_criterion_03_la_dominance(capsys, prp_grid_table):
     for value in spec.distances:
         for weather in spec.weathers:
             by_mode = {r.mode: r.estimate.value for r in rows
-                       if r.distance == value and r.weather == weather.kind}
+                       if r.distance == value and r.weather == weather}
             if by_mode[MODE_LA] < max(by_mode[MODE_PURE_VLC],
                                       by_mode[MODE_PURE_RF]):
                 violations += 1
@@ -151,12 +150,11 @@ def test_criterion_04_weather_ordering(capsys, prp_grid_table):
         bad += int((ok_v[1:] > ok_v[:-1]).any(axis=0).sum())
     # engine level: VLC-involving PRP ordered, pure-RF estimates identical
     spec, table = prp_grid_table
-    order = [w.kind for w in ALL_WEATHERS]
     for value in spec.distances:
         for mode in (MODE_PURE_VLC, MODE_LA):
             by_weather = {r.weather: r.estimate.value for r in _prp_rows(table)
                           if r.distance == value and r.mode == mode}
-            curve = [by_weather[w] for w in order]
+            curve = [by_weather[w] for w in ALL_WEATHERS]
             if any(b > a for a, b in zip(curve, curve[1:])):
                 bad += 1
         rf_rows = {r.estimate for r in _prp_rows(table)
@@ -230,7 +228,7 @@ def test_criterion_07a_dor_monotone(capsys, dor_grid):
         for weather in spec.weathers:
             for mode in spec.modes:
                 curve = [r.estimate.value for r in rows
-                         if r.distance == distance and r.weather == weather.kind
+                         if r.distance == distance and r.weather == weather
                          and r.mode == mode]
                 if any(b > a for a, b in zip(curve, curve[1:])):
                     bad += 1
@@ -256,10 +254,10 @@ def test_criterion_07b_dor_la_dominance(capsys, dor_grid):
             for weather in spec.weathers:
                 by_mode = {r.mode: r.estimate.value for r in rows
                            if r.distance == distance and r.t_th == t_th
-                           and r.weather == weather.kind}
+                           and r.weather == weather}
                 if by_mode[MODE_LA] > min(by_mode[MODE_PURE_VLC],
                                           by_mode[MODE_PURE_RF]) + 1e-12:
-                    violations.append((distance, weather.kind, t_th * 1e3,
+                    violations.append((distance, weather, t_th * 1e3,
                                        by_mode[MODE_LA],
                                        min(by_mode[MODE_PURE_VLC],
                                            by_mode[MODE_PURE_RF])))

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from rfvlc import ConfigError, ScenarioConfig, simulate_trials, validate
 from rfvlc.cli import main
 from rfvlc.config import (_SPECIAL_KEYS, DEFAULT_SEED, DEFAULT_TRIALS,
-                          parse_config)
+                          config_digest, parse_config)
 from rfvlc.scenario import FLOAT_KEYS, config_floats
 
 _DEFAULTS = config_floats(ScenarioConfig())
@@ -34,8 +34,10 @@ _DOCUMENT = st.lists(st.one_of(_LINE, _LINE, _LINE, _WORD),
 class TestParseConfig:
     def test_empty_document_gives_defaults(self):
         config, spec = parse_config("")
+        assert config == ScenarioConfig()
+        assert config_digest(config, spec) == config_digest(ScenarioConfig(), spec)
         assert config.lambda_density == 0.01
-        assert [w.kind for w in spec.weathers] == ["clear", "rain", "fog", "dry_snow"]
+        assert spec.weathers == ("clear", "rain", "fog", "dry_snow")
         assert spec.master_seed == DEFAULT_SEED
         assert spec.n_trials == DEFAULT_TRIALS
         assert spec.check() == []
@@ -53,7 +55,7 @@ class TestParseConfig:
         config, spec = parse_config(text)
         assert config.lambda_density == 0.02
         assert config.distance_r == 150.0
-        assert [w.attenuation_db_per_km for w in spec.weathers] == [78.8]
+        assert spec.weathers == ("fog",)
         assert config.rf.tx_power == 0.1
         assert spec.n_trials == 5000
         assert spec.master_seed == 0xDEADBEEF
@@ -84,11 +86,12 @@ class TestParseConfig:
 
     def test_weather_key_sets_the_swept_weathers(self):
         _, spec = parse_config("weather = rain, dry_snow\n")
-        assert [w.kind for w in spec.weathers] == ["rain", "dry_snow"]
+        assert spec.weathers == ("rain", "dry_snow")
 
     @pytest.mark.parametrize("value, message", [
         ("fog, fog", "must not repeat"), (",", "must be nonempty"),
-        ("clear, drizzle", "drizzle")], ids=["repeated", "empty", "unknown"])
+        ("clear, drizzle", "sweep.weathers: unknown weather 'drizzle'")],
+        ids=["repeated", "empty", "unknown"])
     def test_bad_weather_list(self, value, message):
         with pytest.raises(ConfigError, match=message):
             parse_config(f"weather = {value}\n")
@@ -110,15 +113,36 @@ class TestParseConfig:
         assert "beta_ov: must be in (0, 1]" in str(info.value)
 
     def test_negative_rsu_height_names_its_key(self):
-        with pytest.raises(ConfigError, match=r"geometry\.rsu_pose: z \(geometry\.rsu_height\)"):
+        with pytest.raises(ConfigError, match=r"geometry\.rsu_height: must be >= 0"):
             parse_config("geometry.rsu_height = -1\n")
 
-    def test_schema_has_the_twenty_nine_float_keys(self):
+    def test_unknown_weather_is_reported_with_the_other_problems(self):
+        with pytest.raises(ConfigError) as info:
+            parse_config("weather = hail\nbeta_ov = 2\n")
+        assert "sweep.weathers: unknown weather 'hail'" in str(info.value)
+        assert "beta_ov: must be in (0, 1]" in str(info.value)
+
+    def test_schema_has_31_float_keys_and_4_special_keys(self):
         # prefix + field name over ScenarioConfig and its three sections
-        assert len(FLOAT_KEYS) == 29
+        assert len(FLOAT_KEYS) == 31
+        assert len(_SPECIAL_KEYS) == 4
         assert {section for section, _ in FLOAT_KEYS.values()} == \
             {"", "geometry", "vlc", "rf"}
         assert all(key.endswith(name) for key, (_, name) in FLOAT_KEYS.items())
+        assert set(FLOAT_KEYS) | set(_SPECIAL_KEYS) == {
+            "lambda_density", "rho_access", "rho_a", "beta_ov", "distance_r",
+            "payload_h", "sinr_threshold_vlc_db", "sinr_threshold_rf_db",
+            "geometry.lane_half_length", "geometry.lane_x_offset",
+            "geometry.lane_y_offset", "geometry.rsu_height",
+            "geometry.rsu_tilt_deg", "geometry.tx_height",
+            "vlc.optical_tx_power", "vlc.semi_angle_half_power", "vlc.pd_area",
+            "vlc.fov", "vlc.optical_filter_gain",
+            "vlc.concentrator_refractive_index",
+            "vlc.responsivity", "vlc.bandwidth", "vlc.noise_psd",
+            "rf.tx_power", "rf.reference_loss_db", "rf.reference_distance",
+            "rf.path_loss_exponent", "rf.bandwidth", "rf.noise_psd",
+            "rf.noise_figure_db", "rf.nakagami_m", "rf.fading",
+            "weather", "trials", "seed"}
 
     @pytest.mark.parametrize("key", sorted(FLOAT_KEYS))
     def test_each_float_key_sets_its_field(self, key):
@@ -429,6 +453,8 @@ class TestCliErrors:
         "rf.reference_distance = 1e200",         # (d / d0)^-alpha overflows
         "geometry.lane_x_offset = 1e200",        # squared distances overflow
         "distance_r = 1e200",
+        "rf.bandwidth = 1e200\nrf.noise_psd = 1e-320",   # rate^2 overflows
+        "vlc.bandwidth = 1e200\nvlc.noise_psd = 1e-320",
     ])
     def test_degenerate_scale_is_config_error(self, tmp_path, capsys, text):
         cfg = tmp_path / "scale.cfg"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rfvlc import (ConfigError, InvalidArgumentError, MODE_LA, MODE_PURE_RF,
-                   MODE_PURE_VLC, ScenarioConfig, SweepSpec, WeatherCondition,
+                   MODE_PURE_VLC, WEATHER_KINDS, ScenarioConfig, SweepSpec,
                    confidence_interval, db_to_linear, derive_seed,
                    prp_rf_closed_form_no_interference, run_sweep)
 from rfvlc import engine
@@ -15,9 +15,8 @@ from rfvlc.engine import _CHUNK, trial_rng
 from rfvlc.metrics import outage_rate, score_modes, simulate_trials
 from rfvlc.estimate import mean_estimate, proportion_estimate
 
-CLEAR = (WeatherCondition.preset("clear"),)
-ALL_WEATHERS = tuple(WeatherCondition.preset(k)
-                     for k in ("clear", "rain", "fog", "dry_snow"))
+CLEAR = ("clear",)
+ALL_WEATHERS = WEATHER_KINDS
 # lambda * rho = 1e-2: ~20 interferers per trial
 DENSE = dataclasses.replace(ScenarioConfig(), rho_access=1.0)
 

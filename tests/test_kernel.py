@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from rfvlc import (FADING_NAKAGAMI, FADING_RAYLEIGH, Pose3, ScenarioConfig,
-                   WeatherCondition, attenuation_factor, rf_mean_rx_power,
+                   WEATHER_ATTENUATION_DB_PER_KM, WEATHER_KINDS, attenuation_factor,
+                   rf_mean_rx_power,
                    rf_noise_power, sample_fading, sinr, vlc_los_gain,
                    vlc_noise_power, vlc_rx_electrical_power)
 from rfvlc import metrics
@@ -19,9 +20,8 @@ from rfvlc.scenario import (EXCLUSION_RADIUS_M, LANES, draw_deployment,
 # lambda * rho = 1e-2: ~20 interferers per trial; rain makes the optical
 # attenuation factor differ from 1.
 DENSE = dataclasses.replace(ScenarioConfig(), rho_access=1.0, distance_r=30.0)
-RAIN = WeatherCondition.preset("rain")
-ALL_WEATHERS = tuple(map(WeatherCondition.preset,
-                         ("clear", "rain", "fog", "dry_snow")))
+RAIN = "rain"
+ALL_WEATHERS = WEATHER_KINDS
 N = 256
 SEED = 0x5EED
 
@@ -64,7 +64,7 @@ def _scalar_reference(config, weather, seed, n):
     fades = sample_fading(config.rf, rng, len(deployment.coord))
 
     rsu = config.geometry.rsu_pose
-    coeff = weather.attenuation_db_per_km
+    coeff = WEATHER_ATTENUATION_DB_PER_KM[weather]
     i_vlc = [0.0] * n
     i_rf = [0.0] * n
     poses, active = _lane_poses(config, deployment)

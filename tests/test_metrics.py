@@ -9,7 +9,8 @@ from scipy import stats
 
 from rfvlc import (InvalidArgumentError, MODE_LA, MODE_NON_LA, MODE_PURE_RF,
                    MODE_PURE_VLC, MODES, ScenarioConfig, SweepSpec,
-                   UnsupportedModelError, WeatherCondition, attenuation_factor,
+                   UnsupportedModelError, WEATHER_ATTENUATION_DB_PER_KM, WEATHER_KINDS,
+                   attenuation_factor,
                    db_to_linear, draw_deployment, minimum_transmission_time,
                    outage_rate, prp_rf_closed_form,
                    prp_rf_closed_form_no_interference, prp_vlc_no_interference,
@@ -26,9 +27,8 @@ UNIT = dataclasses.replace(ScenarioConfig(), sinr_threshold_vlc_db=0.0,
                            sinr_threshold_rf_db=0.0)
 VLC, RF, LA, NON_LA = (MODES.index(m) for m in
                        (MODE_PURE_VLC, MODE_PURE_RF, MODE_LA, MODE_NON_LA))
-CLEAR = WeatherCondition.preset("clear")
-ALL_WEATHERS = tuple(map(WeatherCondition.preset,
-                         ("clear", "rain", "fog", "dry_snow")))
+CLEAR = "clear"
+ALL_WEATHERS = WEATHER_KINDS
 
 
 def _trials(config, seed, n, weather=CLEAR):
@@ -83,7 +83,7 @@ class TestRunTrial:
 
     def test_weather_scales_vlc_by_square_of_field_loss(self):
         cfg = NO_INTERFERENCE
-        snow = WeatherCondition.preset("dry_snow")
+        snow = "dry_snow"
         rsu = cfg.geometry.rsu_pose
         des = cfg.desired_pose()
         d3d = math.dist((rsu.x, rsu.y, rsu.z), (des.x, des.y, des.z))
@@ -93,7 +93,7 @@ class TestRunTrial:
 
     def test_weather_does_not_touch_rf(self):
         clear = _trials(NO_INTERFERENCE, 33, 200)[1]
-        fog = _trials(NO_INTERFERENCE, 33, 200, WeatherCondition.preset("fog"))[1]
+        fog = _trials(NO_INTERFERENCE, 33, 200, "fog")[1]
         assert np.array_equal(clear, fog)
 
     def test_interference_only_reduces_sinr(self):
@@ -269,7 +269,7 @@ def prp_vlc_bracket(config, weather):
         dx, dy, dz = rsu.x - x, rsu.y - y, rsu.z - geo.tx_height
         gain = np.where(outside_exclusion(config, x, y),
                         los_gain(dx, dy, dz, axis, rsu.axis, config.vlc), 0.0)
-        wfac = attenuation_factor(weather.attenuation_db_per_km,
+        wfac = attenuation_factor(WEATHER_ATTENUATION_DB_PER_KM[weather],
                                   np.sqrt(dx * dx + dy * dy + dz * dz))
         powers.append(vlc_rx_electrical_power(gain, wfac, config.vlc))
     powers = np.sort(np.concatenate(powers))
@@ -397,7 +397,7 @@ class TestClosedFormOracles:
                 lo, hi = prp_vlc_bracket(point, weather)
                 assert 0.0 < lo <= hi < 1.0
                 assert lo - 4.0 * est.stderr <= est.value <= hi + 4.0 * est.stderr, (
-                    distance, weather.kind, est.value, est.stderr, lo, hi)
+                    distance, weather, est.value, est.stderr, lo, hi)
 
     def test_vlc_oracle_step(self):
         cfg = NO_INTERFERENCE

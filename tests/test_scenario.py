@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from rfvlc import (InvalidArgumentError, ScenarioConfig, WeatherCondition,
+from rfvlc import (WEATHER_ATTENUATION_DB_PER_KM, WEATHER_KINDS,
+                   InvalidArgumentError, ScenarioConfig, SweepSpec,
                    attenuation_factor, draw_deployment, validate)
 from rfvlc.scenario import (EXCLUSION_RADIUS_M, LANE_SAME, LANES,
                             interferer_counts, lane_poses, outside_exclusion)
@@ -49,30 +50,19 @@ class TestAttenuationFactor:
 
 class TestWeatherPresets:
     def test_preset_coefficients(self):
-        assert WeatherCondition.preset("clear").attenuation_db_per_km == 0.0
-        assert WeatherCondition.preset("rain").attenuation_db_per_km == 21.9
-        assert WeatherCondition.preset("fog").attenuation_db_per_km == 78.8
-        assert WeatherCondition.preset("dry_snow").attenuation_db_per_km == 131.0
-
-    def test_preset_descriptors(self):
-        assert WeatherCondition.preset("rain").descriptor_value == 90.0
-        assert WeatherCondition.preset("fog").descriptor_value == 0.05
-        assert WeatherCondition.preset("dry_snow").descriptor_value == 10.0
+        assert WEATHER_ATTENUATION_DB_PER_KM == {
+            "clear": 0.0, "rain": 21.9, "fog": 78.8, "dry_snow": 131.0}
+        assert WEATHER_KINDS == ("clear", "rain", "fog", "dry_snow")
 
     def test_ordering(self):
-        coeffs = [WeatherCondition.preset(k).attenuation_db_per_km
-                  for k in ("clear", "rain", "fog", "dry_snow")]
+        coeffs = [WEATHER_ATTENUATION_DB_PER_KM[k] for k in WEATHER_KINDS]
         assert coeffs == sorted(coeffs)
         assert len(set(coeffs)) == 4
 
-    def test_clear_must_be_lossless(self):
-        with pytest.raises(InvalidArgumentError):
-            WeatherCondition(kind="clear", descriptor_name=None,
-                             descriptor_value=None, attenuation_db_per_km=1.0)
-
     def test_unknown_kind(self):
-        with pytest.raises(InvalidArgumentError):
-            WeatherCondition.preset("hail")
+        spec = SweepSpec(distances=(50.0,), weathers=("clear", "hail"),
+                         modes=("la",), n_trials=100, master_seed=1)
+        assert spec.check() == ["sweep.weathers: unknown weather 'hail'"]
 
 
 def _with_geometry(**changes):
@@ -80,21 +70,11 @@ def _with_geometry(**changes):
     return dataclasses.replace(cfg, geometry=dataclasses.replace(cfg.geometry, **changes))
 
 
-def _with_rsu(**changes):
-    rsu = dataclasses.replace(ScenarioConfig().geometry.rsu_pose, **changes)
-    return _with_geometry(rsu_pose=rsu)
-
-
 class TestPose3:
-    # validate checks the RSU pose: the one pose a config carries
-    def test_axis_must_be_unit(self):
-        assert validate(_with_rsu(axis=(1.0, 1.0, 0.0))) == [
-            "geometry.rsu_pose: axis must be a unit vector"]
-        assert validate(_with_rsu(axis=(0.6, 0.0, -0.8))) == []
-
+    # validate checks the RSU mount: the one pose a config carries
     def test_below_ground_rejected(self):
-        problems = validate(_with_rsu(z=-0.1))
-        assert "geometry.rsu_pose: z (geometry.rsu_height) must be >= 0" in problems
+        problems = validate(_with_geometry(rsu_height=-0.1))
+        assert "geometry.rsu_height: must be >= 0" in problems
 
 
 class TestValidate:
@@ -125,7 +105,7 @@ class TestValidate:
         assert validate(_with_geometry(tx_height=0.0)) == [
             "geometry.tx_height: must be > 0"]
         assert validate(_with_geometry(tx_height=6.0)) == [  # above the default RSU
-            "geometry.rsu_pose: z (geometry.rsu_height) must exceed geometry.tx_height"]
+            "geometry.rsu_height: must exceed geometry.tx_height"]
 
 
 def _lane_counts(config, seed, n_draws):
