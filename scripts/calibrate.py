@@ -15,10 +15,10 @@ move; docs/CALIBRATION.md explains how each knob was chosen.
 
 import argparse
 import math
+from dataclasses import replace
 
 from rfvlc import (MODE_LA, ScenarioConfig, SweepSpec, db_to_linear,
-                   prp_rf_closed_form_no_interference, prp_vlc_no_interference,
-                   run_sweep, vlc_cutoff_distance, vlc_snr)
+                   prp_rf_closed_form, run_sweep, vlc_cutoff_distance, vlc_snr)
 
 
 def main():
@@ -29,7 +29,6 @@ def main():
 
     cfg = ScenarioConfig()
     theta_v = db_to_linear(cfg.sinr_threshold_vlc_db)
-    theta_r = db_to_linear(cfg.sinr_threshold_rf_db)
 
     print("== deterministic VLC link ==")
     for d in (30.0, 50.0, 80.0, 100.0, 122.0, 150.0):
@@ -39,13 +38,11 @@ def main():
     print(f"  threshold {cfg.sinr_threshold_vlc_db} dB -> cutoff d* = {cutoff:.2f} m")
 
     print("== interference-free RF PRP (closed form) vs VLC oracle ==")
-    rsu = cfg.geometry.rsu_pose
+    quiet = replace(cfg, lambda_density=0.0)
     for d in range(40, 261, 20):
-        point = cfg.with_distance(float(d))
-        des = point.desired_pose()
-        d3d = math.dist((rsu.x, rsu.y, rsu.z), (des.x, des.y, des.z))
-        p_rf = prp_rf_closed_form_no_interference(d3d, cfg.rf, theta_r)
-        p_v = prp_vlc_no_interference(point, "clear", theta_v)
+        point = quiet.with_distance(float(d))
+        p_rf = prp_rf_closed_form(point)
+        p_v = int(vlc_snr(point, "clear") >= theta_v)
         print(f"  d = {d:3d} m: PRP_rf = {p_rf:.4f}   PRP_vlc = {p_v}")
 
     print("== clear-weather LA mean rate at the calibration endpoints ==")

@@ -5,16 +5,14 @@ from .engine import (MetricEstimate, SweepRow, SweepSpec, SweepTable,
 from .errors import ConfigError, InvalidArgumentError, UnsupportedModelError
 from .metrics import (MODE_LA, MODE_NON_LA, MODE_PURE_RF, MODE_PURE_VLC,
                       MODES, db_to_linear, minimum_transmission_time,
-                      outage_rate, prp_rf_closed_form,
-                      prp_rf_closed_form_no_interference,
-                      prp_vlc_no_interference, score_modes, simulate_trials,
-                      sinr, vlc_cutoff_distance, vlc_snr)
+                      outage_rate, prp_rf_closed_form, score_modes,
+                      simulate_trials, sinr, vlc_cutoff_distance, vlc_snr)
 from .rf_channel import (FADING_NAKAGAMI, FADING_RAYLEIGH, RfParams,
                          rf_mean_rx_power, rf_noise_power, sample_fading)
 from .scenario import (WEATHER_ATTENUATION_DB_PER_KM, WEATHER_KINDS, Deployment,
                        LaneGeometry, Pose3, ScenarioConfig, attenuation_factor,
                        draw_deployment, validate)
-from .vlc_channel import (VlcParams, lambertian_order, vlc_los_gain,
-                          vlc_noise_power, vlc_rx_electrical_power)
+from .vlc_channel import (VlcParams, lambertian_order, los_gain, vlc_noise_power,
+                          vlc_rx_electrical_power)
 
 __version__ = "0.3.0"

@@ -4,7 +4,8 @@ The format is deliberately trivial: one assignment per line, `#` starts a
 comment, nested radio parameters use dotted keys (`vlc.pd_area`).  Unknown
 keys are hard errors; a silent typo in a physics parameter is the worst
 failure mode a simulator can have.  The keys are the float fields of the
-config dataclasses (scenario.FLOAT_KEYS) and the _SPECIAL_KEYS below.
+config dataclasses (scenario.FLOAT_KEYS) and the _SPECIAL_KEYS below, less
+distance_r: a sweep sets it at each of its distances.
 """
 
 from __future__ import annotations
@@ -58,6 +59,9 @@ def parse_config(text: str) -> tuple[ScenarioConfig, SweepSpec]:
             raise ConfigError(f"line {lineno}: empty key or value in {raw!r}")
         if key not in FLOAT_KEYS and key not in _SPECIAL_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key == "distance_r":
+            raise ConfigError(f"line {lineno}: distance_r is set per sweep point "
+                              "by --distances")
         if key in assignments:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         assignments[key] = value

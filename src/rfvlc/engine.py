@@ -116,6 +116,8 @@ class SweepSpec:
             out.append("sweep.t_th: delay thresholds must be > 0")
         if self.n_trials < 100:
             out.append("sweep.n_trials: must be >= 100")
+        if not 0 <= self.master_seed <= _MASK64:
+            out.append("sweep.master_seed: must be in [0, 2^64)")
         for name, values, known in (("weathers", self.weathers, WEATHER_KINDS),
                                     ("modes", self.modes, MODES)):
             if not values:

@@ -18,14 +18,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidArgumentError, UnsupportedModelError
-from .rf_channel import (FADING_RAYLEIGH, RfParams, db_to_linear,
+from .rf_channel import (FADING_RAYLEIGH, db_to_linear,
                          rf_mean_rx_power, rf_noise_power, sample_fading)
-from .scenario import (EXCLUSION_RADIUS_M, LANE_PERP, LANE_SAME, LANES,
+from .scenario import (EXCLUSION_RADIUS_M, LANE_SAME, LANES,
                        WEATHER_ATTENUATION_DB_PER_KM, Deployment, ScenarioConfig,
-                       attenuation_factor, draw_deployment, lane_poses,
-                       outside_exclusion)
-from .vlc_channel import (los_gain, vlc_los_gain, vlc_noise_power,
-                          vlc_rx_electrical_power)
+                       attenuation_factor, draw_deployment, exclusion_disc,
+                       outside_exclusion, rsu_links)
+from .vlc_channel import vlc_noise_power, vlc_rx_electrical_power
 
 MODE_PURE_VLC = "pure_vlc"
 MODE_PURE_RF = "pure_rf"
@@ -61,11 +60,9 @@ class _Statics(NamedTuple):
 
 
 def _statics(config: ScenarioConfig) -> _Statics:
-    rsu = config.geometry.rsu_pose
-    desired = config.desired_pose()
-    d3d = math.dist((rsu.x, rsu.y, rsu.z), (desired.x, desired.y, desired.z))
+    d3d, gain = map(float, rsu_links(config, LANE_SAME, config.distance_r))
     return _Statics(d3d=d3d,
-                    gain=vlc_los_gain(desired, rsu, config.vlc),
+                    gain=gain,
                     n_vlc=vlc_noise_power(config.vlc),
                     s_rf_mean=rf_mean_rx_power(d3d, config.rf),
                     n_rf=rf_noise_power(config.rf))
@@ -93,26 +90,20 @@ def interference_sums(config: ScenarioConfig, weathers, deployment: Deployment,
     only the optical attenuation differs between the W weather names.
     """
     n = deployment.counts.shape[1]
-    geo = config.geometry
-    rsu = geo.rsu_pose
-    dz = rsu.z - geo.tx_height
     i_vlc = np.zeros((len(weathers), n))
     i_rf = np.zeros(n)
     for lane, part in zip(LANES, deployment.lane_slices()):
         for lo in range(part.start, part.stop, _BLOCK):
             block = slice(lo, min(lo + _BLOCK, part.stop))
             trial = deployment.trial[block]
-            x, y, axis = lane_poses(geo, lane, deployment.coord[block])
-            active = outside_exclusion(config, x, y)
-            dx = rsu.x - x
-            dy = rsu.y - y
-            d = np.sqrt(dx * dx + dy * dy + dz * dz)
+            coord = deployment.coord[block]
+            active = outside_exclusion(config, lane, coord)
+            d, gain = rsu_links(config, lane, coord)
             fade = sample_fading(config.rf, rng, len(trial))
             p_rf = rf_mean_rx_power(d, config.rf) * fade
             i_rf += np.bincount(trial, np.where(active, p_rf, 0.0), minlength=n)
             # an excluded point has zero gain, hence zero power in any weather
-            gain = np.where(active, los_gain(dx, dy, dz, axis, rsu.axis, config.vlc),
-                            0.0)
+            gain = np.where(active, gain, 0.0)
             for row, weather in zip(i_vlc, weathers):
                 wfac = attenuation_factor(WEATHER_ATTENUATION_DB_PER_KM[weather], d)
                 row += np.bincount(trial, vlc_rx_electrical_power(gain, wfac, config.vlc),
@@ -183,19 +174,6 @@ def outage_rate(payload_bytes: float, t_th: float) -> float:
     return 8.0 * payload_bytes / t_th
 
 
-def prp_rf_closed_form_no_interference(distance: float, rf: RfParams,
-                                       theta: float) -> float:
-    """Exact interference-free RF PRP under Rayleigh fading.
-
-    P(mean_power * g >= theta * noise) = exp(-theta * N / P_mean) for an
-    exponential unit-mean power gain; validation oracle for lambda = 0.
-    """
-    if rf.fading != FADING_RAYLEIGH:
-        raise UnsupportedModelError("closed form requires Rayleigh fading")
-    p_mean = rf_mean_rx_power(distance, rf)
-    return math.exp(-theta * rf_noise_power(rf) / p_mean)
-
-
 def _simpson(f, a: float, b: float) -> float:
     x = np.linspace(a, b, 2 * _SIMPSON_PANELS + 1)
     y = f(x)
@@ -217,43 +195,31 @@ def prp_rf_closed_form(config: ScenarioConfig) -> float:
     with P(t) the mean received power from lane position t, integrated
     over each lane minus the points within EXCLUSION_RADIUS_M of the
     desired vehicle (Haenggi, Stochastic Geometry for Wireless Networks,
-    2012, ch. 5).  Integrals by composite Simpson quadrature.
+    2012, ch. 5).  Integrals by composite Simpson quadrature.  At lambda = 0
+    this is the interference-free oracle exp(-theta N / P0).
     """
+    if config.rf.fading != FADING_RAYLEIGH:
+        raise UnsupportedModelError("closed form requires Rayleigh fading")
     st = _statics(config)
     theta = db_to_linear(config.sinr_threshold_rf_db)
-    no_interference = prp_rf_closed_form_no_interference(st.d3d, config.rf, theta)
     s = theta / st.s_rf_mean
-    geo = config.geometry
-    rsu = geo.rsu_pose
-    L = geo.lane_half_length
-    # Each lane's excluded interval: centred on the desired vehicle's
-    # projection onto the lane, half-width from its offset off the lane.
-    near = {LANE_SAME: (config.distance_r, 0.0),
-            LANE_PERP: (geo.lane_y_offset, geo.lane_x_offset - config.distance_r)}
+    L = config.geometry.lane_half_length
     integral = 0.0
     for lane in LANES:
         def load(t, lane=lane):
-            x, y, _ = lane_poses(geo, lane, t)
-            d = np.sqrt((rsu.x - x) ** 2 + (rsu.y - y) ** 2
-                        + (rsu.z - geo.tx_height) ** 2)
-            sp = s * rf_mean_rx_power(d, config.rf)
+            sp = s * rf_mean_rx_power(rsu_links(config, lane, t)[0], config.rf)
             return sp / (1.0 + sp)
 
         integral += _simpson(load, -L, L)
-        centre, offset = near[lane]
+        # the lane's excluded interval, where it cuts the exclusion disc
+        centre, offset = exclusion_disc(config, lane)
         if abs(offset) < EXCLUSION_RADIUS_M:
             half = math.sqrt(EXCLUSION_RADIUS_M ** 2 - offset ** 2)
             lo, hi = max(-L, centre - half), min(L, centre + half)
             if lo < hi:
                 integral -= _simpson(load, lo, hi)
-    return no_interference * math.exp(
+    return math.exp(-theta * st.n_rf / st.s_rf_mean) * math.exp(
         -config.lambda_density * config.rho_access * integral)
-
-
-def prp_vlc_no_interference(config: ScenarioConfig, weather: str,
-                            theta: float) -> int:
-    """Deterministic interference-free VLC PRP: 1 iff SNR >= theta."""
-    return 1 if vlc_snr(config, weather) >= theta else 0
 
 
 def vlc_cutoff_distance(config: ScenarioConfig, weather: str,

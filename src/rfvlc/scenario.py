@@ -116,11 +116,6 @@ class ScenarioConfig:
     sinr_threshold_vlc_db: float = -25.7
     sinr_threshold_rf_db: float = 5.0
 
-    def desired_pose(self) -> Pose3:
-        """Desired vehicle on its lane, headlamp aimed at the intersection."""
-        return Pose3(self.distance_r, self.geometry.lane_y_offset,
-                     self.geometry.tx_height, axis=(-1.0, 0.0, 0.0))
-
     def with_distance(self, distance_r: float) -> "ScenarioConfig":
         return replace(self, distance_r=distance_r)
 
@@ -267,10 +262,37 @@ def lane_poses(geo: LaneGeometry, lane: int, coord):
     return geo.lane_x_offset, coord, (0.0, toward, 0.0)
 
 
-def outside_exclusion(config: ScenarioConfig, x, y):
-    """True for points farther than EXCLUSION_RADIUS_M from the desired vehicle."""
-    return ((x - config.distance_r) ** 2 + (y - config.geometry.lane_y_offset) ** 2
-            > EXCLUSION_RADIUS_M ** 2)
+def rsu_links(config: ScenarioConfig, lane: int, coord):
+    """(d, gain) of the links from vehicles at positions coord along a lane
+    to the RSU: the 3-D distance and the Lambertian LOS gain.
+
+    coord is a scalar or an array; no exclusion is applied.  The desired
+    vehicle is the point distance_r of LANE_SAME.
+    """
+    geo = config.geometry
+    rsu = geo.rsu_pose
+    x, y, axis = lane_poses(geo, lane, coord)
+    dx, dy, dz = rsu.x - x, rsu.y - y, rsu.z - geo.tx_height
+    return (np.sqrt(dx * dx + dy * dy + dz * dz),
+            los_gain(dx, dy, dz, axis, rsu.axis, config.vlc))
+
+
+def exclusion_disc(config: ScenarioConfig, lane: int) -> tuple[float, float]:
+    """(centre, offset) of the exclusion disc as seen from a lane.
+
+    centre is the lane position nearest the desired vehicle, offset the
+    vehicle's distance off the lane (0 on its own lane).
+    """
+    geo = config.geometry
+    if lane == LANE_SAME:
+        return config.distance_r, 0.0
+    return geo.lane_y_offset, geo.lane_x_offset - config.distance_r
+
+
+def outside_exclusion(config: ScenarioConfig, lane: int, coord):
+    """True for lane points farther than EXCLUSION_RADIUS_M from the desired vehicle."""
+    centre, offset = exclusion_disc(config, lane)
+    return (coord - centre) ** 2 + offset ** 2 > EXCLUSION_RADIUS_M ** 2
 
 
 def draw_deployment(config: ScenarioConfig, rng: np.random.Generator,
@@ -296,7 +318,6 @@ def interferer_counts(config: ScenarioConfig, deployment: Deployment) -> np.ndar
     n = deployment.counts.shape[1]
     out = np.empty_like(deployment.counts)
     for lane, part in zip(LANES, deployment.lane_slices()):
-        x, y, _ = lane_poses(config.geometry, lane, deployment.coord[part])
-        active = outside_exclusion(config, x, y)
+        active = outside_exclusion(config, lane, deployment.coord[part])
         out[lane] = np.bincount(deployment.trial[part][active], minlength=n)
     return out

@@ -11,14 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InvalidArgumentError
-
-if TYPE_CHECKING:
-    from .scenario import Pose3
 
 
 @dataclass(frozen=True)
@@ -66,26 +62,16 @@ def concentrator_gain(params: VlcParams) -> float:
     return n * n / sin2 if sin2 > 0.0 else math.inf
 
 
-def vlc_los_gain(tx: "Pose3", rx: "Pose3", params: VlcParams) -> float:
-    """DC channel gain of the LOS path from emitter tx to detector rx.
+def los_gain(dx, dy, dz, tx_axis, rx_axis, params: VlcParams) -> np.ndarray:
+    """DC channel gain of LOS paths from emitters to detectors.
 
     gain = (m+1) A / (2 pi d^2) * cos^m(phi) * T_s * g(psi) * cos(psi)
     with phi the emission angle off the tx boresight and psi the incidence
     angle off the rx normal.  Zero outside the receiver FOV or behind the
-    emitter.
-    """
-    dx, dy, dz = rx.x - tx.x, rx.y - tx.y, rx.z - tx.z
-    if dx == dy == dz == 0.0:
-        raise InvalidArgumentError("tx and rx poses coincide")
-    return float(los_gain(dx, dy, dz, tx.axis, rx.axis, params))
-
-
-def los_gain(dx, dy, dz, tx_axis, rx_axis, params: VlcParams) -> np.ndarray:
-    """vlc_los_gain over arrays of links.
-
-    (dx, dy, dz) are the emitter -> detector offsets, one entry per link;
-    tx_axis and rx_axis are (x, y, z) triples whose components may be
-    scalars or per-link arrays.  Offsets must be nonzero.
+    emitter.  (dx, dy, dz) are the emitter -> detector offsets, scalars or
+    one entry per link; tx_axis and rx_axis are unit (x, y, z) triples
+    whose components may be scalars or per-link arrays.  Offsets must be
+    nonzero.
     """
     d2 = dx * dx + dy * dy + dz * dz
     d = np.sqrt(d2)

@@ -17,10 +17,9 @@ from scipy import stats
 
 from rfvlc import (FADING_RAYLEIGH, MODE_LA, MODE_PURE_RF, MODE_PURE_VLC,
                    RfParams, WEATHER_KINDS, ScenarioConfig, SweepSpec,
-                   db_to_linear, derive_seed, draw_deployment,
-                   prp_rf_closed_form_no_interference,
-                   prp_vlc_no_interference, run_sweep, sample_fading,
-                   simulate_trials, vlc_cutoff_distance)
+                   db_to_linear, derive_seed, draw_deployment, prp_rf_closed_form,
+                   run_sweep, sample_fading, simulate_trials, vlc_cutoff_distance,
+                   vlc_snr)
 from rfvlc.cli import main as cli_main
 from rfvlc.engine import trial_rng
 from rfvlc.scenario import LANE_SAME, interferer_counts
@@ -48,17 +47,13 @@ def test_criterion_01_rf_oracle_equivalence(capsys):
     """lambda=0 Rayleigh Monte Carlo PRP matches the closed form, < 10 s."""
     t0 = time.monotonic()
     cfg = dataclasses.replace(ScenarioConfig(), lambda_density=0.0)
-    theta_r = db_to_linear(cfg.sinr_threshold_rf_db)
     spec = SweepSpec(distances=(50.0, 100.0, 200.0),
                      weathers=CLEAR, modes=(MODE_PURE_RF,), n_trials=100_000,
                      master_seed=101)
     rows = _prp_rows(run_sweep(cfg, spec))
     worst = 0.0
     for row in rows:
-        des = cfg.with_distance(row.distance).desired_pose()
-        rsu = cfg.geometry.rsu_pose
-        d3d = math.dist((rsu.x, rsu.y, rsu.z), (des.x, des.y, des.z))
-        exact = prp_rf_closed_form_no_interference(d3d, cfg.rf, theta_r)
+        exact = prp_rf_closed_form(cfg.with_distance(row.distance))
         z = abs(row.estimate.value - exact) / max(row.estimate.stderr, 1e-9)
         worst = max(worst, z)
     elapsed = time.monotonic() - t0
@@ -80,7 +75,7 @@ def test_criterion_02_vlc_oracle_equivalence(capsys):
     for seed in (1, 2, 3):
         for d in distances:
             point = cfg.with_distance(float(d))
-            oracle = prp_vlc_no_interference(point, clear, theta_v)
+            oracle = vlc_snr(point, clear) >= theta_v
             sinr_vlc, _ = simulate_trials(point, CLEAR,
                                           trial_rng(derive_seed(seed, 0, 0)), 200)
             mc = (sinr_vlc[0] >= theta_v).mean()
@@ -89,8 +84,7 @@ def test_criterion_02_vlc_oracle_equivalence(capsys):
         # the Monte Carlo step sits at d* itself for every seed
         lo = cfg.with_distance(cutoff - 0.05)
         hi = cfg.with_distance(cutoff + 0.05)
-        if not (prp_vlc_no_interference(lo, clear, theta_v) == 1
-                and prp_vlc_no_interference(hi, clear, theta_v) == 0):
+        if not vlc_snr(lo, clear) >= theta_v > vlc_snr(hi, clear):
             mismatches += 1
     ok = mismatches == 0
     _verdict(capsys, 2, ok,

@@ -1,0 +1,51 @@
+"""The benchmark's view of rfvlc: every name it imports exists, and its
+independent PPP oracle agrees with metrics.prp_rf_closed_form."""
+
+import ast
+import dataclasses
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from rfvlc import ScenarioConfig, prp_rf_closed_form
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+def _rfvlc_imports():
+    """(file, module, name) for every `from rfvlc... import name` in benchmarks/."""
+    out = []
+    for path in sorted(BENCHMARKS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[0] == "rfvlc"):
+                out.extend((path.name, node.module, alias.name) for alias in node.names)
+    return out
+
+
+def _load_oracle():
+    spec = importlib.util.spec_from_file_location("benchmark_oracle",
+                                                  BENCHMARKS / "oracle.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_imports_something_from_rfvlc():
+    assert {file for file, _, _ in _rfvlc_imports()} >= {"bench.py", "oracle.py"}
+
+
+@pytest.mark.parametrize("file, module, name", _rfvlc_imports(),
+                         ids=lambda v: str(v))
+def test_benchmark_import_resolves(file, module, name):
+    assert hasattr(importlib.import_module(module), name), f"{file}: {module}.{name}"
+
+
+@pytest.mark.parametrize("distance", [10.0, 25.0, 50.0, 100.0])
+def test_benchmark_oracle_matches_closed_form(distance):
+    # lambda * rho = 1e-2, the dense_interference workload's density
+    config = dataclasses.replace(ScenarioConfig(), rho_access=1.0, distance_r=distance)
+    assert _load_oracle().prp_rf_closed_form(config) == pytest.approx(
+        prp_rf_closed_form(config), rel=1e-9)

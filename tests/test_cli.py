@@ -46,7 +46,7 @@ class TestParseConfig:
         text = """
         # scenario overrides
         lambda_density = 0.02   # denser road
-        distance_r = 150
+        payload_h = 1024
         weather = fog
         rf.tx_power = 0.1
         trials = 5000
@@ -54,7 +54,7 @@ class TestParseConfig:
         """
         config, spec = parse_config(text)
         assert config.lambda_density == 0.02
-        assert config.distance_r == 150.0
+        assert config.payload_h == 1024.0
         assert spec.weathers == ("fog",)
         assert config.rf.tx_power == 0.1
         assert spec.n_trials == 5000
@@ -62,7 +62,7 @@ class TestParseConfig:
 
     def test_unknown_key_reports_line(self):
         with pytest.raises(ConfigError, match="line 2.*lambda_densty"):
-            parse_config("distance_r = 50\nlambda_densty = 0.02\n")
+            parse_config("payload_h = 50\nlambda_densty = 0.02\n")
 
     def test_missing_equals_reports_line(self):
         with pytest.raises(ConfigError, match="line 1"):
@@ -70,11 +70,11 @@ class TestParseConfig:
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
-            parse_config("distance_r = 50\ndistance_r = 60\n")
+            parse_config("payload_h = 50\npayload_h = 60\n")
 
     def test_non_numeric_value(self):
-        with pytest.raises(ConfigError, match="distance_r"):
-            parse_config("distance_r = far\n")
+        with pytest.raises(ConfigError, match="payload_h"):
+            parse_config("payload_h = far\n")
 
     def test_domain_violation_names_field(self):
         with pytest.raises(ConfigError, match="beta_ov"):
@@ -97,7 +97,7 @@ class TestParseConfig:
             parse_config(f"weather = {value}\n")
 
     def test_non_finite_values_rejected(self):
-        for key in ("distance_r", "payload_h", "rf.tx_power", "vlc.pd_area",
+        for key in ("payload_h", "rf.tx_power", "vlc.pd_area",
                     "geometry.tx_height", "geometry.rsu_tilt_deg"):
             with pytest.raises(ConfigError, match="finite"):
                 parse_config(f"{key} = nan\n")
@@ -144,11 +144,22 @@ class TestParseConfig:
             "rf.noise_figure_db", "rf.nakagami_m", "rf.fading",
             "weather", "trials", "seed"}
 
-    @pytest.mark.parametrize("key", sorted(FLOAT_KEYS))
+    @pytest.mark.parametrize("key", sorted(FLOAT_KEYS.keys() - {"distance_r"}))
     def test_each_float_key_sets_its_field(self, key):
         value = _DEFAULTS[key] * 1.01 if _DEFAULTS[key] else 0.5
         config, _ = parse_config(f"{key} = {value!r}\n")
         assert config_floats(config) == {**_DEFAULTS, key: value}
+
+    def test_distance_r_key_is_rejected(self):
+        # every sweep replaces distance_r with its --distances: the key
+        # would change nothing
+        with pytest.raises(ConfigError, match=r"^line 2: distance_r is set per "
+                                              r"sweep point by --distances$"):
+            parse_config("rho_a = 0.5\ndistance_r = 77\n")
+
+    def test_seed_range_ends(self):
+        for seed in (0, 2**64 - 1):
+            assert parse_config(f"seed = {seed}\n")[1].master_seed == seed
 
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
     @given(_DOCUMENT)
@@ -317,7 +328,7 @@ class TestCliDorSweep:
 class TestCliValidate:
     def test_good_config(self, tmp_path, capsys):
         cfg = tmp_path / "good.cfg"
-        cfg.write_text("distance_r = 120\nweather = rain\n")
+        cfg.write_text("payload_h = 1024\nweather = rain\n")
         assert _run(["validate", "--config", str(cfg)]) == 0
         assert capsys.readouterr().out.strip() == "ok"
 
@@ -340,12 +351,40 @@ class TestCliErrors:
         capsys.readouterr()
 
     def test_nan_distance_fails_validate(self, tmp_path, capsys):
-        cfg = tmp_path / "nan.cfg"
-        cfg.write_text("distance_r = nan\n")
-        assert _run(["validate", "--config", str(cfg)]) == 2
+        out = tmp_path / "o"
+        assert _run(["prp-sweep", "--out", str(out), "--distances", "50,nan"] + FAST) == 2
         captured = capsys.readouterr()
         assert "distance_r: must be finite" in captured.err
-        assert captured.out == ""
+        assert "sweep.distances: must be finite" in captured.err
+        assert captured.out == "" and list(out.iterdir()) == []
+
+    def test_overflowing_distance_is_config_error(self, tmp_path, capsys):
+        # the squared distance to the desired vehicle overflows
+        assert _run(["rate-sweep", "--out", str(tmp_path / "o"),
+                     "--distances", "1e200"] + FAST) == 2
+        assert "squared distances" in capsys.readouterr().err
+
+    def test_distance_r_key_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "d.cfg"
+        cfg.write_text("distance_r = 77\n")
+        out = tmp_path / "o"
+        assert _run(["prp-sweep", "--config", str(cfg), "--out", str(out),
+                     "--distances", "50"] + FAST) == 2
+        assert ("configuration error: line 1: distance_r is set per sweep point "
+                "by --distances") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_outside_64_bits_is_config_error(self, tmp_path, capsys, seed):
+        # derive_seed masks to 64 bits: -1 would alias 2^64 - 1, and 2^64 alias 0
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(f"seed = {seed}\n")
+        for args in (["--config", str(cfg)], [f"--seed={seed}"]):
+            out = tmp_path / "o"
+            assert _run(["prp-sweep", "--out", str(out), "--distances", "50",
+                         "--trials", "200"] + args) == 2
+            assert "sweep.master_seed: must be in [0, 2^64)" in capsys.readouterr().err
+            assert not out.exists() or list(out.iterdir()) == []
 
     def test_infinite_density_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "inf.cfg"
@@ -452,7 +491,7 @@ class TestCliErrors:
         "rf.noise_figure_db = 5000",
         "rf.reference_distance = 1e200",         # (d / d0)^-alpha overflows
         "geometry.lane_x_offset = 1e200",        # squared distances overflow
-        "distance_r = 1e200",
+        "distance_r = 1e200",                    # not a file key at all
         "rf.bandwidth = 1e200\nrf.noise_psd = 1e-320",   # rate^2 overflows
         "vlc.bandwidth = 1e200\nvlc.noise_psd = 1e-320",
     ])

@@ -8,8 +8,7 @@ import pytest
 
 from rfvlc import (ConfigError, InvalidArgumentError, MODE_LA, MODE_PURE_RF,
                    MODE_PURE_VLC, WEATHER_KINDS, ScenarioConfig, SweepSpec,
-                   confidence_interval, db_to_linear, derive_seed,
-                   prp_rf_closed_form_no_interference, run_sweep)
+                   confidence_interval, derive_seed, prp_rf_closed_form, run_sweep)
 from rfvlc import engine
 from rfvlc.engine import _CHUNK, trial_rng
 from rfvlc.metrics import outage_rate, score_modes, simulate_trials
@@ -282,11 +281,7 @@ class TestRunSweep:
         cfg = dataclasses.replace(ScenarioConfig(), lambda_density=0.0)
         spec = _spec(distances=(100.0,), modes=(MODE_PURE_RF,), n_trials=20_000)
         row = [r for r in run_sweep(cfg, spec).rows if r.metric == "prp"][0]
-        des = cfg.with_distance(100.0).desired_pose()
-        rsu = cfg.geometry.rsu_pose
-        d3d = math.dist((rsu.x, rsu.y, rsu.z), (des.x, des.y, des.z))
-        exact = prp_rf_closed_form_no_interference(
-            d3d, cfg.rf, db_to_linear(cfg.sinr_threshold_rf_db))
+        exact = prp_rf_closed_form(cfg.with_distance(100.0))
         assert abs(row.estimate.value - exact) < 3.5 * max(row.estimate.stderr, 1e-4)
 
     def test_la_prp_dominates_pure_modes(self):

@@ -8,8 +8,7 @@ import pytest
 
 from rfvlc import (FADING_NAKAGAMI, FADING_RAYLEIGH, Pose3, ScenarioConfig,
                    WEATHER_ATTENUATION_DB_PER_KM, WEATHER_KINDS, attenuation_factor,
-                   rf_mean_rx_power,
-                   rf_noise_power, sample_fading, sinr, vlc_los_gain,
+                   los_gain, rf_mean_rx_power, rf_noise_power, sample_fading, sinr,
                    vlc_noise_power, vlc_rx_electrical_power)
 from rfvlc import metrics
 from rfvlc.engine import trial_rng
@@ -31,11 +30,31 @@ def _dense(fading):
     return dataclasses.replace(DENSE, rf=rf)
 
 
+# Both lanes off the axes through the RSU: the desired vehicle, and the
+# exclusion disc around it, sit off the x-axis.
+OFF_AXIS = dataclasses.replace(DENSE, geometry=dataclasses.replace(
+    DENSE.geometry, lane_x_offset=3.5, lane_y_offset=-2.0))
+
+
+def _desired_vehicle(config):
+    """The desired vehicle on its lane, headlamp aimed at the intersection."""
+    geo = config.geometry
+    return Pose3(config.distance_r, geo.lane_y_offset, geo.tx_height,
+                 axis=(-1.0, 0.0, 0.0))
+
+
+def _link(tx, rx, config):
+    """(distance, Lambertian gain) of the LOS link from pose tx to pose rx."""
+    dx, dy, dz = rx.x - tx.x, rx.y - tx.y, rx.z - tx.z
+    return (math.dist((rx.x, rx.y, rx.z), (tx.x, tx.y, tx.z)),
+            float(los_gain(dx, dy, dz, tx.axis, rx.axis, config.vlc)))
+
+
 def _lane_poses(config, deployment):
     """Poses of the drawn lane points in storage order, and whether each is
     an interferer (outside the exclusion radius), from the lane layout."""
     geo = config.geometry
-    desired = config.desired_pose()
+    desired = _desired_vehicle(config)
     n_same = int(deployment.counts[0].sum())
     poses, active = [], []
     for k, c in enumerate(deployment.coord):
@@ -71,16 +90,13 @@ def _scalar_reference(config, weather, seed, n):
     for pose, keep, t, fade in zip(poses, active, deployment.trial, fades):
         if not keep:
             continue
-        d_k = math.dist((rsu.x, rsu.y, rsu.z), (pose.x, pose.y, pose.z))
+        d_k, g_k = _link(pose, rsu, config)
         i_rf[t] += rf_mean_rx_power(d_k, config.rf) * fade
-        g_k = vlc_los_gain(pose, rsu, config.vlc)
         i_vlc[t] += vlc_rx_electrical_power(g_k, attenuation_factor(coeff, d_k),
                                             config.vlc)
 
-    desired = config.desired_pose()
-    d0 = math.dist((rsu.x, rsu.y, rsu.z), (desired.x, desired.y, desired.z))
-    s_vlc = vlc_rx_electrical_power(vlc_los_gain(desired, rsu, config.vlc),
-                                    attenuation_factor(coeff, d0), config.vlc)
+    d0, g0 = _link(_desired_vehicle(config), rsu, config)
+    s_vlc = vlc_rx_electrical_power(g0, attenuation_factor(coeff, d0), config.vlc)
     s_rf = rf_mean_rx_power(d0, config.rf)
     sinr_vlc = [sinr(s_vlc, i, vlc_noise_power(config.vlc)) for i in i_vlc]
     sinr_rf = [sinr(s_rf * g, i, rf_noise_power(config.rf))
@@ -109,9 +125,11 @@ def _assert_matches_scalar(config):
     return deployment, excluded, i_vlc
 
 
-@pytest.mark.parametrize("fading", [FADING_RAYLEIGH, FADING_NAKAGAMI])
-def test_kernel_matches_scalar_channel_loop(fading):
-    deployment, excluded, i_vlc = _assert_matches_scalar(_dense(fading))
+@pytest.mark.parametrize("config", [_dense(FADING_RAYLEIGH), _dense(FADING_NAKAGAMI),
+                                    OFF_AXIS],
+                         ids=[FADING_RAYLEIGH, FADING_NAKAGAMI, "off_axis"])
+def test_kernel_matches_scalar_channel_loop(config):
+    deployment, excluded, i_vlc = _assert_matches_scalar(config)
     # the fixture really is dense, on both lanes, with visible interferers
     # and with points inside the exclusion radius
     assert deployment.counts[0].mean() > 5 and deployment.counts[1].mean() > 5
@@ -148,9 +166,9 @@ def test_lane_poses_match_the_reference_deployment():
     poses, active = _lane_poses(DENSE, deployment)
     assert 0 < active.count(True) < len(active)
     for lane, part in zip(LANES, deployment.lane_slices()):
-        x, y, axis = lane_poses(DENSE.geometry, lane, deployment.coord[part])
-        got = np.broadcast_arrays(x, y, *axis[:2],
-                                  outside_exclusion(DENSE, x, y))
+        coord = deployment.coord[part]
+        x, y, axis = lane_poses(DENSE.geometry, lane, coord)
+        got = np.broadcast_arrays(x, y, *axis[:2], outside_exclusion(DENSE, lane, coord))
         assert [tuple(row) for row in np.transpose(got).tolist()] == [
             (p.x, p.y, p.axis[0], p.axis[1], keep)
             for p, keep in zip(poses[part], active[part])]

@@ -12,14 +12,13 @@ from rfvlc import (InvalidArgumentError, MODE_LA, MODE_NON_LA, MODE_PURE_RF,
                    UnsupportedModelError, WEATHER_ATTENUATION_DB_PER_KM, WEATHER_KINDS,
                    attenuation_factor,
                    db_to_linear, draw_deployment, minimum_transmission_time,
-                   outage_rate, prp_rf_closed_form,
-                   prp_rf_closed_form_no_interference, prp_vlc_no_interference,
-                   rf_mean_rx_power, rf_noise_power, run_sweep, score_modes,
-                   simulate_trials, sinr, vlc_cutoff_distance, vlc_noise_power,
-                   vlc_rx_electrical_power, vlc_snr)
+                   outage_rate, prp_rf_closed_form, rf_mean_rx_power,
+                   rf_noise_power, run_sweep, score_modes, simulate_trials, sinr,
+                   vlc_cutoff_distance, vlc_noise_power, vlc_rx_electrical_power,
+                   vlc_snr)
 from rfvlc.estimate import proportion_estimate
-from rfvlc.scenario import LANES, interferer_counts, lane_poses, outside_exclusion
-from rfvlc.vlc_channel import los_gain
+from rfvlc.scenario import (LANE_SAME, LANES, interferer_counts, outside_exclusion,
+                            rsu_links)
 
 NO_INTERFERENCE = dataclasses.replace(ScenarioConfig(), lambda_density=0.0)
 # Both decode thresholds at 0 dB: a link decodes iff its SINR >= 1.
@@ -29,6 +28,18 @@ VLC, RF, LA, NON_LA = (MODES.index(m) for m in
                        (MODE_PURE_VLC, MODE_PURE_RF, MODE_LA, MODE_NON_LA))
 CLEAR = "clear"
 ALL_WEATHERS = WEATHER_KINDS
+
+
+def _desired_distance(config):
+    # the desired vehicle is lane point distance_r of the same lane
+    return float(rsu_links(config, LANE_SAME, config.distance_r)[0])
+
+
+def _rf_prp_without_interference(config):
+    # exp(-theta N / P0): the desired link's Rayleigh fade alone
+    theta = db_to_linear(config.sinr_threshold_rf_db)
+    p0 = rf_mean_rx_power(_desired_distance(config), config.rf)
+    return math.exp(-theta * rf_noise_power(config.rf) / p0)
 
 
 def _trials(config, seed, n, weather=CLEAR):
@@ -65,18 +76,14 @@ class TestRunTrial:
         sinr_vlc, _ = _trials(NO_INTERFERENCE, 31, 500)
         values = set(sinr_vlc.tolist())
         assert len(values) == 1
-        assert values.pop() == pytest.approx(vlc_snr(NO_INTERFERENCE, CLEAR),
-                                             rel=1e-12)
+        assert values.pop() == vlc_snr(NO_INTERFERENCE, CLEAR)
         deployment = draw_deployment(NO_INTERFERENCE, np.random.default_rng(31), 500)
         assert not interferer_counts(NO_INTERFERENCE, deployment).any()
 
     def test_rf_sinr_is_scaled_exponential_without_interferers(self):
         # sinr_rf = (P_mean / N) * g with g ~ exp(1)
         cfg = NO_INTERFERENCE
-        rsu = cfg.geometry.rsu_pose
-        des = cfg.desired_pose()
-        d3d = math.dist((rsu.x, rsu.y, rsu.z), (des.x, des.y, des.z))
-        scale = rf_mean_rx_power(d3d, cfg.rf) / rf_noise_power(cfg.rf)
+        scale = rf_mean_rx_power(_desired_distance(cfg), cfg.rf) / rf_noise_power(cfg.rf)
         draws = _trials(cfg, 32, 20_000)[1] / scale
         _, pvalue = stats.kstest(draws, "expon")
         assert pvalue > 0.01
@@ -84,10 +91,7 @@ class TestRunTrial:
     def test_weather_scales_vlc_by_square_of_field_loss(self):
         cfg = NO_INTERFERENCE
         snow = "dry_snow"
-        rsu = cfg.geometry.rsu_pose
-        des = cfg.desired_pose()
-        d3d = math.dist((rsu.x, rsu.y, rsu.z), (des.x, des.y, des.z))
-        field = 10.0 ** (-131.0 * (d3d / 1000.0) / 10.0)
+        field = 10.0 ** (-131.0 * (_desired_distance(cfg) / 1000.0) / 10.0)
         assert vlc_snr(cfg, snow) / vlc_snr(cfg, CLEAR) == pytest.approx(
             field * field, rel=1e-9)
 
@@ -259,18 +263,13 @@ def prp_vlc_bracket(config, weather):
     M / n, so PRP >= 1 - sum_n Pois(n; mu) [1 - (1 - q(M / n))^n] = lo.
     q is read from the sorted powers of a uniform grid over both lanes.
     """
-    geo = config.geometry
-    rsu = geo.rsu_pose
-    L = geo.lane_half_length
+    L = config.geometry.lane_half_length
     coord = -L + (np.arange(_BRACKET_GRID) + 0.5) * (2.0 * L / _BRACKET_GRID)
     powers = []
     for lane in LANES:
-        x, y, axis = lane_poses(geo, lane, coord)
-        dx, dy, dz = rsu.x - x, rsu.y - y, rsu.z - geo.tx_height
-        gain = np.where(outside_exclusion(config, x, y),
-                        los_gain(dx, dy, dz, axis, rsu.axis, config.vlc), 0.0)
-        wfac = attenuation_factor(WEATHER_ATTENUATION_DB_PER_KM[weather],
-                                  np.sqrt(dx * dx + dy * dy + dz * dz))
+        d, gain = rsu_links(config, lane, coord)
+        gain = np.where(outside_exclusion(config, lane, coord), gain, 0.0)
+        wfac = attenuation_factor(WEATHER_ATTENUATION_DB_PER_KM[weather], d)
         powers.append(vlc_rx_electrical_power(gain, wfac, config.vlc))
     powers = np.sort(np.concatenate(powers))
 
@@ -288,39 +287,27 @@ def prp_vlc_bracket(config, weather):
 
 class TestClosedFormOracles:
     def test_rf_oracle_median_point(self):
-        # exp(-x) = 0.5 when theta * N / P_mean = ln 2
-        cfg = ScenarioConfig()
-        n = rf_noise_power(cfg.rf)
-        # pick the distance where P_mean = theta * N / ln2, alpha = 2
-        theta = 2.0
+        # exp(-x) = 0.5 when theta * N / P_mean = ln 2: with alpha = 2 and
+        # theta = 2, at the 3-D distance d below, the lane point r
+        cfg = dataclasses.replace(NO_INTERFERENCE,
+                                  sinr_threshold_rf_db=10.0 * math.log10(2.0))
+        theta = db_to_linear(cfg.sinr_threshold_rf_db)
         p_ref = rf_mean_rx_power(1.0, cfg.rf)
-        d = math.sqrt(p_ref * math.log(2.0) / (theta * n))
-        assert prp_rf_closed_form_no_interference(d, cfg.rf, theta) == \
-            pytest.approx(0.5, rel=1e-9)
-
-    def test_rf_oracle_requires_rayleigh(self):
-        naka = dataclasses.replace(ScenarioConfig().rf, fading="nakagami")
-        with pytest.raises(UnsupportedModelError):
-            prp_rf_closed_form_no_interference(100.0, naka, 1.0)
+        d = math.sqrt(p_ref * math.log(2.0) / (theta * rf_noise_power(cfg.rf)))
+        dz = cfg.geometry.rsu_height - cfg.geometry.tx_height
+        cfg = cfg.with_distance(math.sqrt(d * d - dz * dz))
+        assert prp_rf_closed_form(cfg) == pytest.approx(0.5, rel=1e-9)
 
     def test_rf_oracle_matches_monte_carlo(self):
         cfg = NO_INTERFERENCE.with_distance(100.0)
-        theta_r = db_to_linear(cfg.sinr_threshold_rf_db)
         ok, _ = score_modes(*_trials(cfg, 38, 50_000), cfg)
         est = proportion_estimate(int(ok[RF].sum()), 50_000)
-        rsu = cfg.geometry.rsu_pose
-        des = cfg.desired_pose()
-        d3d = math.dist((rsu.x, rsu.y, rsu.z), (des.x, des.y, des.z))
-        exact = prp_rf_closed_form_no_interference(d3d, cfg.rf, theta_r)
+        exact = prp_rf_closed_form(cfg)
         assert abs(est.value - exact) < 3 * max(est.stderr, 1e-4)
 
     def test_interference_oracle_without_interferers(self):
         cfg = NO_INTERFERENCE.with_distance(100.0)
-        rsu = cfg.geometry.rsu_pose
-        des = cfg.desired_pose()
-        d3d = math.dist((rsu.x, rsu.y, rsu.z), (des.x, des.y, des.z))
-        assert prp_rf_closed_form(cfg) == prp_rf_closed_form_no_interference(
-            d3d, cfg.rf, db_to_linear(cfg.sinr_threshold_rf_db))
+        assert prp_rf_closed_form(cfg) == _rf_prp_without_interference(cfg)
 
     def test_interference_oracle_requires_rayleigh(self):
         naka = dataclasses.replace(ScenarioConfig().rf, fading="nakagami")
@@ -336,10 +323,9 @@ class TestClosedFormOracles:
                                   distance_r=distance)
         geo = cfg.geometry
         rsu = geo.rsu_pose
-        des = cfg.desired_pose()
-        d0 = math.dist((rsu.x, rsu.y, rsu.z), (des.x, des.y, des.z))
         theta = db_to_linear(cfg.sinr_threshold_rf_db)
-        a = theta / rf_mean_rx_power(d0, cfg.rf) * rf_mean_rx_power(1.0, cfg.rf)
+        a = theta / rf_mean_rx_power(_desired_distance(cfg), cfg.rf) * \
+            rf_mean_rx_power(1.0, cfg.rf)
         dz2 = (rsu.z - geo.tx_height) ** 2
         L = geo.lane_half_length
 
@@ -354,7 +340,7 @@ class TestClosedFormOracles:
         if r < 1.0:
             half = math.sqrt(1.0 - r * r)
             perp -= integral(rsu.y, rsu.x ** 2 + dz2, -half, half)
-        exact = prp_rf_closed_form_no_interference(d0, cfg.rf, theta) * math.exp(
+        exact = _rf_prp_without_interference(cfg) * math.exp(
             -cfg.lambda_density * cfg.rho_access * (same + perp))
         assert prp_rf_closed_form(cfg) == pytest.approx(exact, rel=1e-9)
 
@@ -403,10 +389,8 @@ class TestClosedFormOracles:
         cfg = NO_INTERFERENCE
         theta_v = db_to_linear(cfg.sinr_threshold_vlc_db)
         cutoff = vlc_cutoff_distance(cfg, CLEAR, theta_v)
-        assert prp_vlc_no_interference(cfg.with_distance(cutoff - 1.0), CLEAR,
-                                       theta_v) == 1
-        assert prp_vlc_no_interference(cfg.with_distance(cutoff + 1.0), CLEAR,
-                                       theta_v) == 0
+        assert vlc_snr(cfg.with_distance(cutoff - 1.0), CLEAR) >= theta_v
+        assert vlc_snr(cfg.with_distance(cutoff + 1.0), CLEAR) < theta_v
 
     def test_vlc_cutoff_bisection_consistency(self):
         cfg = NO_INTERFERENCE
@@ -427,4 +411,4 @@ class TestClosedFormOracles:
             point = cfg.with_distance(d)
             ok, _ = score_modes(*_trials(point, 39, 200), point)
             est = proportion_estimate(int(ok[VLC].sum()), 200)
-            assert est.value == prp_vlc_no_interference(point, CLEAR, theta_v)
+            assert est.value == (vlc_snr(point, CLEAR) >= theta_v)

@@ -122,9 +122,10 @@ def _interferers(config, seed, n_draws):
     """(lane, x, y, axis) of the interferers of n_draws trials, lane by lane."""
     deployment = draw_deployment(config, np.random.default_rng(seed), n_draws)
     for lane, part in zip(LANES, deployment.lane_slices()):
-        x, y, axis = lane_poses(config.geometry, lane, deployment.coord[part])
+        coord = deployment.coord[part]
+        x, y, axis = lane_poses(config.geometry, lane, coord)
         x, y, ax, ay, active = np.broadcast_arrays(
-            x, y, *axis[:2], outside_exclusion(config, x, y))
+            x, y, *axis[:2], outside_exclusion(config, lane, coord))
         yield lane, x[active], y[active], (ax[active], ay[active])
 
 
@@ -195,9 +196,8 @@ class TestSampleInterferers:
     def test_exclusion_radius(self):
         cfg = dataclasses.replace(ScenarioConfig(), lambda_density=1.0,
                                   rho_access=1.0, distance_r=100.0)
-        desired = cfg.desired_pose()
         for _, x, y, _ in _interferers(cfg, 4, 20):
-            d = np.hypot(x - desired.x, y - desired.y)
+            d = np.hypot(x - cfg.distance_r, y - cfg.geometry.lane_y_offset)
             assert (d > EXCLUSION_RADIUS_M).all()
         # the radius really removes drawn points
         deployment = draw_deployment(cfg, np.random.default_rng(4), 20)

@@ -6,20 +6,20 @@ import math
 import numpy as np
 import pytest
 
-from rfvlc import (InvalidArgumentError, Pose3, VlcParams, lambertian_order,
-                   vlc_los_gain, vlc_noise_power, vlc_rx_electrical_power)
+from rfvlc import (InvalidArgumentError, VlcParams, lambertian_order, los_gain,
+                   vlc_noise_power, vlc_rx_electrical_power)
 from rfvlc.vlc_channel import concentrator_gain
 
 # m=1 emitter, unity concentrator (fov 90 deg, n=1), unity filter
 _SIMPLE = VlcParams(semi_angle_half_power=60.0, pd_area=1e-4, fov=90.0,
                     optical_filter_gain=1.0, concentrator_refractive_index=1.0,
                     optical_tx_power=1.0, responsivity=0.5)
+UP, DOWN = (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)
 
 
-def _aligned(distance):
-    tx = Pose3(0.0, 0.0, 0.0, axis=(0.0, 0.0, 1.0))
-    rx = Pose3(0.0, 0.0, distance, axis=(0.0, 0.0, -1.0))
-    return tx, rx
+def _aligned(distance, params=_SIMPLE):
+    # emitter aimed straight up at a detector facing straight down
+    return los_gain(0.0, 0.0, distance, UP, DOWN, params)
 
 
 class TestLambertianOrder:
@@ -62,58 +62,40 @@ class TestConcentratorGain:
 class TestLosGain:
     def test_aligned_gain_at_10m(self):
         # (m+1) A / (2 pi d^2) = 2e-4 / (200 pi) with everything else unity
-        tx, rx = _aligned(10.0)
         expected = 1e-4 / (100.0 * math.pi)
-        assert vlc_los_gain(tx, rx, _SIMPLE) == pytest.approx(expected, rel=1e-12)
-        assert vlc_los_gain(tx, rx, _SIMPLE) == pytest.approx(3.1831e-7, rel=1e-4)
+        assert _aligned(10.0) == pytest.approx(expected, rel=1e-12)
+        assert _aligned(10.0) == pytest.approx(3.1831e-7, rel=1e-4)
 
     def test_inverse_square_law(self):
-        g10 = vlc_los_gain(*_aligned(10.0), _SIMPLE)
-        g20 = vlc_los_gain(*_aligned(20.0), _SIMPLE)
-        assert g10 / g20 == pytest.approx(4.0, rel=1e-12)
+        assert _aligned(10.0) / _aligned(20.0) == pytest.approx(4.0, rel=1e-12)
         rng = np.random.default_rng(11)
-        for _ in range(50):
-            d, k = rng.uniform(1.0, 200.0), rng.uniform(1.1, 5.0)
-            ratio = vlc_los_gain(*_aligned(d), _SIMPLE) / vlc_los_gain(*_aligned(k * d), _SIMPLE)
-            assert ratio == pytest.approx(k * k, rel=1e-9)
+        d, k = rng.uniform(1.0, 200.0, 50), rng.uniform(1.1, 5.0, 50)
+        np.testing.assert_allclose(_aligned(d) / _aligned(k * d), k * k, rtol=1e-9)
 
     def test_concentrator_gain(self):
         # n=1.5, fov=60: g = n^2 / sin^2(60 deg) = 3
         params = dataclasses.replace(_SIMPLE, fov=60.0,
                                      concentrator_refractive_index=1.5)
-        g = vlc_los_gain(*_aligned(10.0), params)
         expected = 3.0 * 1e-4 / (100.0 * math.pi)
-        assert g == pytest.approx(expected, rel=1e-12)
+        assert _aligned(10.0, params) == pytest.approx(expected, rel=1e-12)
 
     def test_emission_angle_rolloff(self):
         # m=2 emitter aimed straight up, receiver offset 45 deg off boresight:
         # cos^2(phi) = 1/2 and cos(psi) = cos 45 relative to the aligned case
         params = dataclasses.replace(_SIMPLE, semi_angle_half_power=45.0)
-        tx = Pose3(0.0, 0.0, 0.0, axis=(0.0, 0.0, 1.0))
         d = 10.0
         c = d / math.sqrt(2.0)
-        rx = Pose3(c, 0.0, c, axis=(0.0, 0.0, -1.0))
-        g_aligned = vlc_los_gain(*_aligned(d), params)
-        g_offset = vlc_los_gain(tx, rx, params)
-        assert g_offset == pytest.approx(g_aligned * 0.5 * math.cos(math.pi / 4),
-                                         rel=1e-12)
+        expected = _aligned(d, params) * 0.5 * math.cos(math.pi / 4)
+        assert los_gain(c, 0.0, c, UP, DOWN, params) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_outside_fov(self):
         params = dataclasses.replace(_SIMPLE, fov=30.0)
-        tx = Pose3(0.0, 0.0, 0.0, axis=(0.0, 0.0, 1.0))
         c = 10.0 / math.sqrt(2.0)
-        rx = Pose3(c, 0.0, c, axis=(0.0, 0.0, -1.0))  # incidence 45 > 30 deg
-        assert vlc_los_gain(tx, rx, params) == 0.0
+        assert los_gain(c, 0.0, c, UP, DOWN, params) == 0.0  # incidence 45 > 30 deg
 
     def test_zero_behind_emitter(self):
-        tx = Pose3(0.0, 0.0, 5.0, axis=(0.0, 0.0, 1.0))
-        rx = Pose3(0.0, 0.0, 0.0, axis=(0.0, 0.0, 1.0))
-        assert vlc_los_gain(tx, rx, _SIMPLE) == 0.0
-
-    def test_coincident_poses_rejected(self):
-        tx = Pose3(0.0, 0.0, 1.0, axis=(0.0, 0.0, 1.0))
-        with pytest.raises(InvalidArgumentError):
-            vlc_los_gain(tx, tx, _SIMPLE)
+        # detector 5 m below an emitter aimed up
+        assert los_gain(0.0, 0.0, -5.0, UP, UP, _SIMPLE) == 0.0
 
 
 class TestElectricalPower:
