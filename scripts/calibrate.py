@@ -49,11 +49,10 @@ def main():
     spec = SweepSpec(distances=(50.0, 250.0),
                      weathers=("clear",),
                      modes=(MODE_LA,), n_trials=args.trials, master_seed=1)
-    for row in run_sweep(cfg, spec).rows:
-        if row.metric == "rate_mbps":
-            print(f"  R = {row.distance:5.0f} m: "
-                  f"{row.estimate.value:6.1f} Mbps "
-                  f"(+- {row.estimate.stderr:.2f})")
+    for row in run_sweep(cfg, spec, "rate_mbps").rows:
+        print(f"  R = {row.distance:5.0f} m: "
+              f"{row.estimate.value:6.1f} Mbps "
+              f"(+- {row.estimate.stderr:.2f})")
     print("  targets: 83.2 Mbps +- 25% at 50 m, 39.8 Mbps +- 25% at 250 m,")
     print("           PRP crossover inside [100, 140] m")
 

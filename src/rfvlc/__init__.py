@@ -4,8 +4,8 @@ from .engine import (MetricEstimate, SweepRow, SweepSpec, SweepTable,
                      confidence_interval, derive_seed, run_sweep)
 from .errors import ConfigError, InvalidArgumentError, UnsupportedModelError
 from .metrics import (MODE_LA, MODE_NON_LA, MODE_PURE_RF, MODE_PURE_VLC,
-                      MODES, db_to_linear, minimum_transmission_time,
-                      outage_rate, prp_rf_closed_form, score_modes,
+                      MODES, db_to_linear, minimum_transmission_time, mode_rates,
+                      mode_success, outage_rate, prp_rf_closed_form,
                       simulate_trials, sinr, vlc_cutoff_distance, vlc_snr)
 from .rf_channel import (FADING_NAKAGAMI, FADING_RAYLEIGH, RfParams,
                          rf_mean_rx_power, rf_noise_power, sample_fading)

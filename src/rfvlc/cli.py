@@ -111,8 +111,6 @@ def _sweep_csv(table: SweepTable, metric: str) -> str:
     header = "t_th_ms," if metric == "dor" else ""
     lines = [f"{header}distance_m,weather,mode,{metric},stderr,ci95_low,ci95_high,n_trials"]
     for row in table.rows:
-        if row.metric != metric:
-            continue
         lead = [] if row.t_th is None else [_fmt(row.t_th * 1000.0)]
         est = row.estimate
         lines.append(",".join(lead + [
@@ -129,8 +127,6 @@ def _gnuplot_files(out: _OutputSet, table: SweepTable, metric: str, stem: str):
     """
     curves: dict[str, list[str]] = {}
     for row in table.rows:
-        if row.metric != metric:
-            continue
         if row.t_th is None:
             name, x = f"{stem}_{row.weather}_{row.mode}", row.distance
         else:
@@ -148,12 +144,9 @@ def _sweep(args, metric: str, stem: str, default_modes=None) -> int:
         spec = replace(spec, modes=default_modes)
     spec = replace(spec, distances=parse_list(args.distances))
     if metric == "dor":
-        t_th = tuple(t / 1000.0 for t in parse_list(args.t_th_ms))
-        if not t_th:
-            raise ConfigError("sweep.t_th: must be nonempty")
-        spec = replace(spec, t_th=t_th)
+        spec = replace(spec, t_th=tuple(t / 1000.0 for t in parse_list(args.t_th_ms)))
     with _OutputSet(args.out) as out:
-        table = run_sweep(config, spec, n_workers=args.workers)
+        table = run_sweep(config, spec, metric, n_workers=args.workers)
         out.write_text(f"{stem}_sweep.csv", _sweep_csv(table, metric))
         if args.gnuplot:
             _gnuplot_files(out, table, metric, stem)

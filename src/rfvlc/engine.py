@@ -6,9 +6,9 @@ Trials are simulated in chunks of _CHUNK on a fixed grid, and every
 as easy as 1, 2, 3", SC'11).  Results are therefore a pure function of
 (config, spec): reruns and runs with different worker counts produce
 bit-identical tables.  Each chunk is one array pass (simulate_trials)
-scored for every weather, mode and delay threshold, and the chunk
-partials are reduced in chunk order, which keeps floating-point
-summation order independent of the worker count.
+scored, for every weather and mode, for the one metric the sweep writes,
+and the chunk partials are reduced in chunk order, which keeps
+floating-point summation order independent of the worker count.
 """
 
 from __future__ import annotations
@@ -22,13 +22,15 @@ import numpy as np
 
 from .errors import ConfigError
 from .estimate import MetricEstimate, confidence_interval, mean_estimate, proportion_estimate
-from .metrics import MODES, outage_rate, score_modes, simulate_trials
+from .metrics import MODES, mode_rates, mode_success, outage_rate, simulate_trials
 from .scenario import WEATHER_KINDS, ScenarioConfig, validate
 
 __all__ = [
     "SweepSpec", "SweepRow", "SweepTable", "MetricEstimate",
     "derive_seed", "run_sweep", "confidence_interval", "trial_rng",
 ]
+
+_METRICS = ("prp", "rate_mbps", "dor")
 
 _CHUNK = 4096  # trials per chunk and random stream; fixed so the worker
                # count cannot change the streams or the summation order
@@ -91,9 +93,9 @@ class SweepSpec:
     """One sweep: distances x weathers, scored per mode and delay threshold.
 
     Each distance is simulated once for all weathers.  The trials of a
-    (distance, weather) point give the PRP and rate of every mode, and the
-    DOR of every delay threshold in t_th (seconds; empty for a sweep
-    without DOR rows).
+    (distance, weather) point give the PRP, the rate or, for every delay
+    threshold in t_th (seconds; empty unless the sweep scores DOR), the
+    DOR of every mode.
     """
 
     distances: tuple[float, ...]
@@ -146,40 +148,48 @@ class SweepTable:
 
 def _chunk_stats(config: ScenarioConfig, master_seed: int, point_index: int,
                  start: int, end: int, weathers: tuple[str, ...],
-                 t_th: tuple[float, ...]):
-    """Simulate one chunk of trials, start a multiple of _CHUNK.
-
-    Returns, per weather, the per-mode success counts, rate sums (Mbps)
-    and rate sums of squares, in MODES order ([W, 4] each), and
-    late[weather, mode, k]: the trials whose rate falls below
-    outage_rate(H, t_th[k]).
+                 t_th: tuple[float, ...], metric: str):
+    """Simulate one chunk of trials, start a multiple of _CHUNK, and return
+    the statistics of metric alone, per weather and mode in MODES order:
+    the success counts, [W, 4] (prp); the rate sum and sum of squares in
+    Mbps, [W, 4] each (rate_mbps); or late[weather, mode, k], the trials
+    whose rate falls below outage_rate(H, t_th[k]) (dor).
     """
     rng = trial_rng(derive_seed(master_seed, point_index, start // _CHUNK))
-    ok, rate = score_modes(*simulate_trials(config, weathers, rng, end - start), config)
-    mbps = rate / 1e6
+    sinrs = simulate_trials(config, weathers, rng, end - start)
+    if metric == "prp":
+        return (mode_success(*sinrs, config).sum(axis=-1),)
+    rate = mode_rates(*sinrs, config)
+    if metric == "rate_mbps":
+        mbps = rate / 1e6
+        return mbps.sum(axis=-1), (mbps * mbps).sum(axis=-1)
     cutoffs = np.array([outage_rate(config.payload_h, t) for t in t_th])
-    late = (rate[..., None, :] < cutoffs[:, None]).sum(axis=-1)
-    return ok.sum(axis=-1), mbps.sum(axis=-1), (mbps * mbps).sum(axis=-1), late
+    return ((rate[..., None, :] < cutoffs[:, None]).sum(axis=-1),)
 
 
-def run_sweep(config: ScenarioConfig, spec: SweepSpec,
+def run_sweep(config: ScenarioConfig, spec: SweepSpec, metric: str,
               n_workers: int = 1) -> SweepTable:
-    """Run the full sweep and return the ordered result table.
+    """Run the full sweep for one metric and return the ordered result table.
 
-    Each distance is simulated once for every weather: weather only
-    attenuates optical paths, so one deployment and one set of RF draws
-    per chunk serve all of them.  Every row of a (distance, weather) point
-    is scored on the same trials: per distance, a "prp" and a "rate_mbps"
-    row per (weather, mode), then a "dor" row per (delay threshold,
-    weather, mode), a trial being late iff its rate is below 8H / t_th.
-    DOR is therefore exactly nonincreasing in t_th.  The streams are keyed
-    by the distance's index in spec.distances.
+    metric is "prp", "rate_mbps" or "dor"; only its statistics are
+    computed.  Each distance is simulated once for every weather: weather
+    only attenuates optical paths, so one deployment and one set of RF
+    draws per chunk serve all of them.  Per distance, there is one row per
+    (weather, mode), or for "dor" one per (delay threshold, weather,
+    mode), a trial being late iff its rate is below 8H / t_th; every
+    threshold is scored on the same trials, so DOR is exactly
+    nonincreasing in t_th.  The streams are keyed by the distance's index
+    in spec.distances, so every metric sees the same trials.
     """
     points = [config.with_distance(distance) for distance in spec.distances]
     problems = list(dict.fromkeys(p for cfg in points for p in validate(cfg)))
     problems += spec.check()
     if n_workers < 1:
         problems.append(f"n_workers: must be >= 1, got {n_workers}")
+    if metric not in _METRICS:
+        problems.append(f"metric: must be one of {', '.join(_METRICS)}, got {metric!r}")
+    elif (metric == "dor") != bool(spec.t_th):
+        problems.append(f"sweep.t_th: must be nonempty for dor and empty for {metric}")
     if problems:
         raise ConfigError("; ".join(problems))
 
@@ -187,7 +197,7 @@ def run_sweep(config: ScenarioConfig, spec: SweepSpec,
     n = spec.n_trials
     starts = range(0, n, _CHUNK)
     chunks = [(cfg, spec.master_seed, d_idx, start, min(start + _CHUNK, n),
-               spec.weathers, spec.t_th)
+               spec.weathers, spec.t_th, metric)
               for d_idx, cfg in enumerate(points) for start in starts]
 
     # The pool starts all its workers at once: start no more than there
@@ -201,25 +211,20 @@ def run_sweep(config: ScenarioConfig, spec: SweepSpec,
 
     # Reduce per distance (and weather): sum() adds the partials in chunk order.
     grid = (len(spec.distances), len(starts))
-    succ, rsum, rsq, late = (
-        sum(np.reshape(field, grid + np.shape(field[0])).swapaxes(0, 1))
-        for field in zip(*partials))
+    stats = [sum(np.reshape(field, grid + np.shape(field[0])).swapaxes(0, 1))
+             for field in zip(*partials)]
 
     rows = []
     for d_idx, distance in enumerate(spec.distances):
-        for w_idx, weather in enumerate(spec.weathers):
-            for mode in spec.modes:
-                at = (d_idx, w_idx, MODES.index(mode))
-                rows.append(SweepRow(distance, None, weather, mode, "prp",
-                                     proportion_estimate(int(succ[at]), n)))
-                rows.append(SweepRow(distance, None, weather, mode, "rate_mbps",
-                                     mean_estimate(float(rsum[at]), float(rsq[at]), n)))
-        for k, t_th in enumerate(spec.t_th):
+        for k, t_th in enumerate(spec.t_th or (None,)):
             for w_idx, weather in enumerate(spec.weathers):
                 for mode in spec.modes:
-                    at = (d_idx, w_idx, MODES.index(mode), k)
-                    rows.append(SweepRow(distance, t_th, weather, mode, "dor",
-                                         proportion_estimate(int(late[at]), n)))
+                    at = (d_idx, w_idx, MODES.index(mode)) + (() if t_th is None else (k,))
+                    if metric == "rate_mbps":
+                        est = mean_estimate(float(stats[0][at]), float(stats[1][at]), n)
+                    else:
+                        est = proportion_estimate(int(stats[0][at]), n)
+                    rows.append(SweepRow(distance, t_th, weather, mode, metric, est))
     return SweepTable(rows=tuple(rows))
 
 

@@ -5,9 +5,9 @@ radio links: the VLC SINR is fully deterministic given the deployment,
 while every RF power (desired and interfering) gets an independent fading
 draw.  Trials are simulated as arrays, a chunk at a time and for every
 weather at once (simulate_trials): weather only attenuates optical paths.
-The four operating modes are scored on the same trials by one function
-(score_modes), so mode comparisons are exact event inclusions rather than
-statistical ones.
+The four operating modes are scored on the same trials, their reception
+by mode_success and their rates by mode_rates, so mode comparisons are
+exact event inclusions rather than statistical ones.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .rf_channel import (FADING_RAYLEIGH, db_to_linear,
 from .scenario import (EXCLUSION_RADIUS_M, LANE_SAME, LANES,
                        WEATHER_ATTENUATION_DB_PER_KM, Deployment, ScenarioConfig,
                        attenuation_factor, draw_deployment, exclusion_disc,
-                       outside_exclusion, rsu_links)
+                       outside_exclusion, rsu_links, rsu_offsets)
 from .vlc_channel import vlc_noise_power, vlc_rx_electrical_power
 
 MODE_PURE_VLC = "pure_vlc"
@@ -129,31 +129,43 @@ def simulate_trials(config: ScenarioConfig, weathers, rng: np.random.Generator,
             sinr(st.s_rf_mean * desired_fade, i_rf, st.n_rf))
 
 
-def score_modes(sinr_vlc, sinr_rf, config: ScenarioConfig):
-    """Reception and achievable rate of every mode, in MODES order.
+def _by_mode(sinr_vlc, sinr_rf, dtype):
+    """An empty [..., 4, n] array ([4] for scalar SINRs) and its mode-major view."""
+    shape = np.broadcast_shapes(np.shape(sinr_vlc), np.shape(sinr_rf))
+    out = np.empty(shape[:-1] + (len(MODES),) + shape[-1:], dtype)
+    return out, np.moveaxis(out, len(shape) - 1, 0)
 
-    Returns ok[..., 4, n] and rate[..., 4, n] (bits/s) for SINR arrays
-    that broadcast to [..., n]: sinr_vlc[W, n] with sinr_rf[n] gives
-    [W, 4, n], one row block per weather; scalar SINRs give shape [4].  A
-    link decodes iff its SINR reaches the config's decode threshold.  Link
-    aggregation duplicates the packet on both links, so it succeeds if
-    either link decodes; best-link selection cannot beat that, so the
-    non-aggregated hybrid shares the same reception event.  Rates are
-    Shannon-form: the desired vehicle's access probability rho_a scales
-    every mode, the aggregation overhead beta_ov only the aggregated sum.
+
+def mode_success(sinr_vlc, sinr_rf, config: ScenarioConfig):
+    """Reception of every mode, in MODES order: ok[..., 4, n].
+
+    sinr_vlc[W, n] with sinr_rf[n] gives [W, 4, n], one block per weather;
+    scalar SINRs give [4].  A link decodes iff its SINR reaches the
+    config's decode threshold.  Link aggregation duplicates the packet on
+    both links, so it succeeds if either link decodes; best-link selection
+    cannot beat that, so the non-aggregated hybrid shares that event.
     """
-    sinr_vlc, sinr_rf = np.broadcast_arrays(sinr_vlc, sinr_rf)
-    axis = max(sinr_vlc.ndim - 1, 0)
+    ok, by_mode = _by_mode(sinr_vlc, sinr_rf, bool)
     ok_v = sinr_vlc >= db_to_linear(config.sinr_threshold_vlc_db)
     ok_r = sinr_rf >= db_to_linear(config.sinr_threshold_rf_db)
-    either = ok_v | ok_r
-    ok = np.stack([ok_v, ok_r, either, either], axis=axis)
+    by_mode[0], by_mode[1] = ok_v, ok_r
+    by_mode[2] = by_mode[3] = ok_v | ok_r
+    return ok
+
+
+def mode_rates(sinr_vlc, sinr_rf, config: ScenarioConfig):
+    """Achievable rate (bits/s) of every mode, in MODES order, shaped as in
+    mode_success.  Rates are Shannon-form: the desired vehicle's access
+    probability rho_a scales every mode, the aggregation overhead beta_ov
+    only the aggregated sum."""
+    rate, by_mode = _by_mode(sinr_vlc, sinr_rf, float)
     r_v = config.vlc.bandwidth * np.log2(1.0 + sinr_vlc)
     r_r = config.rf.bandwidth * np.log2(1.0 + sinr_rf)
     rho = config.rho_a
-    rate = np.stack([rho * r_v, rho * r_r, config.beta_ov * rho * (r_v + r_r),
-                     rho * np.maximum(r_v, r_r)], axis=axis)
-    return ok, rate
+    by_mode[0], by_mode[1] = rho * r_v, rho * r_r
+    by_mode[2] = config.beta_ov * rho * (r_v + r_r)
+    by_mode[3] = rho * np.maximum(r_v, r_r)
+    return rate
 
 
 def minimum_transmission_time(rate_bps: float, payload_bytes: float) -> float:
@@ -195,19 +207,24 @@ def prp_rf_closed_form(config: ScenarioConfig) -> float:
     with P(t) the mean received power from lane position t, integrated
     over each lane minus the points within EXCLUSION_RADIUS_M of the
     desired vehicle (Haenggi, Stochastic Geometry for Wireless Networks,
-    2012, ch. 5).  Integrals by composite Simpson quadrature.  At lambda = 0
-    this is the interference-free oracle exp(-theta N / P0).
+    2012, ch. 5).  Integrals by composite Simpson quadrature over the 3-D
+    distances alone.  At lambda rho = 0 this is the interference-free
+    oracle exp(-theta N / P0), returned without quadrature.
     """
     if config.rf.fading != FADING_RAYLEIGH:
         raise UnsupportedModelError("closed form requires Rayleigh fading")
     st = _statics(config)
     theta = db_to_linear(config.sinr_threshold_rf_db)
+    quiet = math.exp(-theta * st.n_rf / st.s_rf_mean)
+    density = config.lambda_density * config.rho_access
+    if density == 0.0:
+        return quiet
     s = theta / st.s_rf_mean
     L = config.geometry.lane_half_length
     integral = 0.0
     for lane in LANES:
         def load(t, lane=lane):
-            sp = s * rf_mean_rx_power(rsu_links(config, lane, t)[0], config.rf)
+            sp = s * rf_mean_rx_power(rsu_offsets(config, lane, t)[0], config.rf)
             return sp / (1.0 + sp)
 
         integral += _simpson(load, -L, L)
@@ -218,8 +235,7 @@ def prp_rf_closed_form(config: ScenarioConfig) -> float:
             lo, hi = max(-L, centre - half), min(L, centre + half)
             if lo < hi:
                 integral -= _simpson(load, lo, hi)
-    return math.exp(-theta * st.n_rf / st.s_rf_mean) * math.exp(
-        -config.lambda_density * config.rho_access * integral)
+    return quiet * math.exp(-density * integral)
 
 
 def vlc_cutoff_distance(config: ScenarioConfig, weather: str,

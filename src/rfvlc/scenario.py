@@ -262,9 +262,9 @@ def lane_poses(geo: LaneGeometry, lane: int, coord):
     return geo.lane_x_offset, coord, (0.0, toward, 0.0)
 
 
-def rsu_links(config: ScenarioConfig, lane: int, coord):
-    """(d, gain) of the links from vehicles at positions coord along a lane
-    to the RSU: the 3-D distance and the Lambertian LOS gain.
+def rsu_offsets(config: ScenarioConfig, lane: int, coord):
+    """(d, (dx, dy, dz), axes) of vehicles at positions coord along a lane:
+    the 3-D distance and offsets to the RSU, and the headlamp and RSU axes.
 
     coord is a scalar or an array; no exclusion is applied.  The desired
     vehicle is the point distance_r of LANE_SAME.
@@ -273,8 +273,14 @@ def rsu_links(config: ScenarioConfig, lane: int, coord):
     rsu = geo.rsu_pose
     x, y, axis = lane_poses(geo, lane, coord)
     dx, dy, dz = rsu.x - x, rsu.y - y, rsu.z - geo.tx_height
-    return (np.sqrt(dx * dx + dy * dy + dz * dz),
-            los_gain(dx, dy, dz, axis, rsu.axis, config.vlc))
+    return np.sqrt(dx * dx + dy * dy + dz * dz), (dx, dy, dz), (axis, rsu.axis)
+
+
+def rsu_links(config: ScenarioConfig, lane: int, coord):
+    """(d, gain) of the links from vehicles at positions coord along a lane
+    to the RSU: the 3-D distance and the Lambertian LOS gain."""
+    d, offsets, axes = rsu_offsets(config, lane, coord)
+    return d, los_gain(*offsets, *axes, config.vlc)
 
 
 def exclusion_disc(config: ScenarioConfig, lane: int) -> tuple[float, float]:

@@ -35,14 +35,6 @@ def _verdict(capsys, cid, ok, detail):
     assert ok, detail
 
 
-def _prp_rows(table):
-    return [r for r in table.rows if r.metric == "prp"]
-
-
-def _dor_rows(table):
-    return [r for r in table.rows if r.metric == "dor"]
-
-
 def test_criterion_01_rf_oracle_equivalence(capsys):
     """lambda=0 Rayleigh Monte Carlo PRP matches the closed form, < 10 s."""
     t0 = time.monotonic()
@@ -50,7 +42,7 @@ def test_criterion_01_rf_oracle_equivalence(capsys):
     spec = SweepSpec(distances=(50.0, 100.0, 200.0),
                      weathers=CLEAR, modes=(MODE_PURE_RF,), n_trials=100_000,
                      master_seed=101)
-    rows = _prp_rows(run_sweep(cfg, spec))
+    rows = run_sweep(cfg, spec, "prp").rows
     worst = 0.0
     for row in rows:
         exact = prp_rf_closed_form(cfg.with_distance(row.distance))
@@ -98,13 +90,13 @@ def prp_grid_table():
                      weathers=ALL_WEATHERS,
                      modes=(MODE_PURE_VLC, MODE_PURE_RF, MODE_LA),
                      n_trials=10_000, master_seed=303)
-    return spec, run_sweep(ScenarioConfig(), spec)
+    return spec, run_sweep(ScenarioConfig(), spec, "prp")
 
 
 def test_criterion_03_la_dominance(capsys, prp_grid_table):
     """PRP(la) >= max(pure) on every point of the 25 x 4 grid, exactly."""
     spec, table = prp_grid_table
-    rows = _prp_rows(table)
+    rows = table.rows
     violations = 0
     for value in spec.distances:
         for weather in spec.weathers:
@@ -146,12 +138,12 @@ def test_criterion_04_weather_ordering(capsys, prp_grid_table):
     spec, table = prp_grid_table
     for value in spec.distances:
         for mode in (MODE_PURE_VLC, MODE_LA):
-            by_weather = {r.weather: r.estimate.value for r in _prp_rows(table)
+            by_weather = {r.weather: r.estimate.value for r in table.rows
                           if r.distance == value and r.mode == mode}
             curve = [by_weather[w] for w in ALL_WEATHERS]
             if any(b > a for a, b in zip(curve, curve[1:])):
                 bad += 1
-        rf_rows = {r.estimate for r in _prp_rows(table)
+        rf_rows = {r.estimate for r in table.rows
                    if r.distance == value and r.mode == MODE_PURE_RF}
         if len(rf_rows) != 1:
             bad += 1
@@ -167,7 +159,7 @@ def test_criterion_05_prp_crossover(capsys):
     spec = SweepSpec(distances=tuple(float(d) for d in range(50, 251, 10)),
                      weathers=CLEAR, modes=(MODE_PURE_VLC, MODE_PURE_RF),
                      n_trials=100_000, master_seed=505)
-    rows = _prp_rows(run_sweep(ScenarioConfig(), spec))
+    rows = run_sweep(ScenarioConfig(), spec, "prp").rows
     diff = []
     for value in spec.distances:
         by_mode = {r.mode: r.estimate.value for r in rows
@@ -190,8 +182,7 @@ def test_criterion_06_rate_endpoints(capsys):
     spec = SweepSpec(distances=(50.0, 100.0, 150.0, 200.0, 250.0),
                      weathers=CLEAR, modes=(MODE_LA,), n_trials=20_000,
                      master_seed=606)
-    rows = [r for r in run_sweep(ScenarioConfig(), spec).rows
-            if r.metric == "rate_mbps"]
+    rows = run_sweep(ScenarioConfig(), spec, "rate_mbps").rows
     rate = {r.distance: r.estimate.value for r in rows}
     ok = (abs(rate[50.0] - 83.2) <= 0.25 * 83.2
           and abs(rate[250.0] - 39.8) <= 0.25 * 39.8
@@ -211,7 +202,7 @@ def dor_grid():
                      weathers=ALL_WEATHERS,
                      modes=(MODE_PURE_VLC, MODE_PURE_RF, MODE_LA),
                      n_trials=10_000, master_seed=707)
-    return spec, _dor_rows(run_sweep(ScenarioConfig(), spec))
+    return spec, run_sweep(ScenarioConfig(), spec, "dor").rows
 
 
 def test_criterion_07a_dor_monotone(capsys, dor_grid):
@@ -289,8 +280,8 @@ def test_criterion_08_la_dor_tail(capsys):
     """
     spec = SweepSpec(distances=(200.0,), t_th=(3e-3,), weathers=CLEAR,
                      modes=(MODE_LA,), n_trials=1_000_000, master_seed=808)
-    table = run_sweep(ScenarioConfig(), spec, n_workers=4)
-    value = _dor_rows(table)[0].estimate.value
+    row, = run_sweep(ScenarioConfig(), spec, "dor", n_workers=4).rows
+    value = row.estimate.value
     ok = value < 1e-3
     _verdict(capsys, 8, ok,
              f"LA DOR at 200 m / 3 ms = {value:.4f} (target < 1e-3); "
@@ -304,8 +295,8 @@ def test_criterion_08_long_tail_estimate(capsys):
     """Optional 10^7-trial version of the 3 ms tail probe."""
     spec = SweepSpec(distances=(200.0,), t_th=(3e-3,), weathers=CLEAR,
                      modes=(MODE_LA,), n_trials=10_000_000, master_seed=808)
-    table = run_sweep(ScenarioConfig(), spec, n_workers=8)
-    value = _dor_rows(table)[0].estimate.value
+    row, = run_sweep(ScenarioConfig(), spec, "dor", n_workers=8).rows
+    value = row.estimate.value
     _verdict(capsys, "8L", value < 1e-3,
              f"LA DOR at 200 m / 3 ms over 10^7 trials = {value:.6f}")
 

@@ -17,3 +17,5 @@ def test_calibrate_script_runs():
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert "cutoff d* =" in done.stdout
+    # one LA rate line per calibration endpoint, from the rate_mbps sweep
+    assert done.stdout.count(" Mbps (+- ") == 2

@@ -11,7 +11,7 @@ from rfvlc import (ConfigError, InvalidArgumentError, MODE_LA, MODE_PURE_RF,
                    confidence_interval, derive_seed, prp_rf_closed_form, run_sweep)
 from rfvlc import engine
 from rfvlc.engine import _CHUNK, trial_rng
-from rfvlc.metrics import outage_rate, score_modes, simulate_trials
+from rfvlc.metrics import mode_rates, mode_success, outage_rate, simulate_trials
 from rfvlc.estimate import mean_estimate, proportion_estimate
 
 CLEAR = ("clear",)
@@ -116,39 +116,42 @@ class TestSweepSpec:
 class TestRunSweep:
     def test_rerun_is_identical(self):
         cfg = ScenarioConfig()
-        a = run_sweep(cfg, _spec())
-        b = run_sweep(cfg, _spec())
+        a = run_sweep(cfg, _spec(), "prp")
+        b = run_sweep(cfg, _spec(), "prp")
         assert a == b
 
     def test_worker_count_does_not_change_results(self):
         cfg = ScenarioConfig()
         spec = _spec(n_trials=5000)
-        assert run_sweep(cfg, spec, n_workers=1) == run_sweep(cfg, spec, n_workers=3)
+        for metric in ("prp", "rate_mbps"):
+            assert (run_sweep(cfg, spec, metric, n_workers=1)
+                    == run_sweep(cfg, spec, metric, n_workers=3))
 
     def test_worker_count_does_not_change_results_at_density(self):
         # two full chunks and a partial one per point
         spec = _spec(n_trials=2 * _CHUNK + 300)
-        assert run_sweep(DENSE, spec, n_workers=1) == run_sweep(DENSE, spec, n_workers=2)
+        for metric in ("prp", "rate_mbps"):
+            assert (run_sweep(DENSE, spec, metric, n_workers=1)
+                    == run_sweep(DENSE, spec, metric, n_workers=2))
 
     def test_pure_rf_identical_across_weathers_at_density(self):
         spec = _spec(weathers=ALL_WEATHERS, n_trials=_CHUNK + 300)
-        rows = run_sweep(DENSE, spec).rows
-        for value in spec.distances:
-            for metric in ("prp", "rate_mbps"):
+        for metric in ("prp", "rate_mbps"):
+            rows = run_sweep(DENSE, spec, metric).rows
+            for value in spec.distances:
                 estimates = [r.estimate for r in rows
-                             if r.distance == value and r.mode == MODE_PURE_RF
-                             and r.metric == metric]
+                             if r.distance == value and r.mode == MODE_PURE_RF]
                 assert len(estimates) == 4 and len(set(estimates)) == 1
 
     def test_one_stream_per_chunk(self):
         # chunk c of point p draws from trial_rng(derive_seed(master, p, c))
         spec = _spec(distances=(150.0,), modes=(MODE_PURE_RF,), n_trials=_CHUNK + 500)
-        row = [r for r in run_sweep(DENSE, spec).rows if r.metric == "prp"][0]
+        row, = run_sweep(DENSE, spec, "prp").rows
         cfg = DENSE.with_distance(150.0)
         wins = 0
         for chunk, n in enumerate((_CHUNK, 500)):
             rng = trial_rng(derive_seed(spec.master_seed, 0, chunk))
-            ok, _ = score_modes(*simulate_trials(cfg, CLEAR, rng, n), cfg)
+            ok = mode_success(*simulate_trials(cfg, CLEAR, rng, n), cfg)
             wins += int(ok[0, 1].sum())
         assert row.estimate.value == wins / spec.n_trials
 
@@ -156,17 +159,17 @@ class TestRunSweep:
         # every threshold counts the late trials of the same chunk streams
         spec = _spec(distances=(150.0,), modes=(MODE_LA,), n_trials=_CHUNK + 500,
                      t_th=(4e-3, 8e-3))
-        table = run_sweep(DENSE, spec)
+        table = run_sweep(DENSE, spec, "dor")
         cfg = DENSE.with_distance(150.0)
         rates = np.concatenate([
-            score_modes(*simulate_trials(
+            mode_rates(*simulate_trials(
                 cfg, CLEAR, trial_rng(derive_seed(spec.master_seed, 0, chunk)), n),
-                cfg)[1][0, 2]
+                cfg)[0, 2]
             for chunk, n in enumerate((_CHUNK, 500))])
+        assert len(table.rows) == 2
         for row in table.rows:
-            if row.metric == "dor":
-                late = (rates < outage_rate(cfg.payload_h, row.t_th)).sum()
-                assert row.estimate.value == late / spec.n_trials
+            late = (rates < outage_rate(cfg.payload_h, row.t_th)).sum()
+            assert row.estimate.value == late / spec.n_trials
 
     @pytest.mark.parametrize("n_thresholds", [0, 1, 10])
     def test_one_chunk_call_per_point_whatever_the_thresholds(
@@ -178,12 +181,14 @@ class TestRunSweep:
                             lambda args: calls.append(args) or job(args))
         spec = _spec(weathers=ALL_WEATHERS, n_trials=_CHUNK + 300,
                      t_th=tuple(1e-3 * (k + 1) for k in range(n_thresholds)))
-        run_sweep(ScenarioConfig(), spec, n_workers=1)
+        metric = "dor" if n_thresholds else "prp"
+        run_sweep(ScenarioConfig(), spec, metric, n_workers=1)
         assert len(calls) == (len(spec.distances)
                               * math.ceil(spec.n_trials / _CHUNK))
-        # the job layout (config, seed, point, start, end, weathers, t_th)
-        assert [(c[2], c[3], c[4], c[5], c[6]) for c in calls] == [
-            (p, start, min(start + _CHUNK, spec.n_trials), ALL_WEATHERS, spec.t_th)
+        # the job layout (config, seed, point, start, end, weathers, t_th, metric)
+        assert [c[2:] for c in calls] == [
+            (p, start, min(start + _CHUNK, spec.n_trials), ALL_WEATHERS, spec.t_th,
+             metric)
             for p in range(len(spec.distances)) for start in (0, _CHUNK)]
 
     @staticmethod
@@ -213,9 +218,10 @@ class TestRunSweep:
         pools = self._recording_pool(monkeypatch, cpus=64)
         cfg = ScenarioConfig()
         one_chunk = _spec(distances=(50.0,))
-        assert run_sweep(cfg, one_chunk, n_workers=8) == run_sweep(cfg, one_chunk)
+        assert (run_sweep(cfg, one_chunk, "prp", n_workers=8)
+                == run_sweep(cfg, one_chunk, "prp"))
         assert pools == []
-        run_sweep(cfg, _spec(distances=(50.0, 100.0, 150.0)), n_workers=8)
+        run_sweep(cfg, _spec(distances=(50.0, 100.0, 150.0)), "prp", n_workers=8)
         assert pools == [3]
 
     @pytest.mark.parametrize("cpus, started", [(2, [2]), (1, []), (None, [])])
@@ -223,71 +229,96 @@ class TestRunSweep:
         pools = self._recording_pool(monkeypatch, cpus)
         cfg = ScenarioConfig()
         spec = _spec(distances=(50.0, 100.0, 150.0))
-        assert run_sweep(cfg, spec, n_workers=100_000) == run_sweep(cfg, spec)
+        assert (run_sweep(cfg, spec, "prp", n_workers=100_000)
+                == run_sweep(cfg, spec, "prp"))
         assert pools == started
 
     def test_seed_changes_results(self):
         cfg = ScenarioConfig()
-        a = run_sweep(cfg, _spec(n_trials=2000))
-        b = run_sweep(cfg, _spec(n_trials=2000, master_seed=999))
+        a = run_sweep(cfg, _spec(n_trials=2000), "prp")
+        b = run_sweep(cfg, _spec(n_trials=2000, master_seed=999), "prp")
         assert a != b
 
     def test_row_layout_distance_sweep(self):
+        # one row of the sweep's metric per (distance, weather, mode)
         spec = _spec()
-        table = run_sweep(ScenarioConfig(), spec)
-        assert all(r.t_th is None for r in table.rows)
-        # one prp row and one rate row per (distance, weather, mode)
-        assert len(table.rows) == 2 * len(spec.distances) * len(spec.modes)
-        assert {r.metric for r in table.rows} == {"prp", "rate_mbps"}
+        for metric in ("prp", "rate_mbps"):
+            table = run_sweep(ScenarioConfig(), spec, metric)
+            assert all(r.t_th is None for r in table.rows)
+            assert [(r.distance, r.mode) for r in table.rows] == [
+                (d, m) for d in spec.distances for m in spec.modes]
+            assert {r.metric for r in table.rows} == {metric}
 
     def test_row_layout_threshold_sweep(self):
-        # prp and rate rows per (distance, weather, mode), plus one dor row
-        # per (distance, threshold, weather, mode)
+        # one dor row per (distance, threshold, weather, mode)
         spec = _spec(t_th=(1e-3, 3e-3, 10e-3))
-        table = run_sweep(ScenarioConfig(), spec)
-        assert {r.metric for r in table.rows} == {"prp", "rate_mbps", "dor"}
-        assert len(table.rows) == 2 * 3 * 2 + 2 * 3 * 3
+        table = run_sweep(ScenarioConfig(), spec, "dor")
+        assert {r.metric for r in table.rows} == {"dor"}
+        assert [(r.distance, r.t_th, r.mode) for r in table.rows] == [
+            (d, t, m) for d in spec.distances for t in spec.t_th for m in spec.modes]
 
     def test_dor_nonincreasing_in_threshold(self):
         spec = _spec(distances=(150.0,), t_th=(0.5e-3, 1e-3, 2e-3, 4e-3, 8e-3),
                      n_trials=2000)
-        table = run_sweep(ScenarioConfig(), spec)
+        table = run_sweep(ScenarioConfig(), spec, "dor")
         for mode in spec.modes:
-            curve = [r.estimate.value for r in table.rows
-                     if r.metric == "dor" and r.mode == mode]
+            curve = [r.estimate.value for r in table.rows if r.mode == mode]
             assert all(b <= a for a, b in zip(curve, curve[1:]))
 
     def test_invalid_config_rejected(self):
         bad = dataclasses.replace(ScenarioConfig(), beta_ov=2.0)
         with pytest.raises(ConfigError):
-            run_sweep(bad, _spec())
+            run_sweep(bad, _spec(), "prp")
 
     def test_every_point_is_validated(self):
         with pytest.raises(ConfigError, match="distance_r"):
-            run_sweep(ScenarioConfig(), _spec(distances=(-50.0, 10.0)))
+            run_sweep(ScenarioConfig(), _spec(distances=(-50.0, 10.0)), "prp")
         with pytest.raises(ConfigError, match="finite"):
-            run_sweep(ScenarioConfig(), _spec(distances=(10.0, math.inf)))
+            run_sweep(ScenarioConfig(), _spec(distances=(10.0, math.inf)), "prp")
 
     def test_nonpositive_delay_threshold_rejected(self):
         with pytest.raises(ConfigError, match="delay thresholds"):
-            run_sweep(ScenarioConfig(), _spec(t_th=(0.0, 1e-3)))
+            run_sweep(ScenarioConfig(), _spec(t_th=(0.0, 1e-3)), "dor")
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_worker_count_must_be_positive(self, workers):
         with pytest.raises(ConfigError, match="n_workers"):
-            run_sweep(ScenarioConfig(), _spec(), n_workers=workers)
+            run_sweep(ScenarioConfig(), _spec(), "prp", n_workers=workers)
+
+    def test_unknown_metric_rejected(self):
+        with pytest.raises(ConfigError, match="metric: must be one of"):
+            run_sweep(ScenarioConfig(), _spec(), "throughput")
+
+    def test_dor_needs_delay_thresholds(self):
+        with pytest.raises(ConfigError, match="t_th: must be nonempty for dor"):
+            run_sweep(ScenarioConfig(), _spec(), "dor")
+
+    @pytest.mark.parametrize("metric", ["prp", "rate_mbps"])
+    def test_delay_thresholds_only_for_dor(self, metric):
+        # a threshold the sweep would not score is a mistake, not a no-op
+        with pytest.raises(ConfigError, match=f"empty for {metric}"):
+            run_sweep(ScenarioConfig(), _spec(t_th=(1e-3,)), metric)
+
+    @pytest.mark.parametrize("metric, unused", [
+        ("prp", "mode_rates"), ("rate_mbps", "mode_success"), ("dor", "mode_success")])
+    def test_sweep_scores_only_its_metric(self, monkeypatch, metric, unused):
+        def refuse(*args):
+            raise AssertionError(f"a {metric} sweep called {unused}")
+
+        monkeypatch.setattr(engine, unused, refuse)
+        spec = _spec(n_trials=_CHUNK + 300, t_th=(1e-3,) if metric == "dor" else ())
+        assert run_sweep(DENSE, spec, metric, n_workers=1).rows
 
     def test_matches_rf_closed_form_without_interferers(self):
         cfg = dataclasses.replace(ScenarioConfig(), lambda_density=0.0)
         spec = _spec(distances=(100.0,), modes=(MODE_PURE_RF,), n_trials=20_000)
-        row = [r for r in run_sweep(cfg, spec).rows if r.metric == "prp"][0]
+        row, = run_sweep(cfg, spec, "prp").rows
         exact = prp_rf_closed_form(cfg.with_distance(100.0))
         assert abs(row.estimate.value - exact) < 3.5 * max(row.estimate.stderr, 1e-4)
 
     def test_la_prp_dominates_pure_modes(self):
         spec = _spec(n_trials=2000)
-        rows = [r for r in run_sweep(ScenarioConfig(), spec).rows
-                if r.metric == "prp"]
+        rows = run_sweep(ScenarioConfig(), spec, "prp").rows
         for value in spec.distances:
             by_mode = {r.mode: r.estimate.value for r in rows
                        if r.distance == value}

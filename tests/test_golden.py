@@ -1,9 +1,10 @@
-"""Golden-output regression: the CLI's CSVs must stay byte-identical.
+"""Golden-output regression: the CLI's outputs must stay byte-identical.
 
-Each case reruns one sweep command and compares every CSV it writes with
-the checked-in copy under tests/golden/<case>/.  The manifest is not
-compared: it carries a timestamp and a config hash.  A deliberate change
-of outputs comes with a version bump; regenerate the files then with
+Each case reruns one sweep command and compares every CSV it writes, and
+every per-curve .dat file of the --gnuplot cases, with the checked-in copy
+under tests/golden/<case>/.  The manifest is not compared: it carries a
+timestamp and a config hash.  A deliberate change of outputs comes with a
+version bump; regenerate the files then with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -19,22 +20,23 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 RHO1 = os.path.join(GOLDEN, "rho_access_1.conf")
 
 # 5000 trials: two chunks per point, so the chunk-order reduction is
-# covered.  dor-sweep runs on two worker processes.
+# covered.  dor-sweep runs on two worker processes.  One prp case and one
+# dor case also write the gnuplot files, which read the same table.
 _COMMON = ["--trials", "5000", "--seed", "11"]
 CASES = {
-    "prp_default": ["prp-sweep", "--distances", "40,120,200"] + _COMMON,
+    "prp_default": ["prp-sweep", "--distances", "40,120,200", "--gnuplot"] + _COMMON,
     "prp_rho1": ["prp-sweep", "--distances", "40,120,200",
                  "--config", RHO1] + _COMMON,
     "rate_default": ["rate-sweep", "--distances", "50,150,250"] + _COMMON,
     "rate_rho1": ["rate-sweep", "--distances", "50,150,250",
                   "--config", RHO1] + _COMMON,
-    "dor_default": ["dor-sweep", "--workers", "2"] + _COMMON,
+    "dor_default": ["dor-sweep", "--workers", "2", "--gnuplot"] + _COMMON,
     "dor_rho1": ["dor-sweep", "--workers", "2", "--config", RHO1] + _COMMON,
 }
 
 
-def _csvs(directory):
-    return sorted(f for f in os.listdir(directory) if f.endswith(".csv"))
+def _outputs(directory):
+    return sorted(f for f in os.listdir(directory) if f.endswith((".csv", ".dat")))
 
 
 def _read_bytes(path):
@@ -47,8 +49,8 @@ def test_cli_output_matches_golden(case, tmp_path):
     out = str(tmp_path / case)
     assert main(CASES[case] + ["--out", out]) == 0
     expected = os.path.join(GOLDEN, case)
-    assert _csvs(out) == _csvs(expected)
-    for name in _csvs(expected):
+    assert _outputs(out) == _outputs(expected)
+    for name in _outputs(expected):
         assert _read_bytes(os.path.join(out, name)) == \
             _read_bytes(os.path.join(expected, name)), f"{case}/{name}"
 

@@ -13,7 +13,7 @@ from rfvlc import (InvalidArgumentError, MODE_LA, MODE_NON_LA, MODE_PURE_RF,
                    attenuation_factor,
                    db_to_linear, draw_deployment, minimum_transmission_time,
                    outage_rate, prp_rf_closed_form, rf_mean_rx_power,
-                   rf_noise_power, run_sweep, score_modes, simulate_trials, sinr,
+                   rf_noise_power, run_sweep, mode_rates, mode_success, simulate_trials, sinr,
                    vlc_cutoff_distance, vlc_noise_power, vlc_rx_electrical_power,
                    vlc_snr)
 from rfvlc.estimate import proportion_estimate
@@ -113,27 +113,29 @@ class TestRunTrial:
 class TestSuccessAndPrp:
     def test_mode_truth_table(self):
         # both, VLC only, RF only, neither
-        ok, _ = score_modes(np.array([2.0, 2.0, 0.5, 0.5]),
-                            np.array([2.0, 0.5, 2.0, 0.5]), UNIT)
+        ok = mode_success(np.array([2.0, 2.0, 0.5, 0.5]),
+                          np.array([2.0, 0.5, 2.0, 0.5]), UNIT)
         assert [tuple(col) for col in ok.T.tolist()] == [
             (True, True, True, True), (True, False, True, True),
             (False, True, True, True), (False, False, False, False)]
 
     def test_threshold_is_inclusive(self):
-        ok, _ = score_modes(1.0, 1.0, UNIT)
-        assert ok[VLC] and ok[RF]
+        ok = mode_success(1.0, 1.0, UNIT)
+        assert ok.shape == (len(MODES),)
+        assert ok.tolist() == [True, True, True, True]
+        assert not mode_success(np.nextafter(1.0, 0.0), np.nextafter(1.0, 0.0), UNIT).any()
 
     def test_la_dominates_pure_modes_per_trial(self):
         cfg = dataclasses.replace(ScenarioConfig(), lambda_density=0.05,
                                   rho_access=0.5)
-        ok, _ = score_modes(*_trials(cfg, 35, 2000), cfg)
+        ok = mode_success(*_trials(cfg, 35, 2000), cfg)
         assert (ok[LA] >= ok[VLC]).all()
         assert (ok[LA] >= ok[RF]).all()
         assert np.array_equal(ok[LA], ok[NON_LA])
 
     def test_prp_counts(self):
-        ok, _ = score_modes(np.array([2.0, 0.5, 2.0, 0.5]),
-                            np.array([0.5, 0.5, 2.0, 2.0]), UNIT)
+        ok = mode_success(np.array([2.0, 0.5, 2.0, 0.5]),
+                          np.array([0.5, 0.5, 2.0, 2.0]), UNIT)
         est = proportion_estimate(int(ok[VLC].sum()), 4)
         assert est.value == 0.5
         assert est.n_trials == 4
@@ -141,15 +143,19 @@ class TestSuccessAndPrp:
 
 
 class TestScoreModes:
+    """mode_success and mode_rates: one row per mode, in MODES order."""
+
     def test_rows_follow_modes_and_wrappers(self):
         # each column of the array call is the scalar call on that trial
         cfg = UNIT
         sinr_vlc = np.array([0.0, 0.5, 2.0, 15.0])
         sinr_rf = np.array([15.0, 0.5, 0.5, 15.0])
-        ok, rate = score_modes(sinr_vlc, sinr_rf, cfg)
+        ok = mode_success(sinr_vlc, sinr_rf, cfg)
+        rate = mode_rates(sinr_vlc, sinr_rf, cfg)
         assert ok.shape == rate.shape == (len(MODES), 4)
         for j, (v, r) in enumerate(zip(sinr_vlc, sinr_rf)):
-            ok_j, rate_j = score_modes(float(v), float(r), cfg)
+            ok_j = mode_success(float(v), float(r), cfg)
+            rate_j = mode_rates(float(v), float(r), cfg)
             assert ok_j.shape == rate_j.shape == (len(MODES),)
             assert ok[:, j].tolist() == ok_j.tolist()
             assert ok_j.tolist() == [v >= 1.0, r >= 1.0, max(v, r) >= 1.0,
@@ -158,19 +164,20 @@ class TestScoreModes:
 
     def test_weather_axis_broadcasts(self):
         # sinr_vlc[W, n] with the shared sinr_rf[n]: block w is the call
-        # with weather w's row alone
-        sinr_vlc = np.array([[0.0, 0.5, 2.0], [15.0, 0.9, 1.0]])
-        sinr_rf = np.array([15.0, 0.5, 0.5])
-        ok, rate = score_modes(sinr_vlc, sinr_rf, UNIT)
-        assert ok.shape == rate.shape == (2, len(MODES), 3)
-        for w in range(2):
-            ok_w, rate_w = score_modes(sinr_vlc[w], sinr_rf, UNIT)
-            assert np.array_equal(ok[w], ok_w)
-            assert np.array_equal(rate[w], rate_w)
+        # with weather w's row alone, bit for bit
+        cfg = dataclasses.replace(ScenarioConfig(), lambda_density=0.05,
+                                  rho_access=0.5)
+        sinr_vlc, sinr_rf = simulate_trials(cfg, ALL_WEATHERS,
+                                            np.random.default_rng(40), 500)
+        for score in (mode_success, mode_rates):
+            both = score(sinr_vlc, sinr_rf, cfg)
+            assert both.shape == (len(ALL_WEATHERS), len(MODES), 500)
+            for w in range(len(ALL_WEATHERS)):
+                assert np.array_equal(both[w], score(sinr_vlc[w], sinr_rf, cfg))
 
 
 def _rates(sinr_vlc, sinr_rf, cfg):
-    return score_modes(sinr_vlc, sinr_rf, cfg)[1]
+    return mode_rates(sinr_vlc, sinr_rf, cfg)
 
 
 class TestRates:
@@ -300,7 +307,7 @@ class TestClosedFormOracles:
 
     def test_rf_oracle_matches_monte_carlo(self):
         cfg = NO_INTERFERENCE.with_distance(100.0)
-        ok, _ = score_modes(*_trials(cfg, 38, 50_000), cfg)
+        ok = mode_success(*_trials(cfg, 38, 50_000), cfg)
         est = proportion_estimate(int(ok[RF].sum()), 50_000)
         exact = prp_rf_closed_form(cfg)
         assert abs(est.value - exact) < 3 * max(est.stderr, 1e-4)
@@ -357,9 +364,7 @@ class TestClosedFormOracles:
         cfg = dataclasses.replace(ScenarioConfig(), rho_access=rho_access)
         spec = SweepSpec(distances=distances, weathers=(CLEAR,),
                          modes=(MODE_PURE_RF,), n_trials=20_000, master_seed=2208)
-        for row in run_sweep(cfg, spec).rows:
-            if row.metric != "prp":
-                continue
+        for row in run_sweep(cfg, spec, "prp").rows:
             point = cfg.with_distance(row.distance)
             exact = prp_rf_closed_form(point)
             assert exact < visible * prp_rf_closed_form(
@@ -409,6 +414,6 @@ class TestClosedFormOracles:
         theta_v = db_to_linear(cfg.sinr_threshold_vlc_db)
         for d in (60.0, 110.0, 130.0, 200.0):
             point = cfg.with_distance(d)
-            ok, _ = score_modes(*_trials(point, 39, 200), point)
+            ok = mode_success(*_trials(point, 39, 200), point)
             est = proportion_estimate(int(ok[VLC].sum()), 200)
             assert est.value == (vlc_snr(point, CLEAR) >= theta_v)
