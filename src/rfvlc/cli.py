@@ -145,8 +145,10 @@ def _sweep(args, metric: str, stem: str, default_modes=None) -> int:
     spec = replace(spec, distances=parse_list(args.distances))
     if metric == "dor":
         spec = replace(spec, t_th=tuple(t / 1000.0 for t in parse_list(args.t_th_ms)))
+    # run (and validate) before the output directory is made: a rejected
+    # sweep leaves nothing behind
+    table = run_sweep(config, spec, metric, n_workers=args.workers)
     with _OutputSet(args.out) as out:
-        table = run_sweep(config, spec, metric, n_workers=args.workers)
         out.write_text(f"{stem}_sweep.csv", _sweep_csv(table, metric))
         if args.gnuplot:
             _gnuplot_files(out, table, metric, stem)

@@ -137,7 +137,6 @@ class SweepRow:
     t_th: float | None                  # None on "prp" and "rate_mbps" rows
     weather: str
     mode: str
-    metric: str
     estimate: MetricEstimate
 
 
@@ -224,7 +223,7 @@ def run_sweep(config: ScenarioConfig, spec: SweepSpec, metric: str,
                         est = mean_estimate(float(stats[0][at]), float(stats[1][at]), n)
                     else:
                         est = proportion_estimate(int(stats[0][at]), n)
-                    rows.append(SweepRow(distance, t_th, weather, mode, metric, est))
+                    rows.append(SweepRow(distance, t_th, weather, mode, est))
     return SweepTable(rows=tuple(rows))
 
 

@@ -24,7 +24,7 @@ from .scenario import (EXCLUSION_RADIUS_M, LANE_SAME, LANES,
                        WEATHER_ATTENUATION_DB_PER_KM, Deployment, ScenarioConfig,
                        attenuation_factor, draw_deployment, exclusion_disc,
                        outside_exclusion, rsu_links, rsu_offsets)
-from .vlc_channel import vlc_noise_power, vlc_rx_electrical_power
+from .vlc_channel import los_cosines, seen_gain, vlc_noise_power, vlc_rx_electrical_power
 
 MODE_PURE_VLC = "pure_vlc"
 MODE_PURE_RF = "pure_rf"
@@ -86,10 +86,14 @@ def interference_sums(config: ScenarioConfig, weathers, deployment: Deployment,
     Draws one RF fading gain per lane point, in storage order, whether
     or not the point is excluded.  Each trial's interferer terms are added
     in storage order, same lane first; excluded points add zero.  The
-    geometry, the Lambertian gains and the RF terms are computed once;
-    only the optical attenuation differs between the W weather names.
+    geometry and the RF terms are computed once for every point, the
+    optical terms only for the lit ones: interferers the RSU sees, since
+    any other point has zero gain, hence zero power in every weather.
+    Only the optical attenuation differs between the W weather names.
     """
     n = deployment.counts.shape[1]
+    coeffs = np.array([[WEATHER_ATTENUATION_DB_PER_KM[weather]] for weather in weathers])
+    rows = np.arange(len(weathers))[:, None] * n
     i_vlc = np.zeros((len(weathers), n))
     i_rf = np.zeros(n)
     for lane, part in zip(LANES, deployment.lane_slices()):
@@ -98,16 +102,22 @@ def interference_sums(config: ScenarioConfig, weathers, deployment: Deployment,
             trial = deployment.trial[block]
             coord = deployment.coord[block]
             active = outside_exclusion(config, lane, coord)
-            d, gain = rsu_links(config, lane, coord)
+            d, offsets, axes = rsu_offsets(config, lane, coord)
             fade = sample_fading(config.rf, rng, len(trial))
             p_rf = rf_mean_rx_power(d, config.rf) * fade
             i_rf += np.bincount(trial, np.where(active, p_rf, 0.0), minlength=n)
-            # an excluded point has zero gain, hence zero power in any weather
-            gain = np.where(active, gain, 0.0)
-            for row, weather in zip(i_vlc, weathers):
-                wfac = attenuation_factor(WEATHER_ATTENUATION_DB_PER_KM[weather], d)
-                row += np.bincount(trial, vlc_rx_electrical_power(gain, wfac, config.vlc),
-                                   minlength=n)
+            cos_phi, cos_psi, seen = los_cosines(*offsets, d, *axes, config.vlc)
+            # an unlit point adds exactly +0.0, and bincount adds in input
+            # order: leaving it out changes no sum
+            lit = np.flatnonzero(active & seen)
+            dx, dy, dz = (v[lit] if np.ndim(v) else v for v in offsets)
+            gain = seen_gain(dx * dx + dy * dy + dz * dz, cos_phi[lit], cos_psi[lit],
+                             config.vlc)
+            wfac = attenuation_factor(coeffs, d[lit])
+            p_vlc = vlc_rx_electrical_power(gain, wfac, config.vlc)
+            # every weather in one pass: row w of p_vlc adds to bins w * n + trial
+            i_vlc += np.bincount((rows + trial[lit]).ravel(), p_vlc.ravel(),
+                                 minlength=i_vlc.size).reshape(i_vlc.shape)
     return i_vlc, i_rf
 
 

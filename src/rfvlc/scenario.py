@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -73,19 +74,21 @@ class LaneGeometry:
     rsu_tilt_deg: float = 45.0
     tx_height: float = 0.75      # vehicle headlamp height
 
-    @property
+    @cached_property
     def rsu_pose(self) -> Pose3:
+        # cached in the instance dict: not a field, so the repr, equality
+        # and hash of the geometry do not see it
         t = math.radians(self.rsu_tilt_deg)
         return Pose3(0.0, 0.0, self.rsu_height, axis=(math.cos(t), 0.0, -math.sin(t)))
 
 
-def attenuation_factor(attenuation_db_per_km: float, distance_m):
+def attenuation_factor(attenuation_db_per_km, distance_m):
     """Beer-Lambert transmission factor for an optical path.
 
-    Returns 10**(-coeff * (distance/1000) / 10), in (0, 1]; distance_m may
-    be a float or an array.
+    Returns 10**(-coeff * (distance/1000) / 10), in (0, 1]; the coefficient
+    and distance_m may be floats or arrays that broadcast together.
     """
-    if attenuation_db_per_km < 0:
+    if np.asarray(attenuation_db_per_km < 0).any():
         raise InvalidArgumentError("attenuation_db_per_km must be >= 0")
     if np.asarray(distance_m < 0).any():
         raise InvalidArgumentError("distance_m must be >= 0")

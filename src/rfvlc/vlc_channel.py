@@ -62,32 +62,46 @@ def concentrator_gain(params: VlcParams) -> float:
     return n * n / sin2 if sin2 > 0.0 else math.inf
 
 
-def los_gain(dx, dy, dz, tx_axis, rx_axis, params: VlcParams) -> np.ndarray:
-    """DC channel gain of LOS paths from emitters to detectors.
+def los_cosines(dx, dy, dz, d, tx_axis, rx_axis, params: VlcParams):
+    """(cos_phi, cos_psi, seen) of LOS paths from emitters to detectors.
 
-    gain = (m+1) A / (2 pi d^2) * cos^m(phi) * T_s * g(psi) * cos(psi)
-    with phi the emission angle off the tx boresight and psi the incidence
-    angle off the rx normal.  Zero outside the receiver FOV or behind the
-    emitter.  (dx, dy, dz) are the emitter -> detector offsets, scalars or
-    one entry per link; tx_axis and rx_axis are unit (x, y, z) triples
-    whose components may be scalars or per-link arrays.  Offsets must be
-    nonzero.
+    phi is the emission angle off the tx boresight, psi the incidence
+    angle off the rx normal; seen is True where the detector sees the
+    emitter: in front of the emitter and inside the receiver FOV.
+    (dx, dy, dz) are the emitter -> detector offsets and d their length,
+    scalars or one entry per link; tx_axis and rx_axis are unit (x, y, z)
+    triples whose components may be scalars or per-link arrays.
     """
-    d2 = dx * dx + dy * dy + dz * dz
-    d = np.sqrt(d2)
     cos_phi = (dx * tx_axis[0] + dy * tx_axis[1] + dz * tx_axis[2]) / d
     # rx -> tx direction against the receiver normal
     cos_psi = (-dx * rx_axis[0] - dy * rx_axis[1] - dz * rx_axis[2]) / d
-    psi_c = math.radians(params.fov)
-    seen = (cos_phi > 0.0) & (cos_psi >= math.cos(psi_c))
+    seen = (cos_phi > 0.0) & (cos_psi >= math.cos(math.radians(params.fov)))
+    return cos_phi, cos_psi, seen
 
+
+def seen_gain(d2, cos_phi, cos_psi, params: VlcParams):
+    """DC channel gain of LOS paths the detector sees (see los_cosines).
+
+    gain = (m+1) A / (2 pi d^2) * cos^m(phi) * T_s * g(psi) * cos(psi),
+    with d2 the squared path length; a path with both cosines 0 has gain 0.
+    """
     m = lambertian_order(params.semi_angle_half_power)
-    concentrator = concentrator_gain(params)
-    lobe = np.power(cos_phi, m, out=np.zeros(np.shape(d2)), where=seen)
     return ((m + 1.0) * params.pd_area / (2.0 * math.pi * d2)
-            * lobe
-            * params.optical_filter_gain * concentrator
-            * np.where(seen, cos_psi, 0.0))
+            * np.power(cos_phi, m)
+            * params.optical_filter_gain * concentrator_gain(params)
+            * cos_psi)
+
+
+def los_gain(dx, dy, dz, tx_axis, rx_axis, params: VlcParams) -> np.ndarray:
+    """DC channel gain of LOS paths from emitters to detectors: seen_gain
+    where the detector sees the emitter, zero outside the receiver FOV or
+    behind the emitter.  Arguments as in los_cosines; offsets must be
+    nonzero.
+    """
+    d2 = dx * dx + dy * dy + dz * dz
+    cos_phi, cos_psi, seen = los_cosines(dx, dy, dz, np.sqrt(d2), tx_axis, rx_axis, params)
+    # unseen paths get zero cosines, hence a zero lobe and gain
+    return seen_gain(d2, np.where(seen, cos_phi, 0.0), np.where(seen, cos_psi, 0.0), params)
 
 
 def vlc_rx_electrical_power(gain, weather_factor, params: VlcParams):

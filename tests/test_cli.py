@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rfvlc import ConfigError, ScenarioConfig, simulate_trials, validate
+from rfvlc import cli
 from rfvlc.cli import main
 from rfvlc.config import (_SPECIAL_KEYS, DEFAULT_SEED, DEFAULT_TRIALS,
                           config_digest, parse_config)
@@ -356,7 +357,7 @@ class TestCliErrors:
         captured = capsys.readouterr()
         assert "distance_r: must be finite" in captured.err
         assert "sweep.distances: must be finite" in captured.err
-        assert captured.out == "" and list(out.iterdir()) == []
+        assert captured.out == "" and not out.exists()
 
     def test_overflowing_distance_is_config_error(self, tmp_path, capsys):
         # the squared distance to the desired vehicle overflows
@@ -384,7 +385,7 @@ class TestCliErrors:
             assert _run(["prp-sweep", "--out", str(out), "--distances", "50",
                          "--trials", "200"] + args) == 2
             assert "sweep.master_seed: must be in [0, 2^64)" in capsys.readouterr().err
-            assert not out.exists() or list(out.iterdir()) == []
+            assert not out.exists()
 
     def test_infinite_density_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "inf.cfg"
@@ -399,14 +400,16 @@ class TestCliErrors:
         assert "delay thresholds must be > 0" in capsys.readouterr().err
 
     def test_empty_delay_thresholds_are_config_error(self, tmp_path, capsys):
-        assert _run(["dor-sweep", "--out", str(tmp_path / "o"),
-                     "--t-th-ms", ","] + FAST) == 2
+        out = tmp_path / "o"
+        assert _run(["dor-sweep", "--out", str(out), "--t-th-ms", ","] + FAST) == 2
         assert "t_th: must be nonempty" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_distance_is_config_error(self, tmp_path, capsys):
-        assert _run(["prp-sweep", "--out", str(tmp_path / "o"),
-                     "--distances=-50,10"] + FAST) == 2
+        out = tmp_path / "o"
+        assert _run(["prp-sweep", "--out", str(out), "--distances=-50,10"] + FAST) == 2
         assert "distance_r: must be > 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_workers_is_config_error(self, tmp_path, capsys):
         assert _run(["prp-sweep", "--out", str(tmp_path / "o"), "--distances", "50",
@@ -418,14 +421,14 @@ class TestCliErrors:
         assert _run(["dor-sweep", "--out", str(out), "--distances", "50,50",
                      "--t-th-ms", "1"] + FAST) == 2
         assert "strictly increasing" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_decreasing_dor_distances_are_config_error(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert _run(["dor-sweep", "--out", str(out), "--distances", "200,50",
                      "--t-th-ms", "1"] + FAST) == 2
         assert "strictly increasing" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_infinite_rsu_tilt_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "tilt.cfg"
@@ -438,21 +441,21 @@ class TestCliErrors:
         assert _run(["prp-sweep", "--out", str(out), "--distances", "50",
                      "--modes", ","] + FAST) == 2
         assert "sweep.modes: must be nonempty" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_repeated_modes_are_config_error(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert _run(["prp-sweep", "--out", str(out), "--distances", "50",
                      "--modes", "la,la"] + FAST) == 2
         assert "sweep.modes: must not repeat" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_repeated_weathers_are_config_error(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert _run(["rate-sweep", "--out", str(out), "--distances", "50",
                      "--weather", "clear,clear"] + FAST) == 2
         assert "sweep.weathers: must not repeat" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["fog,fog", "fog,drizzle"])
     def test_bad_weather_key_is_config_error(self, tmp_path, capsys, value):
@@ -505,9 +508,14 @@ class TestCliErrors:
         assert err.startswith("configuration error: ") and "Traceback" not in err
         assert not list(out.glob("*"))
 
-    def test_failed_run_leaves_no_partial_csv(self, tmp_path):
+    def test_failed_run_leaves_no_partial_csv(self, tmp_path, monkeypatch):
         out = tmp_path / "o"
-        # decreasing distances fail sweep validation after out dir creation
-        assert _run(["prp-sweep", "--out", str(out),
-                     "--distances", "100,50"] + FAST) == 2
+
+        def full_disk(*args):
+            raise OSError("no space left on device")
+
+        # the manifest write fails after the CSVs are written
+        monkeypatch.setattr(cli, "_write_manifest", full_disk)
+        assert _run(["prp-sweep", "--out", str(out), "--gnuplot",
+                     "--distances", "50,100"] + FAST) == 1
         assert list(out.iterdir()) == []

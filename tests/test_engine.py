@@ -28,6 +28,11 @@ def _spec(**over):
     return SweepSpec(**base)
 
 
+def _is_proportion(est):
+    k = round(est.value * est.n_trials)
+    return 0 <= k <= est.n_trials and est == proportion_estimate(k, est.n_trials)
+
+
 class TestDeriveSeed:
     def test_deterministic(self):
         assert derive_seed(42, 3, 7) == derive_seed(42, 3, 7)
@@ -247,13 +252,14 @@ class TestRunSweep:
             assert all(r.t_th is None for r in table.rows)
             assert [(r.distance, r.mode) for r in table.rows] == [
                 (d, m) for d in spec.distances for m in spec.modes]
-            assert {r.metric for r in table.rows} == {metric}
+            # prp rows hold success proportions, rate rows mean Mbps
+            assert all(_is_proportion(r.estimate) for r in table.rows) == (metric == "prp")
 
     def test_row_layout_threshold_sweep(self):
         # one dor row per (distance, threshold, weather, mode)
         spec = _spec(t_th=(1e-3, 3e-3, 10e-3))
         table = run_sweep(ScenarioConfig(), spec, "dor")
-        assert {r.metric for r in table.rows} == {"dor"}
+        assert all(_is_proportion(r.estimate) for r in table.rows)
         assert [(r.distance, r.t_th, r.mode) for r in table.rows] == [
             (d, t, m) for d in spec.distances for t in spec.t_th for m in spec.modes]
 

@@ -14,7 +14,8 @@ from rfvlc import metrics
 from rfvlc.engine import trial_rng
 from rfvlc.metrics import interference_sums, simulate_trials
 from rfvlc.scenario import (EXCLUSION_RADIUS_M, LANES, draw_deployment,
-                            interferer_counts, lane_poses, outside_exclusion)
+                            interferer_counts, lane_poses, outside_exclusion, rsu_links)
+from rfvlc.vlc_channel import seen_gain
 
 # lambda * rho = 1e-2: ~20 interferers per trial; rain makes the optical
 # attenuation factor differ from 1.
@@ -34,6 +35,17 @@ def _dense(fading):
 # exclusion disc around it, sit off the x-axis.
 OFF_AXIS = dataclasses.replace(DENSE, geometry=dataclasses.replace(
     DENSE.geometry, lane_x_offset=3.5, lane_y_offset=-2.0))
+
+
+def _with_rsu(config, tilt_deg, fov):
+    return dataclasses.replace(
+        config, geometry=dataclasses.replace(config.geometry, rsu_tilt_deg=tilt_deg),
+        vlc=dataclasses.replace(config.vlc, fov=fov))
+
+
+# The RSU looks straight down with a 90 degree FOV: it sees every
+# headlamp aimed at the intersection, on both lanes.
+MOSTLY_LIT = _with_rsu(DENSE, 90.0, 90.0)
 
 
 def _desired_vehicle(config):
@@ -105,6 +117,16 @@ def _scalar_reference(config, weather, seed, n):
     return deployment, excluded, np.array(i_vlc), np.array(i_rf), sinr_vlc, sinr_rf
 
 
+def _lit_points(config, deployment):
+    """Interferers the RSU sees, per lane, from the public gain."""
+    out = []
+    for lane, part in zip(LANES, deployment.lane_slices()):
+        coord = deployment.coord[part]
+        gain = rsu_links(config, lane, coord)[1]
+        out.append(((gain > 0) & outside_exclusion(config, lane, coord)).sum())
+    return np.array(out)
+
+
 def _kernel_sums(config, weather, seed, n):
     rng = trial_rng(seed)
     deployment = draw_deployment(config, rng, n)
@@ -126,8 +148,8 @@ def _assert_matches_scalar(config):
 
 
 @pytest.mark.parametrize("config", [_dense(FADING_RAYLEIGH), _dense(FADING_NAKAGAMI),
-                                    OFF_AXIS],
-                         ids=[FADING_RAYLEIGH, FADING_NAKAGAMI, "off_axis"])
+                                    OFF_AXIS, MOSTLY_LIT],
+                         ids=[FADING_RAYLEIGH, FADING_NAKAGAMI, "off_axis", "mostly_lit"])
 def test_kernel_matches_scalar_channel_loop(config):
     deployment, excluded, i_vlc = _assert_matches_scalar(config)
     # the fixture really is dense, on both lanes, with visible interferers
@@ -185,3 +207,39 @@ def test_weathers_share_every_draw():
         assert np.array_equal(sinr_rf, alone_rf)
     # weather only rescales optical terms: the VLC rows differ
     assert len({row.tobytes() for row in sinr_vlc}) == len(ALL_WEATHERS)
+
+
+def test_nothing_lit_leaves_rf_and_stream_unchanged():
+    # the RSU faces the sky: no lane point is lit, whatever the FOV
+    dark = _with_rsu(DENSE, -90.0, DENSE.vlc.fov)
+    deployment = draw_deployment(DENSE, trial_rng(SEED), N)
+    assert _lit_points(dark, deployment).sum() == 0
+    runs = []
+    for config in (DENSE, dark):
+        rng = trial_rng(SEED)
+        runs.append((interference_sums(config, ALL_WEATHERS, deployment, rng),
+                     rng.random()))
+    ((lit_vlc, lit_rf), lit_next), ((dark_vlc, dark_rf), dark_next) = runs
+    assert lit_vlc.any() and not dark_vlc.any()
+    assert dark_vlc.shape == (len(ALL_WEATHERS), N)
+    assert dark_rf.tobytes() == lit_rf.tobytes() and dark_next == lit_next
+
+
+@pytest.mark.parametrize("config, same, perp", [(DENSE, (0.4, 0.6), (0.0, 0.05)),
+                                                (MOSTLY_LIT, (0.95, 1.0), (0.95, 1.0))],
+                         ids=["default_rsu", "mostly_lit"])
+def test_kernel_evaluates_gains_on_lit_points_only(config, same, perp, monkeypatch):
+    deployment = draw_deployment(config, trial_rng(SEED), N)
+    sizes = []
+
+    def counting_gain(d2, cos_phi, cos_psi, params):
+        sizes.append(len(d2))
+        return seen_gain(d2, cos_phi, cos_psi, params)
+
+    monkeypatch.setattr(metrics, "seen_gain", counting_gain)
+    interference_sums(config, (RAIN,), deployment, trial_rng(SEED))
+    lit = _lit_points(config, deployment)
+    assert sum(sizes) == lit.sum()
+    # the share of each lane's interferers that is lit
+    share = lit / interferer_counts(config, deployment).sum(axis=1)
+    assert same[0] <= share[0] <= same[1] and perp[0] <= share[1] <= perp[1]

@@ -391,11 +391,13 @@ class TestClosedFormOracles:
                     distance, weather, est.value, est.stderr, lo, hi)
 
     def test_vlc_oracle_step(self):
+        # at the default bisection tolerance the SNR steps across theta
+        # within 1 mm of the cutoff
         cfg = NO_INTERFERENCE
         theta_v = db_to_linear(cfg.sinr_threshold_vlc_db)
         cutoff = vlc_cutoff_distance(cfg, CLEAR, theta_v)
-        assert vlc_snr(cfg.with_distance(cutoff - 1.0), CLEAR) >= theta_v
-        assert vlc_snr(cfg.with_distance(cutoff + 1.0), CLEAR) < theta_v
+        assert vlc_snr(cfg.with_distance(cutoff - 1e-3), CLEAR) >= theta_v
+        assert vlc_snr(cfg.with_distance(cutoff + 1e-3), CLEAR) < theta_v
 
     def test_vlc_cutoff_bisection_consistency(self):
         cfg = NO_INTERFERENCE
