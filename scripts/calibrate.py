@@ -49,7 +49,7 @@ def main():
     spec = SweepSpec(distances=(50.0, 250.0),
                      weathers=("clear",),
                      modes=(MODE_LA,), n_trials=args.trials, master_seed=1)
-    for row in run_sweep(cfg, spec, "rate_mbps").rows:
+    for row in run_sweep(cfg, spec, "rate_mbps"):
         print(f"  R = {row.distance:5.0f} m: "
               f"{row.estimate.value:6.1f} Mbps "
               f"(+- {row.estimate.stderr:.2f})")

@@ -1,7 +1,7 @@
 """Monte Carlo simulator for hybrid RF-VLC vehicle-to-infrastructure uplinks."""
 
-from .engine import (MetricEstimate, SweepRow, SweepSpec, SweepTable,
-                     confidence_interval, derive_seed, run_sweep)
+from .engine import (MetricEstimate, SweepRow, SweepSpec, confidence_interval,
+                     derive_seed, run_sweep)
 from .errors import ConfigError, InvalidArgumentError, UnsupportedModelError
 from .metrics import (MODE_LA, MODE_NON_LA, MODE_PURE_RF, MODE_PURE_VLC,
                       MODES, db_to_linear, minimum_transmission_time, mode_rates,

@@ -14,21 +14,31 @@ and worker counts for equal manifests.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 
 from . import __version__
-from .config import DEFAULT_PRP_DISTANCES, config_digest, parse_config, parse_list
-from .engine import _CHUNK, RNG_SCHEME, SweepSpec, SweepTable, run_sweep
+from .config import (DEFAULT_MODES, DEFAULT_PRP_DISTANCES, config_digest, parse_config,
+                     parse_list)
+from .engine import _CHUNK, RNG_SCHEME, SweepRow, SweepSpec, run_sweep
 from .errors import ConfigError
 from .metrics import MODES
 from .scenario import ScenarioConfig
 
-_DEFAULT_RATE_DISTANCES = (50.0, 100.0, 150.0, 200.0, 250.0)
-_DEFAULT_DOR_DISTANCES = (50.0, 200.0)
+# subcommand -> (help, metric, file stem, default distances, default modes)
+_SWEEPS = {
+    "prp-sweep": ("packet reception probability vs distance", "prp", "prp",
+                  DEFAULT_PRP_DISTANCES, DEFAULT_MODES),
+    "dor-sweep": ("delay outage rate vs delay threshold", "dor", "dor",
+                  (50.0, 200.0), DEFAULT_MODES),
+    "rate-sweep": ("achievable data rate vs distance", "rate_mbps", "rate",
+                   (50.0, 100.0, 150.0, 200.0, 250.0), MODES),
+}
 _DEFAULT_T_TH_MS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 7.5, 10.0)
 
 
@@ -37,11 +47,13 @@ def _fmt(x: float) -> str:
 
 
 def _load(args) -> tuple[ScenarioConfig, SweepSpec]:
+    text = ""
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = ""
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{args.config}: not UTF-8 text: {exc}") from None
     config, spec = parse_config(text)
     if args.seed is not None:
         spec = replace(spec, master_seed=args.seed)
@@ -54,46 +66,74 @@ def _load(args) -> tuple[ScenarioConfig, SweepSpec]:
     return config, spec
 
 
-class _OutputSet:
-    """Tracks files written by one command; removes them all on failure.
+def _write_files(out_dir: str, files: dict[str, str]) -> None:
+    """Write files ({name: text}, in order) into out_dir, all or nothing.
 
-    Used as a context manager: leaving the block via an exception deletes
-    every file written so far, so a failed run never leaves partial CSVs.
+    Each path is recorded before it is opened, so a write that fails
+    partway removes every file of the run, the half-written one too.
     """
-
-    def __init__(self, out_dir: str):
-        self.out_dir = out_dir
-        self.paths: list[str] = []
-        os.makedirs(out_dir, exist_ok=True)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc_type is not None:
-            self.discard_all()
-        return False
-
-    def write_text(self, name: str, text: str) -> str:
-        path = os.path.join(self.out_dir, name)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        self.paths.append(path)
-        return path
-
-    def discard_all(self):
-        for path in self.paths:
-            try:
+    os.makedirs(out_dir, exist_ok=True)
+    opened = []
+    try:
+        for name, text in files.items():
+            opened.append(os.path.join(out_dir, name))
+            with open(opened[-1], "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except BaseException:
+        for path in opened:
+            with contextlib.suppress(OSError):
                 os.remove(path)
-            except OSError:
-                pass
+        raise
 
 
-def _write_manifest(out: _OutputSet, args, config, spec, subcommand: str):
+def _sweep_csv(rows: tuple[SweepRow, ...], metric: str) -> str:
+    """One row per (distance, weather, mode), led by t_th_ms on DOR rows."""
+    header = "t_th_ms," if metric == "dor" else ""
+    lines = [f"{header}distance_m,weather,mode,{metric},stderr,ci95_low,ci95_high,n_trials"]
+    for row in rows:
+        lead = [] if row.t_th is None else [_fmt(row.t_th * 1000.0)]
+        est = row.estimate
+        lines.append(",".join(lead + [
+            _fmt(row.distance), row.weather, row.mode, _fmt(est.value), _fmt(est.stderr),
+            _fmt(est.ci95_low), _fmt(est.ci95_high), str(est.n_trials)]))
+    return "\n".join(lines) + "\n"
+
+
+def _gnuplot_files(rows: tuple[SweepRow, ...], stem: str) -> dict[str, str]:
+    """One whitespace-delimited file per curve, {name: text}.
+
+    A curve is a (weather, mode) pair over distance, or for DOR rows a
+    (distance, weather, mode) triple over the delay threshold in seconds.
+    """
+    curves: dict[str, list[str]] = {}
+    for row in rows:
+        if row.t_th is None:
+            name, x = f"{stem}_{row.weather}_{row.mode}", row.distance
+        else:
+            name, x = f"{stem}_{_fmt(row.distance)}m_{row.weather}_{row.mode}", row.t_th
+        curves.setdefault(f"{name}.dat", []).append(
+            f"{_fmt(x)} {_fmt(row.estimate.value)} {_fmt(row.estimate.stderr)}")
+    return {name: "\n".join(lines) + "\n" for name, lines in curves.items()}
+
+
+def _sweep(args, metric: str, stem: str, default_modes: tuple[str, ...]) -> int:
+    """One metric per sweep point and mode: prp-, rate- and dor-sweep."""
+    config, spec = _load(args)
+    if not args.modes:
+        spec = replace(spec, modes=default_modes)
+    spec = replace(spec, distances=parse_list(args.distances))
+    if metric == "dor":
+        spec = replace(spec, t_th=tuple(t / 1000.0 for t in parse_list(args.t_th_ms)))
+    # run (and validate) before the output directory is made: a rejected
+    # sweep leaves nothing behind
+    rows = run_sweep(config, spec, metric, n_workers=args.workers)
+    files = {f"{stem}_sweep.csv": _sweep_csv(rows, metric)}
+    if args.gnuplot:
+        files.update(_gnuplot_files(rows, stem))
     manifest = {
         "tool": "rfvlc",
         "tool_version": __version__,
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "config_path": args.config or "",
         "output_dir": args.out,
         "master_seed": spec.master_seed,
@@ -103,69 +143,9 @@ def _write_manifest(out: _OutputSet, args, config, spec, subcommand: str):
         "config_sha256": config_digest(config, spec),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    out.write_text("run.manifest", json.dumps(manifest, indent=2) + "\n")
-
-
-def _sweep_csv(table: SweepTable, metric: str) -> str:
-    """One row per (distance, weather, mode), led by t_th_ms on DOR rows."""
-    header = "t_th_ms," if metric == "dor" else ""
-    lines = [f"{header}distance_m,weather,mode,{metric},stderr,ci95_low,ci95_high,n_trials"]
-    for row in table.rows:
-        lead = [] if row.t_th is None else [_fmt(row.t_th * 1000.0)]
-        est = row.estimate
-        lines.append(",".join(lead + [
-            _fmt(row.distance), row.weather, row.mode, _fmt(est.value), _fmt(est.stderr),
-            _fmt(est.ci95_low), _fmt(est.ci95_high), str(est.n_trials)]))
-    return "\n".join(lines) + "\n"
-
-
-def _gnuplot_files(out: _OutputSet, table: SweepTable, metric: str, stem: str):
-    """One whitespace-delimited file per curve.
-
-    A curve is a (weather, mode) pair over distance, or for DOR rows a
-    (distance, weather, mode) triple over the delay threshold in seconds.
-    """
-    curves: dict[str, list[str]] = {}
-    for row in table.rows:
-        if row.t_th is None:
-            name, x = f"{stem}_{row.weather}_{row.mode}", row.distance
-        else:
-            name, x = f"{stem}_{_fmt(row.distance)}m_{row.weather}_{row.mode}", row.t_th
-        curves.setdefault(name, []).append(
-            f"{_fmt(x)} {_fmt(row.estimate.value)} {_fmt(row.estimate.stderr)}")
-    for name, lines in curves.items():
-        out.write_text(f"{name}.dat", "\n".join(lines) + "\n")
-
-
-def _sweep(args, metric: str, stem: str, default_modes=None) -> int:
-    """One metric per sweep point and mode: prp-, rate- and dor-sweep."""
-    config, spec = _load(args)
-    if default_modes and not args.modes:
-        spec = replace(spec, modes=default_modes)
-    spec = replace(spec, distances=parse_list(args.distances))
-    if metric == "dor":
-        spec = replace(spec, t_th=tuple(t / 1000.0 for t in parse_list(args.t_th_ms)))
-    # run (and validate) before the output directory is made: a rejected
-    # sweep leaves nothing behind
-    table = run_sweep(config, spec, metric, n_workers=args.workers)
-    with _OutputSet(args.out) as out:
-        out.write_text(f"{stem}_sweep.csv", _sweep_csv(table, metric))
-        if args.gnuplot:
-            _gnuplot_files(out, table, metric, stem)
-        _write_manifest(out, args, config, spec, f"{stem}-sweep")
+    files["run.manifest"] = json.dumps(manifest, indent=2) + "\n"
+    _write_files(args.out, files)
     return 0
-
-
-def cmd_prp_sweep(args) -> int:
-    return _sweep(args, "prp", "prp")
-
-
-def cmd_rate_sweep(args) -> int:
-    return _sweep(args, "rate_mbps", "rate", default_modes=MODES)
-
-
-def cmd_dor_sweep(args) -> int:
-    return _sweep(args, "dor", "dor")
 
 
 def cmd_validate(args) -> int:
@@ -177,9 +157,8 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="path to key = value configuration file")
-    p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--seed", type=lambda s: int(s, 0), default=None,
                    help="master seed override (64-bit)")
     p.add_argument("--trials", type=int, default=None,
@@ -189,11 +168,6 @@ def _add_common(p: argparse.ArgumentParser):
                         "the config's weather key)")
     p.add_argument("--modes", default="",
                    help="comma list of pure_vlc,pure_rf,la,non_la")
-    p.add_argument("--workers", type=int, default=1,
-                   help="parallel worker processes (results are identical "
-                        "for any worker count)")
-    p.add_argument("--gnuplot", action="store_true",
-                   help="also emit whitespace-delimited per-curve files")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -204,28 +178,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("prp-sweep", help="packet reception probability vs distance")
-    _add_common(p)
-    p.add_argument("--distances",
-                   default=",".join(_fmt(d) for d in DEFAULT_PRP_DISTANCES))
-    p.set_defaults(func=cmd_prp_sweep)
-
-    p = sub.add_parser("dor-sweep", help="delay outage rate vs delay threshold")
-    _add_common(p)
-    p.add_argument("--distances",
-                   default=",".join(_fmt(d) for d in _DEFAULT_DOR_DISTANCES))
-    p.add_argument("--t-th-ms", dest="t_th_ms",
-                   default=",".join(_fmt(t) for t in _DEFAULT_T_TH_MS))
-    p.set_defaults(func=cmd_dor_sweep)
-
-    p = sub.add_parser("rate-sweep", help="achievable data rate vs distance")
-    _add_common(p)
-    p.add_argument("--distances",
-                   default=",".join(_fmt(d) for d in _DEFAULT_RATE_DISTANCES))
-    p.set_defaults(func=cmd_rate_sweep)
+    for name, (help_text, metric, stem, distances, modes) in _SWEEPS.items():
+        p = sub.add_parser(name, help=help_text)
+        _add_config_flags(p)
+        p.add_argument("--out", default="out", help="output directory")
+        p.add_argument("--workers", type=int, default=1,
+                       help="parallel worker processes (results are identical "
+                            "for any worker count)")
+        p.add_argument("--gnuplot", action="store_true",
+                       help="also emit whitespace-delimited per-curve files")
+        p.add_argument("--distances", default=",".join(_fmt(d) for d in distances))
+        if metric == "dor":
+            p.add_argument("--t-th-ms", dest="t_th_ms",
+                           default=",".join(_fmt(t) for t in _DEFAULT_T_TH_MS))
+        p.set_defaults(func=partial(_sweep, metric=metric, stem=stem,
+                                    default_modes=modes))
 
     p = sub.add_parser("validate", help="check a configuration file")
-    _add_common(p)
+    _add_config_flags(p)
     p.set_defaults(func=cmd_validate)
 
     return parser

@@ -22,6 +22,7 @@ from .scenario import (CONFIG_SECTIONS, FLOAT_KEYS, WEATHER_KINDS, ScenarioConfi
 DEFAULT_SEED = 20260823
 DEFAULT_TRIALS = 100_000
 DEFAULT_PRP_DISTANCES = tuple(float(d) for d in range(10, 251, 10))
+DEFAULT_MODES = (MODE_PURE_VLC, MODE_PURE_RF, MODE_LA)
 
 _SPECIAL_KEYS = ("weather", "rf.fading", "trials", "seed")
 
@@ -99,7 +100,7 @@ def parse_config(text: str) -> tuple[ScenarioConfig, SweepSpec]:
     spec = SweepSpec(
         distances=DEFAULT_PRP_DISTANCES,
         weathers=weathers,
-        modes=(MODE_PURE_VLC, MODE_PURE_RF, MODE_LA),
+        modes=DEFAULT_MODES,
         n_trials=n_trials,
         master_seed=master_seed,
     )

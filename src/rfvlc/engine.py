@@ -26,7 +26,7 @@ from .metrics import MODES, mode_rates, mode_success, outage_rate, simulate_tria
 from .scenario import WEATHER_KINDS, ScenarioConfig, validate
 
 __all__ = [
-    "SweepSpec", "SweepRow", "SweepTable", "MetricEstimate",
+    "SweepSpec", "SweepRow", "MetricEstimate",
     "derive_seed", "run_sweep", "confidence_interval", "trial_rng",
 ]
 
@@ -140,11 +140,6 @@ class SweepRow:
     estimate: MetricEstimate
 
 
-@dataclass(frozen=True)
-class SweepTable:
-    rows: tuple[SweepRow, ...]
-
-
 def _chunk_stats(config: ScenarioConfig, master_seed: int, point_index: int,
                  start: int, end: int, weathers: tuple[str, ...],
                  t_th: tuple[float, ...], metric: str):
@@ -167,8 +162,8 @@ def _chunk_stats(config: ScenarioConfig, master_seed: int, point_index: int,
 
 
 def run_sweep(config: ScenarioConfig, spec: SweepSpec, metric: str,
-              n_workers: int = 1) -> SweepTable:
-    """Run the full sweep for one metric and return the ordered result table.
+              n_workers: int = 1) -> tuple[SweepRow, ...]:
+    """Run the full sweep for one metric and return its rows in order.
 
     metric is "prp", "rate_mbps" or "dor"; only its statistics are
     computed.  Each distance is simulated once for every weather: weather
@@ -224,7 +219,7 @@ def run_sweep(config: ScenarioConfig, spec: SweepSpec, metric: str,
                     else:
                         est = proportion_estimate(int(stats[0][at]), n)
                     rows.append(SweepRow(distance, t_th, weather, mode, est))
-    return SweepTable(rows=tuple(rows))
+    return tuple(rows)
 
 
 def _chunk_stats_job(args):

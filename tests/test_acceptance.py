@@ -42,7 +42,7 @@ def test_criterion_01_rf_oracle_equivalence(capsys):
     spec = SweepSpec(distances=(50.0, 100.0, 200.0),
                      weathers=CLEAR, modes=(MODE_PURE_RF,), n_trials=100_000,
                      master_seed=101)
-    rows = run_sweep(cfg, spec, "prp").rows
+    rows = run_sweep(cfg, spec, "prp")
     worst = 0.0
     for row in rows:
         exact = prp_rf_closed_form(cfg.with_distance(row.distance))
@@ -85,7 +85,7 @@ def test_criterion_02_vlc_oracle_equivalence(capsys):
 
 
 @pytest.fixture(scope="module")
-def prp_grid_table():
+def prp_grid_rows():
     spec = SweepSpec(distances=tuple(float(d) for d in range(10, 251, 10)),
                      weathers=ALL_WEATHERS,
                      modes=(MODE_PURE_VLC, MODE_PURE_RF, MODE_LA),
@@ -93,10 +93,9 @@ def prp_grid_table():
     return spec, run_sweep(ScenarioConfig(), spec, "prp")
 
 
-def test_criterion_03_la_dominance(capsys, prp_grid_table):
+def test_criterion_03_la_dominance(capsys, prp_grid_rows):
     """PRP(la) >= max(pure) on every point of the 25 x 4 grid, exactly."""
-    spec, table = prp_grid_table
-    rows = table.rows
+    spec, rows = prp_grid_rows
     violations = 0
     for value in spec.distances:
         for weather in spec.weathers:
@@ -111,7 +110,7 @@ def test_criterion_03_la_dominance(capsys, prp_grid_table):
              f"({violations} violations)")
 
 
-def test_criterion_04_weather_ordering(capsys, prp_grid_table):
+def test_criterion_04_weather_ordering(capsys, prp_grid_rows):
     """VLC reception ordered clear >= rain >= fog >= dry_snow; RF untouched.
 
     The comparison is per trial on shared seeds, so it is exact: with the
@@ -135,15 +134,15 @@ def test_criterion_04_weather_ordering(capsys, prp_grid_table):
         ok_v = sinr_vlc >= theta_v
         bad += int((ok_v[1:] > ok_v[:-1]).any(axis=0).sum())
     # engine level: VLC-involving PRP ordered, pure-RF estimates identical
-    spec, table = prp_grid_table
+    spec, rows = prp_grid_rows
     for value in spec.distances:
         for mode in (MODE_PURE_VLC, MODE_LA):
-            by_weather = {r.weather: r.estimate.value for r in table.rows
+            by_weather = {r.weather: r.estimate.value for r in rows
                           if r.distance == value and r.mode == mode}
             curve = [by_weather[w] for w in ALL_WEATHERS]
             if any(b > a for a, b in zip(curve, curve[1:])):
                 bad += 1
-        rf_rows = {r.estimate for r in table.rows
+        rf_rows = {r.estimate for r in rows
                    if r.distance == value and r.mode == MODE_PURE_RF}
         if len(rf_rows) != 1:
             bad += 1
@@ -159,7 +158,7 @@ def test_criterion_05_prp_crossover(capsys):
     spec = SweepSpec(distances=tuple(float(d) for d in range(50, 251, 10)),
                      weathers=CLEAR, modes=(MODE_PURE_VLC, MODE_PURE_RF),
                      n_trials=100_000, master_seed=505)
-    rows = run_sweep(ScenarioConfig(), spec, "prp").rows
+    rows = run_sweep(ScenarioConfig(), spec, "prp")
     diff = []
     for value in spec.distances:
         by_mode = {r.mode: r.estimate.value for r in rows
@@ -182,7 +181,7 @@ def test_criterion_06_rate_endpoints(capsys):
     spec = SweepSpec(distances=(50.0, 100.0, 150.0, 200.0, 250.0),
                      weathers=CLEAR, modes=(MODE_LA,), n_trials=20_000,
                      master_seed=606)
-    rows = run_sweep(ScenarioConfig(), spec, "rate_mbps").rows
+    rows = run_sweep(ScenarioConfig(), spec, "rate_mbps")
     rate = {r.distance: r.estimate.value for r in rows}
     ok = (abs(rate[50.0] - 83.2) <= 0.25 * 83.2
           and abs(rate[250.0] - 39.8) <= 0.25 * 39.8
@@ -202,7 +201,7 @@ def dor_grid():
                      weathers=ALL_WEATHERS,
                      modes=(MODE_PURE_VLC, MODE_PURE_RF, MODE_LA),
                      n_trials=10_000, master_seed=707)
-    return spec, run_sweep(ScenarioConfig(), spec, "dor").rows
+    return spec, run_sweep(ScenarioConfig(), spec, "dor")
 
 
 def test_criterion_07a_dor_monotone(capsys, dor_grid):
@@ -280,7 +279,7 @@ def test_criterion_08_la_dor_tail(capsys):
     """
     spec = SweepSpec(distances=(200.0,), t_th=(3e-3,), weathers=CLEAR,
                      modes=(MODE_LA,), n_trials=1_000_000, master_seed=808)
-    row, = run_sweep(ScenarioConfig(), spec, "dor", n_workers=4).rows
+    row, = run_sweep(ScenarioConfig(), spec, "dor", n_workers=4)
     value = row.estimate.value
     ok = value < 1e-3
     _verdict(capsys, 8, ok,
@@ -295,7 +294,7 @@ def test_criterion_08_long_tail_estimate(capsys):
     """Optional 10^7-trial version of the 3 ms tail probe."""
     spec = SweepSpec(distances=(200.0,), t_th=(3e-3,), weathers=CLEAR,
                      modes=(MODE_LA,), n_trials=10_000_000, master_seed=808)
-    row, = run_sweep(ScenarioConfig(), spec, "dor", n_workers=8).rows
+    row, = run_sweep(ScenarioConfig(), spec, "dor", n_workers=8)
     value = row.estimate.value
     _verdict(capsys, "8L", value < 1e-3,
              f"LA DOR at 200 m / 3 ms over 10^7 trials = {value:.6f}")

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import rfvlc.cli
 from rfvlc import ScenarioConfig, prp_rf_closed_form
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
@@ -41,6 +42,14 @@ def test_benchmark_imports_something_from_rfvlc():
                          ids=lambda v: str(v))
 def test_benchmark_import_resolves(file, module, name):
     assert hasattr(importlib.import_module(module), name), f"{file}: {module}.{name}"
+
+
+def test_cli_keeps_the_names_the_benchmark_hooks():
+    # bench.py calls rfvlc.cli.main, and its tracer wraps main, parse_config
+    # and run_sweep where the CLI looks them up: in the rfvlc.cli namespace
+    assert callable(rfvlc.cli.main)
+    assert rfvlc.cli.parse_config is rfvlc.config.parse_config
+    assert rfvlc.cli.run_sweep is rfvlc.engine.run_sweep
 
 
 @pytest.mark.parametrize("distance", [10.0, 25.0, 50.0, 100.0])

@@ -1,5 +1,6 @@
 """Configuration parsing and command-line interface tests."""
 
+import errno
 import json
 import os
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from rfvlc import ConfigError, ScenarioConfig, simulate_trials, validate
 from rfvlc import cli
-from rfvlc.cli import main
+from rfvlc.cli import build_parser, main
 from rfvlc.config import (_SPECIAL_KEYS, DEFAULT_SEED, DEFAULT_TRIALS,
                           config_digest, parse_config)
 from rfvlc.scenario import FLOAT_KEYS, config_floats
@@ -508,14 +509,82 @@ class TestCliErrors:
         assert err.startswith("configuration error: ") and "Traceback" not in err
         assert not list(out.glob("*"))
 
-    def test_failed_run_leaves_no_partial_csv(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("argv", [["validate"],
+                                      ["prp-sweep", "--distances", "50"] + FAST],
+                             ids=["validate", "prp-sweep"])
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.cfg").write_bytes(b"seed = 1\n\xff\xfe = 2\n")
+        assert _run(argv + ["--config", "bad.cfg"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: bad.cfg: not UTF-8 text: ")
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path) == ["bad.cfg"]
+
+    def _fail_manifest_write(self, tmp_path, capsys, monkeypatch, mid_file):
+        # run.manifest is written last, after the CSV and the .dat files
+        def stand_in(path, *args, **kwargs):
+            if os.path.basename(path) != "run.manifest":
+                return open(path, *args, **kwargs)
+            if not mid_file:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return _HalfWriter(open(path, *args, **kwargs))
+
+        monkeypatch.setattr(cli, "open", stand_in, raising=False)
         out = tmp_path / "o"
-
-        def full_disk(*args):
-            raise OSError("no space left on device")
-
-        # the manifest write fails after the CSVs are written
-        monkeypatch.setattr(cli, "_write_manifest", full_disk)
         assert _run(["prp-sweep", "--out", str(out), "--gnuplot",
                      "--distances", "50,100"] + FAST) == 1
+        assert capsys.readouterr().err.startswith("i/o error: ")
         assert list(out.iterdir()) == []
+
+    def test_failed_run_leaves_no_partial_csv(self, tmp_path, capsys, monkeypatch):
+        # the manifest write fails before its first byte
+        self._fail_manifest_write(tmp_path, capsys, monkeypatch, mid_file=False)
+
+    def test_failed_run_leaves_no_half_written_file(self, tmp_path, capsys, monkeypatch):
+        # the manifest write fails with half of the file on disk
+        self._fail_manifest_write(tmp_path, capsys, monkeypatch, mid_file=True)
+
+
+class _HalfWriter:
+    """A file whose one write stores half of its text, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[:len(text) // 2])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestCliParser:
+    def test_sweep_defaults(self):
+        parser = build_parser()
+        three, four = ("pure_vlc", "pure_rf", "la"), ("pure_vlc", "pure_rf", "la", "non_la")
+        for name, distances, modes in (
+                ("prp-sweep", ",".join(str(d) for d in range(10, 251, 10)), three),
+                ("rate-sweep", "50,100,150,200,250", four),
+                ("dor-sweep", "50,200", three)):
+            args = parser.parse_args([name])
+            assert (args.subcommand, args.distances) == (name, distances)
+            assert args.func.keywords["default_modes"] == modes
+            assert (args.out, args.workers, args.gnuplot) == ("out", 1, False)
+            assert hasattr(args, "t_th_ms") == (name == "dor-sweep")
+        assert len(parser.parse_args(["prp-sweep"]).distances.split(",")) == 25
+        assert parser.parse_args(["dor-sweep"]).t_th_ms == \
+            "0.5,1,1.5,2,2.5,3,4,5,7.5,10"
+
+    @pytest.mark.parametrize("flag", [["--out", "x"], ["--workers", "0"], ["--gnuplot"]],
+                             ids=" ".join)
+    def test_validate_rejects_sweep_flags(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            _run(["validate"] + flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

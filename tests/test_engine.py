@@ -142,7 +142,7 @@ class TestRunSweep:
     def test_pure_rf_identical_across_weathers_at_density(self):
         spec = _spec(weathers=ALL_WEATHERS, n_trials=_CHUNK + 300)
         for metric in ("prp", "rate_mbps"):
-            rows = run_sweep(DENSE, spec, metric).rows
+            rows = run_sweep(DENSE, spec, metric)
             for value in spec.distances:
                 estimates = [r.estimate for r in rows
                              if r.distance == value and r.mode == MODE_PURE_RF]
@@ -151,7 +151,7 @@ class TestRunSweep:
     def test_one_stream_per_chunk(self):
         # chunk c of point p draws from trial_rng(derive_seed(master, p, c))
         spec = _spec(distances=(150.0,), modes=(MODE_PURE_RF,), n_trials=_CHUNK + 500)
-        row, = run_sweep(DENSE, spec, "prp").rows
+        row, = run_sweep(DENSE, spec, "prp")
         cfg = DENSE.with_distance(150.0)
         wins = 0
         for chunk, n in enumerate((_CHUNK, 500)):
@@ -164,15 +164,15 @@ class TestRunSweep:
         # every threshold counts the late trials of the same chunk streams
         spec = _spec(distances=(150.0,), modes=(MODE_LA,), n_trials=_CHUNK + 500,
                      t_th=(4e-3, 8e-3))
-        table = run_sweep(DENSE, spec, "dor")
+        rows = run_sweep(DENSE, spec, "dor")
         cfg = DENSE.with_distance(150.0)
         rates = np.concatenate([
             mode_rates(*simulate_trials(
                 cfg, CLEAR, trial_rng(derive_seed(spec.master_seed, 0, chunk)), n),
                 cfg)[0, 2]
             for chunk, n in enumerate((_CHUNK, 500))])
-        assert len(table.rows) == 2
-        for row in table.rows:
+        assert len(rows) == 2
+        for row in rows:
             late = (rates < outage_rate(cfg.payload_h, row.t_th)).sum()
             assert row.estimate.value == late / spec.n_trials
 
@@ -248,27 +248,27 @@ class TestRunSweep:
         # one row of the sweep's metric per (distance, weather, mode)
         spec = _spec()
         for metric in ("prp", "rate_mbps"):
-            table = run_sweep(ScenarioConfig(), spec, metric)
-            assert all(r.t_th is None for r in table.rows)
-            assert [(r.distance, r.mode) for r in table.rows] == [
+            rows = run_sweep(ScenarioConfig(), spec, metric)
+            assert all(r.t_th is None for r in rows)
+            assert [(r.distance, r.mode) for r in rows] == [
                 (d, m) for d in spec.distances for m in spec.modes]
             # prp rows hold success proportions, rate rows mean Mbps
-            assert all(_is_proportion(r.estimate) for r in table.rows) == (metric == "prp")
+            assert all(_is_proportion(r.estimate) for r in rows) == (metric == "prp")
 
     def test_row_layout_threshold_sweep(self):
         # one dor row per (distance, threshold, weather, mode)
         spec = _spec(t_th=(1e-3, 3e-3, 10e-3))
-        table = run_sweep(ScenarioConfig(), spec, "dor")
-        assert all(_is_proportion(r.estimate) for r in table.rows)
-        assert [(r.distance, r.t_th, r.mode) for r in table.rows] == [
+        rows = run_sweep(ScenarioConfig(), spec, "dor")
+        assert all(_is_proportion(r.estimate) for r in rows)
+        assert [(r.distance, r.t_th, r.mode) for r in rows] == [
             (d, t, m) for d in spec.distances for t in spec.t_th for m in spec.modes]
 
     def test_dor_nonincreasing_in_threshold(self):
         spec = _spec(distances=(150.0,), t_th=(0.5e-3, 1e-3, 2e-3, 4e-3, 8e-3),
                      n_trials=2000)
-        table = run_sweep(ScenarioConfig(), spec, "dor")
+        rows = run_sweep(ScenarioConfig(), spec, "dor")
         for mode in spec.modes:
-            curve = [r.estimate.value for r in table.rows if r.mode == mode]
+            curve = [r.estimate.value for r in rows if r.mode == mode]
             assert all(b <= a for a, b in zip(curve, curve[1:]))
 
     def test_invalid_config_rejected(self):
@@ -313,18 +313,18 @@ class TestRunSweep:
 
         monkeypatch.setattr(engine, unused, refuse)
         spec = _spec(n_trials=_CHUNK + 300, t_th=(1e-3,) if metric == "dor" else ())
-        assert run_sweep(DENSE, spec, metric, n_workers=1).rows
+        assert run_sweep(DENSE, spec, metric, n_workers=1)
 
     def test_matches_rf_closed_form_without_interferers(self):
         cfg = dataclasses.replace(ScenarioConfig(), lambda_density=0.0)
         spec = _spec(distances=(100.0,), modes=(MODE_PURE_RF,), n_trials=20_000)
-        row, = run_sweep(cfg, spec, "prp").rows
+        row, = run_sweep(cfg, spec, "prp")
         exact = prp_rf_closed_form(cfg.with_distance(100.0))
         assert abs(row.estimate.value - exact) < 3.5 * max(row.estimate.stderr, 1e-4)
 
     def test_la_prp_dominates_pure_modes(self):
         spec = _spec(n_trials=2000)
-        rows = run_sweep(ScenarioConfig(), spec, "prp").rows
+        rows = run_sweep(ScenarioConfig(), spec, "prp")
         for value in spec.distances:
             by_mode = {r.mode: r.estimate.value for r in rows
                        if r.distance == value}

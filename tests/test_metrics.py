@@ -364,7 +364,7 @@ class TestClosedFormOracles:
         cfg = dataclasses.replace(ScenarioConfig(), rho_access=rho_access)
         spec = SweepSpec(distances=distances, weathers=(CLEAR,),
                          modes=(MODE_PURE_RF,), n_trials=20_000, master_seed=2208)
-        for row in run_sweep(cfg, spec, "prp").rows:
+        for row in run_sweep(cfg, spec, "prp"):
             point = cfg.with_distance(row.distance)
             exact = prp_rf_closed_form(point)
             assert exact < visible * prp_rf_closed_form(
