@@ -183,7 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
         _add_config_flags(p)
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--workers", type=int, default=1,
-                       help="parallel worker processes (results are identical "
+                       help="worker processes, this one included (at most one "
+                            "per usable CPU and per chunk; results are identical "
                             "for any worker count)")
         p.add_argument("--gnuplot", action="store_true",
                        help="also emit whitespace-delimited per-curve files")

@@ -9,13 +9,18 @@ bit-identical tables.  Each chunk is one array pass (simulate_trials)
 scored, for every weather and mode, for the one metric the sweep writes,
 and the chunk partials are reduced in chunk order, which keeps
 floating-point summation order independent of the worker count.
+
+With k workers the chunk list is split once, interleaved: this process
+computes chunks[0::k] while k - 1 forked helper processes compute
+chunks[j::k] and send their partials back over a pipe.  Every chunk goes
+through the module global _chunk_stats_job, looked up at call time in
+this process and in the helpers alike.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,12 +199,11 @@ def run_sweep(config: ScenarioConfig, spec: SweepSpec, metric: str,
                spec.weathers, spec.t_th, metric)
               for d_idx, cfg in enumerate(points) for start in starts]
 
-    # The pool starts all its workers at once: start no more than there
-    # are chunks or CPUs, and none for a single chunk.
-    n_workers = min(n_workers, len(chunks), os.cpu_count() or 1)
+    # Start no more workers than there are chunks or CPUs, and no helper
+    # for a single chunk.
+    n_workers = min(n_workers, len(chunks), _usable_cpus())
     if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            partials = list(pool.map(_chunk_stats_job, chunks, chunksize=4))
+        partials = _run_split(chunks, n_workers)
     else:
         partials = [_chunk_stats_job(c) for c in chunks]
 
@@ -224,3 +228,69 @@ def run_sweep(config: ScenarioConfig, spec: SweepSpec, metric: str,
 
 def _chunk_stats_job(args):
     return _chunk_stats(*args)
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _helper_main(share, conn):
+    """Helper process body: compute share, send (True, partials) or, on any
+    exception, (False, exc) for the parent to re-raise."""
+    try:
+        result = (True, [_chunk_stats_job(c) for c in share])
+    except BaseException as exc:
+        result = (False, exc)
+    conn.send(result)
+    conn.close()
+
+
+def _start_helper(share):
+    """Fork a helper that computes share; return it and its receiving end.
+
+    A forked helper inherits the jobs and this module's globals as they
+    are, so nothing but the partials is pickled.
+    """
+    # Imported here, not at the top: only multi-worker sweeps pay for it.
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    recv_end, send_end = ctx.Pipe(duplex=False)
+    helper = ctx.Process(target=_helper_main, args=(share, send_end), daemon=True)
+    helper.start()
+    # Only the helper holds the sending end now, so its death reads as EOF.
+    send_end.close()
+    return helper, recv_end
+
+
+def _run_split(chunks, k):
+    """The partials of every chunk, in chunk order, from this process and
+    k - 1 helpers; helper j computes chunks[j::k] and this process
+    chunks[0::k].  A failure in any share is raised here, and no helper
+    outlives the call."""
+    helpers = []
+    try:
+        for j in range(1, k):
+            helpers.append(_start_helper(chunks[j::k]))
+        partials = [None] * len(chunks)
+        partials[0::k] = [_chunk_stats_job(c) for c in chunks[0::k]]
+        for j, (helper, conn) in enumerate(helpers, 1):
+            try:
+                ok, value = conn.recv()
+            except EOFError:
+                helper.join()
+                raise RuntimeError(f"sweep helper {j} of {k - 1} died with exit code "
+                                   f"{helper.exitcode} before sending its chunks") from None
+            if not ok:
+                raise value
+            partials[j::k] = value
+        return partials
+    finally:
+        for helper, conn in helpers:
+            conn.close()
+            if helper.is_alive():
+                helper.terminate()
+            helper.join()

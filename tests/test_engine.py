@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -18,6 +20,10 @@ CLEAR = ("clear",)
 ALL_WEATHERS = WEATHER_KINDS
 # lambda * rho = 1e-2: ~20 interferers per trial
 DENSE = dataclasses.replace(ScenarioConfig(), rho_access=1.0)
+
+
+class _ChunkFailure(Exception):
+    """Raised by a stand-in chunk to check that failures keep their type."""
 
 
 def _spec(**over):
@@ -197,46 +203,113 @@ class TestRunSweep:
             for p in range(len(spec.distances)) for start in (0, _CHUNK)]
 
     @staticmethod
-    def _recording_pool(monkeypatch, cpus):
-        """Replace the process pool by a stand-in that records its size and
-        runs the chunks inline, and report cpus CPUs."""
-        pools = []
+    def _recording_helpers(monkeypatch, cpus):
+        """Record the (point, start) chunks of every helper process started,
+        and report cpus usable CPUs (None: no affinity mask and an unknown
+        CPU count)."""
+        helpers = []
+        start_helper = engine._start_helper
 
-        class RecordingPool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
+        def recording(share):
+            helpers.append([job[2:4] for job in share])
+            return start_helper(share)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
-        return pools
+        monkeypatch.setattr(engine, "_start_helper", recording)
+        if cpus is None:
+            monkeypatch.delattr(engine.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(engine.os, "cpu_count", lambda: None)
+        else:
+            monkeypatch.setattr(engine, "_usable_cpus", lambda: cpus)
+        return helpers
 
     def test_pool_starts_no_more_workers_than_chunks(self, monkeypatch):
-        pools = self._recording_pool(monkeypatch, cpus=64)
+        # k workers are this process and k - 1 helpers
+        helpers = self._recording_helpers(monkeypatch, cpus=64)
         cfg = ScenarioConfig()
         one_chunk = _spec(distances=(50.0,))
         assert (run_sweep(cfg, one_chunk, "prp", n_workers=8)
                 == run_sweep(cfg, one_chunk, "prp"))
-        assert pools == []
-        run_sweep(cfg, _spec(distances=(50.0, 100.0, 150.0)), "prp", n_workers=8)
-        assert pools == [3]
+        assert helpers == []
+        three_chunks = _spec(distances=(50.0, 100.0, 150.0))
+        assert (run_sweep(cfg, three_chunks, "prp", n_workers=8)
+                == run_sweep(cfg, three_chunks, "prp"))
+        assert helpers == [[(1, 0)], [(2, 0)]]
 
-    @pytest.mark.parametrize("cpus, started", [(2, [2]), (1, []), (None, [])])
+    @pytest.mark.parametrize("cpus, started", [(2, [[(1, 0)]]), (1, []), (None, [])])
     def test_pool_starts_no_more_workers_than_cpus(self, monkeypatch, cpus, started):
-        pools = self._recording_pool(monkeypatch, cpus)
+        helpers = self._recording_helpers(monkeypatch, cpus)
         cfg = ScenarioConfig()
         spec = _spec(distances=(50.0, 100.0, 150.0))
         assert (run_sweep(cfg, spec, "prp", n_workers=100_000)
                 == run_sweep(cfg, spec, "prp"))
-        assert pools == started
+        assert helpers == started
+
+    def test_usable_cpus_follow_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert engine._usable_cpus() == 1
+        monkeypatch.delattr(engine.os, "sched_getaffinity")
+        assert engine._usable_cpus() == 64
+
+    def test_every_chunk_runs_once_through_the_job_entry_point(
+            self, monkeypatch, tmp_path):
+        # the benchmark's tracer wraps this name in this process and the helpers
+        log = tmp_path / "chunks.log"
+        job = engine._chunk_stats_job
+
+        def logged(args):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {args[2]} {args[3]}\n")
+            return job(args)
+
+        spec = _spec(n_trials=2 * _CHUNK + 300)
+        expected = run_sweep(ScenarioConfig(), spec, "prp")
+        monkeypatch.setattr(engine, "_chunk_stats_job", logged)
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
+        assert run_sweep(ScenarioConfig(), spec, "prp", n_workers=3) == expected
+        calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        chunks = [(p, start) for p in range(2) for start in (0, _CHUNK, 2 * _CHUNK)]
+        by_pid = {}
+        for pid, point, start in calls:
+            by_pid.setdefault(pid, []).append((point, start))
+        assert len(calls) == len(chunks)
+        assert by_pid.pop(os.getpid()) == chunks[0::3]
+        assert sorted(by_pid.values()) == [chunks[1::3], chunks[2::3]]
+
+    @pytest.mark.parametrize("failing, where", [(1, "helper"), (0, "this process")])
+    def test_failure_reaches_the_caller_with_its_type(self, monkeypatch, failing, where):
+        chunk_stats = engine._chunk_stats
+
+        def failing_chunk(config, seed, point, *rest):
+            if point == failing:
+                raise _ChunkFailure(point, os.getpid())
+            return chunk_stats(config, seed, point, *rest)
+
+        monkeypatch.setattr(engine, "_chunk_stats", failing_chunk)
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
+        spec = _spec(distances=(50.0, 100.0, 150.0))
+        with pytest.raises(_ChunkFailure) as failure:
+            run_sweep(ScenarioConfig(), spec, "prp", n_workers=3)
+        point, pid = failure.value.args
+        assert point == failing
+        assert (pid == os.getpid()) == (where == "this process")
+        assert multiprocessing.active_children() == []
+
+    def test_helper_that_dies_is_runtime_error(self, monkeypatch):
+        chunk_stats = engine._chunk_stats
+        parent = os.getpid()
+
+        def dying_chunk(config, seed, point, *rest):
+            if point == 1 and os.getpid() != parent:
+                os._exit(7)
+            return chunk_stats(config, seed, point, *rest)
+
+        monkeypatch.setattr(engine, "_chunk_stats", dying_chunk)
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+        spec = _spec(distances=(50.0, 100.0))
+        with pytest.raises(RuntimeError, match="exit code 7"):
+            run_sweep(ScenarioConfig(), spec, "prp", n_workers=2)
+        assert multiprocessing.active_children() == []
 
     def test_seed_changes_results(self):
         cfg = ScenarioConfig()
