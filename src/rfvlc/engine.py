@@ -5,16 +5,18 @@ Trials are simulated in chunks of _CHUNK on a fixed grid, and every
 (the counter-based stream idea of Salmon et al., "Parallel random numbers:
 as easy as 1, 2, 3", SC'11).  Results are therefore a pure function of
 (config, spec): reruns and runs with different worker counts produce
-bit-identical tables.  Each chunk is one array pass (simulate_trials)
-scored, for every weather and mode, for the one metric the sweep writes,
-and the chunk partials are reduced in chunk order, which keeps
+bit-identical tables.  A process simulates its share of chunks in order
+(metrics.simulate_chunks, where consecutive sparse chunks share one
+interferer pass and every chunk gets the SINRs it gets alone), scores
+each chunk, for every weather and mode, for the one metric the sweep
+writes, and the chunk partials are reduced in chunk order, which keeps
 floating-point summation order independent of the worker count.
 
 With k workers the chunk list is split once, interleaved: this process
 computes chunks[0::k] while k - 1 forked helper processes compute
-chunks[j::k] and send their partials back over a pipe.  Every chunk goes
-through the module global _chunk_stats_job, looked up at call time in
-this process and in the helpers alike.
+chunks[j::k] and send their partials back over a pipe.  Every chunk is
+scored through the module global _chunk_stats_job, looked up at call
+time in this process and in the helpers alike.
 """
 
 from __future__ import annotations
@@ -27,12 +29,12 @@ import numpy as np
 
 from .errors import ConfigError
 from .estimate import MetricEstimate, confidence_interval, mean_estimate, proportion_estimate
-from .metrics import MODES, mode_rates, mode_success, outage_rate, simulate_trials
+from .metrics import MODES, mode_rates, mode_success, outage_rate, simulate_chunks
 from .scenario import WEATHER_KINDS, ScenarioConfig, validate
 
 __all__ = [
     "SweepSpec", "SweepRow", "MetricEstimate",
-    "derive_seed", "run_sweep", "confidence_interval", "trial_rng",
+    "derive_seed", "run_sweep", "sweep_workers", "confidence_interval", "trial_rng",
 ]
 
 _METRICS = ("prp", "rate_mbps", "dor")
@@ -145,27 +147,6 @@ class SweepRow:
     estimate: MetricEstimate
 
 
-def _chunk_stats(config: ScenarioConfig, master_seed: int, point_index: int,
-                 start: int, end: int, weathers: tuple[str, ...],
-                 t_th: tuple[float, ...], metric: str):
-    """Simulate one chunk of trials, start a multiple of _CHUNK, and return
-    the statistics of metric alone, per weather and mode in MODES order:
-    the success counts, [W, 4] (prp); the rate sum and sum of squares in
-    Mbps, [W, 4] each (rate_mbps); or late[weather, mode, k], the trials
-    whose rate falls below outage_rate(H, t_th[k]) (dor).
-    """
-    rng = trial_rng(derive_seed(master_seed, point_index, start // _CHUNK))
-    sinrs = simulate_trials(config, weathers, rng, end - start)
-    if metric == "prp":
-        return (mode_success(*sinrs, config).sum(axis=-1),)
-    rate = mode_rates(*sinrs, config)
-    if metric == "rate_mbps":
-        mbps = rate / 1e6
-        return mbps.sum(axis=-1), (mbps * mbps).sum(axis=-1)
-    cutoffs = np.array([outage_rate(config.payload_h, t) for t in t_th])
-    return ((rate[..., None, :] < cutoffs[:, None]).sum(axis=-1),)
-
-
 def run_sweep(config: ScenarioConfig, spec: SweepSpec, metric: str,
               n_workers: int = 1) -> tuple[SweepRow, ...]:
     """Run the full sweep for one metric and return its rows in order.
@@ -199,13 +180,11 @@ def run_sweep(config: ScenarioConfig, spec: SweepSpec, metric: str,
                spec.weathers, spec.t_th, metric)
               for d_idx, cfg in enumerate(points) for start in starts]
 
-    # Start no more workers than there are chunks or CPUs, and no helper
-    # for a single chunk.
-    n_workers = min(n_workers, len(chunks), _usable_cpus())
+    n_workers = sweep_workers(spec, n_workers)
     if n_workers > 1:
         partials = _run_split(chunks, n_workers)
     else:
-        partials = [_chunk_stats_job(c) for c in chunks]
+        partials = _run_share(chunks)
 
     # Reduce per distance (and weather): sum() adds the partials in chunk order.
     grid = (len(spec.distances), len(starts))
@@ -226,8 +205,46 @@ def run_sweep(config: ScenarioConfig, spec: SweepSpec, metric: str,
     return tuple(rows)
 
 
-def _chunk_stats_job(args):
-    return _chunk_stats(*args)
+def sweep_workers(spec: SweepSpec, n_workers: int) -> int:
+    """The processes run_sweep(config, spec, metric, n_workers) runs: no more
+    than there are chunks or usable CPUs, so no helper for a single chunk."""
+    n_chunks = len(spec.distances) * math.ceil(spec.n_trials / _CHUNK)
+    return min(n_workers, n_chunks, _usable_cpus())
+
+
+def _run_share(jobs):
+    """The partials of jobs, one process's share, in order.
+
+    Each job draws from its own chunk stream; consecutive jobs share the
+    interferer pass of simulate_chunks, and every job is then scored
+    through _chunk_stats_job.
+    """
+    chunks = ((job[0], trial_rng(derive_seed(job[1], job[2], job[3] // _CHUNK)),
+               job[4] - job[3]) for job in jobs)
+    sinrs = simulate_chunks(chunks, jobs[0][5])
+    # no name holds a chunk's SINRs once it is scored
+    return [_chunk_stats_job((*job, next(sinrs))) for job in jobs]
+
+
+def _chunk_stats_job(job):
+    """Score one chunk for its metric alone, per weather and mode in MODES
+    order: the success counts, [W, 4] (prp); the rate sum and sum of
+    squares in Mbps, [W, 4] each (rate_mbps); or late[weather, mode, k],
+    the trials whose rate falls below outage_rate(H, t_th[k]) (dor).
+
+    job is (config, seed, point, start, end, weathers, t_th, metric,
+    sinrs): the chunk's trials start..end of sweep point `point`, start a
+    multiple of _CHUNK, and their SINRs.
+    """
+    config, *_, t_th, metric, sinrs = job
+    if metric == "prp":
+        return (mode_success(*sinrs, config).sum(axis=-1),)
+    rate = mode_rates(*sinrs, config)
+    if metric == "rate_mbps":
+        mbps = rate / 1e6
+        return mbps.sum(axis=-1), (mbps * mbps).sum(axis=-1)
+    cutoffs = np.array([outage_rate(config.payload_h, t) for t in t_th])
+    return ((rate[..., None, :] < cutoffs[:, None]).sum(axis=-1),)
 
 
 def _usable_cpus() -> int:
@@ -241,7 +258,7 @@ def _helper_main(share, conn):
     """Helper process body: compute share, send (True, partials) or, on any
     exception, (False, exc) for the parent to re-raise."""
     try:
-        result = (True, [_chunk_stats_job(c) for c in share])
+        result = (True, _run_share(share))
     except BaseException as exc:
         result = (False, exc)
     conn.send(result)
@@ -276,7 +293,7 @@ def _run_split(chunks, k):
         for j in range(1, k):
             helpers.append(_start_helper(chunks[j::k]))
         partials = [None] * len(chunks)
-        partials[0::k] = [_chunk_stats_job(c) for c in chunks[0::k]]
+        partials[0::k] = _run_share(chunks[0::k])
         for j, (helper, conn) in enumerate(helpers, 1):
             try:
                 ok, value = conn.recv()

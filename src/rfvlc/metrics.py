@@ -5,9 +5,11 @@ radio links: the VLC SINR is fully deterministic given the deployment,
 while every RF power (desired and interfering) gets an independent fading
 draw.  Trials are simulated as arrays, a chunk at a time and for every
 weather at once (simulate_trials): weather only attenuates optical paths.
-The four operating modes are scored on the same trials, their reception
-by mode_success and their rates by mode_rates, so mode comparisons are
-exact event inclusions rather than statistical ones.
+Consecutive sparse chunks share one interferer pass (simulate_chunks),
+which gives every chunk the bits it gets alone.  The four operating
+modes are scored on the same trials, their reception by mode_success and
+their rates by mode_rates, so mode comparisons are exact event
+inclusions rather than statistical ones.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ def sinr(signal, interference_sum, noise: float):
 
 
 class _Statics(NamedTuple):
-    """Deterministic per-config quantities shared by the trials of a chunk."""
+    """Deterministic per-config quantities shared by the trials of a distance."""
 
     d3d: float         # desired vehicle's headlamp -> RSU, meters
     gain: float        # desired link's Lambertian gain
@@ -68,15 +70,19 @@ def _statics(config: ScenarioConfig) -> _Statics:
                     n_rf=rf_noise_power(config.rf))
 
 
-def _s_vlc(config: ScenarioConfig, st: _Statics, weather: str) -> float:
-    wfac = attenuation_factor(WEATHER_ATTENUATION_DB_PER_KM[weather], st.d3d)
-    return vlc_rx_electrical_power(st.gain, wfac, config.vlc)
+def _s_vlc(config: ScenarioConfig, st: _Statics, weathers) -> np.ndarray:
+    """The desired link's received VLC power per weather name, [W]."""
+    # one scalar attenuation factor per weather: an array pow may round
+    # differently from the scalar one
+    wfac = [attenuation_factor(WEATHER_ATTENUATION_DB_PER_KM[weather], st.d3d)
+            for weather in weathers]
+    return vlc_rx_electrical_power(st.gain, np.array(wfac), config.vlc)
 
 
 def vlc_snr(config: ScenarioConfig, weather: str) -> float:
     """Deterministic no-interference VLC SNR of the desired link."""
     st = _statics(config)
-    return _s_vlc(config, st, weather) / st.n_vlc
+    return float(_s_vlc(config, st, (weather,))[0] / st.n_vlc)
 
 
 def interference_sums(config: ScenarioConfig, weathers, deployment: Deployment,
@@ -84,41 +90,117 @@ def interference_sums(config: ScenarioConfig, weathers, deployment: Deployment,
     """Per-trial interference powers of a deployment: VLC[W, n] and RF[n].
 
     Draws one RF fading gain per lane point, in storage order, whether
-    or not the point is excluded.  Each trial's interferer terms are added
-    in storage order, same lane first; excluded points add zero.  The
-    geometry and the RF terms are computed once for every point, the
-    optical terms only for the lit ones: interferers the RSU sees, since
-    any other point has zero gain, hence zero power in every weather.
-    Only the optical attenuation differs between the W weather names.
+    or not the point is excluded.  The group of one of the pooled pass
+    (_interference_pass), which documents the sums.
     """
-    n = deployment.counts.shape[1]
+    return next(_interference_pass([_Drawn.of(config, deployment, rng)], weathers))
+
+
+class _Drawn(NamedTuple):
+    """One chunk's deployment, as the pooled pass reads it."""
+
+    config: ScenarioConfig
+    rng: np.random.Generator    # next draws: one RF fade per lane point
+    n: int
+    trial: np.ndarray
+    coord: np.ndarray
+    lanes: tuple[slice, slice]  # Deployment.lane_slices()
+
+    @classmethod
+    def of(cls, config, deployment, rng):
+        return cls(config, rng, deployment.counts.shape[1], deployment.trial,
+                   deployment.coord, deployment.lane_slices())
+
+
+def _interference_pass(group: list, weathers):
+    """Yield the interference powers, VLC[W, n] and RF[n], of each chunk of
+    a group (a list of _Drawn), in order.
+
+    The chunks share the geometry and the channel parameters; each keeps
+    its own exclusion disc and stream, from which it draws one RF fade per
+    lane point in storage order, a block at a time.  Either the group is
+    one chunk, or its lane points fit in one _BLOCK per lane.  The lanes'
+    points, the chunks' one after another, are evaluated in blocks of
+    _BLOCK, one pass per block: the geometry and the RF terms for every
+    point, the optical terms for the lit ones only (interferers the RSU
+    sees, since any other point has zero gain, hence zero power in every
+    weather).  Only the optical attenuation differs between the W weather
+    names.
+
+    A chunk's sums start at zero and add, lane by lane, one bincount per
+    block of its own points, in storage order; excluded and unlit points
+    add exactly +0.0.  Every sum is therefore the one the chunk gets alone
+    in a group of one.  A chunk's draws are released once its sums are
+    out, and one chunk's sums are held at a time.
+    """
     coeffs = np.array([[WEATHER_ATTENUATION_DB_PER_KM[weather]] for weather in weathers])
-    rows = np.arange(len(weathers))[:, None] * n
-    i_vlc = np.zeros((len(weathers), n))
-    i_rf = np.zeros(n)
-    for lane, part in zip(LANES, deployment.lane_slices()):
-        for lo in range(part.start, part.stop, _BLOCK):
-            block = slice(lo, min(lo + _BLOCK, part.stop))
-            trial = deployment.trial[block]
-            coord = deployment.coord[block]
-            active = outside_exclusion(config, lane, coord)
-            d, offsets, axes = rsu_offsets(config, lane, coord)
-            fade = sample_fading(config.rf, rng, len(trial))
-            p_rf = rf_mean_rx_power(d, config.rf) * fade
-            i_rf += np.bincount(trial, np.where(active, p_rf, 0.0), minlength=n)
-            cos_phi, cos_psi, seen = los_cosines(*offsets, d, *axes, config.vlc)
-            # an unlit point adds exactly +0.0, and bincount adds in input
-            # order: leaving it out changes no sum
-            lit = np.flatnonzero(active & seen)
-            dx, dy, dz = (v[lit] if np.ndim(v) else v for v in offsets)
-            gain = seen_gain(dx * dx + dy * dy + dz * dz, cos_phi[lit], cos_psi[lit],
-                             config.vlc)
-            wfac = attenuation_factor(coeffs, d[lit])
-            p_vlc = vlc_rx_electrical_power(gain, wfac, config.vlc)
-            # every weather in one pass: row w of p_vlc adds to bins w * n + trial
-            i_vlc += np.bincount((rows + trial[lit]).ravel(), p_vlc.ravel(),
-                                 minlength=i_vlc.size).reshape(i_vlc.shape)
-    return i_vlc, i_rf
+    base = group[0].config
+    # each chunk's points on each lane: [start, stop) in the lane's points
+    sizes = np.array([[part.stop - part.start for part in c.lanes] for c in group])
+    ends = np.cumsum(sizes, axis=0)
+    starts, ends = (ends - sizes).tolist(), ends.tolist()
+    computed = {}   # lane -> (block start, terms): the block the chunks are at
+
+    def block_terms(lane, lo):
+        if computed.get(lane, (None,))[0] != lo:
+            hi = min(lo + _BLOCK, ends[-1][lane])
+            # each chunk's points in lo:hi, as indexes into its arrays
+            pieces = [(c, c.lanes[lane].start + max(lo, a[lane]) - a[lane],
+                       c.lanes[lane].start + min(hi, b[lane]) - a[lane])
+                      for c, a, b in zip(group, starts, ends)
+                      if a[lane] < hi and lo < b[lane]]
+            computed[lane] = (lo, _block_terms(base, lane, pieces, coeffs))
+        return computed[lane][1]
+
+    for g, c in enumerate(group):
+        i_vlc = np.zeros((len(weathers), c.n))
+        i_rf = np.zeros(c.n)
+        rows = np.arange(len(weathers))[:, None] * c.n
+        for lane, part in zip(LANES, c.lanes):
+            a, b = starts[g][lane], ends[g][lane]
+            # the blocks that hold this chunk's points, none if it has none
+            for lo in range(a - a % _BLOCK, b, _BLOCK) if a < b else ():
+                p_rf, lit, p_vlc = block_terms(lane, lo)
+                # this chunk's points in the block: x:y of the block's points
+                x, y = max(a, lo) - lo, min(b, lo + _BLOCK) - lo
+                trial = c.trial[part][lo + x - a:lo + y - a]
+                i_rf += np.bincount(trial, p_rf[x:y], minlength=c.n)
+                if y - x < len(p_rf):   # the block holds other chunks' points
+                    i, j = np.searchsorted(lit, (x, y))
+                    lit, p_vlc = lit[i:j] - x, p_vlc[:, i:j]
+                if len(lit):
+                    # every weather in one pass: row w of p_vlc adds to bins w * n + trial
+                    i_vlc += np.bincount((rows + trial[lit]).ravel(), p_vlc.ravel(),
+                                         minlength=i_vlc.size).reshape(i_vlc.shape)
+        group[g] = None   # every block that reads its points is computed
+        yield i_vlc, i_rf
+
+
+def _block_terms(base: ScenarioConfig, lane: int, pieces, coeffs):
+    """(p_rf, lit, p_vlc) of one block of lane points, drawn by one or more
+    chunks: pieces holds (chunk, first, stop) per chunk, in storage order,
+    the chunk's points first:stop.
+
+    p_rf is every point's faded RF power, zero where the point is
+    excluded; lit indexes the lit points and p_vlc[W, len(lit)] holds
+    their optical powers per weather.
+    """
+    def joined(arrays):
+        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+    coord = joined([c.coord[i:j] for c, i, j in pieces])
+    active = joined([outside_exclusion(c.config, lane, c.coord[i:j]) for c, i, j in pieces])
+    fade = joined([sample_fading(c.config.rf, c.rng, j - i) for c, i, j in pieces])
+    d, offsets, axes = rsu_offsets(base, lane, coord)
+    p_rf = np.where(active, rf_mean_rx_power(d, base.rf) * fade, 0.0)
+    cos_phi, cos_psi, seen = los_cosines(*offsets, d, *axes, base.vlc)
+    # an unlit point adds exactly +0.0, and bincount adds in input order:
+    # leaving it out changes no sum
+    lit = np.flatnonzero(active & seen)
+    dx, dy, dz = (v[lit] if np.ndim(v) else v for v in offsets)
+    gain = seen_gain(dx * dx + dy * dy + dz * dz, cos_phi[lit], cos_psi[lit], base.vlc)
+    wfac = attenuation_factor(coeffs, d[lit])
+    return p_rf, lit, vlc_rx_electrical_power(gain, wfac, base.vlc)
 
 
 def simulate_trials(config: ScenarioConfig, weathers, rng: np.random.Generator,
@@ -128,15 +210,64 @@ def simulate_trials(config: ScenarioConfig, weathers, rng: np.random.Generator,
     The stream is consumed in a weather-independent order: Poisson counts,
     lane positions, desired RF fades, one RF fade per lane point.  Every
     weather therefore sees the same trials, and row w equals a run with
-    weathers[w] alone; weather does not touch the RF link.
+    weathers[w] alone; weather does not touch the RF link.  The group of
+    one of simulate_chunks.
     """
-    st = _statics(config)
-    deployment = draw_deployment(config, rng, n)
-    desired_fade = sample_fading(config.rf, rng, n)
-    i_vlc, i_rf = interference_sums(config, weathers, deployment, rng)
-    s_vlc = np.array([_s_vlc(config, st, w) for w in weathers])
-    return (sinr(s_vlc[:, None], i_vlc, st.n_vlc),
-            sinr(st.s_rf_mean * desired_fade, i_rf, st.n_rf))
+    return next(simulate_chunks([(config, rng, n)], weathers))
+
+
+def simulate_chunks(chunks, weathers):
+    """Simulate chunks of trials and yield each one's SINRs, as
+    simulate_trials gives them, in order.
+
+    chunks yields (config, rng, n), each chunk with a private stream that
+    it consumes as simulate_trials does.  Consecutive chunks form a group
+    while they share the geometry and the channel parameters and their
+    lane points fit in one _BLOCK per lane; a group's interferers are
+    evaluated in one pass (_interference_pass), so a sparse chunk pays
+    mainly for its draws.  A chunk with more points forms a group of its
+    own, blocked as it would be alone.  Every chunk gets the bits it gets
+    alone.  The desired-link constants are computed once per run of
+    chunks with the same config object (one distance of a sweep).
+    """
+    group, load, held = [], np.zeros(2, dtype=np.int64), None
+    for config, rng, n in chunks:
+        if config is not held:
+            held = config
+            st = _statics(config)
+            link = st, _s_vlc(config, st, weathers)[:, None]
+        deployment = draw_deployment(config, rng, n)
+        chunk = _Drawn.of(config, deployment, rng), link, sample_fading(config.rf, rng, n)
+        points = deployment.counts.sum(axis=1)
+        del deployment   # the counts are not needed past this point
+        if group and ((load + points > _BLOCK).any()
+                      or _channels(config) != _channels(group[0][0].config)):
+            yield from _group_sinrs(group, weathers)   # empties the group
+            load[:] = 0
+        group.append(chunk)
+        del chunk   # only the group holds the draws, until they are scored
+        load += points
+        if (load > _BLOCK).any():
+            # no chunk can share this one's pass: score it before the next draw
+            yield from _group_sinrs(group, weathers)
+            load[:] = 0
+    if group:
+        yield from _group_sinrs(group, weathers)
+
+
+def _channels(config: ScenarioConfig):
+    """What a group's chunks share: all the pooled pass reads of a config
+    but the exclusion disc."""
+    return config.geometry, config.vlc, config.rf
+
+
+def _group_sinrs(group: list, weathers):
+    """Each chunk's SINRs, from a group of (_Drawn, link, desired fades);
+    the group is emptied as its chunks are scored."""
+    sums = _interference_pass([chunk for chunk, _, _ in group], weathers)
+    for i_vlc, i_rf in sums:
+        _, (st, s_vlc), fade = group.pop(0)
+        yield (sinr(s_vlc, i_vlc, st.n_vlc), sinr(st.s_rf_mean * fade, i_rf, st.n_rf))
 
 
 def _by_mode(sinr_vlc, sinr_rf, dtype):

@@ -318,7 +318,7 @@ def draw_deployment(config: ScenarioConfig, rng: np.random.Generator,
     mean = config.lambda_density * config.rho_access * 2.0 * L
     counts = rng.poisson(mean, (2, n))
     coord = rng.uniform(-L, L, int(counts.sum()))
-    trial = np.repeat(np.arange(2 * n, dtype=np.int32) % n, counts.ravel())
+    trial = np.repeat(np.tile(np.arange(n, dtype=np.int32), 2), counts.ravel())
     return Deployment(counts, trial, coord)
 
 

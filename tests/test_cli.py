@@ -1,15 +1,17 @@
 """Configuration parsing and command-line interface tests."""
 
+import ctypes
 import errno
 import json
 import os
+import resource
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rfvlc import ConfigError, ScenarioConfig, simulate_trials, validate
-from rfvlc import cli
+from rfvlc import cli, engine
 from rfvlc.cli import build_parser, main
 from rfvlc.config import (_SPECIAL_KEYS, DEFAULT_SEED, DEFAULT_TRIALS,
                           config_digest, parse_config)
@@ -231,6 +233,34 @@ class TestCliPrpSweep:
         assert manifest["rng_scheme"] == "splitmix64-chunk/pcg64"
         assert manifest["chunk_size"] == 4096
         assert manifest["tool_version"] == "0.3.0"
+        # how the sweep ran: its processes, wall time, rate and page faults
+        assert manifest["workers"] == 1
+        assert manifest["sweep_seconds"] > 0
+        assert manifest["trials_per_s"] == 200 / manifest["sweep_seconds"]
+        assert isinstance(manifest["minor_faults"], int) and manifest["minor_faults"] >= 0
+
+    def test_manifest_records_the_workers_used(self, tmp_path, monkeypatch):
+        # one per chunk and per usable CPU, whatever --workers asks for
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+        for distances, workers in (("50", 1), ("50,100,150", 2)):
+            out = str(tmp_path / distances)
+            assert _run(["prp-sweep", "--out", out, "--distances", distances,
+                         "--weather", "clear", "--workers", "8"] + FAST) == 0
+            manifest = json.loads(_read(os.path.join(out, "run.manifest")))
+            assert manifest["workers"] == workers
+            assert manifest["trials_per_s"] == (
+                len(distances.split(",")) * 200 / manifest["sweep_seconds"])
+
+    def test_second_sweep_reuses_the_heap(self, tmp_path):
+        # chunk temporaries stay in the heap between chunks and runs, so an
+        # identical rerun faults almost no page in
+        if not hasattr(ctypes.CDLL(None), "mallopt"):
+            pytest.skip("glibc mallopt is not available")
+        argv = ["rate-sweep", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert main(argv) == 0
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
 
     def test_gnuplot_files(self, tmp_path):
         out = str(tmp_path / "out")

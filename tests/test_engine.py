@@ -1,6 +1,7 @@
 """Seed derivation, estimators and sweep-orchestration tests."""
 
 import dataclasses
+import hashlib
 import math
 import multiprocessing
 import os
@@ -11,7 +12,7 @@ import pytest
 from rfvlc import (ConfigError, InvalidArgumentError, MODE_LA, MODE_PURE_RF,
                    MODE_PURE_VLC, WEATHER_KINDS, ScenarioConfig, SweepSpec,
                    confidence_interval, derive_seed, prp_rf_closed_form, run_sweep)
-from rfvlc import engine
+from rfvlc import engine, metrics
 from rfvlc.engine import _CHUNK, trial_rng
 from rfvlc.metrics import mode_rates, mode_success, outage_rate, simulate_trials
 from rfvlc.estimate import mean_estimate, proportion_estimate
@@ -196,11 +197,14 @@ class TestRunSweep:
         run_sweep(ScenarioConfig(), spec, metric, n_workers=1)
         assert len(calls) == (len(spec.distances)
                               * math.ceil(spec.n_trials / _CHUNK))
-        # the job layout (config, seed, point, start, end, weathers, t_th, metric)
-        assert [c[2:] for c in calls] == [
+        # the job layout (config, seed, point, start, end, weathers, t_th, metric,
+        # sinrs), the chunk's SINRs last
+        assert [c[2:8] for c in calls] == [
             (p, start, min(start + _CHUNK, spec.n_trials), ALL_WEATHERS, spec.t_th,
              metric)
             for p in range(len(spec.distances)) for start in (0, _CHUNK)]
+        assert [(c[8][0].shape, c[8][1].shape) for c in calls] == [
+            ((len(ALL_WEATHERS), c[4] - c[3]), (c[4] - c[3],)) for c in calls]
 
     @staticmethod
     def _recording_helpers(monkeypatch, cpus):
@@ -276,16 +280,67 @@ class TestRunSweep:
         assert by_pid.pop(os.getpid()) == chunks[0::3]
         assert sorted(by_pid.values()) == [chunks[1::3], chunks[2::3]]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("config, block, groups", [
+        # ~410 points per lane and full chunk: about ten chunks share a pass
+        (ScenarioConfig(), metrics._BLOCK, lambda sizes: max(sizes) >= 5),
+        # a pass holds two chunks at most: groups break at chunk boundaries
+        (ScenarioConfig(), 500, lambda sizes: {1, 2} <= set(sizes) and max(sizes) == 2),
+        # ~40k points per lane and chunk: every chunk alone, in many blocks
+        (DENSE, metrics._BLOCK, lambda sizes: set(sizes) == {1}),
+    ], ids=["sparse", "small_block", "dense"])
+    def test_pooled_pass_gives_every_chunk_its_bits_alone(
+            self, monkeypatch, tmp_path, workers, config, block, groups):
+        # each chunk's SINRs and partials in a sweep equal those of its own
+        # simulate_trials run, a group of one; the last chunk is partial
+        monkeypatch.setattr(metrics, "_BLOCK", block)
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+        log = tmp_path / "chunks.log"
+        job = engine._chunk_stats_job
+
+        def digest(arrays):
+            return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+        def logged(args):
+            partial = job(args)
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{args[2]} {args[3]} {digest(args[8])} {digest(partial)}\n")
+            return partial
+
+        sizes = []
+        interference_pass = metrics._interference_pass
+        monkeypatch.setattr(metrics, "_interference_pass",
+                            lambda group, w: sizes.append(len(group))
+                            or interference_pass(group, w))
+        monkeypatch.setattr(engine, "_chunk_stats_job", logged)
+        spec = _spec(distances=(30.0, 100.0, 150.0), weathers=ALL_WEATHERS,
+                     n_trials=2 * _CHUNK + 500)
+        run_sweep(config, spec, "rate_mbps", n_workers=workers)
+        assert groups(sizes)   # the groups this process formed
+        got = sorted(tuple(line.split()) for line in log.read_text().splitlines())
+
+        expected = []
+        for p, distance in enumerate(spec.distances):
+            cfg = config.with_distance(distance)
+            for start in range(0, spec.n_trials, _CHUNK):
+                end = min(start + _CHUNK, spec.n_trials)
+                rng = trial_rng(derive_seed(spec.master_seed, p, start // _CHUNK))
+                sinrs = simulate_trials(cfg, spec.weathers, rng, end - start)
+                partial = job((cfg, spec.master_seed, p, start, end, spec.weathers,
+                               spec.t_th, "rate_mbps", sinrs))
+                expected.append((str(p), str(start), digest(sinrs), digest(partial)))
+        assert got == sorted(expected)
+
     @pytest.mark.parametrize("failing, where", [(1, "helper"), (0, "this process")])
     def test_failure_reaches_the_caller_with_its_type(self, monkeypatch, failing, where):
-        chunk_stats = engine._chunk_stats
+        job = engine._chunk_stats_job
 
-        def failing_chunk(config, seed, point, *rest):
-            if point == failing:
-                raise _ChunkFailure(point, os.getpid())
-            return chunk_stats(config, seed, point, *rest)
+        def failing_chunk(args):
+            if args[2] == failing:
+                raise _ChunkFailure(args[2], os.getpid())
+            return job(args)
 
-        monkeypatch.setattr(engine, "_chunk_stats", failing_chunk)
+        monkeypatch.setattr(engine, "_chunk_stats_job", failing_chunk)
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
         spec = _spec(distances=(50.0, 100.0, 150.0))
         with pytest.raises(_ChunkFailure) as failure:
@@ -296,15 +351,15 @@ class TestRunSweep:
         assert multiprocessing.active_children() == []
 
     def test_helper_that_dies_is_runtime_error(self, monkeypatch):
-        chunk_stats = engine._chunk_stats
+        job = engine._chunk_stats_job
         parent = os.getpid()
 
-        def dying_chunk(config, seed, point, *rest):
-            if point == 1 and os.getpid() != parent:
+        def dying_chunk(args):
+            if args[2] == 1 and os.getpid() != parent:
                 os._exit(7)
-            return chunk_stats(config, seed, point, *rest)
+            return job(args)
 
-        monkeypatch.setattr(engine, "_chunk_stats", dying_chunk)
+        monkeypatch.setattr(engine, "_chunk_stats_job", dying_chunk)
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
         spec = _spec(distances=(50.0, 100.0))
         with pytest.raises(RuntimeError, match="exit code 7"):
