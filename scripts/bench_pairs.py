@@ -14,7 +14,9 @@ as `bench.py --trace 0` does, and records the host-scaled metrics, the
 raw trials/s and the host slowdown factor from its log, and the minor
 page faults of the benchmark process itself (warm-up, repeats and set-up
 probe launches; the probes and any sweep helpers are child processes and
-are reported apart, as minor_faults_children).
+are reported apart, as minor_faults_children).  It exits 1, after writing
+the summary, if any run reports a failed benchmark check, and names those
+runs on stderr.
 """
 
 from __future__ import annotations
@@ -111,7 +113,11 @@ def main() -> int:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-    return 0
+    failed = [r for r in out["runs"] if r["failed_checks"] > 0]
+    for r in failed:
+        print(f"failed checks: {r['workload']} {r['side']} seed {r['seed']} "
+              f"({r['failed_checks']} failed)", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

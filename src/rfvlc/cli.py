@@ -186,7 +186,10 @@ def _add_config_flags(p: argparse.ArgumentParser):
                    help="comma list of pure_vlc,pure_rf,la,non_la")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The rfvlc argument parser, built once per process; parsing leaves
+    it as it was."""
     parser = argparse.ArgumentParser(
         prog="rfvlc",
         description="Monte Carlo simulator for hybrid RF-VLC V2I uplinks "

@@ -10,13 +10,17 @@ bit-identical tables.  A process simulates its share of chunks in order
 interferer pass and every chunk gets the SINRs it gets alone), scores
 each chunk, for every weather and mode, for the one metric the sweep
 writes, and the chunk partials are reduced in chunk order, which keeps
-floating-point summation order independent of the worker count.
+floating-point summation order independent of the worker count.  Trial
+counts (PRP successes, DOR late trials, one threshold at a time) are
+summed in a narrow integer accumulator and widened to int64 per chunk.
 
 With k workers the chunk list is split once, interleaved: this process
 computes chunks[0::k] while k - 1 forked helper processes compute
 chunks[j::k] and send their partials back over a pipe.  Every chunk is
 scored through the module global _chunk_stats_job, looked up at call
-time in this process and in the helpers alike.
+time in this process and in the helpers alike.  Helpers are reaped only
+after the reduction and the rows, so they exit while this process
+builds the table.
 """
 
 from __future__ import annotations
@@ -41,6 +45,11 @@ _METRICS = ("prp", "rate_mbps", "dor")
 
 _CHUNK = 4096  # trials per chunk and random stream; fixed so the worker
                # count cannot change the streams or the summation order
+_COUNT = np.uint16   # a chunk's trial counts: _CHUNK < 2**16, so they fit
+
+# Trials per sweep point at most: run_sweep lists every chunk up front,
+# ~0.8 KB each, so 25 distances come to ~0.5 GB at this bound.
+_MAX_TRIALS = 10**8
 
 # Recorded in run manifests: SplitMix64 keys one PCG64 stream per chunk.
 RNG_SCHEME = "splitmix64-chunk/pcg64"
@@ -125,6 +134,8 @@ class SweepSpec:
             out.append("sweep.t_th: delay thresholds must be > 0")
         if self.n_trials < 100:
             out.append("sweep.n_trials: must be >= 100")
+        elif self.n_trials > _MAX_TRIALS:
+            out.append(f"sweep.n_trials: must be <= {_MAX_TRIALS}")
         if not 0 <= self.master_seed <= _MASK64:
             out.append("sweep.master_seed: must be in [0, 2^64)")
         for name, values, known in (("weathers", self.weathers, WEATHER_KINDS),
@@ -181,13 +192,22 @@ def run_sweep(config: ScenarioConfig, spec: SweepSpec, metric: str,
               for d_idx, cfg in enumerate(points) for start in starts]
 
     n_workers = sweep_workers(spec, n_workers)
-    if n_workers > 1:
-        partials = _run_split(chunks, n_workers)
-    else:
-        partials = _run_share(chunks)
+    helpers = []   # (process, pipe end) per helper, reaped once the rows are built
+    try:
+        if n_workers > 1:
+            partials = _run_split(chunks, n_workers, helpers)
+        else:
+            partials = _run_share(chunks)
+        return _rows(spec, metric, partials)
+    finally:
+        _reap(helpers)
 
+
+def _rows(spec: SweepSpec, metric: str, partials) -> tuple[SweepRow, ...]:
+    """The rows of a sweep from its chunk partials, in chunk order."""
     # Reduce per distance (and weather): sum() adds the partials in chunk order.
-    grid = (len(spec.distances), len(starts))
+    n = spec.n_trials
+    grid = (len(spec.distances), math.ceil(n / _CHUNK))
     stats = [sum(np.reshape(field, grid + np.shape(field[0])).swapaxes(0, 1))
              for field in zip(*partials)]
 
@@ -238,13 +258,22 @@ def _chunk_stats_job(job):
     """
     config, *_, t_th, metric, sinrs = job
     if metric == "prp":
-        return (mode_success(*sinrs, config).sum(axis=-1),)
+        return (_count(mode_success(*sinrs, config)).astype(np.int64),)
     rate = mode_rates(*sinrs, config)
     if metric == "rate_mbps":
         mbps = rate / 1e6
         return mbps.sum(axis=-1), (mbps * mbps).sum(axis=-1)
-    cutoffs = np.array([outage_rate(config.payload_h, t) for t in t_th])
-    return ((rate[..., None, :] < cutoffs[:, None]).sum(axis=-1),)
+    # one threshold at a time: no [W, 4, K, n] flags
+    late = np.empty(rate.shape[:-1] + (len(t_th),), np.int64)
+    for k, t in enumerate(t_th):
+        late[..., k] = _count(rate < outage_rate(config.payload_h, t))
+    return (late,)
+
+
+def _count(flags):
+    """flags.sum(axis=-1), as _COUNT: the flags summed as uint8 into a
+    _COUNT accumulator, which holds any count of a chunk."""
+    return flags.view(np.uint8).sum(axis=-1, dtype=_COUNT)
 
 
 def _usable_cpus() -> int:
@@ -283,31 +312,34 @@ def _start_helper(share):
     return helper, recv_end
 
 
-def _run_split(chunks, k):
+def _run_split(chunks, k, helpers):
     """The partials of every chunk, in chunk order, from this process and
     k - 1 helpers; helper j computes chunks[j::k] and this process
-    chunks[0::k].  A failure in any share is raised here, and no helper
-    outlives the call."""
-    helpers = []
-    try:
-        for j in range(1, k):
-            helpers.append(_start_helper(chunks[j::k]))
-        partials = [None] * len(chunks)
-        partials[0::k] = _run_share(chunks[0::k])
-        for j, (helper, conn) in enumerate(helpers, 1):
-            try:
-                ok, value = conn.recv()
-            except EOFError:
-                helper.join()
-                raise RuntimeError(f"sweep helper {j} of {k - 1} died with exit code "
-                                   f"{helper.exitcode} before sending its chunks") from None
-            if not ok:
-                raise value
-            partials[j::k] = value
-        return partials
-    finally:
-        for helper, conn in helpers:
-            conn.close()
-            if helper.is_alive():
-                helper.terminate()
+    chunks[0::k].  Each helper started is appended to helpers, for the
+    caller to _reap, and the call returns once every partial has arrived.
+    A failure in any share is raised here."""
+    for j in range(1, k):
+        helpers.append(_start_helper(chunks[j::k]))
+    partials = [None] * len(chunks)
+    partials[0::k] = _run_share(chunks[0::k])
+    for j, (helper, conn) in enumerate(helpers, 1):
+        try:
+            ok, value = conn.recv()
+        except EOFError:
             helper.join()
+            raise RuntimeError(f"sweep helper {j} of {k - 1} died with exit code "
+                               f"{helper.exitcode} before sending its chunks") from None
+        if not ok:
+            raise value
+        partials[j::k] = value
+    return partials
+
+
+def _reap(helpers):
+    """Close each helper's pipe, terminate it if it still runs, and wait
+    for it: no helper outlives this call."""
+    for helper, conn in helpers:
+        conn.close()
+        if helper.is_alive():
+            helper.terminate()
+        helper.join()

@@ -39,6 +39,10 @@ MODES = (MODE_PURE_VLC, MODE_PURE_RF, MODE_LA, MODE_NON_LA)
 # interferers rather than trials keeps sparse chunks in one block.
 _BLOCK = 4096
 
+# Chunks per pooled group at most, whatever their lane points: a group holds
+# every chunk's draws until it is scored (a default-density group holds ~10).
+_GROUP = 16
+
 _SIMPSON_PANELS = 20_000   # per integral in prp_rf_closed_form
 
 
@@ -221,14 +225,15 @@ def simulate_chunks(chunks, weathers):
     simulate_trials gives them, in order.
 
     chunks yields (config, rng, n), each chunk with a private stream that
-    it consumes as simulate_trials does.  Consecutive chunks form a group
-    while they share the geometry and the channel parameters and their
-    lane points fit in one _BLOCK per lane; a group's interferers are
-    evaluated in one pass (_interference_pass), so a sparse chunk pays
-    mainly for its draws.  A chunk with more points forms a group of its
-    own, blocked as it would be alone.  Every chunk gets the bits it gets
-    alone.  The desired-link constants are computed once per run of
-    chunks with the same config object (one distance of a sweep).
+    it consumes as simulate_trials does.  Consecutive chunks, _GROUP at
+    most, form a group while they share the geometry and the channel
+    parameters and their lane points fit in one _BLOCK per lane; a
+    group's interferers are evaluated in one pass (_interference_pass), so
+    a sparse chunk pays mainly for its draws.  A chunk with more points
+    forms a group of its own, blocked as it would be alone.  Every chunk
+    gets the bits it gets alone.  The desired-link constants are computed
+    once per run of chunks with the same config object (one distance of a
+    sweep).
     """
     group, load, held = [], np.zeros(2, dtype=np.int64), None
     for config, rng, n in chunks:
@@ -247,8 +252,8 @@ def simulate_chunks(chunks, weathers):
         group.append(chunk)
         del chunk   # only the group holds the draws, until they are scored
         load += points
-        if (load > _BLOCK).any():
-            # no chunk can share this one's pass: score it before the next draw
+        if len(group) == _GROUP or (load > _BLOCK).any():
+            # no chunk can join this group: score it before the next draw
             yield from _group_sinrs(group, weathers)
             load[:] = 0
     if group:

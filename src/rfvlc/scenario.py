@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -185,10 +185,13 @@ def validate(config: ScenarioConfig) -> list[str]:
         violations.append("payload_h: must be > 0")
     violations.extend(config.vlc.check())
     violations.extend(config.rf.check())
-    return violations or _derived_problems(config)
+    return violations or list(_derived_problems(config.vlc, config.rf, geo.rsu_height,
+                                                geo.tx_height))
 
 
-def _derived_problems(config: ScenarioConfig) -> list[str]:
+@lru_cache(maxsize=16)
+def _derived_problems(vlc: VlcParams, rf: RfParams, rsu_height: float,
+                      tx_height: float) -> tuple[str, ...]:
     """Check the constants the kernel derives from a config whose fields pass.
 
     Each must be finite and > 0, else the kernel divides by zero or writes
@@ -197,9 +200,9 @@ def _derived_problems(config: ScenarioConfig) -> list[str]:
     and must stay finite times _POWER_HEADROOM, alone and over the noise.
     The sweep sums squared rates in Mbps, so the peak rate, at the peak
     SNR times _POWER_HEADROOM, must stay finite squared and times
-    _POWER_HEADROOM.
+    _POWER_HEADROOM.  The arguments alone set these constants, so the
+    check runs once for all the distances of a sweep.
     """
-    vlc, rf = config.vlc, config.rf
     out = [f"{keys}: {name} = {value:g}, must be finite and > 0"
            for keys, name, value in (
                ("vlc.semi_angle_half_power", "Lambertian order",
@@ -211,8 +214,8 @@ def _derived_problems(config: ScenarioConfig) -> list[str]:
                 rf_noise_power(rf)))
            if not 0.0 < value < math.inf]
     if out:
-        return out
-    near = np.float64(config.geometry.rsu_height - config.geometry.tx_height)
+        return tuple(out)
+    near = np.float64(rsu_height - tx_height)
     with np.errstate(all="ignore"):
         up, down = (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)
         peak_vlc = vlc_rx_electrical_power(los_gain(0.0, 0.0, near, up, down, vlc), 1.0, vlc)
@@ -228,7 +231,7 @@ def _derived_problems(config: ScenarioConfig) -> list[str]:
             elif not np.isfinite(mbps * mbps * _POWER_HEADROOM):
                 out.append(f"{link}: peak rate {mbps:g} Mbps at {near:g} m must stay "
                            f"finite squared times {_POWER_HEADROOM:g}")
-    return out
+    return tuple(out)
 
 
 @dataclass(frozen=True)

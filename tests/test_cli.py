@@ -390,6 +390,15 @@ class TestCliErrors:
         assert "sweep.distances: must be finite" in captured.err
         assert captured.out == "" and not out.exists()
 
+    def test_absurd_trial_count_is_config_error(self, tmp_path, capsys):
+        # rejected before the chunk grid is listed
+        out = tmp_path / "o"
+        assert _run(["prp-sweep", "--out", str(out), "--distances", "50",
+                     "--trials", "99999999999999999999"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error: sweep.n_trials: must be <=")
+        assert captured.out == "" and not out.exists()
+
     def test_overflowing_distance_is_config_error(self, tmp_path, capsys):
         # the squared distance to the desired vehicle overflows
         assert _run(["rate-sweep", "--out", str(tmp_path / "o"),
@@ -610,6 +619,18 @@ class TestCliParser:
         assert len(parser.parse_args(["prp-sweep"]).distances.split(",")) == 25
         assert parser.parse_args(["dor-sweep"]).t_th_ms == \
             "0.5,1,1.5,2,2.5,3,4,5,7.5,10"
+
+    def test_cached_parser_keeps_no_state_between_calls(self):
+        parser = build_parser()
+        assert build_parser() is parser
+        parser.parse_args(["prp-sweep", "--gnuplot", "--workers", "2", "--modes", "la"])
+
+        def parsed(p):
+            args = vars(p.parse_args(["prp-sweep"]))
+            func = args.pop("func")
+            return args, func.func, func.keywords
+
+        assert parsed(parser) == parsed(build_parser.__wrapped__())
 
     @pytest.mark.parametrize("flag", [["--out", "x"], ["--workers", "0"], ["--gnuplot"]],
                              ids=" ".join)

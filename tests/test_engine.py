@@ -5,6 +5,7 @@ import hashlib
 import math
 import multiprocessing
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from rfvlc import (ConfigError, InvalidArgumentError, MODE_LA, MODE_PURE_RF,
                    MODE_PURE_VLC, WEATHER_KINDS, ScenarioConfig, SweepSpec,
                    confidence_interval, derive_seed, prp_rf_closed_form, run_sweep)
-from rfvlc import engine, metrics
+from rfvlc import engine, metrics, scenario
 from rfvlc.engine import _CHUNK, trial_rng
 from rfvlc.metrics import mode_rates, mode_success, outage_rate, simulate_trials
 from rfvlc.estimate import mean_estimate, proportion_estimate
@@ -118,11 +119,52 @@ class TestSweepSpec:
     def test_minimum_trials(self):
         assert any("n_trials" in v for v in _spec(n_trials=10).check())
 
+    def test_maximum_trials(self):
+        assert _spec(n_trials=engine._MAX_TRIALS).check() == []
+        assert _spec(n_trials=engine._MAX_TRIALS + 1).check() == [
+            f"sweep.n_trials: must be <= {engine._MAX_TRIALS}"]
+
     def test_unknown_mode(self):
         assert any("mode" in v for v in _spec(modes=("teleport",)).check())
 
     def test_clean_spec(self):
         assert _spec().check() == []
+
+
+class TestChunkCounts:
+    """_chunk_stats_job counts in a narrow accumulator, and widens the counts."""
+
+    @staticmethod
+    def _sinrs(config, n):
+        return simulate_trials(config, ALL_WEATHERS, trial_rng(derive_seed(7, 0, 0)), n)
+
+    # a tiny t_th makes every trial late, and thresholds far below any SINR
+    # make every trial decode: both count _CHUNK in every cell
+    @pytest.mark.parametrize("config, n, t_th, full", [
+        (ScenarioConfig(), _CHUNK, (5e-4, 1e-3, 3e-3, 1e-2), False),
+        (DENSE, _CHUNK, (5e-4, 1e-3, 3e-3, 1e-2), False),
+        (ScenarioConfig(), 300, (1e-3, 3e-3), False),
+        (dataclasses.replace(ScenarioConfig(), sinr_threshold_vlc_db=-300.0,
+                             sinr_threshold_rf_db=-300.0), _CHUNK, (1e-12,), True),
+    ], ids=["sparse", "dense", "partial", "full"])
+    @pytest.mark.parametrize("metric", ["prp", "dor"])
+    def test_counts_equal_the_flag_sums(self, config, n, t_th, full, metric):
+        sinrs = self._sinrs(config, n)
+        if metric == "prp":
+            flags = mode_success(*sinrs, config)
+        else:
+            cutoffs = np.array([outage_rate(config.payload_h, t) for t in t_th])
+            flags = mode_rates(*sinrs, config)[..., None, :] < cutoffs[:, None]
+        expected = flags.sum(axis=-1)
+        counts, = engine._chunk_stats_job((config, 7, 0, 0, n, ALL_WEATHERS,
+                                           t_th if metric == "dor" else (), metric, sinrs))
+        assert counts.dtype == expected.dtype == np.int64
+        assert counts.shape == expected.shape
+        assert np.array_equal(counts, expected)
+        assert (expected == n).all() == full
+
+    def test_accumulator_holds_a_chunk(self):
+        assert _CHUNK <= np.iinfo(engine._COUNT).max
 
 
 class TestRunSweep:
@@ -366,6 +408,26 @@ class TestRunSweep:
             run_sweep(ScenarioConfig(), spec, "prp", n_workers=2)
         assert multiprocessing.active_children() == []
 
+    def test_successful_split_reaps_its_helpers(self, monkeypatch):
+        started = []
+        start_helper = engine._start_helper
+
+        def recording(share):
+            started.append(start_helper(share))
+            return started[-1]
+
+        monkeypatch.setattr(engine, "_start_helper", recording)
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+        spec = _spec(distances=(50.0, 100.0))
+        assert run_sweep(ScenarioConfig(), spec, "prp", n_workers=2) == run_sweep(
+            ScenarioConfig(), spec, "prp")
+        assert len(started) == 1
+        for helper, _ in started:
+            # joined by run_sweep: nothing is left for waitpid to collect
+            with pytest.raises(ChildProcessError):
+                os.waitpid(helper.pid, os.WNOHANG)
+        assert multiprocessing.active_children() == []
+
     def test_seed_changes_results(self):
         cfg = ScenarioConfig()
         a = run_sweep(cfg, _spec(n_trials=2000), "prp")
@@ -409,6 +471,28 @@ class TestRunSweep:
             run_sweep(ScenarioConfig(), _spec(distances=(-50.0, 10.0)), "prp")
         with pytest.raises(ConfigError, match="finite"):
             run_sweep(ScenarioConfig(), _spec(distances=(10.0, math.inf)), "prp")
+
+    def test_derived_constants_are_checked_once_per_sweep(self):
+        scenario._derived_problems.cache_clear()
+        spec = _spec(distances=tuple(10.0 * (i + 1) for i in range(25)), n_trials=100)
+        run_sweep(ScenarioConfig(), spec, "prp")
+        assert scenario._derived_problems.cache_info().misses == 1
+
+    def test_lambda_zero_sweep_memory_does_not_grow_with_trials(self):
+        # with no lane points, only the group cap closes a pooled group
+        config = dataclasses.replace(ScenarioConfig(), lambda_density=0.0)
+
+        def peak(n_trials):
+            spec = _spec(distances=(50.0,), n_trials=n_trials)
+            tracemalloc.start()
+            try:
+                run_sweep(config, spec, "prp")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small = peak(50_000)
+        assert peak(400_000) < 1.5 * small
 
     def test_nonpositive_delay_threshold_rejected(self):
         with pytest.raises(ConfigError, match="delay thresholds"):
