@@ -1,0 +1,138 @@
+#!/usr/bin/env python3
+"""Same-process A/B timing of run_sweep on two checkouts.
+
+Loads each checkout's src/rfvlc under a package name of its own
+(rfvlc_parent, rfvlc_change) into this one process, then times
+alternating run_sweep calls on the benchmark's three sweeps:
+
+    python3 scripts/ab_sweep.py --parent ../parent --change . \\
+        --sweeps prp_sparse,dense_interference,dor_pool --pairs 200
+
+The sweeps mirror benchmarks/bench.py's workloads (same subcommand,
+flags, config lines and trials per point, seed 1), and their config and
+spec come from each checkout's own CLI parsing.  A pair runs both sides
+once, alternating which runs first.  Every call's rows must equal, field
+by field, the first call's rows of the other side, or the script exits 1.
+It prints, per sweep, the median per-pair speedup (parent seconds over
+change seconds), its quartiles and the pairs the change ran faster, as
+one JSON object.  Both sides share the interpreter, the heap and the
+host's noise, so pairs taken this way separate changes of a few percent
+that fresh-process benchmark pairs cannot.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import gc
+import importlib
+import importlib.util
+import json
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+# name -> (command line, config lines, trials per point), as in bench.py
+SWEEPS = {
+    "prp_sparse": (("prp-sweep", "--workers", "1"), (), 4096),
+    "dense_interference": (("prp-sweep", "--workers", "1", "--weather", "clear",
+                            "--distances", "10,25,50,100"), ("rho_access = 1.0",), 4096),
+    "dor_pool": (("dor-sweep", "--workers", "2"), (), 4 * 4096),
+}
+SEED = 1
+
+
+def load(tree: str, name: str):
+    """The checkout's src/rfvlc package, imported as name (cli included)."""
+    init = Path(tree, "src", "rfvlc", "__init__.py").resolve()
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    importlib.import_module(f"{name}.cli")
+    return package
+
+
+def sweep_call(package, sweep: str, work_dir: Path):
+    """(config, spec, metric, workers) of a sweep, as the package's CLI reads it."""
+    argv, lines, trials = SWEEPS[sweep]
+    path = work_dir / f"{package.__name__}_{sweep}.cfg"
+    path.write_text("\n".join([f"seed = {SEED}", f"trials = {trials}", *lines]) + "\n",
+                    encoding="utf-8")
+    cli = package.cli
+    args = cli.build_parser().parse_args([*argv, "--config", str(path)])
+    config, spec = cli._load(args)
+    how = args.func.keywords   # what the subcommand's _sweep receives
+    spec = dataclasses.replace(spec, modes=spec.modes if args.modes else how["default_modes"],
+                               distances=cli.parse_list(args.distances))
+    if how["metric"] == "dor":
+        spec = dataclasses.replace(
+            spec, t_th=tuple(t / 1000.0 for t in cli.parse_list(args.t_th_ms)))
+    return config, spec, how["metric"], args.workers
+
+
+def timed(package, call) -> tuple[float, list[str]]:
+    """Seconds of one run_sweep call, and its rows as field-value text."""
+    config, spec, metric, workers = call
+    gc.collect()
+    t0 = time.perf_counter()
+    rows = package.run_sweep(config, spec, metric, n_workers=workers)
+    seconds = time.perf_counter() - t0
+    return seconds, [repr(dataclasses.astuple(row)) for row in rows]
+
+
+def compare(packages: dict, calls: dict, pairs: int, warmup: int = 0) -> dict:
+    """Alternating pairs of one sweep, the first warmup of them untimed; the
+    speedup summary, or ValueError if any call's rows differ from the other
+    side's."""
+    seconds = {side: [] for side in packages}
+    expected = None
+    for i in range(warmup + pairs):
+        order = list(packages) if i % 2 == 0 else list(packages)[::-1]
+        for side in order:
+            wall, rows = timed(packages[side], calls[side])
+            expected = expected or rows
+            if rows != expected:
+                raise ValueError(f"{side} rows differ in pair {i}")
+            if i >= warmup:
+                seconds[side].append(wall)
+    speedup = [p / c for p, c in zip(seconds["parent"], seconds["change"])]
+    q1, median, q3 = statistics.quantiles(speedup, n=4, method="inclusive")
+    return {"pairs": pairs, "speedup_median": median, "speedup_q1": q1, "speedup_q3": q3,
+            "change_faster_pairs": sum(s > 1.0 for s in speedup),
+            "parent_s_median": statistics.median(seconds["parent"]),
+            "change_s_median": statistics.median(seconds["change"])}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True)
+    parser.add_argument("--change", required=True)
+    parser.add_argument("--sweeps", default=",".join(SWEEPS))
+    parser.add_argument("--pairs", type=int, default=200)
+    parser.add_argument("--warmup", type=int, default=2, help="untimed pairs per sweep")
+    args = parser.parse_args(argv)
+    packages = {"parent": load(args.parent, "rfvlc_parent"),
+                "change": load(args.change, "rfvlc_change")}
+    # the process-wide heap settings cli.main makes, as in the benchmark
+    packages["change"].cli._steady_heap()
+    out = {"method": "same-process alternating run_sweep pairs; speedup = parent "
+                     "seconds / change seconds per pair", "sweeps": {}}
+    with tempfile.TemporaryDirectory() as tmp:
+        for sweep in args.sweeps.split(","):
+            calls = {side: sweep_call(p, sweep, Path(tmp)) for side, p in packages.items()}
+            try:
+                out["sweeps"][sweep] = compare(packages, calls, args.pairs, args.warmup)
+            except ValueError as exc:
+                print(f"{sweep}: {exc}", file=sys.stderr)
+                return 1
+            print(json.dumps({sweep: out["sweeps"][sweep]}), file=sys.stderr)
+    print(json.dumps(out, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -6,7 +6,9 @@ while every RF power (desired and interfering) gets an independent fading
 draw.  Trials are simulated as arrays, a chunk at a time and for every
 weather at once (simulate_trials): weather only attenuates optical paths.
 Consecutive sparse chunks share one interferer pass (simulate_chunks),
-which gives every chunk the bits it gets alone.  The four operating
+and a dense chunk computes its interferer terms a window of slices at a
+time; either way every chunk's sums add the same slices, so it gets the
+bits it gets alone.  The four operating
 modes are scored on the same trials, their reception by mode_success and
 their rates by mode_rates, so mode comparisons are exact event
 inclusions rather than statistical ones.
@@ -23,7 +25,7 @@ from .errors import InvalidArgumentError, UnsupportedModelError
 from .rf_channel import (FADING_RAYLEIGH, db_to_linear,
                          rf_mean_rx_power, rf_noise_power, sample_fading)
 from .scenario import (EXCLUSION_RADIUS_M, LANE_SAME, LANES,
-                       WEATHER_ATTENUATION_DB_PER_KM, Deployment, ScenarioConfig,
+                       WEATHER_ATTENUATION_DB_PER_KM, ScenarioConfig,
                        attenuation_factor, draw_deployment, exclusion_disc,
                        outside_exclusion, rsu_links, rsu_offsets)
 from .vlc_channel import los_cosines, seen_gain, vlc_noise_power, vlc_rx_electrical_power
@@ -34,10 +36,19 @@ MODE_LA = "la"
 MODE_NON_LA = "non_la"
 MODES = (MODE_PURE_VLC, MODE_PURE_RF, MODE_LA, MODE_NON_LA)
 
-# Interferers per kernel block.  Blocks bound the kernel's temporaries
-# (about a dozen arrays of this length) whatever the density; counting
-# interferers rather than trials keeps sparse chunks in one block.
+# Lane points per summation slice.  A chunk adds each slice of its own lane
+# points to its sums with one bincount, so the slice fixes the bits of every
+# output; it also bounds a pooled group (one slice per lane at most).
+# Counting points rather than trials keeps a sparse chunk in one slice.
 _BLOCK = 4096
+
+# Slices per term window.  A lone chunk computes its interferer terms a
+# window at a time, so a dense chunk pays the fixed cost of each numpy call
+# once per 16384 points rather than per 4096; the window's temporaries
+# (about a dozen arrays of its length) bound the kernel's memory whatever
+# the density.  The window changes no bit: terms are elementwise, and the
+# sums still add slice by slice.
+_WINDOW = 4
 
 # Chunks per pooled group at most, whatever their lane points: a group holds
 # every chunk's draws until it is scored (a default-density group holds ~10).
@@ -89,17 +100,6 @@ def vlc_snr(config: ScenarioConfig, weather: str) -> float:
     return float(_s_vlc(config, st, (weather,))[0] / st.n_vlc)
 
 
-def interference_sums(config: ScenarioConfig, weathers, deployment: Deployment,
-                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial interference powers of a deployment: VLC[W, n] and RF[n].
-
-    Draws one RF fading gain per lane point, in storage order, whether
-    or not the point is excluded.  The group of one of the pooled pass
-    (_interference_pass), which documents the sums.
-    """
-    return next(_interference_pass([_Drawn.of(config, deployment, rng)], weathers))
-
-
 class _Drawn(NamedTuple):
     """One chunk's deployment, as the pooled pass reads it."""
 
@@ -122,39 +122,43 @@ def _interference_pass(group: list, weathers):
 
     The chunks share the geometry and the channel parameters; each keeps
     its own exclusion disc and stream, from which it draws one RF fade per
-    lane point in storage order, a block at a time.  Either the group is
-    one chunk, or its lane points fit in one _BLOCK per lane.  The lanes'
-    points, the chunks' one after another, are evaluated in blocks of
-    _BLOCK, one pass per block: the geometry and the RF terms for every
-    point, the optical terms for the lit ones only (interferers the RSU
-    sees, since any other point has zero gain, hence zero power in every
-    weather).  Only the optical attenuation differs between the W weather
-    names.
+    lane point in storage order.  Either the group is one chunk, or its
+    lane points fit in one _BLOCK per lane.  The lanes' points, the chunks'
+    one after another, are evaluated in windows of _WINDOW slices of
+    _BLOCK points, one pass per window (so a pooled group is one pass per
+    lane): the geometry and the RF terms for every point, the optical
+    terms for the lit ones only (interferers the RSU sees, since any other
+    point has zero gain, hence zero power in every weather).  Only the
+    optical attenuation differs between the W weather names.
 
     A chunk's sums start at zero and add, lane by lane, one bincount per
-    block of its own points, in storage order; excluded and unlit points
-    add exactly +0.0.  Every sum is therefore the one the chunk gets alone
-    in a group of one.  A chunk's draws are released once its sums are
+    slice of _BLOCK of its own points, in storage order; excluded and
+    unlit points add exactly +0.0.  The slices fix the bits, the windows
+    do not: every sum is the one the chunk gets alone in a group of one,
+    whatever the window.  A chunk's draws are released once its sums are
     out, and one chunk's sums are held at a time.
     """
     coeffs = np.array([[WEATHER_ATTENUATION_DB_PER_KM[weather]] for weather in weathers])
     base = group[0].config
+    # read at call time, so that a window holds whole slices whatever _BLOCK is
+    window = _WINDOW * _BLOCK
     # each chunk's points on each lane: [start, stop) in the lane's points
     sizes = np.array([[part.stop - part.start for part in c.lanes] for c in group])
     ends = np.cumsum(sizes, axis=0)
     starts, ends = (ends - sizes).tolist(), ends.tolist()
-    computed = {}   # lane -> (block start, terms): the block the chunks are at
+    computed = {}   # lane -> (window start, terms): the window the chunks are at
 
-    def block_terms(lane, lo):
+    def window_terms(lane, lo):
+        lo -= lo % window
         if computed.get(lane, (None,))[0] != lo:
-            hi = min(lo + _BLOCK, ends[-1][lane])
+            hi = min(lo + window, ends[-1][lane])
             # each chunk's points in lo:hi, as indexes into its arrays
             pieces = [(c, c.lanes[lane].start + max(lo, a[lane]) - a[lane],
                        c.lanes[lane].start + min(hi, b[lane]) - a[lane])
                       for c, a, b in zip(group, starts, ends)
                       if a[lane] < hi and lo < b[lane]]
             computed[lane] = (lo, _block_terms(base, lane, pieces, coeffs))
-        return computed[lane][1]
+        return computed[lane]
 
     for g, c in enumerate(group):
         i_vlc = np.zeros((len(weathers), c.n))
@@ -162,32 +166,34 @@ def _interference_pass(group: list, weathers):
         rows = np.arange(len(weathers))[:, None] * c.n
         for lane, part in zip(LANES, c.lanes):
             a, b = starts[g][lane], ends[g][lane]
-            # the blocks that hold this chunk's points, none if it has none
+            # the slices that hold this chunk's points, none if it has none
             for lo in range(a - a % _BLOCK, b, _BLOCK) if a < b else ():
-                p_rf, lit, p_vlc = block_terms(lane, lo)
-                # this chunk's points in the block: x:y of the block's points
-                x, y = max(a, lo) - lo, min(b, lo + _BLOCK) - lo
-                trial = c.trial[part][lo + x - a:lo + y - a]
+                first, (p_rf, lit, p_vlc) = window_terms(lane, lo)
+                # this chunk's points in the slice: x:y of the window's points
+                x, y = max(a, lo) - first, min(b, lo + _BLOCK) - first
+                trial = c.trial[part][first + x - a:first + y - a]
                 i_rf += np.bincount(trial, p_rf[x:y], minlength=c.n)
-                if y - x < len(p_rf):   # the block holds other chunks' points
+                if y - x < len(p_rf):   # the window holds other points
                     i, j = np.searchsorted(lit, (x, y))
                     lit, p_vlc = lit[i:j] - x, p_vlc[:, i:j]
                 if len(lit):
                     # every weather in one pass: row w of p_vlc adds to bins w * n + trial
                     i_vlc += np.bincount((rows + trial[lit]).ravel(), p_vlc.ravel(),
                                          minlength=i_vlc.size).reshape(i_vlc.shape)
-        group[g] = None   # every block that reads its points is computed
+        group[g] = None   # every window that reads its points is computed
         yield i_vlc, i_rf
 
 
 def _block_terms(base: ScenarioConfig, lane: int, pieces, coeffs):
-    """(p_rf, lit, p_vlc) of one block of lane points, drawn by one or more
+    """(p_rf, lit, p_vlc) of one window of lane points, drawn by one or more
     chunks: pieces holds (chunk, first, stop) per chunk, in storage order,
     the chunk's points first:stop.
 
     p_rf is every point's faded RF power, zero where the point is
     excluded; lit indexes the lit points and p_vlc[W, len(lit)] holds
-    their optical powers per weather.
+    their optical powers per weather.  Every term is elementwise, and the
+    fades are drawn in storage order, so a window's terms are those of its
+    slices computed one by one.
     """
     def joined(arrays):
         return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
@@ -230,10 +236,10 @@ def simulate_chunks(chunks, weathers):
     parameters and their lane points fit in one _BLOCK per lane; a
     group's interferers are evaluated in one pass (_interference_pass), so
     a sparse chunk pays mainly for its draws.  A chunk with more points
-    forms a group of its own, blocked as it would be alone.  Every chunk
-    gets the bits it gets alone.  The desired-link constants are computed
-    once per run of chunks with the same config object (one distance of a
-    sweep).
+    forms a group of its own, its terms computed _WINDOW slices at a
+    time.  Every chunk gets the bits it gets alone.  The desired-link
+    constants are computed once per run of chunks with the same config
+    object (one distance of a sweep).
     """
     group, load, held = [], np.zeros(2, dtype=np.int64), None
     for config, rng, n in chunks:

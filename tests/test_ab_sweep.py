@@ -1,0 +1,67 @@
+"""scripts/ab_sweep.py: its sweeps, its summary and its row check."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "ab_sweep.py"
+
+
+def _load(path, name, monkeypatch):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)   # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_sweeps_mirror_the_benchmark_workloads(monkeypatch):
+    ab_sweep = _load(SCRIPT, "ab_sweep", monkeypatch)
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    bench = _load(ROOT / "benchmarks" / "bench.py", "benchmark_bench", monkeypatch)
+    assert set(ab_sweep.SWEEPS) == set(bench.WORKLOADS)
+    for name, (argv, lines, trials) in ab_sweep.SWEEPS.items():
+        w = bench.WORKLOADS[name]
+        assert (argv, lines, trials) == (w.argv, w.config, w.trials)
+
+
+def test_one_checkout_against_itself(monkeypatch, capsys):
+    # real run_sweep calls on both sides: equal rows, exit 0, one summary
+    ab_sweep = _load(SCRIPT, "ab_sweep", monkeypatch)
+    assert ab_sweep.main(["--parent", str(ROOT), "--change", str(ROOT),
+                          "--sweeps", "prp_sparse", "--pairs", "2", "--warmup", "0"]) == 0
+    summary = json.loads(capsys.readouterr().out)["sweeps"]["prp_sparse"]
+    assert summary["pairs"] == 2 and 0 <= summary["change_faster_pairs"] <= 2
+    # each side is the checkout's package under its own name
+    for name in ("rfvlc_parent", "rfvlc_change"):
+        package = sys.modules.pop(name)
+        for sub in [m for m in sys.modules if m.startswith(name + ".")]:
+            del sys.modules[sub]
+        assert Path(package.__file__).parent == ROOT / "src" / "rfvlc"
+
+
+@pytest.mark.parametrize("same_rows", [True, False])
+def test_speedup_summary_and_row_check(monkeypatch, same_rows):
+    ab_sweep = _load(SCRIPT, "ab_sweep", monkeypatch)
+    calls = []
+
+    def timed(package, call):
+        # stand-in: the change takes half the parent's time
+        calls.append(package)
+        rows = ["row"] if same_rows or package == "parent" else ["other"]
+        return (2.0 if package == "parent" else 1.0), rows
+
+    monkeypatch.setattr(ab_sweep, "timed", timed)
+    packages = {"parent": "parent", "change": "change"}
+    if not same_rows:
+        with pytest.raises(ValueError, match="change rows differ in pair 0"):
+            ab_sweep.compare(packages, packages, 4, warmup=1)
+        return
+    summary = ab_sweep.compare(packages, packages, 4, warmup=1)
+    assert calls == ["parent", "change", "change", "parent"] * 2 + ["parent", "change"]
+    assert summary["pairs"] == 4 and summary["change_faster_pairs"] == 4
+    assert summary["speedup_median"] == summary["speedup_q1"] == 2.0

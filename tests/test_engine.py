@@ -325,11 +325,16 @@ class TestRunSweep:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("config, block, groups", [
         # ~410 points per lane and full chunk: about ten chunks share a pass
-        (ScenarioConfig(), metrics._BLOCK, lambda sizes: max(sizes) >= 5),
-        # a pass holds two chunks at most: groups break at chunk boundaries
-        (ScenarioConfig(), 500, lambda sizes: {1, 2} <= set(sizes) and max(sizes) == 2),
-        # ~40k points per lane and chunk: every chunk alone, in many blocks
-        (DENSE, metrics._BLOCK, lambda sizes: set(sizes) == {1}),
+        (ScenarioConfig(), metrics._BLOCK,
+         lambda sizes, points: max(sizes) >= 5 and max(points) <= metrics._BLOCK),
+        # a pass holds two chunks at most (the grouping rule is one slice
+        # per lane): groups break at chunk boundaries
+        (ScenarioConfig(), 500, lambda sizes, points: {1, 2} <= set(sizes)
+         and max(sizes) == 2 and max(points) <= 500),
+        # ~40k points per lane and chunk: every chunk alone, in many windows
+        # of _WINDOW slices
+        (DENSE, metrics._BLOCK, lambda sizes, points: set(sizes) == {1}
+         and max(points) == metrics._WINDOW * metrics._BLOCK),
     ], ids=["sparse", "small_block", "dense"])
     def test_pooled_pass_gives_every_chunk_its_bits_alone(
             self, monkeypatch, tmp_path, workers, config, block, groups):
@@ -349,16 +354,20 @@ class TestRunSweep:
                 fh.write(f"{args[2]} {args[3]} {digest(args[8])} {digest(partial)}\n")
             return partial
 
-        sizes = []
-        interference_pass = metrics._interference_pass
+        sizes, points = [], []
+        interference_pass, block_terms = metrics._interference_pass, metrics._block_terms
         monkeypatch.setattr(metrics, "_interference_pass",
                             lambda group, w: sizes.append(len(group))
                             or interference_pass(group, w))
+        monkeypatch.setattr(metrics, "_block_terms",
+                            lambda base, lane, pieces, coeffs:
+                            points.append(sum(j - i for _, i, j in pieces))
+                            or block_terms(base, lane, pieces, coeffs))
         monkeypatch.setattr(engine, "_chunk_stats_job", logged)
         spec = _spec(distances=(30.0, 100.0, 150.0), weathers=ALL_WEATHERS,
                      n_trials=2 * _CHUNK + 500)
         run_sweep(config, spec, "rate_mbps", n_workers=workers)
-        assert groups(sizes)   # the groups this process formed
+        assert groups(sizes, points)   # the groups and term windows of this process
         got = sorted(tuple(line.split()) for line in log.read_text().splitlines())
 
         expected = []

@@ -12,7 +12,7 @@ from rfvlc import (FADING_NAKAGAMI, FADING_RAYLEIGH, Pose3, ScenarioConfig,
                    vlc_noise_power, vlc_rx_electrical_power)
 from rfvlc import metrics
 from rfvlc.engine import trial_rng
-from rfvlc.metrics import interference_sums, simulate_trials
+from rfvlc.metrics import _Drawn, _interference_pass, simulate_trials
 from rfvlc.scenario import (EXCLUSION_RADIUS_M, LANES, draw_deployment,
                             interferer_counts, lane_poses, outside_exclusion, rsu_links)
 from rfvlc.vlc_channel import seen_gain
@@ -127,11 +127,17 @@ def _lit_points(config, deployment):
     return np.array(out)
 
 
+def _interference_sums(config, weathers, deployment, rng):
+    """VLC[W, n] and RF[n] interference sums of one deployment, a group of one;
+    rng is at the lane points' fades."""
+    return next(_interference_pass([_Drawn.of(config, deployment, rng)], weathers))
+
+
 def _kernel_sums(config, weather, seed, n):
     rng = trial_rng(seed)
     deployment = draw_deployment(config, rng, n)
     sample_fading(config.rf, rng, n)
-    i_vlc, i_rf = interference_sums(config, (weather,), deployment, rng)
+    i_vlc, i_rf = _interference_sums(config, (weather,), deployment, rng)
     return i_vlc[0], i_rf
 
 
@@ -161,15 +167,43 @@ def test_kernel_matches_scalar_channel_loop(config):
 
 @pytest.mark.parametrize("fading", [FADING_RAYLEIGH, FADING_NAKAGAMI])
 def test_kernel_matches_scalar_loop_across_block_boundaries(fading, monkeypatch):
-    # 7-interferer blocks split trials, and the lane boundary, across blocks
+    # 7-point slices, in term windows of _WINDOW slices, split trials, and
+    # the lane boundary, across slices and windows
     config = _dense(fading)
     default = simulate_trials(config, ALL_WEATHERS, trial_rng(SEED), N)
     monkeypatch.setattr(metrics, "_BLOCK", 7)
     deployment, _, _ = _assert_matches_scalar(config)
-    assert len(deployment.coord) > 10 * 7
+    assert len(deployment.coord) > 10 * 7 * metrics._WINDOW
     blocked = simulate_trials(config, ALL_WEATHERS, trial_rng(SEED), N)
     for a, b in zip(default, blocked):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("fading", [FADING_RAYLEIGH, FADING_NAKAGAMI])
+@pytest.mark.parametrize("rho_access, block, n", [(0.1, 7, N), (1.0, 7, N // 4),
+                                                  (1.0, 1000, 4096), (1.0, None, 4096)],
+                         ids=["1e-3_small_block", "1e-2_small_block", "1e-2_odd_block",
+                              "1e-2_full_chunk"])
+def test_term_window_changes_no_bit(fading, rho_access, block, n, monkeypatch):
+    # the slice fixes the bits, the window does not: windows of 1, 2, 4 and
+    # 16 slices give the same bytes, and leave the stream at the same draw.
+    # A 1000-point slice does not divide 16384: a window of fixed length
+    # would let a slice straddle two windows.
+    config = dataclasses.replace(_dense(fading), rho_access=rho_access)
+    if block is not None:
+        monkeypatch.setattr(metrics, "_BLOCK", block)
+    runs = set()
+    for window in (1, 2, 4, 16):
+        monkeypatch.setattr(metrics, "_WINDOW", window)
+        rng = trial_rng(SEED)
+        sinr_vlc, sinr_rf = simulate_trials(config, ALL_WEATHERS, rng, n)
+        runs.add((sinr_vlc.tobytes(), sinr_rf.tobytes(), rng.random()))
+    assert len(runs) == 1
+    # the default window of 4 slices splits each lane's points, and the
+    # lane-0 points end inside a slice
+    counts = draw_deployment(config, trial_rng(SEED), n).counts.sum(axis=1)
+    assert counts.min() > 2 * 4 * metrics._BLOCK
+    assert counts[0] % metrics._BLOCK
 
 
 def test_interferer_counts_match_the_reference_mask():
@@ -217,7 +251,7 @@ def test_nothing_lit_leaves_rf_and_stream_unchanged():
     runs = []
     for config in (DENSE, dark):
         rng = trial_rng(SEED)
-        runs.append((interference_sums(config, ALL_WEATHERS, deployment, rng),
+        runs.append((_interference_sums(config, ALL_WEATHERS, deployment, rng),
                      rng.random()))
     ((lit_vlc, lit_rf), lit_next), ((dark_vlc, dark_rf), dark_next) = runs
     assert lit_vlc.any() and not dark_vlc.any()
@@ -237,7 +271,7 @@ def test_kernel_evaluates_gains_on_lit_points_only(config, same, perp, monkeypat
         return seen_gain(d2, cos_phi, cos_psi, params)
 
     monkeypatch.setattr(metrics, "seen_gain", counting_gain)
-    interference_sums(config, (RAIN,), deployment, trial_rng(SEED))
+    _interference_sums(config, (RAIN,), deployment, trial_rng(SEED))
     lit = _lit_points(config, deployment)
     assert sum(sizes) == lit.sum()
     # the share of each lane's interferers that is lit
