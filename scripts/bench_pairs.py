@@ -14,7 +14,10 @@ as `bench.py --trace 0` does, and records the host-scaled metrics, the
 raw trials/s and the host slowdown factor from its log, and the minor
 page faults of the benchmark process itself (warm-up, repeats and set-up
 probe launches; the probes and any sweep helpers are child processes and
-are reported apart, as minor_faults_children).  It exits 1, after writing
+are reported apart, as minor_faults_children).  Next to the commit the
+benchmark reports, git_dirty records whether the checkout had uncommitted
+changes to tracked files (null outside a git checkout), since the commit
+alone does not say which tree ran.  It exits 1, after writing
 the summary, if any run reports a failed benchmark check, and names those
 runs on stderr.
 """
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import resource
 import statistics
@@ -33,6 +37,19 @@ from pathlib import Path
 _METRICS = {"trials_per_s": ("1/s", "higher"), "setup_s": ("s", "lower"),
             "peak_rss_mb": ("MB", "lower"), "raw_trials_per_s": ("1/s", "higher"),
             "slowdown": ("ratio", "lower"), "minor_faults_per_repeat": ("count", "lower")}
+
+
+def git_dirty(tree: str) -> bool | None:
+    """Whether a checkout has uncommitted changes to tracked files; None if
+    it is not a git checkout of its own (git searches no directory above it)."""
+    root = Path(tree).resolve()
+    env = dict(os.environ, GIT_CEILING_DIRECTORIES=str(root.parent))
+    try:
+        proc = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
+                              cwd=root, env=env, capture_output=True, text=True, timeout=30)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return bool(proc.stdout.strip()) if proc.returncode == 0 else None
 
 
 def run_one(tree: str, workload: str, seed: int, seconds: float) -> dict:
@@ -53,7 +70,7 @@ def run_one(tree: str, workload: str, seed: int, seconds: float) -> dict:
         slowdown=float(re.search(r"slowdown (\S+)", log).group(1)),
         repeats=repeats, minor_faults=faults, minor_faults_per_repeat=faults / repeats,
         minor_faults_children=children, failed_checks=result["failed"],
-        git_commit=result["env"]["git_commit"])
+        git_commit=result["env"]["git_commit"], git_dirty=git_dirty(tree))
     return record
 
 

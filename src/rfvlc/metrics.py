@@ -27,8 +27,8 @@ from .rf_channel import (FADING_RAYLEIGH, db_to_linear,
 from .scenario import (EXCLUSION_RADIUS_M, LANE_SAME, LANES,
                        WEATHER_ATTENUATION_DB_PER_KM, ScenarioConfig,
                        attenuation_factor, draw_deployment, exclusion_disc,
-                       outside_exclusion, rsu_links, rsu_offsets)
-from .vlc_channel import los_cosines, seen_gain, vlc_noise_power, vlc_rx_electrical_power
+                       outside_exclusion, rsu_links, rsu_paths)
+from .vlc_channel import sees, seen_gain, vlc_noise_power, vlc_rx_electrical_power
 
 MODE_PURE_VLC = "pure_vlc"
 MODE_PURE_RF = "pure_rf"
@@ -187,11 +187,15 @@ def _interference_pass(group: list, weathers):
 def _block_terms(base: ScenarioConfig, lane: int, pieces, coeffs):
     """(p_rf, lit, p_vlc) of one window of lane points, drawn by one or more
     chunks: pieces holds (chunk, first, stop) per chunk, in storage order,
-    the chunk's points first:stop.
+    the chunk's points first:stop; coeffs[W, 1] holds the weathers'
+    attenuation coefficients.
 
     p_rf is every point's faded RF power, zero where the point is
     excluded; lit indexes the lit points and p_vlc[W, len(lit)] holds
-    their optical powers per weather.  Every term is elementwise, and the
+    their optical powers per weather.  The paths come from rsu_paths, and
+    the lit points' gains from its d2 and cosines gathered at them.
+    Clear air (a zero coefficient) gets the factor 1.0 without a pow,
+    since 10 ** -0.0 is exactly 1.0.  Every term is elementwise, and the
     fades are drawn in storage order, so a window's terms are those of its
     slices computed one by one.
     """
@@ -201,15 +205,20 @@ def _block_terms(base: ScenarioConfig, lane: int, pieces, coeffs):
     coord = joined([c.coord[i:j] for c, i, j in pieces])
     active = joined([outside_exclusion(c.config, lane, c.coord[i:j]) for c, i, j in pieces])
     fade = joined([sample_fading(c.config.rf, c.rng, j - i) for c, i, j in pieces])
-    d, offsets, axes = rsu_offsets(base, lane, coord)
-    p_rf = np.where(active, rf_mean_rx_power(d, base.rf) * fade, 0.0)
-    cos_phi, cos_psi, seen = los_cosines(*offsets, d, *axes, base.vlc)
+    d2, d, cos_phi, cos_psi = rsu_paths(base, lane, coord)
+    p_rf = rf_mean_rx_power(d, base.rf)
+    p_rf *= fade
+    p_rf *= active   # finite terms >= 0: an excluded point's is exactly +0.0
     # an unlit point adds exactly +0.0, and bincount adds in input order:
     # leaving it out changes no sum
-    lit = np.flatnonzero(active & seen)
-    dx, dy, dz = (v[lit] if np.ndim(v) else v for v in offsets)
-    gain = seen_gain(dx * dx + dy * dy + dz * dz, cos_phi[lit], cos_psi[lit], base.vlc)
-    wfac = attenuation_factor(coeffs, d[lit])
+    lit = sees(cos_phi, cos_psi, base.vlc)
+    lit &= active
+    lit = np.flatnonzero(lit)
+    gain = seen_gain(d2[lit], cos_phi[lit], cos_psi[lit], base.vlc)
+    hazy = coeffs[:, 0] != 0.0
+    wfac = np.ones((len(coeffs), len(lit)))
+    # attenuation_factor checks the distances even where every weather is clear
+    wfac[hazy] = attenuation_factor(coeffs[hazy], d[lit])
     return p_rf, lit, vlc_rx_electrical_power(gain, wfac, base.vlc)
 
 
@@ -376,7 +385,7 @@ def prp_rf_closed_form(config: ScenarioConfig) -> float:
     integral = 0.0
     for lane in LANES:
         def load(t, lane=lane):
-            sp = s * rf_mean_rx_power(rsu_offsets(config, lane, t)[0], config.rf)
+            sp = s * rf_mean_rx_power(rsu_paths(config, lane, t)[1], config.rf)
             return sp / (1.0 + sp)
 
         integral += _simpson(load, -L, L)

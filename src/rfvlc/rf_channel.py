@@ -83,7 +83,7 @@ def sample_fading(params: RfParams, rng: np.random.Generator, size=None):
     values as drawing a + b at once.
     """
     if params.fading == FADING_RAYLEIGH:
-        g = rng.exponential(size=size)
+        g = rng.standard_exponential(size)
     else:
         m = params.nakagami_m
         g = rng.gamma(m, 1.0 / m, size)

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .rf_channel import RfParams, rf_mean_rx_power, rf_noise_power
 from .vlc_channel import (VlcParams, concentrator_gain, lambertian_order,
-                          los_gain, vlc_noise_power, vlc_rx_electrical_power)
+                          los_gain, path_gain, vlc_noise_power, vlc_rx_electrical_power)
 
 # No interferer may fall within this distance of the desired vehicle
 # (vehicles cannot physically overlap; also avoids singular draws).
@@ -256,37 +256,48 @@ class Deployment:
         return slice(0, n_same), slice(n_same, len(self.coord))
 
 
-def lane_poses(geo: LaneGeometry, lane: int, coord):
-    """(x, y, axis) of vehicles at positions coord along a lane.
+def rsu_paths(config: ScenarioConfig, lane: int, coord):
+    """(d2, d, cos_phi, cos_psi) of the LOS paths from headlamps at
+    positions coord along a lane to the RSU: squared distance, distance,
+    and the cosines of emission (off the headlamp axis) and incidence (off
+    the RSU normal).
 
-    Headlamps sit at tx_height and point along the lane toward the
-    intersection; x, y and the axis components are scalars or arrays.
-    """
-    toward = np.where(coord >= 0, -1.0, 1.0)
-    if lane == LANE_SAME:
-        return coord, geo.lane_y_offset, (toward, 0.0, 0.0)
-    return geo.lane_x_offset, coord, (0.0, toward, 0.0)
-
-
-def rsu_offsets(config: ScenarioConfig, lane: int, coord):
-    """(d, (dx, dy, dz), axes) of vehicles at positions coord along a lane:
-    the 3-D distance and offsets to the RSU, and the headlamp and RSU axes.
-
-    coord is a scalar or an array; no exclusion is applied.  The desired
-    vehicle is the point distance_r of LANE_SAME.
+    A headlamp points along its lane toward the intersection, above which
+    the RSU sits, so cos_phi is |dx| / d on LANE_SAME and |dy| / d on the
+    other lane: the bits los_cosines gives on that axis, whose zero
+    components add only signed zeros.  coord is a scalar or an array; no
+    exclusion is applied.  The desired vehicle is the point distance_r of
+    LANE_SAME.
     """
     geo = config.geometry
     rsu = geo.rsu_pose
-    x, y, axis = lane_poses(geo, lane, coord)
-    dx, dy, dz = rsu.x - x, rsu.y - y, rsu.z - geo.tx_height
-    return np.sqrt(dx * dx + dy * dy + dz * dz), (dx, dy, dz), (axis, rsu.axis)
+    if lane == LANE_SAME:
+        dx, dy = rsu.x - coord, rsu.y - geo.lane_y_offset
+    else:
+        dx, dy = rsu.x - geo.lane_x_offset, rsu.y - coord
+    dz = rsu.z - geo.tx_height
+    # in place where an operand is an array: the same operations, in order
+    d2 = dx * dx
+    d2 += dy * dy
+    d2 += dz * dz
+    d = np.sqrt(d2)
+    cos_phi = np.abs(dx if lane == LANE_SAME else dy)
+    cos_phi /= d
+    # rx -> tx direction against the receiver normal
+    rx = rsu.axis
+    cos_psi = dx * -rx[0]
+    cos_psi -= dy * rx[1]
+    cos_psi -= dz * rx[2]
+    cos_psi /= d
+    return d2, d, cos_phi, cos_psi
 
 
 def rsu_links(config: ScenarioConfig, lane: int, coord):
     """(d, gain) of the links from vehicles at positions coord along a lane
-    to the RSU: the 3-D distance and the Lambertian LOS gain."""
-    d, offsets, axes = rsu_offsets(config, lane, coord)
-    return d, los_gain(*offsets, *axes, config.vlc)
+    to the RSU: the 3-D distance and the Lambertian LOS gain, both from
+    rsu_paths."""
+    d2, d, cos_phi, cos_psi = rsu_paths(config, lane, coord)
+    return d, path_gain(d2, cos_phi, cos_psi, config.vlc)
 
 
 def exclusion_disc(config: ScenarioConfig, lane: int) -> tuple[float, float]:

@@ -75,33 +75,46 @@ def los_cosines(dx, dy, dz, d, tx_axis, rx_axis, params: VlcParams):
     cos_phi = (dx * tx_axis[0] + dy * tx_axis[1] + dz * tx_axis[2]) / d
     # rx -> tx direction against the receiver normal
     cos_psi = (-dx * rx_axis[0] - dy * rx_axis[1] - dz * rx_axis[2]) / d
-    seen = (cos_phi > 0.0) & (cos_psi >= math.cos(math.radians(params.fov)))
-    return cos_phi, cos_psi, seen
+    return cos_phi, cos_psi, sees(cos_phi, cos_psi, params)
+
+
+def sees(cos_phi, cos_psi, params: VlcParams):
+    """True where the detector sees the emitter of a LOS path with these
+    cosines: in front of the emitter and inside the receiver FOV."""
+    return (cos_phi > 0.0) & (cos_psi >= math.cos(math.radians(params.fov)))
 
 
 def seen_gain(d2, cos_phi, cos_psi, params: VlcParams):
-    """DC channel gain of LOS paths the detector sees (see los_cosines).
+    """DC channel gain of LOS paths the detector sees (see sees).
 
     gain = (m+1) A / (2 pi d^2) * cos^m(phi) * T_s * g(psi) * cos(psi),
     with d2 the squared path length; a path with both cosines 0 has gain 0.
     """
     m = lambertian_order(params.semi_angle_half_power)
-    return ((m + 1.0) * params.pd_area / (2.0 * math.pi * d2)
-            * np.power(cos_phi, m)
-            * params.optical_filter_gain * concentrator_gain(params)
-            * cos_psi)
+    gain = (m + 1.0) * params.pd_area / (2.0 * math.pi * d2)
+    gain *= np.power(cos_phi, m)
+    gain *= params.optical_filter_gain
+    gain *= concentrator_gain(params)
+    gain *= cos_psi
+    return gain
+
+
+def path_gain(d2, cos_phi, cos_psi, params: VlcParams):
+    """DC channel gain of LOS paths of squared length d2 and these cosines:
+    seen_gain where the detector sees the emitter, zero outside the
+    receiver FOV or behind the emitter."""
+    seen = sees(cos_phi, cos_psi, params)
+    # unseen paths get zero cosines, hence a zero lobe and gain
+    return seen_gain(d2, np.where(seen, cos_phi, 0.0), np.where(seen, cos_psi, 0.0), params)
 
 
 def los_gain(dx, dy, dz, tx_axis, rx_axis, params: VlcParams) -> np.ndarray:
-    """DC channel gain of LOS paths from emitters to detectors: seen_gain
-    where the detector sees the emitter, zero outside the receiver FOV or
-    behind the emitter.  Arguments as in los_cosines; offsets must be
-    nonzero.
+    """DC channel gain of LOS paths from emitters to detectors (path_gain).
+    Arguments as in los_cosines; offsets must be nonzero.
     """
     d2 = dx * dx + dy * dy + dz * dz
-    cos_phi, cos_psi, seen = los_cosines(dx, dy, dz, np.sqrt(d2), tx_axis, rx_axis, params)
-    # unseen paths get zero cosines, hence a zero lobe and gain
-    return seen_gain(d2, np.where(seen, cos_phi, 0.0), np.where(seen, cos_psi, 0.0), params)
+    cos_phi, cos_psi, _ = los_cosines(dx, dy, dz, np.sqrt(d2), tx_axis, rx_axis, params)
+    return path_gain(d2, cos_phi, cos_psi, params)
 
 
 def vlc_rx_electrical_power(gain, weather_factor, params: VlcParams):
@@ -116,7 +129,8 @@ def vlc_rx_electrical_power(gain, weather_factor, params: VlcParams):
     if not np.asarray((weather_factor >= 0.0) & (weather_factor <= 1.0)).all():
         raise InvalidArgumentError("weather_factor must be in [0, 1]")
     photocurrent = params.responsivity * params.optical_tx_power * gain * weather_factor
-    return photocurrent * photocurrent
+    photocurrent *= photocurrent
+    return photocurrent
 
 
 def vlc_noise_power(params: VlcParams) -> float:

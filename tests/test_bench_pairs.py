@@ -41,3 +41,40 @@ def test_failed_checks_exit_1_after_the_summary(monkeypatch, tmp_path, capsys, f
              if line.startswith("failed checks:")]
     assert named == ([] if failing is None
                      else ["failed checks: dor_pool change seed 2 (1 failed)"])
+
+
+def _git(tree, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=tree,
+                   check=True, capture_output=True)
+
+
+def test_each_run_records_whether_its_checkout_is_dirty(tmp_path):
+    # a stand-in benchmarks/bench.py in a git checkout of its own, run
+    # through the script's one-run entry point
+    tree = tmp_path / "tree"
+    (tree / "benchmarks").mkdir(parents=True)
+    (tree / "benchmarks" / "bench.py").write_text(
+        "def run(workload, seed, seconds, trace):\n"
+        "    return {'metrics': {'trials_per_s': (2.0, '1/s')}, 'failed': 0,\n"
+        "            'env': {'git_commit': 'abc'},\n"
+        "            'log': ['repeats 2; measured trials/s 1.5 (per repeat 1 2)',\n"
+        "                    'host: mean CPU 1 s, slowdown 1.25']}\n", encoding="utf-8")
+    (tree / "notes.txt").write_text("a\n", encoding="utf-8")
+
+    def one():
+        proc = subprocess.run([sys.executable, str(SCRIPT), "--one", str(tree), "dor_pool",
+                               "1", "0.1"], capture_output=True, text=True, check=True)
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    assert _load().git_dirty(str(tree)) is None   # not a git checkout yet
+    assert one()["git_dirty"] is None
+    _git(tree, "init", "-q")
+    _git(tree, "add", "-A")
+    _git(tree, "commit", "-q", "-m", "stand-in")
+    record = one()
+    assert record["git_dirty"] is False and record["git_commit"] == "abc"
+    assert record["trials_per_s"] == 2.0 and record["slowdown"] == 1.25
+    (tree / "untracked.txt").write_text("b\n", encoding="utf-8")
+    assert one()["git_dirty"] is False   # untracked files do not count
+    (tree / "notes.txt").write_text("c\n", encoding="utf-8")
+    assert one()["git_dirty"] is True

@@ -13,9 +13,10 @@ from rfvlc import (FADING_NAKAGAMI, FADING_RAYLEIGH, Pose3, ScenarioConfig,
 from rfvlc import metrics
 from rfvlc.engine import trial_rng
 from rfvlc.metrics import _Drawn, _interference_pass, simulate_trials
-from rfvlc.scenario import (EXCLUSION_RADIUS_M, LANES, draw_deployment,
-                            interferer_counts, lane_poses, outside_exclusion, rsu_links)
-from rfvlc.vlc_channel import seen_gain
+from rfvlc.scenario import (EXCLUSION_RADIUS_M, LANE_SAME, LANES, draw_deployment,
+                            exclusion_disc, interferer_counts, outside_exclusion, rsu_links,
+                            rsu_paths)
+from rfvlc.vlc_channel import los_cosines, sees, seen_gain
 
 # lambda * rho = 1e-2: ~20 interferers per trial; rain makes the optical
 # attenuation factor differ from 1.
@@ -217,17 +218,75 @@ def test_interferer_counts_match_the_reference_mask():
     assert 0 < expected.sum() < len(active)
 
 
-def test_lane_poses_match_the_reference_deployment():
+def test_rsu_paths_match_the_reference_deployment():
+    # the scalar reference's poses give, through the scalar los_cosines,
+    # every path rsu_paths gives the kernel, bit for bit
     deployment = draw_deployment(DENSE, trial_rng(SEED), N)
     poses, active = _lane_poses(DENSE, deployment)
+    rsu = DENSE.geometry.rsu_pose
     assert 0 < active.count(True) < len(active)
     for lane, part in zip(LANES, deployment.lane_slices()):
         coord = deployment.coord[part]
-        x, y, axis = lane_poses(DENSE.geometry, lane, coord)
-        got = np.broadcast_arrays(x, y, *axis[:2], outside_exclusion(DENSE, lane, coord))
-        assert [tuple(row) for row in np.transpose(got).tolist()] == [
-            (p.x, p.y, p.axis[0], p.axis[1], keep)
-            for p, keep in zip(poses[part], active[part])]
+        expected = []
+        for p in poses[part]:
+            dx, dy, dz = rsu.x - p.x, rsu.y - p.y, rsu.z - p.z
+            d2 = dx * dx + dy * dy + dz * dz
+            d = math.sqrt(d2)
+            expected.append([d2, d, *los_cosines(dx, dy, dz, d, p.axis, rsu.axis,
+                                                 DENSE.vlc)[:2]])
+        assert np.transpose(rsu_paths(DENSE, lane, coord)).tobytes() == \
+            np.array(expected).tobytes()
+        assert outside_exclusion(DENSE, lane, coord).tolist() == active[part]
+
+
+def _headlamp_axes(config, lane, coord):
+    """The offsets (dx, dy, dz) from headlamps at positions coord along a
+    lane to the RSU, and their per-point axes, aimed along the lane toward
+    the intersection (the pose arrays the kernel once built)."""
+    geo = config.geometry
+    rsu = geo.rsu_pose
+    toward = np.where(coord >= 0, -1.0, 1.0)
+    if lane == LANE_SAME:
+        x, y, axis = coord, geo.lane_y_offset, (toward, 0.0, 0.0)
+    else:
+        x, y, axis = geo.lane_x_offset, coord, (0.0, toward, 0.0)
+    return (rsu.x - x, rsu.y - y, rsu.z - geo.tx_height), axis
+
+
+@pytest.mark.parametrize("fov", [60.0, 90.0])
+@pytest.mark.parametrize("tilt_deg", [0.0, 45.0, 90.0])
+@pytest.mark.parametrize("lane", LANES)
+def test_rsu_paths_match_los_cosines_on_headlamp_axes(lane, tilt_deg, fov):
+    # rsu_paths and rsu_links give, byte for byte, what los_cosines and
+    # los_gain give on per-point headlamp axes.  Both lanes run off the
+    # axes, and the desired vehicle sits 0.5 m from the perpendicular
+    # lane, so the exclusion disc cuts both.  The lane points are 0.0,
+    # -0.0, +-L, points across the disc and uniform ones.
+    config = dataclasses.replace(_with_rsu(OFF_AXIS, tilt_deg, fov), distance_r=4.0)
+    L = config.geometry.lane_half_length
+    centre, _ = exclusion_disc(config, lane)
+    coord = np.concatenate([
+        [0.0, -0.0, L, -L], centre + np.linspace(-1.0, 1.0, 9) * EXCLUSION_RADIUS_M,
+        np.random.default_rng(SEED).uniform(-L, L, 2000)])
+    assert not outside_exclusion(config, lane, coord[4:13]).all()
+    offsets, axis = _headlamp_axes(config, lane, coord)
+    rx_axis = config.geometry.rsu_pose.axis
+    d2 = offsets[0] * offsets[0] + offsets[1] * offsets[1] + offsets[2] * offsets[2]
+    d = np.sqrt(d2)
+    cos_phi, cos_psi, seen = los_cosines(*offsets, d, axis, rx_axis, config.vlc)
+    got = rsu_paths(config, lane, coord)
+    for a, b in zip(got, (d2, d, cos_phi, cos_psi)):
+        assert a.tobytes() == b.tobytes()
+    assert sees(*got[2:], config.vlc).tobytes() == seen.tobytes()
+    gain = los_gain(*offsets, axis, rx_axis, config.vlc)
+    d_link, gain_link = rsu_links(config, lane, coord)
+    assert d_link.tobytes() == d.tobytes() and gain_link.tobytes() == gain.tobytes()
+    # one point at a time, as the desired link calls it
+    for k in range(13):
+        one = rsu_links(config, lane, float(coord[k]))
+        assert np.array(one).tobytes() == np.array([d[k], gain[k]]).tobytes()
+    # the RSU sees some points and misses others (0.0 at least)
+    assert seen.any() and not seen.all()
 
 
 def test_weathers_share_every_draw():
@@ -241,6 +300,14 @@ def test_weathers_share_every_draw():
         assert np.array_equal(sinr_rf, alone_rf)
     # weather only rescales optical terms: the VLC rows differ
     assert len({row.tobytes() for row in sinr_vlc}) == len(ALL_WEATHERS)
+    # a clear-only dense chunk, whose optical terms skip the attenuation
+    # pow, gives the clear row of a run with every weather (which takes it)
+    n = 4096
+    runs = [simulate_trials(DENSE, weathers, trial_rng(SEED), n)
+            for weathers in (("clear",), ALL_WEATHERS)]
+    (clear_vlc, clear_rf), (every_vlc, every_rf) = runs
+    assert clear_vlc[0].tobytes() == every_vlc[ALL_WEATHERS.index("clear")].tobytes()
+    assert clear_rf.tobytes() == every_rf.tobytes()
 
 
 def test_nothing_lit_leaves_rf_and_stream_unchanged():

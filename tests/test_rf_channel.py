@@ -60,6 +60,19 @@ class TestFading:
         _, pvalue = stats.kstest(draws, "expon")
         assert pvalue > 0.01
 
+    @pytest.mark.parametrize("size", [None, 0, 1, 4096])
+    def test_rayleigh_draws_are_unit_exponentials_of_the_stream(self, size):
+        # the fades, and the stream after them, are those of numpy's
+        # Generator.exponential at scale 1, byte for byte
+        p = RfParams(fading=FADING_RAYLEIGH)
+        rng, twin = np.random.default_rng(31), np.random.default_rng(31)
+        got = sample_fading(p, rng, size)
+        want = twin.exponential(size=size)
+        assert type(got) is (float if size is None else np.ndarray)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert rng.random() == twin.random()
+
     def test_nakagami_m1_matches_rayleigh(self):
         # gamma(1, 1) is exponential, so m=1 reduces to the Rayleigh model
         rng = np.random.default_rng(23)

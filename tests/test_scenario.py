@@ -11,7 +11,7 @@ from rfvlc import (WEATHER_ATTENUATION_DB_PER_KM, WEATHER_KINDS,
                    InvalidArgumentError, ScenarioConfig, SweepSpec,
                    attenuation_factor, draw_deployment, validate)
 from rfvlc.scenario import (EXCLUSION_RADIUS_M, LANE_SAME, LANES,
-                            interferer_counts, lane_poses, outside_exclusion)
+                            interferer_counts, outside_exclusion, rsu_paths)
 
 
 class TestAttenuationFactor:
@@ -119,14 +119,18 @@ def _count_draws(config, seed, n_draws):
 
 
 def _interferers(config, seed, n_draws):
-    """(lane, x, y, axis) of the interferers of n_draws trials, lane by lane."""
+    """(lane, x, y, paths) of the interferers of n_draws trials, lane by
+    lane: their centerline positions and rsu_paths at them."""
+    geo = config.geometry
     deployment = draw_deployment(config, np.random.default_rng(seed), n_draws)
     for lane, part in zip(LANES, deployment.lane_slices()):
         coord = deployment.coord[part]
-        x, y, axis = lane_poses(config.geometry, lane, coord)
-        x, y, ax, ay, active = np.broadcast_arrays(
-            x, y, *axis[:2], outside_exclusion(config, lane, coord))
-        yield lane, x[active], y[active], (ax[active], ay[active])
+        active = outside_exclusion(config, lane, coord)
+        coord = coord[active]
+        across = np.full_like(coord, geo.lane_y_offset if lane == LANE_SAME
+                              else geo.lane_x_offset)
+        x, y = (coord, across) if lane == LANE_SAME else (across, coord)
+        yield lane, x, y, rsu_paths(config, lane, coord)
 
 
 class TestSampleInterferers:
@@ -179,19 +183,26 @@ class TestSampleInterferers:
         assert abs(ca.mean() - cb.mean()) < 3 * pooled
 
     def test_positions_on_centerlines_at_tx_height(self):
-        # lane_poses gives each headlamp's x, y and axis (the kernel puts
-        # every headlamp at tx_height): on its lane's centerline, aimed
-        # horizontally along the lane toward the intersection
+        # rsu_paths puts each headlamp on its lane's centerline at
+        # tx_height, aimed horizontally along the lane toward the
+        # intersection: its distance and emission cosine are those of that
+        # pose, worked out here from plain vectors
         cfg = dataclasses.replace(ScenarioConfig(), lambda_density=0.05, rho_access=1.0)
         geo = cfg.geometry
-        for lane, x, y, (ax, ay) in _interferers(cfg, 3, 20):
+        rsu = geo.rsu_pose
+        for lane, x, y, (d2, d, cos_phi, _) in _interferers(cfg, 3, 20):
             assert len(x) > 0
-            along, across, toward, sideways, offset = (
-                (x, y, ax, ay, geo.lane_y_offset) if lane == LANE_SAME
-                else (y, x, ay, ax, geo.lane_x_offset))
-            assert (across == offset).all()
+            along = x if lane == LANE_SAME else y
             assert (np.abs(along) <= geo.lane_half_length).all()
-            assert (toward == -np.sign(along)).all() and (sideways == 0.0).all()
+            to_rsu = np.stack([rsu.x - x, rsu.y - y,
+                               np.full_like(x, rsu.z - geo.tx_height)], axis=1)
+            axis = np.zeros_like(to_rsu)
+            axis[:, lane] = -np.sign(along)   # lane 0 runs along x, lane 1 along y
+            norm = np.linalg.norm(to_rsu, axis=1)
+            np.testing.assert_allclose(d2, norm * norm, rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(d, norm, rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose(cos_phi, (axis * to_rsu).sum(axis=1) / norm,
+                                       rtol=1e-14, atol=0.0)
 
     def test_exclusion_radius(self):
         cfg = dataclasses.replace(ScenarioConfig(), lambda_density=1.0,
