@@ -59,9 +59,14 @@ def load(tree: str, name: str):
 def sweep_call(package, sweep: str, work_dir: Path):
     """(config, spec, metric, workers) of a sweep, as the package's CLI reads it."""
     argv, lines, trials = SWEEPS[sweep]
-    path = work_dir / f"{package.__name__}_{sweep}.cfg"
-    path.write_text("\n".join([f"seed = {SEED}", f"trials = {trials}", *lines]) + "\n",
-                    encoding="utf-8")
+    return cli_call(package, argv, [f"seed = {SEED}", f"trials = {trials}", *lines],
+                    work_dir / f"{package.__name__}_{sweep}.cfg")
+
+
+def cli_call(package, argv, lines, path: Path):
+    """(config, spec, metric, workers) of a sweep command line whose config
+    file, written to path, holds lines, as the package's CLI reads them."""
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     cli = package.cli
     args = cli.build_parser().parse_args([*argv, "--config", str(path)])
     config, spec = cli._load(args)

@@ -153,7 +153,7 @@ def _sweep(args, metric: str, stem: str, default_modes: tuple[str, ...]) -> int:
         "rng_scheme": RNG_SCHEME,
         "chunk_size": _CHUNK,
         "config_sha256": config_digest(config, spec),
-        "workers": sweep_workers(spec, args.workers),
+        "workers": sweep_workers(config, spec, args.workers),
         "sweep_seconds": seconds,
         "trials_per_s": len(spec.distances) * spec.n_trials / seconds,
         "minor_faults": faults,
@@ -203,8 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--workers", type=int, default=1,
                        help="worker processes, this one included (at most one "
-                            "per usable CPU and per chunk; results are identical "
-                            "for any worker count)")
+                            "per usable CPU, per chunk and per ~48k trials of "
+                            "estimated work, an expected interferer lane point "
+                            "weighing a third of a trial, so small sweeps run in "
+                            "one; results are identical for any worker count)")
         p.add_argument("--gnuplot", action="store_true",
                        help="also emit whitespace-delimited per-curve files")
         p.add_argument("--distances", default=",".join(_fmt(d) for d in distances))

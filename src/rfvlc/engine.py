@@ -21,6 +21,12 @@ scored through the module global _chunk_stats_job, looked up at call
 time in this process and in the helpers alike.  Helpers are reaped only
 after the reduction and the rows, so they exit while this process
 builds the table.
+
+A helper costs a fixed ~10-12 ms (mostly copy-on-write faults in this
+process after the fork), so k is capped not only by the chunks and the
+usable CPUs but by the sweep's estimated one-process work: one process
+per _SPLIT_WORK trial-equivalents (sweep_workers), a trial weighing one
+plus a third per expected lane point.  Small sweeps run in one process.
 """
 
 from __future__ import annotations
@@ -46,6 +52,13 @@ _METRICS = ("prp", "rate_mbps", "dor")
 _CHUNK = 4096  # trials per chunk and random stream; fixed so the worker
                # count cannot change the streams or the summation order
 _COUNT = np.uint16   # a chunk's trial counts: _CHUNK < 2**16, so they fit
+
+# One-process work, in trial-equivalents (_sweep_work), per process a sweep
+# may run: about twice a forked helper's fixed cost (~10-12 ms, or ~24k
+# trial-equivalents, on a 2-vCPU VM), since two processes halve the work
+# and add that cost.  Read at call time; scripts/split_breakeven.py
+# measures the break-even on another host.
+_SPLIT_WORK = 48_000
 
 # Trials per sweep point at most: run_sweep lists every chunk up front,
 # ~0.8 KB each, so 25 distances come to ~0.5 GB at this bound.
@@ -191,7 +204,7 @@ def run_sweep(config: ScenarioConfig, spec: SweepSpec, metric: str,
                spec.weathers, spec.t_th, metric)
               for d_idx, cfg in enumerate(points) for start in starts]
 
-    n_workers = sweep_workers(spec, n_workers)
+    n_workers = sweep_workers(config, spec, n_workers)
     helpers = []   # (process, pipe end) per helper, reaped once the rows are built
     try:
         if n_workers > 1:
@@ -225,11 +238,23 @@ def _rows(spec: SweepSpec, metric: str, partials) -> tuple[SweepRow, ...]:
     return tuple(rows)
 
 
-def sweep_workers(spec: SweepSpec, n_workers: int) -> int:
+def _sweep_work(config: ScenarioConfig, spec: SweepSpec) -> float:
+    """The sweep's estimated one-process work, in trial-equivalents:
+    distances x trials x (1 + m / 3), m = 4 lambda rho L being the expected
+    lane points per trial (a lane point costs about a third of a trial's
+    fixed work).  Deterministic: no timing goes into it."""
+    m = (4.0 * config.lambda_density * config.rho_access
+         * config.geometry.lane_half_length)
+    return len(spec.distances) * spec.n_trials * (1.0 + m / 3.0)
+
+
+def sweep_workers(config: ScenarioConfig, spec: SweepSpec, n_workers: int) -> int:
     """The processes run_sweep(config, spec, metric, n_workers) runs: no more
-    than there are chunks or usable CPUs, so no helper for a single chunk."""
+    than there are chunks or usable CPUs, and one per _SPLIT_WORK of
+    _sweep_work at most, so no helper for a single chunk or a small sweep."""
     n_chunks = len(spec.distances) * math.ceil(spec.n_trials / _CHUNK)
-    return min(n_workers, n_chunks, _usable_cpus())
+    paid = max(1, int(_sweep_work(config, spec) // _SPLIT_WORK))
+    return min(n_workers, n_chunks, paid, _usable_cpus())
 
 
 def _run_share(jobs):

@@ -178,7 +178,10 @@ def _interference_pass(group: list, weathers):
                     lit, p_vlc = lit[i:j] - x, p_vlc[:, i:j]
                 if len(lit):
                     # every weather in one pass: row w of p_vlc adds to bins w * n + trial
-                    i_vlc += np.bincount((rows + trial[lit]).ravel(), p_vlc.ravel(),
+                    bins = trial[lit]
+                    if len(weathers) > 1:   # else rows is [[0]]
+                        bins = (rows + bins).ravel()
+                    i_vlc += np.bincount(bins, p_vlc.ravel(),
                                          minlength=i_vlc.size).reshape(i_vlc.shape)
         group[g] = None   # every window that reads its points is computed
         yield i_vlc, i_rf
@@ -195,7 +198,8 @@ def _block_terms(base: ScenarioConfig, lane: int, pieces, coeffs):
     their optical powers per weather.  The paths come from rsu_paths, and
     the lit points' gains from its d2 and cosines gathered at them.
     Clear air (a zero coefficient) gets the factor 1.0 without a pow,
-    since 10 ** -0.0 is exactly 1.0.  Every term is elementwise, and the
+    since 10 ** -0.0 is exactly 1.0, and a clear-only window calls no
+    attenuation_factor at all.  Every term is elementwise, and the
     fades are drawn in storage order, so a window's terms are those of its
     slices computed one by one.
     """
@@ -217,8 +221,8 @@ def _block_terms(base: ScenarioConfig, lane: int, pieces, coeffs):
     gain = seen_gain(d2[lit], cos_phi[lit], cos_psi[lit], base.vlc)
     hazy = coeffs[:, 0] != 0.0
     wfac = np.ones((len(coeffs), len(lit)))
-    # attenuation_factor checks the distances even where every weather is clear
-    wfac[hazy] = attenuation_factor(coeffs[hazy], d[lit])
+    if hazy.any():   # else no call: its distance check holds, as d = sqrt(d2) >= 0
+        wfac[hazy] = attenuation_factor(coeffs[hazy], d[lit])
     return p_rf, lit, vlc_rx_electrical_power(gain, wfac, base.vlc)
 
 

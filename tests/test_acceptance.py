@@ -20,6 +20,7 @@ from rfvlc import (FADING_RAYLEIGH, MODE_LA, MODE_PURE_RF, MODE_PURE_VLC,
                    db_to_linear, derive_seed, draw_deployment, prp_rf_closed_form,
                    run_sweep, sample_fading, simulate_trials, vlc_cutoff_distance,
                    vlc_snr)
+from rfvlc import engine
 from rfvlc.cli import main as cli_main
 from rfvlc.engine import trial_rng
 from rfvlc.scenario import LANE_SAME, interferer_counts
@@ -300,8 +301,10 @@ def test_criterion_08_long_tail_estimate(capsys):
              f"LA DOR at 200 m / 3 ms over 10^7 trials = {value:.6f}")
 
 
-def test_criterion_09_determinism(capsys, tmp_path):
+def test_criterion_09_determinism(capsys, tmp_path, monkeypatch, forced_split):
     """prp-sweep: rerun and worker-count changes are byte-identical."""
+    # this small sweep would run in one process: let it split three ways
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
     dirs = [str(tmp_path / n) for n in ("a", "b", "c")]
     base = ["prp-sweep", "--distances", "50,100,150", "--weather",
             "clear,dry_snow", "--trials", "2000", "--seed", "909"]
@@ -312,6 +315,7 @@ def test_criterion_09_determinism(capsys, tmp_path):
     for d in dirs:
         with open(os.path.join(d, "prp_sweep.csv"), encoding="utf-8") as fh:
             texts.append(fh.read())
+    assert len(forced_split) == 2   # the third run split three ways
     ok = rcs == [0, 0, 0] and texts[0] == texts[1] == texts[2]
     _verdict(capsys, 9, ok,
              "prp-sweep CSVs byte-identical across reruns and 1 vs 3 workers")

@@ -213,11 +213,13 @@ class TestCliPrpSweep:
         assert 0.0 <= float(first[3]) <= 1.0
         assert first[7] == "200"
 
-    def test_reruns_are_byte_identical(self, tmp_path):
+    def test_reruns_are_byte_identical(self, tmp_path, monkeypatch, forced_split):
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         args = ["prp-sweep", "--distances", "50,150", "--weather", "clear"] + FAST
         assert _run(args + ["--out", a]) == 0
         assert _run(args + ["--out", b, "--workers", "2"]) == 0
+        assert forced_split == [[(1, 0)]]   # the second run split
         assert _read(os.path.join(a, "prp_sweep.csv")) == \
             _read(os.path.join(b, "prp_sweep.csv"))
 
@@ -239,15 +241,16 @@ class TestCliPrpSweep:
         assert manifest["trials_per_s"] == 200 / manifest["sweep_seconds"]
         assert isinstance(manifest["minor_faults"], int) and manifest["minor_faults"] >= 0
 
-    def test_manifest_records_the_workers_used(self, tmp_path, monkeypatch):
+    def test_manifest_records_the_workers_used(self, tmp_path, monkeypatch, forced_split):
         # one per chunk and per usable CPU, whatever --workers asks for
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
         for distances, workers in (("50", 1), ("50,100,150", 2)):
             out = str(tmp_path / distances)
+            started = len(forced_split)
             assert _run(["prp-sweep", "--out", out, "--distances", distances,
                          "--weather", "clear", "--workers", "8"] + FAST) == 0
             manifest = json.loads(_read(os.path.join(out, "run.manifest")))
-            assert manifest["workers"] == workers
+            assert manifest["workers"] == workers == 1 + len(forced_split) - started
             assert manifest["trials_per_s"] == (
                 len(distances.split(",")) * 200 / manifest["sweep_seconds"])
 
@@ -281,6 +284,36 @@ class TestCliPrpSweep:
             lines = _read(os.path.join(out, "prp_sweep.csv")).splitlines()[1:]
             assert len(lines) == 2 * 3
             assert {line.split(",")[1] for line in lines} == kinds
+
+
+class TestCliWorkers:
+    # (argv, config lines, processes): the sweep's estimated work caps them
+    # at one per engine._SPLIT_WORK trial-equivalents
+    _SHAPES = {
+        # the dor_pool benchmark: 2 x 16384 sparse trials, 8 chunks
+        "dor_pool": (["dor-sweep", "--trials", "16384"], [], 1),
+        "dor_default": (["dor-sweep"], [], 2),   # 2 x 100k trials
+        # lambda * rho = 1e-2: a trial weighs ~7.7 sparse ones
+        "dense_4x4096": (["prp-sweep", "--weather", "clear", "--distances",
+                          "10,25,50,100", "--trials", "4096"], ["rho_access = 1.0"], 2),
+        "dense_2x4096": (["prp-sweep", "--weather", "clear", "--distances", "10,25",
+                          "--trials", "4096"], ["rho_access = 1.0"], 1),
+        "lambda_zero": (["prp-sweep", "--distances", "50,100,150", "--trials", "200"],
+                        ["lambda_density = 0"], 1),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    def test_sweep_splits_only_where_its_work_pays(
+            self, tmp_path, monkeypatch, started_helpers, shape):
+        argv, lines, workers = self._SHAPES[shape]
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+        conf = tmp_path / "shape.conf"
+        conf.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        out = str(tmp_path / "out")
+        assert _run(argv + ["--workers", "2", "--config", str(conf), "--out", out]) == 0
+        manifest = json.loads(_read(os.path.join(out, "run.manifest")))
+        # the manifest records the processes that really ran
+        assert manifest["workers"] == workers == 1 + len(started_helpers)
 
 
 class TestCliRateSweep:
@@ -338,12 +371,14 @@ class TestCliDorSweep:
         assert len(values) == 51 and values[-1] < values[0] < 1.0
         assert all(b <= a for a, b in zip(values, values[1:]))
 
-    def test_workers_do_not_change_bytes(self, tmp_path):
+    def test_workers_do_not_change_bytes(self, tmp_path, monkeypatch, forced_split):
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         args = ["dor-sweep", "--distances", "50,200", "--t-th-ms", "2,4,8",
                 "--weather", "clear,fog"] + FAST
         assert _run(args + ["--out", a]) == 0
         assert _run(args + ["--out", b, "--workers", "2"]) == 0
+        assert forced_split == [[(1, 0)]]   # the second run split
         assert _read(os.path.join(a, "dor_sweep.csv")) == \
             _read(os.path.join(b, "dor_sweep.csv"))
 

@@ -174,19 +174,25 @@ class TestRunSweep:
         b = run_sweep(cfg, _spec(), "prp")
         assert a == b
 
-    def test_worker_count_does_not_change_results(self):
+    def test_worker_count_does_not_change_results(self, monkeypatch, forced_split):
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
         cfg = ScenarioConfig()
         spec = _spec(n_trials=5000)
         for metric in ("prp", "rate_mbps"):
             assert (run_sweep(cfg, spec, metric, n_workers=1)
                     == run_sweep(cfg, spec, metric, n_workers=3))
+        # each 3-worker sweep really ran in three processes
+        assert len(forced_split) == 2 * 2
 
-    def test_worker_count_does_not_change_results_at_density(self):
+    def test_worker_count_does_not_change_results_at_density(
+            self, monkeypatch, forced_split):
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
         # two full chunks and a partial one per point
         spec = _spec(n_trials=2 * _CHUNK + 300)
         for metric in ("prp", "rate_mbps"):
             assert (run_sweep(DENSE, spec, metric, n_workers=1)
                     == run_sweep(DENSE, spec, metric, n_workers=2))
+        assert forced_split == [[(0, _CHUNK), (1, 0), (1, 2 * _CHUNK)]] * 2
 
     def test_pure_rf_identical_across_weathers_at_density(self):
         spec = _spec(weathers=ALL_WEATHERS, n_trials=_CHUNK + 300)
@@ -249,46 +255,50 @@ class TestRunSweep:
             ((len(ALL_WEATHERS), c[4] - c[3]), (c[4] - c[3],)) for c in calls]
 
     @staticmethod
-    def _recording_helpers(monkeypatch, cpus):
-        """Record the (point, start) chunks of every helper process started,
-        and report cpus usable CPUs (None: no affinity mask and an unknown
+    def _report_cpus(monkeypatch, cpus):
+        """Report cpus usable CPUs (None: no affinity mask and an unknown
         CPU count)."""
-        helpers = []
-        start_helper = engine._start_helper
-
-        def recording(share):
-            helpers.append([job[2:4] for job in share])
-            return start_helper(share)
-
-        monkeypatch.setattr(engine, "_start_helper", recording)
         if cpus is None:
             monkeypatch.delattr(engine.os, "sched_getaffinity", raising=False)
             monkeypatch.setattr(engine.os, "cpu_count", lambda: None)
         else:
             monkeypatch.setattr(engine, "_usable_cpus", lambda: cpus)
-        return helpers
 
-    def test_pool_starts_no_more_workers_than_chunks(self, monkeypatch):
+    def test_pool_starts_no_more_workers_than_chunks(self, monkeypatch, forced_split):
         # k workers are this process and k - 1 helpers
-        helpers = self._recording_helpers(monkeypatch, cpus=64)
+        self._report_cpus(monkeypatch, cpus=64)
         cfg = ScenarioConfig()
         one_chunk = _spec(distances=(50.0,))
         assert (run_sweep(cfg, one_chunk, "prp", n_workers=8)
                 == run_sweep(cfg, one_chunk, "prp"))
-        assert helpers == []
+        assert forced_split == []
         three_chunks = _spec(distances=(50.0, 100.0, 150.0))
         assert (run_sweep(cfg, three_chunks, "prp", n_workers=8)
                 == run_sweep(cfg, three_chunks, "prp"))
-        assert helpers == [[(1, 0)], [(2, 0)]]
+        assert forced_split == [[(1, 0)], [(2, 0)]]
 
     @pytest.mark.parametrize("cpus, started", [(2, [[(1, 0)]]), (1, []), (None, [])])
-    def test_pool_starts_no_more_workers_than_cpus(self, monkeypatch, cpus, started):
-        helpers = self._recording_helpers(monkeypatch, cpus)
+    def test_pool_starts_no_more_workers_than_cpus(
+            self, monkeypatch, forced_split, cpus, started):
+        self._report_cpus(monkeypatch, cpus)
         cfg = ScenarioConfig()
         spec = _spec(distances=(50.0, 100.0, 150.0))
         assert (run_sweep(cfg, spec, "prp", n_workers=100_000)
                 == run_sweep(cfg, spec, "prp"))
-        assert helpers == started
+        assert forced_split == started
+
+    def test_estimated_work_caps_the_processes(self, monkeypatch):
+        # at most max(1, work // _SPLIT_WORK) processes, read at call time; a
+        # trial weighs 1 + m / 3 with m = 4 lambda rho L = 20 lane points here
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 64)
+        spec = _spec(n_trials=30 * _CHUNK)   # 60 chunks
+        work = engine._sweep_work(DENSE, spec)
+        assert work == pytest.approx(2 * 30 * _CHUNK * (1 + 20 / 3), rel=1e-12)
+        for split_work, workers in ((2 * work, 1), (work, 1), (work / 2.5, 2),
+                                    (work / 100, 60)):
+            monkeypatch.setattr(engine, "_SPLIT_WORK", split_work)
+            assert engine.sweep_workers(DENSE, spec, 64) == workers
+        assert engine.sweep_workers(DENSE, spec, 3) == 3
 
     def test_usable_cpus_follow_the_affinity_mask(self, monkeypatch):
         monkeypatch.setattr(engine.os, "cpu_count", lambda: 64)
@@ -298,7 +308,7 @@ class TestRunSweep:
         assert engine._usable_cpus() == 64
 
     def test_every_chunk_runs_once_through_the_job_entry_point(
-            self, monkeypatch, tmp_path):
+            self, monkeypatch, tmp_path, forced_split):
         # the benchmark's tracer wraps this name in this process and the helpers
         log = tmp_path / "chunks.log"
         job = engine._chunk_stats_job
@@ -321,6 +331,7 @@ class TestRunSweep:
         assert len(calls) == len(chunks)
         assert by_pid.pop(os.getpid()) == chunks[0::3]
         assert sorted(by_pid.values()) == [chunks[1::3], chunks[2::3]]
+        assert forced_split == [chunks[1::3], chunks[2::3]]
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("config, block, groups", [
@@ -337,7 +348,7 @@ class TestRunSweep:
          and max(points) == metrics._WINDOW * metrics._BLOCK),
     ], ids=["sparse", "small_block", "dense"])
     def test_pooled_pass_gives_every_chunk_its_bits_alone(
-            self, monkeypatch, tmp_path, workers, config, block, groups):
+            self, monkeypatch, tmp_path, forced_split, workers, config, block, groups):
         # each chunk's SINRs and partials in a sweep equal those of its own
         # simulate_trials run, a group of one; the last chunk is partial
         monkeypatch.setattr(metrics, "_BLOCK", block)
@@ -367,6 +378,7 @@ class TestRunSweep:
         spec = _spec(distances=(30.0, 100.0, 150.0), weathers=ALL_WEATHERS,
                      n_trials=2 * _CHUNK + 500)
         run_sweep(config, spec, "rate_mbps", n_workers=workers)
+        assert len(forced_split) == workers - 1   # a 2-worker sweep really splits
         assert groups(sizes, points)   # the groups and term windows of this process
         got = sorted(tuple(line.split()) for line in log.read_text().splitlines())
 
@@ -383,7 +395,8 @@ class TestRunSweep:
         assert got == sorted(expected)
 
     @pytest.mark.parametrize("failing, where", [(1, "helper"), (0, "this process")])
-    def test_failure_reaches_the_caller_with_its_type(self, monkeypatch, failing, where):
+    def test_failure_reaches_the_caller_with_its_type(
+            self, monkeypatch, forced_split, failing, where):
         job = engine._chunk_stats_job
 
         def failing_chunk(args):
@@ -399,9 +412,10 @@ class TestRunSweep:
         point, pid = failure.value.args
         assert point == failing
         assert (pid == os.getpid()) == (where == "this process")
+        assert len(forced_split) == 2
         assert multiprocessing.active_children() == []
 
-    def test_helper_that_dies_is_runtime_error(self, monkeypatch):
+    def test_helper_that_dies_is_runtime_error(self, monkeypatch, forced_split):
         job = engine._chunk_stats_job
         parent = os.getpid()
 
@@ -415,6 +429,7 @@ class TestRunSweep:
         spec = _spec(distances=(50.0, 100.0))
         with pytest.raises(RuntimeError, match="exit code 7"):
             run_sweep(ScenarioConfig(), spec, "prp", n_workers=2)
+        assert forced_split == [[(1, 0)]]
         assert multiprocessing.active_children() == []
 
     def test_successful_split_reaps_its_helpers(self, monkeypatch):
@@ -427,6 +442,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(engine, "_start_helper", recording)
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(engine, "_SPLIT_WORK", 1)
         spec = _spec(distances=(50.0, 100.0))
         assert run_sweep(ScenarioConfig(), spec, "prp", n_workers=2) == run_sweep(
             ScenarioConfig(), spec, "prp")

@@ -14,14 +14,17 @@ import sys
 
 import pytest
 
+from rfvlc import engine
 from rfvlc.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 RHO1 = os.path.join(GOLDEN, "rho_access_1.conf")
 
 # 5000 trials: two chunks per point, so the chunk-order reduction is
-# covered.  dor-sweep runs on two worker processes.  One prp case and one
-# dor case also write the gnuplot files, which read the same table.
+# covered.  dor-sweep runs on two worker processes where two CPUs are
+# usable (the work cap is lowered, so that these small sweeps split).  One
+# prp case and one dor case also write the gnuplot files, which read the
+# same table.
 _COMMON = ["--trials", "5000", "--seed", "11"]
 CASES = {
     "prp_default": ["prp-sweep", "--distances", "40,120,200", "--gnuplot"] + _COMMON,
@@ -45,7 +48,8 @@ def _read_bytes(path):
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_cli_output_matches_golden(case, tmp_path):
+def test_cli_output_matches_golden(case, tmp_path, monkeypatch):
+    monkeypatch.setattr(engine, "_SPLIT_WORK", 1)
     out = str(tmp_path / case)
     assert main(CASES[case] + ["--out", out]) == 0
     expected = os.path.join(GOLDEN, case)
