@@ -14,10 +14,13 @@ spec come from each checkout's own CLI parsing.  A pair runs both sides
 once, alternating which runs first.  Every call's rows must equal, field
 by field, the first call's rows of the other side, or the script exits 1.
 It prints, per sweep, the median per-pair speedup (parent seconds over
-change seconds), its quartiles and the pairs the change ran faster, as
-one JSON object.  Both sides share the interpreter, the heap and the
-host's noise, so pairs taken this way separate changes of a few percent
-that fresh-process benchmark pairs cannot.
+change seconds), its quartiles and the pairs the change ran faster, and
+each side's tracemalloc peak (MB, 10^6 bytes) from one more untimed call
+after the pairs, as one JSON object.  The peak is this process's: a
+sweep that forks helpers traces none of their memory.  Both sides share
+the interpreter, the heap and the host's noise, so pairs taken this way
+separate changes of a few percent that fresh-process benchmark pairs
+cannot.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 # name -> (command line, config lines, trials per point), as in bench.py
@@ -89,6 +93,18 @@ def timed(package, call) -> tuple[float, list[str]]:
     return seconds, [repr(dataclasses.astuple(row)) for row in rows]
 
 
+def traced_peak_mb(package, call) -> float:
+    """The tracemalloc peak, in MB, of one untimed run_sweep call."""
+    config, spec, metric, workers = call
+    gc.collect()
+    tracemalloc.start()
+    try:
+        package.run_sweep(config, spec, metric, n_workers=workers)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def compare(packages: dict, calls: dict, pairs: int, warmup: int = 0) -> dict:
     """Alternating pairs of one sweep, the first warmup of them untimed; the
     speedup summary, or ValueError if any call's rows differ from the other
@@ -134,6 +150,8 @@ def main(argv=None) -> int:
             except ValueError as exc:
                 print(f"{sweep}: {exc}", file=sys.stderr)
                 return 1
+            out["sweeps"][sweep].update({f"{side}_peak_mb": traced_peak_mb(p, calls[side])
+                                         for side, p in packages.items()})
             print(json.dumps({sweep: out["sweeps"][sweep]}), file=sys.stderr)
     print(json.dumps(out, indent=1))
     return 0

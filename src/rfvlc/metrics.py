@@ -5,13 +5,11 @@ radio links: the VLC SINR is fully deterministic given the deployment,
 while every RF power (desired and interfering) gets an independent fading
 draw.  Trials are simulated as arrays, a chunk at a time and for every
 weather at once (simulate_trials): weather only attenuates optical paths.
-Consecutive sparse chunks share one interferer pass (simulate_chunks),
-and a dense chunk computes its interferer terms a window of slices at a
-time; either way every chunk's sums add the same slices, so it gets the
-bits it gets alone.  The four operating
-modes are scored on the same trials, their reception by mode_success and
-their rates by mode_rates, so mode comparisons are exact event
-inclusions rather than statistical ones.
+Consecutive sparse chunks are merged into one, whose interferers take one
+pass (simulate_chunks); every chunk still gets the bits it gets alone.
+The four operating modes are scored on the same trials, their reception
+by mode_success and their rates by mode_rates, so mode comparisons are
+exact event inclusions rather than statistical ones.
 """
 
 from __future__ import annotations
@@ -36,14 +34,15 @@ MODE_LA = "la"
 MODE_NON_LA = "non_la"
 MODES = (MODE_PURE_VLC, MODE_PURE_RF, MODE_LA, MODE_NON_LA)
 
-# Lane points per summation slice.  A chunk adds each slice of its own lane
-# points to its sums with one bincount, so the slice fixes the bits of every
-# output; it also bounds a pooled group (one slice per lane at most).
+# Lane points per summation slice.  The interferer pass adds each slice of
+# a lane's points to the sums with one bincount per weather, so the slice
+# fixes the bits of every output; it also bounds a pooled group (one slice
+# per lane at most, so no slice boundary falls inside a merged chunk).
 # Counting points rather than trials keeps a sparse chunk in one slice.
 _BLOCK = 4096
 
-# Slices per term window.  A lone chunk computes its interferer terms a
-# window at a time, so a dense chunk pays the fixed cost of each numpy call
+# Slices per term window.  The pass computes interferer terms a window at
+# a time, so a dense chunk pays the fixed cost of each numpy call
 # once per 16384 points rather than per 4096; the window's temporaries
 # (about a dozen arrays of its length) bound the kernel's memory whatever
 # the density.  The window changes no bit: terms are elementwise, and the
@@ -51,7 +50,9 @@ _BLOCK = 4096
 _WINDOW = 4
 
 # Chunks per pooled group at most, whatever their lane points: a group holds
-# every chunk's draws until it is scored (a default-density group holds ~10).
+# every chunk's draws until they are merged, then the merged draws and the
+# [W, trials] sums of the whole group until it is scored (a default-density
+# group holds ~10 chunks; 16 at lambda = 0, ~2.6 MB of sums in 4 weathers).
 _GROUP = 16
 
 _SIMPSON_PANELS = 20_000   # per integral in prp_rf_closed_form
@@ -101,97 +102,85 @@ def vlc_snr(config: ScenarioConfig, weather: str) -> float:
 
 
 class _Drawn(NamedTuple):
-    """One chunk's deployment, as the pooled pass reads it."""
+    """The lane points of one chunk, or of a merged group of chunks, as the
+    interferer pass reads them."""
 
-    config: ScenarioConfig
-    rng: np.random.Generator    # next draws: one RF fade per lane point
     n: int
     trial: np.ndarray
     coord: np.ndarray
+    active: np.ndarray          # outside the exclusion disc: an interferer
+    fade: np.ndarray            # one RF fade per lane point
     lanes: tuple[slice, slice]  # Deployment.lane_slices()
 
     @classmethod
     def of(cls, config, deployment, rng):
-        return cls(config, rng, deployment.counts.shape[1], deployment.trial,
-                   deployment.coord, deployment.lane_slices())
+        """A chunk's deployment, its interferer mask, and its lane points'
+        fades, drawn next from rng in storage order."""
+        lanes = deployment.lane_slices()
+        coord = deployment.coord
+        active = np.concatenate([outside_exclusion(config, lane, coord[part])
+                                 for lane, part in zip(LANES, lanes)])
+        return cls(deployment.counts.shape[1], deployment.trial, coord, active,
+                   sample_fading(config.rf, rng, len(coord)), lanes)
 
 
-def _interference_pass(group: list, weathers):
-    """Yield the interference powers, VLC[W, n] and RF[n], of each chunk of
-    a group (a list of _Drawn), in order.
+def _merged(chunks: list) -> _Drawn:
+    """A group's chunks as one _Drawn: each lane's points chunk after chunk,
+    the trials numbered after the earlier chunks'.  A group of one is
+    returned as is."""
+    if len(chunks) == 1:
+        return chunks[0]
+    first = np.cumsum([0] + [c.n for c in chunks]).tolist()
+    parts = [(c, c.lanes[lane], a) for lane in LANES for c, a in zip(chunks, first)]
+    trial = np.concatenate([c.trial[part] + a for c, part, a in parts])
+    coord, active, fade = (np.concatenate([getattr(c, field)[part] for c, part, _ in parts])
+                           for field in ("coord", "active", "fade"))
+    n_same = sum(c.lanes[0].stop for c in chunks)   # lane 0 starts at 0
+    return _Drawn(first[-1], trial, coord, active, fade,
+                  (slice(0, n_same), slice(n_same, len(coord))))
 
-    The chunks share the geometry and the channel parameters; each keeps
-    its own exclusion disc and stream, from which it draws one RF fade per
-    lane point in storage order.  Either the group is one chunk, or its
-    lane points fit in one _BLOCK per lane.  The lanes' points, the chunks'
-    one after another, are evaluated in windows of _WINDOW slices of
-    _BLOCK points, one pass per window (so a pooled group is one pass per
-    lane): the geometry and the RF terms for every point, the optical
-    terms for the lit ones only (interferers the RSU sees, since any other
-    point has zero gain, hence zero power in every weather).  Only the
-    optical attenuation differs between the W weather names.
 
-    A chunk's sums start at zero and add, lane by lane, one bincount per
-    slice of _BLOCK of its own points, in storage order; excluded and
-    unlit points add exactly +0.0.  The slices fix the bits, the windows
-    do not: every sum is the one the chunk gets alone in a group of one,
-    whatever the window.  A chunk's draws are released once its sums are
-    out, and one chunk's sums are held at a time.
+def _interference_pass(drawn: _Drawn, base: ScenarioConfig, weathers):
+    """The interference powers, VLC[W, n] and RF[n], of the n trials drawn.
+
+    base gives the geometry and the channel parameters.  Each lane's
+    points are evaluated in windows of _WINDOW slices of _BLOCK points: the
+    geometry and the RF terms for every point, the optical terms for the
+    lit ones only (interferers the RSU sees, since any other point has zero
+    gain, hence zero power in every weather).  Only the optical attenuation
+    differs between the W weather names.
+
+    The sums start at zero and add, lane by lane, one bincount per slice
+    of the lane's points, in storage order, one weather row at a time;
+    excluded and unlit points add exactly +0.0.  A bin adds only its own
+    trial's points, so the slices fix the bits and the windows do not: a
+    merged group whose lanes fit in one slice gives every chunk the sums
+    it gets alone.
     """
     coeffs = np.array([[WEATHER_ATTENUATION_DB_PER_KM[weather]] for weather in weathers])
-    base = group[0].config
     # read at call time, so that a window holds whole slices whatever _BLOCK is
     window = _WINDOW * _BLOCK
-    # each chunk's points on each lane: [start, stop) in the lane's points
-    sizes = np.array([[part.stop - part.start for part in c.lanes] for c in group])
-    ends = np.cumsum(sizes, axis=0)
-    starts, ends = (ends - sizes).tolist(), ends.tolist()
-    computed = {}   # lane -> (window start, terms): the window the chunks are at
-
-    def window_terms(lane, lo):
-        lo -= lo % window
-        if computed.get(lane, (None,))[0] != lo:
-            hi = min(lo + window, ends[-1][lane])
-            # each chunk's points in lo:hi, as indexes into its arrays
-            pieces = [(c, c.lanes[lane].start + max(lo, a[lane]) - a[lane],
-                       c.lanes[lane].start + min(hi, b[lane]) - a[lane])
-                      for c, a, b in zip(group, starts, ends)
-                      if a[lane] < hi and lo < b[lane]]
-            computed[lane] = (lo, _block_terms(base, lane, pieces, coeffs))
-        return computed[lane]
-
-    for g, c in enumerate(group):
-        i_vlc = np.zeros((len(weathers), c.n))
-        i_rf = np.zeros(c.n)
-        rows = np.arange(len(weathers))[:, None] * c.n
-        for lane, part in zip(LANES, c.lanes):
-            a, b = starts[g][lane], ends[g][lane]
-            # the slices that hold this chunk's points, none if it has none
-            for lo in range(a - a % _BLOCK, b, _BLOCK) if a < b else ():
-                first, (p_rf, lit, p_vlc) = window_terms(lane, lo)
-                # this chunk's points in the slice: x:y of the window's points
-                x, y = max(a, lo) - first, min(b, lo + _BLOCK) - first
-                trial = c.trial[part][first + x - a:first + y - a]
-                i_rf += np.bincount(trial, p_rf[x:y], minlength=c.n)
-                if y - x < len(p_rf):   # the window holds other points
-                    i, j = np.searchsorted(lit, (x, y))
-                    lit, p_vlc = lit[i:j] - x, p_vlc[:, i:j]
-                if len(lit):
-                    # every weather in one pass: row w of p_vlc adds to bins w * n + trial
-                    bins = trial[lit]
-                    if len(weathers) > 1:   # else rows is [[0]]
-                        bins = (rows + bins).ravel()
-                    i_vlc += np.bincount(bins, p_vlc.ravel(),
-                                         minlength=i_vlc.size).reshape(i_vlc.shape)
-        group[g] = None   # every window that reads its points is computed
-        yield i_vlc, i_rf
+    i_vlc = np.zeros((len(weathers), drawn.n))
+    i_rf = np.zeros(drawn.n)
+    for lane, part in zip(LANES, drawn.lanes):
+        for lo in range(part.start, part.stop, window):
+            hi = min(lo + window, part.stop)
+            p_rf, lit, p_vlc = _block_terms(base, lane, drawn.coord[lo:hi],
+                                            drawn.active[lo:hi], drawn.fade[lo:hi], coeffs)
+            trial = drawn.trial[lo:hi]
+            for x in range(0, hi - lo, _BLOCK):
+                i_rf += np.bincount(trial[x:x + _BLOCK], p_rf[x:x + _BLOCK], minlength=drawn.n)
+                i, j = np.searchsorted(lit, (x, x + _BLOCK))
+                bins = trial[lit[i:j]]
+                for row, p in zip(i_vlc, p_vlc[:, i:j]):
+                    row += np.bincount(bins, p, minlength=drawn.n)
+    return i_vlc, i_rf
 
 
-def _block_terms(base: ScenarioConfig, lane: int, pieces, coeffs):
-    """(p_rf, lit, p_vlc) of one window of lane points, drawn by one or more
-    chunks: pieces holds (chunk, first, stop) per chunk, in storage order,
-    the chunk's points first:stop; coeffs[W, 1] holds the weathers'
-    attenuation coefficients.
+def _block_terms(base: ScenarioConfig, lane: int, coord, active, fade, coeffs):
+    """(p_rf, lit, p_vlc) of one window of lane points at positions coord,
+    with their interferer mask and RF fades; coeffs[W, 1] holds the
+    weathers' attenuation coefficients.
 
     p_rf is every point's faded RF power, zero where the point is
     excluded; lit indexes the lit points and p_vlc[W, len(lit)] holds
@@ -199,16 +188,9 @@ def _block_terms(base: ScenarioConfig, lane: int, pieces, coeffs):
     the lit points' gains from its d2 and cosines gathered at them.
     Clear air (a zero coefficient) gets the factor 1.0 without a pow,
     since 10 ** -0.0 is exactly 1.0, and a clear-only window calls no
-    attenuation_factor at all.  Every term is elementwise, and the
-    fades are drawn in storage order, so a window's terms are those of its
-    slices computed one by one.
+    attenuation_factor at all.  Every term is elementwise, so a window's
+    terms are those of its slices computed one by one.
     """
-    def joined(arrays):
-        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-    coord = joined([c.coord[i:j] for c, i, j in pieces])
-    active = joined([outside_exclusion(c.config, lane, c.coord[i:j]) for c, i, j in pieces])
-    fade = joined([sample_fading(c.config.rf, c.rng, j - i) for c, i, j in pieces])
     d2, d, cos_phi, cos_psi = rsu_paths(base, lane, coord)
     p_rf = rf_mean_rx_power(d, base.rf)
     p_rf *= fade
@@ -249,10 +231,9 @@ def simulate_chunks(chunks, weathers):
     parameters and their lane points fit in one _BLOCK per lane; a
     group's interferers are evaluated in one pass (_interference_pass), so
     a sparse chunk pays mainly for its draws.  A chunk with more points
-    forms a group of its own, its terms computed _WINDOW slices at a
-    time.  Every chunk gets the bits it gets alone.  The desired-link
-    constants are computed once per run of chunks with the same config
-    object (one distance of a sweep).
+    forms a group of its own.  Every chunk gets the bits it gets alone.
+    The desired-link constants are computed once per run of chunks with
+    the same config object (one distance of a sweep).
     """
     group, load, held = [], np.zeros(2, dtype=np.int64), None
     for config, rng, n in chunks:
@@ -261,11 +242,12 @@ def simulate_chunks(chunks, weathers):
             st = _statics(config)
             link = st, _s_vlc(config, st, weathers)[:, None]
         deployment = draw_deployment(config, rng, n)
-        chunk = _Drawn.of(config, deployment, rng), link, sample_fading(config.rf, rng, n)
+        fade = sample_fading(config.rf, rng, n)   # the desired link's, then the lane points'
+        chunk = config, _Drawn.of(config, deployment, rng), link, fade
         points = deployment.counts.sum(axis=1)
-        del deployment   # the counts are not needed past this point
+        del deployment, fade   # the chunk holds the draws; the counts are not needed
         if group and ((load + points > _BLOCK).any()
-                      or _channels(config) != _channels(group[0][0].config)):
+                      or _channels(config) != _channels(group[0][0])):
             yield from _group_sinrs(group, weathers)   # empties the group
             load[:] = 0
         group.append(chunk)
@@ -280,18 +262,26 @@ def simulate_chunks(chunks, weathers):
 
 
 def _channels(config: ScenarioConfig):
-    """What a group's chunks share: all the pooled pass reads of a config
-    but the exclusion disc."""
+    """What a group's chunks share: all the interferer pass reads of a
+    config (each chunk's exclusion disc is applied as it is drawn)."""
     return config.geometry, config.vlc, config.rf
 
 
 def _group_sinrs(group: list, weathers):
-    """Each chunk's SINRs, from a group of (_Drawn, link, desired fades);
-    the group is emptied as its chunks are scored."""
-    sums = _interference_pass([chunk for chunk, _, _ in group], weathers)
-    for i_vlc, i_rf in sums:
-        _, (st, s_vlc), fade = group.pop(0)
-        yield (sinr(s_vlc, i_vlc, st.n_vlc), sinr(st.s_rf_mean * fade, i_rf, st.n_rf))
+    """Each chunk's SINRs, from a group of (config, _Drawn, link, desired
+    fades): one pass over the merged chunks, each chunk scored on its own
+    trials of the sums.  The group is emptied before the pass."""
+    drawn = _merged([chunk for _, chunk, _, _ in group])
+    scored = [(chunk.n, link, fade) for _, chunk, link, fade in group]
+    base = group[0][0]
+    group.clear()   # only the merged draws are held through the pass
+    i_vlc, i_rf = _interference_pass(drawn, base, weathers)
+    del drawn
+    a = 0
+    for n, (st, s_vlc), fade in scored:
+        yield (sinr(s_vlc, i_vlc[:, a:a + n], st.n_vlc),
+               sinr(st.s_rf_mean * fade, i_rf[a:a + n], st.n_rf))
+        a += n
 
 
 def _by_mode(sinr_vlc, sinr_rf, dtype):

@@ -5,6 +5,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,6 +37,8 @@ def test_one_checkout_against_itself(monkeypatch, capsys):
                           "--sweeps", "prp_sparse", "--pairs", "2", "--warmup", "0"]) == 0
     summary = json.loads(capsys.readouterr().out)["sweeps"]["prp_sparse"]
     assert summary["pairs"] == 2 and 0 <= summary["change_faster_pairs"] <= 2
+    # one traced call per side; a prp_sparse sweep holds a group's sums, over 0.1 MB
+    assert summary["parent_peak_mb"] > 0.1 and summary["change_peak_mb"] > 0.1
     # each side is the checkout's package under its own name
     for name in ("rfvlc_parent", "rfvlc_change"):
         package = sys.modules.pop(name)
@@ -65,3 +68,18 @@ def test_speedup_summary_and_row_check(monkeypatch, same_rows):
     assert calls == ["parent", "change", "change", "parent"] * 2 + ["parent", "change"]
     assert summary["pairs"] == 4 and summary["change_faster_pairs"] == 4
     assert summary["speedup_median"] == summary["speedup_q1"] == 2.0
+
+
+def test_traced_peak_counts_the_call_and_stops_tracing(monkeypatch):
+    ab_sweep = _load(SCRIPT, "ab_sweep", monkeypatch)
+
+    class Package:
+        @staticmethod
+        def run_sweep(config, spec, metric, n_workers):
+            # a transient 8 MB array: the peak sees it, the end does not
+            assert (config, spec, metric, n_workers) == ("config", "spec", "prp", 1)
+            return float(np.ones(10 ** 6).sum())
+
+    peak = ab_sweep.traced_peak_mb(Package, ("config", "spec", "prp", 1))
+    assert 8.0 <= peak < 9.0
+    assert not ab_sweep.tracemalloc.is_tracing()

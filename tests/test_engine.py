@@ -334,24 +334,29 @@ class TestRunSweep:
         assert forced_split == [chunks[1::3], chunks[2::3]]
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("config, block, groups", [
+    @pytest.mark.parametrize("config, block, cap, groups", [
         # ~410 points per lane and full chunk: about ten chunks share a pass
-        (ScenarioConfig(), metrics._BLOCK,
+        (ScenarioConfig(), metrics._BLOCK, metrics._GROUP,
          lambda sizes, points: max(sizes) >= 5 and max(points) <= metrics._BLOCK),
         # a pass holds two chunks at most (the grouping rule is one slice
         # per lane): groups break at chunk boundaries
-        (ScenarioConfig(), 500, lambda sizes, points: {1, 2} <= set(sizes)
+        (ScenarioConfig(), 500, metrics._GROUP, lambda sizes, points: {1, 2} <= set(sizes)
          and max(sizes) == 2 and max(points) <= 500),
         # ~40k points per lane and chunk: every chunk alone, in many windows
         # of _WINDOW slices
-        (DENSE, metrics._BLOCK, lambda sizes, points: set(sizes) == {1}
+        (DENSE, metrics._BLOCK, metrics._GROUP, lambda sizes, points: set(sizes) == {1}
          and max(points) == metrics._WINDOW * metrics._BLOCK),
-    ], ids=["sparse", "small_block", "dense"])
+        # lambda rho = 1e-6, a few points per lane and chunk, none on some:
+        # groups close at the cap, their lane parts merged empty or not
+        (dataclasses.replace(ScenarioConfig(), rho_access=1e-4), metrics._BLOCK, 4,
+         lambda sizes, points: max(sizes) == 4 and 0 < max(points) < 40),
+    ], ids=["sparse", "small_block", "dense", "very_sparse"])
     def test_pooled_pass_gives_every_chunk_its_bits_alone(
-            self, monkeypatch, tmp_path, forced_split, workers, config, block, groups):
+            self, monkeypatch, tmp_path, forced_split, workers, config, block, cap, groups):
         # each chunk's SINRs and partials in a sweep equal those of its own
         # simulate_trials run, a group of one; the last chunk is partial
         monkeypatch.setattr(metrics, "_BLOCK", block)
+        monkeypatch.setattr(metrics, "_GROUP", cap)
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
         log = tmp_path / "chunks.log"
         job = engine._chunk_stats_job
@@ -366,14 +371,12 @@ class TestRunSweep:
             return partial
 
         sizes, points = [], []
-        interference_pass, block_terms = metrics._interference_pass, metrics._block_terms
-        monkeypatch.setattr(metrics, "_interference_pass",
-                            lambda group, w: sizes.append(len(group))
-                            or interference_pass(group, w))
+        merged, block_terms = metrics._merged, metrics._block_terms
+        monkeypatch.setattr(metrics, "_merged",
+                            lambda chunks: sizes.append(len(chunks)) or merged(chunks))
         monkeypatch.setattr(metrics, "_block_terms",
-                            lambda base, lane, pieces, coeffs:
-                            points.append(sum(j - i for _, i, j in pieces))
-                            or block_terms(base, lane, pieces, coeffs))
+                            lambda base, lane, coord, *rest:
+                            points.append(len(coord)) or block_terms(base, lane, coord, *rest))
         monkeypatch.setattr(engine, "_chunk_stats_job", logged)
         spec = _spec(distances=(30.0, 100.0, 150.0), weathers=ALL_WEATHERS,
                      n_trials=2 * _CHUNK + 500)
@@ -503,9 +506,13 @@ class TestRunSweep:
         run_sweep(ScenarioConfig(), spec, "prp")
         assert scenario._derived_problems.cache_info().misses == 1
 
-    def test_lambda_zero_sweep_memory_does_not_grow_with_trials(self):
-        # with no lane points, only the group cap closes a pooled group
-        config = dataclasses.replace(ScenarioConfig(), lambda_density=0.0)
+    @pytest.mark.parametrize("lambda_density", [0.0, ScenarioConfig().lambda_density],
+                             ids=["lambda_zero", "default"])
+    def test_sweep_memory_does_not_grow_with_trials(self, lambda_density):
+        # with no lane points, only the group cap closes a pooled group; at
+        # the default density a group holds about ten chunks.  Either way a
+        # sweep holds one group's draws and sums at a time.
+        config = dataclasses.replace(ScenarioConfig(), lambda_density=lambda_density)
 
         def peak(n_trials):
             spec = _spec(distances=(50.0,), n_trials=n_trials)

@@ -131,7 +131,7 @@ def _lit_points(config, deployment):
 def _interference_sums(config, weathers, deployment, rng):
     """VLC[W, n] and RF[n] interference sums of one deployment, a group of one;
     rng is at the lane points' fades."""
-    return next(_interference_pass([_Drawn.of(config, deployment, rng)], weathers))
+    return _interference_pass(_Drawn.of(config, deployment, rng), config, weathers)
 
 
 def _kernel_sums(config, weather, seed, n):
