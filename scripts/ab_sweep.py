@@ -10,9 +10,10 @@ alternating run_sweep calls on the benchmark's three sweeps:
 
 The sweeps mirror benchmarks/bench.py's workloads (same subcommand,
 flags, config lines and trials per point, seed 1), and their config and
-spec come from each checkout's own CLI parsing.  A pair runs both sides
-once, alternating which runs first.  Every call's rows must equal, field
-by field, the first call's rows of the other side, or the script exits 1.
+spec come from each checkout's own CLI (cli.sweep_call, which both
+checkouts must have).  A pair runs both sides once, alternating which
+runs first.  Every call's rows must equal, field by field, the first
+call's rows of the other side, or the script exits 1.
 It prints, per sweep, the median per-pair speedup (parent seconds over
 change seconds), its quartiles and the pairs the change ran faster, and
 each side's tracemalloc peak (MB, 10^6 bytes) from one more untimed call
@@ -36,6 +37,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 # name -> (command line, config lines, trials per point), as in bench.py
@@ -71,16 +73,8 @@ def cli_call(package, argv, lines, path: Path):
     """(config, spec, metric, workers) of a sweep command line whose config
     file, written to path, holds lines, as the package's CLI reads them."""
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    cli = package.cli
-    args = cli.build_parser().parse_args([*argv, "--config", str(path)])
-    config, spec = cli._load(args)
-    how = args.func.keywords   # what the subcommand's _sweep receives
-    spec = dataclasses.replace(spec, modes=spec.modes if args.modes else how["default_modes"],
-                               distances=cli.parse_list(args.distances))
-    if how["metric"] == "dor":
-        spec = dataclasses.replace(
-            spec, t_th=tuple(t / 1000.0 for t in cli.parse_list(args.t_th_ms)))
-    return config, spec, how["metric"], args.workers
+    args = package.cli.build_parser().parse_args([*argv, "--config", str(path)])
+    return (*package.cli.sweep_call(args), args.workers)
 
 
 def timed(package, call) -> tuple[float, list[str]]:
@@ -105,21 +99,32 @@ def traced_peak_mb(package, call) -> float:
         tracemalloc.stop()
 
 
-def compare(packages: dict, calls: dict, pairs: int, warmup: int = 0) -> dict:
-    """Alternating pairs of one sweep, the first warmup of them untimed; the
-    speedup summary, or ValueError if any call's rows differ from the other
-    side's."""
-    seconds = {side: [] for side in packages}
+def timed_pairs(sides: dict, pairs: int, warmup: int = 0) -> dict:
+    """Each side's seconds over alternating pairs, the first warmup of them
+    untimed.
+
+    sides maps a name to a call that runs the side once and returns its
+    seconds and its rows.  A pair calls every side once, in order on even
+    pairs and in reverse on odd ones.  ValueError if any call's rows
+    differ from the first call's.
+    """
+    seconds = {side: [] for side in sides}
     expected = None
     for i in range(warmup + pairs):
-        order = list(packages) if i % 2 == 0 else list(packages)[::-1]
-        for side in order:
-            wall, rows = timed(packages[side], calls[side])
+        for side in list(sides)[::1 if i % 2 == 0 else -1]:
+            wall, rows = sides[side]()
             expected = expected or rows
             if rows != expected:
-                raise ValueError(f"{side} rows differ in pair {i}")
+                raise ValueError(f"side {side} rows differ in pair {i}")
             if i >= warmup:
                 seconds[side].append(wall)
+    return seconds
+
+
+def compare(packages: dict, calls: dict, pairs: int, warmup: int = 0) -> dict:
+    """The speedup summary of one sweep's timed_pairs, parent against change."""
+    seconds = timed_pairs({side: partial(timed, packages[side], calls[side])
+                           for side in packages}, pairs, warmup)
     speedup = [p / c for p, c in zip(seconds["parent"], seconds["change"])]
     q1, median, q3 = statistics.quantiles(speedup, n=4, method="inclusive")
     return {"pairs": pairs, "speedup_median": median, "speedup_q1": q1, "speedup_q3": q3,

@@ -26,10 +26,11 @@ import argparse
 import statistics
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from ab_sweep import cli_call, load, timed  # noqa: E402
+from ab_sweep import cli_call, load, timed, timed_pairs  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -61,19 +62,11 @@ def split_timed(package, call, workers: int):
 
 
 def measure(package, call, pairs: int, warmup: int) -> dict:
-    """Median seconds on 1 and 2 workers over alternating pairs, the first
-    warmup pairs untimed; ValueError if the two sides' rows differ."""
-    seconds = {1: [], 2: []}
-    expected = None
-    for i in range(warmup + pairs):
-        for workers in ((1, 2) if i % 2 == 0 else (2, 1)):
-            wall, rows = split_timed(package, call, workers)
-            expected = expected or rows
-            if rows != expected:
-                raise ValueError(f"{workers}-worker rows differ in pair {i}")
-            if i >= warmup:
-                seconds[workers].append(wall)
-    return {workers: statistics.median(s) for workers, s in seconds.items()}
+    """Median seconds on 1 and 2 workers over timed_pairs; ValueError if
+    the two sides' rows differ."""
+    sides = {workers: partial(split_timed, package, call, workers) for workers in (1, 2)}
+    return {workers: statistics.median(s)
+            for workers, s in timed_pairs(sides, pairs, warmup).items()}
 
 
 def main(argv=None) -> int:

@@ -22,7 +22,7 @@ import resource
 import sys
 import time
 from dataclasses import replace
-from functools import cache, partial
+from functools import cache
 
 from . import __version__
 from .config import (DEFAULT_MODES, DEFAULT_PRP_DISTANCES, config_digest, parse_config,
@@ -124,14 +124,22 @@ def _minor_faults() -> int:
                for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
 
 
-def _sweep(args, metric: str, stem: str, default_modes: tuple[str, ...]) -> int:
-    """One metric per sweep point and mode: prp-, rate- and dor-sweep."""
+def sweep_call(args) -> tuple[ScenarioConfig, SweepSpec, str]:
+    """The (config, spec, metric) a sweep subcommand's parsed args give run_sweep."""
+    _, metric, _, _, default_modes = _SWEEPS[args.subcommand]
     config, spec = _load(args)
     if not args.modes:
         spec = replace(spec, modes=default_modes)
     spec = replace(spec, distances=parse_list(args.distances))
     if metric == "dor":
         spec = replace(spec, t_th=tuple(t / 1000.0 for t in parse_list(args.t_th_ms)))
+    return config, spec, metric
+
+
+def _sweep(args) -> int:
+    """One metric per sweep point and mode: prp-, rate- and dor-sweep."""
+    config, spec, metric = sweep_call(args)
+    stem = _SWEEPS[args.subcommand][2]
     # run (and validate) before the output directory is made: a rejected
     # sweep leaves nothing behind
     faults = _minor_faults()
@@ -197,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    for name, (help_text, metric, stem, distances, modes) in _SWEEPS.items():
+    for name, (help_text, metric, _, distances, _) in _SWEEPS.items():
         p = sub.add_parser(name, help=help_text)
         _add_config_flags(p)
         p.add_argument("--out", default="out", help="output directory")
@@ -213,8 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
         if metric == "dor":
             p.add_argument("--t-th-ms", dest="t_th_ms",
                            default=",".join(_fmt(t) for t in _DEFAULT_T_TH_MS))
-        p.set_defaults(func=partial(_sweep, metric=metric, stem=stem,
-                                    default_modes=modes))
+        p.set_defaults(func=_sweep)
 
     p = sub.add_parser("validate", help="check a configuration file")
     _add_config_flags(p)

@@ -14,13 +14,13 @@ floating-point summation order independent of the worker count.  Trial
 counts (PRP successes, DOR late trials, one threshold at a time) are
 summed in a narrow integer accumulator and widened to int64 per chunk.
 
-With k workers the chunk list is split once, interleaved: this process
-computes chunks[0::k] while k - 1 forked helper processes compute
-chunks[j::k] and send their partials back over a pipe.  Every chunk is
-scored through the module global _chunk_stats_job, looked up at call
-time in this process and in the helpers alike.  Helpers are reaped only
-after the reduction and the rows, so they exit while this process
-builds the table.
+A sweep splits its chunk list once, interleaved, over k processes, k = 1
+being the split with no helper: this process computes chunks[0::k]
+while k - 1 forked helper processes compute chunks[j::k] and send their
+partials back over a pipe.  Every chunk is scored through the module
+global _chunk_stats_job, looked up at call time in this process and in
+the helpers alike.  Helpers are reaped only after the reduction and the
+rows, so they exit while this process builds the table.
 
 A helper costs a fixed ~10-12 ms (mostly copy-on-write faults in this
 process after the fork), so k is capped not only by the chunks and the
@@ -207,11 +207,7 @@ def run_sweep(config: ScenarioConfig, spec: SweepSpec, metric: str,
     n_workers = sweep_workers(config, spec, n_workers)
     helpers = []   # (process, pipe end) per helper, reaped once the rows are built
     try:
-        if n_workers > 1:
-            partials = _run_split(chunks, n_workers, helpers)
-        else:
-            partials = _run_share(chunks)
-        return _rows(spec, metric, partials)
+        return _rows(spec, metric, _run_split(chunks, n_workers, helpers))
     finally:
         _reap(helpers)
 
@@ -339,10 +335,10 @@ def _start_helper(share):
 
 def _run_split(chunks, k, helpers):
     """The partials of every chunk, in chunk order, from this process and
-    k - 1 helpers; helper j computes chunks[j::k] and this process
-    chunks[0::k].  Each helper started is appended to helpers, for the
-    caller to _reap, and the call returns once every partial has arrived.
-    A failure in any share is raised here."""
+    k - 1 helpers (none when k = 1); helper j computes chunks[j::k] and
+    this process chunks[0::k].  Each helper started is appended to
+    helpers, for the caller to _reap, and the call returns once every
+    partial has arrived.  A failure in any share is raised here."""
     for j in range(1, k):
         helpers.append(_start_helper(chunks[j::k]))
     partials = [None] * len(chunks)

@@ -226,14 +226,15 @@ def simulate_chunks(chunks, weathers):
     simulate_trials gives them, in order.
 
     chunks yields (config, rng, n), each chunk with a private stream that
-    it consumes as simulate_trials does.  Consecutive chunks, _GROUP at
-    most, form a group while they share the geometry and the channel
-    parameters and their lane points fit in one _BLOCK per lane; a
-    group's interferers are evaluated in one pass (_interference_pass), so
-    a sparse chunk pays mainly for its draws.  A chunk with more points
-    forms a group of its own.  Every chunk gets the bits it gets alone.
-    The desired-link constants are computed once per run of chunks with
-    the same config object (one distance of a sweep).
+    it consumes as simulate_trials does.  The chunks are one sweep's, their
+    configs differing in distance_r alone: a group shares the geometry and
+    channels that the interferer pass reads.  Consecutive chunks, _GROUP
+    at most, form a group while their lane points fit in one _BLOCK per
+    lane; a group's interferers are evaluated in one pass
+    (_interference_pass), so a sparse chunk pays mainly for its draws.  A
+    chunk with more points forms a group of its own.  Every chunk gets the
+    bits it gets alone.  The desired-link constants are computed once per
+    run of chunks with the same config object (one distance of a sweep).
     """
     group, load, held = [], np.zeros(2, dtype=np.int64), None
     for config, rng, n in chunks:
@@ -246,8 +247,7 @@ def simulate_chunks(chunks, weathers):
         chunk = config, _Drawn.of(config, deployment, rng), link, fade
         points = deployment.counts.sum(axis=1)
         del deployment, fade   # the chunk holds the draws; the counts are not needed
-        if group and ((load + points > _BLOCK).any()
-                      or _channels(config) != _channels(group[0][0])):
+        if group and (load + points > _BLOCK).any():
             yield from _group_sinrs(group, weathers)   # empties the group
             load[:] = 0
         group.append(chunk)
@@ -259,12 +259,6 @@ def simulate_chunks(chunks, weathers):
             load[:] = 0
     if group:
         yield from _group_sinrs(group, weathers)
-
-
-def _channels(config: ScenarioConfig):
-    """What a group's chunks share: all the interferer pass reads of a
-    config (each chunk's exclusion disc is applied as it is drawn)."""
-    return config.geometry, config.vlc, config.rf
 
 
 def _group_sinrs(group: list, weathers):

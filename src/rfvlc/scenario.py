@@ -198,7 +198,8 @@ def _derived_problems(vlc: VlcParams, rf: RfParams, rsu_height: float,
     Each must be finite and > 0, else the kernel divides by zero or writes
     nan/inf rates.  The peak powers are taken at the closest possible link,
     straight below the RSU at rsu_height - tx_height with every cos term 1,
-    and must stay finite times _POWER_HEADROOM, alone and over the noise.
+    and must be normal floats (one that underflows to 0 is never received)
+    and stay finite times _POWER_HEADROOM, alone and over the noise.
     The sweep sums squared rates in Mbps, so the peak rate, at the peak
     SNR times _POWER_HEADROOM, must stay finite squared and times
     _POWER_HEADROOM.  The arguments alone set these constants, so the
@@ -225,10 +226,11 @@ def _derived_problems(vlc: VlcParams, rf: RfParams, rsu_height: float,
                 ("rf", rf_mean_rx_power(near, rf), rf_noise_power(rf), rf.bandwidth)):
             top = peak * _POWER_HEADROOM
             mbps = bandwidth * np.log2(1.0 + top / noise) / 1e6
-            if not (np.isfinite(top) and np.isfinite(top / noise)):
+            if not (peak >= np.finfo(float).tiny and np.isfinite(top)
+                    and np.isfinite(top / noise)):
                 out.append(f"{link}: peak received power {peak:g} at {near:g} m "
-                           f"(SNR {peak / noise:g}) must stay finite times "
-                           f"{_POWER_HEADROOM:g}")
+                           f"(SNR {peak / noise:g}) must be a normal float > 0 and "
+                           f"stay finite times {_POWER_HEADROOM:g}")
             elif not np.isfinite(mbps * mbps * _POWER_HEADROOM):
                 out.append(f"{link}: peak rate {mbps:g} Mbps at {near:g} m must stay "
                            f"finite squared times {_POWER_HEADROOM:g}")

@@ -8,6 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rfvlc
+from rfvlc import cli
+
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "ab_sweep.py"
 
@@ -28,6 +31,42 @@ def test_sweeps_mirror_the_benchmark_workloads(monkeypatch):
     for name, (argv, lines, trials) in ab_sweep.SWEEPS.items():
         w = bench.WORKLOADS[name]
         assert (argv, lines, trials) == (w.argv, w.config, w.trials)
+
+
+class _Captured(Exception):
+    pass
+
+
+@pytest.mark.parametrize("flags", [False, True], ids=["defaults", "flags"])
+@pytest.mark.parametrize("subcommand", ["prp-sweep", "rate-sweep", "dor-sweep"])
+def test_cli_call_is_the_sweep_the_cli_runs(monkeypatch, tmp_path, subcommand, flags):
+    # what cli.main hands run_sweep, against what the scripts time
+    ab_sweep = _load(SCRIPT, "ab_sweep", monkeypatch)
+    captured = []
+
+    def run_sweep(config, spec, metric, n_workers):
+        captured.append((config, spec, metric, n_workers))
+        raise _Captured
+
+    monkeypatch.setattr(cli, "run_sweep", run_sweep)
+    argv = [subcommand, "--workers", "2"]
+    if flags:
+        argv += ["--distances", "30,60", "--modes", "la,pure_rf", "--weather", "fog,clear"]
+        argv += ["--t-th-ms", "1,2.5"] if subcommand == "dor-sweep" else []
+    lines = ["seed = 7", "trials = 300", "rho_access = 0.5", "weather = rain"]
+    call = ab_sweep.cli_call(rfvlc, argv, lines, tmp_path / "sweep.cfg")
+    with pytest.raises(_Captured):
+        cli.main([*argv, "--config", str(tmp_path / "sweep.cfg"),
+                  "--out", str(tmp_path / "out")])
+    assert captured == [call]
+    config, spec, metric, _ = call
+    assert (config.rho_access, spec.master_seed, spec.n_trials) == (0.5, 7, 300)
+    assert metric == {"prp-sweep": "prp", "rate-sweep": "rate_mbps", "dor-sweep": "dor"}[
+        subcommand]
+    if flags:
+        assert (spec.distances, spec.modes, spec.weathers) == (
+            (30.0, 60.0), ("la", "pure_rf"), ("fog", "clear"))
+        assert spec.t_th == ((1e-3, 2.5e-3) if metric == "dor" else ())
 
 
 def test_one_checkout_against_itself(monkeypatch, capsys):
@@ -61,7 +100,7 @@ def test_speedup_summary_and_row_check(monkeypatch, same_rows):
     monkeypatch.setattr(ab_sweep, "timed", timed)
     packages = {"parent": "parent", "change": "change"}
     if not same_rows:
-        with pytest.raises(ValueError, match="change rows differ in pair 0"):
+        with pytest.raises(ValueError, match="side change rows differ in pair 0"):
             ab_sweep.compare(packages, packages, 4, warmup=1)
         return
     summary = ab_sweep.compare(packages, packages, 4, warmup=1)

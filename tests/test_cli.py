@@ -572,6 +572,8 @@ class TestCliErrors:
         "distance_r = 1e200",                    # not a file key at all
         "rf.bandwidth = 1e200\nrf.noise_psd = 1e-320",   # rate^2 overflows
         "vlc.bandwidth = 1e200\nvlc.noise_psd = 1e-320",
+        "rf.reference_distance = 1e-320",        # (d / d0)^-alpha underflows to 0
+        "vlc.pd_area = 1e-300",                  # VLC peak power underflows to 0
     ])
     def test_degenerate_scale_is_config_error(self, tmp_path, capsys, text):
         cfg = tmp_path / "scale.cfg"
@@ -582,6 +584,20 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and "Traceback" not in err
         assert not list(out.glob("*"))
+
+    @pytest.mark.parametrize("argv", [["validate"],
+                                      ["prp-sweep", "--distances", "50"] + FAST],
+                             ids=["validate", "prp-sweep"])
+    @pytest.mark.parametrize("text", ["rf.reference_distance = 1e-320", "vlc.pd_area = 1e-300"])
+    def test_peak_power_that_underflows_is_config_error(
+            self, tmp_path, capsys, monkeypatch, argv, text):
+        # the peak received power is 0: the link could never be received
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "weak.cfg").write_text(text + "\n")
+        assert _run(argv + ["--config", "weak.cfg"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "must be a normal float > 0" in err
+        assert os.listdir(tmp_path) == ["weak.cfg"]
 
     @pytest.mark.parametrize("argv", [["validate"],
                                       ["prp-sweep", "--distances", "50"] + FAST],
@@ -648,7 +664,7 @@ class TestCliParser:
                 ("dor-sweep", "50,200", three)):
             args = parser.parse_args([name])
             assert (args.subcommand, args.distances) == (name, distances)
-            assert args.func.keywords["default_modes"] == modes
+            assert cli.sweep_call(args)[1].modes == modes
             assert (args.out, args.workers, args.gnuplot) == ("out", 1, False)
             assert hasattr(args, "t_th_ms") == (name == "dor-sweep")
         assert len(parser.parse_args(["prp-sweep"]).distances.split(",")) == 25
@@ -659,13 +675,8 @@ class TestCliParser:
         parser = build_parser()
         assert build_parser() is parser
         parser.parse_args(["prp-sweep", "--gnuplot", "--workers", "2", "--modes", "la"])
-
-        def parsed(p):
-            args = vars(p.parse_args(["prp-sweep"]))
-            func = args.pop("func")
-            return args, func.func, func.keywords
-
-        assert parsed(parser) == parsed(build_parser.__wrapped__())
+        assert (vars(parser.parse_args(["prp-sweep"]))
+                == vars(build_parser.__wrapped__().parse_args(["prp-sweep"])))
 
     @pytest.mark.parametrize("flag", [["--out", "x"], ["--workers", "0"], ["--gnuplot"]],
                              ids=" ".join)

@@ -52,5 +52,9 @@ def test_the_two_worker_side_splits_and_restores_the_cap(breakeven, monkeypatch,
 def test_rows_that_differ_fail_the_shape(breakeven, monkeypatch):
     monkeypatch.setattr(breakeven, "split_timed",
                         lambda package, call, workers: (1.0, [workers]))
-    with pytest.raises(ValueError, match="2-worker rows differ in pair 0"):
+    with pytest.raises(ValueError, match="side 2 rows differ in pair 0"):
         breakeven.measure(None, None, 2, 0)
+    # equal rows: each worker count's median over the timed pairs
+    monkeypatch.setattr(breakeven, "split_timed",
+                        lambda package, call, workers: (workers / 10, ["row"]))
+    assert breakeven.measure(None, None, 3, 1) == {1: 0.1, 2: 0.2}
