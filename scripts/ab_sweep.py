@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Same-process A/B timing of run_sweep on two checkouts.
+"""Same-process A/B timing of sweeps and their CSV text on two checkouts.
 
 Loads each checkout's src/rfvlc under a package name of its own
 (rfvlc_parent, rfvlc_change) into this one process, then times
-alternating run_sweep calls on the benchmark's three sweeps:
+alternating calls of run_sweep and cli._sweep_csv, which turns the rows
+into the CSV text the benchmark hashes, on the benchmark's three sweeps:
 
     python3 scripts/ab_sweep.py --parent ../parent --change . \\
         --sweeps prp_sparse,dense_interference,dor_pool --pairs 200
@@ -12,8 +13,8 @@ The sweeps mirror benchmarks/bench.py's workloads (same subcommand,
 flags, config lines and trials per point, seed 1), and their config and
 spec come from each checkout's own CLI (cli.sweep_call, which both
 checkouts must have).  A pair runs both sides once, alternating which
-runs first.  Every call's rows must equal, field by field, the first
-call's rows of the other side, or the script exits 1.
+runs first.  Every call's CSV text must equal the first call's, or the
+script exits 1.
 It prints, per sweep, the median per-pair speedup (parent seconds over
 change seconds), its quartiles and the pairs the change ran faster, and
 each side's tracemalloc peak (MB, 10^6 bytes) from one more untimed call
@@ -27,7 +28,6 @@ cannot.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import importlib
 import importlib.util
@@ -77,14 +77,16 @@ def cli_call(package, argv, lines, path: Path):
     return (*package.cli.sweep_call(args), args.workers)
 
 
-def timed(package, call) -> tuple[float, list[str]]:
-    """Seconds of one run_sweep call, and its rows as field-value text."""
+def timed(package, call) -> tuple[float, str]:
+    """Seconds of one run_sweep call and of its rows' CSV text
+    (cli._sweep_csv), and that text."""
     config, spec, metric, workers = call
     gc.collect()
     t0 = time.perf_counter()
-    rows = package.run_sweep(config, spec, metric, n_workers=workers)
+    text = package.cli._sweep_csv(package.run_sweep(config, spec, metric, n_workers=workers),
+                                  metric)
     seconds = time.perf_counter() - t0
-    return seconds, [repr(dataclasses.astuple(row)) for row in rows]
+    return seconds, text
 
 
 def traced_peak_mb(package, call) -> float:
@@ -104,9 +106,9 @@ def timed_pairs(sides: dict, pairs: int, warmup: int = 0) -> dict:
     untimed.
 
     sides maps a name to a call that runs the side once and returns its
-    seconds and its rows.  A pair calls every side once, in order on even
-    pairs and in reverse on odd ones.  ValueError if any call's rows
-    differ from the first call's.
+    seconds and its rows (as CSV text, say).  A pair calls every side
+    once, in order on even pairs and in reverse on odd ones.  ValueError
+    if any call's rows differ from the first call's.
     """
     seconds = {side: [] for side in sides}
     expected = None
@@ -145,8 +147,8 @@ def main(argv=None) -> int:
                 "change": load(args.change, "rfvlc_change")}
     # the process-wide heap settings cli.main makes, as in the benchmark
     packages["change"].cli._steady_heap()
-    out = {"method": "same-process alternating run_sweep pairs; speedup = parent "
-                     "seconds / change seconds per pair", "sweeps": {}}
+    out = {"method": "same-process alternating run_sweep + cli._sweep_csv pairs; speedup = "
+                     "parent seconds / change seconds per pair", "sweeps": {}}
     with tempfile.TemporaryDirectory() as tmp:
         for sweep in args.sweeps.split(","):
             calls = {side: sweep_call(p, sweep, Path(tmp)) for side, p in packages.items()}

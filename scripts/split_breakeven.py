@@ -15,9 +15,9 @@ The cap is right for a host where it picks the faster side, up to pair
 noise; elsewhere, re-derive engine._SPLIT_WORK from the work at which
 the faster side changes (about twice a helper's fixed cost).  The
 shapes are the README's table, seed 1.  A pair runs both sides once,
-alternating which runs first; both must give equal rows, or the script
-exits 1.  A split needs two usable CPUs: on one, both sides run in one
-process.
+alternating which runs first; both must give equal CSV text, or the
+script exits 1.  A split needs two usable CPUs: on one, both sides run
+in one process.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ def split_timed(package, call, workers: int):
 
 def measure(package, call, pairs: int, warmup: int) -> dict:
     """Median seconds on 1 and 2 workers over timed_pairs; ValueError if
-    the two sides' rows differ."""
+    the two sides' CSV texts differ."""
     sides = {workers: partial(split_timed, package, call, workers) for workers in (1, 2)}
     return {workers: statistics.median(s)
             for workers, s in timed_pairs(sides, pairs, warmup).items()}

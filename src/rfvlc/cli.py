@@ -61,9 +61,9 @@ def _load(args) -> tuple[ScenarioConfig, SweepSpec]:
         spec = replace(spec, master_seed=args.seed)
     if args.trials is not None:
         spec = replace(spec, n_trials=args.trials)
-    if args.weather:
+    if args.weather is not None:
         spec = replace(spec, weathers=parse_list(args.weather, str))
-    if args.modes:
+    if args.modes is not None:
         spec = replace(spec, modes=parse_list(args.modes, str))
     return config, spec
 
@@ -90,14 +90,16 @@ def _write_files(out_dir: str, files: dict[str, str]) -> None:
 
 def _sweep_csv(rows: tuple[SweepRow, ...], metric: str) -> str:
     """One row per (distance, weather, mode), led by t_th_ms on DOR rows."""
-    header = "t_th_ms," if metric == "dor" else ""
-    lines = [f"{header}distance_m,weather,mode,{metric},stderr,ci95_low,ci95_high,n_trials"]
+    # "%.9g" % x is format(x, ".9g"): one format per line
+    line = "%.9g,%s,%s,%.9g,%.9g,%.9g,%.9g,%d"
+    lines = [f"distance_m,weather,mode,{metric},stderr,ci95_low,ci95_high,n_trials"]
+    if metric == "dor":
+        line, lines[0] = "%.9g," + line, "t_th_ms," + lines[0]
     for row in rows:
-        lead = [] if row.t_th is None else [_fmt(row.t_th * 1000.0)]
         est = row.estimate
-        lines.append(",".join(lead + [
-            _fmt(row.distance), row.weather, row.mode, _fmt(est.value), _fmt(est.stderr),
-            _fmt(est.ci95_low), _fmt(est.ci95_high), str(est.n_trials)]))
+        fields = (row.distance, row.weather, row.mode, est.value, est.stderr,
+                  est.ci95_low, est.ci95_high, est.n_trials)
+        lines.append(line % (fields if row.t_th is None else (row.t_th * 1000.0, *fields)))
     return "\n".join(lines) + "\n"
 
 
@@ -114,7 +116,7 @@ def _gnuplot_files(rows: tuple[SweepRow, ...], stem: str) -> dict[str, str]:
         else:
             name, x = f"{stem}_{_fmt(row.distance)}m_{row.weather}_{row.mode}", row.t_th
         curves.setdefault(f"{name}.dat", []).append(
-            f"{_fmt(x)} {_fmt(row.estimate.value)} {_fmt(row.estimate.stderr)}")
+            "%.9g %.9g %.9g" % (x, row.estimate.value, row.estimate.stderr))
     return {name: "\n".join(lines) + "\n" for name, lines in curves.items()}
 
 
@@ -128,7 +130,7 @@ def sweep_call(args) -> tuple[ScenarioConfig, SweepSpec, str]:
     """The (config, spec, metric) a sweep subcommand's parsed args give run_sweep."""
     _, metric, _, _, default_modes = _SWEEPS[args.subcommand]
     config, spec = _load(args)
-    if not args.modes:
+    if args.modes is None:
         spec = replace(spec, modes=default_modes)
     spec = replace(spec, distances=parse_list(args.distances))
     if metric == "dor":
@@ -187,10 +189,10 @@ def _add_config_flags(p: argparse.ArgumentParser):
                    help="master seed override (64-bit)")
     p.add_argument("--trials", type=int, default=None,
                    help="trials per sweep point")
-    p.add_argument("--weather", default="",
+    p.add_argument("--weather", default=None,
                    help="comma list of clear,rain,fog,dry_snow (overrides "
                         "the config's weather key)")
-    p.add_argument("--modes", default="",
+    p.add_argument("--modes", default=None,
                    help="comma list of pure_vlc,pure_rf,la,non_la")
 
 

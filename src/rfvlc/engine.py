@@ -7,12 +7,16 @@ as easy as 1, 2, 3", SC'11).  Results are therefore a pure function of
 (config, spec): reruns and runs with different worker counts produce
 bit-identical tables.  A process simulates its share of chunks in order
 (metrics.simulate_chunks, where consecutive sparse chunks share one
-interferer pass and every chunk gets the SINRs it gets alone), scores
-each chunk, for every weather and mode, for the one metric the sweep
-writes, and the chunk partials are reduced in chunk order, which keeps
-floating-point summation order independent of the worker count.  Trial
-counts (PRP successes, DOR late trials, one threshold at a time) are
-summed in a narrow integer accumulator and widened to int64 per chunk.
+interferer pass and every chunk gets the SINRs it gets alone), with the
+desired link's constants computed once for the share's distances and
+one generator into which each chunk's stream state is injected.  It
+scores each chunk, for every weather and mode, for the one metric the
+sweep writes, and the chunk partials are reduced in chunk order, which
+keeps floating-point summation order independent of the worker count.
+Trial counts (PRP successes, DOR late trials, one threshold at a time)
+are summed in a narrow integer accumulator and widened to int64 per
+chunk.  Every row's estimate is then computed in one pass of array
+estimates (estimate.proportion_estimates, estimate.mean_estimates).
 
 A sweep splits its chunk list once, interleaved, over k processes, k = 1
 being the split with no helper: this process computes chunks[0::k]
@@ -31,6 +35,7 @@ plus a third per expected lane point.  Small sweeps run in one process.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -38,8 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .estimate import MetricEstimate, confidence_interval, mean_estimate, proportion_estimate
-from .metrics import MODES, mode_rates, mode_success, outage_rate, simulate_chunks
+from .estimate import MetricEstimate, confidence_interval, mean_estimates, proportion_estimates
+from .metrics import (MODES, desired_links, mode_rates, mode_success, outage_rate,
+                      simulate_chunks)
 from .scenario import WEATHER_KINDS, ScenarioConfig, validate
 
 __all__ = [
@@ -213,25 +219,22 @@ def run_sweep(config: ScenarioConfig, spec: SweepSpec, metric: str,
 
 
 def _rows(spec: SweepSpec, metric: str, partials) -> tuple[SweepRow, ...]:
-    """The rows of a sweep from its chunk partials, in chunk order."""
+    """The rows of a sweep from its chunk partials, in chunk order, their
+    estimates computed as arrays in one pass."""
     # Reduce per distance (and weather): sum() adds the partials in chunk order.
     n = spec.n_trials
     grid = (len(spec.distances), math.ceil(n / _CHUNK))
     stats = [sum(np.reshape(field, grid + np.shape(field[0])).swapaxes(0, 1))
              for field in zip(*partials)]
-
-    rows = []
-    for d_idx, distance in enumerate(spec.distances):
-        for k, t_th in enumerate(spec.t_th or (None,)):
-            for w_idx, weather in enumerate(spec.weathers):
-                for mode in spec.modes:
-                    at = (d_idx, w_idx, MODES.index(mode)) + (() if t_th is None else (k,))
-                    if metric == "rate_mbps":
-                        est = mean_estimate(float(stats[0][at]), float(stats[1][at]), n)
-                    else:
-                        est = proportion_estimate(int(stats[0][at]), n)
-                    rows.append(SweepRow(distance, t_th, weather, mode, est))
-    return tuple(rows)
+    # the spec's modes, [D, W, M] or for dor [D, K, W, M]: the rows' order
+    modes = [MODES.index(mode) for mode in spec.modes]
+    stats = [np.moveaxis(s[:, :, modes], 3, 1) if metric == "dor" else s[:, :, modes]
+             for s in stats]
+    estimates = mean_estimates if metric == "rate_mbps" else proportion_estimates
+    fields = (f.ravel().tolist() for f in estimates(*stats, n))
+    keys = itertools.product(spec.distances, spec.t_th or (None,), spec.weathers, spec.modes)
+    return tuple(SweepRow(*key, MetricEstimate(value, stderr, n, low, high))
+                 for key, value, stderr, low, high in zip(keys, *fields))
 
 
 def _sweep_work(config: ScenarioConfig, spec: SweepSpec) -> float:
@@ -256,13 +259,26 @@ def sweep_workers(config: ScenarioConfig, spec: SweepSpec, n_workers: int) -> in
 def _run_share(jobs):
     """The partials of jobs, one process's share, in order.
 
-    Each job draws from its own chunk stream; consecutive jobs share the
-    interferer pass of simulate_chunks, and every job is then scored
-    through _chunk_stats_job.
+    The desired link's constants are computed once for the share's
+    distances (desired_links) and handed to each chunk.  One generator
+    serves every chunk: each chunk's stream state is injected into it as
+    simulate_chunks pulls the chunk, which is safe because simulate_chunks
+    draws all of a chunk's numbers before it pulls the next.  Consecutive
+    jobs share the interferer pass of simulate_chunks, and every job is
+    then scored through _chunk_stats_job.
     """
-    chunks = ((job[0], trial_rng(derive_seed(job[1], job[2], job[3] // _CHUNK)),
-               job[4] - job[3]) for job in jobs)
-    sinrs = simulate_chunks(chunks, jobs[0][5])
+    distances = {job[2]: job[0].distance_r for job in jobs}   # point -> distance
+    links = dict(zip(distances, desired_links(jobs[0][0], list(distances.values()),
+                                              jobs[0][5])))
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+
+    def chunks():
+        for config, seed, point, start, end, *_ in jobs:
+            bit_generator.state = _seed_state(derive_seed(seed, point, start // _CHUNK))
+            yield config, rng, end - start, links[point]
+
+    sinrs = simulate_chunks(chunks(), jobs[0][5])
     # no name holds a chunk's SINRs once it is scored
     return [_chunk_stats_job((*job, next(sinrs))) for job in jobs]
 

@@ -1,9 +1,16 @@
-"""Point estimates with standard errors and 95% confidence intervals."""
+"""Point estimates with standard errors and 95% confidence intervals.
+
+proportion_estimates and mean_estimates compute whole arrays of
+estimates at once, a sweep's rows in one pass; proportion_estimate,
+mean_estimate and confidence_interval are the one-estimate forms of the
+same arithmetic, so every formula exists once.
+"""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InvalidArgumentError
 
@@ -19,41 +26,57 @@ class MetricEstimate:
     ci95_high: float
 
 
-def confidence_interval(successes: int, n: int) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion at 95%.
+def proportion_estimates(successes, n: int):
+    """(value, stderr, ci95_low, ci95_high) of binomial proportions of n
+    trials each, arrays shaped like the integer successes.
 
-    Chosen over the normal interval because it stays inside [0, 1] and
-    behaves at proportions near 0 and 1.
+    The interval is Wilson's score interval, chosen over the normal one
+    because it stays inside [0, 1] and behaves at proportions near 0 and 1.
     """
     if n < 1:
         raise InvalidArgumentError("n must be >= 1")
-    if not 0 <= successes <= n:
+    successes = np.asarray(successes)
+    if ((successes < 0) | (successes > n)).any():
         raise InvalidArgumentError("successes must be in [0, n]")
     p = successes / n
+    var = p * (1.0 - p) / n
     z2 = Z_95 * Z_95
     denom = 1.0 + z2 / n
     center = (p + z2 / (2.0 * n)) / denom
-    half = (Z_95 / denom) * math.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n))
-    return (max(0.0, center - half), min(1.0, center + half))
+    half = (Z_95 / denom) * np.sqrt(var + z2 / (4.0 * n * n))
+    # max(0.0, x) and min(1.0, x), NaN and signed zeros included
+    low, high = center - half, center + half
+    return p, np.sqrt(var), np.where(low > 0.0, low, 0.0), np.where(high < 1.0, high, 1.0)
+
+
+def mean_estimates(total, total_sq, n: int):
+    """(value, stderr, ci95_low, ci95_high) of normal-approximation
+    estimates of means of n trials each, from running sums (arrays that
+    broadcast together)."""
+    if n < 1:
+        raise InvalidArgumentError("n must be >= 1")
+    mean = total / n
+    var = total_sq / n - mean * mean
+    stderr = np.sqrt(np.where(var > 0.0, var, 0.0) / n)   # max(0.0, var)
+    return mean, stderr, mean - Z_95 * stderr, mean + Z_95 * stderr
+
+
+def _estimate(fields, n: int) -> MetricEstimate:
+    value, stderr, low, high = map(float, fields)
+    return MetricEstimate(value=value, stderr=stderr, n_trials=n,
+                          ci95_low=low, ci95_high=high)
+
+
+def confidence_interval(successes: int, n: int) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion at 95%."""
+    _, _, low, high = proportion_estimates(successes, n)
+    return float(low), float(high)
 
 
 def proportion_estimate(successes: int, n: int) -> MetricEstimate:
-    if n < 1:
-        raise InvalidArgumentError("n must be >= 1")
-    p = successes / n
-    stderr = math.sqrt(p * (1.0 - p) / n)
-    low, high = confidence_interval(successes, n)
-    return MetricEstimate(value=p, stderr=stderr, n_trials=n,
-                          ci95_low=low, ci95_high=high)
+    return _estimate(proportion_estimates(successes, n), n)
 
 
 def mean_estimate(total: float, total_sq: float, n: int) -> MetricEstimate:
     """Normal-approximation estimate of a mean from running sums."""
-    if n < 1:
-        raise InvalidArgumentError("n must be >= 1")
-    mean = total / n
-    var = max(0.0, total_sq / n - mean * mean)
-    stderr = math.sqrt(var / n)
-    return MetricEstimate(value=mean, stderr=stderr, n_trials=n,
-                          ci95_low=mean - Z_95 * stderr,
-                          ci95_high=mean + Z_95 * stderr)
+    return _estimate(mean_estimates(total, total_sq, n), n)

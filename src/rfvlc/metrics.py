@@ -7,6 +7,8 @@ draw.  Trials are simulated as arrays, a chunk at a time and for every
 weather at once (simulate_trials): weather only attenuates optical paths.
 Consecutive sparse chunks are merged into one, whose interferers take one
 pass (simulate_chunks); every chunk still gets the bits it gets alone.
+The desired link's constants (desired_links) are computed once for all
+of a sweep's distances and handed to each chunk.
 The four operating modes are scored on the same trials, their reception
 by mode_success and their rates by mode_rates, so mode comparisons are
 exact event inclusions rather than statistical ones.
@@ -67,38 +69,41 @@ def sinr(signal, interference_sum, noise: float):
     return signal / (interference_sum + noise)
 
 
-class _Statics(NamedTuple):
-    """Deterministic per-config quantities shared by the trials of a distance."""
+class DesiredLink(NamedTuple):
+    """The desired link's deterministic constants at one distance."""
 
-    d3d: float         # desired vehicle's headlamp -> RSU, meters
-    gain: float        # desired link's Lambertian gain
+    s_vlc: np.ndarray   # received VLC power per weather, [W, 1]
     n_vlc: float
     s_rf_mean: float
     n_rf: float
 
 
-def _statics(config: ScenarioConfig) -> _Statics:
-    d3d, gain = map(float, rsu_links(config, LANE_SAME, config.distance_r))
-    return _Statics(d3d=d3d,
-                    gain=gain,
-                    n_vlc=vlc_noise_power(config.vlc),
-                    s_rf_mean=rf_mean_rx_power(d3d, config.rf),
-                    n_rf=rf_noise_power(config.rf))
+def desired_links(config: ScenarioConfig, distances, weathers) -> list[DesiredLink]:
+    """The desired link's constants at each of distances, in order, with
+    config's geometry and channels (its distance_r is not read).
 
-
-def _s_vlc(config: ScenarioConfig, st: _Statics, weathers) -> np.ndarray:
-    """The desired link's received VLC power per weather name, [W]."""
-    # one scalar attenuation factor per weather: an array pow may round
-    # differently from the scalar one
-    wfac = [attenuation_factor(WEATHER_ATTENUATION_DB_PER_KM[weather], st.d3d)
-            for weather in weathers]
-    return vlc_rx_electrical_power(st.gain, np.array(wfac), config.vlc)
+    The paths and gains of every distance come from one rsu_links call,
+    and the noise powers are computed once.  The weather attenuation
+    factors, one per (distance, weather), and the mean RF powers, one per
+    distance, are computed on object arrays, which apply Python's float
+    pow to each element: the bits of the scalar calls, where a float
+    array pow may round differently.
+    """
+    d3d, gain = rsu_links(config, LANE_SAME, np.asarray(distances, dtype=float))
+    d3d = d3d.astype(object)
+    coeffs = np.array([WEATHER_ATTENUATION_DB_PER_KM[weather] for weather in weathers],
+                      dtype=object)
+    wfac = attenuation_factor(coeffs, d3d[:, None]).astype(float)
+    s_vlc = vlc_rx_electrical_power(gain[:, None], wfac, config.vlc)
+    n_vlc, n_rf = vlc_noise_power(config.vlc), rf_noise_power(config.rf)
+    return [DesiredLink(s[:, None], n_vlc, s_rf, n_rf)
+            for s, s_rf in zip(s_vlc, rf_mean_rx_power(d3d, config.rf).tolist())]
 
 
 def vlc_snr(config: ScenarioConfig, weather: str) -> float:
     """Deterministic no-interference VLC SNR of the desired link."""
-    st = _statics(config)
-    return float(_s_vlc(config, st, (weather,))[0] / st.n_vlc)
+    link, = desired_links(config, (config.distance_r,), (weather,))
+    return float(link.s_vlc[0, 0] / link.n_vlc)
 
 
 class _Drawn(NamedTuple):
@@ -218,30 +223,29 @@ def simulate_trials(config: ScenarioConfig, weathers, rng: np.random.Generator,
     weathers[w] alone; weather does not touch the RF link.  The group of
     one of simulate_chunks.
     """
-    return next(simulate_chunks([(config, rng, n)], weathers))
+    link, = desired_links(config, (config.distance_r,), weathers)
+    return next(simulate_chunks([(config, rng, n, link)], weathers))
 
 
 def simulate_chunks(chunks, weathers):
     """Simulate chunks of trials and yield each one's SINRs, as
     simulate_trials gives them, in order.
 
-    chunks yields (config, rng, n), each chunk with a private stream that
-    it consumes as simulate_trials does.  The chunks are one sweep's, their
-    configs differing in distance_r alone: a group shares the geometry and
-    channels that the interferer pass reads.  Consecutive chunks, _GROUP
-    at most, form a group while their lane points fit in one _BLOCK per
-    lane; a group's interferers are evaluated in one pass
+    chunks yields (config, rng, n, link), each chunk with a stream that it
+    consumes as simulate_trials does and its desired link's constants
+    (desired_links, with these weathers).  A chunk's numbers are all drawn
+    before the next chunk is pulled, so the chunks may share one generator
+    whose state is set as each is pulled.  The chunks are one sweep's,
+    their configs differing in distance_r alone: a group shares the
+    geometry and channels that the interferer pass reads.  Consecutive
+    chunks, _GROUP at most, form a group while their lane points fit in
+    one _BLOCK per lane; a group's interferers are evaluated in one pass
     (_interference_pass), so a sparse chunk pays mainly for its draws.  A
     chunk with more points forms a group of its own.  Every chunk gets the
-    bits it gets alone.  The desired-link constants are computed once per
-    run of chunks with the same config object (one distance of a sweep).
+    bits it gets alone.
     """
-    group, load, held = [], np.zeros(2, dtype=np.int64), None
-    for config, rng, n in chunks:
-        if config is not held:
-            held = config
-            st = _statics(config)
-            link = st, _s_vlc(config, st, weathers)[:, None]
+    group, load = [], np.zeros(2, dtype=np.int64)
+    for config, rng, n, link in chunks:
         deployment = draw_deployment(config, rng, n)
         fade = sample_fading(config.rf, rng, n)   # the desired link's, then the lane points'
         chunk = config, _Drawn.of(config, deployment, rng), link, fade
@@ -262,9 +266,9 @@ def simulate_chunks(chunks, weathers):
 
 
 def _group_sinrs(group: list, weathers):
-    """Each chunk's SINRs, from a group of (config, _Drawn, link, desired
-    fades): one pass over the merged chunks, each chunk scored on its own
-    trials of the sums.  The group is emptied before the pass."""
+    """Each chunk's SINRs, from a group of (config, _Drawn, DesiredLink,
+    desired fades): one pass over the merged chunks, each chunk scored on
+    its own trials of the sums.  The group is emptied before the pass."""
     drawn = _merged([chunk for _, chunk, _, _ in group])
     scored = [(chunk.n, link, fade) for _, chunk, link, fade in group]
     base = group[0][0]
@@ -272,9 +276,9 @@ def _group_sinrs(group: list, weathers):
     i_vlc, i_rf = _interference_pass(drawn, base, weathers)
     del drawn
     a = 0
-    for n, (st, s_vlc), fade in scored:
-        yield (sinr(s_vlc, i_vlc[:, a:a + n], st.n_vlc),
-               sinr(st.s_rf_mean * fade, i_rf[a:a + n], st.n_rf))
+    for n, link, fade in scored:
+        yield (sinr(link.s_vlc, i_vlc[:, a:a + n], link.n_vlc),
+               sinr(link.s_rf_mean * fade, i_rf[a:a + n], link.n_rf))
         a += n
 
 
@@ -362,13 +366,13 @@ def prp_rf_closed_form(config: ScenarioConfig) -> float:
     """
     if config.rf.fading != FADING_RAYLEIGH:
         raise UnsupportedModelError("closed form requires Rayleigh fading")
-    st = _statics(config)
+    link, = desired_links(config, (config.distance_r,), ())
     theta = db_to_linear(config.sinr_threshold_rf_db)
-    quiet = math.exp(-theta * st.n_rf / st.s_rf_mean)
+    quiet = math.exp(-theta * link.n_rf / link.s_rf_mean)
     density = config.lambda_density * config.rho_access
     if density == 0.0:
         return quiet
-    s = theta / st.s_rf_mean
+    s = theta / link.s_rf_mean
     L = config.geometry.lane_half_length
     integral = 0.0
     for lane in LANES:

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -69,8 +70,37 @@ def test_cli_call_is_the_sweep_the_cli_runs(monkeypatch, tmp_path, subcommand, f
         assert spec.t_th == ((1e-3, 2.5e-3) if metric == "dor" else ())
 
 
+def test_timed_text_is_the_csv_the_cli_writes(monkeypatch, tmp_path):
+    ab_sweep = _load(SCRIPT, "ab_sweep", monkeypatch)
+    argv = ["dor-sweep", "--distances", "50,100", "--t-th-ms", "1,3"]
+    call = ab_sweep.cli_call(rfvlc, argv, ["trials = 200"], tmp_path / "sweep.cfg")
+    seconds, text = ab_sweep.timed(rfvlc, call)
+    assert seconds > 0.0
+    assert cli.main([*argv, "--config", str(tmp_path / "sweep.cfg"),
+                     "--out", str(tmp_path / "out")]) == 0
+    assert text == (tmp_path / "out" / "dor_sweep.csv").read_text(encoding="utf-8")
+
+
+def test_timed_counts_the_csv_text(monkeypatch):
+    ab_sweep = _load(SCRIPT, "ab_sweep", monkeypatch)
+
+    class Package:
+        class cli:
+            @staticmethod
+            def _sweep_csv(rows, metric):
+                time.sleep(0.05)
+                return f"{metric}: {rows}"
+
+        @staticmethod
+        def run_sweep(config, spec, metric, n_workers):
+            return ("row",)
+
+    seconds, text = ab_sweep.timed(Package, ("config", "spec", "prp", 1))
+    assert seconds >= 0.05 and text == "prp: ('row',)"
+
+
 def test_one_checkout_against_itself(monkeypatch, capsys):
-    # real run_sweep calls on both sides: equal rows, exit 0, one summary
+    # real run_sweep calls on both sides: equal CSV text, exit 0, one summary
     ab_sweep = _load(SCRIPT, "ab_sweep", monkeypatch)
     assert ab_sweep.main(["--parent", str(ROOT), "--change", str(ROOT),
                           "--sweeps", "prp_sparse", "--pairs", "2", "--warmup", "0"]) == 0
@@ -94,7 +124,7 @@ def test_speedup_summary_and_row_check(monkeypatch, same_rows):
     def timed(package, call):
         # stand-in: the change takes half the parent's time
         calls.append(package)
-        rows = ["row"] if same_rows or package == "parent" else ["other"]
+        rows = "a,b\n" if same_rows or package == "parent" else "a,c\n"
         return (2.0 if package == "parent" else 1.0), rows
 
     monkeypatch.setattr(ab_sweep, "timed", timed)

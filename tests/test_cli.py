@@ -511,6 +511,21 @@ class TestCliErrors:
         assert _run(["validate", "--config", str(cfg)]) == 2
         assert "geometry.rsu_tilt_deg: must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [["--modes="], ["--modes", ""], ["--weather="],
+                                      ["--weather", " "]], ids=" ".join)
+    @pytest.mark.parametrize("subcommand", ["rate-sweep", "validate"])
+    def test_empty_list_flag_is_config_error(self, tmp_path, capsys, subcommand, flag):
+        # an empty list is not the flag left out: no default takes its place
+        out = tmp_path / "o"
+        argv = [subcommand, *flag]
+        if subcommand != "validate":
+            argv += ["--out", str(out), "--distances", "50"] + FAST
+        assert _run(argv) == 2
+        captured = capsys.readouterr()
+        name = "modes" if "modes" in flag[0] else "weathers"
+        assert captured.err == f"configuration error: sweep.{name}: must be nonempty\n"
+        assert captured.out == "" and not out.exists()
+
     def test_empty_mode_list_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert _run(["prp-sweep", "--out", str(out), "--distances", "50",
@@ -652,6 +667,41 @@ class _HalfWriter:
         self.fh.write(text[:len(text) // 2])
         self.fh.flush()
         raise OSError(errno.ENOSPC, "No space left on device")
+
+
+# 0, -0, the smallest subnormal and normal floats, huge and tiny values,
+# and values that round at the 9th digit (up, down, and to even)
+_FORMAT_CASES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1e-300,
+                 0.1234567895, 0.12345678949999999, 123456789.5, 999999999.5,
+                 1.0000000005, 0.99999999995, 2.5e-9, 1 / 3, 2 / 3, 100.0, 0.3,
+                 float("inf"), float("-inf"), float("nan")]
+
+
+class TestCsvText:
+    @pytest.mark.parametrize("x", _FORMAT_CASES)
+    def test_percent_format_is_fmt(self, x):
+        assert "%.9g" % x == cli._fmt(x)
+        assert "%.9g,%.9g" % (x, x) == f"{cli._fmt(x)},{cli._fmt(x)}"
+
+    @pytest.mark.parametrize("metric", ["prp", "dor"])
+    def test_lines_join_the_fmt_fields(self, metric):
+        # the CSV and gnuplot lines, against each field formatted on its own
+        estimates = [engine.MetricEstimate(x, y, 4096, -x, y / 3)
+                     for x, y in zip(_FORMAT_CASES, _FORMAT_CASES[::-1])]
+        rows = [engine.SweepRow(x, None if metric == "prp" else x * 1e-3, "fog", "la", est)
+                for x, est in zip(_FORMAT_CASES[3:], estimates)]
+        lines = cli._sweep_csv(tuple(rows), metric).splitlines()[1:]
+        assert lines == [
+            ",".join(([] if row.t_th is None else [cli._fmt(row.t_th * 1000.0)]) + [
+                cli._fmt(row.distance), row.weather, row.mode, cli._fmt(row.estimate.value),
+                cli._fmt(row.estimate.stderr), cli._fmt(row.estimate.ci95_low),
+                cli._fmt(row.estimate.ci95_high), "4096"])
+            for row in rows]
+        dat = [line for text in cli._gnuplot_files(tuple(rows), "s").values()
+               for line in text.splitlines()]
+        assert dat == [" ".join(cli._fmt(x) for x in (
+            row.distance if row.t_th is None else row.t_th,
+            row.estimate.value, row.estimate.stderr)) for row in rows]
 
 
 class TestCliParser:

@@ -16,7 +16,8 @@ from rfvlc import (ConfigError, InvalidArgumentError, MODE_LA, MODE_PURE_RF,
 from rfvlc import engine, metrics, scenario
 from rfvlc.engine import _CHUNK, trial_rng
 from rfvlc.metrics import mode_rates, mode_success, outage_rate, simulate_trials
-from rfvlc.estimate import mean_estimate, proportion_estimate
+from rfvlc.estimate import (Z_95, MetricEstimate, mean_estimate, mean_estimates,
+                            proportion_estimate, proportion_estimates)
 
 CLEAR = ("clear",)
 ALL_WEATHERS = WEATHER_KINDS
@@ -106,6 +107,80 @@ class TestEstimators:
         assert est.value == 2.5
         assert est.stderr == pytest.approx(math.sqrt(1.25 / 4), rel=1e-12)
         assert est.ci95_low < 2.5 < est.ci95_high
+
+
+def _reference_proportion(successes, n):
+    """proportion_estimate as scalar Python arithmetic (Wilson interval)."""
+    p = successes / n
+    z2 = Z_95 * Z_95
+    denom = 1.0 + z2 / n
+    center = (p + z2 / (2.0 * n)) / denom
+    half = (Z_95 / denom) * math.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n))
+    return MetricEstimate(p, math.sqrt(p * (1.0 - p) / n), n,
+                          max(0.0, center - half), min(1.0, center + half))
+
+
+def _reference_mean(total, total_sq, n):
+    """mean_estimate as scalar Python arithmetic."""
+    mean = total / n
+    stderr = math.sqrt(max(0.0, total_sq / n - mean * mean) / n)
+    return MetricEstimate(mean, stderr, n, mean - Z_95 * stderr, mean + Z_95 * stderr)
+
+
+def _rows_of(fields, n):
+    """MetricEstimates from the arrays of proportion_estimates or mean_estimates."""
+    return [MetricEstimate(v, s, n, lo, hi)
+            for v, s, lo, hi in zip(*(f.ravel().tolist() for f in fields))]
+
+
+class TestArrayEstimators:
+    """The array estimates a sweep's rows take equal the one-estimate
+    functions and their scalar arithmetic, bit for bit."""
+
+    @pytest.mark.parametrize("n", [100, 4096 + 300, 10**8])
+    def test_proportions(self, n):
+        rng = np.random.default_rng(n)
+        k = np.concatenate([[0, 1, n // 3, n // 2, n - 1, n], rng.integers(0, n + 1, 500),
+                            rng.integers(0, 20, 50), n - rng.integers(0, 20, 50)])
+        got = _rows_of(proportion_estimates(k.reshape(2, 3, -1), n), n)
+        assert got == [proportion_estimate(x, n) for x in k.tolist()]
+        assert got == [_reference_proportion(x, n) for x in k.tolist()]
+        assert confidence_interval(int(k[7]), n) == (got[7].ci95_low, got[7].ci95_high)
+
+    @pytest.mark.parametrize("n", [100, 4096 + 300, 10**8])
+    def test_means(self, n):
+        rng = np.random.default_rng(n)
+        data = rng.uniform(0.0, 500.0, (300, 5))
+        total = np.concatenate([[0.0, -0.0, 7.5 * n], rng.uniform(0, 500, 300) * n])
+        total_sq = np.concatenate([[0.0, 0.0, 56.25 * n],
+                                   # at least total^2 / n, or just under it
+                                   total[3:] ** 2 / n * rng.uniform(0.999999, 1.5, 300)])
+        got = _rows_of(mean_estimates(total, total_sq, n), n)
+        args = list(zip(total.tolist(), total_sq.tolist()))
+        assert got == [mean_estimate(t, t2, n) for t, t2 in args]
+        assert got == [_reference_mean(t, t2, n) for t, t2 in args]
+        # the sums of real data, and a constant sample whose variance rounds
+        sums = data.sum(axis=1), (data * data).sum(axis=1)
+        assert _rows_of(mean_estimates(*sums, n), n) == [
+            _reference_mean(t, t2, n) for t, t2 in zip(*(x.tolist() for x in sums))]
+        assert mean_estimate(0.1 * n, 0.01 * n, n) == _reference_mean(0.1 * n, 0.01 * n, n)
+
+    def test_signed_zeros(self):
+        # a mean of -0.0 keeps its sign; a variance of -0.0 is 0.0, as
+        # max(0.0, var) gives
+        assert math.copysign(1.0, mean_estimate(-0.0, 0.0, 100).value) == -1.0
+        stderr = mean_estimate(0.0, -0.0, 100).stderr
+        assert stderr == 0.0 and math.copysign(1.0, stderr) == 1.0
+
+    def test_bad_inputs(self):
+        with pytest.raises(InvalidArgumentError):
+            proportion_estimates(np.array([1, 2]), 0)
+        with pytest.raises(InvalidArgumentError):
+            proportion_estimates(np.array([1, 6]), 5)
+        with pytest.raises(InvalidArgumentError):
+            proportion_estimates(np.array([-1, 2]), 5)
+        with pytest.raises(InvalidArgumentError):
+            mean_estimates(np.ones(2), np.ones(2), 0)
 
 
 class TestSweepSpec:
@@ -214,6 +289,26 @@ class TestRunSweep:
             ok = mode_success(*simulate_trials(cfg, CLEAR, rng, n), cfg)
             wins += int(ok[0, 1].sum())
         assert row.estimate.value == wins / spec.n_trials
+
+    @pytest.mark.parametrize("config", [ScenarioConfig(), DENSE], ids=["sparse", "dense"])
+    def test_shared_generator_gives_each_chunk_its_stream(self, monkeypatch, config):
+        # the state each chunk starts its draws from, against its own trial_rng
+        drawn = []
+        draw = metrics.draw_deployment
+
+        def recording(cfg, rng, n):
+            drawn.append((cfg.distance_r, n, rng.bit_generator.state, rng))
+            return draw(cfg, rng, n)
+
+        monkeypatch.setattr(metrics, "draw_deployment", recording)
+        spec = _spec(distances=(30.0, 150.0, 1000.0), n_trials=2 * _CHUNK + 300)
+        run_sweep(config, spec, "prp")
+        n = spec.n_trials
+        assert [d[:3] for d in drawn] == [
+            (distance, min(start + _CHUNK, n) - start,
+             trial_rng(derive_seed(spec.master_seed, p, start // _CHUNK)).bit_generator.state)
+            for p, distance in enumerate(spec.distances) for start in range(0, n, _CHUNK)]
+        assert len({id(d[3]) for d in drawn}) == 1   # one generator for the share
 
     def test_dor_rows_score_the_prp_trials(self):
         # every threshold counts the late trials of the same chunk streams

@@ -289,6 +289,36 @@ def test_rsu_paths_match_los_cosines_on_headlamp_axes(lane, tilt_deg, fov):
     assert seen.any() and not seen.all()
 
 
+def _reference_link(config, weathers):
+    """The desired link's (s_vlc[W], n_vlc, s_rf_mean, n_rf) at config's
+    distance, one distance and one weather at a time in scalar calls."""
+    d3d, gain = map(float, rsu_links(config, LANE_SAME, config.distance_r))
+    wfac = [attenuation_factor(WEATHER_ATTENUATION_DB_PER_KM[weather], d3d)
+            for weather in weathers]
+    return (vlc_rx_electrical_power(gain, np.array(wfac), config.vlc),
+            vlc_noise_power(config.vlc), rf_mean_rx_power(d3d, config.rf),
+            rf_noise_power(config.rf))
+
+
+@pytest.mark.parametrize("config", [ScenarioConfig(), OFF_AXIS, _dense(FADING_NAKAGAMI),
+                                    MOSTLY_LIT],
+                         ids=["default", "off_axis", "nakagami", "mostly_lit"])
+def test_desired_links_match_the_scalar_calls(config):
+    # the share's distances in one call, against each distance alone;
+    # 1000 m lies beyond the lane's half length
+    distances = (0.0, 2.5, 5.0, 10.0, 30.0, 77.7, 150.0, 250.0, 300.0, 1000.0)
+    distances += tuple(np.random.default_rng(7).uniform(0.0, 1000.0, 200).tolist())
+    links = metrics.desired_links(config, distances, ALL_WEATHERS)
+    assert len(links) == len(distances)
+    for distance, link in zip(distances, links):
+        s_vlc, n_vlc, s_rf_mean, n_rf = _reference_link(config.with_distance(distance),
+                                                        ALL_WEATHERS)
+        assert link.s_vlc.shape == (len(ALL_WEATHERS), 1)
+        assert np.array_equal(link.s_vlc[:, 0], s_vlc)
+        assert (link.n_vlc, link.s_rf_mean, link.n_rf) == (n_vlc, s_rf_mean, n_rf)
+        assert all(type(x) is float for x in (link.n_vlc, link.s_rf_mean, link.n_rf))
+
+
 def test_weathers_share_every_draw():
     # one call with the weather axis: row w equals the run with weather w
     # alone, and the RF SINRs are the same whatever the weathers

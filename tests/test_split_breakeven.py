@@ -22,7 +22,7 @@ def breakeven(monkeypatch):
 
 
 def test_one_pair_of_a_shape_the_rule_keeps_in_one_process(breakeven, capsys):
-    # real run_sweep calls: equal rows on both sides, exit 0, one table row
+    # real run_sweep calls: equal CSV text on both sides, exit 0, one table row
     assert breakeven.main(["--shapes", "dense_clear_2", "--pairs", "1",
                            "--warmup", "0"]) == 0
     row = capsys.readouterr().out.splitlines()[-1].split(" | ")
@@ -51,10 +51,10 @@ def test_the_two_worker_side_splits_and_restores_the_cap(breakeven, monkeypatch,
 
 def test_rows_that_differ_fail_the_shape(breakeven, monkeypatch):
     monkeypatch.setattr(breakeven, "split_timed",
-                        lambda package, call, workers: (1.0, [workers]))
+                        lambda package, call, workers: (1.0, f"csv {workers}\n"))
     with pytest.raises(ValueError, match="side 2 rows differ in pair 0"):
         breakeven.measure(None, None, 2, 0)
-    # equal rows: each worker count's median over the timed pairs
+    # equal CSV text: each worker count's median over the timed pairs
     monkeypatch.setattr(breakeven, "split_timed",
-                        lambda package, call, workers: (workers / 10, ["row"]))
+                        lambda package, call, workers: (workers / 10, "csv\n"))
     assert breakeven.measure(None, None, 3, 1) == {1: 0.1, 2: 0.2}
