@@ -10,13 +10,15 @@ bit-identical tables.  A process simulates its share of chunks in order
 interferer pass and every chunk gets the SINRs it gets alone), with the
 desired link's constants computed once for the share's distances and
 one generator into which each chunk's stream state is injected.  It
-scores each chunk, for every weather and mode, for the one metric the
-sweep writes, and the chunk partials are reduced in chunk order, which
-keeps floating-point summation order independent of the worker count.
-Trial counts (PRP successes, DOR late trials, one threshold at a time)
-are summed in a narrow integer accumulator and widened to int64 per
-chunk.  Every row's estimate is then computed in one pass of array
-estimates (estimate.proportion_estimates, estimate.mean_estimates).
+scores each chunk (_chunk_stats_job), for every weather, for the one
+metric the sweep writes and for the sweep's modes alone, in spec.modes
+order, so the partials come in the rows' order; they are reduced in
+chunk order, which keeps floating-point summation order independent of
+the worker count.  Trial counts (PRP successes, DOR late trials, one
+threshold at a time into one flag buffer) are summed in a narrow integer
+accumulator and widened to int64 per chunk.  Every row's estimate is
+then computed in one pass of array estimates
+(estimate.proportion_estimates, estimate.mean_estimates).
 
 A sweep splits its chunk list once, interleaved, over k processes, k = 1
 being the split with no helper: this process computes chunks[0::k]
@@ -39,6 +41,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,7 +49,7 @@ from .errors import ConfigError
 from .estimate import MetricEstimate, confidence_interval, mean_estimates, proportion_estimates
 from .metrics import (MODES, desired_links, mode_rates, mode_success, outage_rate,
                       simulate_chunks)
-from .scenario import WEATHER_KINDS, ScenarioConfig, validate
+from .scenario import WEATHER_KINDS, ScenarioConfig, validate_distances
 
 __all__ = [
     "SweepSpec", "SweepRow", "MetricEstimate",
@@ -168,8 +171,10 @@ class SweepSpec:
         return out
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
+    """One row of a sweep's table: a (distance, delay threshold, weather,
+    mode) point and its estimate."""
+
     distance: float
     t_th: float | None                  # None on "prp" and "rate_mbps" rows
     weather: str
@@ -182,18 +187,16 @@ def run_sweep(config: ScenarioConfig, spec: SweepSpec, metric: str,
     """Run the full sweep for one metric and return its rows in order.
 
     metric is "prp", "rate_mbps" or "dor"; only its statistics are
-    computed.  Each distance is simulated once for every weather: weather
-    only attenuates optical paths, so one deployment and one set of RF
-    draws per chunk serve all of them.  Per distance, there is one row per
+    computed, and only for spec.modes.  Each distance is simulated once
+    for every weather: weather only attenuates optical paths, so one
+    deployment and one set of RF draws per chunk serve all of them.  Per distance, there is one row per
     (weather, mode), or for "dor" one per (delay threshold, weather,
     mode), a trial being late iff its rate is below 8H / t_th; every
     threshold is scored on the same trials, so DOR is exactly
     nonincreasing in t_th.  The streams are keyed by the distance's index
     in spec.distances, so every metric sees the same trials.
     """
-    points = [config.with_distance(distance) for distance in spec.distances]
-    problems = list(dict.fromkeys(p for cfg in points for p in validate(cfg)))
-    problems += spec.check()
+    problems = validate_distances(config, spec.distances) + spec.check()
     if n_workers < 1:
         problems.append(f"n_workers: must be >= 1, got {n_workers}")
     if metric not in _METRICS:
@@ -206,8 +209,9 @@ def run_sweep(config: ScenarioConfig, spec: SweepSpec, metric: str,
     # Fixed chunk grid, independent of worker count.
     n = spec.n_trials
     starts = range(0, n, _CHUNK)
+    points = [config.with_distance(distance) for distance in spec.distances]
     chunks = [(cfg, spec.master_seed, d_idx, start, min(start + _CHUNK, n),
-               spec.weathers, spec.t_th, metric)
+               spec.weathers, spec.t_th, metric, spec.modes)
               for d_idx, cfg in enumerate(points) for start in starts]
 
     n_workers = sweep_workers(config, spec, n_workers)
@@ -224,12 +228,9 @@ def _rows(spec: SweepSpec, metric: str, partials) -> tuple[SweepRow, ...]:
     # Reduce per distance (and weather): sum() adds the partials in chunk order.
     n = spec.n_trials
     grid = (len(spec.distances), math.ceil(n / _CHUNK))
+    # [D, W, M] or for dor [D, K, W, M]: the rows' order
     stats = [sum(np.reshape(field, grid + np.shape(field[0])).swapaxes(0, 1))
              for field in zip(*partials)]
-    # the spec's modes, [D, W, M] or for dor [D, K, W, M]: the rows' order
-    modes = [MODES.index(mode) for mode in spec.modes]
-    stats = [np.moveaxis(s[:, :, modes], 3, 1) if metric == "dor" else s[:, :, modes]
-             for s in stats]
     estimates = mean_estimates if metric == "rate_mbps" else proportion_estimates
     fields = (f.ravel().tolist() for f in estimates(*stats, n))
     keys = itertools.product(spec.distances, spec.t_th or (None,), spec.weathers, spec.modes)
@@ -284,26 +285,28 @@ def _run_share(jobs):
 
 
 def _chunk_stats_job(job):
-    """Score one chunk for its metric alone, per weather and mode in MODES
-    order: the success counts, [W, 4] (prp); the rate sum and sum of
-    squares in Mbps, [W, 4] each (rate_mbps); or late[weather, mode, k],
-    the trials whose rate falls below outage_rate(H, t_th[k]) (dor).
+    """Score one chunk for its metric alone, per weather and for the sweep's
+    modes only, in spec.modes order: the success counts, [W, M] (prp); the
+    rate sum and sum of squares in Mbps, [W, M] each (rate_mbps); or
+    late[k, weather, mode], the trials whose rate falls below
+    outage_rate(H, t_th[k]) (dor).
 
     job is (config, seed, point, start, end, weathers, t_th, metric,
-    sinrs): the chunk's trials start..end of sweep point `point`, start a
-    multiple of _CHUNK, and their SINRs.
+    modes, sinrs): the chunk's trials start..end of sweep point `point`,
+    start a multiple of _CHUNK, and their SINRs.
     """
-    config, *_, t_th, metric, sinrs = job
+    config, *_, t_th, metric, modes, sinrs = job
     if metric == "prp":
-        return (_count(mode_success(*sinrs, config)).astype(np.int64),)
-    rate = mode_rates(*sinrs, config)
+        return (_count(mode_success(*sinrs, config, modes)).astype(np.int64),)
+    rate = mode_rates(*sinrs, config, modes)
     if metric == "rate_mbps":
         mbps = rate / 1e6
         return mbps.sum(axis=-1), (mbps * mbps).sum(axis=-1)
-    # one threshold at a time: no [W, 4, K, n] flags
-    late = np.empty(rate.shape[:-1] + (len(t_th),), np.int64)
+    # one threshold at a time, into one flag buffer: no [K, W, M, n] flags
+    late = np.empty((len(t_th),) + rate.shape[:-1], np.int64)
+    flags = np.empty(rate.shape, bool)
     for k, t in enumerate(t_th):
-        late[..., k] = _count(rate < outage_rate(config.payload_h, t))
+        late[k] = _count(np.less(rate, outage_rate(config.payload_h, t), out=flags))
     return (late,)
 
 

@@ -8,7 +8,7 @@ same arithmetic, so every formula exists once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,8 +17,9 @@ from .errors import InvalidArgumentError
 Z_95 = 1.959963984540054
 
 
-@dataclass(frozen=True)
-class MetricEstimate:
+class MetricEstimate(NamedTuple):
+    """An estimate of n_trials trials with its standard error and 95% interval."""
+
     value: float
     stderr: float
     n_trials: int

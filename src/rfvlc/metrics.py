@@ -11,7 +11,9 @@ The desired link's constants (desired_links) are computed once for all
 of a sweep's distances and handed to each chunk.
 The four operating modes are scored on the same trials, their reception
 by mode_success and their rates by mode_rates, so mode comparisons are
-exact event inclusions rather than statistical ones.
+exact event inclusions rather than statistical ones.  Both score only
+the modes asked for, in the order asked (a sweep's spec.modes), each
+row written in place: a subset's rows are the bits of the full score's.
 """
 
 from __future__ import annotations
@@ -282,42 +284,59 @@ def _group_sinrs(group: list, weathers):
         a += n
 
 
-def _by_mode(sinr_vlc, sinr_rf, dtype):
-    """An empty [..., 4, n] array ([4] for scalar SINRs) and its mode-major view."""
-    shape = np.broadcast_shapes(np.shape(sinr_vlc), np.shape(sinr_rf))
-    out = np.empty(shape[:-1] + (len(MODES),) + shape[-1:], dtype)
-    return out, np.moveaxis(out, len(shape) - 1, 0)
+def _by_mode(sinr_vlc, sinr_rf, modes, dtype):
+    """An empty [..., len(modes), n] array ([len(modes)] for scalar SINRs)
+    and each mode's row of it, by name."""
+    if len(set(modes)) < len(modes) or not set(modes) <= set(MODES):
+        raise InvalidArgumentError(f"modes must be distinct names of {MODES}, got {modes!r}")
+    shape = np.broadcast(sinr_vlc, sinr_rf).shape
+    out = np.empty(shape[:-1] + (len(modes),) + shape[-1:], dtype)
+    trials = (slice(None),) * min(len(shape), 1)   # the trial axis, after the mode axis
+    return out, {mode: out[(..., m, *trials)] for m, mode in enumerate(modes)}
 
 
-def mode_success(sinr_vlc, sinr_rf, config: ScenarioConfig):
-    """Reception of every mode, in MODES order: ok[..., 4, n].
+def mode_success(sinr_vlc, sinr_rf, config: ScenarioConfig, modes=MODES):
+    """Reception of each of modes, in that order: ok[..., len(modes), n].
 
-    sinr_vlc[W, n] with sinr_rf[n] gives [W, 4, n], one block per weather;
-    scalar SINRs give [4].  A link decodes iff its SINR reaches the
-    config's decode threshold.  Link aggregation duplicates the packet on
-    both links, so it succeeds if either link decodes; best-link selection
-    cannot beat that, so the non-aggregated hybrid shares that event.
+    sinr_vlc[W, n] with sinr_rf[n] gives [W, len(modes), n], one block per
+    weather; scalar SINRs give [len(modes)].  A link decodes iff its SINR
+    reaches the config's decode threshold.  Link aggregation duplicates
+    the packet on both links, so it succeeds if either link decodes;
+    best-link selection cannot beat that, so the non-aggregated hybrid
+    shares that event.  Each row is written in place, and a mode that is
+    not asked for is not scored.
     """
-    ok, by_mode = _by_mode(sinr_vlc, sinr_rf, bool)
-    ok_v = sinr_vlc >= db_to_linear(config.sinr_threshold_vlc_db)
-    ok_r = sinr_rf >= db_to_linear(config.sinr_threshold_rf_db)
-    by_mode[0], by_mode[1] = ok_v, ok_r
-    by_mode[2] = by_mode[3] = ok_v | ok_r
+    ok, rows = _by_mode(sinr_vlc, sinr_rf, modes, bool)
+    # the hybrids read the pure rows, or arrays of their own where those
+    # are not asked for
+    ok_v = np.greater_equal(sinr_vlc, db_to_linear(config.sinr_threshold_vlc_db),
+                            out=rows.get(MODE_PURE_VLC))
+    ok_r = np.greater_equal(sinr_rf, db_to_linear(config.sinr_threshold_rf_db),
+                            out=rows.get(MODE_PURE_RF))
+    for mode in (MODE_LA, MODE_NON_LA):
+        if mode in rows:
+            np.logical_or(ok_v, ok_r, out=rows[mode])
     return ok
 
 
-def mode_rates(sinr_vlc, sinr_rf, config: ScenarioConfig):
-    """Achievable rate (bits/s) of every mode, in MODES order, shaped as in
+def mode_rates(sinr_vlc, sinr_rf, config: ScenarioConfig, modes=MODES):
+    """Achievable rate (bits/s) of each of modes, shaped and written as in
     mode_success.  Rates are Shannon-form: the desired vehicle's access
     probability rho_a scales every mode, the aggregation overhead beta_ov
     only the aggregated sum."""
-    rate, by_mode = _by_mode(sinr_vlc, sinr_rf, float)
+    rate, rows = _by_mode(sinr_vlc, sinr_rf, modes, float)
     r_v = config.vlc.bandwidth * np.log2(1.0 + sinr_vlc)
     r_r = config.rf.bandwidth * np.log2(1.0 + sinr_rf)
     rho = config.rho_a
-    by_mode[0], by_mode[1] = rho * r_v, rho * r_r
-    by_mode[2] = config.beta_ov * rho * (r_v + r_r)
-    by_mode[3] = rho * np.maximum(r_v, r_r)
+    if MODE_PURE_VLC in rows:
+        np.multiply(rho, r_v, out=rows[MODE_PURE_VLC])
+    if MODE_PURE_RF in rows:
+        np.multiply(rho, r_r, out=rows[MODE_PURE_RF])
+    if MODE_LA in rows:
+        np.multiply(config.beta_ov * rho, np.add(r_v, r_r, out=rows[MODE_LA]),
+                    out=rows[MODE_LA])
+    if MODE_NON_LA in rows:
+        np.multiply(rho, np.maximum(r_v, r_r, out=rows[MODE_NON_LA]), out=rows[MODE_NON_LA])
     return rate
 
 

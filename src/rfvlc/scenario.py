@@ -157,11 +157,8 @@ def validate(config: ScenarioConfig) -> list[str]:
         violations.append("rho_access: must be in [0, 1]")
     if geo.lane_half_length <= 0:
         violations.append("geometry.lane_half_length: must be > 0")
-    # bounds the offsets the kernel squares: RSU, desired vehicle, lane points
-    reach = (abs(config.distance_r) + abs(geo.lane_x_offset) + geo.lane_half_length,
-             abs(geo.lane_y_offset) + geo.lane_half_length,
-             geo.rsu_height - geo.tx_height)
-    if math.isinf(sum(r * r for r in reach)):
+    _, unreachable, nonpositive = _distance_faults(config, config.distance_r)
+    if unreachable:
         violations.append("distance_r, geometry.lane_half_length, geometry.lane_x_offset, "
                           "geometry.lane_y_offset: the squared distances between the RSU, "
                           "the desired vehicle and the lane points must be finite")
@@ -180,7 +177,7 @@ def validate(config: ScenarioConfig) -> list[str]:
         violations.append("rho_a: must be in (0, 1]")
     if not 0.0 < config.beta_ov <= 1.0:
         violations.append("beta_ov: must be in (0, 1]")
-    if config.distance_r <= 0:
+    if nonpositive:
         violations.append("distance_r: must be > 0")
     if config.payload_h <= 0:
         violations.append("payload_h: must be > 0")
@@ -188,6 +185,36 @@ def validate(config: ScenarioConfig) -> list[str]:
     violations.extend(config.rf.check())
     return violations or list(_derived_problems(config.vlc, config.rf, geo.rsu_height,
                                                 geo.tx_height))
+
+
+def _distance_faults(config: ScenarioConfig, distance: float) -> tuple[bool, bool, bool]:
+    """Which of validate's checks that read distance_r fail for config at
+    distance_r = distance: (not finite, the squared reach overflows,
+    not > 0).  validate reads distance_r in these three checks alone (the
+    first as one of its config_floats)."""
+    geo = config.geometry
+    # bounds the offsets the kernel squares: RSU, desired vehicle, lane points
+    reach = (abs(distance) + abs(geo.lane_x_offset) + geo.lane_half_length,
+             abs(geo.lane_y_offset) + geo.lane_half_length,
+             geo.rsu_height - geo.tx_height)
+    return not math.isfinite(distance), math.isinf(sum(r * r for r in reach)), distance <= 0
+
+
+def validate_distances(config: ScenarioConfig, distances) -> list[str]:
+    """The problems of config at each of distances, as validate reports
+    them distance by distance, each problem once, in the order first
+    reported.
+
+    validate's report depends on distance_r only through the checks of
+    _distance_faults, so distances with the same faults get the same
+    report: validate runs once per distinct fault pattern, at the first
+    distance with it.
+    """
+    first = {}
+    for distance in distances:
+        first.setdefault(_distance_faults(config, distance), distance)
+    return list(dict.fromkeys(problem for distance in first.values()
+                              for problem in validate(config.with_distance(distance))))
 
 
 @lru_cache(maxsize=16)

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import rfvlc.cli
-from rfvlc import ScenarioConfig, prp_rf_closed_form
+from rfvlc import ScenarioConfig, SweepSpec, prp_rf_closed_form, run_sweep
+from rfvlc.engine import _CHUNK
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -50,6 +51,23 @@ def test_cli_keeps_the_names_the_benchmark_hooks():
     assert callable(rfvlc.cli.main)
     assert rfvlc.cli.parse_config is rfvlc.config.parse_config
     assert rfvlc.cli.run_sweep is rfvlc.engine.run_sweep
+
+
+def test_chunk_jobs_carry_what_the_tracer_tallies(monkeypatch):
+    # bench.py's install_tracing wraps engine._chunk_stats_job and tallies
+    # each job's trials as job[4] - job[3]: the chunk's start and end
+    job = rfvlc.engine._chunk_stats_job
+    assert callable(job)
+    jobs = []
+    monkeypatch.setattr(rfvlc.engine, "_chunk_stats_job",
+                        lambda args: jobs.append(args) or job(args))
+    spec = SweepSpec(distances=(50.0, 150.0), weathers=("clear",), modes=("la",),
+                     n_trials=_CHUNK + 300, master_seed=1)
+    run_sweep(ScenarioConfig(), spec, "prp")
+    assert [(j[2], j[3], j[4]) for j in jobs] == [
+        (point, start, min(start + _CHUNK, spec.n_trials))
+        for point in range(2) for start in (0, _CHUNK)]
+    assert sum(j[4] - j[3] for j in jobs) == len(spec.distances) * spec.n_trials
 
 
 @pytest.mark.parametrize("distance", [10.0, 25.0, 50.0, 100.0])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import math
 import multiprocessing
 import os
@@ -229,10 +230,12 @@ class TestChunkCounts:
             flags = mode_success(*sinrs, config)
         else:
             cutoffs = np.array([outage_rate(config.payload_h, t) for t in t_th])
-            flags = mode_rates(*sinrs, config)[..., None, :] < cutoffs[:, None]
+            # late[k, weather, mode]
+            flags = mode_rates(*sinrs, config) < cutoffs[:, None, None, None]
         expected = flags.sum(axis=-1)
         counts, = engine._chunk_stats_job((config, 7, 0, 0, n, ALL_WEATHERS,
-                                           t_th if metric == "dor" else (), metric, sinrs))
+                                           t_th if metric == "dor" else (), metric,
+                                           metrics.MODES, sinrs))
         assert counts.dtype == expected.dtype == np.int64
         assert counts.shape == expected.shape
         assert np.array_equal(counts, expected)
@@ -240,6 +243,34 @@ class TestChunkCounts:
 
     def test_accumulator_holds_a_chunk(self):
         assert _CHUNK <= np.iinfo(engine._COUNT).max
+
+
+def _selected_rows(config, spec, metric):
+    """The rows of run_sweep(config, spec, metric) from chunks scored for all
+    of MODES, the spec's modes then selected from the reduced statistics
+    (as _rows did before chunks scored the spec's modes alone)."""
+    n = spec.n_trials
+    partials = []
+    for p, distance in enumerate(spec.distances):
+        cfg = config.with_distance(distance)
+        for start in range(0, n, _CHUNK):
+            end = min(start + _CHUNK, n)
+            rng = trial_rng(derive_seed(spec.master_seed, p, start // _CHUNK))
+            sinrs = simulate_trials(cfg, spec.weathers, rng, end - start)
+            partials.append(engine._chunk_stats_job(
+                (cfg, spec.master_seed, p, start, end, spec.weathers, spec.t_th, metric,
+                 metrics.MODES, sinrs)))
+    grid = (len(spec.distances), math.ceil(n / _CHUNK))
+    stats = [sum(np.reshape(field, grid + np.shape(field[0])).swapaxes(0, 1))
+             for field in zip(*partials)]
+    # the spec's modes, [D, W, M] or for dor [D, K, W, M]: the rows' order
+    modes = [metrics.MODES.index(mode) for mode in spec.modes]
+    stats = [s[..., modes] for s in stats]
+    estimates = mean_estimates if metric == "rate_mbps" else proportion_estimates
+    fields = (f.ravel().tolist() for f in estimates(*stats, n))
+    keys = itertools.product(spec.distances, spec.t_th or (None,), spec.weathers, spec.modes)
+    return [engine.SweepRow(*key, MetricEstimate(value, stderr, n, low, high))
+            for key, value, stderr, low, high in zip(keys, *fields)]
 
 
 class TestRunSweep:
@@ -326,6 +357,24 @@ class TestRunSweep:
             late = (rates < outage_rate(cfg.payload_h, row.t_th)).sum()
             assert row.estimate.value == late / spec.n_trials
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("modes", [
+        (metrics.MODE_NON_LA,), (MODE_LA, MODE_PURE_VLC), metrics.MODES[::-1]], ids=str)
+    @pytest.mark.parametrize("metric", ["prp", "rate_mbps", "dor"])
+    def test_mode_subsets_keep_their_bytes(self, monkeypatch, forced_split, metric,
+                                           modes, workers):
+        # a sweep of some modes gives the rows of a sweep that scores all four
+        # modes and then selects them, bit for bit
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+        spec = _spec(weathers=ALL_WEATHERS, modes=modes, n_trials=_CHUNK + 300,
+                     t_th=(1e-3, 4e-3) if metric == "dor" else ())
+        rows = run_sweep(ScenarioConfig(), spec, metric, n_workers=workers)
+        assert len(forced_split) == workers - 1
+        expected = _selected_rows(ScenarioConfig(), spec, metric)
+        assert [r[:4] for r in rows] == [r[:4] for r in expected]
+        assert np.array_equal(np.array([r.estimate for r in rows]).view(np.uint64),
+                              np.array([r.estimate for r in expected]).view(np.uint64))
+
     @pytest.mark.parametrize("n_thresholds", [0, 1, 10])
     def test_one_chunk_call_per_point_whatever_the_thresholds(
             self, monkeypatch, n_thresholds):
@@ -341,12 +390,12 @@ class TestRunSweep:
         assert len(calls) == (len(spec.distances)
                               * math.ceil(spec.n_trials / _CHUNK))
         # the job layout (config, seed, point, start, end, weathers, t_th, metric,
-        # sinrs), the chunk's SINRs last
-        assert [c[2:8] for c in calls] == [
+        # modes, sinrs), the chunk's SINRs last
+        assert [c[2:9] for c in calls] == [
             (p, start, min(start + _CHUNK, spec.n_trials), ALL_WEATHERS, spec.t_th,
-             metric)
+             metric, spec.modes)
             for p in range(len(spec.distances)) for start in (0, _CHUNK)]
-        assert [(c[8][0].shape, c[8][1].shape) for c in calls] == [
+        assert [(c[-1][0].shape, c[-1][1].shape) for c in calls] == [
             ((len(ALL_WEATHERS), c[4] - c[3]), (c[4] - c[3],)) for c in calls]
 
     @staticmethod
@@ -462,7 +511,7 @@ class TestRunSweep:
         def logged(args):
             partial = job(args)
             with open(log, "a", encoding="utf-8") as fh:
-                fh.write(f"{args[2]} {args[3]} {digest(args[8])} {digest(partial)}\n")
+                fh.write(f"{args[2]} {args[3]} {digest(args[-1])} {digest(partial)}\n")
             return partial
 
         sizes, points = [], []
@@ -488,7 +537,7 @@ class TestRunSweep:
                 rng = trial_rng(derive_seed(spec.master_seed, p, start // _CHUNK))
                 sinrs = simulate_trials(cfg, spec.weathers, rng, end - start)
                 partial = job((cfg, spec.master_seed, p, start, end, spec.weathers,
-                               spec.t_th, "rate_mbps", sinrs))
+                               spec.t_th, "rate_mbps", spec.modes, sinrs))
                 expected.append((str(p), str(start), digest(sinrs), digest(partial)))
         assert got == sorted(expected)
 
@@ -594,6 +643,31 @@ class TestRunSweep:
             run_sweep(ScenarioConfig(), _spec(distances=(-50.0, 10.0)), "prp")
         with pytest.raises(ConfigError, match="finite"):
             run_sweep(ScenarioConfig(), _spec(distances=(10.0, math.inf)), "prp")
+
+    @pytest.mark.parametrize("config", [
+        ScenarioConfig(),
+        dataclasses.replace(ScenarioConfig(), beta_ov=1.2),
+        # fields that pass, and a derived constant (the Lambertian order) that does not
+        dataclasses.replace(ScenarioConfig(), vlc=dataclasses.replace(
+            ScenarioConfig().vlc, semi_angle_half_power=1e-7)),
+    ], ids=["default", "bad_field", "bad_derived"])
+    @pytest.mark.parametrize("distances", [
+        (0.0,), (-5.0,), (math.nan,), (1e308,), (50.0,),
+        (50.0, 0.0, math.nan, 1e308, -5.0), (0.0, 50.0), (-5.0, 1e308, 0.0, math.inf),
+    ], ids=str)
+    def test_distance_problems_read_as_one_validate_per_distance(self, config, distances):
+        # the ConfigError text of a validate call per distance, as run_sweep
+        # once made it
+        points = [config.with_distance(distance) for distance in distances]
+        problems = list(dict.fromkeys(p for cfg in points for p in scenario.validate(cfg)))
+        spec = _spec(distances=distances)
+        problems += spec.check()
+        if not problems:
+            assert run_sweep(config, spec, "prp")
+            return
+        with pytest.raises(ConfigError) as err:
+            run_sweep(config, spec, "prp")
+        assert str(err.value) == "; ".join(problems)
 
     def test_derived_constants_are_checked_once_per_sweep(self):
         scenario._derived_problems.cache_clear()

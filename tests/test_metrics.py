@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from rfvlc import (InvalidArgumentError, MODE_LA, MODE_NON_LA, MODE_PURE_RF,
@@ -174,6 +176,39 @@ class TestScoreModes:
             assert both.shape == (len(ALL_WEATHERS), len(MODES), 500)
             for w in range(len(ALL_WEATHERS)):
                 assert np.array_equal(both[w], score(sinr_vlc[w], sinr_rf, cfg))
+
+    def test_unknown_or_repeated_modes_rejected(self):
+        for modes in (("teleport",), (MODE_LA, MODE_LA)):
+            for score in (mode_success, mode_rates):
+                with pytest.raises(InvalidArgumentError, match="modes"):
+                    score(1.0, 1.0, UNIT, modes)
+
+
+# SINRs >= 0 with the edge cases: zero, subnormals, huge values and inf
+_SINR = st.floats(min_value=0.0, allow_nan=False) | st.sampled_from(
+    [0.0, 5e-324, 2.2250738585072014e-308, 1e308, math.inf])
+# every nonempty subset of MODES, in a random order
+_MODE_SUBSETS = st.permutations(MODES).flatmap(
+    lambda order: st.integers(1, len(MODES)).map(lambda k: tuple(order[:k])))
+_SINR_PAIRS = st.tuples(_SINR, _SINR) | st.integers(1, 3).flatmap(
+    lambda w: st.integers(1, 6).flatmap(lambda n: st.tuples(
+        arrays(np.float64, (w, n), elements=_SINR), arrays(np.float64, (n,), elements=_SINR))))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_SINR_PAIRS, _MODE_SUBSETS)
+def test_mode_subsets_are_rows_of_the_full_score(sinrs, modes):
+    # a subset's rows are the all-mode result's rows, bit for bit
+    cfg = ScenarioConfig()
+    rows = [MODES.index(mode) for mode in modes]
+    for score in (mode_success, mode_rates):
+        full = score(*sinrs, cfg)
+        part = score(*sinrs, cfg, modes)
+        expected = np.take(full, rows, axis=max(full.ndim - 2, 0))
+        assert part.shape == expected.shape and part.dtype == expected.dtype
+        if score is mode_rates:
+            part, expected = part.view(np.uint64), expected.view(np.uint64)
+        assert np.array_equal(part, expected)
 
 
 def _rates(sinr_vlc, sinr_rf, cfg):
