@@ -1,8 +1,8 @@
 """Monte Carlo simulator for hybrid RF-VLC vehicle-to-infrastructure uplinks."""
 
-from .engine import (MetricEstimate, SweepRow, SweepSpec, confidence_interval,
-                     derive_seed, run_sweep)
+from .engine import MetricEstimate, SweepRow, SweepSpec, derive_seed, run_sweep
 from .errors import ConfigError, InvalidArgumentError, UnsupportedModelError
+from .estimate import confidence_interval
 from .metrics import (MODE_LA, MODE_NON_LA, MODE_PURE_RF, MODE_PURE_VLC,
                       MODES, db_to_linear, minimum_transmission_time, mode_rates,
                       mode_success, outage_rate, prp_rf_closed_form,

@@ -212,11 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
         _add_config_flags(p)
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--workers", type=int, default=1,
-                       help="worker processes, this one included (at most one "
-                            "per usable CPU, per chunk and per ~48k trials of "
-                            "estimated work, an expected interferer lane point "
-                            "weighing a third of a trial, so small sweeps run in "
-                            "one; results are identical for any worker count)")
+                       help="worker processes, this one included (capped by the "
+                            "usable CPUs, the chunks and the sweep's estimated "
+                            "work, so small sweeps run in one; results are "
+                            "identical for any worker count)")
         p.add_argument("--gnuplot", action="store_true",
                        help="also emit whitespace-delimited per-curve files")
         p.add_argument("--distances", default=",".join(_fmt(d) for d in distances))

@@ -46,14 +46,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .estimate import MetricEstimate, confidence_interval, mean_estimates, proportion_estimates
+from .estimate import MetricEstimate, mean_estimates, proportion_estimates
 from .metrics import (MODES, desired_links, mode_rates, mode_success, outage_rate,
                       simulate_chunks)
 from .scenario import WEATHER_KINDS, ScenarioConfig, validate_distances
 
 __all__ = [
     "SweepSpec", "SweepRow", "MetricEstimate",
-    "derive_seed", "run_sweep", "sweep_workers", "confidence_interval", "trial_rng",
+    "derive_seed", "run_sweep", "sweep_workers", "trial_rng",
 ]
 
 _METRICS = ("prp", "rate_mbps", "dor")
@@ -189,12 +189,13 @@ def run_sweep(config: ScenarioConfig, spec: SweepSpec, metric: str,
     metric is "prp", "rate_mbps" or "dor"; only its statistics are
     computed, and only for spec.modes.  Each distance is simulated once
     for every weather: weather only attenuates optical paths, so one
-    deployment and one set of RF draws per chunk serve all of them.  Per distance, there is one row per
-    (weather, mode), or for "dor" one per (delay threshold, weather,
-    mode), a trial being late iff its rate is below 8H / t_th; every
-    threshold is scored on the same trials, so DOR is exactly
-    nonincreasing in t_th.  The streams are keyed by the distance's index
-    in spec.distances, so every metric sees the same trials.
+    deployment and one set of RF draws per chunk serve all of them.  Per
+    distance, there is one row per (weather, mode), or for "dor" one per
+    (delay threshold, weather, mode), a trial being late iff its rate is
+    below 8H / t_th; every threshold is scored on the same trials, so DOR
+    is exactly nonincreasing in t_th.  The streams are keyed by the
+    distance's index in spec.distances, so every metric sees the same
+    trials.
     """
     problems = validate_distances(config, spec.distances) + spec.check()
     if n_workers < 1:

@@ -1,9 +1,9 @@
 """Point estimates with standard errors and 95% confidence intervals.
 
 proportion_estimates and mean_estimates compute whole arrays of
-estimates at once, a sweep's rows in one pass; proportion_estimate,
-mean_estimate and confidence_interval are the one-estimate forms of the
-same arithmetic, so every formula exists once.
+estimates at once, a sweep's rows in one pass (a scalar input gives one
+estimate); confidence_interval is the Wilson interval of one proportion,
+through the same arithmetic, so every formula exists once.
 """
 
 from __future__ import annotations
@@ -62,22 +62,7 @@ def mean_estimates(total, total_sq, n: int):
     return mean, stderr, mean - Z_95 * stderr, mean + Z_95 * stderr
 
 
-def _estimate(fields, n: int) -> MetricEstimate:
-    value, stderr, low, high = map(float, fields)
-    return MetricEstimate(value=value, stderr=stderr, n_trials=n,
-                          ci95_low=low, ci95_high=high)
-
-
 def confidence_interval(successes: int, n: int) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion at 95%."""
     _, _, low, high = proportion_estimates(successes, n)
     return float(low), float(high)
-
-
-def proportion_estimate(successes: int, n: int) -> MetricEstimate:
-    return _estimate(proportion_estimates(successes, n), n)
-
-
-def mean_estimate(total: float, total_sq: float, n: int) -> MetricEstimate:
-    """Normal-approximation estimate of a mean from running sums."""
-    return _estimate(mean_estimates(total, total_sq, n), n)

@@ -119,16 +119,22 @@ class _Drawn(NamedTuple):
     fade: np.ndarray            # one RF fade per lane point
     lanes: tuple[slice, slice]  # Deployment.lane_slices()
 
-    @classmethod
-    def of(cls, config, deployment, rng):
-        """A chunk's deployment, its interferer mask, and its lane points'
-        fades, drawn next from rng in storage order."""
-        lanes = deployment.lane_slices()
-        coord = deployment.coord
-        active = np.concatenate([outside_exclusion(config, lane, coord[part])
-                                 for lane, part in zip(LANES, lanes)])
-        return cls(deployment.counts.shape[1], deployment.trial, coord, active,
-                   sample_fading(config.rf, rng, len(coord)), lanes)
+
+def _draw(config: ScenarioConfig, rng: np.random.Generator, n: int):
+    """A chunk of n trials, as _Drawn, and its n desired RF fades.
+
+    The whole chunk's stream is read here, in one fixed order: the
+    deployment (Poisson counts, lane positions), the desired fades, then
+    one fade per lane point in storage order.
+    """
+    deployment = draw_deployment(config, rng, n)
+    fade = sample_fading(config.rf, rng, n)
+    lanes = deployment.lane_slices()
+    coord = deployment.coord
+    active = np.concatenate([outside_exclusion(config, lane, coord[part])
+                             for lane, part in zip(LANES, lanes)])
+    return _Drawn(n, deployment.trial, coord, active,
+                  sample_fading(config.rf, rng, len(coord)), lanes), fade
 
 
 def _merged(chunks: list) -> _Drawn:
@@ -219,11 +225,11 @@ def simulate_trials(config: ScenarioConfig, weathers, rng: np.random.Generator,
                     n: int) -> tuple[np.ndarray, np.ndarray]:
     """n coupled draws: VLC SINRs per weather name, [W, n], and RF SINRs, [n].
 
-    The stream is consumed in a weather-independent order: Poisson counts,
-    lane positions, desired RF fades, one RF fade per lane point.  Every
-    weather therefore sees the same trials, and row w equals a run with
-    weathers[w] alone; weather does not touch the RF link.  The group of
-    one of simulate_chunks.
+    The stream is consumed in a weather-independent order (_draw): Poisson
+    counts, lane positions, desired RF fades, one RF fade per lane point.
+    Every weather therefore sees the same trials, and row w equals a run
+    with weathers[w] alone; weather does not touch the RF link.  The group
+    of one of simulate_chunks.
     """
     link, = desired_links(config, (config.distance_r,), weathers)
     return next(simulate_chunks([(config, rng, n, link)], weathers))
@@ -248,11 +254,10 @@ def simulate_chunks(chunks, weathers):
     """
     group, load = [], np.zeros(2, dtype=np.int64)
     for config, rng, n, link in chunks:
-        deployment = draw_deployment(config, rng, n)
-        fade = sample_fading(config.rf, rng, n)   # the desired link's, then the lane points'
-        chunk = config, _Drawn.of(config, deployment, rng), link, fade
-        points = deployment.counts.sum(axis=1)
-        del deployment, fade   # the chunk holds the draws; the counts are not needed
+        drawn, fade = _draw(config, rng, n)
+        points = [part.stop - part.start for part in drawn.lanes]
+        chunk = config, drawn, link, fade
+        del drawn, fade   # the chunk holds the draws
         if group and (load + points > _BLOCK).any():
             yield from _group_sinrs(group, weathers)   # empties the group
             load[:] = 0

@@ -1,21 +1,27 @@
 """Configuration parsing and command-line interface tests."""
 
+import contextlib
+import csv
 import ctypes
 import errno
+import io
 import json
 import os
 import resource
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rfvlc import ConfigError, ScenarioConfig, simulate_trials, validate
 from rfvlc import cli, engine
 from rfvlc.cli import build_parser, main
 from rfvlc.config import (_SPECIAL_KEYS, DEFAULT_SEED, DEFAULT_TRIALS,
                           config_digest, parse_config)
-from rfvlc.scenario import FLOAT_KEYS, config_floats
+from rfvlc.metrics import MODES
+from rfvlc.scenario import FLOAT_KEYS, WEATHER_KINDS, config_floats
 
 _DEFAULTS = config_floats(ScenarioConfig())
 
@@ -462,6 +468,21 @@ class TestCliErrors:
             assert "sweep.master_seed: must be in [0, 2^64)" in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("subcommand", ["prp-sweep", "validate"])
+    def test_file_is_judged_before_the_flags(self, tmp_path, capsys, subcommand):
+        # a flag replaces a file value only once the whole file has passed:
+        # a bad value stays an error under a good flag
+        out = tmp_path / "o"
+        sweep = ["--out", str(out), "--distances", "50"] if subcommand != "validate" else []
+        for text, flag, error in (
+                ("trials = 5", "--trials=200", "sweep.n_trials: must be >= 100"),
+                ("weather = foo", "--weather=clear", "sweep.weathers: unknown weather 'foo'")):
+            cfg = tmp_path / "f.cfg"
+            cfg.write_text(text + "\n")
+            assert _run([subcommand, "--config", str(cfg), flag] + sweep) == 2
+            assert capsys.readouterr() == ("", f"configuration error: {error}\n")
+            assert not out.exists()
+
     def test_infinite_density_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "inf.cfg"
         cfg.write_text("lambda_density = inf\n")
@@ -649,6 +670,125 @@ class TestCliErrors:
     def test_failed_run_leaves_no_half_written_file(self, tmp_path, capsys, monkeypatch):
         # the manifest write fails with half of the file on disk
         self._fail_manifest_write(tmp_path, capsys, monkeypatch, mid_file=True)
+
+
+# Misuse of the command line: config documents, and the sweep flags, good
+# and bad.  Values include the edge values of a float (zeros of both
+# signs, subnormals, huge, nan and inf) and default values scaled; every
+# sweep runs 100-250 trials at 1-2 distances.
+def _mostly(good, bad):
+    """good in about seven draws of eight, else bad: a run reads about six
+    draws, and most runs should end in a table."""
+    return st.integers(0, 7).flatmap(lambda k: bad if k == 7 else good)
+
+
+_EDGE = ["0", "-0.0", "5e-324", "1e-310", "1e300", "-1e300", "nan", "inf", "-inf"]
+_SWEEP_KEYS = sorted(set(_DEFAULTS) - {"distance_r"})
+_EDGE_LINE = st.tuples(st.sampled_from(_SWEEP_KEYS), st.sampled_from(_EDGE)).map(" = ".join)
+_SCALED_LINE = st.tuples(st.sampled_from(_SWEEP_KEYS),
+                         st.sampled_from([0.5, 0.9, 1.1, 2.0, 10.0, 0.0, -1.0, 1e3])).map(
+    lambda kv: f"{kv[0]} = {_DEFAULTS[kv[0]] * kv[1]!r}")
+_MISUSE_DOCUMENT = _mostly(
+    st.lists(st.one_of(_SCALED_LINE, _EDGE_LINE), max_size=2,
+             unique_by=lambda line: line.split(" = ")[0]).map("\n".join),
+    _DOCUMENT)
+
+
+def _comma_list(good, bad, max_size):
+    """A comma list: mostly distinct good items in the order given, else
+    any items, good or bad, in any order."""
+    return _mostly(
+        st.lists(st.sampled_from(good), min_size=1, max_size=max_size, unique=True).map(
+            lambda items: ",".join(sorted(items, key=good.index))),
+        st.lists(st.sampled_from(good + bad), max_size=max_size).map(",".join))
+
+
+_MISUSE_FLAGS = st.fixed_dictionaries(
+    {"--distances": _comma_list(["5e-324", "10", "50", "150", "250", "1e5"],
+                                _EDGE + ["-5", "x"], 2),
+     "--trials": _mostly(st.sampled_from(["100", "200", "250"]),
+                         st.sampled_from(["99", "0", "-1"]))},
+    optional={
+        "--t-th-ms": _comma_list(["1e-300", "0.5", "1", "3", "10", "1e300"],
+                                 _EDGE + ["x"], 3),
+        "--seed": _mostly(st.sampled_from(["7", "0", str(2**64 - 1)]),
+                          st.sampled_from(["-1", str(2**64)])),
+        "--weather": _comma_list(list(WEATHER_KINDS), ["foo", ""], 2),
+        "--modes": _comma_list(list(MODES), ["warp", ""], 3)})
+
+
+def _misuse_run(subcommand, text, flags):
+    """(exit code, stdout, stderr, CSV rows) of one sweep on the config
+    document text and the flags, numeric warnings raised; the rows are
+    None if the run made no output directory."""
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cfg, out = os.path.join(tmp, "c.cfg"), os.path.join(tmp, "out")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        argv = [subcommand, "--config", cfg, "--out", out] + [
+            f"{flag}={value}" for flag, value in flags.items()
+            if flag != "--t-th-ms" or subcommand == "dor-sweep"]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = main(argv)
+        table = None
+        if os.path.exists(out):
+            stem = cli._SWEEPS[subcommand][2]
+            with open(os.path.join(out, f"{stem}_sweep.csv"), encoding="utf-8") as fh:
+                table = list(csv.DictReader(fh))
+        return rc, stdout.getvalue(), stderr.getvalue(), table
+
+
+def _check_table(metric, table):
+    """A sweep's table is finite, and its PRP and DOR are probabilities with
+    the exact orderings of the modes and thresholds."""
+    curves = {}
+    for row in table:
+        numbers = [float(v) for k, v in row.items() if k not in ("weather", "mode")]
+        assert all(np.isfinite(numbers)), row
+        value, low, high = (float(row[k]) for k in (metric, "ci95_low", "ci95_high"))
+        assert float(row["stderr"]) >= 0.0 and low <= high, row
+        if metric != "rate_mbps":
+            assert 0.0 <= value <= 1.0 and 0.0 <= low and high <= 1.0, row
+        key = (row["distance_m"], row["weather"])
+        if metric == "dor":
+            curves.setdefault(key + (row["mode"],), []).append(
+                (float(row["t_th_ms"]), value))
+        else:
+            curves.setdefault(key, {})[row["mode"]] = value
+    for curve in curves.values():
+        if metric == "dor":   # nonincreasing in t_th
+            dor = [value for _, value in sorted(curve)]
+            assert all(b <= a for a, b in zip(dor, dor[1:])), curve
+        elif metric == "prp" and "la" in curve:
+            assert all(curve["la"] >= curve[m] for m in ("pure_vlc", "pure_rf") if m in curve)
+            assert curve.get("non_la", curve["la"]) == curve["la"], curve
+
+
+class TestCliMisuse:
+    @settings(max_examples=250, deadline=None, database=None, derandomize=True)
+    @given(_MISUSE_DOCUMENT, _MISUSE_FLAGS)
+    # misuse once found by hand: a traceback, a wrong stderr with exit 0, and
+    # link powers that underflow; and the extreme distances and thresholds
+    # that are accepted
+    @example("lambda_density = 1e308", {"--distances": "50", "--trials": "200"})
+    @example("rf.bandwidth = 1e200", {"--distances": "50", "--trials": "200"})
+    @example("rf.reference_distance = 1e-320", {"--distances": "50", "--trials": "200"})
+    @example("vlc.pd_area = 1e-300", {"--distances": "50", "--trials": "200"})
+    @example("", {"--distances": "5e-324,1e5", "--trials": "100",
+                  "--t-th-ms": "1e-300,1,1e300"})
+    def test_every_run_ends_in_a_checked_table_or_exit_2(self, text, flags):
+        # an exception, a warning among them, fails the example as it
+        # leaves main
+        for subcommand, (_, metric, *_) in cli._SWEEPS.items():
+            rc, out, err, table = _misuse_run(subcommand, text, flags)
+            assert rc in (0, 2) and out == ""
+            if rc == 2:
+                assert err.startswith("configuration error: ") and table is None
+            else:
+                assert err == "" and table
+                _check_table(metric, table)
 
 
 class _HalfWriter:

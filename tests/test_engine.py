@@ -17,8 +17,7 @@ from rfvlc import (ConfigError, InvalidArgumentError, MODE_LA, MODE_PURE_RF,
 from rfvlc import engine, metrics, scenario
 from rfvlc.engine import _CHUNK, trial_rng
 from rfvlc.metrics import mode_rates, mode_success, outage_rate, simulate_trials
-from rfvlc.estimate import (Z_95, MetricEstimate, mean_estimate, mean_estimates,
-                            proportion_estimate, proportion_estimates)
+from rfvlc.estimate import Z_95, MetricEstimate, mean_estimates, proportion_estimates
 
 CLEAR = ("clear",)
 ALL_WEATHERS = WEATHER_KINDS
@@ -40,7 +39,7 @@ def _spec(**over):
 
 def _is_proportion(est):
     k = round(est.value * est.n_trials)
-    return 0 <= k <= est.n_trials and est == proportion_estimate(k, est.n_trials)
+    return 0 <= k <= est.n_trials and est == _proportion(k, est.n_trials)
 
 
 class TestDeriveSeed:
@@ -97,21 +96,21 @@ class TestEstimators:
             confidence_interval(6, 5)
 
     def test_proportion_stderr(self):
-        est = proportion_estimate(30, 100)
+        est = _proportion(30, 100)
         assert est.value == 0.3
         assert est.stderr == pytest.approx(math.sqrt(0.3 * 0.7 / 100), rel=1e-12)
         assert est.n_trials == 100
 
     def test_mean_estimate(self):
         data = np.array([1.0, 2.0, 3.0, 4.0])
-        est = mean_estimate(data.sum(), (data ** 2).sum(), len(data))
+        est = _mean(data.sum(), (data ** 2).sum(), len(data))
         assert est.value == 2.5
         assert est.stderr == pytest.approx(math.sqrt(1.25 / 4), rel=1e-12)
         assert est.ci95_low < 2.5 < est.ci95_high
 
 
 def _reference_proportion(successes, n):
-    """proportion_estimate as scalar Python arithmetic (Wilson interval)."""
+    """proportion_estimates of one count as scalar Python arithmetic (Wilson interval)."""
     p = successes / n
     z2 = Z_95 * Z_95
     denom = 1.0 + z2 / n
@@ -122,7 +121,7 @@ def _reference_proportion(successes, n):
 
 
 def _reference_mean(total, total_sq, n):
-    """mean_estimate as scalar Python arithmetic."""
+    """mean_estimates of one pair of sums as scalar Python arithmetic."""
     mean = total / n
     stderr = math.sqrt(max(0.0, total_sq / n - mean * mean) / n)
     return MetricEstimate(mean, stderr, n, mean - Z_95 * stderr, mean + Z_95 * stderr)
@@ -131,12 +130,24 @@ def _reference_mean(total, total_sq, n):
 def _rows_of(fields, n):
     """MetricEstimates from the arrays of proportion_estimates or mean_estimates."""
     return [MetricEstimate(v, s, n, lo, hi)
-            for v, s, lo, hi in zip(*(f.ravel().tolist() for f in fields))]
+            for v, s, lo, hi in zip(*(np.ravel(f).tolist() for f in fields))]
+
+
+def _proportion(successes, n):
+    """The MetricEstimate of one count, as a sweep's row holds it."""
+    est, = _rows_of(proportion_estimates(successes, n), n)
+    return est
+
+
+def _mean(total, total_sq, n):
+    """The MetricEstimate of one pair of running sums, as a sweep's row holds it."""
+    est, = _rows_of(mean_estimates(total, total_sq, n), n)
+    return est
 
 
 class TestArrayEstimators:
-    """The array estimates a sweep's rows take equal the one-estimate
-    functions and their scalar arithmetic, bit for bit."""
+    """The array estimates a sweep's rows take equal their scalar inputs'
+    estimates and the scalar arithmetic, bit for bit."""
 
     @pytest.mark.parametrize("n", [100, 4096 + 300, 10**8])
     def test_proportions(self, n):
@@ -144,7 +155,7 @@ class TestArrayEstimators:
         k = np.concatenate([[0, 1, n // 3, n // 2, n - 1, n], rng.integers(0, n + 1, 500),
                             rng.integers(0, 20, 50), n - rng.integers(0, 20, 50)])
         got = _rows_of(proportion_estimates(k.reshape(2, 3, -1), n), n)
-        assert got == [proportion_estimate(x, n) for x in k.tolist()]
+        assert got == [_proportion(x, n) for x in k.tolist()]
         assert got == [_reference_proportion(x, n) for x in k.tolist()]
         assert confidence_interval(int(k[7]), n) == (got[7].ci95_low, got[7].ci95_high)
 
@@ -158,19 +169,19 @@ class TestArrayEstimators:
                                    total[3:] ** 2 / n * rng.uniform(0.999999, 1.5, 300)])
         got = _rows_of(mean_estimates(total, total_sq, n), n)
         args = list(zip(total.tolist(), total_sq.tolist()))
-        assert got == [mean_estimate(t, t2, n) for t, t2 in args]
+        assert got == [_mean(t, t2, n) for t, t2 in args]
         assert got == [_reference_mean(t, t2, n) for t, t2 in args]
         # the sums of real data, and a constant sample whose variance rounds
         sums = data.sum(axis=1), (data * data).sum(axis=1)
         assert _rows_of(mean_estimates(*sums, n), n) == [
             _reference_mean(t, t2, n) for t, t2 in zip(*(x.tolist() for x in sums))]
-        assert mean_estimate(0.1 * n, 0.01 * n, n) == _reference_mean(0.1 * n, 0.01 * n, n)
+        assert _mean(0.1 * n, 0.01 * n, n) == _reference_mean(0.1 * n, 0.01 * n, n)
 
     def test_signed_zeros(self):
         # a mean of -0.0 keeps its sign; a variance of -0.0 is 0.0, as
         # max(0.0, var) gives
-        assert math.copysign(1.0, mean_estimate(-0.0, 0.0, 100).value) == -1.0
-        stderr = mean_estimate(0.0, -0.0, 100).stderr
+        assert math.copysign(1.0, _mean(-0.0, 0.0, 100).value) == -1.0
+        stderr = _mean(0.0, -0.0, 100).stderr
         assert stderr == 0.0 and math.copysign(1.0, stderr) == 1.0
 
     def test_bad_inputs(self):

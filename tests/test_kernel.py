@@ -12,7 +12,7 @@ from rfvlc import (FADING_NAKAGAMI, FADING_RAYLEIGH, Pose3, ScenarioConfig,
                    vlc_noise_power, vlc_rx_electrical_power)
 from rfvlc import metrics
 from rfvlc.engine import trial_rng
-from rfvlc.metrics import _Drawn, _interference_pass, simulate_trials
+from rfvlc.metrics import _draw, _interference_pass, simulate_trials
 from rfvlc.scenario import (EXCLUSION_RADIUS_M, LANE_SAME, LANES, draw_deployment,
                             exclusion_disc, interferer_counts, outside_exclusion, rsu_links,
                             rsu_paths)
@@ -128,17 +128,15 @@ def _lit_points(config, deployment):
     return np.array(out)
 
 
-def _interference_sums(config, weathers, deployment, rng):
-    """VLC[W, n] and RF[n] interference sums of one deployment, a group of one;
-    rng is at the lane points' fades."""
-    return _interference_pass(_Drawn.of(config, deployment, rng), config, weathers)
+def _interference_sums(config, weathers, rng, n):
+    """VLC[W, n] and RF[n] interference sums of n trials drawn from rng, a
+    group of one."""
+    drawn, _ = _draw(config, rng, n)
+    return _interference_pass(drawn, config, weathers)
 
 
 def _kernel_sums(config, weather, seed, n):
-    rng = trial_rng(seed)
-    deployment = draw_deployment(config, rng, n)
-    sample_fading(config.rf, rng, n)
-    i_vlc, i_rf = _interference_sums(config, (weather,), deployment, rng)
+    i_vlc, i_rf = _interference_sums(config, (weather,), trial_rng(seed), n)
     return i_vlc[0], i_rf
 
 
@@ -205,6 +203,28 @@ def test_term_window_changes_no_bit(fading, rho_access, block, n, monkeypatch):
     counts = draw_deployment(config, trial_rng(SEED), n).counts.sum(axis=1)
     assert counts.min() > 2 * 4 * metrics._BLOCK
     assert counts[0] % metrics._BLOCK
+
+
+@pytest.mark.parametrize("config", [ScenarioConfig(), _dense(FADING_RAYLEIGH),
+                                    _dense(FADING_NAKAGAMI),
+                                    dataclasses.replace(DENSE, lambda_density=0.0), OFF_AXIS],
+                         ids=["default", FADING_RAYLEIGH, FADING_NAKAGAMI, "no_interferers",
+                              "off_axis"])
+def test_draw_reads_the_chunk_stream_in_order(config):
+    # _draw reads a chunk's whole stream: the deployment, the n desired
+    # fades, then one fade per lane point, and nothing after them
+    rng, by_hand = trial_rng(SEED), trial_rng(SEED)
+    drawn, fade = _draw(config, rng, N)
+    deployment = draw_deployment(config, by_hand, N)
+    desired = sample_fading(config.rf, by_hand, N)
+    lane_fades = sample_fading(config.rf, by_hand, len(deployment.coord))
+    active = np.concatenate([outside_exclusion(config, lane, deployment.coord[part])
+                             for lane, part in zip(LANES, deployment.lane_slices())])
+    assert drawn.n == N and drawn.lanes == deployment.lane_slices()
+    for got, want in ((drawn.trial, deployment.trial), (drawn.coord, deployment.coord),
+                      (fade, desired), (drawn.fade, lane_fades), (drawn.active, active)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert rng.random() == by_hand.random()
 
 
 def test_interferer_counts_match_the_reference_mask():
@@ -348,8 +368,7 @@ def test_nothing_lit_leaves_rf_and_stream_unchanged():
     runs = []
     for config in (DENSE, dark):
         rng = trial_rng(SEED)
-        runs.append((_interference_sums(config, ALL_WEATHERS, deployment, rng),
-                     rng.random()))
+        runs.append((_interference_sums(config, ALL_WEATHERS, rng, N), rng.random()))
     ((lit_vlc, lit_rf), lit_next), ((dark_vlc, dark_rf), dark_next) = runs
     assert lit_vlc.any() and not dark_vlc.any()
     assert dark_vlc.shape == (len(ALL_WEATHERS), N)
@@ -368,7 +387,7 @@ def test_kernel_evaluates_gains_on_lit_points_only(config, same, perp, monkeypat
         return seen_gain(d2, cos_phi, cos_psi, params)
 
     monkeypatch.setattr(metrics, "seen_gain", counting_gain)
-    _interference_sums(config, (RAIN,), deployment, trial_rng(SEED))
+    _interference_sums(config, (RAIN,), trial_rng(SEED), N)
     lit = _lit_points(config, deployment)
     assert sum(sizes) == lit.sum()
     # the share of each lane's interferers that is lit

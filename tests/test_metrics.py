@@ -18,7 +18,7 @@ from rfvlc import (InvalidArgumentError, MODE_LA, MODE_NON_LA, MODE_PURE_RF,
                    rf_noise_power, run_sweep, mode_rates, mode_success, simulate_trials, sinr,
                    vlc_cutoff_distance, vlc_noise_power, vlc_rx_electrical_power,
                    vlc_snr)
-from rfvlc.estimate import proportion_estimate
+from rfvlc.estimate import proportion_estimates
 from rfvlc.scenario import (LANE_SAME, LANES, interferer_counts, outside_exclusion,
                             rsu_links)
 
@@ -138,10 +138,8 @@ class TestSuccessAndPrp:
     def test_prp_counts(self):
         ok = mode_success(np.array([2.0, 0.5, 2.0, 0.5]),
                           np.array([0.5, 0.5, 2.0, 2.0]), UNIT)
-        est = proportion_estimate(int(ok[VLC].sum()), 4)
-        assert est.value == 0.5
-        assert est.n_trials == 4
-        assert proportion_estimate(int(ok[LA].sum()), 4).value == 0.75
+        assert proportion_estimates(int(ok[VLC].sum()), 4)[0] == 0.5
+        assert proportion_estimates(int(ok[LA].sum()), 4)[0] == 0.75
 
 
 class TestScoreModes:
@@ -279,9 +277,9 @@ class TestDelay:
             cutoff = 8.0 * cfg.payload_h / t_th
             direct = sum(1 for v, r in zip(sinr_vlc, sinr_rf)
                          if _rates(float(v), float(r), cfg)[LA] < cutoff) / len(rate)
-            dor = proportion_estimate(
+            dor, _, _, _ = proportion_estimates(
                 int((rate < outage_rate(cfg.payload_h, t_th)).sum()), len(rate))
-            assert dor.value == direct
+            assert dor == direct
 
     def test_bad_threshold(self):
         with pytest.raises(InvalidArgumentError):
@@ -343,9 +341,9 @@ class TestClosedFormOracles:
     def test_rf_oracle_matches_monte_carlo(self):
         cfg = NO_INTERFERENCE.with_distance(100.0)
         ok = mode_success(*_trials(cfg, 38, 50_000), cfg)
-        est = proportion_estimate(int(ok[RF].sum()), 50_000)
+        value, stderr, _, _ = proportion_estimates(int(ok[RF].sum()), 50_000)
         exact = prp_rf_closed_form(cfg)
-        assert abs(est.value - exact) < 3 * max(est.stderr, 1e-4)
+        assert abs(value - exact) < 3 * max(stderr, 1e-4)
 
     def test_interference_oracle_without_interferers(self):
         cfg = NO_INTERFERENCE.with_distance(100.0)
@@ -419,11 +417,11 @@ class TestClosedFormOracles:
             sinr_vlc, _ = simulate_trials(point, weathers,
                                           np.random.default_rng(40), n)
             for weather, row in zip(weathers, sinr_vlc):
-                est = proportion_estimate(int((row >= theta).sum()), n)
+                value, stderr, _, _ = proportion_estimates(int((row >= theta).sum()), n)
                 lo, hi = prp_vlc_bracket(point, weather)
                 assert 0.0 < lo <= hi < 1.0
-                assert lo - 4.0 * est.stderr <= est.value <= hi + 4.0 * est.stderr, (
-                    distance, weather, est.value, est.stderr, lo, hi)
+                assert lo - 4.0 * stderr <= value <= hi + 4.0 * stderr, (
+                    distance, weather, value, stderr, lo, hi)
 
     def test_vlc_oracle_step(self):
         # at the default bisection tolerance the SNR steps across theta
@@ -452,5 +450,5 @@ class TestClosedFormOracles:
         for d in (60.0, 110.0, 130.0, 200.0):
             point = cfg.with_distance(d)
             ok = mode_success(*_trials(point, 39, 200), point)
-            est = proportion_estimate(int(ok[VLC].sum()), 200)
-            assert est.value == (vlc_snr(point, CLEAR) >= theta_v)
+            assert proportion_estimates(int(ok[VLC].sum()), 200)[0] == (
+                vlc_snr(point, CLEAR) >= theta_v)
