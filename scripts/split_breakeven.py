@@ -7,13 +7,15 @@ lowered for the call, so the helper is forked whatever the sweep's
 work), and prints a table: per shape its chunks, its estimated work
 (engine._sweep_work, in thousands of trial-equivalents), the processes
 the work cap as it stands picks for `--workers 2`, the median
-milliseconds of each side and the faster side:
+milliseconds of each side, the pairs each side ran faster and the faster
+side, named only where it won at least 9 in 10 of the pairs (else
+"tie"):
 
     python3 scripts/split_breakeven.py --pairs 30
 
-The cap is right for a host where it picks the faster side, up to pair
-noise; elsewhere, re-derive engine._SPLIT_WORK from the work at which
-the faster side changes (about twice a helper's fixed cost).  The
+The cap is right for a host where it picks the faster side wherever
+there is one; elsewhere, re-derive engine._SPLIT_WORK as half the work
+from which two processes run faster than one.  The
 shapes are the README's table, seed 1.  A pair runs both sides once,
 alternating which runs first; both must give equal CSV text, or the
 script exits 1.  A split needs two usable CPUs: on one, both sides run
@@ -62,11 +64,20 @@ def split_timed(package, call, workers: int):
 
 
 def measure(package, call, pairs: int, warmup: int) -> dict:
-    """Median seconds on 1 and 2 workers over timed_pairs; ValueError if
-    the two sides' CSV texts differ."""
+    """The seconds of each pair on 1 and 2 workers (timed_pairs); ValueError
+    if the two sides' CSV texts differ."""
     sides = {workers: partial(split_timed, package, call, workers) for workers in (1, 2)}
-    return {workers: statistics.median(s)
-            for workers, s in timed_pairs(sides, pairs, warmup).items()}
+    return timed_pairs(sides, pairs, warmup)
+
+
+def verdict(seconds: dict) -> tuple[int, int, str]:
+    """The pairs that 1 worker and that 2 workers ran faster, and the faster
+    side: the one that won at least 9 in 10 of the pairs, else "tie"."""
+    won = {workers: sum(a < b for a, b in zip(seconds[workers], seconds[3 - workers]))
+           for workers in (1, 2)}
+    pairs = len(seconds[1])
+    faster = [str(workers) for workers in (1, 2) if 10 * won[workers] >= 9 * pairs]
+    return won[1], won[2], (faster or ["tie"])[0]
 
 
 def main(argv=None) -> int:
@@ -81,8 +92,9 @@ def main(argv=None) -> int:
     engine = package.engine
     print(f"usable CPUs {engine._usable_cpus()}; _SPLIT_WORK {engine._SPLIT_WORK}; "
           f"medians of {args.pairs} alternating pairs\n")
-    print("| Shape | Chunks | Work (k) | Rule picks | 1 worker | 2 workers | Faster |")
-    print("|---|---|---|---|---|---|---|")
+    print("| Shape | Chunks | Work (k) | Rule picks | 1 worker | 2 workers "
+          "| Pairs won (1 / 2) | Faster |")
+    print("|---|---|---|---|---|---|---|---|")
     with tempfile.TemporaryDirectory() as tmp:
         for shape in args.shapes.split(","):
             argv, lines = SHAPES[shape]
@@ -91,14 +103,15 @@ def main(argv=None) -> int:
             config, spec = call[:2]
             chunks = len(spec.distances) * -(-spec.n_trials // engine._CHUNK)
             try:
-                ms = {w: 1e3 * s for w, s in
-                      measure(package, call, args.pairs, args.warmup).items()}
+                seconds = measure(package, call, args.pairs, args.warmup)
             except ValueError as exc:
                 print(f"{shape}: {exc}", file=sys.stderr)
                 return 1
+            ms = {w: 1e3 * statistics.median(s) for w, s in seconds.items()}
+            won_1, won_2, faster = verdict(seconds)
             print(f"| {shape} | {chunks} | {engine._sweep_work(config, spec) / 1e3:.1f} "
                   f"| {engine.sweep_workers(config, spec, 2)} | {ms[1]:.1f} ms "
-                  f"| {ms[2]:.1f} ms | {1 if ms[1] <= ms[2] else 2} |", flush=True)
+                  f"| {ms[2]:.1f} ms | {won_1} / {won_2} | {faster} |", flush=True)
     return 0
 
 

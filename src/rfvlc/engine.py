@@ -28,7 +28,7 @@ global _chunk_stats_job, looked up at call time in this process and in
 the helpers alike.  Helpers are reaped only after the reduction and the
 rows, so they exit while this process builds the table.
 
-A helper costs a fixed ~10-12 ms (mostly copy-on-write faults in this
+A helper costs a fixed ~10-17 ms (mostly copy-on-write faults in this
 process after the fork), so k is capped not only by the chunks and the
 usable CPUs but by the sweep's estimated one-process work: one process
 per _SPLIT_WORK trial-equivalents (sweep_workers), a trial weighing one
@@ -63,11 +63,13 @@ _CHUNK = 4096  # trials per chunk and random stream; fixed so the worker
 _COUNT = np.uint16   # a chunk's trial counts: _CHUNK < 2**16, so they fit
 
 # One-process work, in trial-equivalents (_sweep_work), per process a sweep
-# may run: about twice a forked helper's fixed cost (~10-12 ms, or ~24k
-# trial-equivalents, on a 2-vCPU VM), since two processes halve the work
-# and add that cost.  Read at call time; scripts/split_breakeven.py
+# may run: a sweep splits in two from twice this.  Two processes halve the
+# work and add a forked helper's fixed cost (~10-17 ms on a 2-vCPU VM).
+# There scripts/split_breakeven.py found one process faster at 109k
+# (prp-sweep, 25 x 4096 trials) and two faster or even at 213k (dor-sweep,
+# 2 x 100k trials) in two runs of 30 pairs.  Read at call time; the script
 # measures the break-even on another host.
-_SPLIT_WORK = 48_000
+_SPLIT_WORK = 80_000
 
 # Trials per sweep point at most: run_sweep lists every chunk up front,
 # ~0.8 KB each, so 25 distances come to ~0.5 GB at this bound.

@@ -7,6 +7,8 @@ draw.  Trials are simulated as arrays, a chunk at a time and for every
 weather at once (simulate_trials): weather only attenuates optical paths.
 Consecutive sparse chunks are merged into one, whose interferers take one
 pass (simulate_chunks); every chunk still gets the bits it gets alone.
+A chunk only reads its stream (_draw); its group builds the merged lane
+arrays once (_merged) and turns its sums into each chunk's SINRs in place.
 The desired link's constants (desired_links) are computed once for all
 of a sweep's distances and handed to each chunk.
 The four operating modes are scored on the same trials, their reception
@@ -27,7 +29,7 @@ from .errors import InvalidArgumentError, UnsupportedModelError
 from .rf_channel import (FADING_RAYLEIGH, db_to_linear,
                          rf_mean_rx_power, rf_noise_power, sample_fading)
 from .scenario import (EXCLUSION_RADIUS_M, LANE_SAME, LANES,
-                       WEATHER_ATTENUATION_DB_PER_KM, ScenarioConfig,
+                       WEATHER_ATTENUATION_DB_PER_KM, Deployment, ScenarioConfig,
                        attenuation_factor, draw_deployment, exclusion_disc,
                        outside_exclusion, rsu_links, rsu_paths)
 from .vlc_channel import sees, seen_gain, vlc_noise_power, vlc_rx_electrical_power
@@ -62,13 +64,21 @@ _GROUP = 16
 _SIMPSON_PANELS = 20_000   # per integral in prp_rf_closed_form
 
 
-def sinr(signal, interference_sum, noise: float):
-    """signal / (interference + noise); signal and interference may be arrays."""
+def sinr(signal, interference_sum, noise: float, out=None):
+    """signal / (interference + noise); signal and interference may be arrays.
+
+    out, an array of the result's shape, receives the result (the same
+    operations, in place); it may be interference_sum itself.
+    """
     if noise <= 0:
         raise InvalidArgumentError("noise must be > 0")
-    if np.asarray(signal < 0).any() or np.asarray(interference_sum < 0).any():
+    # the least value, NaNs skipped, or 0: below 0 iff some value is, and
+    # one pass with no [W, n] flags
+    if any(np.fmin.reduce(x, axis=None, initial=0.0) < 0 for x in (signal, interference_sum)):
         raise InvalidArgumentError("signal and interference must be >= 0")
-    return signal / (interference_sum + noise)
+    if out is None:
+        return signal / (interference_sum + noise)
+    return np.divide(signal, np.add(interference_sum, noise, out=out), out=out)
 
 
 class DesiredLink(NamedTuple):
@@ -108,9 +118,20 @@ def vlc_snr(config: ScenarioConfig, weather: str) -> float:
     return float(link.s_vlc[0, 0] / link.n_vlc)
 
 
+class _Chunk(NamedTuple):
+    """One chunk's lane points as drawn (_draw), held until its group is
+    merged."""
+
+    counts: np.ndarray          # Deployment.counts, uint16 where they fit
+    coord: np.ndarray
+    active: list                # outside the exclusion disc, one array per lane
+    fade: np.ndarray            # one RF fade per lane point
+    lanes: tuple[slice, slice]  # Deployment.lane_slices()
+
+
 class _Drawn(NamedTuple):
-    """The lane points of one chunk, or of a merged group of chunks, as the
-    interferer pass reads them."""
+    """The lane points of a merged group of chunks, as the interferer pass
+    reads them."""
 
     n: int
     trial: np.ndarray
@@ -121,35 +142,42 @@ class _Drawn(NamedTuple):
 
 
 def _draw(config: ScenarioConfig, rng: np.random.Generator, n: int):
-    """A chunk of n trials, as _Drawn, and its n desired RF fades.
+    """A chunk of n trials, as _Chunk, and its n desired RF fades.
 
     The whole chunk's stream is read here, in one fixed order: the
     deployment (Poisson counts, lane positions), the desired fades, then
-    one fade per lane point in storage order.
+    one fade per lane point in storage order.  The trial index is left to
+    the group (_merged).  No count exceeds the chunk's lane points, so
+    where those fit in uint16 the counts are held as uint16 until the
+    group closes.
     """
     deployment = draw_deployment(config, rng, n)
     fade = sample_fading(config.rf, rng, n)
     lanes = deployment.lane_slices()
-    coord = deployment.coord
-    active = np.concatenate([outside_exclusion(config, lane, coord[part])
-                             for lane, part in zip(LANES, lanes)])
-    return _Drawn(n, deployment.trial, coord, active,
-                  sample_fading(config.rf, rng, len(coord)), lanes), fade
+    counts, coord = deployment.counts, deployment.coord
+    if len(coord) < 1 << 16:
+        counts = counts.astype(np.uint16)
+    active = [outside_exclusion(config, lane, coord[part]) for lane, part in zip(LANES, lanes)]
+    return _Chunk(counts, coord, active, sample_fading(config.rf, rng, len(coord)),
+                  lanes), fade
 
 
 def _merged(chunks: list) -> _Drawn:
     """A group's chunks as one _Drawn: each lane's points chunk after chunk,
-    the trials numbered after the earlier chunks'.  A group of one is
-    returned as is."""
+    their trials numbered after the earlier chunks' (Deployment.trial of
+    the chunks' counts side by side).  A group of one takes its chunk's
+    arrays as they are."""
     if len(chunks) == 1:
-        return chunks[0]
-    first = np.cumsum([0] + [c.n for c in chunks]).tolist()
-    parts = [(c, c.lanes[lane], a) for lane in LANES for c, a in zip(chunks, first)]
-    trial = np.concatenate([c.trial[part] + a for c, part, a in parts])
-    coord, active, fade = (np.concatenate([getattr(c, field)[part] for c, part, _ in parts])
-                           for field in ("coord", "active", "fade"))
+        chunk, = chunks
+        counts, coord, fade = chunk.counts, chunk.coord, chunk.fade
+    else:
+        counts = np.concatenate([c.counts for c in chunks], axis=1)
+        coord, fade = (np.concatenate([getattr(c, field)[c.lanes[lane]]
+                                       for lane in LANES for c in chunks])
+                       for field in ("coord", "fade"))
+    active = np.concatenate([c.active[lane] for lane in LANES for c in chunks])
     n_same = sum(c.lanes[0].stop for c in chunks)   # lane 0 starts at 0
-    return _Drawn(first[-1], trial, coord, active, fade,
+    return _Drawn(counts.shape[1], Deployment(counts, coord).trial, coord, active, fade,
                   (slice(0, n_same), slice(n_same, len(coord))))
 
 
@@ -252,41 +280,45 @@ def simulate_chunks(chunks, weathers):
     chunk with more points forms a group of its own.  Every chunk gets the
     bits it gets alone.
     """
-    group, load = [], np.zeros(2, dtype=np.int64)
+    group, load = [], (0, 0)   # the group's lane points, per lane
     for config, rng, n, link in chunks:
         drawn, fade = _draw(config, rng, n)
         points = [part.stop - part.start for part in drawn.lanes]
         chunk = config, drawn, link, fade
         del drawn, fade   # the chunk holds the draws
-        if group and (load + points > _BLOCK).any():
+        joined = [a + b for a, b in zip(load, points)]
+        if group and max(joined) > _BLOCK:
             yield from _group_sinrs(group, weathers)   # empties the group
-            load[:] = 0
+            joined = points
         group.append(chunk)
         del chunk   # only the group holds the draws, until they are scored
-        load += points
-        if len(group) == _GROUP or (load > _BLOCK).any():
+        load = joined
+        if len(group) == _GROUP or max(load) > _BLOCK:
             # no chunk can join this group: score it before the next draw
             yield from _group_sinrs(group, weathers)
-            load[:] = 0
+            load = (0, 0)
     if group:
         yield from _group_sinrs(group, weathers)
 
 
 def _group_sinrs(group: list, weathers):
-    """Each chunk's SINRs, from a group of (config, _Drawn, DesiredLink,
-    desired fades): one pass over the merged chunks, each chunk scored on
-    its own trials of the sums.  The group is emptied before the pass."""
+    """Each chunk's SINRs, from a group of (config, _Chunk, DesiredLink,
+    desired fades): one pass over the merged chunks, each chunk's SINRs
+    written in place over its own trials of the sums, [:, a:a+n], and
+    yielded as views of them.  The group is emptied before the pass."""
     drawn = _merged([chunk for _, chunk, _, _ in group])
-    scored = [(chunk.n, link, fade) for _, chunk, link, fade in group]
+    scored = [(link, fade) for _, _, link, fade in group]
     base = group[0][0]
     group.clear()   # only the merged draws are held through the pass
     i_vlc, i_rf = _interference_pass(drawn, base, weathers)
     del drawn
     a = 0
-    for n, link, fade in scored:
-        yield (sinr(link.s_vlc, i_vlc[:, a:a + n], link.n_vlc),
-               sinr(link.s_rf_mean * fade, i_rf[a:a + n], link.n_rf))
-        a += n
+    for link, fade in scored:
+        b = a + len(fade)
+        vlc, rf = i_vlc[:, a:b], i_rf[a:b]
+        yield (sinr(link.s_vlc, vlc, link.n_vlc, out=vlc),
+               sinr(np.multiply(link.s_rf_mean, fade, out=fade), rf, link.n_rf, out=rf))
+        a = b
 
 
 def _by_mode(sinr_vlc, sinr_rf, modes, dtype):

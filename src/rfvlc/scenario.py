@@ -278,8 +278,22 @@ class Deployment:
     """
 
     counts: np.ndarray
-    trial: np.ndarray
     coord: np.ndarray
+
+    @cached_property
+    def trial(self) -> np.ndarray:
+        """Each point's trial index, int32, computed from counts on first read.
+
+        Each nonzero count's trial is repeated by the count: a sparse
+        deployment, whose counts are mostly zero, repeats few entries, and
+        no integer array as long as counts is made.
+        """
+        n = self.counts.shape[1]
+        flat = self.counts.ravel()
+        nonzero = np.flatnonzero(flat != 0)
+        trial = nonzero.astype(np.int32)
+        trial[np.searchsorted(nonzero, n):] -= n   # the second lane's entries
+        return np.repeat(trial, flat[nonzero])
 
     def lane_slices(self) -> tuple[slice, slice]:
         n_same = int(self.counts[LANE_SAME].sum())
@@ -361,9 +375,7 @@ def draw_deployment(config: ScenarioConfig, rng: np.random.Generator,
     L = config.geometry.lane_half_length
     mean = config.lambda_density * config.rho_access * 2.0 * L
     counts = rng.poisson(mean, (2, n))
-    coord = rng.uniform(-L, L, int(counts.sum()))
-    trial = np.repeat(np.tile(np.arange(n, dtype=np.int32), 2), counts.ravel())
-    return Deployment(counts, trial, coord)
+    return Deployment(counts, rng.uniform(-L, L, int(counts.sum())))
 
 
 def interferer_counts(config: ScenarioConfig, deployment: Deployment) -> np.ndarray:

@@ -299,9 +299,14 @@ class TestCliWorkers:
         # the dor_pool benchmark: 2 x 16384 sparse trials, 8 chunks
         "dor_pool": (["dor-sweep", "--trials", "16384"], [], 1),
         "dor_default": (["dor-sweep"], [], 2),   # 2 x 100k trials
+        # the default 25 distances at one chunk each
+        "prp_grid_25": (["prp-sweep", "--trials", "4096"], [], 1),
         # lambda * rho = 1e-2: a trial weighs ~7.7 sparse ones
+        "dense_6x4096": (["prp-sweep", "--weather", "clear", "--distances",
+                          "10,25,50,100,150,200", "--trials", "4096"],
+                         ["rho_access = 1.0"], 2),
         "dense_4x4096": (["prp-sweep", "--weather", "clear", "--distances",
-                          "10,25,50,100", "--trials", "4096"], ["rho_access = 1.0"], 2),
+                          "10,25,50,100", "--trials", "4096"], ["rho_access = 1.0"], 1),
         "dense_2x4096": (["prp-sweep", "--weather", "clear", "--distances", "10,25",
                           "--trials", "4096"], ["rho_access = 1.0"], 1),
         "lambda_zero": (["prp-sweep", "--distances", "50,100,150", "--trials", "200"],

@@ -12,7 +12,7 @@ from rfvlc import (FADING_NAKAGAMI, FADING_RAYLEIGH, Pose3, ScenarioConfig,
                    vlc_noise_power, vlc_rx_electrical_power)
 from rfvlc import metrics
 from rfvlc.engine import trial_rng
-from rfvlc.metrics import _draw, _interference_pass, simulate_trials
+from rfvlc.metrics import _draw, _interference_pass, _merged, simulate_trials
 from rfvlc.scenario import (EXCLUSION_RADIUS_M, LANE_SAME, LANES, draw_deployment,
                             exclusion_disc, interferer_counts, outside_exclusion, rsu_links,
                             rsu_paths)
@@ -128,11 +128,17 @@ def _lit_points(config, deployment):
     return np.array(out)
 
 
+def _reference_trial(deployment):
+    """Each lane point's trial index, as draw_deployment once stored it."""
+    n = deployment.counts.shape[1]
+    return np.repeat(np.tile(np.arange(n, dtype=np.int32), 2), deployment.counts.ravel())
+
+
 def _interference_sums(config, weathers, rng, n):
     """VLC[W, n] and RF[n] interference sums of n trials drawn from rng, a
     group of one."""
-    drawn, _ = _draw(config, rng, n)
-    return _interference_pass(drawn, config, weathers)
+    chunk, _ = _draw(config, rng, n)
+    return _interference_pass(_merged([chunk]), config, weathers)
 
 
 def _kernel_sums(config, weather, seed, n):
@@ -212,19 +218,78 @@ def test_term_window_changes_no_bit(fading, rho_access, block, n, monkeypatch):
                               "off_axis"])
 def test_draw_reads_the_chunk_stream_in_order(config):
     # _draw reads a chunk's whole stream: the deployment, the n desired
-    # fades, then one fade per lane point, and nothing after them
+    # fades, then one fade per lane point, and nothing after them; a group
+    # of one (_merged) takes the chunk's arrays and the trial index
+    # Deployment.trial gives
     rng, by_hand = trial_rng(SEED), trial_rng(SEED)
-    drawn, fade = _draw(config, rng, N)
+    chunk, fade = _draw(config, rng, N)
     deployment = draw_deployment(config, by_hand, N)
     desired = sample_fading(config.rf, by_hand, N)
     lane_fades = sample_fading(config.rf, by_hand, len(deployment.coord))
-    active = np.concatenate([outside_exclusion(config, lane, deployment.coord[part])
-                             for lane, part in zip(LANES, deployment.lane_slices())])
-    assert drawn.n == N and drawn.lanes == deployment.lane_slices()
-    for got, want in ((drawn.trial, deployment.trial), (drawn.coord, deployment.coord),
-                      (fade, desired), (drawn.fade, lane_fades), (drawn.active, active)):
+    lanes = deployment.lane_slices()
+    masks = [outside_exclusion(config, lane, deployment.coord[part])
+             for lane, part in zip(LANES, lanes)]
+    assert chunk.lanes == lanes and len(chunk.active) == len(LANES)
+    # the counts' values, held as uint16 since every count fits
+    assert chunk.counts.dtype == np.uint16 and np.array_equal(chunk.counts, deployment.counts)
+    for got, want in ((chunk.coord, deployment.coord), (fade, desired),
+                      (chunk.fade, lane_fades), *zip(chunk.active, masks)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    drawn = _merged([chunk])
+    assert drawn.n == N and drawn.lanes == lanes
+    assert drawn.coord is chunk.coord and drawn.fade is chunk.fade
+    for got, want in ((drawn.trial, _reference_trial(deployment)),
+                      (drawn.coord, deployment.coord), (drawn.fade, lane_fades),
+                      (drawn.active, np.concatenate(masks))):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert rng.random() == by_hand.random()
+
+
+def test_a_group_is_built_bit_for_bit_from_its_chunks():
+    # chunks at 30, 100 and 150 m, each with its own exclusion disc, one of
+    # them with no lane point and the last one partial.  The group's arrays
+    # are each chunk's own, lane by lane, the trials renumbered after the
+    # earlier chunks'.
+    # lambda rho = 1e-3: 2 points per lane and trial
+    config = dataclasses.replace(ScenarioConfig(), rho_access=0.1)
+    empty = next(s for s in range(SEED, SEED + 10_000)
+                 if not draw_deployment(config, trial_rng(s), 1).counts.any())
+    shape = [(30.0, SEED, 2048), (100.0, empty, 1), (150.0, SEED + 1, 700),
+             (150.0, SEED + 2, 300)]
+    chunks, want, first = [], {lane: [] for lane in LANES}, 0
+    for distance, seed, n in shape:
+        cfg = config.with_distance(distance)
+        chunks.append(_draw(cfg, trial_rng(seed), n)[0])
+        by_hand = trial_rng(seed)
+        deployment = draw_deployment(cfg, by_hand, n)
+        sample_fading(cfg.rf, by_hand, n)
+        fades = sample_fading(cfg.rf, by_hand, len(deployment.coord))
+        for lane, part in zip(LANES, deployment.lane_slices()):
+            coord = deployment.coord[part]
+            want[lane].append((_reference_trial(deployment)[part] + first, coord,
+                               outside_exclusion(cfg, lane, coord), fades[part]))
+        first += n
+    assert not chunks[1].coord.size
+    drawn = _merged(chunks)
+    parts = [part for lane in LANES for part in want[lane]]
+    n_same = sum(len(coord) for _, coord, _, _ in want[LANE_SAME])
+    assert drawn.n == first
+    assert drawn.lanes == (slice(0, n_same), slice(n_same, len(drawn.coord)))
+    for got, field in zip((drawn.trial, drawn.coord, drawn.active, drawn.fade), zip(*parts)):
+        expected = np.concatenate(field)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    assert drawn.trial.dtype == np.int32
+    # the discs of the 30 m chunk and of a 150 m one cut their lanes
+    same = want[LANE_SAME]
+    assert not same[0][2].all() and not same[2][2].all()
+
+
+def test_counts_that_may_not_fit_uint16_stay_as_drawn():
+    # a full dense chunk has more lane points than uint16 holds
+    chunk, _ = _draw(DENSE, trial_rng(SEED), 4096)
+    deployment = draw_deployment(DENSE, trial_rng(SEED), 4096)
+    assert len(chunk.coord) >= 1 << 16 and chunk.counts.dtype == deployment.counts.dtype
+    assert _merged([chunk]).trial.tobytes() == _reference_trial(deployment).tobytes()
 
 
 def test_interferer_counts_match_the_reference_mask():

@@ -64,6 +64,28 @@ class TestSinr:
         with pytest.raises(InvalidArgumentError):
             sinr(-1.0, 0.0, 1.0)
 
+    def test_in_place_gives_the_same_bits(self):
+        # out may be the interference sums themselves, a strided view of a
+        # group's [W, trials] sums, as a pooled chunk's SINRs are written
+        rng = np.random.default_rng(3)
+        signal, noise = rng.random((4, 1)) * 1e-11, 1e-13
+        sums = rng.random((4, 50)) * 1e-12
+        view = sums[:, 10:30]
+        want = sinr(signal, view, noise)
+        got = sinr(signal, view, noise, out=view)
+        assert got is view and want.tobytes() == view.tobytes()
+        assert not np.shares_memory(want, sums)
+        # a negative term is caught before anything is written, a NaN
+        # beside it hiding nothing
+        sums[1, 5], sums[2, 7] = -1e-15, np.nan
+        before = sums.copy()
+        for out in (None, sums):
+            with pytest.raises(InvalidArgumentError):
+                sinr(signal, sums, noise, out=out)
+            with pytest.raises(InvalidArgumentError):
+                sinr(-signal, np.abs(sums), noise, out=out)
+        assert sums.tobytes() == before.tobytes()
+
     def test_db_to_linear(self):
         assert db_to_linear(0.0) == 1.0
         assert db_to_linear(10.0) == pytest.approx(10.0, rel=1e-12)

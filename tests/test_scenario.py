@@ -10,7 +10,7 @@ from scipy import stats
 from rfvlc import (WEATHER_ATTENUATION_DB_PER_KM, WEATHER_KINDS,
                    InvalidArgumentError, ScenarioConfig, SweepSpec,
                    attenuation_factor, draw_deployment, validate)
-from rfvlc.scenario import (EXCLUSION_RADIUS_M, LANE_SAME, LANES,
+from rfvlc.scenario import (EXCLUSION_RADIUS_M, LANE_SAME, LANES, Deployment,
                             interferer_counts, outside_exclusion, rsu_paths)
 
 
@@ -213,3 +213,51 @@ class TestSampleInterferers:
         # the radius really removes drawn points
         deployment = draw_deployment(cfg, np.random.default_rng(4), 20)
         assert interferer_counts(cfg, deployment).sum() < len(deployment.coord)
+
+
+def _reference_trial(counts):
+    """Each lane point's trial index, as draw_deployment once stored it."""
+    n = counts.shape[1]
+    return np.repeat(np.tile(np.arange(n, dtype=np.int32), 2), counts.ravel())
+
+
+class TestDeploymentTrial:
+    @pytest.mark.parametrize("mean, n", [(0.1, 4096), (3.0, 50), (40.0, 7), (0.0, 300),
+                                         (0.5, 1), (0.5, 0)],
+                             ids=["sparse", "both_lanes", "dense", "all_empty", "one_trial",
+                                  "no_trial"])
+    def test_trial_is_computed_from_the_counts_on_read(self, mean, n):
+        # zero-point trials on either lane, both lanes busy, no point at all
+        counts = np.random.default_rng(11).poisson(mean, (2, n))
+        if 0 < mean < 1 and n > 1:
+            assert (counts == 0).any() and counts.any()
+        deployment = Deployment(counts, np.zeros(int(counts.sum())))
+        assert "trial" not in vars(deployment)   # nothing computed before the read
+        trial = deployment.trial
+        want = _reference_trial(counts)
+        assert trial.dtype == np.int32 and trial.tobytes() == want.tobytes()
+        assert deployment.trial is trial   # computed once
+        # the counts as uint16 (as a pooled chunk holds them) give the same index
+        narrow = Deployment(counts.astype(np.uint16), deployment.coord).trial
+        assert narrow.dtype == np.int32 and narrow.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rho_access", [1e-2, 1.0])
+    def test_draw_deployment_reads_the_counts_then_the_positions(self, rho_access):
+        config = dataclasses.replace(ScenarioConfig(), rho_access=rho_access, distance_r=30.0)
+        rng, by_hand = np.random.default_rng(5), np.random.default_rng(5)
+        deployment = draw_deployment(config, rng, 500)
+        L = config.geometry.lane_half_length
+        counts = by_hand.poisson(config.lambda_density * config.rho_access * 2.0 * L, (2, 500))
+        coord = by_hand.uniform(-L, L, int(counts.sum()))
+        assert deployment.counts.tobytes() == counts.tobytes()
+        assert deployment.coord.tobytes() == coord.tobytes()
+        assert rng.random() == by_hand.random()
+        # interferer_counts reads the index computed on read as it read the stored one
+        want = np.zeros_like(counts)
+        trial = _reference_trial(counts)
+        for lane, part in zip(LANES, deployment.lane_slices()):
+            keep = outside_exclusion(config, lane, coord[part])
+            want[lane] = np.bincount(trial[part][keep], minlength=500)
+        got = interferer_counts(config, deployment)
+        assert got.dtype == counts.dtype and np.array_equal(got, want)
+        assert 0 < got.sum() <= len(coord)

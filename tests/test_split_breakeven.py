@@ -27,7 +27,8 @@ def test_one_pair_of_a_shape_the_rule_keeps_in_one_process(breakeven, capsys):
                            "--warmup", "0"]) == 0
     row = capsys.readouterr().out.splitlines()[-1].split(" | ")
     assert row[:4] == ["| dense_clear_2", "2", "62.8", "1"]
-    assert row[-1] in ("1 |", "2 |")
+    # one pair: its winner won every pair, unless the two took equal time
+    assert (row[-2], row[-1]) in (("1 / 0", "1 |"), ("0 / 1", "2 |"), ("0 / 0", "tie |"))
 
 
 def test_the_two_worker_side_splits_and_restores_the_cap(breakeven, monkeypatch, tmp_path):
@@ -54,7 +55,20 @@ def test_rows_that_differ_fail_the_shape(breakeven, monkeypatch):
                         lambda package, call, workers: (1.0, f"csv {workers}\n"))
     with pytest.raises(ValueError, match="side 2 rows differ in pair 0"):
         breakeven.measure(None, None, 2, 0)
-    # equal CSV text: each worker count's median over the timed pairs
+    # equal CSV text: each worker count's seconds over the timed pairs
     monkeypatch.setattr(breakeven, "split_timed",
                         lambda package, call, workers: (workers / 10, "csv\n"))
-    assert breakeven.measure(None, None, 3, 1) == {1: 0.1, 2: 0.2}
+    assert breakeven.measure(None, None, 3, 1) == {1: [0.1] * 3, 2: [0.2] * 3}
+
+
+@pytest.mark.parametrize("won_1, won_2, ties, faster", [
+    (10, 0, 0, "1"), (9, 1, 0, "1"), (8, 2, 0, "tie"), (1, 9, 0, "2"), (0, 18, 2, "2"),
+    (0, 17, 3, "tie"), (5, 5, 0, "tie"), (0, 0, 4, "tie"), (27, 3, 0, "1"), (26, 4, 0, "tie"),
+], ids=["all", "9_of_10", "8_of_10", "2_wins", "ties_count_against", "too_many_ties",
+        "even", "all_equal", "27_of_30", "26_of_30"])
+def test_a_side_is_faster_only_where_it_wins_9_in_10_pairs(
+        breakeven, won_1, won_2, ties, faster):
+    # a pair of equal times is won by neither side
+    one = [1.0] * won_1 + [2.0] * won_2 + [1.5] * ties
+    two = [2.0] * won_1 + [1.0] * won_2 + [1.5] * ties
+    assert breakeven.verdict({1: one, 2: two}) == (won_1, won_2, faster)
