@@ -2,7 +2,6 @@
 
 from .engine import MetricEstimate, SweepRow, SweepSpec, derive_seed, run_sweep
 from .errors import ConfigError, InvalidArgumentError, UnsupportedModelError
-from .estimate import confidence_interval
 from .metrics import (MODE_LA, MODE_NON_LA, MODE_PURE_RF, MODE_PURE_VLC,
                       MODES, db_to_linear, minimum_transmission_time, mode_rates,
                       mode_success, outage_rate, prp_rf_closed_form,
@@ -12,7 +11,7 @@ from .rf_channel import (FADING_NAKAGAMI, FADING_RAYLEIGH, RfParams,
 from .scenario import (WEATHER_ATTENUATION_DB_PER_KM, WEATHER_KINDS, Deployment,
                        LaneGeometry, Pose3, ScenarioConfig, attenuation_factor,
                        draw_deployment, validate)
-from .vlc_channel import (VlcParams, lambertian_order, los_gain, vlc_noise_power,
+from .vlc_channel import (VlcParams, lambertian_order, vlc_noise_power,
                           vlc_rx_electrical_power)
 
 __version__ = "0.3.0"

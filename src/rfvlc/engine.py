@@ -71,8 +71,8 @@ _COUNT = np.uint16   # a chunk's trial counts: _CHUNK < 2**16, so they fit
 # measures the break-even on another host.
 _SPLIT_WORK = 80_000
 
-# Trials per sweep point at most: run_sweep lists every chunk up front,
-# ~0.8 KB each, so 25 distances come to ~0.5 GB at this bound.
+# Trials per sweep point at most: run_sweep holds a job (~185 B) and a partial per
+# chunk (~281 B for prp, ~1.1 KB for dor's [10, 4, 3]): ~0.28 GB for prp at 25 distances.
 _MAX_TRIALS = 10**8
 
 # Recorded in run manifests: SplitMix64 keys one PCG64 stream per chunk.

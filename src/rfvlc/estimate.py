@@ -2,8 +2,7 @@
 
 proportion_estimates and mean_estimates compute whole arrays of
 estimates at once, a sweep's rows in one pass (a scalar input gives one
-estimate); confidence_interval is the Wilson interval of one proportion,
-through the same arithmetic, so every formula exists once.
+estimate).
 """
 
 from __future__ import annotations
@@ -61,8 +60,3 @@ def mean_estimates(total, total_sq, n: int):
     stderr = np.sqrt(np.where(var > 0.0, var, 0.0) / n)   # max(0.0, var)
     return mean, stderr, mean - Z_95 * stderr, mean + Z_95 * stderr
 
-
-def confidence_interval(successes: int, n: int) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion at 95%."""
-    _, _, low, high = proportion_estimates(successes, n)
-    return float(low), float(high)

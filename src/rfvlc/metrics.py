@@ -120,7 +120,8 @@ def vlc_snr(config: ScenarioConfig, weather: str) -> float:
 
 class _Chunk(NamedTuple):
     """One chunk's lane points as drawn (_draw), held until its group is
-    merged."""
+    merged.  Apart from _Drawn so that no group holds its counts through the
+    pass: one record, its trial built in the pass, ran as fast and peaked higher."""
 
     counts: np.ndarray          # Deployment.counts, uint16 where they fit
     coord: np.ndarray

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .rf_channel import RfParams, rf_mean_rx_power, rf_noise_power
-from .vlc_channel import (VlcParams, concentrator_gain, lambertian_order,
-                          los_gain, path_gain, vlc_noise_power, vlc_rx_electrical_power)
+from .vlc_channel import (VlcParams, concentrator_gain, lambertian_order, path_gain,
+                          vlc_noise_power, vlc_rx_electrical_power)
 
 # No interferer may fall within this distance of the desired vehicle
 # (vehicles cannot physically overlap; also avoids singular draws).
@@ -246,8 +246,7 @@ def _derived_problems(vlc: VlcParams, rf: RfParams, rsu_height: float,
         return tuple(out)
     near = np.float64(rsu_height - tx_height)
     with np.errstate(all="ignore"):
-        up, down = (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)
-        peak_vlc = vlc_rx_electrical_power(los_gain(0.0, 0.0, near, up, down, vlc), 1.0, vlc)
+        peak_vlc = vlc_rx_electrical_power(path_gain(near * near, 1.0, 1.0, vlc), 1.0, vlc)
         for link, peak, noise, bandwidth in (
                 ("vlc", peak_vlc, vlc_noise_power(vlc), vlc.bandwidth),
                 ("rf", rf_mean_rx_power(near, rf), rf_noise_power(rf), rf.bandwidth)):
@@ -308,8 +307,8 @@ def rsu_paths(config: ScenarioConfig, lane: int, coord):
 
     A headlamp points along its lane toward the intersection, above which
     the RSU sits, so cos_phi is |dx| / d on LANE_SAME and |dy| / d on the
-    other lane: the bits los_cosines gives on that axis, whose zero
-    components add only signed zeros.  coord is a scalar or an array; no
+    other lane: the bits of the offset's dot product with that axis,
+    whose zero components add only signed zeros.  coord is a scalar or an array; no
     exclusion is applied.  The desired vehicle is the point distance_r of
     LANE_SAME.
     """
@@ -377,12 +376,3 @@ def draw_deployment(config: ScenarioConfig, rng: np.random.Generator,
     counts = rng.poisson(mean, (2, n))
     return Deployment(counts, rng.uniform(-L, L, int(counts.sum())))
 
-
-def interferer_counts(config: ScenarioConfig, deployment: Deployment) -> np.ndarray:
-    """Interferers per lane and trial: the counts outside the exclusion radius."""
-    n = deployment.counts.shape[1]
-    out = np.empty_like(deployment.counts)
-    for lane, part in zip(LANES, deployment.lane_slices()):
-        active = outside_exclusion(config, lane, deployment.coord[part])
-        out[lane] = np.bincount(deployment.trial[part][active], minlength=n)
-    return out

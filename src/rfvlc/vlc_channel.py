@@ -62,22 +62,6 @@ def concentrator_gain(params: VlcParams) -> float:
     return n * n / sin2 if sin2 > 0.0 else math.inf
 
 
-def los_cosines(dx, dy, dz, d, tx_axis, rx_axis, params: VlcParams):
-    """(cos_phi, cos_psi, seen) of LOS paths from emitters to detectors.
-
-    phi is the emission angle off the tx boresight, psi the incidence
-    angle off the rx normal; seen is True where the detector sees the
-    emitter: in front of the emitter and inside the receiver FOV.
-    (dx, dy, dz) are the emitter -> detector offsets and d their length,
-    scalars or one entry per link; tx_axis and rx_axis are unit (x, y, z)
-    triples whose components may be scalars or per-link arrays.
-    """
-    cos_phi = (dx * tx_axis[0] + dy * tx_axis[1] + dz * tx_axis[2]) / d
-    # rx -> tx direction against the receiver normal
-    cos_psi = (-dx * rx_axis[0] - dy * rx_axis[1] - dz * rx_axis[2]) / d
-    return cos_phi, cos_psi, sees(cos_phi, cos_psi, params)
-
-
 def sees(cos_phi, cos_psi, params: VlcParams):
     """True where the detector sees the emitter of a LOS path with these
     cosines: in front of the emitter and inside the receiver FOV."""
@@ -106,15 +90,6 @@ def path_gain(d2, cos_phi, cos_psi, params: VlcParams):
     seen = sees(cos_phi, cos_psi, params)
     # unseen paths get zero cosines, hence a zero lobe and gain
     return seen_gain(d2, np.where(seen, cos_phi, 0.0), np.where(seen, cos_psi, 0.0), params)
-
-
-def los_gain(dx, dy, dz, tx_axis, rx_axis, params: VlcParams) -> np.ndarray:
-    """DC channel gain of LOS paths from emitters to detectors (path_gain).
-    Arguments as in los_cosines; offsets must be nonzero.
-    """
-    d2 = dx * dx + dy * dy + dz * dz
-    cos_phi, cos_psi, _ = los_cosines(dx, dy, dz, np.sqrt(d2), tx_axis, rx_axis, params)
-    return path_gain(d2, cos_phi, cos_psi, params)
 
 
 def vlc_rx_electrical_power(gain, weather_factor, params: VlcParams):

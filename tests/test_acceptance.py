@@ -23,7 +23,7 @@ from rfvlc import (FADING_RAYLEIGH, MODE_LA, MODE_PURE_RF, MODE_PURE_VLC,
 from rfvlc import engine
 from rfvlc.cli import main as cli_main
 from rfvlc.engine import trial_rng
-from rfvlc.scenario import LANE_SAME, interferer_counts
+from rfvlc.scenario import LANE_SAME, outside_exclusion
 
 ALL_WEATHERS = WEATHER_KINDS
 CLEAR = ("clear",)
@@ -325,7 +325,9 @@ def test_criterion_10_statistical_sanity(capsys):
     """Poisson deployment chi-square and fading mean / KS at the 1% level."""
     cfg = ScenarioConfig()
     deployment = draw_deployment(cfg, np.random.default_rng(1010), 50_000)
-    same = interferer_counts(cfg, deployment)[LANE_SAME]
+    part = deployment.lane_slices()[LANE_SAME]
+    active = outside_exclusion(cfg, LANE_SAME, deployment.coord[part])
+    same = np.bincount(deployment.trial[part][active], minlength=deployment.counts.shape[1])
     p0 = stats.poisson.pmf(0, 0.1)
     p1 = stats.poisson.pmf(1, 0.1)
     observed = np.array([(same == 0).sum(), (same == 1).sum(), (same >= 2).sum()])

@@ -1,10 +1,14 @@
-"""The benchmark's view of rfvlc: every name it imports exists, and its
-independent PPP oracle agrees with metrics.prp_rf_closed_form."""
+"""The benchmark's view of rfvlc: every name it imports exists, its set-up
+probe runs, and its independent PPP oracle agrees with
+metrics.prp_rf_closed_form."""
 
 import ast
 import dataclasses
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,7 +17,8 @@ import rfvlc.cli
 from rfvlc import ScenarioConfig, SweepSpec, prp_rf_closed_form, run_sweep
 from rfvlc.engine import _CHUNK
 
-BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARKS = ROOT / "benchmarks"
 
 
 def _rfvlc_imports():
@@ -43,6 +48,34 @@ def test_benchmark_imports_something_from_rfvlc():
                          ids=lambda v: str(v))
 def test_benchmark_import_resolves(file, module, name):
     assert hasattr(importlib.import_module(module), name), f"{file}: {module}.{name}"
+
+
+def _setup_probe():
+    """The source that bench.py's measure_setup runs in a fresh interpreter."""
+    tree = ast.parse((BENCHMARKS / "bench.py").read_text(encoding="utf-8"))
+    setup, = (node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "measure_setup")
+    probe, = (node.value.value for node in ast.walk(setup)
+              if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "probe")
+    return probe
+
+
+@pytest.mark.parametrize("text, code", [("seed = 1\ntrials = 4096\n", 0),
+                                        ("rho_access = 1.0\n", 0),
+                                        ("rho_access = 2.0\n", 1)],
+                         ids=["default", "dense", "invalid"])
+def test_benchmark_setup_probe_runs(tmp_path, text, code):
+    # measure_setup records a failed probe as a failed set-up check on
+    # every workload: it must pass on the workloads' configs, and fail
+    # on one that does not validate
+    cfg = tmp_path / "workload.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _setup_probe(), str(cfg)], cwd=ROOT,
+                          env=env, capture_output=True, timeout=60)
+    assert proc.returncode == code, proc.stderr.decode(errors="replace")[-300:]
 
 
 def test_cli_keeps_the_names_the_benchmark_hooks():

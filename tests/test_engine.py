@@ -13,7 +13,7 @@ import pytest
 
 from rfvlc import (ConfigError, InvalidArgumentError, MODE_LA, MODE_PURE_RF,
                    MODE_PURE_VLC, WEATHER_KINDS, ScenarioConfig, SweepSpec,
-                   confidence_interval, derive_seed, prp_rf_closed_form, run_sweep)
+                   derive_seed, prp_rf_closed_form, run_sweep)
 from rfvlc import engine, metrics, scenario
 from rfvlc.engine import _CHUNK, trial_rng
 from rfvlc.metrics import mode_rates, mode_success, outage_rate, simulate_trials
@@ -77,23 +77,28 @@ class TestDeriveSeed:
         assert not np.array_equal(a, c)
 
 
+def _wilson(successes, n):
+    """The Wilson 95% interval (low, high) of one count, as floats."""
+    return tuple(map(float, proportion_estimates(successes, n)[2:]))
+
+
 class TestEstimators:
     def test_wilson_midpoint_example(self):
-        low, high = confidence_interval(50, 100)
+        low, high = _wilson(50, 100)
         assert low == pytest.approx(0.40383, abs=1e-4)
         assert high == pytest.approx(0.59617, abs=1e-4)
 
     def test_wilson_stays_in_unit_interval(self):
-        assert confidence_interval(0, 50)[0] == 0.0
-        assert confidence_interval(50, 50)[1] == 1.0
-        low, high = confidence_interval(1, 1000)
+        assert _wilson(0, 50)[0] == 0.0
+        assert _wilson(50, 50)[1] == 1.0
+        low, high = _wilson(1, 1000)
         assert 0.0 < low < 1 / 1000 < high < 1.0
 
     def test_wilson_bad_inputs(self):
         with pytest.raises(InvalidArgumentError):
-            confidence_interval(5, 0)
+            _wilson(5, 0)
         with pytest.raises(InvalidArgumentError):
-            confidence_interval(6, 5)
+            _wilson(6, 5)
 
     def test_proportion_stderr(self):
         est = _proportion(30, 100)
@@ -157,7 +162,7 @@ class TestArrayEstimators:
         got = _rows_of(proportion_estimates(k.reshape(2, 3, -1), n), n)
         assert got == [_proportion(x, n) for x in k.tolist()]
         assert got == [_reference_proportion(x, n) for x in k.tolist()]
-        assert confidence_interval(int(k[7]), n) == (got[7].ci95_low, got[7].ci95_high)
+        assert _wilson(int(k[7]), n) == (got[7].ci95_low, got[7].ci95_high)
 
     @pytest.mark.parametrize("n", [100, 4096 + 300, 10**8])
     def test_means(self, n):

@@ -8,15 +8,14 @@ import pytest
 
 from rfvlc import (FADING_NAKAGAMI, FADING_RAYLEIGH, Pose3, ScenarioConfig,
                    WEATHER_ATTENUATION_DB_PER_KM, WEATHER_KINDS, attenuation_factor,
-                   los_gain, rf_mean_rx_power, rf_noise_power, sample_fading, sinr,
+                   rf_mean_rx_power, rf_noise_power, sample_fading, sinr,
                    vlc_noise_power, vlc_rx_electrical_power)
 from rfvlc import metrics
 from rfvlc.engine import trial_rng
 from rfvlc.metrics import _draw, _interference_pass, _merged, simulate_trials
 from rfvlc.scenario import (EXCLUSION_RADIUS_M, LANE_SAME, LANES, draw_deployment,
-                            exclusion_disc, interferer_counts, outside_exclusion, rsu_links,
-                            rsu_paths)
-from rfvlc.vlc_channel import los_cosines, sees, seen_gain
+                            exclusion_disc, outside_exclusion, rsu_links, rsu_paths)
+from rfvlc.vlc_channel import path_gain, sees, seen_gain
 
 # lambda * rho = 1e-2: ~20 interferers per trial; rain makes the optical
 # attenuation factor differ from 1.
@@ -56,11 +55,28 @@ def _desired_vehicle(config):
                  axis=(-1.0, 0.0, 0.0))
 
 
+def _los_cosines(dx, dy, dz, d, tx_axis, rx_axis):
+    """(cos_phi, cos_psi) of LOS paths with emitter -> detector offsets
+    (dx, dy, dz) of length d: the emission cosine off the unit tx boresight
+    and the incidence cosine off the unit rx normal, as dot products.  The
+    offsets and the axes' components are scalars or per-link arrays."""
+    cos_phi = (dx * tx_axis[0] + dy * tx_axis[1] + dz * tx_axis[2]) / d
+    # rx -> tx direction against the receiver normal
+    cos_psi = (-dx * rx_axis[0] - dy * rx_axis[1] - dz * rx_axis[2]) / d
+    return cos_phi, cos_psi
+
+
+def _los_gain(dx, dy, dz, tx_axis, rx_axis, params):
+    """path_gain of LOS paths from their offsets and axes (_los_cosines)."""
+    d2 = dx * dx + dy * dy + dz * dz
+    return path_gain(d2, *_los_cosines(dx, dy, dz, np.sqrt(d2), tx_axis, rx_axis), params)
+
+
 def _link(tx, rx, config):
     """(distance, Lambertian gain) of the LOS link from pose tx to pose rx."""
     dx, dy, dz = rx.x - tx.x, rx.y - tx.y, rx.z - tx.z
     return (math.dist((rx.x, rx.y, rx.z), (tx.x, tx.y, tx.z)),
-            float(los_gain(dx, dy, dz, tx.axis, rx.axis, config.vlc)))
+            float(_los_gain(dx, dy, dz, tx.axis, rx.axis, config.vlc)))
 
 
 def _lane_poses(config, deployment):
@@ -299,12 +315,16 @@ def test_interferer_counts_match_the_reference_mask():
     expected = np.zeros((2, N), dtype=int)
     for k, (t, keep) in enumerate(zip(deployment.trial, active)):
         expected[int(k >= n_same), t] += keep
-    assert np.array_equal(interferer_counts(DENSE, deployment), expected)
+    got = []   # the interferers per lane and trial: the mask counted over Deployment.trial
+    for lane, part in zip(LANES, deployment.lane_slices()):
+        keep = outside_exclusion(DENSE, lane, deployment.coord[part])
+        got.append(np.bincount(deployment.trial[part][keep], minlength=N))
+    assert np.array_equal(got, expected)
     assert 0 < expected.sum() < len(active)
 
 
 def test_rsu_paths_match_the_reference_deployment():
-    # the scalar reference's poses give, through the scalar los_cosines,
+    # the scalar reference's poses give, through the scalar _los_cosines,
     # every path rsu_paths gives the kernel, bit for bit
     deployment = draw_deployment(DENSE, trial_rng(SEED), N)
     poses, active = _lane_poses(DENSE, deployment)
@@ -317,8 +337,7 @@ def test_rsu_paths_match_the_reference_deployment():
             dx, dy, dz = rsu.x - p.x, rsu.y - p.y, rsu.z - p.z
             d2 = dx * dx + dy * dy + dz * dz
             d = math.sqrt(d2)
-            expected.append([d2, d, *los_cosines(dx, dy, dz, d, p.axis, rsu.axis,
-                                                 DENSE.vlc)[:2]])
+            expected.append([d2, d, *_los_cosines(dx, dy, dz, d, p.axis, rsu.axis)])
         assert np.transpose(rsu_paths(DENSE, lane, coord)).tobytes() == \
             np.array(expected).tobytes()
         assert outside_exclusion(DENSE, lane, coord).tolist() == active[part]
@@ -342,8 +361,8 @@ def _headlamp_axes(config, lane, coord):
 @pytest.mark.parametrize("tilt_deg", [0.0, 45.0, 90.0])
 @pytest.mark.parametrize("lane", LANES)
 def test_rsu_paths_match_los_cosines_on_headlamp_axes(lane, tilt_deg, fov):
-    # rsu_paths and rsu_links give, byte for byte, what los_cosines and
-    # los_gain give on per-point headlamp axes.  Both lanes run off the
+    # rsu_paths and rsu_links give, byte for byte, what _los_cosines and
+    # _los_gain give on per-point headlamp axes.  Both lanes run off the
     # axes, and the desired vehicle sits 0.5 m from the perpendicular
     # lane, so the exclusion disc cuts both.  The lane points are 0.0,
     # -0.0, +-L, points across the disc and uniform ones.
@@ -358,12 +377,13 @@ def test_rsu_paths_match_los_cosines_on_headlamp_axes(lane, tilt_deg, fov):
     rx_axis = config.geometry.rsu_pose.axis
     d2 = offsets[0] * offsets[0] + offsets[1] * offsets[1] + offsets[2] * offsets[2]
     d = np.sqrt(d2)
-    cos_phi, cos_psi, seen = los_cosines(*offsets, d, axis, rx_axis, config.vlc)
+    cos_phi, cos_psi = _los_cosines(*offsets, d, axis, rx_axis)
+    seen = sees(cos_phi, cos_psi, config.vlc)
     got = rsu_paths(config, lane, coord)
     for a, b in zip(got, (d2, d, cos_phi, cos_psi)):
         assert a.tobytes() == b.tobytes()
     assert sees(*got[2:], config.vlc).tobytes() == seen.tobytes()
-    gain = los_gain(*offsets, axis, rx_axis, config.vlc)
+    gain = _los_gain(*offsets, axis, rx_axis, config.vlc)
     d_link, gain_link = rsu_links(config, lane, coord)
     assert d_link.tobytes() == d.tobytes() and gain_link.tobytes() == gain.tobytes()
     # one point at a time, as the desired link calls it
@@ -456,5 +476,6 @@ def test_kernel_evaluates_gains_on_lit_points_only(config, same, perp, monkeypat
     lit = _lit_points(config, deployment)
     assert sum(sizes) == lit.sum()
     # the share of each lane's interferers that is lit
-    share = lit / interferer_counts(config, deployment).sum(axis=1)
+    share = lit / [outside_exclusion(config, lane, deployment.coord[part]).sum()
+                   for lane, part in zip(LANES, deployment.lane_slices())]
     assert same[0] <= share[0] <= same[1] and perp[0] <= share[1] <= perp[1]

@@ -19,8 +19,7 @@ from rfvlc import (InvalidArgumentError, MODE_LA, MODE_NON_LA, MODE_PURE_RF,
                    vlc_cutoff_distance, vlc_noise_power, vlc_rx_electrical_power,
                    vlc_snr)
 from rfvlc.estimate import proportion_estimates
-from rfvlc.scenario import (LANE_SAME, LANES, interferer_counts, outside_exclusion,
-                            rsu_links)
+from rfvlc.scenario import LANE_SAME, LANES, outside_exclusion, rsu_links
 
 NO_INTERFERENCE = dataclasses.replace(ScenarioConfig(), lambda_density=0.0)
 # Both decode thresholds at 0 dB: a link decodes iff its SINR >= 1.
@@ -102,7 +101,7 @@ class TestRunTrial:
         assert len(values) == 1
         assert values.pop() == vlc_snr(NO_INTERFERENCE, CLEAR)
         deployment = draw_deployment(NO_INTERFERENCE, np.random.default_rng(31), 500)
-        assert not interferer_counts(NO_INTERFERENCE, deployment).any()
+        assert not deployment.counts.any()   # no lane point, hence no interferer
 
     def test_rf_sinr_is_scaled_exponential_without_interferers(self):
         # sinr_rf = (P_mean / N) * g with g ~ exp(1)

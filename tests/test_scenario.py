@@ -8,10 +8,13 @@ import pytest
 from scipy import stats
 
 from rfvlc import (WEATHER_ATTENUATION_DB_PER_KM, WEATHER_KINDS,
-                   InvalidArgumentError, ScenarioConfig, SweepSpec,
-                   attenuation_factor, draw_deployment, validate)
-from rfvlc.scenario import (EXCLUSION_RADIUS_M, LANE_SAME, LANES, Deployment,
-                            interferer_counts, outside_exclusion, rsu_paths)
+                   InvalidArgumentError, ScenarioConfig, SweepSpec, VlcParams,
+                   attenuation_factor, draw_deployment, rf_mean_rx_power, rf_noise_power,
+                   validate, vlc_noise_power, vlc_rx_electrical_power)
+from rfvlc import scenario
+from rfvlc.scenario import (_POWER_HEADROOM, EXCLUSION_RADIUS_M, LANE_SAME, LANES,
+                            Deployment, _derived_problems, outside_exclusion, rsu_paths)
+from rfvlc.vlc_channel import path_gain
 
 
 class TestAttenuationFactor:
@@ -108,10 +111,85 @@ class TestValidate:
             "geometry.rsu_height: must exceed geometry.tx_height"]
 
 
+def _offset_peak_vlc(near, vlc):
+    """The VLC peak power as validate once bounded it: the LOS path from an
+    emitter aimed up to a detector near above it facing down, its cosines
+    the dot products of the 3-D offset with the two axes over its length."""
+    dx, dy, dz = 0.0, 0.0, near
+    d2 = dx * dx + dy * dy + dz * dz
+    d = np.sqrt(d2)
+    cos_phi = (dx * 0.0 + dy * 0.0 + dz * 1.0) / d
+    cos_psi = (-dx * 0.0 - dy * 0.0 - dz * -1.0) / d
+    return vlc_rx_electrical_power(path_gain(d2, cos_phi, cos_psi, vlc), 1.0, vlc)
+
+
+def _peak_flagged(peak, noise, bandwidth):
+    """Whether validate flags a link of this peak power: not a normal float,
+    not finite times _POWER_HEADROOM alone or over the noise, or a peak
+    rate whose square times _POWER_HEADROOM overflows."""
+    top = peak * _POWER_HEADROOM
+    mbps = bandwidth * np.log2(1.0 + top / noise) / 1e6
+    return not (peak >= np.finfo(float).tiny and np.isfinite(top)
+                and np.isfinite(top / noise) and np.isfinite(mbps * mbps * _POWER_HEADROOM))
+
+
+class TestPeakBound:
+    def test_verdicts_match_the_offset_bound(self, monkeypatch):
+        # The VLC peak straight below the RSU takes both cosines as 1.  Through
+        # the offsets they are near / sqrt(near**2): 1 unless near**2 is
+        # subnormal (near ~1e-160 to 1e-154) or 0.  There a peak that read nan
+        # reads inf, and validate flags the link either way.
+        gains = []   # the VLC peak gains validate computes
+        monkeypatch.setattr(scenario, "path_gain",
+                            lambda *args: gains.append(path_gain(*args)) or gains[-1])
+        rf = ScenarioConfig().rf
+        nears = np.concatenate([np.geomspace(1e-320, 1e300, 150),
+                                np.geomspace(1e-160, 1e-154, 60)])
+        vlcs = [VlcParams(semi_angle_half_power=angle, fov=fov)
+                for angle in (1e-5, 30.0, 60.0, 89.0) for fov in (1e-3, 60.0, 90.0)]
+        vlc_verdicts, differ = set(), 0
+        for near in nears.tolist():
+            for rsu_height, tx_height in ((2.0 * near, near), (near + 0.75, 0.75)):
+                if not rsu_height > tx_height:
+                    continue
+                at = np.float64(rsu_height - tx_height)
+                with np.errstate(all="ignore"):
+                    flag_rf = _peak_flagged(rf_mean_rx_power(at, rf), rf_noise_power(rf),
+                                            rf.bandwidth)
+                    for vlc in vlcs:
+                        problems = _derived_problems.__wrapped__(vlc, rf, rsu_height,
+                                                                 tx_height)
+                        old = _offset_peak_vlc(at, vlc)
+                        new = vlc_rx_electrical_power(gains.pop(), 1.0, vlc)
+                        if old.tobytes() != new.tobytes():
+                            # near**2 is 0 or subnormal: inf * 0 was nan
+                            assert np.isnan(old) and new == math.inf, (near, vlc)
+                            differ += 1
+                        flag_vlc = _peak_flagged(old, vlc_noise_power(vlc), vlc.bandwidth)
+                        flagged = {p.split(":")[0] for p in problems}
+                        want = {link for link, flag in (("vlc", flag_vlc), ("rf", flag_rf))
+                                if flag}
+                        assert flagged == want, (rsu_height, tx_height, vlc, problems)
+                        vlc_verdicts.add(flag_vlc)
+        # the VLC link both flagged and passed, and the subnormal corner reached
+        assert vlc_verdicts == {False, True} and differ > 0
+
+
+def _interferer_counts(config, deployment):
+    """Interferers per lane and trial: the lane points outside the
+    exclusion radius, counted over Deployment.trial."""
+    n = deployment.counts.shape[1]
+    counts = []
+    for lane, part in zip(LANES, deployment.lane_slices()):
+        active = outside_exclusion(config, lane, deployment.coord[part])
+        counts.append(np.bincount(deployment.trial[part][active], minlength=n))
+    return np.array(counts)
+
+
 def _lane_counts(config, seed, n_draws):
     # interferers per (lane, draw), from one kernel deployment of n_draws trials
     rng = np.random.default_rng(seed)
-    return interferer_counts(config, draw_deployment(config, rng, n_draws))
+    return _interferer_counts(config, draw_deployment(config, rng, n_draws))
 
 
 def _count_draws(config, seed, n_draws):
@@ -212,7 +290,7 @@ class TestSampleInterferers:
             assert (d > EXCLUSION_RADIUS_M).all()
         # the radius really removes drawn points
         deployment = draw_deployment(cfg, np.random.default_rng(4), 20)
-        assert interferer_counts(cfg, deployment).sum() < len(deployment.coord)
+        assert _interferer_counts(cfg, deployment).sum() < len(deployment.coord)
 
 
 def _reference_trial(counts):
@@ -252,12 +330,12 @@ class TestDeploymentTrial:
         assert deployment.counts.tobytes() == counts.tobytes()
         assert deployment.coord.tobytes() == coord.tobytes()
         assert rng.random() == by_hand.random()
-        # interferer_counts reads the index computed on read as it read the stored one
+        # the index computed on read counts the interferers as the stored one did
         want = np.zeros_like(counts)
         trial = _reference_trial(counts)
         for lane, part in zip(LANES, deployment.lane_slices()):
             keep = outside_exclusion(config, lane, coord[part])
             want[lane] = np.bincount(trial[part][keep], minlength=500)
-        got = interferer_counts(config, deployment)
+        got = _interferer_counts(config, deployment)
         assert got.dtype == counts.dtype and np.array_equal(got, want)
         assert 0 < got.sum() <= len(coord)

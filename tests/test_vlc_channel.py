@@ -6,20 +6,20 @@ import math
 import numpy as np
 import pytest
 
-from rfvlc import (InvalidArgumentError, VlcParams, lambertian_order, los_gain,
-                   vlc_noise_power, vlc_rx_electrical_power)
-from rfvlc.vlc_channel import concentrator_gain
+from rfvlc import (InvalidArgumentError, VlcParams, lambertian_order, vlc_noise_power,
+                   vlc_rx_electrical_power)
+from rfvlc.vlc_channel import concentrator_gain, path_gain
 
 # m=1 emitter, unity concentrator (fov 90 deg, n=1), unity filter
 _SIMPLE = VlcParams(semi_angle_half_power=60.0, pd_area=1e-4, fov=90.0,
                     optical_filter_gain=1.0, concentrator_refractive_index=1.0,
                     optical_tx_power=1.0, responsivity=0.5)
-UP, DOWN = (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)
+COS_45 = math.cos(math.pi / 4)
 
 
 def _aligned(distance, params=_SIMPLE):
     # emitter aimed straight up at a detector facing straight down
-    return los_gain(0.0, 0.0, distance, UP, DOWN, params)
+    return path_gain(distance * distance, 1.0, 1.0, params)
 
 
 class TestLambertianOrder:
@@ -84,18 +84,16 @@ class TestLosGain:
         # cos^2(phi) = 1/2 and cos(psi) = cos 45 relative to the aligned case
         params = dataclasses.replace(_SIMPLE, semi_angle_half_power=45.0)
         d = 10.0
-        c = d / math.sqrt(2.0)
-        expected = _aligned(d, params) * 0.5 * math.cos(math.pi / 4)
-        assert los_gain(c, 0.0, c, UP, DOWN, params) == pytest.approx(expected, rel=1e-12)
+        expected = _aligned(d, params) * 0.5 * COS_45
+        assert path_gain(d * d, COS_45, COS_45, params) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_outside_fov(self):
         params = dataclasses.replace(_SIMPLE, fov=30.0)
-        c = 10.0 / math.sqrt(2.0)
-        assert los_gain(c, 0.0, c, UP, DOWN, params) == 0.0  # incidence 45 > 30 deg
+        assert path_gain(100.0, COS_45, COS_45, params) == 0.0  # incidence 45 > 30 deg
 
     def test_zero_behind_emitter(self):
-        # detector 5 m below an emitter aimed up
-        assert los_gain(0.0, 0.0, -5.0, UP, UP, _SIMPLE) == 0.0
+        # detector 5 m below an emitter aimed up, facing it: emission at 180 deg
+        assert path_gain(25.0, -1.0, 1.0, _SIMPLE) == 0.0
 
 
 class TestElectricalPower:
