@@ -17,9 +17,14 @@ probe launches; the probes and any sweep helpers are child processes and
 are reported apart, as minor_faults_children).  Next to the commit the
 benchmark reports, git_dirty records whether the checkout had uncommitted
 changes to tracked files (null outside a git checkout), since the commit
-alone does not say which tree ran.  It exits 1, after writing
-the summary, if any run reports a failed benchmark check, and names those
-runs on stderr.
+alone does not say which tree ran.  Each metric's summary holds the pairs
+each side won and scripts/ab_sweep.py's verdict: a side is better only
+where it won at least 9 in 10 pairs and its median beats the other's by
+more than the parent's interquartile range, else "tie".  (ab_sweep.py
+times sweeps in one process, and with --workers 1,2 one process against
+two.)  It exits 1,
+after writing the summary, if any run reports a failed benchmark check,
+and names those runs on stderr.
 """
 
 from __future__ import annotations
@@ -33,6 +38,9 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from ab_sweep import pair_count, verdict  # noqa: E402
 
 _METRICS = {"trials_per_s": ("1/s", "higher"), "setup_s": ("s", "lower"),
             "peak_rss_mb": ("MB", "lower"), "raw_trials_per_s": ("1/s", "higher"),
@@ -84,7 +92,7 @@ def main() -> int:
     parser.add_argument("--parent")
     parser.add_argument("--change")
     parser.add_argument("--workloads", default="prp_sparse,dense_interference,dor_pool")
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=pair_count, default=10)
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--seed0", type=int, default=1)
     parser.add_argument("--out")
@@ -119,10 +127,8 @@ def main() -> int:
         for name, (unit, better) in _METRICS.items():
             a = [r[name] for r in records["parent"]]
             b = [r[name] for r in records["change"]]
-            wins = sum((y > x) if better == "higher" else (y < x) for x, y in zip(a, b))
             summary[name] = {"unit": unit, "better": better, "parent": _summary(a),
-                             "change": _summary(b),
-                             "change_better_pairs": f"{wins}/{len(a)}",
+                             "change": _summary(b), **verdict(a, b, better),
                              "change_over_parent": statistics.median(b) / statistics.median(a)}
         out["workloads"][workload] = summary
     text = json.dumps(out, indent=1) + "\n"

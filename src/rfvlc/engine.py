@@ -65,10 +65,10 @@ _COUNT = np.uint16   # a chunk's trial counts: _CHUNK < 2**16, so they fit
 # One-process work, in trial-equivalents (_sweep_work), per process a sweep
 # may run: a sweep splits in two from twice this.  Two processes halve the
 # work and add a forked helper's fixed cost (~10-17 ms on a 2-vCPU VM).
-# There scripts/split_breakeven.py found one process faster at 109k
-# (prp-sweep, 25 x 4096 trials) and two faster or even at 213k (dor-sweep,
-# 2 x 100k trials) in two runs of 30 pairs.  Read at call time; the script
-# measures the break-even on another host.
+# There 1 against 2 workers in two runs of 30 pairs found one process faster
+# at 109k (prp-sweep, 25 x 4096 trials) and two faster or even at 213k
+# (dor-sweep, 2 x 100k trials).  Read at call time; `scripts/ab_sweep.py
+# --workers 1,2` measures the break-even on another host.
 _SPLIT_WORK = 80_000
 
 # Trials per sweep point at most: run_sweep holds a job (~185 B) and a partial per

@@ -1,4 +1,5 @@
-"""scripts/ab_sweep.py: its sweeps, its summary and its row check."""
+"""scripts/ab_sweep.py: its sweeps, its summary, its verdict, its forced
+split and its row check."""
 
 import importlib.util
 import json
@@ -28,10 +29,9 @@ def test_sweeps_mirror_the_benchmark_workloads(monkeypatch):
     ab_sweep = _load(SCRIPT, "ab_sweep", monkeypatch)
     monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
     bench = _load(ROOT / "benchmarks" / "bench.py", "benchmark_bench", monkeypatch)
-    assert set(ab_sweep.SWEEPS) == set(bench.WORKLOADS)
-    for name, (argv, lines, trials) in ab_sweep.SWEEPS.items():
-        w = bench.WORKLOADS[name]
-        assert (argv, lines, trials) == (w.argv, w.config, w.trials)
+    assert len(ab_sweep.SWEEPS) == 7
+    for name, w in bench.WORKLOADS.items():
+        assert ab_sweep.SWEEPS[name] == (w.argv, w.config, w.trials)
 
 
 class _Captured(Exception):
@@ -99,16 +99,8 @@ def test_timed_counts_the_csv_text(monkeypatch):
     assert seconds >= 0.05 and text == "prp: ('row',)"
 
 
-def test_one_checkout_against_itself(monkeypatch, capsys):
-    # real run_sweep calls on both sides: equal CSV text, exit 0, one summary
-    ab_sweep = _load(SCRIPT, "ab_sweep", monkeypatch)
-    assert ab_sweep.main(["--parent", str(ROOT), "--change", str(ROOT),
-                          "--sweeps", "prp_sparse", "--pairs", "2", "--warmup", "0"]) == 0
-    summary = json.loads(capsys.readouterr().out)["sweeps"]["prp_sparse"]
-    assert summary["pairs"] == 2 and 0 <= summary["change_faster_pairs"] <= 2
-    # one traced call per side; a prp_sparse sweep holds a group's sums, over 0.1 MB
-    assert summary["parent_peak_mb"] > 0.1 and summary["change_peak_mb"] > 0.1
-    # each side is the checkout's package under its own name
+def _forget_sides():
+    """Unload both sides' packages; each was the checkout's under its own name."""
     for name in ("rfvlc_parent", "rfvlc_change"):
         package = sys.modules.pop(name)
         for sub in [m for m in sys.modules if m.startswith(name + ".")]:
@@ -116,27 +108,118 @@ def test_one_checkout_against_itself(monkeypatch, capsys):
         assert Path(package.__file__).parent == ROOT / "src" / "rfvlc"
 
 
-@pytest.mark.parametrize("same_rows", [True, False])
-def test_speedup_summary_and_row_check(monkeypatch, same_rows):
+@pytest.mark.parametrize("workers", [None, "1,2"], ids=["as_in_the_table", "forced_split"])
+def test_one_checkout_against_itself(monkeypatch, capsys, workers):
+    # real run_sweep calls on both sides: equal CSV text, exit 0, one summary
+    ab_sweep = _load(SCRIPT, "ab_sweep", monkeypatch)
+    argv = ["--sweeps", "dense_clear_2", "--pairs", "2", "--warmup", "0"]
+    argv += ["--workers", workers] if workers else []
+    assert ab_sweep.main(["--parent", str(ROOT), "--change", str(ROOT), *argv]) == 0
+    _forget_sides()
+    out = json.loads(capsys.readouterr().out)
+    assert out["workers"] == (workers and {"parent": 1, "change": 2})
+    summary = out["sweeps"]["dense_clear_2"]
+    assert summary["pairs"] == 2 and summary["parent_won"] + summary["change_won"] <= 2
+    assert summary["verdict"] in ("parent", "change", "tie")
+    # below 2 x _SPLIT_WORK, so one process on any host
+    assert summary["cap_picks"] == 1 and summary["work_k"] == pytest.approx(62.8, abs=0.1)
+    # one traced call per side; a dense sweep holds a chunk's sums, over 0.1 MB
+    assert summary["parent_peak_mb"] > 0.1 and summary["change_peak_mb"] > 0.1
+
+
+def test_the_forced_side_starts_one_helper_and_restores_the_cap(monkeypatch, tmp_path):
+    ab_sweep = _load(SCRIPT, "ab_sweep", monkeypatch)
+    package = ab_sweep.load(str(ROOT), "rfvlc_forced")
+    monkeypatch.delitem(sys.modules, "rfvlc_forced")
+    engine = package.engine
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+    started = []
+    start_helper = engine._start_helper
+    monkeypatch.setattr(engine, "_start_helper",
+                        lambda share: started.append(share) or start_helper(share))
+    argv, lines, _ = ab_sweep.SWEEPS["dense_clear_2"]
+    call = ab_sweep.cli_call(package, [*argv, "--trials", "200"], ["seed = 1", *lines],
+                             tmp_path / "sweep.cfg")
+    split_work = engine._SPLIT_WORK
+    assert call[3] == 2 and engine.sweep_workers(*call[:2], 2) == 1
+    one = ab_sweep.timed(package, call[:3] + (1,), force=True)[1]
+    assert started == []
+    assert ab_sweep.timed(package, call, force=False)[1] == one and started == []
+    assert ab_sweep.timed(package, call, force=True)[1] == one
+    assert len(started) == 1 and engine._SPLIT_WORK == split_work
+    ab_sweep.traced_peak_mb(package, call, force=True)
+    assert len(started) == 2 and engine._SPLIT_WORK == split_work
+
+
+def test_rows_that_differ_exit_1(monkeypatch, capsys):
+    ab_sweep = _load(SCRIPT, "ab_sweep", monkeypatch)
+    monkeypatch.setattr(ab_sweep, "timed", lambda package, call, force: (
+        1.0, f"csv {package.__name__} {call[3]}\n"))
+    assert ab_sweep.main(["--parent", str(ROOT), "--change", str(ROOT), "--workers", "2,2",
+                          "--sweeps", "dor_pool", "--pairs", "2"]) == 1
+    _forget_sides()
+    assert capsys.readouterr().err == "dor_pool: side change rows differ in pair 0\n"
+
+
+@pytest.mark.parametrize("argv", [["--pairs", "1"], ["--pairs", "0"], ["--workers", "2"],
+                                  ["--workers", "0,2"], ["--workers", "1,2,2"]])
+def test_bad_options_exit_2_before_any_sweep(monkeypatch, capsys, argv):
+    ab_sweep = _load(SCRIPT, "ab_sweep", monkeypatch)
+    monkeypatch.setattr(ab_sweep, "load", lambda tree, name: pytest.fail("loaded"))
+    with pytest.raises(SystemExit) as exc:
+        ab_sweep.main(["--parent", str(ROOT), "--change", str(ROOT), *argv])
+    assert exc.value.code == 2 and argv[0] in capsys.readouterr().err
+
+
+def test_speedup_summary(monkeypatch):
     ab_sweep = _load(SCRIPT, "ab_sweep", monkeypatch)
     calls = []
 
-    def timed(package, call):
+    def timed(package, call, force):
         # stand-in: the change takes half the parent's time
         calls.append(package)
-        rows = "a,b\n" if same_rows or package == "parent" else "a,c\n"
-        return (2.0 if package == "parent" else 1.0), rows
+        return (2.0 if package == "parent" else 1.0), "a,b\n"
 
     monkeypatch.setattr(ab_sweep, "timed", timed)
     packages = {"parent": "parent", "change": "change"}
-    if not same_rows:
-        with pytest.raises(ValueError, match="side change rows differ in pair 0"):
-            ab_sweep.compare(packages, packages, 4, warmup=1)
-        return
     summary = ab_sweep.compare(packages, packages, 4, warmup=1)
     assert calls == ["parent", "change", "change", "parent"] * 2 + ["parent", "change"]
-    assert summary["pairs"] == 4 and summary["change_faster_pairs"] == 4
+    assert summary["pairs"] == 4 and summary["change_won"] == 4
     assert summary["speedup_median"] == summary["speedup_q1"] == 2.0
+    assert summary["verdict"] == "change"
+
+
+@pytest.mark.parametrize("won_1, won_2, ties, faster", [
+    (10, 0, 0, "parent"), (9, 1, 0, "parent"), (8, 2, 0, "tie"), (1, 9, 0, "change"),
+    (0, 18, 2, "change"), (0, 17, 3, "tie"), (5, 5, 0, "tie"), (0, 0, 4, "tie"),
+    (27, 3, 0, "parent"), (26, 4, 0, "tie"),
+], ids=["all", "9_of_10", "8_of_10", "change_wins", "ties_count_against", "too_many_ties",
+        "even", "all_equal", "27_of_30", "26_of_30"])
+@pytest.mark.parametrize("better", ["lower", "higher"])
+def test_a_side_is_better_only_where_it_wins_9_in_10_pairs(
+        monkeypatch, better, won_1, won_2, ties, faster):
+    # seconds: a pair of equal times is won by neither side; negated, the
+    # same pairs as a higher-is-better metric
+    ab_sweep = _load(SCRIPT, "ab_sweep", monkeypatch)
+    parent = [1.0] * won_1 + [2.0] * won_2 + [1.5] * ties
+    change = [2.0] * won_1 + [1.0] * won_2 + [1.5] * ties
+    if better == "higher":
+        parent, change = [-x for x in parent], [-x for x in change]
+    assert ab_sweep.verdict(parent, change, better) == {
+        "parent_won": won_1, "change_won": won_2, "verdict": faster}
+
+
+@pytest.mark.parametrize("shift, faster", [
+    (0.5, "tie"), (-0.5, "tie"), (4.5, "tie"), (-4.5, "tie"), (5.0, "parent"),
+    (-5.0, "change")])
+def test_a_gap_inside_the_parents_interquartile_range_is_a_tie(monkeypatch, shift, faster):
+    # the change shifts every pair one way, so one side wins 10 in 10; the
+    # parent's quartiles are 3.25 and 7.75, so only a gap over 4.5 counts
+    ab_sweep = _load(SCRIPT, "ab_sweep", monkeypatch)
+    parent = [float(x) for x in range(1, 11)]
+    change = [x + shift for x in parent]
+    assert ab_sweep.verdict(parent, change, "lower") == {
+        "parent_won": 10 * (shift > 0), "change_won": 10 * (shift < 0), "verdict": faster}
 
 
 def test_traced_peak_counts_the_call_and_stops_tracing(monkeypatch):

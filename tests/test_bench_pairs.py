@@ -37,10 +37,25 @@ def test_failed_checks_exit_1_after_the_summary(monkeypatch, tmp_path, capsys, f
     assert bench_pairs.main() == (0 if failing is None else 1)
     summary = json.loads(out.read_text(encoding="utf-8"))
     assert len(summary["runs"]) == 4
+    # equal values in every pair: won by neither side
+    assert {key: summary["workloads"]["dor_pool"]["trials_per_s"][key]
+            for key in ("parent_won", "change_won", "verdict")} == {
+        "parent_won": 0, "change_won": 0, "verdict": "tie"}
     named = [line for line in capsys.readouterr().err.splitlines()
              if line.startswith("failed checks:")]
     assert named == ([] if failing is None
                      else ["failed checks: dor_pool change seed 2 (1 failed)"])
+
+
+def test_one_pair_exits_2_before_any_run(monkeypatch, capsys):
+    bench_pairs = _load()
+    monkeypatch.setattr(bench_pairs.subprocess, "run",
+                        lambda *args, **kwargs: pytest.fail("ran a benchmark"))
+    monkeypatch.setattr(sys, "argv", [str(SCRIPT), "--parent", "p", "--change", "c",
+                                      "--pairs", "1"])
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main()
+    assert exc.value.code == 2 and "need at least 2 pairs" in capsys.readouterr().err
 
 
 def _git(tree, *args):
