@@ -1,41 +1,45 @@
 #!/usr/bin/env python3
-"""Same-process A/B timing of sweeps and their CSV text on two checkouts.
+"""Alternating before/after pairs of two checkouts: sweeps or benchmark runs.
 
-Loads each checkout's src/rfvlc under a package name of its own
-(rfvlc_parent, rfvlc_change) into this one process, then times
-alternating calls of run_sweep and cli._sweep_csv, which turns the rows
-into the CSV text the benchmark hashes:
+Without --seconds, sweeps run in this one process: each checkout's
+src/rfvlc is loaded under a name of its own (rfvlc_parent, rfvlc_change),
+and a pair times one call per side of run_sweep plus cli._sweep_csv (the
+CSV text the benchmark hashes), the config and spec from each checkout's
+own cli.sweep_call:
 
     python3 scripts/ab_sweep.py --parent ../parent --change . \\
         --sweeps prp_sparse,dense_interference,dor_pool --pairs 200
 
-The first three sweeps mirror benchmarks/bench.py's workloads (same
-subcommand, flags, config lines and trials per point, seed 1); the other
-four are more shapes of the work cap's split.  Each sweep's config and
-spec come from each checkout's own CLI (cli.sweep_call, which both
-checkouts must have).  A pair runs both sides once, alternating which
-runs first.  Every call's CSV text must equal the first call's, or the
-script exits 1.
-
-With --workers P,C the parent side runs on P processes and the change
-side on C, the split forced above one (engine._SPLIT_WORK is 1 for the
-call, so a helper is forked whatever the sweep's work).  On one checkout
-this times where splitting pays, to re-derive engine._SPLIT_WORK on
-another host as half the work from which two processes run faster:
-
-    python3 scripts/ab_sweep.py --parent . --change . --workers 1,2 --pairs 30
-
-It prints, per sweep, each side's median seconds, the median per-pair
-speedup (parent seconds over change seconds) and its quartiles, the
-verdict (see verdict()), the processes the change's work cap picks for
-the larger worker count (engine.sweep_workers), the sweep's work W
-(engine._sweep_work, in thousands of trial-equivalents), and each side's
-tracemalloc peak (MB, 10^6 bytes) from one more untimed call after the
-pairs, as one JSON object.  The peak is this process's: a sweep that
-forks helpers traces none of their memory.  Both sides share the
-interpreter, the heap and the host's noise, so pairs taken this way
-separate changes of a few percent that fresh-process benchmark pairs
+The first three sweeps mirror benchmarks/bench.py's workloads (seed 1);
+the other four are more shapes of the work cap's split.  Every call's CSV
+text must equal the first call's, or the script exits 1.  With --workers
+P,C the parent runs on P processes and the change on C, the split forced
+above one (engine._SPLIT_WORK is 1 for the call): on one checkout,
+--workers 1,2 re-derives _SPLIT_WORK on another host.  Per sweep it
+reports each side's median seconds, the per-pair speedup's quartiles,
+the verdict, the change's engine.sweep_workers pick (cap_picks), the work
+W in thousands (work_k), and each side's tracemalloc peak (MB) of one
+more call, which misses forked helpers.  Sharing one interpreter and
+heap, these pairs separate changes of a few percent that benchmark pairs
 cannot.
+
+With --seconds S, a pair calls benchmarks/bench.py's run() once per side,
+as `bench.py --trace 0` does, each in a fresh interpreter, with seed
+--seed0 plus the pair index, on the benchmark's workloads only:
+
+    python3 scripts/ab_sweep.py --parent ../parent --change . \\
+        --pairs 10 --seconds 10 --seed0 1501 --out BENCH_15.json
+
+A run records the host-scaled metrics, the raw trials/s and slowdown
+from the benchmark's log, its own minor page faults (the set-up probes'
+and helpers' apart, as minor_faults_children), git_commit and git_dirty
+(uncommitted changes to tracked files; null outside a git checkout).  It
+exits 1 after the summary if any run reports a failed check.
+
+In both modes the parent runs first on even pairs, verdict() names a
+better side, and the JSON goes to stdout or --out.  A missing side, an
+option of the other mode, an unknown sweep or fewer than 2 pairs exit 2
+before any run.
 """
 
 from __future__ import annotations
@@ -45,7 +49,11 @@ import gc
 import importlib
 import importlib.util
 import json
+import os
+import re
+import resource
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -54,6 +62,7 @@ from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
+SIDES = ("parent", "change")
 # name -> (command line, config lines, trials per point); the first three
 # as in bench.py
 SWEEPS = {
@@ -67,7 +76,13 @@ SWEEPS = {
     "dense_clear_2": (("prp-sweep", "--workers", "2", "--weather", "clear",
                        "--distances", "10,25"), ("rho_access = 1.0",), 4096),
 }
+WORKLOADS = tuple(SWEEPS)[:3]   # bench.WORKLOADS
 SEED = 1
+# what a benchmark pair summarises: name -> (unit, better)
+BENCH_METRICS = {"trials_per_s": ("1/s", "higher"), "setup_s": ("s", "lower"),
+                 "peak_rss_mb": ("MB", "lower"), "raw_trials_per_s": ("1/s", "higher"),
+                 "slowdown": ("ratio", "lower"),
+                 "minor_faults_per_repeat": ("count", "lower")}
 
 
 def load(tree: str, name: str):
@@ -138,19 +153,24 @@ def traced_peak_mb(package, call, force: bool = False) -> float:
         tracemalloc.stop()
 
 
+def run_order(pair: int) -> tuple[str, str]:
+    """The sides in the order a pair runs them: the parent first on even pairs."""
+    return SIDES if pair % 2 == 0 else SIDES[::-1]
+
+
 def timed_pairs(sides: dict, pairs: int, warmup: int = 0) -> dict:
     """Each side's seconds over alternating pairs, the first warmup of them
     untimed.
 
-    sides maps a name to a call that runs the side once and returns its
-    seconds and its rows (as CSV text, say).  A pair calls every side
-    once, in order on even pairs and in reverse on odd ones.  ValueError
-    if any call's rows differ from the first call's.
+    sides maps "parent" and "change" to a call that runs the side once and
+    returns its seconds and its rows (as CSV text, say); a pair calls them
+    in run_order.  ValueError if any call's rows differ from the first
+    call's.
     """
-    seconds = {side: [] for side in sides}
+    seconds = {side: [] for side in SIDES}
     expected = None
     for i in range(warmup + pairs):
-        for side in list(sides)[::1 if i % 2 == 0 else -1]:
+        for side in run_order(i):
             wall, rows = sides[side]()
             expected = expected or rows
             if rows != expected:
@@ -206,16 +226,9 @@ def worker_counts(text: str) -> dict:
     return {"parent": int(counts[0]), "change": int(counts[1])}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True)
-    parser.add_argument("--change", required=True)
-    parser.add_argument("--sweeps", default=",".join(SWEEPS))
-    parser.add_argument("--pairs", type=pair_count, default=200)
-    parser.add_argument("--warmup", type=int, default=2, help="untimed pairs per sweep")
-    parser.add_argument("--workers", type=worker_counts, metavar="P,C",
-                        help="parent and change processes, the split forced above one")
-    args = parser.parse_args(argv)
+def sweep_pairs(args) -> tuple[dict | None, int]:
+    """The in-process summary of every sweep and the exit status: no
+    summary and 1, the sweep named on stderr, if a call's rows differ."""
     packages = {"parent": load(args.parent, "rfvlc_parent"),
                 "change": load(args.change, "rfvlc_change")}
     # the process-wide heap settings cli.main makes, as in the benchmark
@@ -227,7 +240,7 @@ def main(argv=None) -> int:
            "workers": args.workers, "split_work": engine._SPLIT_WORK,
            "usable_cpus": engine._usable_cpus(), "sweeps": {}}
     with tempfile.TemporaryDirectory() as tmp:
-        for sweep in args.sweeps.split(","):
+        for sweep in args.sweeps:
             calls = {side: sweep_call(p, sweep, Path(tmp)) for side, p in packages.items()}
             if force:
                 calls = {side: call[:3] + (args.workers[side],) for side, call in calls.items()}
@@ -236,7 +249,7 @@ def main(argv=None) -> int:
                 summary = compare(packages, calls, args.pairs, args.warmup, force)
             except ValueError as exc:
                 print(f"{sweep}: {exc}", file=sys.stderr)
-                return 1
+                return None, 1
             summary.update(
                 cap_picks=engine.sweep_workers(config, spec, max(c[3] for c in calls.values())),
                 work_k=engine._sweep_work(config, spec) / 1e3,
@@ -244,8 +257,138 @@ def main(argv=None) -> int:
                    for side, p in packages.items()})
             out["sweeps"][sweep] = summary
             print(json.dumps({sweep: summary}), file=sys.stderr)
-    print(json.dumps(out, indent=1))
-    return 0
+    return out, 0
+
+
+def git_dirty(tree: str) -> bool | None:
+    """Whether a checkout has uncommitted changes to tracked files; None if
+    it is not a git checkout of its own (git searches no directory above it)."""
+    root = Path(tree).resolve()
+    env = dict(os.environ, GIT_CEILING_DIRECTORIES=str(root.parent))
+    try:
+        proc = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
+                              cwd=root, env=env, capture_output=True, text=True, timeout=30)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return bool(proc.stdout.strip()) if proc.returncode == 0 else None
+
+
+def bench_one(tree: str, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run of a checkout, in this process."""
+    sys.path.insert(0, str(Path(tree, "benchmarks").resolve()))
+    import bench
+
+    ru = [resource.getrusage(who).ru_minflt
+          for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]
+    result = bench.run(workload, seed, seconds, False)
+    faults, children = (resource.getrusage(who).ru_minflt - before for who, before in
+                        zip((resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN), ru))
+    log = "\n".join(result["log"])
+    repeats = int(re.search(r"repeats (\d+);", log).group(1))
+    record = {name: value for name, (value, _) in result["metrics"].items()}
+    record.update(
+        raw_trials_per_s=float(re.search(r"measured trials/s (\S+)", log).group(1)),
+        slowdown=float(re.search(r"slowdown (\S+)", log).group(1)),
+        repeats=repeats, minor_faults=faults, minor_faults_per_repeat=faults / repeats,
+        minor_faults_children=children, failed_checks=result["failed"],
+        git_commit=result["env"]["git_commit"], git_dirty=git_dirty(tree))
+    return record
+
+
+def _quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "runs": len(values)}
+
+
+def bench_pairs(args) -> tuple[dict, int]:
+    """The benchmark summary of every workload, each run in a fresh
+    interpreter (this script's hidden --one entry), and the exit status:
+    1, the runs named on stderr, if any run reports a failed check."""
+    trees = {"parent": args.parent, "change": args.change}
+    out = {"command": "python3 benchmarks/bench.py --workload <workload> --seed <seed> "
+                      f"--seconds {args.seconds:g} --trace 0, through "
+                      "scripts/ab_sweep.py --seconds",
+           "runs": [], "workloads": {}}
+    for workload in args.sweeps:
+        records = {side: [] for side in SIDES}
+        for i in range(args.pairs):
+            seed = args.seed0 + i
+            for side in run_order(i):
+                proc = subprocess.run(
+                    [sys.executable, __file__, "--one", trees[side], workload, str(seed),
+                     str(args.seconds)], capture_output=True, text=True, check=True)
+                record = json.loads(proc.stdout.splitlines()[-1])
+                record.update(workload=workload, side=side, seed=seed, pair=i,
+                              first=run_order(i)[0])
+                records[side].append(record)
+                out["runs"].append(record)
+                print(json.dumps(record), file=sys.stderr)
+        summary = {}
+        for name, (unit, better) in BENCH_METRICS.items():
+            a = [r[name] for r in records["parent"]]
+            b = [r[name] for r in records["change"]]
+            summary[name] = {"unit": unit, "better": better, "parent": _quartiles(a),
+                             "change": _quartiles(b), **verdict(a, b, better),
+                             "change_over_parent": statistics.median(b) / statistics.median(a)}
+        out["workloads"][workload] = summary
+    failed = [r for r in out["runs"] if r["failed_checks"] > 0]
+    for r in failed:
+        print(f"failed checks: {r['workload']} {r['side']} seed {r['seed']} "
+              f"({r['failed_checks']} failed)", file=sys.stderr)
+    return out, 1 if failed else 0
+
+
+def parse_args(argv) -> argparse.Namespace:
+    """The options, each mode's defaults filled in; exit 2 on an option of
+    the other mode, an unknown sweep, negative warm-up pairs or a run
+    length that is not positive."""
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True)
+    parser.add_argument("--change", required=True)
+    parser.add_argument("--sweeps", help="comma-separated (default: all of the mode's)")
+    parser.add_argument("--pairs", type=pair_count, help="default 200, or 10 with --seconds")
+    parser.add_argument("--out", help="write the JSON summary here, not to stdout")
+    parser.add_argument("--seconds", type=float, help="benchmark pairs of S-second runs")
+    parser.add_argument("--seed0", type=int, help="with --seconds: the first pair's seed "
+                                                  "(default 1)")
+    parser.add_argument("--warmup", type=int, help="untimed pairs per sweep (default 2)")
+    parser.add_argument("--workers", type=worker_counts, metavar="P,C",
+                        help="parent and change processes, the split forced above one")
+    args = parser.parse_args(argv)
+    benchmark = args.seconds is not None
+    for option in ("warmup", "workers") if benchmark else ("seed0",):
+        if getattr(args, option) is not None:
+            parser.error(f"--{option} goes only with{'out' if benchmark else ''} --seconds")
+    if benchmark and not args.seconds > 0:
+        parser.error(f"--seconds must be positive, not {args.seconds:g}")
+    if args.warmup is not None and args.warmup < 0:
+        parser.error(f"--warmup must be at least 0, not {args.warmup}")
+    known = WORKLOADS if benchmark else tuple(SWEEPS)
+    args.sweeps = list(known) if args.sweeps is None else args.sweeps.split(",")
+    unknown = [sweep for sweep in args.sweeps if sweep not in known]
+    if unknown:
+        parser.error(f"--sweeps: {','.join(unknown)} not among {','.join(known)}")
+    args.pairs = args.pairs or (10 if benchmark else 200)
+    args.warmup = 2 if args.warmup is None else args.warmup
+    args.seed0 = 1 if args.seed0 is None else args.seed0
+    return args
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--one"]:   # TREE WORKLOAD SEED SECONDS: one run of bench_pairs
+        tree, workload, seed, seconds = argv[1:]
+        print(json.dumps(bench_one(tree, workload, int(seed), float(seconds))))
+        return 0
+    args = parse_args(argv)
+    out, status = (sweep_pairs if args.seconds is None else bench_pairs)(args)
+    if out is not None:
+        text = json.dumps(out, indent=1) + "\n"
+        if args.out:
+            Path(args.out).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
+    return status
 
 
 if __name__ == "__main__":

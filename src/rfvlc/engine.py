@@ -2,37 +2,22 @@
 
 Trials are simulated in chunks of _CHUNK on a fixed grid, and every
 (sweep point, chunk) pair owns a private counter-derived random stream
-(the counter-based stream idea of Salmon et al., "Parallel random numbers:
-as easy as 1, 2, 3", SC'11).  Results are therefore a pure function of
-(config, spec): reruns and runs with different worker counts produce
-bit-identical tables.  A process simulates its share of chunks in order
-(metrics.simulate_chunks, where consecutive sparse chunks share one
-interferer pass and every chunk gets the SINRs it gets alone), with the
-desired link's constants computed once for the share's distances and
-one generator into which each chunk's stream state is injected.  It
-scores each chunk (_chunk_stats_job), for every weather, for the one
-metric the sweep writes and for the sweep's modes alone, in spec.modes
-order, so the partials come in the rows' order; they are reduced in
-chunk order, which keeps floating-point summation order independent of
-the worker count.  Trial counts (PRP successes, DOR late trials, one
-threshold at a time into one flag buffer) are summed in a narrow integer
-accumulator and widened to int64 per chunk.  Every row's estimate is
-then computed in one pass of array estimates
-(estimate.proportion_estimates, estimate.mean_estimates).
+(derive_seed, trial_rng).  Partials are reduced in chunk order, so
+results are a pure function of (config, spec): reruns and runs with
+different worker counts produce bit-identical tables.
 
 A sweep splits its chunk list once, interleaved, over k processes, k = 1
 being the split with no helper: this process computes chunks[0::k]
 while k - 1 forked helper processes compute chunks[j::k] and send their
-partials back over a pipe.  Every chunk is scored through the module
-global _chunk_stats_job, looked up at call time in this process and in
-the helpers alike.  Helpers are reaped only after the reduction and the
-rows, so they exit while this process builds the table.
+partials back over a pipe; helpers are reaped only after the reduction
+and the rows.  Every chunk is scored through the module global
+_chunk_stats_job, looked up at call time in this process and in the
+helpers alike.  k is capped by the chunks, the usable CPUs and the
+sweep's estimated work (sweep_workers: one process per _SPLIT_WORK
+trial-equivalents).
 
-A helper costs a fixed ~10-17 ms (mostly copy-on-write faults in this
-process after the fork), so k is capped not only by the chunks and the
-usable CPUs but by the sweep's estimated one-process work: one process
-per _SPLIT_WORK trial-equivalents (sweep_workers), a trial weighing one
-plus a third per expected lane point.  Small sweeps run in one process.
+README.md explains the streams and the helpers' cost ("Command line")
+and the per-chunk and per-sweep work ("Performance notes").
 """
 
 from __future__ import annotations

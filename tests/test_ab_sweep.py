@@ -1,8 +1,10 @@
 """scripts/ab_sweep.py: its sweeps, its summary, its verdict, its forced
-split and its row check."""
+split and its row check; in benchmark mode, the summary and its exit
+status on stand-in runs, and each run's git_dirty."""
 
 import importlib.util
 import json
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -29,7 +31,7 @@ def test_sweeps_mirror_the_benchmark_workloads(monkeypatch):
     ab_sweep = _load(SCRIPT, "ab_sweep", monkeypatch)
     monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
     bench = _load(ROOT / "benchmarks" / "bench.py", "benchmark_bench", monkeypatch)
-    assert len(ab_sweep.SWEEPS) == 7
+    assert len(ab_sweep.SWEEPS) == 7 and ab_sweep.WORKLOADS == tuple(bench.WORKLOADS)
     for name, w in bench.WORKLOADS.items():
         assert ab_sweep.SWEEPS[name] == (w.argv, w.config, w.trials)
 
@@ -161,14 +163,32 @@ def test_rows_that_differ_exit_1(monkeypatch, capsys):
     assert capsys.readouterr().err == "dor_pool: side change rows differ in pair 0\n"
 
 
-@pytest.mark.parametrize("argv", [["--pairs", "1"], ["--pairs", "0"], ["--workers", "2"],
-                                  ["--workers", "0,2"], ["--workers", "1,2,2"]])
-def test_bad_options_exit_2_before_any_sweep(monkeypatch, capsys, argv):
+@pytest.mark.parametrize("argv, error", [
+    (["--pairs", "1"], "need at least 2 pairs"), (["--pairs", "0"], "need at least 2 pairs"),
+    (["--workers", "2"], "expected P,C"), (["--workers", "0,2"], "expected P,C"),
+    (["--workers", "1,2,2"], "expected P,C"),
+    (["--parent", "."], "required: --change"), (["--change", "."], "required: --parent"),
+    (["--sweeps", "prp_sparse,nope"], "--sweeps: nope not among"),
+    (["--sweeps", ""], "--sweeps:  not among"), (["--warmup", "-1"], "--warmup must be"),
+    (["--seed0", "3"], "--seed0 goes only with --seconds"),
+    (["--seconds", "1", "--pairs", "1"], "need at least 2 pairs"),
+    (["--seconds", "1", "--sweeps", "dor_pool,dor_sparse_50"],
+     "--sweeps: dor_sparse_50 not among prp_sparse,dense_interference,dor_pool"),
+    (["--seconds", "1", "--warmup", "0"], "--warmup goes only without --seconds"),
+    (["--seconds", "1", "--workers", "1,2"], "--workers goes only without --seconds"),
+    (["--seconds", "0"], "--seconds must be positive"),
+], ids=["pairs_1", "pairs_0", "workers_2", "workers_0_2", "workers_1_2_2", "no_change",
+        "no_parent", "unknown_sweep", "no_sweep", "warmup_-1", "seed0", "bench_pairs_1",
+        "not_a_workload", "bench_warmup", "bench_workers", "seconds_0"])
+def test_bad_options_exit_2_before_any_run(monkeypatch, capsys, argv, error):
     ab_sweep = _load(SCRIPT, "ab_sweep", monkeypatch)
     monkeypatch.setattr(ab_sweep, "load", lambda tree, name: pytest.fail("loaded"))
+    monkeypatch.setattr(ab_sweep.subprocess, "run",
+                        lambda *args, **kwargs: pytest.fail("ran a benchmark"))
+    sides = [] if argv[0] in ("--parent", "--change") else ["--parent", ".", "--change", "."]
     with pytest.raises(SystemExit) as exc:
-        ab_sweep.main(["--parent", str(ROOT), "--change", str(ROOT), *argv])
-    assert exc.value.code == 2 and argv[0] in capsys.readouterr().err
+        ab_sweep.main([*sides, *argv])
+    assert exc.value.code == 2 and error in capsys.readouterr().err
 
 
 def test_speedup_summary(monkeypatch):
@@ -235,3 +255,75 @@ def test_traced_peak_counts_the_call_and_stops_tracing(monkeypatch):
     peak = ab_sweep.traced_peak_mb(Package, ("config", "spec", "prp", 1))
     assert 8.0 <= peak < 9.0
     assert not ab_sweep.tracemalloc.is_tracing()
+
+
+@pytest.mark.parametrize("failing", [None, ("change", 2)])
+def test_failed_checks_exit_1_after_the_summary(monkeypatch, tmp_path, capsys, failing):
+    ab_sweep = _load(SCRIPT, "ab_sweep", monkeypatch)
+
+    def run(argv, **kwargs):
+        # argv: python, script, --one, tree, workload, seed, seconds
+        tree, seed = argv[3], int(argv[5])
+        record = {name: 1.0 for name in ab_sweep.BENCH_METRICS}
+        record["failed_checks"] = int((tree, seed) == failing)
+        return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(record) + "\n")
+
+    monkeypatch.setattr(ab_sweep.subprocess, "run", run)
+    out = tmp_path / "bench.json"
+    assert ab_sweep.main([
+        "--parent", "parent", "--change", "change", "--sweeps", "dor_pool", "--pairs", "2",
+        "--seconds", "1", "--seed0", "1", "--out", str(out)]) == (0 if failing is None else 1)
+    summary = json.loads(out.read_text(encoding="utf-8"))
+    assert set(summary) == {"command", "runs", "workloads"} and len(summary["runs"]) == 4
+    assert [(r["side"], r["seed"], r["first"]) for r in summary["runs"]] == [
+        ("parent", 1, "parent"), ("change", 1, "parent"),
+        ("change", 2, "change"), ("parent", 2, "change")]
+    metrics = summary["workloads"]["dor_pool"]
+    assert set(metrics) == set(ab_sweep.BENCH_METRICS)
+    assert set(metrics["trials_per_s"]) == {"unit", "better", "parent", "change", "parent_won",
+                                            "change_won", "verdict", "change_over_parent"}
+    # equal values in every pair: won by neither side
+    assert {key: metrics["trials_per_s"][key]
+            for key in ("parent_won", "change_won", "verdict")} == {
+        "parent_won": 0, "change_won": 0, "verdict": "tie"}
+    named = [line for line in capsys.readouterr().err.splitlines()
+             if line.startswith("failed checks:")]
+    assert named == ([] if failing is None
+                     else ["failed checks: dor_pool change seed 2 (1 failed)"])
+
+
+def _git(tree, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=tree,
+                   check=True, capture_output=True)
+
+
+def test_each_run_records_whether_its_checkout_is_dirty(monkeypatch, tmp_path):
+    # a stand-in benchmarks/bench.py in a git checkout of its own, run
+    # through the script's one-run entry point
+    tree = tmp_path / "tree"
+    (tree / "benchmarks").mkdir(parents=True)
+    (tree / "benchmarks" / "bench.py").write_text(
+        "def run(workload, seed, seconds, trace):\n"
+        "    return {'metrics': {'trials_per_s': (2.0, '1/s')}, 'failed': 0,\n"
+        "            'env': {'git_commit': 'abc'},\n"
+        "            'log': ['repeats 2; measured trials/s 1.5 (per repeat 1 2)',\n"
+        "                    'host: mean CPU 1 s, slowdown 1.25']}\n", encoding="utf-8")
+    (tree / "notes.txt").write_text("a\n", encoding="utf-8")
+
+    def one():
+        proc = subprocess.run([sys.executable, str(SCRIPT), "--one", str(tree), "dor_pool",
+                               "1", "0.1"], capture_output=True, text=True, check=True)
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    assert _load(SCRIPT, "ab_sweep", monkeypatch).git_dirty(str(tree)) is None
+    assert one()["git_dirty"] is None   # not a git checkout yet
+    _git(tree, "init", "-q")
+    _git(tree, "add", "-A")
+    _git(tree, "commit", "-q", "-m", "stand-in")
+    record = one()
+    assert record["git_dirty"] is False and record["git_commit"] == "abc"
+    assert record["trials_per_s"] == 2.0 and record["slowdown"] == 1.25
+    (tree / "untracked.txt").write_text("b\n", encoding="utf-8")
+    assert one()["git_dirty"] is False   # untracked files do not count
+    (tree / "notes.txt").write_text("c\n", encoding="utf-8")
+    assert one()["git_dirty"] is True
