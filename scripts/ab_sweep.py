@@ -37,9 +37,9 @@ and helpers' apart, as minor_faults_children), git_commit and git_dirty
 exits 1 after the summary if any run reports a failed check.
 
 In both modes the parent runs first on even pairs, verdict() names a
-better side, and the JSON goes to stdout or --out.  A missing side, an
-option of the other mode, an unknown sweep or fewer than 2 pairs exit 2
-before any run.
+better side, and the JSON goes to stdout or --out.  A missing side, a
+side that is not a checkout, an option of the other mode, an unknown
+sweep or fewer than 2 pairs exit 2 before any run.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ import gc
 import importlib
 import importlib.util
 import json
+import math
 import os
 import re
 import resource
@@ -339,9 +340,10 @@ def bench_pairs(args) -> tuple[dict, int]:
 
 
 def parse_args(argv) -> argparse.Namespace:
-    """The options, each mode's defaults filled in; exit 2 on an option of
-    the other mode, an unknown sweep, negative warm-up pairs or a run
-    length that is not positive."""
+    """The options, each mode's defaults filled in; exit 2 on a side
+    without src/rfvlc/__init__.py (or, with --seconds, benchmarks/bench.py),
+    an option of the other mode, an unknown sweep, negative warm-up pairs
+    or a run length that is not positive and finite."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", required=True)
@@ -359,8 +361,12 @@ def parse_args(argv) -> argparse.Namespace:
     for option in ("warmup", "workers") if benchmark else ("seed0",):
         if getattr(args, option) is not None:
             parser.error(f"--{option} goes only with{'out' if benchmark else ''} --seconds")
-    if benchmark and not args.seconds > 0:
-        parser.error(f"--seconds must be positive, not {args.seconds:g}")
+    for side in SIDES:
+        for need in ("src/rfvlc/__init__.py", "benchmarks/bench.py")[:1 + benchmark]:
+            if not Path(getattr(args, side), need).is_file():
+                parser.error(f"--{side}: no {need} in {getattr(args, side)}")
+    if benchmark and not 0 < args.seconds < math.inf:
+        parser.error(f"--seconds must be positive and finite, not {args.seconds:g}")
     if args.warmup is not None and args.warmup < 0:
         parser.error(f"--warmup must be at least 0, not {args.warmup}")
     known = WORKLOADS if benchmark else tuple(SWEEPS)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -84,7 +85,7 @@ def derive_seed(master_seed: int, point_index: int, stream_index: int) -> int:
     """
     if point_index < 0 or stream_index < 0:
         raise ConfigError("indices must be >= 0")
-    s = _splitmix64(master_seed & _MASK64)
+    s = _splitmix64(int(master_seed) & _MASK64)   # a numpy integer too
     s = _splitmix64(s ^ _splitmix64(point_index))
     return _splitmix64(s ^ _splitmix64(stream_index))
 
@@ -141,11 +142,15 @@ class SweepSpec:
                 out.append(f"sweep.{name}: must be strictly increasing")
         if any(t <= 0 for t in self.t_th):
             out.append("sweep.t_th: delay thresholds must be > 0")
-        if self.n_trials < 100:
+        if not isinstance(self.n_trials, numbers.Integral):
+            out.append("sweep.n_trials: must be an integer")
+        elif self.n_trials < 100:
             out.append("sweep.n_trials: must be >= 100")
         elif self.n_trials > _MAX_TRIALS:
             out.append(f"sweep.n_trials: must be <= {_MAX_TRIALS}")
-        if not 0 <= self.master_seed <= _MASK64:
+        if not isinstance(self.master_seed, numbers.Integral):
+            out.append("sweep.master_seed: must be an integer")
+        elif not 0 <= self.master_seed <= _MASK64:
             out.append("sweep.master_seed: must be in [0, 2^64)")
         for name, values, known in (("weathers", self.weathers, WEATHER_KINDS),
                                     ("modes", self.modes, MODES)):

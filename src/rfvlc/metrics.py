@@ -7,8 +7,8 @@ draw.  Trials are simulated as arrays, a chunk at a time and for every
 weather at once (simulate_trials): weather only attenuates optical paths.
 Consecutive sparse chunks are merged into one, whose interferers take one
 pass (simulate_chunks); every chunk still gets the bits it gets alone.
-A chunk only reads its stream (_draw); its group builds the merged lane
-arrays once (_merged) and turns its sums into each chunk's SINRs in place.
+A chunk only reads its stream (_draw); its group merges the chunks' lane
+points once (_merged) and turns its sums into each chunk's SINRs in place.
 The desired link's constants (desired_links) are computed once for all
 of a sweep's distances and handed to each chunk.
 The four operating modes are scored on the same trials, their reception
@@ -118,24 +118,11 @@ def vlc_snr(config: ScenarioConfig, weather: str) -> float:
     return float(link.s_vlc[0, 0] / link.n_vlc)
 
 
-class _Chunk(NamedTuple):
-    """One chunk's lane points as drawn (_draw), held until its group is
-    merged.  Apart from _Drawn so that no group holds its counts through the
-    pass: one record, its trial built in the pass, ran as fast and peaked higher."""
+class _Lanes(NamedTuple):
+    """The lane points of a chunk as drawn (_draw), or of a group of chunks
+    merged (_merged), as the interferer pass reads them."""
 
     counts: np.ndarray          # Deployment.counts, uint16 where they fit
-    coord: np.ndarray
-    active: list                # outside the exclusion disc, one array per lane
-    fade: np.ndarray            # one RF fade per lane point
-    lanes: tuple[slice, slice]  # Deployment.lane_slices()
-
-
-class _Drawn(NamedTuple):
-    """The lane points of a merged group of chunks, as the interferer pass
-    reads them."""
-
-    n: int
-    trial: np.ndarray
     coord: np.ndarray
     active: np.ndarray          # outside the exclusion disc: an interferer
     fade: np.ndarray            # one RF fade per lane point
@@ -143,14 +130,13 @@ class _Drawn(NamedTuple):
 
 
 def _draw(config: ScenarioConfig, rng: np.random.Generator, n: int):
-    """A chunk of n trials, as _Chunk, and its n desired RF fades.
+    """A chunk of n trials, as _Lanes, and its n desired RF fades.
 
     The whole chunk's stream is read here, in one fixed order: the
     deployment (Poisson counts, lane positions), the desired fades, then
     one fade per lane point in storage order.  The trial index is left to
-    the group (_merged).  No count exceeds the chunk's lane points, so
-    where those fit in uint16 the counts are held as uint16 until the
-    group closes.
+    the interferer pass.  No count exceeds the chunk's lane points, so
+    where those fit in uint16 the counts are held as uint16.
     """
     deployment = draw_deployment(config, rng, n)
     fade = sample_fading(config.rf, rng, n)
@@ -159,37 +145,33 @@ def _draw(config: ScenarioConfig, rng: np.random.Generator, n: int):
     if len(coord) < 1 << 16:
         counts = counts.astype(np.uint16)
     active = [outside_exclusion(config, lane, coord[part]) for lane, part in zip(LANES, lanes)]
-    return _Chunk(counts, coord, active, sample_fading(config.rf, rng, len(coord)),
-                  lanes), fade
+    return _Lanes(counts, coord, np.concatenate(active),
+                  sample_fading(config.rf, rng, len(coord)), lanes), fade
 
 
-def _merged(chunks: list) -> _Drawn:
-    """A group's chunks as one _Drawn: each lane's points chunk after chunk,
-    their trials numbered after the earlier chunks' (Deployment.trial of
-    the chunks' counts side by side).  A group of one takes its chunk's
-    arrays as they are."""
+def _merged(chunks: list) -> _Lanes:
+    """A group's chunks as one _Lanes: each lane's points chunk after chunk,
+    and the chunks' counts side by side, so that each chunk's trials are
+    numbered after the earlier chunks'.  A group of one is its chunk."""
     if len(chunks) == 1:
-        chunk, = chunks
-        counts, coord, fade = chunk.counts, chunk.coord, chunk.fade
-    else:
-        counts = np.concatenate([c.counts for c in chunks], axis=1)
-        coord, fade = (np.concatenate([getattr(c, field)[c.lanes[lane]]
-                                       for lane in LANES for c in chunks])
-                       for field in ("coord", "fade"))
-    active = np.concatenate([c.active[lane] for lane in LANES for c in chunks])
+        return chunks[0]
+    coord, active, fade = (np.concatenate([getattr(c, field)[c.lanes[lane]]
+                                           for lane in LANES for c in chunks])
+                           for field in ("coord", "active", "fade"))
     n_same = sum(c.lanes[0].stop for c in chunks)   # lane 0 starts at 0
-    return _Drawn(counts.shape[1], Deployment(counts, coord).trial, coord, active, fade,
+    return _Lanes(np.concatenate([c.counts for c in chunks], axis=1), coord, active, fade,
                   (slice(0, n_same), slice(n_same, len(coord))))
 
 
-def _interference_pass(drawn: _Drawn, base: ScenarioConfig, weathers):
+def _interference_pass(drawn: _Lanes, base: ScenarioConfig, weathers):
     """The interference powers, VLC[W, n] and RF[n], of the n trials drawn.
 
-    base gives the geometry and the channel parameters.  Each lane's
-    points are evaluated in windows of _WINDOW slices of _BLOCK points: the
-    geometry and the RF terms for every point, the optical terms for the
-    lit ones only (interferers the RSU sees, since any other point has zero
-    gain, hence zero power in every weather).  Only the optical attenuation
+    base gives the geometry and the channel parameters, and each point's
+    trial is Deployment.trial of the counts.  Each lane's points are
+    evaluated in windows of _WINDOW slices of _BLOCK points: the geometry
+    and the RF terms for every point, the optical terms for the lit ones
+    only (interferers the RSU sees, since any other point has zero gain,
+    hence zero power in every weather).  Only the optical attenuation
     differs between the W weather names.
 
     The sums start at zero and add, lane by lane, one bincount per slice
@@ -199,23 +181,25 @@ def _interference_pass(drawn: _Drawn, base: ScenarioConfig, weathers):
     merged group whose lanes fit in one slice gives every chunk the sums
     it gets alone.
     """
+    n = drawn.counts.shape[1]
+    trials = Deployment(drawn.counts, drawn.coord).trial
     coeffs = np.array([[WEATHER_ATTENUATION_DB_PER_KM[weather]] for weather in weathers])
     # read at call time, so that a window holds whole slices whatever _BLOCK is
     window = _WINDOW * _BLOCK
-    i_vlc = np.zeros((len(weathers), drawn.n))
-    i_rf = np.zeros(drawn.n)
+    i_vlc = np.zeros((len(weathers), n))
+    i_rf = np.zeros(n)
     for lane, part in zip(LANES, drawn.lanes):
         for lo in range(part.start, part.stop, window):
             hi = min(lo + window, part.stop)
             p_rf, lit, p_vlc = _block_terms(base, lane, drawn.coord[lo:hi],
                                             drawn.active[lo:hi], drawn.fade[lo:hi], coeffs)
-            trial = drawn.trial[lo:hi]
+            trial = trials[lo:hi]
             for x in range(0, hi - lo, _BLOCK):
-                i_rf += np.bincount(trial[x:x + _BLOCK], p_rf[x:x + _BLOCK], minlength=drawn.n)
+                i_rf += np.bincount(trial[x:x + _BLOCK], p_rf[x:x + _BLOCK], minlength=n)
                 i, j = np.searchsorted(lit, (x, x + _BLOCK))
                 bins = trial[lit[i:j]]
                 for row, p in zip(i_vlc, p_vlc[:, i:j]):
-                    row += np.bincount(bins, p, minlength=drawn.n)
+                    row += np.bincount(bins, p, minlength=n)
     return i_vlc, i_rf
 
 
@@ -283,10 +267,8 @@ def simulate_chunks(chunks, weathers):
     """
     group, load = [], (0, 0)   # the group's lane points, per lane
     for config, rng, n, link in chunks:
-        drawn, fade = _draw(config, rng, n)
-        points = [part.stop - part.start for part in drawn.lanes]
-        chunk = config, drawn, link, fade
-        del drawn, fade   # the chunk holds the draws
+        chunk = (config, link, *_draw(config, rng, n))   # _Lanes, desired fades
+        points = [part.stop - part.start for part in chunk[2].lanes]
         joined = [a + b for a, b in zip(load, points)]
         if group and max(joined) > _BLOCK:
             yield from _group_sinrs(group, weathers)   # empties the group
@@ -303,12 +285,12 @@ def simulate_chunks(chunks, weathers):
 
 
 def _group_sinrs(group: list, weathers):
-    """Each chunk's SINRs, from a group of (config, _Chunk, DesiredLink,
-    desired fades): one pass over the merged chunks, each chunk's SINRs
-    written in place over its own trials of the sums, [:, a:a+n], and
-    yielded as views of them.  The group is emptied before the pass."""
-    drawn = _merged([chunk for _, chunk, _, _ in group])
-    scored = [(link, fade) for _, _, link, fade in group]
+    """Each chunk's SINRs, from a group of (config, DesiredLink, _Lanes,
+    desired fades): one pass over the merged chunks (counts held through
+    it), each chunk's SINRs written in place over its trials of the sums,
+    [:, a:a+n], and yielded as views.  The group is emptied before the pass."""
+    drawn = _merged([lanes for _, _, lanes, _ in group])
+    scored = [(link, fade) for _, link, _, fade in group]
     base = group[0][0]
     group.clear()   # only the merged draws are held through the pass
     i_vlc, i_rf = _interference_pass(drawn, base, weathers)

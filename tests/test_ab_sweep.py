@@ -19,6 +19,14 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "ab_sweep.py"
 
 
+def _checkout(root, bench=True):
+    """A stand-in checkout: the files the script looks for, empty."""
+    for path in ("src/rfvlc/__init__.py", "benchmarks/bench.py")[:1 + bench]:
+        (root / path).parent.mkdir(parents=True, exist_ok=True)
+        (root / path).touch()
+    return str(root)
+
+
 def _load(path, name, monkeypatch):
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
@@ -167,7 +175,15 @@ def test_rows_that_differ_exit_1(monkeypatch, capsys):
     (["--pairs", "1"], "need at least 2 pairs"), (["--pairs", "0"], "need at least 2 pairs"),
     (["--workers", "2"], "expected P,C"), (["--workers", "0,2"], "expected P,C"),
     (["--workers", "1,2,2"], "expected P,C"),
-    (["--parent", "."], "required: --change"), (["--change", "."], "required: --parent"),
+    (["--parent", "{root}"], "required: --change"),
+    (["--change", "{root}"], "required: --parent"),
+    (["--parent", "{empty}", "--change", "{root}"], "--parent: no src/rfvlc/__init__.py in"),
+    (["--parent", "{root}", "--change", "{empty}", "--seconds", "1"],
+     "--change: no src/rfvlc/__init__.py in"),
+    (["--parent", "{root}", "--change", "{no_bench}", "--seconds", "1"],
+     "--change: no benchmarks/bench.py in"),
+    (["--parent", "{no_bench}", "--change", "{root}", "--seconds", "1"],
+     "--parent: no benchmarks/bench.py in"),
     (["--sweeps", "prp_sparse,nope"], "--sweeps: nope not among"),
     (["--sweeps", ""], "--sweeps:  not among"), (["--warmup", "-1"], "--warmup must be"),
     (["--seed0", "3"], "--seed0 goes only with --seconds"),
@@ -177,15 +193,25 @@ def test_rows_that_differ_exit_1(monkeypatch, capsys):
     (["--seconds", "1", "--warmup", "0"], "--warmup goes only without --seconds"),
     (["--seconds", "1", "--workers", "1,2"], "--workers goes only without --seconds"),
     (["--seconds", "0"], "--seconds must be positive"),
+    (["--seconds", "inf"], "--seconds must be positive and finite, not inf"),
+    (["--seconds", "nan"], "--seconds must be positive and finite, not nan"),
 ], ids=["pairs_1", "pairs_0", "workers_2", "workers_0_2", "workers_1_2_2", "no_change",
-        "no_parent", "unknown_sweep", "no_sweep", "warmup_-1", "seed0", "bench_pairs_1",
-        "not_a_workload", "bench_warmup", "bench_workers", "seconds_0"])
-def test_bad_options_exit_2_before_any_run(monkeypatch, capsys, argv, error):
+        "no_parent", "parent_not_a_checkout", "change_not_a_checkout", "change_no_bench",
+        "parent_no_bench", "unknown_sweep", "no_sweep", "warmup_-1", "seed0", "bench_pairs_1",
+        "not_a_workload", "bench_warmup", "bench_workers", "seconds_0", "seconds_inf",
+        "seconds_nan"])
+def test_bad_options_exit_2_before_any_run(monkeypatch, tmp_path, capsys, argv, error):
+    # {root} is this checkout, {empty} a directory, {no_bench} a tree with
+    # src/rfvlc but no benchmarks/bench.py
     ab_sweep = _load(SCRIPT, "ab_sweep", monkeypatch)
     monkeypatch.setattr(ab_sweep, "load", lambda tree, name: pytest.fail("loaded"))
     monkeypatch.setattr(ab_sweep.subprocess, "run",
                         lambda *args, **kwargs: pytest.fail("ran a benchmark"))
-    sides = [] if argv[0] in ("--parent", "--change") else ["--parent", ".", "--change", "."]
+    trees = {"root": str(ROOT), "empty": str(tmp_path),
+             "no_bench": _checkout(tmp_path / "no_bench", bench=False)}
+    argv = [arg.format(**trees) for arg in argv]
+    sides = [] if argv[0] in ("--parent", "--change") else ["--parent", str(ROOT),
+                                                             "--change", str(ROOT)]
     with pytest.raises(SystemExit) as exc:
         ab_sweep.main([*sides, *argv])
     assert exc.value.code == 2 and error in capsys.readouterr().err
@@ -263,7 +289,7 @@ def test_failed_checks_exit_1_after_the_summary(monkeypatch, tmp_path, capsys, f
 
     def run(argv, **kwargs):
         # argv: python, script, --one, tree, workload, seed, seconds
-        tree, seed = argv[3], int(argv[5])
+        tree, seed = Path(argv[3]).name, int(argv[5])
         record = {name: 1.0 for name in ab_sweep.BENCH_METRICS}
         record["failed_checks"] = int((tree, seed) == failing)
         return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(record) + "\n")
@@ -271,7 +297,8 @@ def test_failed_checks_exit_1_after_the_summary(monkeypatch, tmp_path, capsys, f
     monkeypatch.setattr(ab_sweep.subprocess, "run", run)
     out = tmp_path / "bench.json"
     assert ab_sweep.main([
-        "--parent", "parent", "--change", "change", "--sweeps", "dor_pool", "--pairs", "2",
+        "--parent", _checkout(tmp_path / "parent"), "--change", _checkout(tmp_path / "change"),
+        "--sweeps", "dor_pool", "--pairs", "2",
         "--seconds", "1", "--seed0", "1", "--out", str(out)]) == (0 if failing is None else 1)
     summary = json.loads(out.read_text(encoding="utf-8"))
     assert set(summary) == {"command", "runs", "workloads"} and len(summary["runs"]) == 4

@@ -219,6 +219,25 @@ class TestSweepSpec:
     def test_unknown_mode(self):
         assert any("mode" in v for v in _spec(modes=("teleport",)).check())
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_trials", 1e5), ("n_trials", 500.0), ("n_trials", "500"), ("n_trials", math.nan),
+        ("master_seed", 1.5), ("master_seed", 12345.0), ("master_seed", "7")])
+    def test_counts_must_be_integers(self, field, value):
+        # a ConfigError before any chunk, not a TypeError from the chunk grid
+        # or the seed derivation
+        spec = _spec(**{field: value})
+        assert spec.check() == [f"sweep.{field}: must be an integer"]
+        with pytest.raises(ConfigError, match=f"sweep.{field}: must be an integer"):
+            run_sweep(ScenarioConfig(), spec, "prp")
+
+    @pytest.mark.parametrize("integer", [np.int64, np.uint64])
+    def test_numpy_integers_are_integers(self, integer):
+        # the rows of the same Python ints
+        spec = _spec(n_trials=integer(500), master_seed=integer(12345))
+        assert spec.check() == []
+        assert run_sweep(ScenarioConfig(), spec, "prp") == run_sweep(
+            ScenarioConfig(), _spec(), "prp")
+
     def test_clean_spec(self):
         assert _spec().check() == []
 

@@ -13,8 +13,9 @@ from rfvlc import (FADING_NAKAGAMI, FADING_RAYLEIGH, Pose3, ScenarioConfig,
 from rfvlc import metrics
 from rfvlc.engine import trial_rng
 from rfvlc.metrics import _draw, _interference_pass, _merged, simulate_trials
-from rfvlc.scenario import (EXCLUSION_RADIUS_M, LANE_SAME, LANES, draw_deployment,
-                            exclusion_disc, outside_exclusion, rsu_links, rsu_paths)
+from rfvlc.scenario import (EXCLUSION_RADIUS_M, LANE_SAME, LANES, Deployment,
+                            draw_deployment, exclusion_disc, outside_exclusion, rsu_links,
+                            rsu_paths)
 from rfvlc.vlc_channel import path_gain, sees, seen_gain
 
 # lambda * rho = 1e-2: ~20 interferers per trial; rain makes the optical
@@ -150,6 +151,11 @@ def _reference_trial(deployment):
     return np.repeat(np.tile(np.arange(n, dtype=np.int32), 2), deployment.counts.ravel())
 
 
+def _pass_trial(drawn):
+    """The trial index _interference_pass builds for a record of lane points."""
+    return Deployment(drawn.counts, drawn.coord).trial
+
+
 def _interference_sums(config, weathers, rng, n):
     """VLC[W, n] and RF[n] interference sums of n trials drawn from rng, a
     group of one."""
@@ -235,29 +241,24 @@ def test_term_window_changes_no_bit(fading, rho_access, block, n, monkeypatch):
 def test_draw_reads_the_chunk_stream_in_order(config):
     # _draw reads a chunk's whole stream: the deployment, the n desired
     # fades, then one fade per lane point, and nothing after them; a group
-    # of one (_merged) takes the chunk's arrays and the trial index
-    # Deployment.trial gives
+    # of one (_merged) is the chunk, whose counts give the pass the trial
+    # index Deployment.trial gives
     rng, by_hand = trial_rng(SEED), trial_rng(SEED)
     chunk, fade = _draw(config, rng, N)
     deployment = draw_deployment(config, by_hand, N)
     desired = sample_fading(config.rf, by_hand, N)
     lane_fades = sample_fading(config.rf, by_hand, len(deployment.coord))
     lanes = deployment.lane_slices()
-    masks = [outside_exclusion(config, lane, deployment.coord[part])
-             for lane, part in zip(LANES, lanes)]
-    assert chunk.lanes == lanes and len(chunk.active) == len(LANES)
+    masks = np.concatenate([outside_exclusion(config, lane, deployment.coord[part])
+                            for lane, part in zip(LANES, lanes)])
+    assert chunk.lanes == lanes and chunk.counts.shape == (len(LANES), N)
     # the counts' values, held as uint16 since every count fits
     assert chunk.counts.dtype == np.uint16 and np.array_equal(chunk.counts, deployment.counts)
     for got, want in ((chunk.coord, deployment.coord), (fade, desired),
-                      (chunk.fade, lane_fades), *zip(chunk.active, masks)):
+                      (chunk.fade, lane_fades), (chunk.active, masks),
+                      (_pass_trial(chunk), _reference_trial(deployment))):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    drawn = _merged([chunk])
-    assert drawn.n == N and drawn.lanes == lanes
-    assert drawn.coord is chunk.coord and drawn.fade is chunk.fade
-    for got, want in ((drawn.trial, _reference_trial(deployment)),
-                      (drawn.coord, deployment.coord), (drawn.fade, lane_fades),
-                      (drawn.active, np.concatenate(masks))):
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert _merged([chunk]) is chunk
     assert rng.random() == by_hand.random()
 
 
@@ -289,12 +290,15 @@ def test_a_group_is_built_bit_for_bit_from_its_chunks():
     drawn = _merged(chunks)
     parts = [part for lane in LANES for part in want[lane]]
     n_same = sum(len(coord) for _, coord, _, _ in want[LANE_SAME])
-    assert drawn.n == first
+    # the chunks' counts side by side, uint16 as each chunk holds them
+    assert drawn.counts.shape == (len(LANES), first) and drawn.counts.dtype == np.uint16
+    assert np.array_equal(drawn.counts, np.concatenate([c.counts for c in chunks], axis=1))
     assert drawn.lanes == (slice(0, n_same), slice(n_same, len(drawn.coord)))
-    for got, field in zip((drawn.trial, drawn.coord, drawn.active, drawn.fade), zip(*parts)):
+    trial = _pass_trial(drawn)
+    for got, field in zip((trial, drawn.coord, drawn.active, drawn.fade), zip(*parts)):
         expected = np.concatenate(field)
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
-    assert drawn.trial.dtype == np.int32
+    assert trial.dtype == np.int32
     # the discs of the 30 m chunk and of a 150 m one cut their lanes
     same = want[LANE_SAME]
     assert not same[0][2].all() and not same[2][2].all()
@@ -305,7 +309,7 @@ def test_counts_that_may_not_fit_uint16_stay_as_drawn():
     chunk, _ = _draw(DENSE, trial_rng(SEED), 4096)
     deployment = draw_deployment(DENSE, trial_rng(SEED), 4096)
     assert len(chunk.coord) >= 1 << 16 and chunk.counts.dtype == deployment.counts.dtype
-    assert _merged([chunk]).trial.tobytes() == _reference_trial(deployment).tobytes()
+    assert _pass_trial(_merged([chunk])).tobytes() == _reference_trial(deployment).tobytes()
 
 
 def test_interferer_counts_match_the_reference_mask():
