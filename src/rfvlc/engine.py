@@ -200,7 +200,7 @@ def run_sweep(config: ScenarioConfig, spec: SweepSpec, metric: str,
         raise ConfigError("; ".join(problems))
 
     # Fixed chunk grid, independent of worker count.
-    n = spec.n_trials
+    n = int(spec.n_trials)   # chunk bounds as Python ints, whatever integer type
     starts = range(0, n, _CHUNK)
     points = [config.with_distance(distance) for distance in spec.distances]
     chunks = [(cfg, spec.master_seed, d_idx, start, min(start + _CHUNK, n),

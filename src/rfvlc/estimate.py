@@ -32,6 +32,8 @@ def proportion_estimates(successes, n: int):
 
     The interval is Wilson's score interval, chosen over the normal one
     because it stays inside [0, 1] and behaves at proportions near 0 and 1.
+    Its ends are exact where the estimate is: 0 at no success and 1 at n,
+    where center -+ half would round off them.
     """
     if n < 1:
         raise InvalidArgumentError("n must be >= 1")
@@ -46,7 +48,9 @@ def proportion_estimates(successes, n: int):
     half = (Z_95 / denom) * np.sqrt(var + z2 / (4.0 * n * n))
     # max(0.0, x) and min(1.0, x), NaN and signed zeros included
     low, high = center - half, center + half
-    return p, np.sqrt(var), np.where(low > 0.0, low, 0.0), np.where(high < 1.0, high, 1.0)
+    low = np.where((low > 0.0) & (successes > 0), low, 0.0)
+    high = np.where((high < 1.0) & (successes < n), high, 1.0)
+    return p, np.sqrt(var), low, high
 
 
 def mean_estimates(total, total_sq, n: int):

@@ -21,6 +21,7 @@ row written in place: a subset's rows are the bits of the full score's.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -29,7 +30,7 @@ from .errors import InvalidArgumentError, UnsupportedModelError
 from .rf_channel import (FADING_RAYLEIGH, db_to_linear,
                          rf_mean_rx_power, rf_noise_power, sample_fading)
 from .scenario import (EXCLUSION_RADIUS_M, LANE_SAME, LANES,
-                       WEATHER_ATTENUATION_DB_PER_KM, Deployment, ScenarioConfig,
+                       WEATHER_ATTENUATION_DB_PER_KM, ScenarioConfig,
                        attenuation_factor, draw_deployment, exclusion_disc,
                        outside_exclusion, rsu_links, rsu_paths)
 from .vlc_channel import sees, seen_gain, vlc_noise_power, vlc_rx_electrical_power
@@ -122,57 +123,57 @@ class _Lanes(NamedTuple):
     """The lane points of a chunk as drawn (_draw), or of a group of chunks
     merged (_merged), as the interferer pass reads them."""
 
-    counts: np.ndarray          # Deployment.counts, uint16 where they fit
+    n: int                      # trials
+    trial: np.ndarray           # each point's trial, int32 in [0, n)
     coord: np.ndarray
     active: np.ndarray          # outside the exclusion disc: an interferer
     fade: np.ndarray            # one RF fade per lane point
-    lanes: tuple[slice, slice]  # Deployment.lane_slices()
+    lanes: tuple[slice, slice]  # Deployment.lanes
 
 
 def _draw(config: ScenarioConfig, rng: np.random.Generator, n: int):
     """A chunk of n trials, as _Lanes, and its n desired RF fades.
 
     The whole chunk's stream is read here, in one fixed order: the
-    deployment (Poisson counts, lane positions), the desired fades, then
-    one fade per lane point in storage order.  The trial index is left to
-    the interferer pass.  No count exceeds the chunk's lane points, so
-    where those fit in uint16 the counts are held as uint16.
+    deployment (the lanes' Poisson totals, then each point's trial and
+    position), the desired fades, then one fade per lane point in storage
+    order.
     """
     deployment = draw_deployment(config, rng, n)
     fade = sample_fading(config.rf, rng, n)
-    lanes = deployment.lane_slices()
-    counts, coord = deployment.counts, deployment.coord
-    if len(coord) < 1 << 16:
-        counts = counts.astype(np.uint16)
+    coord, lanes = deployment.coord, deployment.lanes
     active = [outside_exclusion(config, lane, coord[part]) for lane, part in zip(LANES, lanes)]
-    return _Lanes(counts, coord, np.concatenate(active),
+    return _Lanes(n, deployment.trial, coord, np.concatenate(active),
                   sample_fading(config.rf, rng, len(coord)), lanes), fade
 
 
 def _merged(chunks: list) -> _Lanes:
     """A group's chunks as one _Lanes: each lane's points chunk after chunk,
-    and the chunks' counts side by side, so that each chunk's trials are
-    numbered after the earlier chunks'.  A group of one is its chunk."""
+    each chunk's trials numbered after the earlier chunks'.  A group of one
+    is its chunk."""
     if len(chunks) == 1:
         return chunks[0]
+    first = list(accumulate((c.n for c in chunks), initial=0))
+    trial = np.concatenate([c.trial[c.lanes[lane]] + a
+                            for lane in LANES for c, a in zip(chunks, first)])
     coord, active, fade = (np.concatenate([getattr(c, field)[c.lanes[lane]]
                                            for lane in LANES for c in chunks])
                            for field in ("coord", "active", "fade"))
     n_same = sum(c.lanes[0].stop for c in chunks)   # lane 0 starts at 0
-    return _Lanes(np.concatenate([c.counts for c in chunks], axis=1), coord, active, fade,
+    return _Lanes(first[-1], trial, coord, active, fade,
                   (slice(0, n_same), slice(n_same, len(coord))))
 
 
 def _interference_pass(drawn: _Lanes, base: ScenarioConfig, weathers):
     """The interference powers, VLC[W, n] and RF[n], of the n trials drawn.
 
-    base gives the geometry and the channel parameters, and each point's
-    trial is Deployment.trial of the counts.  Each lane's points are
-    evaluated in windows of _WINDOW slices of _BLOCK points: the geometry
-    and the RF terms for every point, the optical terms for the lit ones
-    only (interferers the RSU sees, since any other point has zero gain,
-    hence zero power in every weather).  Only the optical attenuation
-    differs between the W weather names.
+    base gives the geometry and the channel parameters, and drawn.trial
+    each point's trial.  Each lane's points are evaluated in windows of
+    _WINDOW slices of _BLOCK points: the geometry and the RF terms for
+    every point, the optical terms for the lit ones only (interferers the
+    RSU sees, since any other point has zero gain, hence zero power in
+    every weather).  Only the optical attenuation differs between the W
+    weather names.
 
     The sums start at zero and add, lane by lane, one bincount per slice
     of the lane's points, in storage order, one weather row at a time;
@@ -181,8 +182,7 @@ def _interference_pass(drawn: _Lanes, base: ScenarioConfig, weathers):
     merged group whose lanes fit in one slice gives every chunk the sums
     it gets alone.
     """
-    n = drawn.counts.shape[1]
-    trials = Deployment(drawn.counts, drawn.coord).trial
+    n, trials = drawn.n, drawn.trial
     coeffs = np.array([[WEATHER_ATTENUATION_DB_PER_KM[weather]] for weather in weathers])
     # read at call time, so that a window holds whole slices whatever _BLOCK is
     window = _WINDOW * _BLOCK
@@ -238,8 +238,9 @@ def simulate_trials(config: ScenarioConfig, weathers, rng: np.random.Generator,
                     n: int) -> tuple[np.ndarray, np.ndarray]:
     """n coupled draws: VLC SINRs per weather name, [W, n], and RF SINRs, [n].
 
-    The stream is consumed in a weather-independent order (_draw): Poisson
-    counts, lane positions, desired RF fades, one RF fade per lane point.
+    The stream is consumed in a weather-independent order (_draw): the
+    lanes' Poisson totals, each lane point's trial and position, desired RF
+    fades, one RF fade per lane point.
     Every weather therefore sees the same trials, and row w equals a run
     with weathers[w] alone; weather does not touch the RF link.  The group
     of one of simulate_chunks.
@@ -286,9 +287,9 @@ def simulate_chunks(chunks, weathers):
 
 def _group_sinrs(group: list, weathers):
     """Each chunk's SINRs, from a group of (config, DesiredLink, _Lanes,
-    desired fades): one pass over the merged chunks (counts held through
-    it), each chunk's SINRs written in place over its trials of the sums,
-    [:, a:a+n], and yielded as views.  The group is emptied before the pass."""
+    desired fades): one pass over the merged chunks, each chunk's SINRs
+    written in place over its trials of the sums, [:, a:a+n], and yielded
+    as views.  The group is emptied before the pass."""
     drawn = _merged([lanes for _, _, lanes, _ in group])
     scored = [(link, fade) for _, link, _, fade in group]
     base = group[0][0]

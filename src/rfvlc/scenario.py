@@ -267,36 +267,19 @@ def _derived_problems(vlc: VlcParams, rf: RfParams, rsu_height: float,
 class Deployment:
     """Lane points drawn for n trials, as flat arrays.
 
-    Points are stored lane by lane: every same-lane point in trial order,
-    then every perpendicular-lane one.  coord is the position along the
-    lane (x on the desired vehicle's lane, y on the other one) and trial
-    the index of the trial it belongs to; counts[lane, t] is the number of
-    points of trial t on that lane.  Points within EXCLUSION_RADIUS_M of
-    the desired vehicle are drawn but are not interferers (see
-    outside_exclusion).
+    Points are stored lane by lane, in the slices lanes: every same-lane
+    point, then every perpendicular-lane one, each lane's in draw order
+    (not sorted by trial).  coord is the position along the lane (x on the
+    desired vehicle's lane, y on the other one) and trial the index, int32
+    in [0, n), of the trial it belongs to.  Points within
+    EXCLUSION_RADIUS_M of the desired vehicle are drawn but are not
+    interferers (see outside_exclusion).
     """
 
-    counts: np.ndarray
+    n: int
+    trial: np.ndarray
     coord: np.ndarray
-
-    @cached_property
-    def trial(self) -> np.ndarray:
-        """Each point's trial index, int32, computed from counts on first read.
-
-        Each nonzero count's trial is repeated by the count: a sparse
-        deployment, whose counts are mostly zero, repeats few entries, and
-        no integer array as long as counts is made.
-        """
-        n = self.counts.shape[1]
-        flat = self.counts.ravel()
-        nonzero = np.flatnonzero(flat != 0)
-        trial = nonzero.astype(np.int32)
-        trial[np.searchsorted(nonzero, n):] -= n   # the second lane's entries
-        return np.repeat(trial, flat[nonzero])
-
-    def lane_slices(self) -> tuple[slice, slice]:
-        n_same = int(self.counts[LANE_SAME].sum())
-        return slice(0, n_same), slice(n_same, len(self.coord))
+    lanes: tuple[slice, slice]
 
 
 def rsu_paths(config: ScenarioConfig, lane: int, coord):
@@ -365,14 +348,21 @@ def draw_deployment(config: ScenarioConfig, rng: np.random.Generator,
                     n: int) -> Deployment:
     """Draw the lane points of n trials.
 
-    Each lane carries a homogeneous Poisson point process of density
-    lambda * rho over [-L, L]; the points outside the exclusion radius are
-    the trial's interferers, shared by the VLC and RF links.  Stream
-    consumption: the (2, n) Poisson counts, then one uniform per point in
-    storage order.
+    Each lane of each trial carries a homogeneous Poisson point process of
+    density lambda * rho over [-L, L]; the points outside the exclusion
+    radius are the trial's interferers, shared by the VLC and RF links.
+    The n trials' copies of a lane are drawn as one Poisson process over
+    their union: a Poisson total of n times the lane's mean, whose points
+    fall on iid uniform trials and positions (Kingman, Poisson Processes,
+    1993, sec. 2.4), so each trial's count is Poisson and independent of
+    the others'.  Stream consumption: the two lanes' Poisson totals, then
+    one int32 trial per point, then one uniform position per point, both
+    in storage order.
     """
     L = config.geometry.lane_half_length
     mean = config.lambda_density * config.rho_access * 2.0 * L
-    counts = rng.poisson(mean, (2, n))
-    return Deployment(counts, rng.uniform(-L, L, int(counts.sum())))
-
+    n_same, n_perp = rng.poisson(mean * n, len(LANES)).tolist()
+    points = n_same + n_perp
+    trial = rng.integers(0, n, points, dtype=np.int32)
+    return Deployment(n, trial, rng.uniform(-L, L, points),
+                      (slice(0, n_same), slice(n_same, points)))

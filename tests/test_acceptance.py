@@ -325,9 +325,9 @@ def test_criterion_10_statistical_sanity(capsys):
     """Poisson deployment chi-square and fading mean / KS at the 1% level."""
     cfg = ScenarioConfig()
     deployment = draw_deployment(cfg, np.random.default_rng(1010), 50_000)
-    part = deployment.lane_slices()[LANE_SAME]
+    part = deployment.lanes[LANE_SAME]
     active = outside_exclusion(cfg, LANE_SAME, deployment.coord[part])
-    same = np.bincount(deployment.trial[part][active], minlength=deployment.counts.shape[1])
+    same = np.bincount(deployment.trial[part][active], minlength=deployment.n)
     p0 = stats.poisson.pmf(0, 0.1)
     p1 = stats.poisson.pmf(1, 0.1)
     observed = np.array([(same == 0).sum(), (same == 1).sum(), (same >= 2).sum()])

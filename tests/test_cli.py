@@ -240,7 +240,7 @@ class TestCliPrpSweep:
         assert len(manifest["config_sha256"]) == 64
         assert manifest["rng_scheme"] == "splitmix64-chunk/pcg64"
         assert manifest["chunk_size"] == 4096
-        assert manifest["tool_version"] == "0.3.0"
+        assert manifest["tool_version"] == "0.4.0"
         # how the sweep ran: its processes, wall time, rate and page faults
         assert manifest["workers"] == 1
         assert manifest["sweep_seconds"] > 0
@@ -753,7 +753,7 @@ def _check_table(metric, table):
         numbers = [float(v) for k, v in row.items() if k not in ("weather", "mode")]
         assert all(np.isfinite(numbers)), row
         value, low, high = (float(row[k]) for k in (metric, "ci95_low", "ci95_high"))
-        assert float(row["stderr"]) >= 0.0 and low <= high, row
+        assert float(row["stderr"]) >= 0.0 and low <= value <= high, row
         if metric != "rate_mbps":
             assert 0.0 <= value <= 1.0 and 0.0 <= low and high <= 1.0, row
         key = (row["distance_m"], row["weather"])

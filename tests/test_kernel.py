@@ -13,7 +13,7 @@ from rfvlc import (FADING_NAKAGAMI, FADING_RAYLEIGH, Pose3, ScenarioConfig,
 from rfvlc import metrics
 from rfvlc.engine import trial_rng
 from rfvlc.metrics import _draw, _interference_pass, _merged, simulate_trials
-from rfvlc.scenario import (EXCLUSION_RADIUS_M, LANE_SAME, LANES, Deployment,
+from rfvlc.scenario import (EXCLUSION_RADIUS_M, LANE_SAME, LANES,
                             draw_deployment, exclusion_disc, outside_exclusion, rsu_links,
                             rsu_paths)
 from rfvlc.vlc_channel import path_gain, sees, seen_gain
@@ -85,7 +85,7 @@ def _lane_poses(config, deployment):
     an interferer (outside the exclusion radius), from the lane layout."""
     geo = config.geometry
     desired = _desired_vehicle(config)
-    n_same = int(deployment.counts[0].sum())
+    n_same = deployment.lanes[LANE_SAME].stop
     poses, active = [], []
     for k, c in enumerate(deployment.coord):
         toward = -1.0 if c >= 0 else 1.0
@@ -138,22 +138,16 @@ def _scalar_reference(config, weather, seed, n):
 def _lit_points(config, deployment):
     """Interferers the RSU sees, per lane, from the public gain."""
     out = []
-    for lane, part in zip(LANES, deployment.lane_slices()):
+    for lane, part in zip(LANES, deployment.lanes):
         coord = deployment.coord[part]
         gain = rsu_links(config, lane, coord)[1]
         out.append(((gain > 0) & outside_exclusion(config, lane, coord)).sum())
     return np.array(out)
 
 
-def _reference_trial(deployment):
-    """Each lane point's trial index, as draw_deployment once stored it."""
-    n = deployment.counts.shape[1]
-    return np.repeat(np.tile(np.arange(n, dtype=np.int32), 2), deployment.counts.ravel())
-
-
-def _pass_trial(drawn):
-    """The trial index _interference_pass builds for a record of lane points."""
-    return Deployment(drawn.counts, drawn.coord).trial
+def _lane_points(deployment):
+    """The number of drawn points on each lane."""
+    return np.array([part.stop - part.start for part in deployment.lanes])
 
 
 def _interference_sums(config, weathers, rng, n):
@@ -187,7 +181,7 @@ def test_kernel_matches_scalar_channel_loop(config):
     deployment, excluded, i_vlc = _assert_matches_scalar(config)
     # the fixture really is dense, on both lanes, with visible interferers
     # and with points inside the exclusion radius
-    assert deployment.counts[0].mean() > 5 and deployment.counts[1].mean() > 5
+    assert (_lane_points(deployment) > 5 * N).all()
     assert (i_vlc > 0).sum() > N // 2
     assert excluded > 0
 
@@ -228,7 +222,7 @@ def test_term_window_changes_no_bit(fading, rho_access, block, n, monkeypatch):
     assert len(runs) == 1
     # the default window of 4 slices splits each lane's points, and the
     # lane-0 points end inside a slice
-    counts = draw_deployment(config, trial_rng(SEED), n).counts.sum(axis=1)
+    counts = _lane_points(draw_deployment(config, trial_rng(SEED), n))
     assert counts.min() > 2 * 4 * metrics._BLOCK
     assert counts[0] % metrics._BLOCK
 
@@ -239,25 +233,23 @@ def test_term_window_changes_no_bit(fading, rho_access, block, n, monkeypatch):
                          ids=["default", FADING_RAYLEIGH, FADING_NAKAGAMI, "no_interferers",
                               "off_axis"])
 def test_draw_reads_the_chunk_stream_in_order(config):
-    # _draw reads a chunk's whole stream: the deployment, the n desired
-    # fades, then one fade per lane point, and nothing after them; a group
-    # of one (_merged) is the chunk, whose counts give the pass the trial
-    # index Deployment.trial gives
+    # _draw reads a chunk's whole stream: the deployment (the lanes'
+    # Poisson totals, each point's trial, each point's position), the n
+    # desired fades, then one fade per lane point, and nothing after them;
+    # a group of one (_merged) is the chunk
     rng, by_hand = trial_rng(SEED), trial_rng(SEED)
     chunk, fade = _draw(config, rng, N)
     deployment = draw_deployment(config, by_hand, N)
     desired = sample_fading(config.rf, by_hand, N)
     lane_fades = sample_fading(config.rf, by_hand, len(deployment.coord))
-    lanes = deployment.lane_slices()
+    lanes = deployment.lanes
     masks = np.concatenate([outside_exclusion(config, lane, deployment.coord[part])
                             for lane, part in zip(LANES, lanes)])
-    assert chunk.lanes == lanes and chunk.counts.shape == (len(LANES), N)
-    # the counts' values, held as uint16 since every count fits
-    assert chunk.counts.dtype == np.uint16 and np.array_equal(chunk.counts, deployment.counts)
-    for got, want in ((chunk.coord, deployment.coord), (fade, desired),
-                      (chunk.fade, lane_fades), (chunk.active, masks),
-                      (_pass_trial(chunk), _reference_trial(deployment))):
+    assert chunk.lanes == lanes and chunk.n == deployment.n == N
+    for got, want in ((chunk.trial, deployment.trial), (chunk.coord, deployment.coord),
+                      (fade, desired), (chunk.fade, lane_fades), (chunk.active, masks)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert chunk.trial.dtype == np.int32
     assert _merged([chunk]) is chunk
     assert rng.random() == by_hand.random()
 
@@ -270,8 +262,9 @@ def test_a_group_is_built_bit_for_bit_from_its_chunks():
     # lambda rho = 1e-3: 2 points per lane and trial
     config = dataclasses.replace(ScenarioConfig(), rho_access=0.1)
     empty = next(s for s in range(SEED, SEED + 10_000)
-                 if not draw_deployment(config, trial_rng(s), 1).counts.any())
-    shape = [(30.0, SEED, 2048), (100.0, empty, 1), (150.0, SEED + 1, 700),
+                 if not draw_deployment(config, trial_rng(s), 1).coord.size)
+    # SEED + 3: a 700-trial draw whose disc cuts its lane (SEED + 1's does not)
+    shape = [(30.0, SEED, 2048), (100.0, empty, 1), (150.0, SEED + 3, 700),
              (150.0, SEED + 2, 300)]
     chunks, want, first = [], {lane: [] for lane in LANES}, 0
     for distance, seed, n in shape:
@@ -281,46 +274,37 @@ def test_a_group_is_built_bit_for_bit_from_its_chunks():
         deployment = draw_deployment(cfg, by_hand, n)
         sample_fading(cfg.rf, by_hand, n)
         fades = sample_fading(cfg.rf, by_hand, len(deployment.coord))
-        for lane, part in zip(LANES, deployment.lane_slices()):
+        for lane, part in zip(LANES, deployment.lanes):
             coord = deployment.coord[part]
-            want[lane].append((_reference_trial(deployment)[part] + first, coord,
+            want[lane].append((deployment.trial[part] + first, coord,
                                outside_exclusion(cfg, lane, coord), fades[part]))
         first += n
     assert not chunks[1].coord.size
     drawn = _merged(chunks)
     parts = [part for lane in LANES for part in want[lane]]
     n_same = sum(len(coord) for _, coord, _, _ in want[LANE_SAME])
-    # the chunks' counts side by side, uint16 as each chunk holds them
-    assert drawn.counts.shape == (len(LANES), first) and drawn.counts.dtype == np.uint16
-    assert np.array_equal(drawn.counts, np.concatenate([c.counts for c in chunks], axis=1))
+    assert drawn.n == first
     assert drawn.lanes == (slice(0, n_same), slice(n_same, len(drawn.coord)))
-    trial = _pass_trial(drawn)
-    for got, field in zip((trial, drawn.coord, drawn.active, drawn.fade), zip(*parts)):
+    for got, field in zip((drawn.trial, drawn.coord, drawn.active, drawn.fade), zip(*parts)):
         expected = np.concatenate(field)
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
-    assert trial.dtype == np.int32
+    assert drawn.trial.dtype == np.int32
+    # every trial of the group is reached, and only those
+    assert drawn.trial.min() == 0 and drawn.trial.max() == first - 1
     # the discs of the 30 m chunk and of a 150 m one cut their lanes
     same = want[LANE_SAME]
     assert not same[0][2].all() and not same[2][2].all()
 
 
-def test_counts_that_may_not_fit_uint16_stay_as_drawn():
-    # a full dense chunk has more lane points than uint16 holds
-    chunk, _ = _draw(DENSE, trial_rng(SEED), 4096)
-    deployment = draw_deployment(DENSE, trial_rng(SEED), 4096)
-    assert len(chunk.coord) >= 1 << 16 and chunk.counts.dtype == deployment.counts.dtype
-    assert _pass_trial(_merged([chunk])).tobytes() == _reference_trial(deployment).tobytes()
-
-
 def test_interferer_counts_match_the_reference_mask():
     deployment = draw_deployment(DENSE, trial_rng(SEED), N)
     _, active = _lane_poses(DENSE, deployment)
-    n_same = int(deployment.counts[0].sum())
+    n_same = deployment.lanes[LANE_SAME].stop
     expected = np.zeros((2, N), dtype=int)
     for k, (t, keep) in enumerate(zip(deployment.trial, active)):
         expected[int(k >= n_same), t] += keep
     got = []   # the interferers per lane and trial: the mask counted over Deployment.trial
-    for lane, part in zip(LANES, deployment.lane_slices()):
+    for lane, part in zip(LANES, deployment.lanes):
         keep = outside_exclusion(DENSE, lane, deployment.coord[part])
         got.append(np.bincount(deployment.trial[part][keep], minlength=N))
     assert np.array_equal(got, expected)
@@ -334,7 +318,7 @@ def test_rsu_paths_match_the_reference_deployment():
     poses, active = _lane_poses(DENSE, deployment)
     rsu = DENSE.geometry.rsu_pose
     assert 0 < active.count(True) < len(active)
-    for lane, part in zip(LANES, deployment.lane_slices()):
+    for lane, part in zip(LANES, deployment.lanes):
         coord = deployment.coord[part]
         expected = []
         for p in poses[part]:
@@ -481,5 +465,5 @@ def test_kernel_evaluates_gains_on_lit_points_only(config, same, perp, monkeypat
     assert sum(sizes) == lit.sum()
     # the share of each lane's interferers that is lit
     share = lit / [outside_exclusion(config, lane, deployment.coord[part]).sum()
-                   for lane, part in zip(LANES, deployment.lane_slices())]
+                   for lane, part in zip(LANES, deployment.lanes)]
     assert same[0] <= share[0] <= same[1] and perp[0] <= share[1] <= perp[1]

@@ -101,7 +101,7 @@ class TestRunTrial:
         assert len(values) == 1
         assert values.pop() == vlc_snr(NO_INTERFERENCE, CLEAR)
         deployment = draw_deployment(NO_INTERFERENCE, np.random.default_rng(31), 500)
-        assert not deployment.counts.any()   # no lane point, hence no interferer
+        assert not deployment.coord.size   # no lane point, hence no interferer
 
     def test_rf_sinr_is_scaled_exponential_without_interferers(self):
         # sinr_rf = (P_mean / N) * g with g ~ exp(1)

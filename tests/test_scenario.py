@@ -13,7 +13,7 @@ from rfvlc import (WEATHER_ATTENUATION_DB_PER_KM, WEATHER_KINDS,
                    validate, vlc_noise_power, vlc_rx_electrical_power)
 from rfvlc import scenario
 from rfvlc.scenario import (_POWER_HEADROOM, EXCLUSION_RADIUS_M, LANE_SAME, LANES,
-                            Deployment, _derived_problems, outside_exclusion, rsu_paths)
+                            _derived_problems, outside_exclusion, rsu_paths)
 from rfvlc.vlc_channel import path_gain
 
 
@@ -178,18 +178,20 @@ class TestPeakBound:
 def _interferer_counts(config, deployment):
     """Interferers per lane and trial: the lane points outside the
     exclusion radius, counted over Deployment.trial."""
-    n = deployment.counts.shape[1]
     counts = []
-    for lane, part in zip(LANES, deployment.lane_slices()):
+    for lane, part in zip(LANES, deployment.lanes):
         active = outside_exclusion(config, lane, deployment.coord[part])
-        counts.append(np.bincount(deployment.trial[part][active], minlength=n))
+        counts.append(np.bincount(deployment.trial[part][active], minlength=deployment.n))
     return np.array(counts)
 
 
-def _lane_counts(config, seed, n_draws):
-    # interferers per (lane, draw), from one kernel deployment of n_draws trials
+def _lane_counts(config, seed, n_draws, chunk=4096):
+    # interferers per (lane, draw), from kernel deployments of at most
+    # chunk trials each (as the engine draws them) from one generator
     rng = np.random.default_rng(seed)
-    return _interferer_counts(config, draw_deployment(config, rng, n_draws))
+    return np.concatenate([_interferer_counts(config, draw_deployment(
+        config, rng, min(chunk, n_draws - start))) for start in range(0, n_draws, chunk)],
+        axis=1)
 
 
 def _count_draws(config, seed, n_draws):
@@ -201,7 +203,7 @@ def _interferers(config, seed, n_draws):
     lane: their centerline positions and rsu_paths at them."""
     geo = config.geometry
     deployment = draw_deployment(config, np.random.default_rng(seed), n_draws)
-    for lane, part in zip(LANES, deployment.lane_slices()):
+    for lane, part in zip(LANES, deployment.lanes):
         coord = deployment.coord[part]
         active = outside_exclusion(config, lane, coord)
         coord = coord[active]
@@ -293,49 +295,75 @@ class TestSampleInterferers:
         assert _interferer_counts(cfg, deployment).sum() < len(deployment.coord)
 
 
-def _reference_trial(counts):
-    """Each lane point's trial index, as draw_deployment once stored it."""
-    n = counts.shape[1]
-    return np.repeat(np.tile(np.arange(n, dtype=np.int32), 2), counts.ravel())
+class TestPoissonization:
+    """One draw_deployment call draws each lane's n trial copies as one
+    Poisson process: per-trial counts iid Poisson, the lanes independent."""
+
+    N = 200_000
+
+    @staticmethod
+    def _counts(deployment):
+        # points per (lane, trial), exclusion disc not applied
+        return np.array([np.bincount(deployment.trial[part], minlength=deployment.n)
+                         for part in deployment.lanes])
+
+    @pytest.mark.parametrize("rho_access, seed", [(0.01, 21), (0.3, 22)],
+                             ids=["sparse_0.1", "mean_3"])
+    def test_per_trial_counts_are_poisson(self, rho_access, seed):
+        config = dataclasses.replace(ScenarioConfig(), rho_access=rho_access)
+        mean = config.lambda_density * rho_access * 2.0 * config.geometry.lane_half_length
+        deployment = draw_deployment(config, np.random.default_rng(seed), self.N)
+        counts = self._counts(deployment)
+        assert counts.shape == (len(LANES), self.N) and counts.sum() == len(deployment.coord)
+        for lane in counts:
+            # mean, to 4 SE of a Poisson sample mean
+            assert abs(lane.mean() - mean) < 4 * math.sqrt(mean / self.N)
+            # dispersion var / mean = 1, to 4 SE: sqrt((2 + 1 / mean) / N) for a Poisson
+            assert abs(lane.var(ddof=1) / lane.mean() - 1.0) < \
+                4 * math.sqrt((2.0 + 1.0 / mean) / self.N)
+            # P(0) and P(1), to 4 binomial SE
+            for k in (0, 1):
+                p = stats.poisson.pmf(k, mean)
+                assert abs((lane == k).mean() - p) < 4 * math.sqrt(p * (1 - p) / self.N)
+        # the lanes' counts are uncorrelated, to 4 SE of a sample correlation
+        assert abs(np.corrcoef(counts)[0, 1]) < 4 / math.sqrt(self.N)
+
+    def test_trials_cover_the_chunk_uniformly(self):
+        # each point's trial, over a 4096-trial chunk in 64 bands of 64
+        # trials, against the uniform law (pinned seed, 1% level); both
+        # lanes alike
+        config = dataclasses.replace(ScenarioConfig(), rho_access=1.0)
+        deployment = draw_deployment(config, np.random.default_rng(23), 4096)
+        assert deployment.trial.dtype == np.int32
+        for part in deployment.lanes:
+            trial = deployment.trial[part]
+            assert trial.min() == 0 and trial.max() == deployment.n - 1
+            observed = np.bincount(trial // 64, minlength=64)
+            assert observed.sum() > 30_000
+            assert stats.chisquare(observed).pvalue > 0.01
 
 
-class TestDeploymentTrial:
-    @pytest.mark.parametrize("mean, n", [(0.1, 4096), (3.0, 50), (40.0, 7), (0.0, 300),
-                                         (0.5, 1), (0.5, 0)],
-                             ids=["sparse", "both_lanes", "dense", "all_empty", "one_trial",
-                                  "no_trial"])
-    def test_trial_is_computed_from_the_counts_on_read(self, mean, n):
-        # zero-point trials on either lane, both lanes busy, no point at all
-        counts = np.random.default_rng(11).poisson(mean, (2, n))
-        if 0 < mean < 1 and n > 1:
-            assert (counts == 0).any() and counts.any()
-        deployment = Deployment(counts, np.zeros(int(counts.sum())))
-        assert "trial" not in vars(deployment)   # nothing computed before the read
-        trial = deployment.trial
-        want = _reference_trial(counts)
-        assert trial.dtype == np.int32 and trial.tobytes() == want.tobytes()
-        assert deployment.trial is trial   # computed once
-        # the counts as uint16 (as a pooled chunk holds them) give the same index
-        narrow = Deployment(counts.astype(np.uint16), deployment.coord).trial
-        assert narrow.dtype == np.int32 and narrow.tobytes() == want.tobytes()
-
+class TestDeploymentDraw:
     @pytest.mark.parametrize("rho_access", [1e-2, 1.0])
-    def test_draw_deployment_reads_the_counts_then_the_positions(self, rho_access):
+    def test_draw_deployment_reads_the_totals_then_the_trials_then_the_positions(
+            self, rho_access):
         config = dataclasses.replace(ScenarioConfig(), rho_access=rho_access, distance_r=30.0)
         rng, by_hand = np.random.default_rng(5), np.random.default_rng(5)
         deployment = draw_deployment(config, rng, 500)
         L = config.geometry.lane_half_length
-        counts = by_hand.poisson(config.lambda_density * config.rho_access * 2.0 * L, (2, 500))
-        coord = by_hand.uniform(-L, L, int(counts.sum()))
-        assert deployment.counts.tobytes() == counts.tobytes()
+        totals = by_hand.poisson(config.lambda_density * config.rho_access * 2.0 * L * 500, 2)
+        trial = by_hand.integers(0, 500, totals.sum(), dtype=np.int32)
+        coord = by_hand.uniform(-L, L, totals.sum())
+        assert deployment.n == 500
+        assert deployment.lanes == (slice(0, totals[0]), slice(totals[0], totals.sum()))
+        assert deployment.trial.tobytes() == trial.tobytes()
         assert deployment.coord.tobytes() == coord.tobytes()
         assert rng.random() == by_hand.random()
-        # the index computed on read counts the interferers as the stored one did
-        want = np.zeros_like(counts)
-        trial = _reference_trial(counts)
-        for lane, part in zip(LANES, deployment.lane_slices()):
+        # the interferers per lane and trial, counted over the drawn trials
+        want = np.zeros((len(LANES), 500), dtype=np.int64)
+        for lane, part in zip(LANES, deployment.lanes):
             keep = outside_exclusion(config, lane, coord[part])
-            want[lane] = np.bincount(trial[part][keep], minlength=500)
+            np.add.at(want[lane], trial[part][keep], 1)
         got = _interferer_counts(config, deployment)
-        assert got.dtype == counts.dtype and np.array_equal(got, want)
+        assert np.array_equal(got, want)
         assert 0 < got.sum() <= len(coord)
