@@ -37,9 +37,25 @@ and helpers' apart, as minor_faults_children), git_commit and git_dirty
 exits 1 after the summary if any run reports a failed check.
 
 In both modes the parent runs first on even pairs, verdict() names a
-better side, and the JSON goes to stdout or --out.  A missing side, a
-side that is not a checkout, an option of the other mode, an unknown
-sweep or fewer than 2 pairs exit 2 before any run.
+better side, and the JSON goes to stdout or --out.
+
+With --rows N, nothing is timed: each case of the change's
+tests/test_golden.py CASES runs once per side through that side's
+cli.main, at N trials and without --gnuplot, for a deliberate change of
+output bits (a version bump) to show that every row moved only within
+Monte Carlo error:
+
+    python3 scripts/ab_sweep.py --parent ../parent --change . --rows 100000
+
+The rows are joined by their key columns.  Per case it reports the rows,
+the rows equal, and the largest |z| and its row: the pooled proportion
+for prp and dor rows, the two standard errors for rate rows.  It exits 1
+after the summary if any |z| exceeds the Bonferroni bound over all rows,
+Phi^-1(1 - 0.025 / rows), if a row with zero stderr on both sides moved
+at all, if a key is on one side only, or if a header changed.
+
+A missing side, a side that is not a checkout, an option of another
+mode, an unknown sweep or fewer than 2 pairs exit 2 before any run.
 """
 
 from __future__ import annotations
@@ -75,7 +91,7 @@ SWEEPS = {
     "dor_sparse_50": (("dor-sweep", "--workers", "2"), (), 100_000),
     "dor_1e-3_8": (("dor-sweep", "--workers", "2"), ("rho_access = 0.1",), 4 * 4096),
     "dense_clear_2": (("prp-sweep", "--workers", "2", "--weather", "clear",
-                       "--distances", "10,25"), ("rho_access = 1.0",), 4096),
+                       "--distances", "10,25"), ("rho_access = 1.0",), 2 * 4096),
 }
 WORKLOADS = tuple(SWEEPS)[:3]   # bench.WORKLOADS
 SEED = 1
@@ -219,6 +235,14 @@ def pair_count(text: str) -> int:
     return pairs
 
 
+def row_trials(text: str) -> int:
+    """An argparse type: trials per sweep point, at least the CLI's 100."""
+    trials = int(text)
+    if trials < 100:
+        raise argparse.ArgumentTypeError(f"need at least 100 trials, not {trials}")
+    return trials
+
+
 def worker_counts(text: str) -> dict:
     """An argparse type: "P,C", the parent's and the change's processes."""
     counts = text.split(",")
@@ -339,6 +363,108 @@ def bench_pairs(args) -> tuple[dict, int]:
     return out, 1 if failed else 0
 
 
+def golden_cases(tree: str) -> dict:
+    """CASES of a checkout's tests/test_golden.py, imported with its
+    src on the path: case name -> CLI argv."""
+    sys.path.insert(0, str(Path(tree, "src").resolve()))
+    spec = importlib.util.spec_from_file_location(
+        "golden_cases", Path(tree, "tests", "test_golden.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.CASES
+
+
+def case_argv(argv, trials: int) -> list:
+    """A golden case's argv at trials trials, without --gnuplot."""
+    out = [arg for arg in argv if arg != "--gnuplot"]
+    out[out.index("--trials") + 1] = str(trials)
+    return out
+
+
+def csv_rows(text: str) -> tuple[list, dict]:
+    """The header and the rows of a sweep CSV: the key columns (every one
+    before the metric's) -> (value, stderr, n_trials, the rest of the line)."""
+    lines = text.splitlines()
+    header = lines[0].split(",")
+    k = header.index("stderr") - 1   # the metric's column
+    rows = {}
+    for line in lines[1:]:
+        fields = line.split(",")
+        rows[tuple(fields[:k])] = (float(fields[k]), float(fields[k + 1]), int(fields[-1]),
+                                   fields[k:])
+    return header, rows
+
+
+def row_z(metric: str, a: tuple, b: tuple) -> float:
+    """|z| between one row's two estimates, (value, stderr, n_trials, ...):
+    0 for equal values, the pooled proportion's standard error for prp and
+    dor, the two standard errors for rate_mbps; inf where that is 0."""
+    (va, sa, na), (vb, sb, nb) = a[:3], b[:3]
+    if va == vb:
+        return 0.0
+    if metric == "rate_mbps":
+        se = math.hypot(sa, sb)
+    else:
+        p = (va * na + vb * nb) / (na + nb)
+        se = math.sqrt(p * (1.0 - p) * (1.0 / na + 1.0 / nb))
+    return abs(va - vb) / se if se > 0.0 else math.inf
+
+
+def rows_verdict(tables: dict) -> tuple[dict, list]:
+    """The summary and the failures of parent-against-change tables:
+    tables maps a case to its (parent CSV text, change CSV text)."""
+    cases, failures, worst = {}, [], {}
+    for case, (parent, change) in tables.items():
+        (head_a, a), (head_b, b) = csv_rows(parent), csv_rows(change)
+        if head_a != head_b:
+            failures.append(f"{case}: header {','.join(head_a)} -> {','.join(head_b)}")
+            continue
+        metric = head_a[head_a.index("stderr") - 1]
+        failures += [f"{case}: row {','.join(key)} only in the {side}"
+                     for side, mine, other in (("parent", a, b), ("change", b, a))
+                     for key in mine if key not in other]
+        both = [key for key in a if key in b]
+        for key in both:
+            if a[key][1] == b[key][1] == 0.0 and a[key][0] != b[key][0]:
+                failures.append(f"{case}: zero-stderr row {','.join(key)} moved: "
+                                f"{a[key][0]!r} -> {b[key][0]!r}")
+        z = {key: row_z(metric, a[key], b[key]) for key in both}
+        at = max(z, key=z.get, default=None)
+        worst[case] = (z[at] if z else 0.0, at)
+        cases[case] = {"rows": len(both), "equal": sum(a[key][3] == b[key][3] for key in both),
+                       "max_abs_z": worst[case][0], "at": at and ",".join(at)}
+    rows = sum(c["rows"] for c in cases.values())
+    bound = statistics.NormalDist().inv_cdf(1.0 - 0.025 / rows) if rows else math.inf
+    failures += [f"{case}: |z| = {z:.3g} at {','.join(at)} exceeds {bound:.3g}"
+                 for case, (z, at) in worst.items() if z > bound]
+    return {"rows": rows, "bound": bound, "cases": cases, "failures": failures}, failures
+
+
+def rows_pairs(args) -> tuple[dict, int]:
+    """The row verdict of every golden case at args.rows trials, run once
+    per side, and the exit status: 1, the failures on stderr, if any."""
+    cases = golden_cases(args.change)
+    packages = {side: load(getattr(args, side), f"rfvlc_{side}") for side in SIDES}
+    tables = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for case, argv in cases.items():
+            texts = []
+            for side, package in packages.items():
+                out = Path(tmp, side, case)
+                if package.cli.main([*case_argv(argv, args.rows), "--out", str(out)]) != 0:
+                    raise RuntimeError(f"{case}: the {side} run failed")
+                csv, = out.glob("*_sweep.csv")
+                texts.append(csv.read_text(encoding="utf-8"))
+            tables[case] = tuple(texts)
+    summary, failures = rows_verdict(tables)
+    for failure in failures:
+        print(failure, file=sys.stderr)
+    return {"method": "each golden case once per side at --rows trials; |z| by the pooled "
+                      "proportion (prp, dor) or the two stderrs (rate_mbps); bound "
+                      "Phi^-1(1 - 0.025 / rows)", "trials": args.rows, **summary}, \
+        1 if failures else 0
+
+
 def parse_args(argv) -> argparse.Namespace:
     """The options, each mode's defaults filled in; exit 2 on a side
     without src/rfvlc/__init__.py (or, with --seconds, benchmarks/bench.py),
@@ -356,13 +482,21 @@ def parse_args(argv) -> argparse.Namespace:
     parser.add_argument("--warmup", type=int, help="untimed pairs per sweep (default 2)")
     parser.add_argument("--workers", type=worker_counts, metavar="P,C",
                         help="parent and change processes, the split forced above one")
+    parser.add_argument("--rows", type=row_trials, metavar="N",
+                        help="no timing: compare the golden cases' rows at N trials")
     args = parser.parse_args(argv)
     benchmark = args.seconds is not None
+    if args.rows is not None:
+        for option in ("seconds", "seed0", "warmup", "workers", "pairs", "sweeps"):
+            if getattr(args, option) is not None:
+                parser.error(f"--{option} goes only without --rows")
     for option in ("warmup", "workers") if benchmark else ("seed0",):
         if getattr(args, option) is not None:
             parser.error(f"--{option} goes only with{'out' if benchmark else ''} --seconds")
     for side in SIDES:
-        for need in ("src/rfvlc/__init__.py", "benchmarks/bench.py")[:1 + benchmark]:
+        needs = ["src/rfvlc/__init__.py"] + ["benchmarks/bench.py"] * benchmark
+        needs += ["tests/test_golden.py"] * (args.rows is not None and side == "change")
+        for need in needs:
             if not Path(getattr(args, side), need).is_file():
                 parser.error(f"--{side}: no {need} in {getattr(args, side)}")
     if benchmark and not 0 < args.seconds < math.inf:
@@ -387,7 +521,10 @@ def main(argv=None) -> int:
         print(json.dumps(bench_one(tree, workload, int(seed), float(seconds))))
         return 0
     args = parse_args(argv)
-    out, status = (sweep_pairs if args.seconds is None else bench_pairs)(args)
+    if args.rows is not None:
+        out, status = rows_pairs(args)
+    else:
+        out, status = (sweep_pairs if args.seconds is None else bench_pairs)(args)
     if out is not None:
         text = json.dumps(out, indent=1) + "\n"
         if args.out:

@@ -1,20 +1,23 @@
 """Sweep orchestration: seeding, trial batching, and result tables.
 
 Trials are simulated in chunks of _CHUNK on a fixed grid, and every
-(sweep point, chunk) pair owns a private counter-derived random stream
-(derive_seed, trial_rng).  Partials are reduced in chunk order, so
-results are a pure function of (config, spec): reruns and runs with
-different worker counts produce bit-identical tables.
+chunk owns a private counter-derived random stream (derive_seed,
+trial_rng), drawn once and shared by every distance of the sweep: a
+sweep has one job per (distance, chunk), and the D jobs of a chunk score
+the same trials.  Partials are reduced in chunk order, so results are a
+pure function of (config, spec), and a row of (config, distance, seed,
+trials) whatever the other distances: reruns and runs with different
+worker counts produce bit-identical tables.
 
-A sweep splits its chunk list once, interleaved, over k processes, k = 1
-being the split with no helper: this process computes chunks[0::k]
-while k - 1 forked helper processes compute chunks[j::k] and send their
-partials back over a pipe; helpers are reaped only after the reduction
-and the rows.  Every chunk is scored through the module global
-_chunk_stats_job, looked up at call time in this process and in the
-helpers alike.  k is capped by the chunks, the usable CPUs and the
-sweep's estimated work (sweep_workers: one process per _SPLIT_WORK
-trial-equivalents).
+A sweep splits its chunk indices once, interleaved, over k processes,
+k = 1 being the split with no helper: this process computes the chunks
+c = 0 mod k while k - 1 forked helper processes compute the chunks
+c = j mod k, each chunk with all of its jobs, and send their partials
+back over a pipe; helpers are reaped only after the reduction and the
+rows.  Every job is scored through the module global _chunk_stats_job,
+looked up at call time in this process and in the helpers alike.  k is
+capped by the chunk indices, the usable CPUs and the sweep's estimated
+work (sweep_workers: one process per _SPLIT_WORK trial-equivalents).
 
 README.md explains the streams and the helpers' cost ("Command line")
 and the per-chunk and per-sweep work ("Performance notes").
@@ -32,9 +35,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .estimate import MetricEstimate, mean_estimates, proportion_estimates
-from .metrics import (MODES, desired_links, mode_rates, mode_success, outage_rate,
-                      simulate_chunks)
+from .estimate import (MetricEstimate, mean_estimates, merged_moments, moments,
+                       proportion_estimates)
+from .metrics import MODES, mode_rates, mode_success, outage_rate, simulate_chunks
 from .scenario import WEATHER_KINDS, ScenarioConfig, validate_distances
 
 __all__ = [
@@ -61,8 +64,9 @@ _SPLIT_WORK = 80_000
 # chunk (~281 B for prp, ~1.1 KB for dor's [10, 4, 3]): ~0.28 GB for prp at 25 distances.
 _MAX_TRIALS = 10**8
 
-# Recorded in run manifests: SplitMix64 keys one PCG64 stream per chunk.
-RNG_SCHEME = "splitmix64-chunk/pcg64"
+# Recorded in run manifests: SplitMix64 keys one PCG64 stream per chunk
+# index, shared by every distance of a sweep.
+RNG_SCHEME = "splitmix64-shared-chunk/pcg64"
 
 _MASK64 = (1 << 64) - 1
 
@@ -81,7 +85,8 @@ def derive_seed(master_seed: int, point_index: int, stream_index: int) -> int:
     s0 = splitmix64(master); s1 = splitmix64(s0 ^ splitmix64(point));
     seed = splitmix64(s1 ^ splitmix64(stream)).  Deterministic across runs
     and platforms; collision-free in practical index ranges.  The engine
-    uses one stream per chunk: stream_index = first trial // _CHUNK.
+    uses one stream per chunk, for every distance: point_index = 0 and
+    stream_index = first trial // _CHUNK.
     """
     if point_index < 0 or stream_index < 0:
         raise ConfigError("indices must be >= 0")
@@ -118,7 +123,7 @@ def trial_rng(seed: int) -> np.random.Generator:
 class SweepSpec:
     """One sweep: distances x weathers, scored per mode and delay threshold.
 
-    Each distance is simulated once for all weathers.  The trials of a
+    Each chunk is simulated once for all distances and weathers.  The trials of a
     (distance, weather) point give the PRP, the rate or, for every delay
     threshold in t_th (seconds; empty unless the sweep scores DOR), the
     DOR of every mode.
@@ -179,15 +184,16 @@ def run_sweep(config: ScenarioConfig, spec: SweepSpec, metric: str,
     """Run the full sweep for one metric and return its rows in order.
 
     metric is "prp", "rate_mbps" or "dor"; only its statistics are
-    computed, and only for spec.modes.  Each distance is simulated once
-    for every weather: weather only attenuates optical paths, so one
+    computed, and only for spec.modes.  A chunk is drawn once for every
+    distance and weather: weather only attenuates optical paths and
+    distance only moves the desired link and its exclusion disc, so one
     deployment and one set of RF draws per chunk serve all of them.  Per
     distance, there is one row per (weather, mode), or for "dor" one per
     (delay threshold, weather, mode), a trial being late iff its rate is
     below 8H / t_th; every threshold is scored on the same trials, so DOR
-    is exactly nonincreasing in t_th.  The streams are keyed by the
-    distance's index in spec.distances, so every metric sees the same
-    trials.
+    is exactly nonincreasing in t_th.  The streams are keyed by the chunk
+    alone, so every metric and every distance sees the same trials, and a
+    row does not depend on the other distances listed.
     """
     problems = validate_distances(config, spec.distances) + spec.check()
     if n_workers < 1:
@@ -199,18 +205,19 @@ def run_sweep(config: ScenarioConfig, spec: SweepSpec, metric: str,
     if problems:
         raise ConfigError("; ".join(problems))
 
-    # Fixed chunk grid, independent of worker count.
+    # Fixed chunk grid, independent of worker count: one job per (distance,
+    # chunk), in the rows' order
     n = int(spec.n_trials)   # chunk bounds as Python ints, whatever integer type
     starts = range(0, n, _CHUNK)
     points = [config.with_distance(distance) for distance in spec.distances]
-    chunks = [(cfg, spec.master_seed, d_idx, start, min(start + _CHUNK, n),
-               spec.weathers, spec.t_th, metric, spec.modes)
-              for d_idx, cfg in enumerate(points) for start in starts]
+    jobs = [(cfg, spec.master_seed, d_idx, start, min(start + _CHUNK, n),
+             spec.weathers, spec.t_th, metric, spec.modes)
+            for d_idx, cfg in enumerate(points) for start in starts]
 
     n_workers = sweep_workers(config, spec, n_workers)
     helpers = []   # (process, pipe end) per helper, reaped once the rows are built
     try:
-        return _rows(spec, metric, _run_split(chunks, n_workers, helpers))
+        return _rows(spec, metric, _run_split(jobs, len(starts), n_workers, helpers))
     finally:
         _reap(helpers)
 
@@ -218,14 +225,18 @@ def run_sweep(config: ScenarioConfig, spec: SweepSpec, metric: str,
 def _rows(spec: SweepSpec, metric: str, partials) -> tuple[SweepRow, ...]:
     """The rows of a sweep from its chunk partials, in chunk order, their
     estimates computed as arrays in one pass."""
-    # Reduce per distance (and weather): sum() adds the partials in chunk order.
+    # Reduce per distance (and weather), in chunk order: sum() adds the
+    # counts, merged_moments merges the rate moments.
     n = spec.n_trials
     grid = (len(spec.distances), math.ceil(n / _CHUNK))
-    # [D, W, M] or for dor [D, K, W, M]: the rows' order
-    stats = [sum(np.reshape(field, grid + np.shape(field[0])).swapaxes(0, 1))
-             for field in zip(*partials)]
-    estimates = mean_estimates if metric == "rate_mbps" else proportion_estimates
-    fields = (f.ravel().tolist() for f in estimates(*stats, n))
+    # [C, D, W, M] or for dor [C, D, K, W, M]
+    fields = [np.reshape(field, grid + np.shape(field[0])).swapaxes(0, 1)
+              for field in zip(*partials)]
+    if metric == "rate_mbps":
+        sizes = [min(_CHUNK, n - start) for start in range(0, n, _CHUNK)]
+        fields = (f.ravel().tolist() for f in mean_estimates(*merged_moments(*fields, sizes), n))
+    else:   # [D, W, M] or for dor [D, K, W, M]: the rows' order
+        fields = (f.ravel().tolist() for f in proportion_estimates(sum(fields[0]), n))
     keys = itertools.product(spec.distances, spec.t_th or (None,), spec.weathers, spec.modes)
     return tuple(SweepRow(*key, MetricEstimate(value, stderr, n, low, high))
                  for key, value, stderr, low, high in zip(keys, *fields))
@@ -235,7 +246,9 @@ def _sweep_work(config: ScenarioConfig, spec: SweepSpec) -> float:
     """The sweep's estimated one-process work, in trial-equivalents:
     distances x trials x (1 + m / 3), m = 4 lambda rho L being the expected
     lane points per trial (a lane point costs about a third of a trial's
-    fixed work).  Deterministic: no timing goes into it."""
+    fixed work).  Deterministic: no timing goes into it.  Each chunk's
+    draws and interferer terms are shared by the distances, so this
+    overstates a sweep of many distances."""
     m = (4.0 * config.lambda_density * config.rho_access
          * config.geometry.lane_half_length)
     return len(spec.distances) * spec.n_trials * (1.0 + m / 3.0)
@@ -243,9 +256,10 @@ def _sweep_work(config: ScenarioConfig, spec: SweepSpec) -> float:
 
 def sweep_workers(config: ScenarioConfig, spec: SweepSpec, n_workers: int) -> int:
     """The processes run_sweep(config, spec, metric, n_workers) runs: no more
-    than there are chunks or usable CPUs, and one per _SPLIT_WORK of
-    _sweep_work at most, so no helper for a single chunk or a small sweep."""
-    n_chunks = len(spec.distances) * math.ceil(spec.n_trials / _CHUNK)
+    than there are chunk indices (each carrying every distance) or usable
+    CPUs, and one per _SPLIT_WORK of _sweep_work at most, so no helper for
+    a single chunk or a small sweep."""
+    n_chunks = math.ceil(spec.n_trials / _CHUNK)
     paid = max(1, int(_sweep_work(config, spec) // _SPLIT_WORK))
     return min(n_workers, n_chunks, paid, _usable_cpus())
 
@@ -253,48 +267,52 @@ def sweep_workers(config: ScenarioConfig, spec: SweepSpec, n_workers: int) -> in
 def _run_share(jobs):
     """The partials of jobs, one process's share, in order.
 
-    The desired link's constants are computed once for the share's
-    distances (desired_links) and handed to each chunk.  One generator
-    serves every chunk: each chunk's stream state is injected into it as
+    The share's jobs come chunk by chunk, each chunk's jobs one per
+    distance of the sweep, in distance order.  One generator serves every
+    chunk: each chunk's stream state is injected into it as
     simulate_chunks pulls the chunk, which is safe because simulate_chunks
-    draws all of a chunk's numbers before it pulls the next.  Consecutive
-    jobs share the interferer pass of simulate_chunks, and every job is
-    then scored through _chunk_stats_job.
+    draws all of a chunk's numbers before it pulls the next.  Each chunk
+    is drawn once for all of its distances, and consecutive chunks share
+    the interferer terms of simulate_chunks; every job is then scored
+    through _chunk_stats_job, as simulate_chunks yields its SINRs.
     """
-    distances = {job[2]: job[0].distance_r for job in jobs}   # point -> distance
-    links = dict(zip(distances, desired_links(jobs[0][0], list(distances.values()),
-                                              jobs[0][5])))
+    first = jobs[0][3]
+    distances = [job[0].distance_r for job in jobs if job[3] == first]
+    per_chunk = len(distances)
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
 
     def chunks():
-        for config, seed, point, start, end, *_ in jobs:
-            bit_generator.state = _seed_state(derive_seed(seed, point, start // _CHUNK))
-            yield config, rng, end - start, links[point]
+        for _, seed, _, start, end, *_ in jobs[::per_chunk]:
+            bit_generator.state = _seed_state(derive_seed(seed, 0, start // _CHUNK))
+            yield rng, end - start
 
-    sinrs = simulate_chunks(chunks(), jobs[0][5])
-    # no name holds a chunk's SINRs once it is scored
-    return [_chunk_stats_job((*job, next(sinrs))) for job in jobs]
+    partials = [None] * len(jobs)
+    for i, d, sinrs in simulate_chunks(jobs[0][0], distances, jobs[0][5], chunks()):
+        k = i * per_chunk + d
+        partials[k] = _chunk_stats_job((*jobs[k], sinrs))
+        del sinrs   # no name holds a group's sums once its jobs are scored
+    return partials
 
 
 def _chunk_stats_job(job):
-    """Score one chunk for its metric alone, per weather and for the sweep's
-    modes only, in spec.modes order: the success counts, [W, M] (prp); the
-    rate sum and sum of squares in Mbps, [W, M] each (rate_mbps); or
-    late[k, weather, mode], the trials whose rate falls below
-    outage_rate(H, t_th[k]) (dor).
+    """Score one chunk at one distance for its metric alone, per weather
+    and for the sweep's modes only, in spec.modes order: the success
+    counts, [W, M] (prp); the rate's mean and sum of squared deviations in
+    Mbps (moments), [W, M] each (rate_mbps); or late[k, weather, mode],
+    the trials whose rate falls below outage_rate(H, t_th[k]) (dor).
 
     job is (config, seed, point, start, end, weathers, t_th, metric,
-    modes, sinrs): the chunk's trials start..end of sweep point `point`,
-    start a multiple of _CHUNK, and their SINRs.
+    modes, sinrs): the chunk's trials start..end at sweep point `point`,
+    start a multiple of _CHUNK, and their SINRs there.
     """
     config, *_, t_th, metric, modes, sinrs = job
     if metric == "prp":
         return (_count(mode_success(*sinrs, config, modes)).astype(np.int64),)
     rate = mode_rates(*sinrs, config, modes)
     if metric == "rate_mbps":
-        mbps = rate / 1e6
-        return mbps.sum(axis=-1), (mbps * mbps).sum(axis=-1)
+        rate /= 1e6   # Mbps
+        return moments(rate)
     # one threshold at a time, into one flag buffer: no [K, W, M, n] flags
     late = np.empty((len(t_th),) + rate.shape[:-1], np.int64)
     flags = np.empty(rate.shape, bool)
@@ -345,16 +363,22 @@ def _start_helper(share):
     return helper, recv_end
 
 
-def _run_split(chunks, k, helpers):
-    """The partials of every chunk, in chunk order, from this process and
-    k - 1 helpers (none when k = 1); helper j computes chunks[j::k] and
-    this process chunks[0::k].  Each helper started is appended to
+def _run_split(jobs, n_chunks, k, helpers):
+    """The partials of every job, in job order, from this process and
+    k - 1 helpers (none when k = 1).  jobs come distance after distance,
+    n_chunks per distance; the share of process j (helper j, or this
+    process for j = 0) is the chunks c = j mod k, chunk after chunk, each
+    with its job at every distance.  Each helper started is appended to
     helpers, for the caller to _reap, and the call returns once every
     partial has arrived.  A failure in any share is raised here."""
-    for j in range(1, k):
-        helpers.append(_start_helper(chunks[j::k]))
-    partials = [None] * len(chunks)
-    partials[0::k] = _run_share(chunks[0::k])
+    per_chunk = len(jobs) // n_chunks
+    shares = [[p * n_chunks + c for c in range(j, n_chunks, k) for p in range(per_chunk)]
+              for j in range(k)]
+    for share in shares[1:]:
+        helpers.append(_start_helper([jobs[x] for x in share]))
+    partials = [None] * len(jobs)
+    for x, partial in zip(shares[0], _run_share([jobs[x] for x in shares[0]])):
+        partials[x] = partial
     for j, (helper, conn) in enumerate(helpers, 1):
         try:
             ok, value = conn.recv()
@@ -364,7 +388,8 @@ def _run_split(chunks, k, helpers):
                                f"{helper.exitcode} before sending its chunks") from None
         if not ok:
             raise value
-        partials[j::k] = value
+        for x, partial in zip(shares[j], value):
+            partials[x] = partial
     return partials
 
 

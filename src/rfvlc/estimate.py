@@ -2,7 +2,9 @@
 
 proportion_estimates and mean_estimates compute whole arrays of
 estimates at once, a sweep's rows in one pass (a scalar input gives one
-estimate).
+estimate).  A mean's samples are summarised part by part as moments
+(mean and sum of squared deviations), and the parts merged in order
+(merged_moments), so no variance is a difference of large sums.
 """
 
 from __future__ import annotations
@@ -53,14 +55,38 @@ def proportion_estimates(successes, n: int):
     return p, np.sqrt(var), low, high
 
 
-def mean_estimates(total, total_sq, n: int):
+def moments(x):
+    """(mean, m2) over the last axis of x: the mean and the sum of squared
+    deviations from it.  Both come from the samples shifted by the first
+    one, so that a constant sample gives its value and an m2 of exactly 0."""
+    shift = x[..., :1]
+    d = x - shift
+    mean = d.mean(axis=-1, keepdims=True)
+    d -= mean
+    d *= d
+    return (shift + mean)[..., 0], d.sum(axis=-1)
+
+
+def merged_moments(means, m2s, sizes):
+    """(mean, m2) of parts merged in order: part i, of sizes[i] samples, has
+    the moments means[i] and m2s[i] (arrays that broadcast together).  The
+    update is Chan, Golub & LeVeque's (Amer. Statist. 37, 1983): parts of
+    one value merge to that value and an m2 of exactly 0."""
+    mean, m2, n = means[0], m2s[0], sizes[0]
+    for mean_b, m2_b, n_b in zip(means[1:], m2s[1:], sizes[1:]):
+        delta = mean_b - mean
+        total = n + n_b
+        mean = mean + delta * (n_b / total)
+        m2 = m2 + m2_b + delta * delta * (n * n_b / total)
+        n = total
+    return mean, m2
+
+
+def mean_estimates(mean, m2, n: int):
     """(value, stderr, ci95_low, ci95_high) of normal-approximation
-    estimates of means of n trials each, from running sums (arrays that
-    broadcast together)."""
+    estimates of means of n trials each, from their moments (arrays that
+    broadcast together): the variance is m2 / n."""
     if n < 1:
         raise InvalidArgumentError("n must be >= 1")
-    mean = total / n
-    var = total_sq / n - mean * mean
-    stderr = np.sqrt(np.where(var > 0.0, var, 0.0) / n)   # max(0.0, var)
+    stderr = np.sqrt(m2 / n / n)
     return mean, stderr, mean - Z_95 * stderr, mean + Z_95 * stderr
-

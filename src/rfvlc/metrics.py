@@ -3,14 +3,16 @@
 One trial shares a single interferer deployment between the optical and
 radio links: the VLC SINR is fully deterministic given the deployment,
 while every RF power (desired and interfering) gets an independent fading
-draw.  Trials are simulated as arrays, a chunk at a time and for every
-weather at once (simulate_trials): weather only attenuates optical paths.
-Consecutive sparse chunks are merged into one, whose interferers take one
-pass (simulate_chunks); every chunk still gets the bits it gets alone.
-A chunk only reads its stream (_draw); its group merges the chunks' lane
-points once (_merged) and turns its sums into each chunk's SINRs in place.
-The desired link's constants (desired_links) are computed once for all
-of a sweep's distances and handed to each chunk.
+draw.  Trials are simulated as arrays, a chunk at a time, for every
+distance and every weather at once (simulate_trials): weather only
+attenuates optical paths, and distance only moves the desired link and
+the exclusion disc around it.  A chunk only reads its stream (_draw);
+consecutive sparse chunks are merged into one group (_merged,
+simulate_chunks), whose interferer terms are computed once (_lane_terms)
+and then summed per distance (_interference_sums), each chunk's SINRs
+written in place; every (chunk, distance) still gets the bits it gets
+alone.  The desired link's constants (desired_links) are computed once
+for all of a sweep's distances.
 The four operating modes are scored on the same trials, their reception
 by mode_success and their rates by mode_rates, so mode comparisons are
 exact event inclusions rather than statistical ones.  Both score only
@@ -41,25 +43,26 @@ MODE_LA = "la"
 MODE_NON_LA = "non_la"
 MODES = (MODE_PURE_VLC, MODE_PURE_RF, MODE_LA, MODE_NON_LA)
 
-# Lane points per summation slice.  The interferer pass adds each slice of
-# a lane's points to the sums with one bincount per weather, so the slice
+# Lane points per summation slice.  A distance's sums add each slice of a
+# lane's points with one bincount per weather (_interference_sums), so the slice
 # fixes the bits of every output; it also bounds a pooled group (one slice
 # per lane at most, so no slice boundary falls inside a merged chunk).
 # Counting points rather than trials keeps a sparse chunk in one slice.
 _BLOCK = 4096
 
-# Slices per term window.  The pass computes interferer terms a window at
-# a time, so a dense chunk pays the fixed cost of each numpy call
-# once per 16384 points rather than per 4096; the window's temporaries
-# (about a dozen arrays of its length) bound the kernel's memory whatever
-# the density.  The window changes no bit: terms are elementwise, and the
-# sums still add slice by slice.
+# Slices per term window.  Interferer terms are computed a window at a
+# time, so a dense chunk pays the fixed cost of each numpy call once per
+# 16384 points rather than per 4096; only the terms are kept, so the
+# window's temporaries (about a dozen arrays of its length) bound the
+# kernel's memory whatever the density.  The window changes no bit: terms
+# are elementwise, and the sums still add slice by slice.
 _WINDOW = 4
 
 # Chunks per pooled group at most, whatever their lane points: a group holds
-# every chunk's draws until they are merged, then the merged draws and the
-# [W, trials] sums of the whole group until it is scored (a default-density
-# group holds ~10 chunks; 16 at lambda = 0, ~2.6 MB of sums in 4 weathers).
+# every chunk's draws until they are merged, then the merged draws, their
+# terms and one [W, trials] block of sums, reused distance after distance,
+# until it is scored at every distance (a default-density group holds ~10
+# chunks; 16 at lambda = 0, ~2.6 MB of sums in 4 weathers).
 _GROUP = 16
 
 _SIMPSON_PANELS = 20_000   # per integral in prp_rf_closed_form
@@ -121,12 +124,11 @@ def vlc_snr(config: ScenarioConfig, weather: str) -> float:
 
 class _Lanes(NamedTuple):
     """The lane points of a chunk as drawn (_draw), or of a group of chunks
-    merged (_merged), as the interferer pass reads them."""
+    merged (_merged), as the interferer terms read them."""
 
     n: int                      # trials
     trial: np.ndarray           # each point's trial, int32 in [0, n)
     coord: np.ndarray
-    active: np.ndarray          # outside the exclusion disc: an interferer
     fade: np.ndarray            # one RF fade per lane point
     lanes: tuple[slice, slice]  # Deployment.lanes
 
@@ -137,14 +139,13 @@ def _draw(config: ScenarioConfig, rng: np.random.Generator, n: int):
     The whole chunk's stream is read here, in one fixed order: the
     deployment (the lanes' Poisson totals, then each point's trial and
     position), the desired fades, then one fade per lane point in storage
-    order.
+    order.  No draw reads config.distance_r, so every distance of a sweep
+    shares the chunk.
     """
     deployment = draw_deployment(config, rng, n)
     fade = sample_fading(config.rf, rng, n)
-    coord, lanes = deployment.coord, deployment.lanes
-    active = [outside_exclusion(config, lane, coord[part]) for lane, part in zip(LANES, lanes)]
-    return _Lanes(n, deployment.trial, coord, np.concatenate(active),
-                  sample_fading(config.rf, rng, len(coord)), lanes), fade
+    return _Lanes(n, deployment.trial, deployment.coord,
+                  sample_fading(config.rf, rng, len(deployment.coord)), deployment.lanes), fade
 
 
 def _merged(chunks: list) -> _Lanes:
@@ -156,76 +157,68 @@ def _merged(chunks: list) -> _Lanes:
     first = list(accumulate((c.n for c in chunks), initial=0))
     trial = np.concatenate([c.trial[c.lanes[lane]] + a
                             for lane in LANES for c, a in zip(chunks, first)])
-    coord, active, fade = (np.concatenate([getattr(c, field)[c.lanes[lane]]
-                                           for lane in LANES for c in chunks])
-                           for field in ("coord", "active", "fade"))
+    coord, fade = (np.concatenate([getattr(c, field)[c.lanes[lane]]
+                                   for lane in LANES for c in chunks])
+                   for field in ("coord", "fade"))
     n_same = sum(c.lanes[0].stop for c in chunks)   # lane 0 starts at 0
-    return _Lanes(first[-1], trial, coord, active, fade,
+    return _Lanes(first[-1], trial, coord, fade,
                   (slice(0, n_same), slice(n_same, len(coord))))
 
 
-def _interference_pass(drawn: _Lanes, base: ScenarioConfig, weathers):
-    """The interference powers, VLC[W, n] and RF[n], of the n trials drawn.
+class _Terms(NamedTuple):
+    """The interferer terms of a group's lane points, which every distance
+    shares: only the exclusion disc, applied to the sums, reads distance_r."""
 
-    base gives the geometry and the channel parameters, and drawn.trial
-    each point's trial.  Each lane's points are evaluated in windows of
-    _WINDOW slices of _BLOCK points: the geometry and the RF terms for
-    every point, the optical terms for the lit ones only (interferers the
-    RSU sees, since any other point has zero gain, hence zero power in
-    every weather).  Only the optical attenuation differs between the W
-    weather names.
+    p_rf: np.ndarray        # each lane point's faded RF power
+    lit: np.ndarray         # the lit points' indices, ascending
+    lit_trial: np.ndarray   # the lit points' trials
+    p_vlc: np.ndarray       # [W, len(lit)]: the lit points' optical powers per weather
 
-    The sums start at zero and add, lane by lane, one bincount per slice
-    of the lane's points, in storage order, one weather row at a time;
-    excluded and unlit points add exactly +0.0.  A bin adds only its own
-    trial's points, so the slices fix the bits and the windows do not: a
-    merged group whose lanes fit in one slice gives every chunk the sums
-    it gets alone.
+
+def _lane_terms(drawn: _Lanes, base: ScenarioConfig, weathers) -> _Terms:
+    """The terms of drawn's lane points, with base's geometry and channels.
+
+    Each lane's points are evaluated in windows of _WINDOW slices of
+    _BLOCK points (_block_terms), and only the terms are kept, so a
+    window's temporaries bound the memory whatever the density.  Terms are
+    elementwise: the windows change no bit.
     """
-    n, trials = drawn.n, drawn.trial
     coeffs = np.array([[WEATHER_ATTENUATION_DB_PER_KM[weather]] for weather in weathers])
     # read at call time, so that a window holds whole slices whatever _BLOCK is
     window = _WINDOW * _BLOCK
-    i_vlc = np.zeros((len(weathers), n))
-    i_rf = np.zeros(n)
+    p_rf = np.empty(len(drawn.coord))
+    lit, p_vlc = [np.empty(0, np.intp)], [np.empty((len(weathers), 0))]
     for lane, part in zip(LANES, drawn.lanes):
         for lo in range(part.start, part.stop, window):
             hi = min(lo + window, part.stop)
-            p_rf, lit, p_vlc = _block_terms(base, lane, drawn.coord[lo:hi],
-                                            drawn.active[lo:hi], drawn.fade[lo:hi], coeffs)
-            trial = trials[lo:hi]
-            for x in range(0, hi - lo, _BLOCK):
-                i_rf += np.bincount(trial[x:x + _BLOCK], p_rf[x:x + _BLOCK], minlength=n)
-                i, j = np.searchsorted(lit, (x, x + _BLOCK))
-                bins = trial[lit[i:j]]
-                for row, p in zip(i_vlc, p_vlc[:, i:j]):
-                    row += np.bincount(bins, p, minlength=n)
-    return i_vlc, i_rf
+            rf, seen, vlc = _block_terms(base, lane, drawn.coord[lo:hi], drawn.fade[lo:hi],
+                                         coeffs)
+            p_rf[lo:hi] = rf
+            lit.append(seen + lo)
+            p_vlc.append(vlc)
+    lit = np.concatenate(lit)
+    return _Terms(p_rf, lit, drawn.trial[lit], np.concatenate(p_vlc, axis=1))
 
 
-def _block_terms(base: ScenarioConfig, lane: int, coord, active, fade, coeffs):
+def _block_terms(base: ScenarioConfig, lane: int, coord, fade, coeffs):
     """(p_rf, lit, p_vlc) of one window of lane points at positions coord,
-    with their interferer mask and RF fades; coeffs[W, 1] holds the
-    weathers' attenuation coefficients.
+    with their RF fades; coeffs[W, 1] holds the weathers' attenuation
+    coefficients.
 
-    p_rf is every point's faded RF power, zero where the point is
-    excluded; lit indexes the lit points and p_vlc[W, len(lit)] holds
-    their optical powers per weather.  The paths come from rsu_paths, and
-    the lit points' gains from its d2 and cosines gathered at them.
-    Clear air (a zero coefficient) gets the factor 1.0 without a pow,
-    since 10 ** -0.0 is exactly 1.0, and a clear-only window calls no
-    attenuation_factor at all.  Every term is elementwise, so a window's
-    terms are those of its slices computed one by one.
+    p_rf is every point's faded RF power; lit indexes the points the RSU
+    sees (sees), since any other point has zero gain, hence zero optical
+    power in every weather, and p_vlc[W, len(lit)] holds their optical
+    powers per weather.  The paths come from rsu_paths, and the lit
+    points' gains from its d2 and cosines gathered at them.  Only the
+    optical attenuation differs between the weathers: clear air (a zero
+    coefficient) gets the factor 1.0 without a pow, since 10 ** -0.0 is
+    exactly 1.0, and a clear-only window calls no attenuation_factor at
+    all.
     """
     d2, d, cos_phi, cos_psi = rsu_paths(base, lane, coord)
     p_rf = rf_mean_rx_power(d, base.rf)
     p_rf *= fade
-    p_rf *= active   # finite terms >= 0: an excluded point's is exactly +0.0
-    # an unlit point adds exactly +0.0, and bincount adds in input order:
-    # leaving it out changes no sum
-    lit = sees(cos_phi, cos_psi, base.vlc)
-    lit &= active
-    lit = np.flatnonzero(lit)
+    lit = np.flatnonzero(sees(cos_phi, cos_psi, base.vlc))
     gain = seen_gain(d2[lit], cos_phi[lit], cos_psi[lit], base.vlc)
     hazy = coeffs[:, 0] != 0.0
     wfac = np.ones((len(coeffs), len(lit)))
@@ -234,75 +227,121 @@ def _block_terms(base: ScenarioConfig, lane: int, coord, active, fade, coeffs):
     return p_rf, lit, vlc_rx_electrical_power(gain, wfac, base.vlc)
 
 
-def simulate_trials(config: ScenarioConfig, weathers, rng: np.random.Generator,
+def _interference_sums(drawn: _Lanes, terms: _Terms, config: ScenarioConfig, i_vlc, i_rf):
+    """Add the interference powers of drawn's n trials at config's distance
+    into i_vlc[W, n] and i_rf[n], which hold zeros.
+
+    The interferers are the lane points outside config's exclusion disc
+    (outside_exclusion).  Each lane adds, one slice of _BLOCK points at a
+    time in storage order, one bincount of its terms to i_rf and one of
+    its lit points' to each weather row of i_vlc.  A point inside the disc
+    adds exactly +0.0 (its term times False), as leaving it out would.  A
+    bin adds only its own trial's points, so the slices fix the bits: a
+    merged group whose lanes fit in one slice gives every chunk the sums
+    it gets alone.
+    """
+    n = drawn.n
+    for lane, part in zip(LANES, drawn.lanes):
+        trial, keep = drawn.trial[part], outside_exclusion(config, lane, drawn.coord[part])
+        i, j = np.searchsorted(terms.lit, (part.start, part.stop))
+        lit, lit_trial = terms.lit[i:j], terms.lit_trial[i:j]
+        p_rf, p_vlc = terms.p_rf[part], terms.p_vlc[:, i:j]
+        if not keep.all():   # else the terms are added as they are
+            p_rf = p_rf * keep
+            p_vlc = p_vlc * keep[lit - part.start]
+        for x in range(0, len(trial), _BLOCK):
+            i_rf += np.bincount(trial[x:x + _BLOCK], p_rf[x:x + _BLOCK], minlength=n)
+            i, j = np.searchsorted(lit, (part.start + x, part.start + x + _BLOCK))
+            for row, p in zip(i_vlc, p_vlc[:, i:j]):
+                row += np.bincount(lit_trial[i:j], p, minlength=n)
+
+
+def simulate_trials(config: ScenarioConfig, distances, weathers, rng: np.random.Generator,
                     n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n coupled draws: VLC SINRs per weather name, [W, n], and RF SINRs, [n].
+    """n coupled draws, shared by every one of distances: VLC SINRs per
+    distance and weather name, [D, W, n], and RF SINRs per distance, [D, n].
 
-    The stream is consumed in a weather-independent order (_draw): the
-    lanes' Poisson totals, each lane point's trial and position, desired RF
-    fades, one RF fade per lane point.
-    Every weather therefore sees the same trials, and row w equals a run
-    with weathers[w] alone; weather does not touch the RF link.  The group
-    of one of simulate_chunks.
+    The stream is consumed in an order that no distance or weather changes
+    (_draw): the lanes' Poisson totals, each lane point's trial and
+    position, desired RF fades, one RF fade per lane point.  Every distance
+    and weather therefore sees the same trials, and row [d, w] equals a
+    run with distances[d] and weathers[w] alone; weather does not touch
+    the RF link.  config gives the geometry and channels (its distance_r
+    is not read).  The group of one of simulate_chunks.
     """
-    link, = desired_links(config, (config.distance_r,), weathers)
-    return next(simulate_chunks([(config, rng, n, link)], weathers))
+    sinr_vlc = np.empty((len(distances), len(weathers), n))
+    sinr_rf = np.empty((len(distances), n))
+    for _, d, (vlc, rf) in simulate_chunks(config, distances, weathers, [(rng, n)]):
+        sinr_vlc[d], sinr_rf[d] = vlc, rf
+    return sinr_vlc, sinr_rf
 
 
-def simulate_chunks(chunks, weathers):
-    """Simulate chunks of trials and yield each one's SINRs, as
-    simulate_trials gives them, in order.
+def simulate_chunks(config: ScenarioConfig, distances, weathers, chunks):
+    """Simulate chunks of trials at every one of distances, and yield
+    (i, d, (sinr_vlc, sinr_rf)): chunk i's SINRs at distances[d], as
+    simulate_trials gives that row.
 
-    chunks yields (config, rng, n, link), each chunk with a stream that it
-    consumes as simulate_trials does and its desired link's constants
-    (desired_links, with these weathers).  A chunk's numbers are all drawn
-    before the next chunk is pulled, so the chunks may share one generator
-    whose state is set as each is pulled.  The chunks are one sweep's,
-    their configs differing in distance_r alone: a group shares the
-    geometry and channels that the interferer pass reads.  Consecutive
-    chunks, _GROUP at most, form a group while their lane points fit in
-    one _BLOCK per lane; a group's interferers are evaluated in one pass
-    (_interference_pass), so a sparse chunk pays mainly for its draws.  A
-    chunk with more points forms a group of its own.  Every chunk gets the
-    bits it gets alone.
+    chunks yields (rng, n), each chunk with a stream that it consumes as
+    simulate_trials does.  A chunk's numbers are all drawn before the next
+    chunk is pulled, so the chunks may share one generator whose state is
+    set as each is pulled.  config gives the geometry and channels (its
+    distance_r is not read), and the desired links are computed once for
+    every distance (desired_links).  Consecutive chunks, _GROUP at most,
+    form a group while their lane points fit in one _BLOCK per lane; a
+    chunk with more points forms a group of its own.  A group is drawn
+    once for every distance, and its interferer terms computed once
+    (_group_sinrs).  It yields distance after distance, each distance's
+    chunks in order, as views of one block of sums that the next distance
+    overwrites: score them before pulling the next.  Every (chunk,
+    distance) gets the bits it gets alone.
     """
+    sites = [config.with_distance(distance) for distance in distances]
+    links = desired_links(config, distances, weathers)
     group, load = [], (0, 0)   # the group's lane points, per lane
-    for config, rng, n, link in chunks:
-        chunk = (config, link, *_draw(config, rng, n))   # _Lanes, desired fades
-        points = [part.stop - part.start for part in chunk[2].lanes]
+    for i, (rng, n) in enumerate(chunks):
+        chunk = (i, *_draw(config, rng, n))   # _Lanes, desired fades
+        points = [part.stop - part.start for part in chunk[1].lanes]
         joined = [a + b for a, b in zip(load, points)]
         if group and max(joined) > _BLOCK:
-            yield from _group_sinrs(group, weathers)   # empties the group
+            yield from _group_sinrs(group, config, sites, links, weathers)   # empties the group
             joined = points
         group.append(chunk)
         del chunk   # only the group holds the draws, until they are scored
         load = joined
         if len(group) == _GROUP or max(load) > _BLOCK:
             # no chunk can join this group: score it before the next draw
-            yield from _group_sinrs(group, weathers)
+            yield from _group_sinrs(group, config, sites, links, weathers)
             load = (0, 0)
     if group:
-        yield from _group_sinrs(group, weathers)
+        yield from _group_sinrs(group, config, sites, links, weathers)
 
 
-def _group_sinrs(group: list, weathers):
-    """Each chunk's SINRs, from a group of (config, DesiredLink, _Lanes,
-    desired fades): one pass over the merged chunks, each chunk's SINRs
-    written in place over its trials of the sums, [:, a:a+n], and yielded
-    as views.  The group is emptied before the pass."""
-    drawn = _merged([lanes for _, _, lanes, _ in group])
-    scored = [(link, fade) for _, link, _, fade in group]
-    base = group[0][0]
-    group.clear()   # only the merged draws are held through the pass
-    i_vlc, i_rf = _interference_pass(drawn, base, weathers)
-    del drawn
-    a = 0
-    for link, fade in scored:
-        b = a + len(fade)
-        vlc, rf = i_vlc[:, a:b], i_rf[a:b]
-        yield (sinr(link.s_vlc, vlc, link.n_vlc, out=vlc),
-               sinr(np.multiply(link.s_rf_mean, fade, out=fade), rf, link.n_rf, out=rf))
-        a = b
+def _group_sinrs(group: list, base: ScenarioConfig, sites, links, weathers):
+    """The SINRs of a group of (i, _Lanes, desired fades) at each of sites
+    (configs) with its DesiredLink, as simulate_chunks yields them.
+
+    The chunks are merged (_merged) and their terms computed once
+    (_lane_terms).  Per site, the sums are added into one [W, trials]
+    block and each chunk's SINRs written in place over its trials of it,
+    [:, a:a+n], then yielded as views.  The group is emptied before the
+    terms are computed.
+    """
+    drawn = _merged([lanes for _, lanes, _ in group])
+    index = [i for i, _, _ in group]
+    fade = np.concatenate([f for _, _, f in group])
+    bounds = list(accumulate((len(f) for _, _, f in group), initial=0))
+    group.clear()   # only the merged draws are held from here
+    terms = _lane_terms(drawn, base, weathers)
+    i_vlc, i_rf, signal = np.empty((len(weathers), drawn.n)), np.empty(drawn.n), np.empty(drawn.n)
+    for d, (site, link) in enumerate(zip(sites, links)):
+        i_vlc.fill(0.0)
+        i_rf.fill(0.0)
+        _interference_sums(drawn, terms, site, i_vlc, i_rf)
+        np.multiply(link.s_rf_mean, fade, out=signal)
+        for i, a, b in zip(index, bounds, bounds[1:]):
+            vlc, rf = i_vlc[:, a:b], i_rf[a:b]
+            yield i, d, (sinr(link.s_vlc, vlc, link.n_vlc, out=vlc),
+                         sinr(signal[a:b], rf, link.n_rf, out=rf))
 
 
 def _by_mode(sinr_vlc, sinr_rf, modes, dtype):

@@ -132,7 +132,7 @@ def test_one_checkout_against_itself(monkeypatch, capsys, workers):
     assert summary["pairs"] == 2 and summary["parent_won"] + summary["change_won"] <= 2
     assert summary["verdict"] in ("parent", "change", "tie")
     # below 2 x _SPLIT_WORK, so one process on any host
-    assert summary["cap_picks"] == 1 and summary["work_k"] == pytest.approx(62.8, abs=0.1)
+    assert summary["cap_picks"] == 1 and summary["work_k"] == pytest.approx(125.7, abs=0.1)
     # one traced call per side; a dense sweep holds a chunk's sums, over 0.1 MB
     assert summary["parent_peak_mb"] > 0.1 and summary["change_peak_mb"] > 0.1
 
@@ -148,7 +148,8 @@ def test_the_forced_side_starts_one_helper_and_restores_the_cap(monkeypatch, tmp
     monkeypatch.setattr(engine, "_start_helper",
                         lambda share: started.append(share) or start_helper(share))
     argv, lines, _ = ab_sweep.SWEEPS["dense_clear_2"]
-    call = ab_sweep.cli_call(package, [*argv, "--trials", "200"], ["seed = 1", *lines],
+    # two chunk indices, the second one partial
+    call = ab_sweep.cli_call(package, [*argv, "--trials", "4296"], ["seed = 1", *lines],
                              tmp_path / "sweep.cfg")
     split_work = engine._SPLIT_WORK
     assert call[3] == 2 and engine.sweep_workers(*call[:2], 2) == 1
@@ -195,11 +196,18 @@ def test_rows_that_differ_exit_1(monkeypatch, capsys):
     (["--seconds", "0"], "--seconds must be positive"),
     (["--seconds", "inf"], "--seconds must be positive and finite, not inf"),
     (["--seconds", "nan"], "--seconds must be positive and finite, not nan"),
+    (["--rows", "99"], "need at least 100 trials, not 99"),
+    (["--rows", "100", "--seconds", "1"], "--seconds goes only without --rows"),
+    (["--rows", "100", "--pairs", "3"], "--pairs goes only without --rows"),
+    (["--rows", "100", "--sweeps", "dor_pool"], "--sweeps goes only without --rows"),
+    (["--parent", "{root}", "--change", "{no_bench}", "--rows", "100"],
+     "--change: no tests/test_golden.py in"),
 ], ids=["pairs_1", "pairs_0", "workers_2", "workers_0_2", "workers_1_2_2", "no_change",
         "no_parent", "parent_not_a_checkout", "change_not_a_checkout", "change_no_bench",
         "parent_no_bench", "unknown_sweep", "no_sweep", "warmup_-1", "seed0", "bench_pairs_1",
         "not_a_workload", "bench_warmup", "bench_workers", "seconds_0", "seconds_inf",
-        "seconds_nan"])
+        "seconds_nan", "rows_99", "rows_seconds", "rows_pairs", "rows_sweeps",
+        "rows_no_golden"])
 def test_bad_options_exit_2_before_any_run(monkeypatch, tmp_path, capsys, argv, error):
     # {root} is this checkout, {empty} a directory, {no_bench} a tree with
     # src/rfvlc but no benchmarks/bench.py
@@ -354,3 +362,106 @@ def test_each_run_records_whether_its_checkout_is_dirty(monkeypatch, tmp_path):
     assert one()["git_dirty"] is False   # untracked files do not count
     (tree / "notes.txt").write_text("c\n", encoding="utf-8")
     assert one()["git_dirty"] is True
+
+
+_PRP = "distance_m,weather,mode,prp,stderr,ci95_low,ci95_high,n_trials\n"
+_RATE = "distance_m,weather,mode,rate_mbps,stderr,ci95_low,ci95_high,n_trials\n"
+
+
+def _prp_table(rows):
+    """A stand-in prp CSV: rows of (distance, successes) of 1000 trials."""
+    lines = []
+    for distance, k in rows:
+        p = k / 1000
+        lines.append(f"{distance},clear,la,{p!r},{(p * (1 - p) / 1000) ** 0.5!r},0,1,1000\n")
+    return _PRP + "".join(lines)
+
+
+def _rate_table(rows):
+    """A stand-in rate CSV: rows of (distance, mean, stderr) of 1000 trials."""
+    return _RATE + "".join(f"{d},fog,pure_vlc,{m!r},{se!r},0,1,1000\n" for d, m, se in rows)
+
+
+def _verdict(monkeypatch, tables):
+    ab_sweep = _load(SCRIPT, "ab_sweep", monkeypatch)
+    return ab_sweep.rows_verdict(tables)
+
+
+def test_rows_within_the_bound_pass(monkeypatch):
+    # 20 rows: the bound is Phi^-1(1 - 0.025 / 20) = 3.02; the largest
+    # move, 900 -> 930 of 1000, is |z| = 2.4
+    parent = [(10 * i, 900) for i in range(10)]
+    change = [(10 * i, 900 + 3 * i + 3) for i in range(10)]
+    rates = [(10 * i, 2.0 + i, 0.01) for i in range(10)]
+    summary, failures = _verdict(monkeypatch, {
+        "prp": (_prp_table(parent), _prp_table(change)),
+        "rate": (_rate_table(rates), _rate_table(rates[:9] + [(90, 11.02, 0.01)]))})
+    assert failures == []
+    assert summary["rows"] == 20 and summary["bound"] == pytest.approx(3.023, abs=1e-3)
+    prp, rate = summary["cases"]["prp"], summary["cases"]["rate"]
+    assert prp["rows"] == 10 and prp["equal"] == 0 and prp["at"] == "90,clear,la"
+    assert prp["max_abs_z"] == pytest.approx(2.40, abs=0.01)
+    assert rate["equal"] == 9 and rate["max_abs_z"] == pytest.approx(0.02 / 0.01 / 2 ** 0.5)
+
+
+def test_a_row_moved_by_five_standard_errors_fails(monkeypatch):
+    rates = [(10 * i, 2.0 + i, 0.01) for i in range(10)]
+    moved = rates[:4] + [(40, 6.0 + 5 * 0.01 * 2 ** 0.5, 0.01)] + rates[5:]
+    summary, failures = _verdict(monkeypatch, {"rate": (_rate_table(rates),
+                                                        _rate_table(moved))})
+    assert summary["cases"]["rate"]["max_abs_z"] == pytest.approx(5.0)
+    assert failures == [f"rate: |z| = 5 at 40,fog,pure_vlc exceeds {summary['bound']:.3g}"]
+
+
+def test_a_deterministic_row_moved_by_one_ulp_fails(monkeypatch):
+    value = 0.417758047
+    rates = [(50, value, 0.0), (100, 0.2, 0.001)]
+    moved = [(50, float(np.nextafter(value, 1.0)), 0.0), (100, 0.2, 0.001)]
+    _, failures = _verdict(monkeypatch, {"rate": (_rate_table(rates), _rate_table(moved))})
+    assert failures == [f"rate: zero-stderr row 50,fog,pure_vlc moved: {value!r} -> "
+                        f"{float(np.nextafter(value, 1.0))!r}",
+                        f"rate: |z| = inf at 50,fog,pure_vlc exceeds {_bound(2):.3g}"]
+
+
+def _bound(rows):
+    from statistics import NormalDist
+    return NormalDist().inv_cdf(1 - 0.025 / rows)
+
+
+def test_a_key_on_one_side_only_fails(monkeypatch):
+    rows = [(10, 900), (20, 800)]
+    _, failures = _verdict(monkeypatch, {"prp": (_prp_table(rows), _prp_table(rows[:1])),
+                                         "more": (_prp_table(rows[:1]), _prp_table(rows))})
+    assert failures == ["prp: row 20,clear,la only in the parent",
+                        "more: row 20,clear,la only in the change"]
+
+
+def test_a_changed_header_fails(monkeypatch):
+    rows = [(10, 900)]
+    _, failures = _verdict(monkeypatch, {"prp": (
+        _prp_table(rows), _prp_table(rows).replace("n_trials", "trials"))})
+    assert failures == ["prp: header distance_m,weather,mode,prp,stderr,ci95_low,ci95_high,"
+                        "n_trials -> distance_m,weather,mode,prp,stderr,ci95_low,ci95_high,"
+                        "trials"]
+
+
+def test_golden_rows_of_one_checkout_against_itself(monkeypatch, capsys):
+    # every golden case runs on both sides at 100 trials: every row equal
+    ab_sweep = _load(SCRIPT, "ab_sweep", monkeypatch)
+    monkeypatch.setattr(sys, "path", list(sys.path))   # golden_cases adds src
+    assert ab_sweep.main(["--parent", str(ROOT), "--change", str(ROOT), "--rows", "100"]) == 0
+    _forget_sides()
+    out = json.loads(capsys.readouterr().out)
+    cases = ab_sweep.golden_cases(str(ROOT))
+    assert out["trials"] == 100 and out["failures"] == [] and set(out["cases"]) == set(cases)
+    assert out["rows"] == sum(c["rows"] for c in out["cases"].values()) > 0
+    for case in out["cases"].values():
+        assert case["equal"] == case["rows"] > 0 and case["max_abs_z"] == 0.0
+
+
+def test_case_argv_sets_the_trials_and_drops_gnuplot(monkeypatch):
+    ab_sweep = _load(SCRIPT, "ab_sweep", monkeypatch)
+    argv = ["prp-sweep", "--distances", "40", "--gnuplot", "--trials", "5000", "--seed", "11"]
+    assert ab_sweep.case_argv(argv, 100_000) == [
+        "prp-sweep", "--distances", "40", "--trials", "100000", "--seed", "11"]
+    assert "--gnuplot" in argv   # the case itself is left as it is

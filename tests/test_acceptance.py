@@ -69,9 +69,9 @@ def test_criterion_02_vlc_oracle_equivalence(capsys):
         for d in distances:
             point = cfg.with_distance(float(d))
             oracle = vlc_snr(point, clear) >= theta_v
-            sinr_vlc, _ = simulate_trials(point, CLEAR,
+            sinr_vlc, _ = simulate_trials(cfg, (float(d),), CLEAR,
                                           trial_rng(derive_seed(seed, 0, 0)), 200)
-            mc = (sinr_vlc[0] >= theta_v).mean()
+            mc = (sinr_vlc[0, 0] >= theta_v).mean()
             if mc != oracle:
                 mismatches += 1
         # the Monte Carlo step sits at d* itself for every seed
@@ -128,11 +128,10 @@ def test_criterion_04_weather_ordering(capsys, prp_grid_rows):
     theta_v = db_to_linear(cfg.sinr_threshold_vlc_db)
     bad = 0
     for d in range(10, 251, 20):
-        point = cfg.with_distance(float(d))
         # rows: weathers, best first; columns: the 200 shared trials
-        sinr_vlc, _ = simulate_trials(point, ALL_WEATHERS,
+        sinr_vlc, _ = simulate_trials(cfg, (float(d),), ALL_WEATHERS,
                                       trial_rng(derive_seed(404, d, 0)), 200)
-        ok_v = sinr_vlc >= theta_v
+        ok_v = sinr_vlc[0] >= theta_v
         bad += int((ok_v[1:] > ok_v[:-1]).any(axis=0).sum())
     # engine level: VLC-involving PRP ordered, pure-RF estimates identical
     spec, rows = prp_grid_rows
@@ -303,11 +302,12 @@ def test_criterion_08_long_tail_estimate(capsys):
 
 def test_criterion_09_determinism(capsys, tmp_path, monkeypatch, forced_split):
     """prp-sweep: rerun and worker-count changes are byte-identical."""
-    # this small sweep would run in one process: let it split three ways
+    # this small sweep would run in one process: let it split three ways,
+    # one chunk index each
     monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
     dirs = [str(tmp_path / n) for n in ("a", "b", "c")]
     base = ["prp-sweep", "--distances", "50,100,150", "--weather",
-            "clear,dry_snow", "--trials", "2000", "--seed", "909"]
+            "clear,dry_snow", "--trials", "9000", "--seed", "909"]
     rcs = [cli_main(base + ["--out", dirs[0]]),
            cli_main(base + ["--out", dirs[1]]),
            cli_main(base + ["--out", dirs[2], "--workers", "3"])]

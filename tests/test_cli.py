@@ -181,7 +181,7 @@ class TestParseConfig:
         except ConfigError:
             return
         assert validate(config) == []
-        sinr_vlc, sinr_rf = simulate_trials(config, spec.weathers[:1],
+        sinr_vlc, sinr_rf = simulate_trials(config, (config.distance_r,), spec.weathers[:1],
                                             np.random.default_rng(1), 64)
         assert np.isfinite(sinr_vlc).all() and np.isfinite(sinr_rf).all()
 
@@ -222,10 +222,12 @@ class TestCliPrpSweep:
     def test_reruns_are_byte_identical(self, tmp_path, monkeypatch, forced_split):
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
-        args = ["prp-sweep", "--distances", "50,150", "--weather", "clear"] + FAST
+        # two chunk indices, so that a second process has a share
+        args = ["prp-sweep", "--distances", "50,150", "--weather", "clear",
+                "--trials", "5000", "--seed", "7"]
         assert _run(args + ["--out", a]) == 0
         assert _run(args + ["--out", b, "--workers", "2"]) == 0
-        assert forced_split == [[(1, 0)]]   # the second run split
+        assert forced_split == [[(0, 4096), (1, 4096)]]   # the second run split
         assert _read(os.path.join(a, "prp_sweep.csv")) == \
             _read(os.path.join(b, "prp_sweep.csv"))
 
@@ -238,9 +240,9 @@ class TestCliPrpSweep:
         assert manifest["master_seed"] == 7
         assert manifest["n_trials"] == 200
         assert len(manifest["config_sha256"]) == 64
-        assert manifest["rng_scheme"] == "splitmix64-chunk/pcg64"
+        assert manifest["rng_scheme"] == "splitmix64-shared-chunk/pcg64"
         assert manifest["chunk_size"] == 4096
-        assert manifest["tool_version"] == "0.4.0"
+        assert manifest["tool_version"] == "0.5.0"
         # how the sweep ran: its processes, wall time, rate and page faults
         assert manifest["workers"] == 1
         assert manifest["sweep_seconds"] > 0
@@ -248,17 +250,20 @@ class TestCliPrpSweep:
         assert isinstance(manifest["minor_faults"], int) and manifest["minor_faults"] >= 0
 
     def test_manifest_records_the_workers_used(self, tmp_path, monkeypatch, forced_split):
-        # one per chunk and per usable CPU, whatever --workers asks for
+        # one per chunk index (every distance shares it) and per usable CPU,
+        # whatever --workers asks for
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
-        for distances, workers in (("50", 1), ("50,100,150", 2)):
-            out = str(tmp_path / distances)
+        for distances, trials, workers in (("50", 200, 1), ("50,100,150", 200, 1),
+                                           ("50,100,150", 5000, 2)):
+            out = str(tmp_path / f"{distances}_{trials}")
             started = len(forced_split)
             assert _run(["prp-sweep", "--out", out, "--distances", distances,
-                         "--weather", "clear", "--workers", "8"] + FAST) == 0
+                         "--weather", "clear", "--workers", "8", "--trials", str(trials),
+                         "--seed", "7"]) == 0
             manifest = json.loads(_read(os.path.join(out, "run.manifest")))
             assert manifest["workers"] == workers == 1 + len(forced_split) - started
             assert manifest["trials_per_s"] == (
-                len(distances.split(",")) * 200 / manifest["sweep_seconds"])
+                len(distances.split(",")) * trials / manifest["sweep_seconds"])
 
     def test_second_sweep_reuses_the_heap(self, tmp_path):
         # chunk temporaries stay in the heap between chunks and runs, so an
@@ -301,9 +306,13 @@ class TestCliWorkers:
         "dor_default": (["dor-sweep"], [], 2),   # 2 x 100k trials
         # the default 25 distances at one chunk each
         "prp_grid_25": (["prp-sweep", "--trials", "4096"], [], 1),
-        # lambda * rho = 1e-2: a trial weighs ~7.7 sparse ones
+        # lambda * rho = 1e-2: a trial weighs ~7.7 sparse ones; at 4096
+        # trials the six distances share one chunk index
         "dense_6x4096": (["prp-sweep", "--weather", "clear", "--distances",
                           "10,25,50,100,150,200", "--trials", "4096"],
+                         ["rho_access = 1.0"], 1),
+        "dense_6x8192": (["prp-sweep", "--weather", "clear", "--distances",
+                          "10,25,50,100,150,200", "--trials", "8192"],
                          ["rho_access = 1.0"], 2),
         "dense_4x4096": (["prp-sweep", "--weather", "clear", "--distances",
                           "10,25,50,100", "--trials", "4096"], ["rho_access = 1.0"], 1),
@@ -325,6 +334,29 @@ class TestCliWorkers:
         manifest = json.loads(_read(os.path.join(out, "run.manifest")))
         # the manifest records the processes that really ran
         assert manifest["workers"] == workers == 1 + len(started_helpers)
+
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("sweep", ["prp-sweep", "rate-sweep", "dor-sweep"])
+    def test_a_distance_gives_its_rows_of_a_longer_grid(
+            self, tmp_path, monkeypatch, forced_split, sweep, workers):
+        # every distance shares each chunk's draws, and a row depends on
+        # (config, distance, seed, trials) alone: --distances 40 prints the
+        # 40 m rows of --distances 10,40,250, byte for byte
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+        tables = []
+        for distances in ("40", "10,40,250"):
+            out = tmp_path / distances
+            assert _run([sweep, "--distances", distances, "--trials", "5000", "--seed", "7",
+                         "--workers", str(workers), "--out", str(out)]) == 0
+            csv, = out.glob("*_sweep.csv")
+            tables.append(_read(str(csv)).splitlines())
+        (header, *alone), (longer_header, *longer) = tables
+        column = header.split(",").index("distance_m")
+        assert longer_header == header and alone
+        assert [line for line in longer if line.split(",")[column] == "40"] == alone
+        assert len(longer) == 3 * len(alone)
+        assert len(forced_split) == 2 * (workers - 1)   # two chunk indices to split
 
 
 class TestCliRateSweep:
@@ -386,10 +418,10 @@ class TestCliDorSweep:
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         args = ["dor-sweep", "--distances", "50,200", "--t-th-ms", "2,4,8",
-                "--weather", "clear,fog"] + FAST
+                "--weather", "clear,fog", "--trials", "5000", "--seed", "7"]
         assert _run(args + ["--out", a]) == 0
         assert _run(args + ["--out", b, "--workers", "2"]) == 0
-        assert forced_split == [[(1, 0)]]   # the second run split
+        assert forced_split == [[(0, 4096), (1, 4096)]]   # the second run split
         assert _read(os.path.join(a, "dor_sweep.csv")) == \
             _read(os.path.join(b, "dor_sweep.csv"))
 

@@ -7,6 +7,7 @@ import math
 import multiprocessing
 import os
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from rfvlc import (ConfigError, InvalidArgumentError, MODE_LA, MODE_PURE_RF,
 from rfvlc import engine, metrics, scenario
 from rfvlc.engine import _CHUNK, trial_rng
 from rfvlc.metrics import mode_rates, mode_success, outage_rate, simulate_trials
-from rfvlc.estimate import Z_95, MetricEstimate, mean_estimates, proportion_estimates
+from rfvlc.estimate import (Z_95, MetricEstimate, mean_estimates, merged_moments, moments,
+                            proportion_estimates)
 
 CLEAR = ("clear",)
 ALL_WEATHERS = WEATHER_KINDS
@@ -27,6 +29,12 @@ DENSE = dataclasses.replace(ScenarioConfig(), rho_access=1.0)
 
 class _ChunkFailure(Exception):
     """Raised by a stand-in chunk to check that failures keep their type."""
+
+
+def _simulate(config, weathers, rng, n):
+    """simulate_trials at config's own distance alone: [W, n] and [n]."""
+    sinr_vlc, sinr_rf = simulate_trials(config, (config.distance_r,), weathers, rng, n)
+    return sinr_vlc[0], sinr_rf[0]
 
 
 def _spec(**over):
@@ -121,7 +129,7 @@ class TestEstimators:
 
     def test_mean_estimate(self):
         data = np.array([1.0, 2.0, 3.0, 4.0])
-        est = _mean(data.sum(), (data ** 2).sum(), len(data))
+        est = _mean(*moments(data), len(data))
         assert est.value == 2.5
         assert est.stderr == pytest.approx(math.sqrt(1.25 / 4), rel=1e-12)
         assert est.ci95_low < 2.5 < est.ci95_high
@@ -139,11 +147,18 @@ def _reference_proportion(successes, n):
     return MetricEstimate(p, math.sqrt(p * (1.0 - p) / n), n, low, high)
 
 
-def _reference_mean(total, total_sq, n):
-    """mean_estimates of one pair of sums as scalar Python arithmetic."""
-    mean = total / n
-    stderr = math.sqrt(max(0.0, total_sq / n - mean * mean) / n)
+def _reference_mean(mean, m2, n):
+    """mean_estimates of one mean and m2 as scalar Python arithmetic."""
+    stderr = math.sqrt(m2 / n / n)
     return MetricEstimate(mean, stderr, n, mean - Z_95 * stderr, mean + Z_95 * stderr)
+
+
+def _reference_moments(values):
+    """(mean, m2) of a sample by two passes of exact rational arithmetic,
+    rounded once."""
+    exact = [Fraction(v) for v in values]
+    mean = sum(exact) / len(exact)
+    return float(mean), float(sum((v - mean) ** 2 for v in exact))
 
 
 def _rows_of(fields, n):
@@ -158,9 +173,9 @@ def _proportion(successes, n):
     return est
 
 
-def _mean(total, total_sq, n):
-    """The MetricEstimate of one pair of running sums, as a sweep's row holds it."""
-    est, = _rows_of(mean_estimates(total, total_sq, n), n)
+def _mean(mean, m2, n):
+    """The MetricEstimate of one mean and m2, as a sweep's row holds it."""
+    est, = _rows_of(mean_estimates(mean, m2, n), n)
     return est
 
 
@@ -181,26 +196,51 @@ class TestArrayEstimators:
     @pytest.mark.parametrize("n", [100, 4096 + 300, 10**8])
     def test_means(self, n):
         rng = np.random.default_rng(n)
-        data = rng.uniform(0.0, 500.0, (300, 5))
-        total = np.concatenate([[0.0, -0.0, 7.5 * n], rng.uniform(0, 500, 300) * n])
-        total_sq = np.concatenate([[0.0, 0.0, 56.25 * n],
-                                   # at least total^2 / n, or just under it
-                                   total[3:] ** 2 / n * rng.uniform(0.999999, 1.5, 300)])
-        got = _rows_of(mean_estimates(total, total_sq, n), n)
-        args = list(zip(total.tolist(), total_sq.tolist()))
-        assert got == [_mean(t, t2, n) for t, t2 in args]
-        assert got == [_reference_mean(t, t2, n) for t, t2 in args]
-        # the sums of real data, and a constant sample whose variance rounds
-        sums = data.sum(axis=1), (data * data).sum(axis=1)
-        assert _rows_of(mean_estimates(*sums, n), n) == [
-            _reference_mean(t, t2, n) for t, t2 in zip(*(x.tolist() for x in sums))]
-        assert _mean(0.1 * n, 0.01 * n, n) == _reference_mean(0.1 * n, 0.01 * n, n)
+        mean = np.concatenate([[0.0, -0.0, 7.5], rng.uniform(0, 500, 300)])
+        m2 = np.concatenate([[0.0, 0.0, 56.25 * n], rng.uniform(0, 500, 300) ** 2 * n])
+        got = _rows_of(mean_estimates(mean, m2, n), n)
+        args = list(zip(mean.tolist(), m2.tolist()))
+        assert got == [_mean(x, x2, n) for x, x2 in args]
+        assert got == [_reference_mean(x, x2, n) for x, x2 in args]
+
+    @pytest.mark.parametrize("n", [1, 2, 300, 4096])
+    def test_moments_of_a_sample(self, n):
+        # the moments of real data within rounding of the exact ones, and a
+        # constant sample's exactly: its value and an m2 of 0
+        rng = np.random.default_rng(n)
+        data = rng.uniform(0.0, 500.0, (3, n))
+        mean, m2 = moments(data)
+        assert mean.shape == m2.shape == (3,)
+        for row, x, x2 in zip(data, mean.tolist(), m2.tolist()):
+            want, want2 = _reference_moments(row.tolist())
+            assert x == pytest.approx(want, rel=1e-14)
+            assert x2 == pytest.approx(want2, rel=1e-10, abs=1e-9)
+        for value in (0.1, 2.47950975, 1e-300, 0.0):
+            mean, m2 = moments(np.full(n, value))
+            assert float(mean) == value and float(m2) == 0.0
+            assert _mean(mean, m2, n).stderr == 0.0
+
+    @pytest.mark.parametrize("sizes", [(4096,), (4096, 300), (4096,) * 5 + (1,), (1, 1, 7)],
+                             ids=str)
+    def test_merged_moments_of_parts(self, sizes):
+        # parts merged in order give the moments of the whole sample, and
+        # parts of one value merge to it with an m2 of exactly 0 (a sum of
+        # squares less a squared sum would round, 3.33e-11 at 100k samples)
+        rng = np.random.default_rng(len(sizes))
+        data = rng.lognormal(3.0, 1.5, sum(sizes))
+        parts = np.split(data, np.cumsum(sizes)[:-1])
+        mean, m2 = merged_moments(*zip(*(moments(part) for part in parts)), sizes)
+        want, want2 = _reference_moments(data.tolist())
+        assert float(mean) == pytest.approx(want, rel=1e-13)
+        assert float(m2) == pytest.approx(want2, rel=1e-11)
+        constant = [moments(np.full(size, 0.417758047)) for size in sizes]
+        mean, m2 = merged_moments(*zip(*constant), sizes)
+        assert float(mean) == 0.417758047 and float(m2) == 0.0
 
     def test_signed_zeros(self):
-        # a mean of -0.0 keeps its sign; a variance of -0.0 is 0.0, as
-        # max(0.0, var) gives
+        # a mean of -0.0 keeps its sign; an m2 of 0 gives a stderr of +0.0
         assert math.copysign(1.0, _mean(-0.0, 0.0, 100).value) == -1.0
-        stderr = _mean(0.0, -0.0, 100).stderr
+        stderr = _mean(0.0, 0.0, 100).stderr
         assert stderr == 0.0 and math.copysign(1.0, stderr) == 1.0
 
     def test_bad_inputs(self):
@@ -261,7 +301,7 @@ class TestChunkCounts:
 
     @staticmethod
     def _sinrs(config, n):
-        return simulate_trials(config, ALL_WEATHERS, trial_rng(derive_seed(7, 0, 0)), n)
+        return _simulate(config, ALL_WEATHERS, trial_rng(derive_seed(7, 0, 0)), n)
 
     # a tiny t_th makes every trial late, and thresholds far below any SINR
     # make every trial decode: both count _CHUNK in every cell
@@ -297,27 +337,31 @@ class TestChunkCounts:
 
 def _selected_rows(config, spec, metric):
     """The rows of run_sweep(config, spec, metric) from chunks scored for all
-    of MODES, the spec's modes then selected from the reduced statistics
-    (as _rows did before chunks scored the spec's modes alone)."""
+    of MODES, each chunk simulated once for every distance, the spec's modes
+    then selected from the reduced statistics (as _rows did before chunks
+    scored the spec's modes alone)."""
     n = spec.n_trials
-    partials = []
-    for p, distance in enumerate(spec.distances):
-        cfg = config.with_distance(distance)
-        for start in range(0, n, _CHUNK):
-            end = min(start + _CHUNK, n)
-            rng = trial_rng(derive_seed(spec.master_seed, p, start // _CHUNK))
-            sinrs = simulate_trials(cfg, spec.weathers, rng, end - start)
-            partials.append(engine._chunk_stats_job(
-                (cfg, spec.master_seed, p, start, end, spec.weathers, spec.t_th, metric,
-                 metrics.MODES, sinrs)))
-    grid = (len(spec.distances), math.ceil(n / _CHUNK))
-    stats = [sum(np.reshape(field, grid + np.shape(field[0])).swapaxes(0, 1))
-             for field in zip(*partials)]
-    # the spec's modes, [D, W, M] or for dor [D, K, W, M]: the rows' order
+    partials = {}
+    for start in range(0, n, _CHUNK):
+        end = min(start + _CHUNK, n)
+        rng = trial_rng(derive_seed(spec.master_seed, 0, start // _CHUNK))
+        sinr_vlc, sinr_rf = simulate_trials(config, spec.distances, spec.weathers, rng,
+                                            end - start)
+        for p, distance in enumerate(spec.distances):
+            partials[p, start] = engine._chunk_stats_job(
+                (config.with_distance(distance), spec.master_seed, p, start, end,
+                 spec.weathers, spec.t_th, metric, metrics.MODES, (sinr_vlc[p], sinr_rf[p])))
+    # [C, D, W, M] or for dor [C, D, K, W, M], the spec's modes
     modes = [metrics.MODES.index(mode) for mode in spec.modes]
-    stats = [s[..., modes] for s in stats]
-    estimates = mean_estimates if metric == "rate_mbps" else proportion_estimates
-    fields = (f.ravel().tolist() for f in estimates(*stats, n))
+    fields = [np.array([[partials[p, start][f] for p in range(len(spec.distances))]
+                        for start in range(0, n, _CHUNK)])[..., modes]
+              for f in range(len(partials[0, 0]))]
+    if metric == "rate_mbps":
+        sizes = [min(_CHUNK, n - start) for start in range(0, n, _CHUNK)]
+        estimates = mean_estimates(*merged_moments(*fields, sizes), n)
+    else:
+        estimates = proportion_estimates(sum(fields[0]), n)
+    fields = (f.ravel().tolist() for f in estimates)
     keys = itertools.product(spec.distances, spec.t_th or (None,), spec.weathers, spec.modes)
     return [engine.SweepRow(*key, MetricEstimate(value, stderr, n, low, high))
             for key, value, stderr, low, high in zip(keys, *fields)]
@@ -333,7 +377,7 @@ class TestRunSweep:
     def test_worker_count_does_not_change_results(self, monkeypatch, forced_split):
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
         cfg = ScenarioConfig()
-        spec = _spec(n_trials=5000)
+        spec = _spec(n_trials=2 * _CHUNK + 300)   # three chunk indices
         for metric in ("prp", "rate_mbps"):
             assert (run_sweep(cfg, spec, metric, n_workers=1)
                     == run_sweep(cfg, spec, metric, n_workers=3))
@@ -348,7 +392,8 @@ class TestRunSweep:
         for metric in ("prp", "rate_mbps"):
             assert (run_sweep(DENSE, spec, metric, n_workers=1)
                     == run_sweep(DENSE, spec, metric, n_workers=2))
-        assert forced_split == [[(0, _CHUNK), (1, 0), (1, 2 * _CHUNK)]] * 2
+        # the helper's share: chunk 1, at every distance
+        assert forced_split == [[(0, _CHUNK), (1, _CHUNK)]] * 2
 
     def test_pure_rf_identical_across_weathers_at_density(self):
         spec = _spec(weathers=ALL_WEATHERS, n_trials=_CHUNK + 300)
@@ -360,36 +405,39 @@ class TestRunSweep:
                 assert len(estimates) == 4 and len(set(estimates)) == 1
 
     def test_one_stream_per_chunk(self):
-        # chunk c of point p draws from trial_rng(derive_seed(master, p, c))
-        spec = _spec(distances=(150.0,), modes=(MODE_PURE_RF,), n_trials=_CHUNK + 500)
-        row, = run_sweep(DENSE, spec, "prp")
-        cfg = DENSE.with_distance(150.0)
-        wins = 0
-        for chunk, n in enumerate((_CHUNK, 500)):
-            rng = trial_rng(derive_seed(spec.master_seed, 0, chunk))
-            ok = mode_success(*simulate_trials(cfg, CLEAR, rng, n), cfg)
-            wins += int(ok[0, 1].sum())
-        assert row.estimate.value == wins / spec.n_trials
+        # chunk c draws from trial_rng(derive_seed(master, 0, c)) at every
+        # distance, the second one included
+        spec = _spec(distances=(50.0, 150.0), modes=(MODE_PURE_RF,), n_trials=_CHUNK + 500)
+        rows = run_sweep(DENSE, spec, "prp")
+        for row, distance in zip(rows, spec.distances):
+            cfg = DENSE.with_distance(distance)
+            wins = 0
+            for chunk, n in enumerate((_CHUNK, 500)):
+                rng = trial_rng(derive_seed(spec.master_seed, 0, chunk))
+                ok = mode_success(*_simulate(cfg, CLEAR, rng, n), cfg)
+                wins += int(ok[0, 1].sum())
+            assert row.estimate.value == wins / spec.n_trials
 
     @pytest.mark.parametrize("config", [ScenarioConfig(), DENSE], ids=["sparse", "dense"])
     def test_shared_generator_gives_each_chunk_its_stream(self, monkeypatch, config):
-        # the state each chunk starts its draws from, against its own trial_rng
+        # the state each chunk starts its draws from, against its own
+        # trial_rng: one draw per chunk, for all three distances
         drawn = []
         draw = metrics.draw_deployment
 
         def recording(cfg, rng, n):
-            drawn.append((cfg.distance_r, n, rng.bit_generator.state, rng))
+            drawn.append((n, rng.bit_generator.state, rng))
             return draw(cfg, rng, n)
 
         monkeypatch.setattr(metrics, "draw_deployment", recording)
         spec = _spec(distances=(30.0, 150.0, 1000.0), n_trials=2 * _CHUNK + 300)
         run_sweep(config, spec, "prp")
         n = spec.n_trials
-        assert [d[:3] for d in drawn] == [
-            (distance, min(start + _CHUNK, n) - start,
-             trial_rng(derive_seed(spec.master_seed, p, start // _CHUNK)).bit_generator.state)
-            for p, distance in enumerate(spec.distances) for start in range(0, n, _CHUNK)]
-        assert len({id(d[3]) for d in drawn}) == 1   # one generator for the share
+        assert [d[:2] for d in drawn] == [
+            (min(start + _CHUNK, n) - start,
+             trial_rng(derive_seed(spec.master_seed, 0, start // _CHUNK)).bit_generator.state)
+            for start in range(0, n, _CHUNK)]
+        assert len({id(d[2]) for d in drawn}) == 1   # one generator for the share
 
     def test_dor_rows_score_the_prp_trials(self):
         # every threshold counts the late trials of the same chunk streams
@@ -398,7 +446,7 @@ class TestRunSweep:
         rows = run_sweep(DENSE, spec, "dor")
         cfg = DENSE.with_distance(150.0)
         rates = np.concatenate([
-            mode_rates(*simulate_trials(
+            mode_rates(*_simulate(
                 cfg, CLEAR, trial_rng(derive_seed(spec.master_seed, 0, chunk)), n),
                 cfg)[0, 2]
             for chunk, n in enumerate((_CHUNK, 500))])
@@ -466,17 +514,23 @@ class TestRunSweep:
         assert (run_sweep(cfg, one_chunk, "prp", n_workers=8)
                 == run_sweep(cfg, one_chunk, "prp"))
         assert forced_split == []
-        three_chunks = _spec(distances=(50.0, 100.0, 150.0))
+        # three distances share one chunk index: no helper either
+        one_chunk = _spec(distances=(50.0, 100.0, 150.0))
+        assert (run_sweep(cfg, one_chunk, "prp", n_workers=8)
+                == run_sweep(cfg, one_chunk, "prp"))
+        assert forced_split == []
+        three_chunks = _spec(distances=(50.0, 100.0), n_trials=2 * _CHUNK + 300)
         assert (run_sweep(cfg, three_chunks, "prp", n_workers=8)
                 == run_sweep(cfg, three_chunks, "prp"))
-        assert forced_split == [[(1, 0)], [(2, 0)]]
+        assert forced_split == [[(0, _CHUNK), (1, _CHUNK)], [(0, 2 * _CHUNK), (1, 2 * _CHUNK)]]
 
-    @pytest.mark.parametrize("cpus, started", [(2, [[(1, 0)]]), (1, []), (None, [])])
+    @pytest.mark.parametrize("cpus, started", [
+        (2, [[(0, _CHUNK), (1, _CHUNK), (2, _CHUNK)]]), (1, []), (None, [])])
     def test_pool_starts_no_more_workers_than_cpus(
             self, monkeypatch, forced_split, cpus, started):
         self._report_cpus(monkeypatch, cpus)
         cfg = ScenarioConfig()
-        spec = _spec(distances=(50.0, 100.0, 150.0))
+        spec = _spec(distances=(50.0, 100.0, 150.0), n_trials=_CHUNK + 300)
         assert (run_sweep(cfg, spec, "prp", n_workers=100_000)
                 == run_sweep(cfg, spec, "prp"))
         assert forced_split == started
@@ -485,11 +539,11 @@ class TestRunSweep:
         # at most max(1, work // _SPLIT_WORK) processes, read at call time; a
         # trial weighs 1 + m / 3 with m = 4 lambda rho L = 20 lane points here
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 64)
-        spec = _spec(n_trials=30 * _CHUNK)   # 60 chunks
+        spec = _spec(n_trials=30 * _CHUNK)   # 30 chunk indices, 2 distances each
         work = engine._sweep_work(DENSE, spec)
         assert work == pytest.approx(2 * 30 * _CHUNK * (1 + 20 / 3), rel=1e-12)
         for split_work, workers in ((2 * work, 1), (work, 1), (work / 2.5, 2),
-                                    (work / 100, 60)):
+                                    (work / 100, 30)):
             monkeypatch.setattr(engine, "_SPLIT_WORK", split_work)
             assert engine.sweep_workers(DENSE, spec, 64) == workers
         assert engine.sweep_workers(DENSE, spec, 3) == 3
@@ -518,14 +572,15 @@ class TestRunSweep:
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
         assert run_sweep(ScenarioConfig(), spec, "prp", n_workers=3) == expected
         calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
-        chunks = [(p, start) for p in range(2) for start in (0, _CHUNK, 2 * _CHUNK)]
+        # process j scores chunk j, at both distances
+        shares = [[(p, start) for p in range(2)] for start in (0, _CHUNK, 2 * _CHUNK)]
         by_pid = {}
         for pid, point, start in calls:
             by_pid.setdefault(pid, []).append((point, start))
-        assert len(calls) == len(chunks)
-        assert by_pid.pop(os.getpid()) == chunks[0::3]
-        assert sorted(by_pid.values()) == [chunks[1::3], chunks[2::3]]
-        assert forced_split == [chunks[1::3], chunks[2::3]]
+        assert len(calls) == sum(map(len, shares))
+        assert by_pid.pop(os.getpid()) == shares[0]
+        assert sorted(by_pid.values()) == shares[1:]
+        assert forced_split == shares[1:]
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("config, block, cap, groups", [
@@ -547,8 +602,9 @@ class TestRunSweep:
     ], ids=["sparse", "small_block", "dense", "very_sparse"])
     def test_pooled_pass_gives_every_chunk_its_bits_alone(
             self, monkeypatch, tmp_path, forced_split, workers, config, block, cap, groups):
-        # each chunk's SINRs and partials in a sweep equal those of its own
-        # simulate_trials run, a group of one; the last chunk is partial
+        # each (distance, chunk)'s SINRs and partials in a sweep equal those
+        # of the chunk's own simulate_trials run at that distance alone, a
+        # group of one; the last chunk is partial
         monkeypatch.setattr(metrics, "_BLOCK", block)
         monkeypatch.setattr(metrics, "_GROUP", cap)
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
@@ -572,8 +628,10 @@ class TestRunSweep:
                             lambda base, lane, coord, *rest:
                             points.append(len(coord)) or block_terms(base, lane, coord, *rest))
         monkeypatch.setattr(engine, "_chunk_stats_job", logged)
+        # 13 chunk indices: 7 in this process on 2 workers, enough for the
+        # groups of five and of the cap
         spec = _spec(distances=(30.0, 100.0, 150.0), weathers=ALL_WEATHERS,
-                     n_trials=2 * _CHUNK + 500)
+                     n_trials=12 * _CHUNK + 500)
         run_sweep(config, spec, "rate_mbps", n_workers=workers)
         assert len(forced_split) == workers - 1   # a 2-worker sweep really splits
         assert groups(sizes, points)   # the groups and term windows of this process
@@ -584,8 +642,8 @@ class TestRunSweep:
             cfg = config.with_distance(distance)
             for start in range(0, spec.n_trials, _CHUNK):
                 end = min(start + _CHUNK, spec.n_trials)
-                rng = trial_rng(derive_seed(spec.master_seed, p, start // _CHUNK))
-                sinrs = simulate_trials(cfg, spec.weathers, rng, end - start)
+                rng = trial_rng(derive_seed(spec.master_seed, 0, start // _CHUNK))
+                sinrs = _simulate(cfg, spec.weathers, rng, end - start)
                 partial = job((cfg, spec.master_seed, p, start, end, spec.weathers,
                                spec.t_th, "rate_mbps", spec.modes, sinrs))
                 expected.append((str(p), str(start), digest(sinrs), digest(partial)))
@@ -597,17 +655,17 @@ class TestRunSweep:
         job = engine._chunk_stats_job
 
         def failing_chunk(args):
-            if args[2] == failing:
-                raise _ChunkFailure(args[2], os.getpid())
+            if args[3] == failing * _CHUNK:
+                raise _ChunkFailure(args[3], os.getpid())
             return job(args)
 
         monkeypatch.setattr(engine, "_chunk_stats_job", failing_chunk)
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
-        spec = _spec(distances=(50.0, 100.0, 150.0))
+        spec = _spec(distances=(50.0, 100.0), n_trials=2 * _CHUNK + 300)
         with pytest.raises(_ChunkFailure) as failure:
             run_sweep(ScenarioConfig(), spec, "prp", n_workers=3)
-        point, pid = failure.value.args
-        assert point == failing
+        start, pid = failure.value.args
+        assert start == failing * _CHUNK
         assert (pid == os.getpid()) == (where == "this process")
         assert len(forced_split) == 2
         assert multiprocessing.active_children() == []
@@ -617,16 +675,16 @@ class TestRunSweep:
         parent = os.getpid()
 
         def dying_chunk(args):
-            if args[2] == 1 and os.getpid() != parent:
+            if args[3] == _CHUNK and os.getpid() != parent:
                 os._exit(7)
             return job(args)
 
         monkeypatch.setattr(engine, "_chunk_stats_job", dying_chunk)
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
-        spec = _spec(distances=(50.0, 100.0))
+        spec = _spec(distances=(50.0, 100.0), n_trials=_CHUNK + 300)
         with pytest.raises(RuntimeError, match="exit code 7"):
             run_sweep(ScenarioConfig(), spec, "prp", n_workers=2)
-        assert forced_split == [[(1, 0)]]
+        assert forced_split == [[(0, _CHUNK), (1, _CHUNK)]]
         assert multiprocessing.active_children() == []
 
     def test_successful_split_reaps_its_helpers(self, monkeypatch):
@@ -640,7 +698,7 @@ class TestRunSweep:
         monkeypatch.setattr(engine, "_start_helper", recording)
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(engine, "_SPLIT_WORK", 1)
-        spec = _spec(distances=(50.0, 100.0))
+        spec = _spec(distances=(50.0, 100.0), n_trials=_CHUNK + 300)
         assert run_sweep(ScenarioConfig(), spec, "prp", n_workers=2) == run_sweep(
             ScenarioConfig(), spec, "prp")
         assert len(started) == 1

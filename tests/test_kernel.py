@@ -12,7 +12,7 @@ from rfvlc import (FADING_NAKAGAMI, FADING_RAYLEIGH, Pose3, ScenarioConfig,
                    vlc_noise_power, vlc_rx_electrical_power)
 from rfvlc import metrics
 from rfvlc.engine import trial_rng
-from rfvlc.metrics import _draw, _interference_pass, _merged, simulate_trials
+from rfvlc.metrics import _draw, _lane_terms, _merged, simulate_chunks, simulate_trials
 from rfvlc.scenario import (EXCLUSION_RADIUS_M, LANE_SAME, LANES,
                             draw_deployment, exclusion_disc, outside_exclusion, rsu_links,
                             rsu_paths)
@@ -136,13 +136,10 @@ def _scalar_reference(config, weather, seed, n):
 
 
 def _lit_points(config, deployment):
-    """Interferers the RSU sees, per lane, from the public gain."""
-    out = []
-    for lane, part in zip(LANES, deployment.lanes):
-        coord = deployment.coord[part]
-        gain = rsu_links(config, lane, coord)[1]
-        out.append(((gain > 0) & outside_exclusion(config, lane, coord)).sum())
-    return np.array(out)
+    """Lane points the RSU sees, per lane, from the public gain, whatever
+    the distance's exclusion disc."""
+    return np.array([(rsu_links(config, lane, deployment.coord[part])[1] > 0).sum()
+                     for lane, part in zip(LANES, deployment.lanes)])
 
 
 def _lane_points(deployment):
@@ -151,10 +148,20 @@ def _lane_points(deployment):
 
 
 def _interference_sums(config, weathers, rng, n):
-    """VLC[W, n] and RF[n] interference sums of n trials drawn from rng, a
-    group of one."""
+    """VLC[W, n] and RF[n] interference sums at config's distance of n
+    trials drawn from rng, a group of one."""
     chunk, _ = _draw(config, rng, n)
-    return _interference_pass(_merged([chunk]), config, weathers)
+    drawn = _merged([chunk])
+    i_vlc, i_rf = np.zeros((len(weathers), n)), np.zeros(n)
+    metrics._interference_sums(drawn, _lane_terms(drawn, config, weathers), config,
+                               i_vlc, i_rf)
+    return i_vlc, i_rf
+
+
+def _simulate(config, weathers, rng, n):
+    """simulate_trials at config's own distance alone: [W, n] and [n]."""
+    sinr_vlc, sinr_rf = simulate_trials(config, (config.distance_r,), weathers, rng, n)
+    return sinr_vlc[0], sinr_rf[0]
 
 
 def _kernel_sums(config, weather, seed, n):
@@ -168,7 +175,7 @@ def _assert_matches_scalar(config):
     k_vlc, k_rf = _kernel_sums(config, RAIN, SEED, N)
     np.testing.assert_allclose(k_vlc, i_vlc, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(k_rf, i_rf, rtol=1e-12, atol=0.0)
-    got_vlc, got_rf = simulate_trials(config, (RAIN,), trial_rng(SEED), N)
+    got_vlc, got_rf = _simulate(config, (RAIN,), trial_rng(SEED), N)
     np.testing.assert_allclose(got_vlc[0], sinr_vlc, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(got_rf, sinr_rf, rtol=1e-12, atol=0.0)
     return deployment, excluded, i_vlc
@@ -191,11 +198,11 @@ def test_kernel_matches_scalar_loop_across_block_boundaries(fading, monkeypatch)
     # 7-point slices, in term windows of _WINDOW slices, split trials, and
     # the lane boundary, across slices and windows
     config = _dense(fading)
-    default = simulate_trials(config, ALL_WEATHERS, trial_rng(SEED), N)
+    default = _simulate(config, ALL_WEATHERS, trial_rng(SEED), N)
     monkeypatch.setattr(metrics, "_BLOCK", 7)
     deployment, _, _ = _assert_matches_scalar(config)
     assert len(deployment.coord) > 10 * 7 * metrics._WINDOW
-    blocked = simulate_trials(config, ALL_WEATHERS, trial_rng(SEED), N)
+    blocked = _simulate(config, ALL_WEATHERS, trial_rng(SEED), N)
     for a, b in zip(default, blocked):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
 
@@ -217,7 +224,7 @@ def test_term_window_changes_no_bit(fading, rho_access, block, n, monkeypatch):
     for window in (1, 2, 4, 16):
         monkeypatch.setattr(metrics, "_WINDOW", window)
         rng = trial_rng(SEED)
-        sinr_vlc, sinr_rf = simulate_trials(config, ALL_WEATHERS, rng, n)
+        sinr_vlc, sinr_rf = _simulate(config, ALL_WEATHERS, rng, n)
         runs.add((sinr_vlc.tobytes(), sinr_rf.tobytes(), rng.random()))
     assert len(runs) == 1
     # the default window of 4 slices splits each lane's points, and the
@@ -236,64 +243,109 @@ def test_draw_reads_the_chunk_stream_in_order(config):
     # _draw reads a chunk's whole stream: the deployment (the lanes'
     # Poisson totals, each point's trial, each point's position), the n
     # desired fades, then one fade per lane point, and nothing after them;
-    # a group of one (_merged) is the chunk
+    # a group of one (_merged) is the chunk.  No draw reads the distance.
     rng, by_hand = trial_rng(SEED), trial_rng(SEED)
     chunk, fade = _draw(config, rng, N)
     deployment = draw_deployment(config, by_hand, N)
     desired = sample_fading(config.rf, by_hand, N)
     lane_fades = sample_fading(config.rf, by_hand, len(deployment.coord))
     lanes = deployment.lanes
-    masks = np.concatenate([outside_exclusion(config, lane, deployment.coord[part])
-                            for lane, part in zip(LANES, lanes)])
     assert chunk.lanes == lanes and chunk.n == deployment.n == N
+    far, far_fade = _draw(config.with_distance(250.0), trial_rng(SEED), N)
+    assert far_fade.tobytes() == fade.tobytes()
     for got, want in ((chunk.trial, deployment.trial), (chunk.coord, deployment.coord),
-                      (fade, desired), (chunk.fade, lane_fades), (chunk.active, masks)):
+                      (fade, desired), (chunk.fade, lane_fades)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert chunk.trial.dtype == np.int32
     assert _merged([chunk]) is chunk
     assert rng.random() == by_hand.random()
 
 
-def test_a_group_is_built_bit_for_bit_from_its_chunks():
-    # chunks at 30, 100 and 150 m, each with its own exclusion disc, one of
-    # them with no lane point and the last one partial.  The group's arrays
-    # are each chunk's own, lane by lane, the trials renumbered after the
-    # earlier chunks'.
-    # lambda rho = 1e-3: 2 points per lane and trial
-    config = dataclasses.replace(ScenarioConfig(), rho_access=0.1)
+def _group_shape(config):
+    """(seed, trials) of four chunks at config's density, one with no lane
+    point and the last one partial."""
     empty = next(s for s in range(SEED, SEED + 10_000)
                  if not draw_deployment(config, trial_rng(s), 1).coord.size)
-    # SEED + 3: a 700-trial draw whose disc cuts its lane (SEED + 1's does not)
-    shape = [(30.0, SEED, 2048), (100.0, empty, 1), (150.0, SEED + 3, 700),
-             (150.0, SEED + 2, 300)]
+    return [(SEED, 600), (empty, 1), (SEED + 3, 700), (SEED + 2, 300)]
+
+
+# lambda rho = 1e-3: 2 points per lane and trial
+SPARSE = dataclasses.replace(ScenarioConfig(), rho_access=0.1)
+
+
+def test_a_group_is_built_bit_for_bit_from_its_chunks():
+    # the group's arrays are each chunk's own, lane by lane, the trials
+    # renumbered after the earlier chunks'
     chunks, want, first = [], {lane: [] for lane in LANES}, 0
-    for distance, seed, n in shape:
-        cfg = config.with_distance(distance)
-        chunks.append(_draw(cfg, trial_rng(seed), n)[0])
+    for seed, n in _group_shape(SPARSE):
+        chunks.append(_draw(SPARSE, trial_rng(seed), n)[0])
         by_hand = trial_rng(seed)
-        deployment = draw_deployment(cfg, by_hand, n)
-        sample_fading(cfg.rf, by_hand, n)
-        fades = sample_fading(cfg.rf, by_hand, len(deployment.coord))
+        deployment = draw_deployment(SPARSE, by_hand, n)
+        sample_fading(SPARSE.rf, by_hand, n)
+        fades = sample_fading(SPARSE.rf, by_hand, len(deployment.coord))
         for lane, part in zip(LANES, deployment.lanes):
-            coord = deployment.coord[part]
-            want[lane].append((deployment.trial[part] + first, coord,
-                               outside_exclusion(cfg, lane, coord), fades[part]))
+            want[lane].append((deployment.trial[part] + first, deployment.coord[part],
+                               fades[part]))
         first += n
     assert not chunks[1].coord.size
     drawn = _merged(chunks)
     parts = [part for lane in LANES for part in want[lane]]
-    n_same = sum(len(coord) for _, coord, _, _ in want[LANE_SAME])
+    n_same = sum(len(coord) for _, coord, _ in want[LANE_SAME])
     assert drawn.n == first
     assert drawn.lanes == (slice(0, n_same), slice(n_same, len(drawn.coord)))
-    for got, field in zip((drawn.trial, drawn.coord, drawn.active, drawn.fade), zip(*parts)):
+    for got, field in zip((drawn.trial, drawn.coord, drawn.fade), zip(*parts)):
         expected = np.concatenate(field)
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
     assert drawn.trial.dtype == np.int32
     # every trial of the group is reached, and only those
     assert drawn.trial.min() == 0 and drawn.trial.max() == first - 1
-    # the discs of the 30 m chunk and of a 150 m one cut their lanes
-    same = want[LANE_SAME]
-    assert not same[0][2].all() and not same[2][2].all()
+
+
+def test_a_group_gives_each_chunk_its_bits_alone_at_every_distance(monkeypatch):
+    # the four chunks pool into one group, scored at 30, 100 and 150 m,
+    # each with its own exclusion disc: every (chunk, distance) gets the
+    # SINRs of the chunk simulated alone at that distance alone, bit for bit
+    sizes = []
+    merged = metrics._merged
+    monkeypatch.setattr(metrics, "_merged",
+                        lambda chunks: sizes.append(len(chunks)) or merged(chunks))
+    shape, distances = _group_shape(SPARSE), (30.0, 100.0, 150.0)
+    got = [(i, d, tuple(a.copy() for a in sinrs)) for i, d, sinrs in simulate_chunks(
+        SPARSE, distances, ALL_WEATHERS, [(trial_rng(seed), n) for seed, n in shape])]
+    assert sizes == [len(shape)]
+    # distance after distance, each distance's chunks in order
+    assert [key[:2] for key in got] == [(i, d) for d in range(3) for i in range(4)]
+    for i, d, (vlc, rf) in got:
+        seed, n = shape[i]
+        alone = simulate_trials(SPARSE, distances[d:d + 1], ALL_WEATHERS, trial_rng(seed), n)
+        assert vlc.tobytes() == alone[0][0].tobytes() and rf.tobytes() == alone[1][0].tobytes()
+    # the discs at 30 m and at 150 m cut the lane points of some chunk
+    for distance in (30.0, 150.0):
+        cut = [not outside_exclusion(SPARSE.with_distance(distance), LANE_SAME, chunk.coord[
+            chunk.lanes[LANE_SAME]]).all() for chunk in (
+                _draw(SPARSE, trial_rng(seed), n)[0] for seed, n in shape)]
+        assert any(cut)
+
+
+def test_every_distance_shares_the_chunk_draws():
+    # each distance's row matches the scalar loop at that distance alone on
+    # the same stream: the same lane points and fades, its own disc and
+    # desired link; and the row of one distance is the bits of that
+    # distance simulated alone
+    distances = (10.0, 30.0, 250.0)
+    sinr_vlc, sinr_rf = simulate_trials(DENSE, distances, (RAIN,), trial_rng(SEED), N)
+    assert sinr_vlc.shape == (3, 1, N) and sinr_rf.shape == (3, N)
+    for d, distance in enumerate(distances):
+        config = DENSE.with_distance(distance)
+        *_, want_vlc, want_rf = _scalar_reference(config, RAIN, SEED, N)
+        np.testing.assert_allclose(sinr_vlc[d, 0], want_vlc, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(sinr_rf[d], want_rf, rtol=1e-12, atol=0.0)
+        alone = _simulate(config, (RAIN,), trial_rng(SEED), N)
+        assert sinr_vlc[d, 0].tobytes() == alone[0][0].tobytes()
+        assert sinr_rf[d].tobytes() == alone[1].tobytes()
+    # the desired RF signal is the same fades times each distance's mean
+    # power, so the rows differ
+    assert len({row.tobytes() for row in sinr_rf}) == 3
 
 
 def test_interferer_counts_match_the_reference_mask():
@@ -415,10 +467,10 @@ def test_desired_links_match_the_scalar_calls(config):
 def test_weathers_share_every_draw():
     # one call with the weather axis: row w equals the run with weather w
     # alone, and the RF SINRs are the same whatever the weathers
-    sinr_vlc, sinr_rf = simulate_trials(DENSE, ALL_WEATHERS, trial_rng(SEED), N)
+    sinr_vlc, sinr_rf = _simulate(DENSE, ALL_WEATHERS, trial_rng(SEED), N)
     assert sinr_vlc.shape == (len(ALL_WEATHERS), N) and sinr_rf.shape == (N,)
     for row, weather in zip(sinr_vlc, ALL_WEATHERS):
-        alone_vlc, alone_rf = simulate_trials(DENSE, (weather,), trial_rng(SEED), N)
+        alone_vlc, alone_rf = _simulate(DENSE, (weather,), trial_rng(SEED), N)
         assert np.array_equal(row, alone_vlc[0])
         assert np.array_equal(sinr_rf, alone_rf)
     # weather only rescales optical terms: the VLC rows differ
@@ -426,7 +478,7 @@ def test_weathers_share_every_draw():
     # a clear-only dense chunk, whose optical terms skip the attenuation
     # pow, gives the clear row of a run with every weather (which takes it)
     n = 4096
-    runs = [simulate_trials(DENSE, weathers, trial_rng(SEED), n)
+    runs = [_simulate(DENSE, weathers, trial_rng(SEED), n)
             for weathers in (("clear",), ALL_WEATHERS)]
     (clear_vlc, clear_rf), (every_vlc, every_rf) = runs
     assert clear_vlc[0].tobytes() == every_vlc[ALL_WEATHERS.index("clear")].tobytes()
@@ -463,7 +515,6 @@ def test_kernel_evaluates_gains_on_lit_points_only(config, same, perp, monkeypat
     _interference_sums(config, (RAIN,), trial_rng(SEED), N)
     lit = _lit_points(config, deployment)
     assert sum(sizes) == lit.sum()
-    # the share of each lane's interferers that is lit
-    share = lit / [outside_exclusion(config, lane, deployment.coord[part]).sum()
-                   for lane, part in zip(LANES, deployment.lanes)]
+    # the share of each lane's points that is lit
+    share = lit / _lane_points(deployment)
     assert same[0] <= share[0] <= same[1] and perp[0] <= share[1] <= perp[1]

@@ -44,10 +44,11 @@ def _rf_prp_without_interference(config):
 
 
 def _trials(config, seed, n, weather=CLEAR):
-    # (sinr_vlc[n], sinr_rf[n]) of one kernel call in one weather
-    sinr_vlc, sinr_rf = simulate_trials(config, (weather,),
+    # (sinr_vlc[n], sinr_rf[n]) of one kernel call at config's distance in
+    # one weather
+    sinr_vlc, sinr_rf = simulate_trials(config, (config.distance_r,), (weather,),
                                         np.random.default_rng(seed), n)
-    return sinr_vlc[0], sinr_rf
+    return sinr_vlc[0, 0], sinr_rf[0]
 
 
 class TestSinr:
@@ -188,8 +189,8 @@ class TestScoreModes:
         # with weather w's row alone, bit for bit
         cfg = dataclasses.replace(ScenarioConfig(), lambda_density=0.05,
                                   rho_access=0.5)
-        sinr_vlc, sinr_rf = simulate_trials(cfg, ALL_WEATHERS,
-                                            np.random.default_rng(40), 500)
+        sinr_vlc, sinr_rf = (row[0] for row in simulate_trials(
+            cfg, (cfg.distance_r,), ALL_WEATHERS, np.random.default_rng(40), 500))
         for score in (mode_success, mode_rates):
             both = score(sinr_vlc, sinr_rf, cfg)
             assert both.shape == (len(ALL_WEATHERS), len(MODES), 500)
@@ -434,12 +435,11 @@ class TestClosedFormOracles:
         theta = db_to_linear(cfg.sinr_threshold_vlc_db)
         n = 200_000
         for distance, weathers in ((50.0, ALL_WEATHERS), (100.0, (CLEAR,))):
-            point = cfg.with_distance(distance)
-            sinr_vlc, _ = simulate_trials(point, weathers,
+            sinr_vlc, _ = simulate_trials(cfg, (distance,), weathers,
                                           np.random.default_rng(40), n)
-            for weather, row in zip(weathers, sinr_vlc):
+            for weather, row in zip(weathers, sinr_vlc[0]):
                 value, stderr, _, _ = proportion_estimates(int((row >= theta).sum()), n)
-                lo, hi = prp_vlc_bracket(point, weather)
+                lo, hi = prp_vlc_bracket(cfg.with_distance(distance), weather)
                 assert 0.0 < lo <= hi < 1.0
                 assert lo - 4.0 * stderr <= value <= hi + 4.0 * stderr, (
                     distance, weather, value, stderr, lo, hi)
