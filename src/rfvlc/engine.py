@@ -5,9 +5,9 @@ chunk owns a private counter-derived random stream (derive_seed,
 trial_rng), drawn once and shared by every distance of the sweep: a
 sweep has one job per (distance, chunk), and the D jobs of a chunk score
 the same trials.  Partials are reduced in chunk order, so results are a
-pure function of (config, spec), and a row of (config, distance, seed,
-trials) whatever the other distances: reruns and runs with different
-worker counts produce bit-identical tables.
+pure function of (config, spec), and each row one of (config, distance,
+seed, trials), whatever the other distances: reruns and runs with
+different worker counts produce bit-identical tables.
 
 A sweep splits its chunk indices once, interleaved, over k processes,
 k = 1 being the split with no helper: this process computes the chunks

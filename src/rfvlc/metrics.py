@@ -129,7 +129,8 @@ class _Lanes(NamedTuple):
     n: int                      # trials
     trial: np.ndarray           # each point's trial, int32 in [0, n)
     coord: np.ndarray
-    fade: np.ndarray            # one RF fade per lane point
+    fade: np.ndarray            # one RF fade per lane point, until _lane_terms
+                                # scales it into the point's RF power
     lanes: tuple[slice, slice]  # Deployment.lanes
 
 
@@ -181,23 +182,22 @@ def _lane_terms(drawn: _Lanes, base: ScenarioConfig, weathers) -> _Terms:
     Each lane's points are evaluated in windows of _WINDOW slices of
     _BLOCK points (_block_terms), and only the terms are kept, so a
     window's temporaries bound the memory whatever the density.  Terms are
-    elementwise: the windows change no bit.
+    elementwise: the windows change no bit.  The RF powers are the lane
+    fades, scaled in place: drawn.fade holds them from here.
     """
     coeffs = np.array([[WEATHER_ATTENUATION_DB_PER_KM[weather]] for weather in weathers])
     # read at call time, so that a window holds whole slices whatever _BLOCK is
     window = _WINDOW * _BLOCK
-    p_rf = np.empty(len(drawn.coord))
     lit, p_vlc = [np.empty(0, np.intp)], [np.empty((len(weathers), 0))]
     for lane, part in zip(LANES, drawn.lanes):
         for lo in range(part.start, part.stop, window):
             hi = min(lo + window, part.stop)
-            rf, seen, vlc = _block_terms(base, lane, drawn.coord[lo:hi], drawn.fade[lo:hi],
-                                         coeffs)
-            p_rf[lo:hi] = rf
+            _, seen, vlc = _block_terms(base, lane, drawn.coord[lo:hi], drawn.fade[lo:hi],
+                                        coeffs)
             lit.append(seen + lo)
             p_vlc.append(vlc)
     lit = np.concatenate(lit)
-    return _Terms(p_rf, lit, drawn.trial[lit], np.concatenate(p_vlc, axis=1))
+    return _Terms(drawn.fade, lit, drawn.trial[lit], np.concatenate(p_vlc, axis=1))
 
 
 def _block_terms(base: ScenarioConfig, lane: int, coord, fade, coeffs):
@@ -205,7 +205,7 @@ def _block_terms(base: ScenarioConfig, lane: int, coord, fade, coeffs):
     with their RF fades; coeffs[W, 1] holds the weathers' attenuation
     coefficients.
 
-    p_rf is every point's faded RF power; lit indexes the points the RSU
+    p_rf is every point's faded RF power, written over fade; lit indexes the points the RSU
     sees (sees), since any other point has zero gain, hence zero optical
     power in every weather, and p_vlc[W, len(lit)] holds their optical
     powers per weather.  The paths come from rsu_paths, and the lit
@@ -216,8 +216,7 @@ def _block_terms(base: ScenarioConfig, lane: int, coord, fade, coeffs):
     all.
     """
     d2, d, cos_phi, cos_psi = rsu_paths(base, lane, coord)
-    p_rf = rf_mean_rx_power(d, base.rf)
-    p_rf *= fade
+    p_rf = np.multiply(fade, rf_mean_rx_power(d, base.rf), out=fade)
     lit = np.flatnonzero(sees(cos_phi, cos_psi, base.vlc))
     gain = seen_gain(d2[lit], cos_phi[lit], cos_psi[lit], base.vlc)
     hazy = coeffs[:, 0] != 0.0
@@ -327,21 +326,21 @@ def _group_sinrs(group: list, base: ScenarioConfig, sites, links, weathers):
     terms are computed.
     """
     drawn = _merged([lanes for _, lanes, _ in group])
-    index = [i for i, _, _ in group]
-    fade = np.concatenate([f for _, _, f in group])
-    bounds = list(accumulate((len(f) for _, _, f in group), initial=0))
+    scored = [(i, fade) for i, _, fade in group]
+    bounds = list(accumulate((len(fade) for _, fade in scored), initial=0))
     group.clear()   # only the merged draws are held from here
     terms = _lane_terms(drawn, base, weathers)
-    i_vlc, i_rf, signal = np.empty((len(weathers), drawn.n)), np.empty(drawn.n), np.empty(drawn.n)
+    i_vlc, i_rf = np.empty((len(weathers), drawn.n)), np.empty(drawn.n)
+    signal = np.empty(max(len(fade) for _, fade in scored))   # one chunk's at a time
     for d, (site, link) in enumerate(zip(sites, links)):
         i_vlc.fill(0.0)
         i_rf.fill(0.0)
         _interference_sums(drawn, terms, site, i_vlc, i_rf)
-        np.multiply(link.s_rf_mean, fade, out=signal)
-        for i, a, b in zip(index, bounds, bounds[1:]):
+        for (i, fade), a, b in zip(scored, bounds, bounds[1:]):
             vlc, rf = i_vlc[:, a:b], i_rf[a:b]
             yield i, d, (sinr(link.s_vlc, vlc, link.n_vlc, out=vlc),
-                         sinr(signal[a:b], rf, link.n_rf, out=rf))
+                         sinr(np.multiply(link.s_rf_mean, fade, out=signal[:b - a]), rf,
+                              link.n_rf, out=rf))
 
 
 def _by_mode(sinr_vlc, sinr_rf, modes, dtype):
