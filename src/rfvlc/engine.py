@@ -54,11 +54,13 @@ _COUNT = np.uint16   # a chunk's trial counts: _CHUNK < 2**16, so they fit
 # One-process work, in trial-equivalents (_sweep_work), per process a sweep
 # may run: a sweep splits in two from twice this.  Two processes halve the
 # work and add a forked helper's fixed cost (~10-17 ms on a 2-vCPU VM).
-# There 1 against 2 workers in two runs of 30 pairs found one process faster
-# at 109k (prp-sweep, 25 x 4096 trials) and two faster or even at 213k
-# (dor-sweep, 2 x 100k trials).  Read at call time; `scripts/ab_sweep.py
-# --workers 1,2` measures the break-even on another host.
-_SPLIT_WORK = 80_000
+# Since every distance shares a chunk's draws, a sweep does less work than
+# _sweep_work counts: there 1 against 2 workers in two runs of 30 pairs
+# found one process faster on every shape, the 213k default dor-sweep
+# (2 x 100k trials) included, 30 of 30 pairs in each run.  Read at call
+# time; `scripts/ab_sweep.py --workers 1,2` measures the break-even on
+# another host.
+_SPLIT_WORK = 120_000
 
 # Trials per sweep point at most: run_sweep holds a job (~185 B) and a partial per
 # chunk (~281 B for prp, ~1.1 KB for dor's [10, 4, 3]): ~0.28 GB for prp at 25 distances.

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -382,6 +383,11 @@ def _rate_table(rows):
     return _RATE + "".join(f"{d},fog,pure_vlc,{m!r},{se!r},0,1,1000\n" for d, m, se in rows)
 
 
+def _bound(rows):
+    """The Bonferroni bound on |z| over rows rows."""
+    return NormalDist().inv_cdf(1 - 0.025 / rows)
+
+
 def _verdict(monkeypatch, tables):
     ab_sweep = _load(SCRIPT, "ab_sweep", monkeypatch)
     return ab_sweep.rows_verdict(tables)
@@ -397,7 +403,8 @@ def test_rows_within_the_bound_pass(monkeypatch):
         "prp": (_prp_table(parent), _prp_table(change)),
         "rate": (_rate_table(rates), _rate_table(rates[:9] + [(90, 11.02, 0.01)]))})
     assert failures == []
-    assert summary["rows"] == 20 and summary["bound"] == pytest.approx(3.023, abs=1e-3)
+    assert summary["rows"] == 20
+    assert summary["bound"] == _bound(20) == pytest.approx(3.023, abs=1e-3)
     prp, rate = summary["cases"]["prp"], summary["cases"]["rate"]
     assert prp["rows"] == 10 and prp["equal"] == 0 and prp["at"] == "90,clear,la"
     assert prp["max_abs_z"] == pytest.approx(2.40, abs=0.01)
@@ -421,11 +428,6 @@ def test_a_deterministic_row_moved_by_one_ulp_fails(monkeypatch):
     assert failures == [f"rate: zero-stderr row 50,fog,pure_vlc moved: {value!r} -> "
                         f"{float(np.nextafter(value, 1.0))!r}",
                         f"rate: |z| = inf at 50,fog,pure_vlc exceeds {_bound(2):.3g}"]
-
-
-def _bound(rows):
-    from statistics import NormalDist
-    return NormalDist().inv_cdf(1 - 0.025 / rows)
 
 
 def test_a_key_on_one_side_only_fails(monkeypatch):

@@ -301,10 +301,11 @@ class TestCliWorkers:
     # (argv, config lines, processes): the sweep's estimated work caps them
     # at one per engine._SPLIT_WORK trial-equivalents
     _SHAPES = {
-        # the dor_pool benchmark: 2 x 16384 sparse trials, 8 chunks
+        # the dor_pool benchmark: 2 x 16384 sparse trials, 4 chunk indices
         "dor_pool": (["dor-sweep", "--trials", "16384"], [], 1),
-        "dor_default": (["dor-sweep"], [], 2),   # 2 x 100k trials
-        # the default 25 distances at one chunk each
+        "dor_default": (["dor-sweep"], [], 1),   # 2 x 100k trials
+        "rate_default": (["rate-sweep"], [], 2),   # 5 x 100k trials
+        # the default 25 distances sharing one chunk index
         "prp_grid_25": (["prp-sweep", "--trials", "4096"], [], 1),
         # lambda * rho = 1e-2: a trial weighs ~7.7 sparse ones; at 4096
         # trials the six distances share one chunk index
