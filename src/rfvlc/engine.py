@@ -1,23 +1,23 @@
 """Sweep orchestration: seeding, trial batching, and result tables.
 
 Trials are simulated in chunks of _CHUNK on a fixed grid, and every
-chunk owns a private counter-derived random stream (derive_seed,
-trial_rng), drawn once and shared by every distance of the sweep: a
-sweep has one job per (distance, chunk), and the D jobs of a chunk score
-the same trials.  Partials are reduced in chunk order, so results are a
-pure function of (config, spec), and each row one of (config, distance,
-seed, trials), whatever the other distances: reruns and runs with
-different worker counts produce bit-identical tables.
+chunk index owns a private counter-derived random stream (derive_seed,
+trial_rng), drawn once and scored at every distance of the sweep.  A
+chunk's partials at the D distances are one [D, ...] slice of each
+field, and are reduced in chunk order, so results are a pure function of
+(config, spec), and each row one of (config, distance, seed, trials),
+whatever the other distances: reruns and runs with different worker
+counts produce bit-identical tables.
 
 A sweep splits its chunk indices once, interleaved, over k processes,
-k = 1 being the split with no helper: this process computes the chunks
-c = 0 mod k while k - 1 forked helper processes compute the chunks
-c = j mod k, each chunk with all of its jobs, and send their partials
-back over a pipe; helpers are reaped only after the reduction and the
-rows.  Every job is scored through the module global _chunk_stats_job,
-looked up at call time in this process and in the helpers alike.  k is
-capped by the chunk indices, the usable CPUs and the sweep's estimated
-work (sweep_workers: one process per _SPLIT_WORK trial-equivalents).
+k = 1 being the split with no helper: process j computes the chunks
+range(j, C, k), this process being j = 0 and k - 1 forked helper
+processes the others, which send their partials back over a pipe;
+helpers are reaped only after the reduction and the rows.  Each (chunk,
+distance) is scored through the module global _score_chunk, looked up
+at call time in this process and in the helpers alike.  k is capped by
+the chunk indices, the usable CPUs and the sweep's estimated work
+(sweep_workers: one process per _SPLIT_WORK trial-equivalents).
 
 README.md explains the streams and the helpers' cost ("Command line")
 and the per-chunk and per-sweep work ("Performance notes").
@@ -62,8 +62,8 @@ _COUNT = np.uint16   # a chunk's trial counts: _CHUNK < 2**16, so they fit
 # another host.
 _SPLIT_WORK = 120_000
 
-# Trials per sweep point at most: run_sweep holds a job (~185 B) and a partial per
-# chunk (~281 B for prp, ~1.1 KB for dor's [10, 4, 3]): ~0.28 GB for prp at 25 distances.
+# Trials per sweep point at most: run_sweep holds a partial per (distance, chunk),
+# 96 B for prp's [4, 3] and 960 B for dor's [10, 4, 3]: ~59 MB for prp at 25 distances.
 _MAX_TRIALS = 10**8
 
 # Recorded in run manifests: SplitMix64 keys one PCG64 stream per chunk
@@ -88,7 +88,7 @@ def derive_seed(master_seed: int, point_index: int, stream_index: int) -> int:
     seed = splitmix64(s1 ^ splitmix64(stream)).  Deterministic across runs
     and platforms; collision-free in practical index ranges.  The engine
     uses one stream per chunk, for every distance: point_index = 0 and
-    stream_index = first trial // _CHUNK.
+    stream_index = the chunk index.
     """
     if point_index < 0 or stream_index < 0:
         raise ConfigError("indices must be >= 0")
@@ -198,7 +198,9 @@ def run_sweep(config: ScenarioConfig, spec: SweepSpec, metric: str,
     row does not depend on the other distances listed.
     """
     problems = validate_distances(config, spec.distances) + spec.check()
-    if n_workers < 1:
+    if not isinstance(n_workers, numbers.Integral):
+        problems.append(f"n_workers: must be an integer, got {n_workers!r}")
+    elif n_workers < 1:
         problems.append(f"n_workers: must be >= 1, got {n_workers}")
     if metric not in _METRICS:
         problems.append(f"metric: must be one of {', '.join(_METRICS)}, got {metric!r}")
@@ -207,41 +209,30 @@ def run_sweep(config: ScenarioConfig, spec: SweepSpec, metric: str,
     if problems:
         raise ConfigError("; ".join(problems))
 
-    # Fixed chunk grid, independent of worker count: one job per (distance,
-    # chunk), in the rows' order
-    n = int(spec.n_trials)   # chunk bounds as Python ints, whatever integer type
-    starts = range(0, n, _CHUNK)
-    points = [config.with_distance(distance) for distance in spec.distances]
-    jobs = [(cfg, spec.master_seed, d_idx, start, min(start + _CHUNK, n),
-             spec.weathers, spec.t_th, metric, spec.modes)
-            for d_idx, cfg in enumerate(points) for start in starts]
-
-    n_workers = sweep_workers(config, spec, n_workers)
     helpers = []   # (process, pipe end) per helper, reaped once the rows are built
     try:
-        return _rows(spec, metric, _run_split(jobs, len(starts), n_workers, helpers))
+        return _rows(spec, metric, _run_split(config, spec, metric,
+                                              sweep_workers(config, spec, n_workers), helpers))
     finally:
         _reap(helpers)
 
 
-def _rows(spec: SweepSpec, metric: str, partials) -> tuple[SweepRow, ...]:
-    """The rows of a sweep from its chunk partials, in chunk order, their
-    estimates computed as arrays in one pass."""
-    # Reduce per distance (and weather), in chunk order: sum() adds the
-    # counts, merged_moments merges the rate moments.
+def _rows(spec: SweepSpec, metric: str, fields) -> tuple[SweepRow, ...]:
+    """The rows of a sweep from its chunk partials, per field one array
+    [C, D, W, M] (for dor [C, D, K, W, M]), their estimates computed as
+    arrays in one pass: the counts summed over the chunks, the rate
+    moments merged in chunk order (merged_moments)."""
     n = spec.n_trials
-    grid = (len(spec.distances), math.ceil(n / _CHUNK))
-    # [C, D, W, M] or for dor [C, D, K, W, M]
-    fields = [np.reshape(field, grid + np.shape(field[0])).swapaxes(0, 1)
-              for field in zip(*partials)]
     if metric == "rate_mbps":
         sizes = [min(_CHUNK, n - start) for start in range(0, n, _CHUNK)]
-        fields = (f.ravel().tolist() for f in mean_estimates(*merged_moments(*fields, sizes), n))
-    else:   # [D, W, M] or for dor [D, K, W, M]: the rows' order
-        fields = (f.ravel().tolist() for f in proportion_estimates(sum(fields[0]), n))
+        estimates = mean_estimates(*merged_moments(*fields, sizes), n)
+    else:
+        estimates = proportion_estimates(fields[0].sum(axis=0), n)
+    # [D, W, M] or for dor [D, K, W, M]: the rows' order
     keys = itertools.product(spec.distances, spec.t_th or (None,), spec.weathers, spec.modes)
     return tuple(SweepRow(*key, MetricEstimate(value, stderr, n, low, high))
-                 for key, value, stderr, low, high in zip(keys, *fields))
+                 for key, value, stderr, low, high
+                 in zip(keys, *(f.ravel().tolist() for f in estimates)))
 
 
 def _sweep_work(config: ScenarioConfig, spec: SweepSpec) -> float:
@@ -266,59 +257,60 @@ def sweep_workers(config: ScenarioConfig, spec: SweepSpec, n_workers: int) -> in
     return min(n_workers, n_chunks, paid, _usable_cpus())
 
 
-def _run_share(jobs):
-    """The partials of jobs, one process's share, in order.
+def _fields(spec: SweepSpec, metric: str, n_chunks: int):
+    """Per field of _score_chunk's partials, an empty array [n_chunks, D,
+    W, M] (for dor [n_chunks, D, K, W, M])."""
+    shape = ((n_chunks, len(spec.distances)) + ((len(spec.t_th),) if spec.t_th else ())
+             + (len(spec.weathers), len(spec.modes)))
+    if metric == "rate_mbps":
+        return [np.empty(shape), np.empty(shape)]
+    return [np.empty(shape, np.int64)]
 
-    The share's jobs come chunk by chunk, each chunk's jobs one per
-    distance of the sweep, in distance order.  One generator serves every
-    chunk: each chunk's stream state is injected into it as
+
+def _run_share(config: ScenarioConfig, spec: SweepSpec, metric: str, chunks, fields):
+    """Fill and return fields (from _fields) with the partials of the
+    chunk indices chunks, one process's share: field[i, d] is chunks[i]'s
+    partial at spec.distances[d], scored through _score_chunk as
+    simulate_chunks yields its SINRs.
+
+    One generator serves every chunk: chunk c's stream state, from
+    derive_seed(spec.master_seed, 0, c), is injected into it as
     simulate_chunks pulls the chunk, which is safe because simulate_chunks
-    draws all of a chunk's numbers before it pulls the next.  Each chunk
-    is drawn once for all of its distances, and consecutive chunks share
-    the interferer terms of simulate_chunks; every job is then scored
-    through _chunk_stats_job, as simulate_chunks yields its SINRs.
+    draws all of a chunk's numbers before it pulls the next.
     """
-    first = jobs[0][3]
-    distances = [job[0].distance_r for job in jobs if job[3] == first]
-    per_chunk = len(distances)
+    n = int(spec.n_trials)   # chunk sizes as Python ints, whatever integer type
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
 
-    def chunks():
-        for _, seed, _, start, end, *_ in jobs[::per_chunk]:
-            bit_generator.state = _seed_state(derive_seed(seed, 0, start // _CHUNK))
-            yield rng, end - start
+    def draws():
+        for c in chunks:
+            bit_generator.state = _seed_state(derive_seed(spec.master_seed, 0, c))
+            yield rng, min(_CHUNK, n - c * _CHUNK)
 
-    partials = [None] * len(jobs)
-    for i, d, sinrs in simulate_chunks(jobs[0][0], distances, jobs[0][5], chunks()):
-        k = i * per_chunk + d
-        partials[k] = _chunk_stats_job((*jobs[k], sinrs))
-        del sinrs   # no name holds a group's sums once its jobs are scored
-    return partials
+    for i, d, sinrs in simulate_chunks(config, spec.distances, spec.weathers, draws()):
+        for field, part in zip(fields, _score_chunk(config, spec, metric, sinrs)):
+            field[i, d] = part
+        del sinrs   # no name holds a group's sums once its chunks are scored
+    return fields
 
 
-def _chunk_stats_job(job):
-    """Score one chunk at one distance for its metric alone, per weather
-    and for the sweep's modes only, in spec.modes order: the success
-    counts, [W, M] (prp); the rate's mean and sum of squared deviations in
-    Mbps (moments), [W, M] each (rate_mbps); or late[k, weather, mode],
-    the trials whose rate falls below outage_rate(H, t_th[k]) (dor).
-
-    job is (config, seed, point, start, end, weathers, t_th, metric,
-    modes, sinrs): the chunk's trials start..end at sweep point `point`,
-    start a multiple of _CHUNK, and their SINRs there.
-    """
-    config, *_, t_th, metric, modes, sinrs = job
+def _score_chunk(config: ScenarioConfig, spec: SweepSpec, metric: str, sinrs):
+    """Score one chunk's SINRs at one distance for metric alone, per
+    weather and for spec.modes only, in that order: the success counts,
+    [W, M] (prp); the rate's mean and sum of squared deviations in Mbps
+    (moments), [W, M] each (rate_mbps); or late[k, weather, mode], the
+    trials whose rate falls below outage_rate(H, spec.t_th[k]) (dor).
+    Nothing scored reads the distance."""
     if metric == "prp":
-        return (_count(mode_success(*sinrs, config, modes)).astype(np.int64),)
-    rate = mode_rates(*sinrs, config, modes)
+        return (_count(mode_success(*sinrs, config, spec.modes)).astype(np.int64),)
+    rate = mode_rates(*sinrs, config, spec.modes)
     if metric == "rate_mbps":
         rate /= 1e6   # Mbps
         return moments(rate)
     # one threshold at a time, into one flag buffer: no [K, W, M, n] flags
-    late = np.empty((len(t_th),) + rate.shape[:-1], np.int64)
+    late = np.empty((len(spec.t_th),) + rate.shape[:-1], np.int64)
     flags = np.empty(rate.shape, bool)
-    for k, t in enumerate(t_th):
+    for k, t in enumerate(spec.t_th):
         late[k] = _count(np.less(rate, outage_rate(config.payload_h, t), out=flags))
     return (late,)
 
@@ -336,63 +328,64 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _helper_main(share, conn):
-    """Helper process body: compute share, send (True, partials) or, on any
-    exception, (False, exc) for the parent to re-raise."""
+def _helper_main(conn, config, spec, metric, chunks):
+    """Helper process body: compute the partials of chunks, send (True,
+    partials) or, on any exception, (False, exc) for the parent to
+    re-raise."""
     try:
-        result = (True, _run_share(share))
+        result = (True, _run_share(config, spec, metric, chunks,
+                                   _fields(spec, metric, len(chunks))))
     except BaseException as exc:
         result = (False, exc)
     conn.send(result)
     conn.close()
 
 
-def _start_helper(share):
-    """Fork a helper that computes share; return it and its receiving end.
+def _start_helper(config, spec, metric, chunks):
+    """Fork a helper that computes the partials of chunks; return it and
+    its receiving end.
 
-    A forked helper inherits the jobs and this module's globals as they
-    are, so nothing but the partials is pickled.
+    A forked helper inherits the config, the spec and this module's
+    globals as they are, so nothing but the partials is pickled.
     """
     # Imported here, not at the top: only multi-worker sweeps pay for it.
     import multiprocessing
 
     ctx = multiprocessing.get_context("fork")
     recv_end, send_end = ctx.Pipe(duplex=False)
-    helper = ctx.Process(target=_helper_main, args=(share, send_end), daemon=True)
+    helper = ctx.Process(target=_helper_main, args=(send_end, config, spec, metric, chunks),
+                         daemon=True)
     helper.start()
     # Only the helper holds the sending end now, so its death reads as EOF.
     send_end.close()
     return helper, recv_end
 
 
-def _run_split(jobs, n_chunks, k, helpers):
-    """The partials of every job, in job order, from this process and
-    k - 1 helpers (none when k = 1).  jobs come distance after distance,
-    n_chunks per distance; the share of process j (helper j, or this
-    process for j = 0) is the chunks c = j mod k, chunk after chunk, each
-    with its job at every distance.  Each helper started is appended to
-    helpers, for the caller to _reap, and the call returns once every
-    partial has arrived.  A failure in any share is raised here."""
-    per_chunk = len(jobs) // n_chunks
-    shares = [[p * n_chunks + c for c in range(j, n_chunks, k) for p in range(per_chunk)]
-              for j in range(k)]
-    for share in shares[1:]:
-        helpers.append(_start_helper([jobs[x] for x in share]))
-    partials = [None] * len(jobs)
-    for x, partial in zip(shares[0], _run_share([jobs[x] for x in shares[0]])):
-        partials[x] = partial
+def _run_split(config: ScenarioConfig, spec: SweepSpec, metric: str, k: int, helpers):
+    """The sweep's partials, per field one [C, D, ...] array, from this
+    process and k - 1 helpers (none when k = 1).  Process j (helper j, or
+    this process for j = 0) computes the chunk indices range(j, C, k), its
+    share field[j::k]: this process fills its own in place, and each
+    helper's is placed as it arrives.  Each helper started is appended to
+    helpers, for the caller to _reap.  A failure in any share is raised
+    here."""
+    n_chunks = math.ceil(spec.n_trials / _CHUNK)
+    for j in range(1, k):
+        helpers.append(_start_helper(config, spec, metric, range(j, n_chunks, k)))
+    fields = _fields(spec, metric, n_chunks)
+    _run_share(config, spec, metric, range(0, n_chunks, k), [f[::k] for f in fields])
     for j, (helper, conn) in enumerate(helpers, 1):
         try:
-            ok, value = conn.recv()
+            ok, share = conn.recv()
         except EOFError:
             helper.join()
             raise RuntimeError(f"sweep helper {j} of {k - 1} died with exit code "
                                f"{helper.exitcode} before sending its chunks") from None
         if not ok:
-            raise value
-        for x, partial in zip(shares[j], value):
-            partials[x] = partial
-    return partials
+            raise share
+        for field, part in zip(fields, share):
+            field[j::k] = part
+    return fields
 
 
 def _reap(helpers):

@@ -7,14 +7,14 @@ from rfvlc import engine
 
 @pytest.fixture
 def started_helpers(monkeypatch):
-    """Record the (point, start) chunks of every sweep helper process
-    started, one list per helper."""
+    """Record the chunk indices of every sweep helper process started, one
+    list per helper."""
     started = []
     start_helper = engine._start_helper
 
-    def recording(share):
-        started.append([job[2:4] for job in share])
-        return start_helper(share)
+    def recording(config, spec, metric, chunks):
+        started.append(list(chunks))
+        return start_helper(config, spec, metric, chunks)
 
     monkeypatch.setattr(engine, "_start_helper", recording)
     return started

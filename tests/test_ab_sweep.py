@@ -147,7 +147,7 @@ def test_the_forced_side_starts_one_helper_and_restores_the_cap(monkeypatch, tmp
     started = []
     start_helper = engine._start_helper
     monkeypatch.setattr(engine, "_start_helper",
-                        lambda share: started.append(share) or start_helper(share))
+                        lambda *share: started.append(share) or start_helper(*share))
     argv, lines, _ = ab_sweep.SWEEPS["dense_clear_2"]
     # two chunk indices, the second one partial
     call = ab_sweep.cli_call(package, [*argv, "--trials", "4296"], ["seed = 1", *lines],

@@ -14,8 +14,7 @@ from pathlib import Path
 import pytest
 
 import rfvlc.cli
-from rfvlc import ScenarioConfig, SweepSpec, prp_rf_closed_form, run_sweep
-from rfvlc.engine import _CHUNK
+from rfvlc import ScenarioConfig, prp_rf_closed_form
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARKS = ROOT / "benchmarks"
@@ -86,21 +85,11 @@ def test_cli_keeps_the_names_the_benchmark_hooks():
     assert rfvlc.cli.run_sweep is rfvlc.engine.run_sweep
 
 
-def test_chunk_jobs_carry_what_the_tracer_tallies(monkeypatch):
-    # bench.py's install_tracing wraps engine._chunk_stats_job and tallies
-    # each job's trials as job[4] - job[3]: the chunk's start and end
-    job = rfvlc.engine._chunk_stats_job
-    assert callable(job)
-    jobs = []
-    monkeypatch.setattr(rfvlc.engine, "_chunk_stats_job",
-                        lambda args: jobs.append(args) or job(args))
-    spec = SweepSpec(distances=(50.0, 150.0), weathers=("clear",), modes=("la",),
-                     n_trials=_CHUNK + 300, master_seed=1)
-    run_sweep(ScenarioConfig(), spec, "prp")
-    assert [(j[2], j[3], j[4]) for j in jobs] == [
-        (point, start, min(start + _CHUNK, spec.n_trials))
-        for point in range(2) for start in (0, _CHUNK)]
-    assert sum(j[4] - j[3] for j in jobs) == len(spec.distances) * spec.n_trials
+def test_engine_has_no_chunk_stats_job():
+    # bench.py's install_tracing wraps any engine._chunk_stats_job and tallies
+    # its argument as job[4] - job[3], a (distance, chunk) job tuple the engine
+    # no longer builds: a function of that name would crash every traced run
+    assert not hasattr(rfvlc.engine, "_chunk_stats_job")
 
 
 @pytest.mark.parametrize("distance", [10.0, 25.0, 50.0, 100.0])

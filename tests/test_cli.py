@@ -227,7 +227,7 @@ class TestCliPrpSweep:
                 "--trials", "5000", "--seed", "7"]
         assert _run(args + ["--out", a]) == 0
         assert _run(args + ["--out", b, "--workers", "2"]) == 0
-        assert forced_split == [[(0, 4096), (1, 4096)]]   # the second run split
+        assert forced_split == [[1]]   # the second run split
         assert _read(os.path.join(a, "prp_sweep.csv")) == \
             _read(os.path.join(b, "prp_sweep.csv"))
 
@@ -422,7 +422,7 @@ class TestCliDorSweep:
                 "--weather", "clear,fog", "--trials", "5000", "--seed", "7"]
         assert _run(args + ["--out", a]) == 0
         assert _run(args + ["--out", b, "--workers", "2"]) == 0
-        assert forced_split == [[(0, 4096), (1, 4096)]]   # the second run split
+        assert forced_split == [[1]]   # the second run split
         assert _read(os.path.join(a, "dor_sweep.csv")) == \
             _read(os.path.join(b, "dor_sweep.csv"))
 

@@ -28,7 +28,7 @@ DENSE = dataclasses.replace(ScenarioConfig(), rho_access=1.0)
 
 
 class _ChunkFailure(Exception):
-    """Raised by a stand-in chunk to check that failures keep their type."""
+    """Raised for one chunk to check that failures keep their type."""
 
 
 def _simulate(config, weathers, rng, n):
@@ -297,7 +297,7 @@ class TestSweepSpec:
 
 
 class TestChunkCounts:
-    """_chunk_stats_job counts in a narrow accumulator, and widens the counts."""
+    """_score_chunk counts in a narrow accumulator, and widens the counts."""
 
     @staticmethod
     def _sinrs(config, n):
@@ -323,9 +323,9 @@ class TestChunkCounts:
             # late[k, weather, mode]
             flags = mode_rates(*sinrs, config) < cutoffs[:, None, None, None]
         expected = flags.sum(axis=-1)
-        counts, = engine._chunk_stats_job((config, 7, 0, 0, n, ALL_WEATHERS,
-                                           t_th if metric == "dor" else (), metric,
-                                           metrics.MODES, sinrs))
+        spec = _spec(weathers=ALL_WEATHERS, modes=metrics.MODES,
+                     t_th=t_th if metric == "dor" else ())
+        counts, = engine._score_chunk(config, spec, metric, sinrs)
         assert counts.dtype == expected.dtype == np.int64
         assert counts.shape == expected.shape
         assert np.array_equal(counts, expected)
@@ -341,6 +341,7 @@ def _selected_rows(config, spec, metric):
     then selected from the reduced statistics (as _rows did before chunks
     scored the spec's modes alone)."""
     n = spec.n_trials
+    every_mode = dataclasses.replace(spec, modes=metrics.MODES)
     partials = {}
     for start in range(0, n, _CHUNK):
         end = min(start + _CHUNK, n)
@@ -348,9 +349,8 @@ def _selected_rows(config, spec, metric):
         sinr_vlc, sinr_rf = simulate_trials(config, spec.distances, spec.weathers, rng,
                                             end - start)
         for p, distance in enumerate(spec.distances):
-            partials[p, start] = engine._chunk_stats_job(
-                (config.with_distance(distance), spec.master_seed, p, start, end,
-                 spec.weathers, spec.t_th, metric, metrics.MODES, (sinr_vlc[p], sinr_rf[p])))
+            partials[p, start] = engine._score_chunk(
+                config.with_distance(distance), every_mode, metric, (sinr_vlc[p], sinr_rf[p]))
     # [C, D, W, M] or for dor [C, D, K, W, M], the spec's modes
     modes = [metrics.MODES.index(mode) for mode in spec.modes]
     fields = [np.array([[partials[p, start][f] for p in range(len(spec.distances))]
@@ -374,15 +374,26 @@ class TestRunSweep:
         b = run_sweep(cfg, _spec(), "prp")
         assert a == b
 
-    def test_worker_count_does_not_change_results(self, monkeypatch, forced_split):
+    @pytest.mark.parametrize("n_trials, shares", [
+        # three chunk indices: one each
+        (2 * _CHUNK + 300, [[1], [2]]),
+        # seven: shares of 3, 2 and 2, interleaved; a rate merged out of
+        # chunk order would show
+        (6 * _CHUNK + 300, [[1, 4], [2, 5]]),
+    ], ids=["3_chunks", "7_chunks"])
+    def test_worker_count_does_not_change_results(self, monkeypatch, forced_split,
+                                                  n_trials, shares):
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
         cfg = ScenarioConfig()
-        spec = _spec(n_trials=2 * _CHUNK + 300)   # three chunk indices
-        for metric in ("prp", "rate_mbps"):
-            assert (run_sweep(cfg, spec, metric, n_workers=1)
-                    == run_sweep(cfg, spec, metric, n_workers=3))
-        # each 3-worker sweep really ran in three processes
-        assert len(forced_split) == 2 * 2
+        for metric, t_th in (("prp", ()), ("rate_mbps", ()), ("dor", (1e-3, 4e-3))):
+            spec = _spec(n_trials=n_trials, t_th=t_th)
+            one = run_sweep(cfg, spec, metric, n_workers=1)
+            three = run_sweep(cfg, spec, metric, n_workers=3)
+            assert [r[:4] for r in one] == [r[:4] for r in three]
+            assert np.array_equal(np.array([r.estimate for r in one]).view(np.uint64),
+                                  np.array([r.estimate for r in three]).view(np.uint64))
+        # each 3-worker sweep really ran in three processes, on these shares
+        assert forced_split == shares * 3
 
     def test_worker_count_does_not_change_results_at_density(
             self, monkeypatch, forced_split):
@@ -393,7 +404,7 @@ class TestRunSweep:
             assert (run_sweep(DENSE, spec, metric, n_workers=1)
                     == run_sweep(DENSE, spec, metric, n_workers=2))
         # the helper's share: chunk 1, at every distance
-        assert forced_split == [[(0, _CHUNK), (1, _CHUNK)]] * 2
+        assert forced_split == [[1]] * 2
 
     def test_pure_rf_identical_across_weathers_at_density(self):
         spec = _spec(weathers=ALL_WEATHERS, n_trials=_CHUNK + 300)
@@ -476,25 +487,22 @@ class TestRunSweep:
     @pytest.mark.parametrize("n_thresholds", [0, 1, 10])
     def test_one_chunk_call_per_point_whatever_the_thresholds(
             self, monkeypatch, n_thresholds):
-        # one job per (distance, chunk) serves all four weathers
+        # one call per (distance, chunk) serves all four weathers
         calls = []
-        job = engine._chunk_stats_job
-        monkeypatch.setattr(engine, "_chunk_stats_job",
-                            lambda args: calls.append(args) or job(args))
+        score = engine._score_chunk
+        monkeypatch.setattr(engine, "_score_chunk",
+                            lambda *args: calls.append(args) or score(*args))
         spec = _spec(weathers=ALL_WEATHERS, n_trials=_CHUNK + 300,
                      t_th=tuple(1e-3 * (k + 1) for k in range(n_thresholds)))
         metric = "dor" if n_thresholds else "prp"
         run_sweep(ScenarioConfig(), spec, metric, n_workers=1)
         assert len(calls) == (len(spec.distances)
                               * math.ceil(spec.n_trials / _CHUNK))
-        # the job layout (config, seed, point, start, end, weathers, t_th, metric,
-        # modes, sinrs), the chunk's SINRs last
-        assert [c[2:9] for c in calls] == [
-            (p, start, min(start + _CHUNK, spec.n_trials), ALL_WEATHERS, spec.t_th,
-             metric, spec.modes)
-            for p in range(len(spec.distances)) for start in (0, _CHUNK)]
-        assert [(c[-1][0].shape, c[-1][1].shape) for c in calls] == [
-            ((len(ALL_WEATHERS), c[4] - c[3]), (c[4] - c[3],)) for c in calls]
+        assert all(c[1] is spec and c[2] == metric for c in calls)
+        # distance after distance, each distance's chunks in order: the
+        # chunk's SINRs, [W, n] and [n]
+        assert [(c[3][0].shape, c[3][1].shape) for c in calls] == [
+            ((len(ALL_WEATHERS), n), (n,)) for _ in spec.distances for n in (_CHUNK, 300)]
 
     @staticmethod
     def _report_cpus(monkeypatch, cpus):
@@ -522,10 +530,10 @@ class TestRunSweep:
         three_chunks = _spec(distances=(50.0, 100.0), n_trials=2 * _CHUNK + 300)
         assert (run_sweep(cfg, three_chunks, "prp", n_workers=8)
                 == run_sweep(cfg, three_chunks, "prp"))
-        assert forced_split == [[(0, _CHUNK), (1, _CHUNK)], [(0, 2 * _CHUNK), (1, 2 * _CHUNK)]]
+        assert forced_split == [[1], [2]]
 
     @pytest.mark.parametrize("cpus, started", [
-        (2, [[(0, _CHUNK), (1, _CHUNK), (2, _CHUNK)]]), (1, []), (None, [])])
+        (2, [[1]]), (1, []), (None, [])])
     def test_pool_starts_no_more_workers_than_cpus(
             self, monkeypatch, forced_split, cpus, started):
         self._report_cpus(monkeypatch, cpus)
@@ -555,32 +563,38 @@ class TestRunSweep:
         monkeypatch.delattr(engine.os, "sched_getaffinity")
         assert engine._usable_cpus() == 64
 
-    def test_every_chunk_runs_once_through_the_job_entry_point(
+    def test_every_chunk_runs_once_through_the_module_globals(
             self, monkeypatch, tmp_path, forced_split):
-        # the benchmark's tracer wraps this name in this process and the helpers
+        # derive_seed and _score_chunk are looked up at call time, in this
+        # process and the helpers alike: each chunk is seeded once, in its
+        # own process, and scored there at both distances
         log = tmp_path / "chunks.log"
-        job = engine._chunk_stats_job
+        seed, score = engine.derive_seed, engine._score_chunk
 
-        def logged(args):
+        def logged(what, index):
             with open(log, "a", encoding="utf-8") as fh:
-                fh.write(f"{os.getpid()} {args[2]} {args[3]}\n")
-            return job(args)
+                fh.write(f"{os.getpid()} {what} {index}\n")
+
+        def seeded(master, point, chunk):
+            logged("seed", chunk)
+            return seed(master, point, chunk)
 
         spec = _spec(n_trials=2 * _CHUNK + 300)
         expected = run_sweep(ScenarioConfig(), spec, "prp")
-        monkeypatch.setattr(engine, "_chunk_stats_job", logged)
+        monkeypatch.setattr(engine, "derive_seed", seeded)
+        monkeypatch.setattr(engine, "_score_chunk",
+                            lambda *args: logged("score", -1) or score(*args))
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
         assert run_sweep(ScenarioConfig(), spec, "prp", n_workers=3) == expected
-        calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
-        # process j scores chunk j, at both distances
-        shares = [[(p, start) for p in range(2)] for start in (0, _CHUNK, 2 * _CHUNK)]
         by_pid = {}
-        for pid, point, start in calls:
-            by_pid.setdefault(pid, []).append((point, start))
-        assert len(calls) == sum(map(len, shares))
+        for line in log.read_text().splitlines():
+            pid, what, index = line.split()
+            by_pid.setdefault(int(pid), []).append((what, int(index)))
+        # process j seeds chunk j, then scores it at both distances
+        shares = [[("seed", c), ("score", -1), ("score", -1)] for c in range(3)]
         assert by_pid.pop(os.getpid()) == shares[0]
         assert sorted(by_pid.values()) == shares[1:]
-        assert forced_split == shares[1:]
+        assert forced_split == [[1], [2]]
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("config, block, cap, groups", [
@@ -604,20 +618,21 @@ class TestRunSweep:
             self, monkeypatch, tmp_path, forced_split, workers, config, block, cap, groups):
         # each (distance, chunk)'s SINRs and partials in a sweep equal those
         # of the chunk's own simulate_trials run at that distance alone, a
-        # group of one; the last chunk is partial
+        # group of one; the last chunk is partial.  The SINRs of every
+        # (distance, chunk) differ, so their digests name it
         monkeypatch.setattr(metrics, "_BLOCK", block)
         monkeypatch.setattr(metrics, "_GROUP", cap)
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
         log = tmp_path / "chunks.log"
-        job = engine._chunk_stats_job
+        score = engine._score_chunk
 
         def digest(arrays):
             return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
 
-        def logged(args):
-            partial = job(args)
+        def logged(config, spec, metric, sinrs):
+            partial = score(config, spec, metric, sinrs)
             with open(log, "a", encoding="utf-8") as fh:
-                fh.write(f"{args[2]} {args[3]} {digest(args[-1])} {digest(partial)}\n")
+                fh.write(f"{digest(sinrs)} {digest(partial)}\n")
             return partial
 
         sizes, points = [], []
@@ -627,7 +642,7 @@ class TestRunSweep:
         monkeypatch.setattr(metrics, "_block_terms",
                             lambda base, lane, coord, *rest:
                             points.append(len(coord)) or block_terms(base, lane, coord, *rest))
-        monkeypatch.setattr(engine, "_chunk_stats_job", logged)
+        monkeypatch.setattr(engine, "_score_chunk", logged)
         # 13 chunk indices: 7 in this process on 2 workers, enough for the
         # groups of five and of the cap
         spec = _spec(distances=(30.0, 100.0, 150.0), weathers=ALL_WEATHERS,
@@ -644,55 +659,54 @@ class TestRunSweep:
                 end = min(start + _CHUNK, spec.n_trials)
                 rng = trial_rng(derive_seed(spec.master_seed, 0, start // _CHUNK))
                 sinrs = _simulate(cfg, spec.weathers, rng, end - start)
-                partial = job((cfg, spec.master_seed, p, start, end, spec.weathers,
-                               spec.t_th, "rate_mbps", spec.modes, sinrs))
-                expected.append((str(p), str(start), digest(sinrs), digest(partial)))
+                partial = score(cfg, spec, "rate_mbps", sinrs)
+                expected.append((digest(sinrs), digest(partial)))
         assert got == sorted(expected)
 
     @pytest.mark.parametrize("failing, where", [(1, "helper"), (0, "this process")])
     def test_failure_reaches_the_caller_with_its_type(
             self, monkeypatch, forced_split, failing, where):
-        job = engine._chunk_stats_job
+        seed = engine.derive_seed
 
-        def failing_chunk(args):
-            if args[3] == failing * _CHUNK:
-                raise _ChunkFailure(args[3], os.getpid())
-            return job(args)
+        def failing_chunk(master, point, chunk):
+            if chunk == failing:
+                raise _ChunkFailure(chunk, os.getpid())
+            return seed(master, point, chunk)
 
-        monkeypatch.setattr(engine, "_chunk_stats_job", failing_chunk)
+        monkeypatch.setattr(engine, "derive_seed", failing_chunk)
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
         spec = _spec(distances=(50.0, 100.0), n_trials=2 * _CHUNK + 300)
         with pytest.raises(_ChunkFailure) as failure:
             run_sweep(ScenarioConfig(), spec, "prp", n_workers=3)
-        start, pid = failure.value.args
-        assert start == failing * _CHUNK
+        chunk, pid = failure.value.args
+        assert chunk == failing
         assert (pid == os.getpid()) == (where == "this process")
         assert len(forced_split) == 2
         assert multiprocessing.active_children() == []
 
     def test_helper_that_dies_is_runtime_error(self, monkeypatch, forced_split):
-        job = engine._chunk_stats_job
+        seed = engine.derive_seed
         parent = os.getpid()
 
-        def dying_chunk(args):
-            if args[3] == _CHUNK and os.getpid() != parent:
+        def dying_chunk(master, point, chunk):
+            if chunk == 1 and os.getpid() != parent:
                 os._exit(7)
-            return job(args)
+            return seed(master, point, chunk)
 
-        monkeypatch.setattr(engine, "_chunk_stats_job", dying_chunk)
+        monkeypatch.setattr(engine, "derive_seed", dying_chunk)
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
         spec = _spec(distances=(50.0, 100.0), n_trials=_CHUNK + 300)
         with pytest.raises(RuntimeError, match="exit code 7"):
             run_sweep(ScenarioConfig(), spec, "prp", n_workers=2)
-        assert forced_split == [[(0, _CHUNK), (1, _CHUNK)]]
+        assert forced_split == [[1]]
         assert multiprocessing.active_children() == []
 
     def test_successful_split_reaps_its_helpers(self, monkeypatch):
         started = []
         start_helper = engine._start_helper
 
-        def recording(share):
-            started.append(start_helper(share))
+        def recording(*share):
+            started.append(start_helper(*share))
             return started[-1]
 
         monkeypatch.setattr(engine, "_start_helper", recording)
@@ -807,7 +821,7 @@ class TestRunSweep:
         with pytest.raises(ConfigError, match="delay thresholds"):
             run_sweep(ScenarioConfig(), _spec(t_th=(0.0, 1e-3)), "dor")
 
-    @pytest.mark.parametrize("workers", [0, -3])
+    @pytest.mark.parametrize("workers", [0, -3, 2.5])
     def test_worker_count_must_be_positive(self, workers):
         with pytest.raises(ConfigError, match="n_workers"):
             run_sweep(ScenarioConfig(), _spec(), "prp", n_workers=workers)

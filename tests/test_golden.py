@@ -20,11 +20,11 @@ from rfvlc.cli import main
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 RHO1 = os.path.join(GOLDEN, "rho_access_1.conf")
 
-# 5000 trials: two chunks per point, so the chunk-order reduction is
-# covered.  dor-sweep runs on two worker processes where two CPUs are
-# usable (the work cap is lowered, so that these small sweeps split).  One
-# prp case and one dor case also write the gnuplot files, which read the
-# same table.
+# 5000 trials: two chunk indices, so the chunk-order reduction is
+# covered.  Every case runs on one process and on two (two CPUs are
+# reported usable and the work cap is lowered, so that these small sweeps
+# split).  One prp case and one dor case also write the gnuplot files,
+# which read the same table.
 _COMMON = ["--trials", "5000", "--seed", "11"]
 CASES = {
     "prp_default": ["prp-sweep", "--distances", "40,120,200", "--gnuplot"] + _COMMON,
@@ -33,8 +33,8 @@ CASES = {
     "rate_default": ["rate-sweep", "--distances", "50,150,250"] + _COMMON,
     "rate_rho1": ["rate-sweep", "--distances", "50,150,250",
                   "--config", RHO1] + _COMMON,
-    "dor_default": ["dor-sweep", "--workers", "2", "--gnuplot"] + _COMMON,
-    "dor_rho1": ["dor-sweep", "--workers", "2", "--config", RHO1] + _COMMON,
+    "dor_default": ["dor-sweep", "--gnuplot"] + _COMMON,
+    "dor_rho1": ["dor-sweep", "--config", RHO1] + _COMMON,
 }
 
 
@@ -47,11 +47,13 @@ def _read_bytes(path):
         return fh.read()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_cli_output_matches_golden(case, tmp_path, monkeypatch):
+def test_cli_output_matches_golden(case, workers, tmp_path, monkeypatch):
     monkeypatch.setattr(engine, "_SPLIT_WORK", 1)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
     out = str(tmp_path / case)
-    assert main(CASES[case] + ["--out", out]) == 0
+    assert main(CASES[case] + ["--workers", str(workers), "--out", out]) == 0
     expected = os.path.join(GOLDEN, case)
     assert _outputs(out) == _outputs(expected)
     for name in _outputs(expected):
