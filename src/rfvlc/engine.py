@@ -63,7 +63,7 @@ _COUNT = np.uint16   # a chunk's trial counts: _CHUNK < 2**16, so they fit
 _SPLIT_WORK = 120_000
 
 # Trials per sweep point at most: run_sweep holds a partial per (distance, chunk),
-# 96 B for prp's [4, 3] and 960 B for dor's [10, 4, 3]: ~59 MB for prp at 25 distances.
+# 24 B for prp's [4, 3] and 240 B for dor's [10, 4, 3]: ~15 MB for prp at 25 distances.
 _MAX_TRIALS = 10**8
 
 # Recorded in run manifests: SplitMix64 keys one PCG64 stream per chunk
@@ -220,14 +220,14 @@ def run_sweep(config: ScenarioConfig, spec: SweepSpec, metric: str,
 def _rows(spec: SweepSpec, metric: str, fields) -> tuple[SweepRow, ...]:
     """The rows of a sweep from its chunk partials, per field one array
     [C, D, W, M] (for dor [C, D, K, W, M]), their estimates computed as
-    arrays in one pass: the counts summed over the chunks, the rate
-    moments merged in chunk order (merged_moments)."""
+    arrays in one pass: the _COUNT counts summed over the chunks as int64,
+    the rate moments merged in chunk order (merged_moments)."""
     n = spec.n_trials
     if metric == "rate_mbps":
         sizes = [min(_CHUNK, n - start) for start in range(0, n, _CHUNK)]
         estimates = mean_estimates(*merged_moments(*fields, sizes), n)
     else:
-        estimates = proportion_estimates(fields[0].sum(axis=0), n)
+        estimates = proportion_estimates(fields[0].sum(axis=0, dtype=np.int64), n)
     # [D, W, M] or for dor [D, K, W, M]: the rows' order
     keys = itertools.product(spec.distances, spec.t_th or (None,), spec.weathers, spec.modes)
     return tuple(SweepRow(*key, MetricEstimate(value, stderr, n, low, high))
@@ -264,7 +264,7 @@ def _fields(spec: SweepSpec, metric: str, n_chunks: int):
              + (len(spec.weathers), len(spec.modes)))
     if metric == "rate_mbps":
         return [np.empty(shape), np.empty(shape)]
-    return [np.empty(shape, np.int64)]
+    return [np.empty(shape, _COUNT)]
 
 
 def _run_share(config: ScenarioConfig, spec: SweepSpec, metric: str, chunks, fields):
@@ -297,18 +297,18 @@ def _run_share(config: ScenarioConfig, spec: SweepSpec, metric: str, chunks, fie
 def _score_chunk(config: ScenarioConfig, spec: SweepSpec, metric: str, sinrs):
     """Score one chunk's SINRs at one distance for metric alone, per
     weather and for spec.modes only, in that order: the success counts,
-    [W, M] (prp); the rate's mean and sum of squared deviations in Mbps
-    (moments), [W, M] each (rate_mbps); or late[k, weather, mode], the
-    trials whose rate falls below outage_rate(H, spec.t_th[k]) (dor).
-    Nothing scored reads the distance."""
+    [W, M] of _COUNT (prp); the rate's mean and sum of squared deviations
+    in Mbps (moments), [W, M] each (rate_mbps); or late[k, weather, mode]
+    of _COUNT, the trials whose rate falls below outage_rate(H,
+    spec.t_th[k]) (dor).  Nothing scored reads the distance."""
     if metric == "prp":
-        return (_count(mode_success(*sinrs, config, spec.modes)).astype(np.int64),)
+        return (_count(mode_success(*sinrs, config, spec.modes)),)
     rate = mode_rates(*sinrs, config, spec.modes)
     if metric == "rate_mbps":
         rate /= 1e6   # Mbps
         return moments(rate)
     # one threshold at a time, into one flag buffer: no [K, W, M, n] flags
-    late = np.empty((len(spec.t_th),) + rate.shape[:-1], np.int64)
+    late = np.empty((len(spec.t_th),) + rate.shape[:-1], _COUNT)
     flags = np.empty(rate.shape, bool)
     for k, t in enumerate(spec.t_th):
         late[k] = _count(np.less(rate, outage_rate(config.payload_h, t), out=flags))

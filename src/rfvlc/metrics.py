@@ -9,10 +9,11 @@ attenuates optical paths, and distance only moves the desired link and
 the exclusion disc around it.  A chunk only reads its stream (_draw);
 consecutive sparse chunks are merged into one group (_merged,
 simulate_chunks), whose interferer terms are computed once (_lane_terms)
-and then summed per distance (_interference_sums), each chunk's SINRs
-written in place; every (chunk, distance) still gets the bits it gets
-alone.  The desired link's constants (desired_links) are computed once
-for all of a sweep's distances.
+and then summed per distance (_interference_sums, one bincount per sum
+in storage order), each chunk's SINRs written in place; every (chunk,
+distance) still gets the bits it gets alone.  The desired link's
+constants (desired_links) are computed once for all of a sweep's
+distances.
 The four operating modes are scored on the same trials, their reception
 by mode_success and their rates by mode_rates, so mode comparisons are
 exact event inclusions rather than statistical ones.  Both score only
@@ -43,19 +44,18 @@ MODE_LA = "la"
 MODE_NON_LA = "non_la"
 MODES = (MODE_PURE_VLC, MODE_PURE_RF, MODE_LA, MODE_NON_LA)
 
-# Lane points per summation slice.  A distance's sums add each slice of a
-# lane's points with one bincount per weather (_interference_sums), so the slice
-# fixes the bits of every output; it also bounds a pooled group (one slice
-# per lane at most, so no slice boundary falls inside a merged chunk).
-# Counting points rather than trials keeps a sparse chunk in one slice.
+# Lane points per lane of a pooled group at most (simulate_chunks), and the
+# unit of a term window.  Counting points rather than trials keeps a sparse
+# chunk within one block.  No bit depends on it: the sums add a group's
+# points in storage order whatever the block (_interference_sums).
 _BLOCK = 4096
 
-# Slices per term window.  Interferer terms are computed a window at a
+# Blocks per term window.  Interferer terms are computed a window at a
 # time, so a dense chunk pays the fixed cost of each numpy call once per
 # 16384 points rather than per 4096; only the terms are kept, so the
 # window's temporaries (about a dozen arrays of its length) bound the
 # kernel's memory whatever the density.  The window changes no bit: terms
-# are elementwise, and the sums still add slice by slice.
+# are elementwise.
 _WINDOW = 4
 
 # Chunks per pooled group at most, whatever their lane points: a group holds
@@ -179,14 +179,15 @@ class _Terms(NamedTuple):
 def _lane_terms(drawn: _Lanes, base: ScenarioConfig, weathers) -> _Terms:
     """The terms of drawn's lane points, with base's geometry and channels.
 
-    Each lane's points are evaluated in windows of _WINDOW slices of
+    Each lane's points are evaluated in windows of _WINDOW blocks of
     _BLOCK points (_block_terms), and only the terms are kept, so a
     window's temporaries bound the memory whatever the density.  Terms are
     elementwise: the windows change no bit.  The RF powers are the lane
     fades, scaled in place: drawn.fade holds them from here.
     """
-    coeffs = np.array([[WEATHER_ATTENUATION_DB_PER_KM[weather]] for weather in weathers])
-    # read at call time, so that a window holds whole slices whatever _BLOCK is
+    coeffs = np.array([WEATHER_ATTENUATION_DB_PER_KM[weather] for weather in weathers],
+                      dtype=float)[:, None]
+    # read at call time, so that a window holds whole blocks whatever _BLOCK is
     window = _WINDOW * _BLOCK
     lit, p_vlc = [np.empty(0, np.intp)], [np.empty((len(weathers), 0))]
     for lane, part in zip(LANES, drawn.lanes):
@@ -227,32 +228,28 @@ def _block_terms(base: ScenarioConfig, lane: int, coord, fade, coeffs):
 
 
 def _interference_sums(drawn: _Lanes, terms: _Terms, config: ScenarioConfig, i_vlc, i_rf):
-    """Add the interference powers of drawn's n trials at config's distance
-    into i_vlc[W, n] and i_rf[n], which hold zeros.
+    """Write the interference powers of drawn's n trials at config's
+    distance over i_vlc[W, n] and i_rf[n].
 
     The interferers are the lane points outside config's exclusion disc
-    (outside_exclusion).  Each lane adds, one slice of _BLOCK points at a
-    time in storage order, one bincount of its terms to i_rf and one of
-    its lit points' to each weather row of i_vlc.  A point inside the disc
-    adds exactly +0.0 (its term times False), as leaving it out would.  A
-    bin adds only its own trial's points, so the slices fix the bits: a
-    merged group whose lanes fit in one slice gives every chunk the sums
-    it gets alone.
+    (outside_exclusion).  One bincount of every lane point's RF term gives
+    i_rf, and one of the lit points' optical terms each weather row of
+    i_vlc, in storage order (lane 0's points, then lane 1's); a point
+    inside the disc goes to a spare bin n, which is dropped, so the bits
+    are those of leaving it out.  A bin adds only its own trial's points,
+    in that order, so a merged group gives every chunk the sums it gets
+    alone.
     """
     n = drawn.n
-    for lane, part in zip(LANES, drawn.lanes):
-        trial, keep = drawn.trial[part], outside_exclusion(config, lane, drawn.coord[part])
-        i, j = np.searchsorted(terms.lit, (part.start, part.stop))
-        lit, lit_trial = terms.lit[i:j], terms.lit_trial[i:j]
-        p_rf, p_vlc = terms.p_rf[part], terms.p_vlc[:, i:j]
-        if not keep.all():   # else the terms are added as they are
-            p_rf = p_rf * keep
-            p_vlc = p_vlc * keep[lit - part.start]
-        for x in range(0, len(trial), _BLOCK):
-            i_rf += np.bincount(trial[x:x + _BLOCK], p_rf[x:x + _BLOCK], minlength=n)
-            i, j = np.searchsorted(lit, (part.start + x, part.start + x + _BLOCK))
-            for row, p in zip(i_vlc, p_vlc[:, i:j]):
-                row += np.bincount(lit_trial[i:j], p, minlength=n)
+    keep = np.concatenate([outside_exclusion(config, lane, drawn.coord[part])
+                           for lane, part in zip(LANES, drawn.lanes)])
+    # intp bins, so that bincount casts no copy of them; each point's bin
+    # is dropped before the lit points' are built
+    i_rf[:] = np.bincount(np.where(keep, drawn.trial, np.intp(n)), terms.p_rf,
+                          minlength=n + 1)[:n]
+    trial = np.where(keep[terms.lit], terms.lit_trial, np.intp(n))
+    for row, p in zip(i_vlc, terms.p_vlc):
+        row[:] = np.bincount(trial, p, minlength=n + 1)[:n]
 
 
 def simulate_trials(config: ScenarioConfig, distances, weathers, rng: np.random.Generator,
@@ -292,7 +289,8 @@ def simulate_chunks(config: ScenarioConfig, distances, weathers, chunks):
     (_group_sinrs).  It yields distance after distance, each distance's
     chunks in order, as views of one block of sums that the next distance
     overwrites: score them before pulling the next.  Every (chunk,
-    distance) gets the bits it gets alone.
+    distance) gets the bits it gets alone, since a trial's sum adds its
+    own points in storage order whatever the group (_interference_sums).
     """
     sites = [config.with_distance(distance) for distance in distances]
     links = desired_links(config, distances, weathers)
@@ -320,10 +318,10 @@ def _group_sinrs(group: list, base: ScenarioConfig, sites, links, weathers):
     (configs) with its DesiredLink, as simulate_chunks yields them.
 
     The chunks are merged (_merged) and their terms computed once
-    (_lane_terms).  Per site, the sums are added into one [W, trials]
-    block and each chunk's SINRs written in place over its trials of it,
-    [:, a:a+n], then yielded as views.  The group is emptied before the
-    terms are computed.
+    (_lane_terms).  Per site, the sums are written over one [W, trials]
+    block (_interference_sums) and each chunk's SINRs written in place
+    over its trials of it, [:, a:a+n], then yielded as views.  The group
+    is emptied before the terms are computed.
     """
     drawn = _merged([lanes for _, lanes, _ in group])
     scored = [(i, fade) for i, _, fade in group]
@@ -333,8 +331,6 @@ def _group_sinrs(group: list, base: ScenarioConfig, sites, links, weathers):
     i_vlc, i_rf = np.empty((len(weathers), drawn.n)), np.empty(drawn.n)
     signal = np.empty(max(len(fade) for _, fade in scored))   # one chunk's at a time
     for d, (site, link) in enumerate(zip(sites, links)):
-        i_vlc.fill(0.0)
-        i_rf.fill(0.0)
         _interference_sums(drawn, terms, site, i_vlc, i_rf)
         for (i, fade), a, b in zip(scored, bounds, bounds[1:]):
             vlc, rf = i_vlc[:, a:b], i_rf[a:b]

@@ -242,7 +242,7 @@ class TestCliPrpSweep:
         assert len(manifest["config_sha256"]) == 64
         assert manifest["rng_scheme"] == "splitmix64-shared-chunk/pcg64"
         assert manifest["chunk_size"] == 4096
-        assert manifest["tool_version"] == "0.5.0"
+        assert manifest["tool_version"] == "0.5.1"
         # how the sweep ran: its processes, wall time, rate and page faults
         assert manifest["workers"] == 1
         assert manifest["sweep_seconds"] > 0

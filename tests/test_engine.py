@@ -297,7 +297,8 @@ class TestSweepSpec:
 
 
 class TestChunkCounts:
-    """_score_chunk counts in a narrow accumulator, and widens the counts."""
+    """_score_chunk counts in a narrow accumulator, and keeps the counts
+    narrow: _rows widens them as it sums them over the chunks."""
 
     @staticmethod
     def _sinrs(config, n):
@@ -326,7 +327,7 @@ class TestChunkCounts:
         spec = _spec(weathers=ALL_WEATHERS, modes=metrics.MODES,
                      t_th=t_th if metric == "dor" else ())
         counts, = engine._score_chunk(config, spec, metric, sinrs)
-        assert counts.dtype == expected.dtype == np.int64
+        assert counts.dtype == engine._COUNT
         assert counts.shape == expected.shape
         assert np.array_equal(counts, expected)
         assert (expected == n).all() == full
@@ -601,12 +602,12 @@ class TestRunSweep:
         # ~410 points per lane and full chunk: about ten chunks share a pass
         (ScenarioConfig(), metrics._BLOCK, metrics._GROUP,
          lambda sizes, points: max(sizes) >= 5 and max(points) <= metrics._BLOCK),
-        # a pass holds two chunks at most (the grouping rule is one slice
+        # a pass holds two chunks at most (the grouping rule is one _BLOCK
         # per lane): groups break at chunk boundaries
         (ScenarioConfig(), 500, metrics._GROUP, lambda sizes, points: {1, 2} <= set(sizes)
          and max(sizes) == 2 and max(points) <= 500),
         # ~40k points per lane and chunk: every chunk alone, in many windows
-        # of _WINDOW slices
+        # of _WINDOW blocks
         (DENSE, metrics._BLOCK, metrics._GROUP, lambda sizes, points: set(sizes) == {1}
          and max(points) == metrics._WINDOW * metrics._BLOCK),
         # lambda rho = 1e-6, a few points per lane and chunk, none on some:

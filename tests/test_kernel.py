@@ -195,8 +195,9 @@ def test_kernel_matches_scalar_channel_loop(config):
 
 @pytest.mark.parametrize("fading", [FADING_RAYLEIGH, FADING_NAKAGAMI])
 def test_kernel_matches_scalar_loop_across_block_boundaries(fading, monkeypatch):
-    # 7-point slices, in term windows of _WINDOW slices, split trials, and
-    # the lane boundary, across slices and windows
+    # a 7-point _BLOCK: term windows of _WINDOW * 7 points split trials,
+    # and a lane's last window ends at the lane boundary.  The sums read
+    # no _BLOCK, so the run matches the scalar loop and the default run
     config = _dense(fading)
     default = _simulate(config, ALL_WEATHERS, trial_rng(SEED), N)
     monkeypatch.setattr(metrics, "_BLOCK", 7)
@@ -213,10 +214,10 @@ def test_kernel_matches_scalar_loop_across_block_boundaries(fading, monkeypatch)
                          ids=["1e-3_small_block", "1e-2_small_block", "1e-2_odd_block",
                               "1e-2_full_chunk"])
 def test_term_window_changes_no_bit(fading, rho_access, block, n, monkeypatch):
-    # the slice fixes the bits, the window does not: windows of 1, 2, 4 and
-    # 16 slices give the same bytes, and leave the stream at the same draw.
-    # A 1000-point slice does not divide 16384: a window of fixed length
-    # would let a slice straddle two windows.
+    # the window changes no bit: windows of 1, 2, 4 and 16 blocks give the
+    # same bytes, and leave the stream at the same draw.  A 1000-point
+    # block does not divide 16384: the window is whole blocks whatever
+    # _BLOCK is.
     config = dataclasses.replace(_dense(fading), rho_access=rho_access)
     if block is not None:
         monkeypatch.setattr(metrics, "_BLOCK", block)
@@ -227,8 +228,8 @@ def test_term_window_changes_no_bit(fading, rho_access, block, n, monkeypatch):
         sinr_vlc, sinr_rf = _simulate(config, ALL_WEATHERS, rng, n)
         runs.add((sinr_vlc.tobytes(), sinr_rf.tobytes(), rng.random()))
     assert len(runs) == 1
-    # the default window of 4 slices splits each lane's points, and the
-    # lane-0 points end inside a slice
+    # the default window of 4 blocks splits each lane's points, and the
+    # lane-0 points end inside a block
     counts = _lane_points(draw_deployment(config, trial_rng(SEED), n))
     assert counts.min() > 2 * 4 * metrics._BLOCK
     assert counts[0] % metrics._BLOCK
@@ -325,6 +326,35 @@ def test_a_group_gives_each_chunk_its_bits_alone_at_every_distance(monkeypatch):
             chunk.lanes[LANE_SAME]]).all() for chunk in (
                 _draw(SPARSE, trial_rng(seed), n)[0] for seed, n in shape)]
         assert any(cut)
+
+
+@pytest.mark.parametrize("config, distance, shape", [
+    (DENSE, 50.0, [(SEED, 4096)]), (SPARSE, 30.0, _group_shape(SPARSE))],
+    ids=["dense_chunk", "pooled_group"])
+def test_sums_add_the_kept_terms_in_storage_order(config, distance, shape):
+    # each sum is one pass over the group's lane points in storage order,
+    # lane 0's then lane 1's, skipping the points inside the disc: bit for
+    # bit what np.add.at of the kept points' terms gives, written over
+    # buffers that held NaN.  The dense chunk holds nine _BLOCKs per lane
+    drawn = _merged([_draw(config, trial_rng(seed), n)[0] for seed, n in shape])
+    terms = _lane_terms(drawn, config, ALL_WEATHERS)
+    site = config.with_distance(distance)
+    keep = np.concatenate([outside_exclusion(site, lane, drawn.coord[part])
+                           for lane, part in zip(LANES, drawn.lanes)])
+    want_rf, want_vlc = np.zeros(drawn.n), np.zeros((len(ALL_WEATHERS), drawn.n))
+    np.add.at(want_rf, drawn.trial[keep], terms.p_rf[keep])
+    lit = keep[terms.lit]
+    for row, p in zip(want_vlc, terms.p_vlc):
+        np.add.at(row, terms.lit_trial[lit], p[lit])
+    i_vlc, i_rf = np.full_like(want_vlc, np.nan), np.full_like(want_rf, np.nan)
+    metrics._interference_sums(drawn, terms, site, i_vlc, i_rf)
+    assert i_rf.tobytes() == want_rf.tobytes() and i_vlc.tobytes() == want_vlc.tobytes()
+    # the disc holds a few of the points, and every weather row has lit
+    # interferers
+    assert 0 < (~keep).sum() < len(keep) // 100
+    assert (want_vlc > 0).any(axis=1).all()
+    if config is DENSE:
+        assert min(_lane_points(drawn)) > 9 * metrics._BLOCK
 
 
 def test_every_distance_shares_the_chunk_draws():
@@ -483,6 +513,17 @@ def test_weathers_share_every_draw():
     (clear_vlc, clear_rf), (every_vlc, every_rf) = runs
     assert clear_vlc[0].tobytes() == every_vlc[ALL_WEATHERS.index("clear")].tobytes()
     assert clear_rf.tobytes() == every_rf.tobytes()
+
+
+@pytest.mark.parametrize("config", [ScenarioConfig(), DENSE], ids=["default", "dense"])
+def test_no_weather_gives_the_rf_sinrs_alone(config):
+    # an empty weather list scores no optical row: the VLC SINRs are
+    # [D, 0, n], and the RF SINRs those of a one-weather run
+    distances = (30.0, 150.0)
+    sinr_vlc, sinr_rf = simulate_trials(config, distances, (), trial_rng(SEED), N)
+    _, rain_rf = simulate_trials(config, distances, (RAIN,), trial_rng(SEED), N)
+    assert sinr_vlc.shape == (len(distances), 0, N)
+    assert sinr_rf.tobytes() == rain_rf.tobytes()
 
 
 def test_nothing_lit_leaves_rf_and_stream_unchanged():
