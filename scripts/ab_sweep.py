@@ -11,17 +11,17 @@ own cli.sweep_call:
         --sweeps prp_sparse,dense_interference,dor_pool --pairs 200
 
 The first three sweeps mirror benchmarks/bench.py's workloads (seed 1);
-the other four are more shapes of the work cap's split.  Every call's CSV
-text must equal the first call's, or the script exits 1.  With --workers
-P,C the parent runs on P processes and the change on C, the split forced
-above one (engine._SPLIT_WORK is 1 for the call): on one checkout,
---workers 1,2 re-derives _SPLIT_WORK on another host.  Per sweep it
-reports each side's median seconds, the per-pair speedup's quartiles,
-the verdict, the change's engine.sweep_workers pick (cap_picks), the work
-W in thousands (work_k), and each side's tracemalloc peak (MB) of one
-more call, which misses forked helpers.  Sharing one interpreter and
-heap, these pairs separate changes of a few percent that benchmark pairs
-cannot.
+the other five are more shapes of the work cap's split and of the pooled
+groups.  Every call's CSV text must equal the first call's, or the
+script exits 1.  With --workers P,C the parent runs on P processes and
+the change on C, the split forced above one (engine._SPLIT_WORK is 1
+for the call): on one checkout, --workers 1,2 re-derives _SPLIT_WORK on
+another host.  Per sweep it reports each side's median seconds, the
+per-pair speedup's quartiles, the verdict, the change's
+engine.sweep_workers pick (cap_picks), the work W in thousands (work_k),
+and each side's tracemalloc peak (MB) of one more call, which misses
+forked helpers.  Sharing one interpreter and heap, these pairs separate
+changes of a few percent that benchmark pairs cannot.
 
 With --seconds S, a pair calls benchmarks/bench.py's run() once per side,
 as `bench.py --trace 0` does, each in a fresh interpreter, with seed
@@ -92,6 +92,8 @@ SWEEPS = {
     "dor_1e-3_8": (("dor-sweep", "--workers", "2"), ("rho_access = 0.1",), 4 * 4096),
     "dense_clear_2": (("prp-sweep", "--workers", "2", "--weather", "clear",
                        "--distances", "10,25"), ("rho_access = 1.0",), 2 * 4096),
+    # no lane points: only metrics._GROUP closes a pooled group
+    "prp_lambda0": (("prp-sweep", "--workers", "1"), ("lambda_density = 0",), 100_000),
 }
 WORKLOADS = tuple(SWEEPS)[:3]   # bench.WORKLOADS
 SEED = 1

@@ -44,26 +44,22 @@ MODE_LA = "la"
 MODE_NON_LA = "non_la"
 MODES = (MODE_PURE_VLC, MODE_PURE_RF, MODE_LA, MODE_NON_LA)
 
-# Lane points per lane of a pooled group at most (simulate_chunks), and the
-# unit of a term window.  Counting points rather than trials keeps a sparse
-# chunk within one block.  No bit depends on it: the sums add a group's
-# points in storage order whatever the block (_interference_sums).
-_BLOCK = 4096
+# Lane points per term window, and the lane points (both lanes) at which a
+# pooled group closes (simulate_chunks).  Interferer terms are computed a
+# window at a time, so a dense chunk pays the fixed cost of each numpy call
+# once per 16384 points; only the terms are kept, so the window's
+# temporaries (about a dozen arrays of its length) bound the kernel's
+# memory whatever the density.  No bit depends on it: terms are
+# elementwise, and the sums add a group's points in storage order
+# (_interference_sums).
+_WINDOW = 16384
 
-# Blocks per term window.  Interferer terms are computed a window at a
-# time, so a dense chunk pays the fixed cost of each numpy call once per
-# 16384 points rather than per 4096; only the terms are kept, so the
-# window's temporaries (about a dozen arrays of its length) bound the
-# kernel's memory whatever the density.  The window changes no bit: terms
-# are elementwise.
-_WINDOW = 4
-
-# Chunks per pooled group at most, whatever their lane points: a group holds
-# every chunk's draws until they are merged, then the merged draws, their
-# terms and one [W, trials] block of sums, reused distance after distance,
-# until it is scored at every distance (a default-density group holds ~10
-# chunks; 16 at lambda = 0, ~2.6 MB of sums in 4 weathers).
-_GROUP = 16
+# Chunks at which a pooled group closes, whatever their lane points: a group
+# holds every chunk's draws until they are merged, then the merged draws,
+# their terms and one [W, trials] block of sums, reused distance after
+# distance, until it is scored at every distance (~1.6 MB of sums in 4
+# weathers).
+_GROUP = 10
 
 _SIMPSON_PANELS = 20_000   # per integral in prp_rf_closed_form
 
@@ -71,8 +67,8 @@ _SIMPSON_PANELS = 20_000   # per integral in prp_rf_closed_form
 def sinr(signal, interference_sum, noise: float, out=None):
     """signal / (interference + noise); signal and interference may be arrays.
 
-    out, an array of the result's shape, receives the result (the same
-    operations, in place); it may be interference_sum itself.
+    out, an array of the result's shape, receives the result in place; it
+    may be interference_sum itself.  Without it a new array is returned.
     """
     if noise <= 0:
         raise InvalidArgumentError("noise must be > 0")
@@ -80,8 +76,6 @@ def sinr(signal, interference_sum, noise: float, out=None):
     # one pass with no [W, n] flags
     if any(np.fmin.reduce(x, axis=None, initial=0.0) < 0 for x in (signal, interference_sum)):
         raise InvalidArgumentError("signal and interference must be >= 0")
-    if out is None:
-        return signal / (interference_sum + noise)
     return np.divide(signal, np.add(interference_sum, noise, out=out), out=out)
 
 
@@ -179,22 +173,19 @@ class _Terms(NamedTuple):
 def _lane_terms(drawn: _Lanes, base: ScenarioConfig, weathers) -> _Terms:
     """The terms of drawn's lane points, with base's geometry and channels.
 
-    Each lane's points are evaluated in windows of _WINDOW blocks of
-    _BLOCK points (_block_terms), and only the terms are kept, so a
-    window's temporaries bound the memory whatever the density.  Terms are
-    elementwise: the windows change no bit.  The RF powers are the lane
-    fades, scaled in place: drawn.fade holds them from here.
+    Each lane's points are evaluated in windows of _WINDOW points
+    (_block_terms), and only the terms are kept, so a window's temporaries
+    bound the memory whatever the density.  Terms are elementwise: the
+    windows change no bit.  The RF powers are the lane fades, scaled in
+    place: drawn.fade holds them from here.
     """
     coeffs = np.array([WEATHER_ATTENUATION_DB_PER_KM[weather] for weather in weathers],
                       dtype=float)[:, None]
-    # read at call time, so that a window holds whole blocks whatever _BLOCK is
-    window = _WINDOW * _BLOCK
     lit, p_vlc = [np.empty(0, np.intp)], [np.empty((len(weathers), 0))]
     for lane, part in zip(LANES, drawn.lanes):
-        for lo in range(part.start, part.stop, window):
-            hi = min(lo + window, part.stop)
-            _, seen, vlc = _block_terms(base, lane, drawn.coord[lo:hi], drawn.fade[lo:hi],
-                                        coeffs)
+        for lo in range(part.start, part.stop, _WINDOW):
+            hi = min(lo + _WINDOW, part.stop)
+            seen, vlc = _block_terms(base, lane, drawn.coord[lo:hi], drawn.fade[lo:hi], coeffs)
             lit.append(seen + lo)
             p_vlc.append(vlc)
     lit = np.concatenate(lit)
@@ -202,29 +193,28 @@ def _lane_terms(drawn: _Lanes, base: ScenarioConfig, weathers) -> _Terms:
 
 
 def _block_terms(base: ScenarioConfig, lane: int, coord, fade, coeffs):
-    """(p_rf, lit, p_vlc) of one window of lane points at positions coord,
-    with their RF fades; coeffs[W, 1] holds the weathers' attenuation
-    coefficients.
+    """(lit, p_vlc) of one window of lane points at positions coord, whose
+    RF fades are scaled in place into their faded RF powers; coeffs[W, 1]
+    holds the weathers' attenuation coefficients.
 
-    p_rf is every point's faded RF power, written over fade; lit indexes the points the RSU
-    sees (sees), since any other point has zero gain, hence zero optical
-    power in every weather, and p_vlc[W, len(lit)] holds their optical
-    powers per weather.  The paths come from rsu_paths, and the lit
-    points' gains from its d2 and cosines gathered at them.  Only the
-    optical attenuation differs between the weathers: clear air (a zero
-    coefficient) gets the factor 1.0 without a pow, since 10 ** -0.0 is
-    exactly 1.0, and a clear-only window calls no attenuation_factor at
-    all.
+    lit indexes the points the RSU sees (sees), since any other point has
+    zero gain, hence zero optical power in every weather, and
+    p_vlc[W, len(lit)] holds their optical powers per weather.  The paths
+    come from rsu_paths, and the lit points' gains from its d2 and cosines
+    gathered at them.  Only the optical attenuation differs between the
+    weathers: clear air (a zero coefficient) gets the factor 1.0 without a
+    pow, since 10 ** -0.0 is exactly 1.0, and a clear-only window calls no
+    attenuation_factor at all.
     """
     d2, d, cos_phi, cos_psi = rsu_paths(base, lane, coord)
-    p_rf = np.multiply(fade, rf_mean_rx_power(d, base.rf), out=fade)
+    np.multiply(fade, rf_mean_rx_power(d, base.rf), out=fade)
     lit = np.flatnonzero(sees(cos_phi, cos_psi, base.vlc))
     gain = seen_gain(d2[lit], cos_phi[lit], cos_psi[lit], base.vlc)
     hazy = coeffs[:, 0] != 0.0
     wfac = np.ones((len(coeffs), len(lit)))
     if hazy.any():   # else no call: its distance check holds, as d = sqrt(d2) >= 0
         wfac[hazy] = attenuation_factor(coeffs[hazy], d[lit])
-    return p_rf, lit, vlc_rx_electrical_power(gain, wfac, base.vlc)
+    return lit, vlc_rx_electrical_power(gain, wfac, base.vlc)
 
 
 def _interference_sums(drawn: _Lanes, terms: _Terms, config: ScenarioConfig, i_vlc, i_rf):
@@ -282,9 +272,10 @@ def simulate_chunks(config: ScenarioConfig, distances, weathers, chunks):
     chunk is pulled, so the chunks may share one generator whose state is
     set as each is pulled.  config gives the geometry and channels (its
     distance_r is not read), and the desired links are computed once for
-    every distance (desired_links).  Consecutive chunks, _GROUP at most,
-    form a group while their lane points fit in one _BLOCK per lane; a
-    chunk with more points forms a group of its own.  A group is drawn
+    every distance (desired_links).  Consecutive chunks form a group,
+    which closes at the chunk that brings it to _GROUP chunks or to
+    _WINDOW lane points, and is scored before the next chunk is pulled; a
+    chunk of _WINDOW points or more closes its group.  A group is drawn
     once for every distance, and its interferer terms computed once
     (_group_sinrs).  It yields distance after distance, each distance's
     chunks in order, as views of one block of sums that the next distance
@@ -294,21 +285,13 @@ def simulate_chunks(config: ScenarioConfig, distances, weathers, chunks):
     """
     sites = [config.with_distance(distance) for distance in distances]
     links = desired_links(config, distances, weathers)
-    group, load = [], (0, 0)   # the group's lane points, per lane
+    group, points = [], 0   # only the group holds the draws, until they are scored
     for i, (rng, n) in enumerate(chunks):
-        chunk = (i, *_draw(config, rng, n))   # _Lanes, desired fades
-        points = [part.stop - part.start for part in chunk[1].lanes]
-        joined = [a + b for a, b in zip(load, points)]
-        if group and max(joined) > _BLOCK:
+        group.append((i, *_draw(config, rng, n)))   # _Lanes, desired fades
+        points += len(group[-1][1].coord)
+        if len(group) == _GROUP or points >= _WINDOW:
             yield from _group_sinrs(group, config, sites, links, weathers)   # empties the group
-            joined = points
-        group.append(chunk)
-        del chunk   # only the group holds the draws, until they are scored
-        load = joined
-        if len(group) == _GROUP or max(load) > _BLOCK:
-            # no chunk can join this group: score it before the next draw
-            yield from _group_sinrs(group, config, sites, links, weathers)
-            load = (0, 0)
+            points = 0
     if group:
         yield from _group_sinrs(group, config, sites, links, weathers)
 

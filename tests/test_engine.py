@@ -598,30 +598,30 @@ class TestRunSweep:
         assert forced_split == [[1], [2]]
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("config, block, cap, groups", [
-        # ~410 points per lane and full chunk: about ten chunks share a pass
-        (ScenarioConfig(), metrics._BLOCK, metrics._GROUP,
-         lambda sizes, points: max(sizes) >= 5 and max(points) <= metrics._BLOCK),
-        # a pass holds two chunks at most (the grouping rule is one _BLOCK
-        # per lane): groups break at chunk boundaries
-        (ScenarioConfig(), 500, metrics._GROUP, lambda sizes, points: {1, 2} <= set(sizes)
-         and max(sizes) == 2 and max(points) <= 500),
-        # ~40k points per lane and chunk: every chunk alone, in many windows
-        # of _WINDOW blocks
-        (DENSE, metrics._BLOCK, metrics._GROUP, lambda sizes, points: set(sizes) == {1}
-         and max(points) == metrics._WINDOW * metrics._BLOCK),
+    @pytest.mark.parametrize("config, window, cap, groups", [
+        # ~820 lane points per full chunk: groups close at the cap, ten chunks
+        (ScenarioConfig(), metrics._WINDOW, metrics._GROUP,
+         lambda sizes, points: max(sizes) >= 5 and max(points) < metrics._WINDOW),
+        # a 1000-point window: a group closes at its second chunk, whose
+        # points bring it past the window
+        (ScenarioConfig(), 1000, metrics._GROUP, lambda sizes, points: {1, 2} <= set(sizes)
+         and max(sizes) == 2 and max(points) < 2 * 1000),
+        # ~80k lane points per full chunk: every chunk alone, in many term
+        # windows
+        (DENSE, metrics._WINDOW, metrics._GROUP, lambda sizes, points: set(sizes) == {1}
+         and max(points) > 4 * metrics._WINDOW),
         # lambda rho = 1e-6, a few points per lane and chunk, none on some:
         # groups close at the cap, their lane parts merged empty or not
-        (dataclasses.replace(ScenarioConfig(), rho_access=1e-4), metrics._BLOCK, 4,
-         lambda sizes, points: max(sizes) == 4 and 0 < max(points) < 40),
-    ], ids=["sparse", "small_block", "dense", "very_sparse"])
+        (dataclasses.replace(ScenarioConfig(), rho_access=1e-4), metrics._WINDOW, 4,
+         lambda sizes, points: max(sizes) == 4 and 0 < max(points) < 80),
+    ], ids=["sparse", "small_window", "dense", "very_sparse"])
     def test_pooled_pass_gives_every_chunk_its_bits_alone(
-            self, monkeypatch, tmp_path, forced_split, workers, config, block, cap, groups):
+            self, monkeypatch, tmp_path, forced_split, workers, config, window, cap, groups):
         # each (distance, chunk)'s SINRs and partials in a sweep equal those
         # of the chunk's own simulate_trials run at that distance alone, a
         # group of one; the last chunk is partial.  The SINRs of every
         # (distance, chunk) differ, so their digests name it
-        monkeypatch.setattr(metrics, "_BLOCK", block)
+        monkeypatch.setattr(metrics, "_WINDOW", window)
         monkeypatch.setattr(metrics, "_GROUP", cap)
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
         log = tmp_path / "chunks.log"
@@ -636,13 +636,13 @@ class TestRunSweep:
                 fh.write(f"{digest(sinrs)} {digest(partial)}\n")
             return partial
 
-        sizes, points = [], []
+        chunk_points, windows = [], []   # each group's chunks' lane points; each window's
         merged, block_terms = metrics._merged, metrics._block_terms
-        monkeypatch.setattr(metrics, "_merged",
-                            lambda chunks: sizes.append(len(chunks)) or merged(chunks))
+        monkeypatch.setattr(metrics, "_merged", lambda chunks: chunk_points.append(
+            [len(c.coord) for c in chunks]) or merged(chunks))
         monkeypatch.setattr(metrics, "_block_terms",
                             lambda base, lane, coord, *rest:
-                            points.append(len(coord)) or block_terms(base, lane, coord, *rest))
+                            windows.append(len(coord)) or block_terms(base, lane, coord, *rest))
         monkeypatch.setattr(engine, "_score_chunk", logged)
         # 13 chunk indices: 7 in this process on 2 workers, enough for the
         # groups of five and of the cap
@@ -650,7 +650,14 @@ class TestRunSweep:
                      n_trials=12 * _CHUNK + 500)
         run_sweep(config, spec, "rate_mbps", n_workers=workers)
         assert len(forced_split) == workers - 1   # a 2-worker sweep really splits
-        assert groups(sizes, points)   # the groups and term windows of this process
+        # the groups and term windows of this process: a group closes at the
+        # chunk that brings it to the cap or to the window's points, the
+        # last one also at the end of the chunks
+        sizes, points = [len(g) for g in chunk_points], [sum(g) for g in chunk_points]
+        assert all(sum(g[:-1]) < window for g in chunk_points) and max(sizes) <= cap
+        assert all(len(g) == cap or sum(g) >= window for g in chunk_points[:-1])
+        assert 0 < max(windows) <= window
+        assert groups(sizes, points)
         got = sorted(tuple(line.split()) for line in log.read_text().splitlines())
 
         expected = []
@@ -802,8 +809,9 @@ class TestRunSweep:
                              ids=["lambda_zero", "default"])
     def test_sweep_memory_does_not_grow_with_trials(self, lambda_density):
         # with no lane points, only the group cap closes a pooled group; at
-        # the default density a group holds about ten chunks.  Either way a
-        # sweep holds one group's draws and sums at a time.
+        # the default density a group holds ten chunks, ~8k lane points, so
+        # the cap closes it too.  Either way a sweep holds one group's draws
+        # and sums at a time.
         config = dataclasses.replace(ScenarioConfig(), lambda_density=lambda_density)
 
         def peak(n_trials):

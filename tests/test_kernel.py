@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -195,44 +196,44 @@ def test_kernel_matches_scalar_channel_loop(config):
 
 @pytest.mark.parametrize("fading", [FADING_RAYLEIGH, FADING_NAKAGAMI])
 def test_kernel_matches_scalar_loop_across_block_boundaries(fading, monkeypatch):
-    # a 7-point _BLOCK: term windows of _WINDOW * 7 points split trials,
-    # and a lane's last window ends at the lane boundary.  The sums read
-    # no _BLOCK, so the run matches the scalar loop and the default run
+    # 7-point term windows split trials, and each lane's last window ends
+    # at the lane boundary, inside a window.  The sums read no window, so
+    # the run matches the scalar loop and the default run
     config = _dense(fading)
     default = _simulate(config, ALL_WEATHERS, trial_rng(SEED), N)
-    monkeypatch.setattr(metrics, "_BLOCK", 7)
+    monkeypatch.setattr(metrics, "_WINDOW", 7)
     deployment, _, _ = _assert_matches_scalar(config)
-    assert len(deployment.coord) > 10 * 7 * metrics._WINDOW
-    blocked = _simulate(config, ALL_WEATHERS, trial_rng(SEED), N)
-    for a, b in zip(default, blocked):
+    assert (_lane_points(deployment) % 7).all()
+    assert len(deployment.coord) > 100 * 7
+    windowed = _simulate(config, ALL_WEATHERS, trial_rng(SEED), N)
+    for a, b in zip(default, windowed):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
 
 
+WINDOWS = (7, 1000, 4096, 16384, 65536)
+
+
 @pytest.mark.parametrize("fading", [FADING_RAYLEIGH, FADING_NAKAGAMI])
-@pytest.mark.parametrize("rho_access, block, n", [(0.1, 7, N), (1.0, 7, N // 4),
-                                                  (1.0, 1000, 4096), (1.0, None, 4096)],
-                         ids=["1e-3_small_block", "1e-2_small_block", "1e-2_odd_block",
-                              "1e-2_full_chunk"])
-def test_term_window_changes_no_bit(fading, rho_access, block, n, monkeypatch):
-    # the window changes no bit: windows of 1, 2, 4 and 16 blocks give the
-    # same bytes, and leave the stream at the same draw.  A 1000-point
-    # block does not divide 16384: the window is whole blocks whatever
-    # _BLOCK is.
+@pytest.mark.parametrize("rho_access, n, split", [(0.1, N, 1), (1.0, N // 4, 1),
+                                                  (1.0, 4096, 4)],
+                         ids=["1e-3", "1e-2", "1e-2_full_chunk"])
+def test_term_window_changes_no_bit(fading, rho_access, n, split, monkeypatch):
+    # the window changes no bit: windows of 7 to 65536 points give the
+    # same bytes, and leave the stream at the same draw
     config = dataclasses.replace(_dense(fading), rho_access=rho_access)
-    if block is not None:
-        monkeypatch.setattr(metrics, "_BLOCK", block)
     runs = set()
-    for window in (1, 2, 4, 16):
+    for window in WINDOWS:
         monkeypatch.setattr(metrics, "_WINDOW", window)
         rng = trial_rng(SEED)
         sinr_vlc, sinr_rf = _simulate(config, ALL_WEATHERS, rng, n)
         runs.add((sinr_vlc.tobytes(), sinr_rf.tobytes(), rng.random()))
     assert len(runs) == 1
-    # the default window of 4 blocks splits each lane's points, and the
-    # lane-0 points end inside a block
+    # each window smaller than a lane splits its points (for a full dense
+    # chunk, the default 16384 among them), and lane 0's points end inside
+    # a window of each
     counts = _lane_points(draw_deployment(config, trial_rng(SEED), n))
-    assert counts.min() > 2 * 4 * metrics._BLOCK
-    assert counts[0] % metrics._BLOCK
+    assert [w for w in WINDOWS if w < counts.min()] == list(WINDOWS[:split])
+    assert all(counts[0] % w for w in WINDOWS[:split])
 
 
 @pytest.mark.parametrize("config", [ScenarioConfig(), _dense(FADING_RAYLEIGH),
@@ -328,6 +329,34 @@ def test_a_group_gives_each_chunk_its_bits_alone_at_every_distance(monkeypatch):
         assert any(cut)
 
 
+@pytest.mark.parametrize("config, n, sizes", [
+    # ~21k lane points per chunk: each chunk closes its own group
+    (DENSE, 1024, [1, 1, 1]),
+    # no lane points: groups close at the cap
+    (dataclasses.replace(ScenarioConfig(), lambda_density=0.0), 50, [metrics._GROUP] * 2 + [3]),
+    # ~6.3k lane points per chunk: the third chunk brings a group past the window
+    (SPARSE, 3000, [3, 3, 1]),
+], ids=["dense_chunk", "closed_at_cap", "closed_at_window"])
+def test_a_closed_group_is_scored_before_the_next_chunk_is_pulled(config, n, sizes):
+    # every (i, d) of a group is yielded, distance after distance, before
+    # the next (rng, n) is pulled: a sweep holds one group's draws at a time
+    log, distances = [], (30.0, 100.0)
+
+    def chunks():
+        for i in range(sum(sizes)):
+            log.append(("pull", i))
+            yield trial_rng(SEED + i), n
+
+    for i, d, _ in simulate_chunks(config, distances, (RAIN,), chunks()):
+        log.append(("score", i, d))
+    want = []
+    for first, size in zip(accumulate(sizes, initial=0), sizes):
+        group = range(first, first + size)
+        want += [("pull", i) for i in group]
+        want += [("score", i, d) for d in range(len(distances)) for i in group]
+    assert log == want
+
+
 @pytest.mark.parametrize("config, distance, shape", [
     (DENSE, 50.0, [(SEED, 4096)]), (SPARSE, 30.0, _group_shape(SPARSE))],
     ids=["dense_chunk", "pooled_group"])
@@ -335,7 +364,8 @@ def test_sums_add_the_kept_terms_in_storage_order(config, distance, shape):
     # each sum is one pass over the group's lane points in storage order,
     # lane 0's then lane 1's, skipping the points inside the disc: bit for
     # bit what np.add.at of the kept points' terms gives, written over
-    # buffers that held NaN.  The dense chunk holds nine _BLOCKs per lane
+    # buffers that held NaN.  The dense chunk spans three term windows per
+    # lane
     drawn = _merged([_draw(config, trial_rng(seed), n)[0] for seed, n in shape])
     terms = _lane_terms(drawn, config, ALL_WEATHERS)
     site = config.with_distance(distance)
@@ -354,7 +384,7 @@ def test_sums_add_the_kept_terms_in_storage_order(config, distance, shape):
     assert 0 < (~keep).sum() < len(keep) // 100
     assert (want_vlc > 0).any(axis=1).all()
     if config is DENSE:
-        assert min(_lane_points(drawn)) > 9 * metrics._BLOCK
+        assert min(_lane_points(drawn)) > 2 * metrics._WINDOW
 
 
 def test_every_distance_shares_the_chunk_draws():
