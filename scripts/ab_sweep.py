@@ -11,8 +11,9 @@ own cli.sweep_call:
         --sweeps prp_sparse,dense_interference,dor_pool --pairs 200
 
 The first three sweeps mirror benchmarks/bench.py's workloads (seed 1);
-the other five are more shapes of the work cap's split and of the pooled
-groups.  Every call's CSV text must equal the first call's, or the
+the other six are more shapes of the work cap's split and of the pooled
+groups, prp_default the paper's default grid (25 distances x 100k
+trials).  Every call's CSV text must equal the first call's, or the
 script exits 1.  With --workers P,C the parent runs on P processes and
 the change on C, the split forced above one (engine._SPLIT_WORK is 1
 for the call): on one checkout, --workers 1,2 re-derives _SPLIT_WORK on
@@ -75,9 +76,10 @@ import sys
 import tempfile
 import time
 import tracemalloc
-from contextlib import contextmanager
+from contextlib import nullcontext
 from functools import partial
 from pathlib import Path
+from unittest import mock
 
 SIDES = ("parent", "change")
 # name -> (command line, config lines, trials per point); the first three
@@ -94,6 +96,9 @@ SWEEPS = {
                        "--distances", "10,25"), ("rho_access = 1.0",), 2 * 4096),
     # no lane points: only metrics._GROUP closes a pooled group
     "prp_lambda0": (("prp-sweep", "--workers", "1"), ("lambda_density = 0",), 100_000),
+    # the paper's default grid, 25 distances x 100k trials: many pooled
+    # groups, each scored at many distances
+    "prp_default": (("prp-sweep", "--workers", "1"), (), 100_000),
 }
 WORKLOADS = tuple(SWEEPS)[:3]   # bench.WORKLOADS
 SEED = 1
@@ -131,19 +136,10 @@ def cli_call(package, argv, lines, path: Path):
     return (*package.cli.sweep_call(args), args.workers)
 
 
-@contextmanager
 def forced(package, force: bool):
     """A context in which, if force, the package's work cap splits any sweep
     over the workers asked for (engine._SPLIT_WORK is 1, restored after)."""
-    if not force:
-        yield
-        return
-    engine = package.engine
-    split_work, engine._SPLIT_WORK = engine._SPLIT_WORK, 1
-    try:
-        yield
-    finally:
-        engine._SPLIT_WORK = split_work
+    return mock.patch.object(package.engine, "_SPLIT_WORK", 1) if force else nullcontext()
 
 
 def timed(package, call, force: bool = False) -> tuple[float, str]:

@@ -121,6 +121,11 @@ def trial_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(bg)
 
 
+def _reals(values) -> bool:
+    """Whether every one of values is a real number (numbers.Real)."""
+    return all(isinstance(v, numbers.Real) for v in values)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One sweep: distances x weathers, scored per mode and delay threshold.
@@ -143,11 +148,13 @@ class SweepSpec:
         if not self.distances:
             out.append("sweep.distances: must be nonempty")
         for name, values in (("distances", self.distances), ("t_th", self.t_th)):
-            if not all(math.isfinite(v) for v in values):
+            if not _reals(values):
+                out.append(f"sweep.{name}: must be real numbers")
+            elif not all(math.isfinite(v) for v in values):
                 out.append(f"sweep.{name}: must be finite")
             elif any(b <= a for a, b in zip(values, values[1:])):
                 out.append(f"sweep.{name}: must be strictly increasing")
-        if any(t <= 0 for t in self.t_th):
+        if _reals(self.t_th) and any(t <= 0 for t in self.t_th):
             out.append("sweep.t_th: delay thresholds must be > 0")
         if not isinstance(self.n_trials, numbers.Integral):
             out.append("sweep.n_trials: must be an integer")
@@ -197,7 +204,9 @@ def run_sweep(config: ScenarioConfig, spec: SweepSpec, metric: str,
     alone, so every metric and every distance sees the same trials, and a
     row does not depend on the other distances listed.
     """
-    problems = validate_distances(config, spec.distances) + spec.check()
+    problems = spec.check()
+    if _reals(spec.distances):   # else spec.check says so
+        problems[:0] = validate_distances(config, spec.distances)
     if not isinstance(n_workers, numbers.Integral):
         problems.append(f"n_workers: must be an integer, got {n_workers!r}")
     elif n_workers < 1:

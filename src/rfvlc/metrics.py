@@ -10,8 +10,8 @@ the exclusion disc around it.  A chunk only reads its stream (_draw);
 consecutive sparse chunks are merged into one group (_merged,
 simulate_chunks), whose interferer terms are computed once (_lane_terms)
 and then summed per distance (_interference_sums, one bincount per sum
-in storage order), each chunk's SINRs written in place; every (chunk,
-distance) still gets the bits it gets alone.  The desired link's
+in storage order), the whole group's SINRs written in place; every
+(chunk, distance) still gets the bits it gets alone.  The desired link's
 constants (desired_links) are computed once for all of a sweep's
 distances.
 The four operating modes are scored on the same trials, their reception
@@ -56,9 +56,9 @@ _WINDOW = 16384
 
 # Chunks at which a pooled group closes, whatever their lane points: a group
 # holds every chunk's draws until they are merged, then the merged draws,
-# their terms and one [W, trials] block of sums, reused distance after
-# distance, until it is scored at every distance (~1.6 MB of sums in 4
-# weathers).
+# their terms and [W + 2, trials] floats of sums and desired signal, reused
+# distance after distance, until it is scored at every distance (~2.0 MB in
+# 4 weathers).
 _GROUP = 10
 
 _SIMPSON_PANELS = 20_000   # per integral in prp_rf_closed_form
@@ -117,46 +117,46 @@ def vlc_snr(config: ScenarioConfig, weather: str) -> float:
 
 
 class _Lanes(NamedTuple):
-    """The lane points of a chunk as drawn (_draw), or of a group of chunks
-    merged (_merged), as the interferer terms read them."""
+    """The trials and lane points of a chunk as drawn (_draw), or of a group
+    of chunks merged (_merged), as the interferer terms and the SINRs read
+    them."""
 
-    n: int                      # trials
-    trial: np.ndarray           # each point's trial, int32 in [0, n)
+    desired: np.ndarray         # one desired RF fade per trial
+    trial: np.ndarray           # each point's trial, int32 in [0, len(desired))
     coord: np.ndarray
     fade: np.ndarray            # one RF fade per lane point, until _lane_terms
                                 # scales it into the point's RF power
     lanes: tuple[slice, slice]  # Deployment.lanes
 
 
-def _draw(config: ScenarioConfig, rng: np.random.Generator, n: int):
-    """A chunk of n trials, as _Lanes, and its n desired RF fades.
+def _draw(config: ScenarioConfig, rng: np.random.Generator, n: int) -> _Lanes:
+    """A chunk of n trials, as _Lanes.
 
     The whole chunk's stream is read here, in one fixed order: the
     deployment (the lanes' Poisson totals, then each point's trial and
-    position), the desired fades, then one fade per lane point in storage
-    order.  No draw reads config.distance_r, so every distance of a sweep
-    shares the chunk.
+    position), then the fades, in one sample_fading call: the n desired
+    fades, then one per lane point in storage order.  No draw reads
+    config.distance_r, so every distance of a sweep shares the chunk.
     """
     deployment = draw_deployment(config, rng, n)
-    fade = sample_fading(config.rf, rng, n)
-    return _Lanes(n, deployment.trial, deployment.coord,
-                  sample_fading(config.rf, rng, len(deployment.coord)), deployment.lanes), fade
+    fade = sample_fading(config.rf, rng, n + len(deployment.coord))
+    return _Lanes(fade[:n], deployment.trial, deployment.coord, fade[n:], deployment.lanes)
 
 
 def _merged(chunks: list) -> _Lanes:
-    """A group's chunks as one _Lanes: each lane's points chunk after chunk,
-    each chunk's trials numbered after the earlier chunks'.  A group of one
-    is its chunk."""
+    """A group's chunks as one _Lanes: the desired fades chunk after chunk,
+    each lane's points chunk after chunk, each chunk's trials numbered
+    after the earlier chunks'.  A group of one is its chunk."""
     if len(chunks) == 1:
         return chunks[0]
-    first = list(accumulate((c.n for c in chunks), initial=0))
+    first = list(accumulate((len(c.desired) for c in chunks), initial=0))
     trial = np.concatenate([c.trial[c.lanes[lane]] + a
                             for lane in LANES for c, a in zip(chunks, first)])
     coord, fade = (np.concatenate([getattr(c, field)[c.lanes[lane]]
                                    for lane in LANES for c in chunks])
                    for field in ("coord", "fade"))
     n_same = sum(c.lanes[0].stop for c in chunks)   # lane 0 starts at 0
-    return _Lanes(first[-1], trial, coord, fade,
+    return _Lanes(np.concatenate([c.desired for c in chunks]), trial, coord, fade,
                   (slice(0, n_same), slice(n_same, len(coord))))
 
 
@@ -218,8 +218,8 @@ def _block_terms(base: ScenarioConfig, lane: int, coord, fade, coeffs):
 
 
 def _interference_sums(drawn: _Lanes, terms: _Terms, config: ScenarioConfig, i_vlc, i_rf):
-    """Write the interference powers of drawn's n trials at config's
-    distance over i_vlc[W, n] and i_rf[n].
+    """Write the interference powers of drawn's n trials (n = len(drawn.desired))
+    at config's distance over i_vlc[W, n] and i_rf[n].
 
     The interferers are the lane points outside config's exclusion disc
     (outside_exclusion).  One bincount of every lane point's RF term gives
@@ -230,7 +230,7 @@ def _interference_sums(drawn: _Lanes, terms: _Terms, config: ScenarioConfig, i_v
     in that order, so a merged group gives every chunk the sums it gets
     alone.
     """
-    n = drawn.n
+    n = len(drawn.desired)
     keep = np.concatenate([outside_exclusion(config, lane, drawn.coord[part])
                            for lane, part in zip(LANES, drawn.lanes)])
     # intp bins, so that bincount casts no copy of them; each point's bin
@@ -276,10 +276,11 @@ def simulate_chunks(config: ScenarioConfig, distances, weathers, chunks):
     which closes at the chunk that brings it to _GROUP chunks or to
     _WINDOW lane points, and is scored before the next chunk is pulled; a
     chunk of _WINDOW points or more closes its group.  A group is drawn
-    once for every distance, and its interferer terms computed once
-    (_group_sinrs).  It yields distance after distance, each distance's
-    chunks in order, as views of one block of sums that the next distance
-    overwrites: score them before pulling the next.  Every (chunk,
+    once for every distance, its interferer terms computed once, and its
+    SINRs once per distance over all its chunks (_group_sinrs).  It yields
+    distance after distance, each distance's chunks in order, as views of
+    one block of SINRs that the next distance overwrites: score them
+    before pulling the next.  Every (chunk,
     distance) gets the bits it gets alone, since a trial's sum adds its
     own points in storage order whatever the group (_interference_sums).
     """
@@ -287,39 +288,39 @@ def simulate_chunks(config: ScenarioConfig, distances, weathers, chunks):
     links = desired_links(config, distances, weathers)
     group, points = [], 0   # only the group holds the draws, until they are scored
     for i, (rng, n) in enumerate(chunks):
-        group.append((i, *_draw(config, rng, n)))   # _Lanes, desired fades
-        points += len(group[-1][1].coord)
+        group.append(_draw(config, rng, n))
+        points += len(group[-1].coord)
         if len(group) == _GROUP or points >= _WINDOW:
-            yield from _group_sinrs(group, config, sites, links, weathers)   # empties the group
+            # empties the group
+            yield from _group_sinrs(i + 1 - len(group), group, config, sites, links, weathers)
             points = 0
     if group:
-        yield from _group_sinrs(group, config, sites, links, weathers)
+        yield from _group_sinrs(i + 1 - len(group), group, config, sites, links, weathers)
 
 
-def _group_sinrs(group: list, base: ScenarioConfig, sites, links, weathers):
-    """The SINRs of a group of (i, _Lanes, desired fades) at each of sites
-    (configs) with its DesiredLink, as simulate_chunks yields them.
+def _group_sinrs(first: int, group: list, base: ScenarioConfig, sites, links, weathers):
+    """The SINRs of a group of chunks (_Lanes), numbered from first, at each
+    of sites (configs) with its DesiredLink, as simulate_chunks yields them.
 
     The chunks are merged (_merged) and their terms computed once
-    (_lane_terms).  Per site, the sums are written over one [W, trials]
-    block (_interference_sums) and each chunk's SINRs written in place
-    over its trials of it, [:, a:a+n], then yielded as views.  The group
-    is emptied before the terms are computed.
+    (_lane_terms).  Per site, the group takes three steps: its sums over
+    one [W, trials] block (_interference_sums), then its VLC and its RF
+    SINRs written in place over them, the desired signal being its desired
+    fades times the site's mean power.  Each chunk's [:, a:b] of them is
+    yielded as views.  The group is emptied before the terms are computed.
     """
-    drawn = _merged([lanes for _, lanes, _ in group])
-    scored = [(i, fade) for i, _, fade in group]
-    bounds = list(accumulate((len(fade) for _, fade in scored), initial=0))
+    bounds = list(accumulate((len(c.desired) for c in group), initial=0))
+    drawn = _merged(group)
     group.clear()   # only the merged draws are held from here
     terms = _lane_terms(drawn, base, weathers)
-    i_vlc, i_rf = np.empty((len(weathers), drawn.n)), np.empty(drawn.n)
-    signal = np.empty(max(len(fade) for _, fade in scored))   # one chunk's at a time
+    n = bounds[-1]
+    i_vlc, i_rf, signal = np.empty((len(weathers), n)), np.empty(n), np.empty(n)
     for d, (site, link) in enumerate(zip(sites, links)):
         _interference_sums(drawn, terms, site, i_vlc, i_rf)
-        for (i, fade), a, b in zip(scored, bounds, bounds[1:]):
-            vlc, rf = i_vlc[:, a:b], i_rf[a:b]
-            yield i, d, (sinr(link.s_vlc, vlc, link.n_vlc, out=vlc),
-                         sinr(np.multiply(link.s_rf_mean, fade, out=signal[:b - a]), rf,
-                              link.n_rf, out=rf))
+        sinr(link.s_vlc, i_vlc, link.n_vlc, out=i_vlc)
+        sinr(np.multiply(link.s_rf_mean, drawn.desired, out=signal), i_rf, link.n_rf, out=i_rf)
+        for i, (a, b) in enumerate(zip(bounds, bounds[1:]), first):
+            yield i, d, (i_vlc[:, a:b], i_rf[a:b])
 
 
 def _by_mode(sinr_vlc, sinr_rf, modes, dtype):

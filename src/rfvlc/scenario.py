@@ -31,8 +31,8 @@ LANES = (LANE_SAME, LANE_PERP)
 
 # Bound on the expected interferers per trial over both lanes (one active
 # vehicle per meter on the default 1 km lanes).  A chunk's lane points are
-# held in memory at once, with their RF fades and interferer flags: 21
-# bytes per point.
+# held in memory at once, each with its trial (int32), position and RF
+# fade: 20 bytes per point.
 MAX_MEAN_INTERFERERS = 2000.0
 
 # A peak received power times this must stay finite (below 1.8e298), also

@@ -40,7 +40,7 @@ def test_sweeps_mirror_the_benchmark_workloads(monkeypatch):
     ab_sweep = _load(SCRIPT, "ab_sweep", monkeypatch)
     monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
     bench = _load(ROOT / "benchmarks" / "bench.py", "benchmark_bench", monkeypatch)
-    assert len(ab_sweep.SWEEPS) == 8 and ab_sweep.WORKLOADS == tuple(bench.WORKLOADS)
+    assert len(ab_sweep.SWEEPS) == 9 and ab_sweep.WORKLOADS == tuple(bench.WORKLOADS)
     for name, w in bench.WORKLOADS.items():
         assert ab_sweep.SWEEPS[name] == (w.argv, w.config, w.trials)
 

@@ -284,6 +284,19 @@ class TestSweepSpec:
         with pytest.raises(ConfigError, match=f"sweep.{field}: must be an integer"):
             run_sweep(ScenarioConfig(), spec, "prp")
 
+    @pytest.mark.parametrize("field, values", [
+        ("distances", ("50",)), ("distances", (None,)), ("distances", (-5.0, None)),
+        ("t_th", ("1",)), ("t_th", (1e-3, None))])
+    def test_values_must_be_real_numbers(self, field, values):
+        # a ConfigError before any chunk, not a TypeError from validate's
+        # distance checks or from math.isfinite; a distance that is not a
+        # number skips validate, so its neighbours are not reported
+        spec = _spec(**{field: values})
+        assert spec.check() == [f"sweep.{field}: must be real numbers"]
+        with pytest.raises(ConfigError) as err:
+            run_sweep(ScenarioConfig(), spec, "dor" if field == "t_th" else "prp")
+        assert str(err.value) == f"sweep.{field}: must be real numbers"
+
     @pytest.mark.parametrize("integer", [np.int64, np.uint64])
     def test_numpy_integers_are_integers(self, integer):
         # the rows of the same Python ints

@@ -151,8 +151,7 @@ def _lane_points(deployment):
 def _interference_sums(config, weathers, rng, n):
     """VLC[W, n] and RF[n] interference sums at config's distance of n
     trials drawn from rng, a group of one."""
-    chunk, _ = _draw(config, rng, n)
-    drawn = _merged([chunk])
+    drawn = _merged([_draw(config, rng, n)])
     i_vlc, i_rf = np.zeros((len(weathers), n)), np.zeros(n)
     metrics._interference_sums(drawn, _lane_terms(drawn, config, weathers), config,
                                i_vlc, i_rf)
@@ -241,22 +240,27 @@ def test_term_window_changes_no_bit(fading, rho_access, n, split, monkeypatch):
                                     dataclasses.replace(DENSE, lambda_density=0.0), OFF_AXIS],
                          ids=["default", FADING_RAYLEIGH, FADING_NAKAGAMI, "no_interferers",
                               "off_axis"])
-def test_draw_reads_the_chunk_stream_in_order(config):
+def test_draw_reads_the_chunk_stream_in_order(config, monkeypatch):
     # _draw reads a chunk's whole stream: the deployment (the lanes'
     # Poisson totals, each point's trial, each point's position), the n
-    # desired fades, then one fade per lane point, and nothing after them;
-    # a group of one (_merged) is the chunk.  No draw reads the distance.
+    # desired fades, then one fade per lane point, and nothing after them,
+    # the fades in one sample_fading call; a group of one (_merged) is the
+    # chunk.  No draw reads the distance.
     rng, by_hand = trial_rng(SEED), trial_rng(SEED)
-    chunk, fade = _draw(config, rng, N)
+    calls = []
+    monkeypatch.setattr(metrics, "sample_fading",
+                        lambda *args: calls.append(args) or sample_fading(*args))
+    chunk = _draw(config, rng, N)
+    assert len(calls) == 1
     deployment = draw_deployment(config, by_hand, N)
     desired = sample_fading(config.rf, by_hand, N)
     lane_fades = sample_fading(config.rf, by_hand, len(deployment.coord))
     lanes = deployment.lanes
-    assert chunk.lanes == lanes and chunk.n == deployment.n == N
-    far, far_fade = _draw(config.with_distance(250.0), trial_rng(SEED), N)
-    assert far_fade.tobytes() == fade.tobytes()
+    assert chunk.lanes == lanes and len(chunk.desired) == deployment.n == N
+    far = _draw(config.with_distance(250.0), trial_rng(SEED), N)
+    assert far.desired.tobytes() == chunk.desired.tobytes()
     for got, want in ((chunk.trial, deployment.trial), (chunk.coord, deployment.coord),
-                      (fade, desired), (chunk.fade, lane_fades)):
+                      (chunk.desired, desired), (chunk.fade, lane_fades)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert chunk.trial.dtype == np.int32
     assert _merged([chunk]) is chunk
@@ -276,14 +280,15 @@ SPARSE = dataclasses.replace(ScenarioConfig(), rho_access=0.1)
 
 
 def test_a_group_is_built_bit_for_bit_from_its_chunks():
-    # the group's arrays are each chunk's own, lane by lane, the trials
-    # renumbered after the earlier chunks'
-    chunks, want, first = [], {lane: [] for lane in LANES}, 0
+    # the group's arrays are each chunk's own, the desired fades chunk
+    # after chunk, the lane points lane by lane, the trials renumbered after
+    # the earlier chunks'
+    chunks, desired, want, first = [], [], {lane: [] for lane in LANES}, 0
     for seed, n in _group_shape(SPARSE):
-        chunks.append(_draw(SPARSE, trial_rng(seed), n)[0])
+        chunks.append(_draw(SPARSE, trial_rng(seed), n))
         by_hand = trial_rng(seed)
         deployment = draw_deployment(SPARSE, by_hand, n)
-        sample_fading(SPARSE.rf, by_hand, n)
+        desired.append(sample_fading(SPARSE.rf, by_hand, n))
         fades = sample_fading(SPARSE.rf, by_hand, len(deployment.coord))
         for lane, part in zip(LANES, deployment.lanes):
             want[lane].append((deployment.trial[part] + first, deployment.coord[part],
@@ -293,9 +298,10 @@ def test_a_group_is_built_bit_for_bit_from_its_chunks():
     drawn = _merged(chunks)
     parts = [part for lane in LANES for part in want[lane]]
     n_same = sum(len(coord) for _, coord, _ in want[LANE_SAME])
-    assert drawn.n == first
+    assert len(drawn.desired) == first
     assert drawn.lanes == (slice(0, n_same), slice(n_same, len(drawn.coord)))
-    for got, field in zip((drawn.trial, drawn.coord, drawn.fade), zip(*parts)):
+    for got, field in zip((drawn.desired, drawn.trial, drawn.coord, drawn.fade),
+                          (desired, *zip(*parts))):
         expected = np.concatenate(field)
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
     assert drawn.trial.dtype == np.int32
@@ -325,8 +331,19 @@ def test_a_group_gives_each_chunk_its_bits_alone_at_every_distance(monkeypatch):
     for distance in (30.0, 150.0):
         cut = [not outside_exclusion(SPARSE.with_distance(distance), LANE_SAME, chunk.coord[
             chunk.lanes[LANE_SAME]]).all() for chunk in (
-                _draw(SPARSE, trial_rng(seed), n)[0] for seed, n in shape)]
+                _draw(SPARSE, trial_rng(seed), n) for seed, n in shape)]
         assert any(cut)
+
+
+def test_a_group_computes_each_distance_sinrs_once(monkeypatch):
+    # the four chunks pool into one group: per distance, one VLC and one
+    # RF sinr call over the whole group, not one pair per chunk
+    calls = []
+    monkeypatch.setattr(metrics, "sinr",
+                        lambda *args, **kw: calls.append(args) or sinr(*args, **kw))
+    chunks = [(trial_rng(seed), n) for seed, n in _group_shape(SPARSE)]
+    got = list(simulate_chunks(SPARSE, (30.0, 100.0, 150.0), ALL_WEATHERS, chunks))
+    assert len(got) == 12 and len(calls) == 6
 
 
 @pytest.mark.parametrize("config, n, sizes", [
@@ -366,12 +383,13 @@ def test_sums_add_the_kept_terms_in_storage_order(config, distance, shape):
     # bit what np.add.at of the kept points' terms gives, written over
     # buffers that held NaN.  The dense chunk spans three term windows per
     # lane
-    drawn = _merged([_draw(config, trial_rng(seed), n)[0] for seed, n in shape])
+    drawn = _merged([_draw(config, trial_rng(seed), n) for seed, n in shape])
     terms = _lane_terms(drawn, config, ALL_WEATHERS)
     site = config.with_distance(distance)
     keep = np.concatenate([outside_exclusion(site, lane, drawn.coord[part])
                            for lane, part in zip(LANES, drawn.lanes)])
-    want_rf, want_vlc = np.zeros(drawn.n), np.zeros((len(ALL_WEATHERS), drawn.n))
+    n = len(drawn.desired)
+    want_rf, want_vlc = np.zeros(n), np.zeros((len(ALL_WEATHERS), n))
     np.add.at(want_rf, drawn.trial[keep], terms.p_rf[keep])
     lit = keep[terms.lit]
     for row, p in zip(want_vlc, terms.p_vlc):

@@ -73,6 +73,22 @@ class TestFading:
         assert rng.bit_generator.state == twin.bit_generator.state
         assert rng.random() == twin.random()
 
+    @pytest.mark.parametrize("params", [
+        RfParams(fading=FADING_RAYLEIGH),
+        *(RfParams(fading=FADING_NAKAGAMI, nakagami_m=m) for m in (0.5, 1.0, 2.5))],
+        ids=["rayleigh", "nakagami_0.5", "nakagami_1", "nakagami_2.5"])
+    @pytest.mark.parametrize("a, b", [(0, 0), (0, 5), (5, 0), (1, 1), (300, 4096)])
+    def test_a_then_b_gains_are_a_plus_b_at_once(self, params, a, b):
+        # each gain is drawn in turn from the stream: a chunk's desired
+        # and lane fades may come from one call, byte for byte, the stream
+        # left at the same draw
+        rng, twin = np.random.default_rng(32), np.random.default_rng(32)
+        got = np.concatenate([sample_fading(params, rng, a), sample_fading(params, rng, b)])
+        want = sample_fading(params, twin, a + b)
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert rng.random() == twin.random()
+
     def test_nakagami_m1_matches_rayleigh(self):
         # gamma(1, 1) is exponential, so m=1 reduces to the Rayleigh model
         rng = np.random.default_rng(23)
