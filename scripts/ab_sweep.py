@@ -11,9 +11,10 @@ own cli.sweep_call:
         --sweeps prp_sparse,dense_interference,dor_pool --pairs 200
 
 The first three sweeps mirror benchmarks/bench.py's workloads (seed 1);
-the other six are more shapes of the work cap's split and of the pooled
-groups, prp_default the paper's default grid (25 distances x 100k
-trials).  Every call's CSV text must equal the first call's, or the
+the other seven are more shapes of the work cap's split and of the
+pooled groups, prp_default the paper's default grid (25 distances x 100k
+trials) and rate_default the default rate-sweep (5 distances x 100k
+trials), whose printed means a last-bit change moves first.  Every call's CSV text must equal the first call's, or the
 script exits 1.  With --workers P,C the parent runs on P processes and
 the change on C, the split forced above one (engine._SPLIT_WORK is 1
 for the call): on one checkout, --workers 1,2 re-derives _SPLIT_WORK on
@@ -99,6 +100,8 @@ SWEEPS = {
     # the paper's default grid, 25 distances x 100k trials: many pooled
     # groups, each scored at many distances
     "prp_default": (("prp-sweep", "--workers", "1"), (), 100_000),
+    # the default rate-sweep, 5 distances x 100k trials: the rate metric
+    "rate_default": (("rate-sweep", "--workers", "1"), (), 100_000),
 }
 WORKLOADS = tuple(SWEEPS)[:3]   # bench.WORKLOADS
 SEED = 1

@@ -14,4 +14,4 @@ from .scenario import (WEATHER_ATTENUATION_DB_PER_KM, WEATHER_KINDS, Deployment,
 from .vlc_channel import (VlcParams, lambertian_order, vlc_noise_power,
                           vlc_rx_electrical_power)
 
-__version__ = "0.5.1"
+__version__ = "0.5.2"

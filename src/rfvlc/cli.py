@@ -155,6 +155,9 @@ def _sweep(args) -> int:
     manifest = {
         "tool": "rfvlc",
         "tool_version": __version__,
+        # the numpy the engine loaded, whose pows made the link powers
+        "python_version": sys.version,
+        "numpy_version": sys.modules["numpy"].__version__,
         "subcommand": args.subcommand,
         "config_path": args.config or "",
         "output_dir": args.out,

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -38,7 +37,8 @@ from .errors import ConfigError
 from .estimate import (MetricEstimate, mean_estimates, merged_moments, moments,
                        proportion_estimates)
 from .metrics import MODES, mode_rates, mode_success, outage_rate, simulate_chunks
-from .scenario import WEATHER_KINDS, ScenarioConfig, validate_distances
+from .scenario import (WEATHER_KINDS, ScenarioConfig, is_integer, is_real,
+                       validate_distances)
 
 __all__ = [
     "SweepSpec", "SweepRow", "MetricEstimate",
@@ -122,8 +122,8 @@ def trial_rng(seed: int) -> np.random.Generator:
 
 
 def _reals(values) -> bool:
-    """Whether every one of values is a real number (numbers.Real)."""
-    return all(isinstance(v, numbers.Real) for v in values)
+    """Whether values is a tuple of real numbers (is_real)."""
+    return isinstance(values, tuple) and all(map(is_real, values))
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,14 @@ class SweepSpec:
     t_th: tuple[float, ...] = ()
 
     def check(self) -> list[str]:
-        out = []
+        """Every problem of the spec.  A list field that is not a tuple is
+        reported alone, before any check reads the values."""
+        out = [f"sweep.{name}: must be a tuple, got {type(values).__name__}"
+               for name, values in (("distances", self.distances), ("t_th", self.t_th),
+                                    ("weathers", self.weathers), ("modes", self.modes))
+               if not isinstance(values, tuple)]
+        if out:
+            return out
         if not self.distances:
             out.append("sweep.distances: must be nonempty")
         for name, values in (("distances", self.distances), ("t_th", self.t_th)):
@@ -156,13 +163,13 @@ class SweepSpec:
                 out.append(f"sweep.{name}: must be strictly increasing")
         if _reals(self.t_th) and any(t <= 0 for t in self.t_th):
             out.append("sweep.t_th: delay thresholds must be > 0")
-        if not isinstance(self.n_trials, numbers.Integral):
+        if not is_integer(self.n_trials):
             out.append("sweep.n_trials: must be an integer")
         elif self.n_trials < 100:
             out.append("sweep.n_trials: must be >= 100")
         elif self.n_trials > _MAX_TRIALS:
             out.append(f"sweep.n_trials: must be <= {_MAX_TRIALS}")
-        if not isinstance(self.master_seed, numbers.Integral):
+        if not is_integer(self.master_seed):
             out.append("sweep.master_seed: must be an integer")
         elif not 0 <= self.master_seed <= _MASK64:
             out.append("sweep.master_seed: must be in [0, 2^64)")
@@ -170,9 +177,11 @@ class SweepSpec:
                                     ("modes", self.modes, MODES)):
             if not values:
                 out.append(f"sweep.{name}: must be nonempty")
+            # a name is a str: any other value is unknown, and not hashed
             out.extend(f"sweep.{name}: unknown {name[:-1]} {v!r}"
-                       for v in values if v not in known)
-            if len(set(values)) < len(values):
+                       for v in values if not (isinstance(v, str) and v in known))
+            names = [v for v in values if isinstance(v, str)]
+            if len(set(names)) < len(names):
                 out.append(f"sweep.{name}: must not repeat")
         return out
 
@@ -207,13 +216,13 @@ def run_sweep(config: ScenarioConfig, spec: SweepSpec, metric: str,
     problems = spec.check()
     if _reals(spec.distances):   # else spec.check says so
         problems[:0] = validate_distances(config, spec.distances)
-    if not isinstance(n_workers, numbers.Integral):
+    if not is_integer(n_workers):
         problems.append(f"n_workers: must be an integer, got {n_workers!r}")
     elif n_workers < 1:
         problems.append(f"n_workers: must be >= 1, got {n_workers}")
     if metric not in _METRICS:
         problems.append(f"metric: must be one of {', '.join(_METRICS)}, got {metric!r}")
-    elif (metric == "dor") != bool(spec.t_th):
+    elif isinstance(spec.t_th, tuple) and (metric == "dor") != bool(spec.t_th):
         problems.append(f"sweep.t_th: must be nonempty for dor and empty for {metric}")
     if problems:
         raise ConfigError("; ".join(problems))

@@ -13,7 +13,8 @@ and then summed per distance (_interference_sums, one bincount per sum
 in storage order), the whole group's SINRs written in place; every
 (chunk, distance) still gets the bits it gets alone.  The desired link's
 constants (desired_links) are computed once for all of a sweep's
-distances.
+distances, by the same term kernel: the desired vehicle is a lane point,
+so a lane point at a desired distance gets the desired link's powers.
 The four operating modes are scored on the same trials, their reception
 by mode_success and their rates by mode_rates, so mode comparisons are
 exact event inclusions rather than statistical ones.  Both score only
@@ -35,7 +36,7 @@ from .rf_channel import (FADING_RAYLEIGH, db_to_linear,
 from .scenario import (EXCLUSION_RADIUS_M, LANE_SAME, LANES,
                        WEATHER_ATTENUATION_DB_PER_KM, ScenarioConfig,
                        attenuation_factor, draw_deployment, exclusion_disc,
-                       outside_exclusion, rsu_links, rsu_paths)
+                       outside_exclusion, rsu_paths)
 from .vlc_channel import sees, seen_gain, vlc_noise_power, vlc_rx_electrical_power
 
 MODE_PURE_VLC = "pure_vlc"
@@ -92,22 +93,21 @@ def desired_links(config: ScenarioConfig, distances, weathers) -> list[DesiredLi
     """The desired link's constants at each of distances, in order, with
     config's geometry and channels (its distance_r is not read).
 
-    The paths and gains of every distance come from one rsu_links call,
-    and the noise powers are computed once.  The weather attenuation
-    factors, one per (distance, weather), and the mean RF powers, one per
-    distance, are computed on object arrays, which apply Python's float
-    pow to each element: the bits of the scalar calls, where a float
-    array pow may round differently.
+    The desired vehicle is the lane point distance_r of LANE_SAME, so its
+    powers are the interferer terms (_block_terms) of lane points at
+    distances with unit fades, in one call: the mean RF powers are the
+    fades, scaled in place, and the VLC powers per weather are the lit
+    points' terms, 0 where the RSU does not see the vehicle.  The noise
+    powers are computed once.
     """
-    d3d, gain = rsu_links(config, LANE_SAME, np.asarray(distances, dtype=float))
-    d3d = d3d.astype(object)
-    coeffs = np.array([WEATHER_ATTENUATION_DB_PER_KM[weather] for weather in weathers],
-                      dtype=object)
-    wfac = attenuation_factor(coeffs, d3d[:, None]).astype(float)
-    s_vlc = vlc_rx_electrical_power(gain[:, None], wfac, config.vlc)
+    s_rf = np.ones(len(distances))
+    lit, p_vlc = _block_terms(config, LANE_SAME, np.array(distances, dtype=float), s_rf,
+                              _weather_coeffs(weathers))
+    s_vlc = np.zeros((len(distances), len(weathers)))
+    s_vlc[lit] = p_vlc.T
     n_vlc, n_rf = vlc_noise_power(config.vlc), rf_noise_power(config.rf)
-    return [DesiredLink(s[:, None], n_vlc, s_rf, n_rf)
-            for s, s_rf in zip(s_vlc, rf_mean_rx_power(d3d, config.rf).tolist())]
+    return [DesiredLink(s[:, None], n_vlc, s_rf_mean, n_rf)
+            for s, s_rf_mean in zip(s_vlc, s_rf.tolist())]
 
 
 def vlc_snr(config: ScenarioConfig, weather: str) -> float:
@@ -179,8 +179,7 @@ def _lane_terms(drawn: _Lanes, base: ScenarioConfig, weathers) -> _Terms:
     windows change no bit.  The RF powers are the lane fades, scaled in
     place: drawn.fade holds them from here.
     """
-    coeffs = np.array([WEATHER_ATTENUATION_DB_PER_KM[weather] for weather in weathers],
-                      dtype=float)[:, None]
+    coeffs = _weather_coeffs(weathers)
     lit, p_vlc = [np.empty(0, np.intp)], [np.empty((len(weathers), 0))]
     for lane, part in zip(LANES, drawn.lanes):
         for lo in range(part.start, part.stop, _WINDOW):
@@ -192,10 +191,17 @@ def _lane_terms(drawn: _Lanes, base: ScenarioConfig, weathers) -> _Terms:
     return _Terms(drawn.fade, lit, drawn.trial[lit], np.concatenate(p_vlc, axis=1))
 
 
+def _weather_coeffs(weathers) -> np.ndarray:
+    """The weathers' optical attenuation coefficients, dB/km, as a [W, 1]
+    column, as _block_terms reads them."""
+    return np.array([WEATHER_ATTENUATION_DB_PER_KM[weather] for weather in weathers])[:, None]
+
+
 def _block_terms(base: ScenarioConfig, lane: int, coord, fade, coeffs):
-    """(lit, p_vlc) of one window of lane points at positions coord, whose
-    RF fades are scaled in place into their faded RF powers; coeffs[W, 1]
-    holds the weathers' attenuation coefficients.
+    """(lit, p_vlc) of lane points at positions coord (a term window, or
+    the desired vehicles of desired_links), whose RF fades are scaled in
+    place into their faded RF powers; coeffs[W, 1] holds the weathers'
+    attenuation coefficients (_weather_coeffs).
 
     lit indexes the points the RSU sees (sees), since any other point has
     zero gain, hence zero optical power in every weather, and

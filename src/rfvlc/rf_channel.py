@@ -56,9 +56,10 @@ class RfParams:
 
 
 def db_to_linear(db: float) -> float:
-    """10^(db / 10); inf where that overflows a float."""
+    """10^(db / 10); inf where that overflows a float.  A numpy scalar is
+    taken as a float, so it overflows as one."""
     try:
-        return 10.0 ** (db / 10.0)
+        return 10.0 ** (float(db) / 10.0)
     except OverflowError:
         return math.inf
 

@@ -10,6 +10,7 @@ access probability.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, lru_cache
 
@@ -142,15 +143,35 @@ def config_floats(config: ScenarioConfig) -> dict[str, float]:
             for key, (section, name) in FLOAT_KEYS.items()}
 
 
+def is_real(value) -> bool:
+    """Whether value is a real number: numbers.Real and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_integer(value) -> bool:
+    """Whether value is an integer: numbers.Integral and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+# numpy scalar fields overflow to inf or nan in the checks' arithmetic, as
+# Python floats do, and are reported without a warning
+@np.errstate(all="ignore")
 def validate(config: ScenarioConfig) -> list[str]:
     """Check every configuration invariant; empty list means ok.
 
-    Every problem of the config's fields is reported; the constants the
-    kernel derives from them are checked once the fields pass.
+    A float field that is not a real number (is_real) is reported alone,
+    before any check compares a value.  Otherwise every problem of the
+    config's fields is reported; the constants the kernel derives from
+    them are checked once the fields pass.
     """
+    floats = config_floats(config)
+    violations = [f"{key}: must be a real number" for key, value in floats.items()
+                  if not is_real(value)]
+    if violations:
+        return violations
     geo = config.geometry
     violations = [f"{key}: must be finite"
-                  for key, value in config_floats(config).items() if not math.isfinite(value)]
+                  for key, value in floats.items() if not math.isfinite(value)]
     if config.lambda_density < 0:
         violations.append("lambda_density: must be >= 0")
     if not 0.0 <= config.rho_access <= 1.0:
@@ -200,6 +221,7 @@ def _distance_faults(config: ScenarioConfig, distance: float) -> tuple[bool, boo
     return not math.isfinite(distance), math.isinf(sum(r * r for r in reach)), distance <= 0
 
 
+@np.errstate(all="ignore")   # as validate, for _distance_faults too
 def validate_distances(config: ScenarioConfig, distances) -> list[str]:
     """The problems of config at each of distances, as validate reports
     them distance by distance, each problem once, in the order first
@@ -316,14 +338,6 @@ def rsu_paths(config: ScenarioConfig, lane: int, coord):
     cos_psi -= dz * rx[2]
     cos_psi /= d
     return d2, d, cos_phi, cos_psi
-
-
-def rsu_links(config: ScenarioConfig, lane: int, coord):
-    """(d, gain) of the links from vehicles at positions coord along a lane
-    to the RSU: the 3-D distance and the Lambertian LOS gain, both from
-    rsu_paths."""
-    d2, d, cos_phi, cos_psi = rsu_paths(config, lane, coord)
-    return d, path_gain(d2, cos_phi, cos_psi, config.vlc)
 
 
 def exclusion_disc(config: ScenarioConfig, lane: int) -> tuple[float, float]:

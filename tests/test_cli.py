@@ -8,6 +8,7 @@ import io
 import json
 import os
 import resource
+import sys
 import tempfile
 import warnings
 
@@ -242,7 +243,9 @@ class TestCliPrpSweep:
         assert len(manifest["config_sha256"]) == 64
         assert manifest["rng_scheme"] == "splitmix64-shared-chunk/pcg64"
         assert manifest["chunk_size"] == 4096
-        assert manifest["tool_version"] == "0.5.1"
+        assert manifest["tool_version"] == "0.5.2"
+        assert manifest["python_version"] == sys.version
+        assert manifest["numpy_version"] == np.__version__
         # how the sweep ran: its processes, wall time, rate and page faults
         assert manifest["workers"] == 1
         assert manifest["sweep_seconds"] > 0

@@ -11,9 +11,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rfvlc import (ConfigError, InvalidArgumentError, MODE_LA, MODE_PURE_RF,
-                   MODE_PURE_VLC, WEATHER_KINDS, ScenarioConfig, SweepSpec,
+                   MODE_PURE_VLC, MODES, WEATHER_KINDS, ScenarioConfig, SweepSpec,
                    derive_seed, prp_rf_closed_form, run_sweep)
 from rfvlc import engine, metrics, scenario
 from rfvlc.engine import _CHUNK, trial_rng
@@ -275,7 +277,8 @@ class TestSweepSpec:
 
     @pytest.mark.parametrize("field, value", [
         ("n_trials", 1e5), ("n_trials", 500.0), ("n_trials", "500"), ("n_trials", math.nan),
-        ("master_seed", 1.5), ("master_seed", 12345.0), ("master_seed", "7")])
+        ("master_seed", 1.5), ("master_seed", 12345.0), ("master_seed", "7"),
+        ("n_trials", True), ("master_seed", True), ("master_seed", np.bool_(True))])
     def test_counts_must_be_integers(self, field, value):
         # a ConfigError before any chunk, not a TypeError from the chunk grid
         # or the seed derivation
@@ -286,7 +289,8 @@ class TestSweepSpec:
 
     @pytest.mark.parametrize("field, values", [
         ("distances", ("50",)), ("distances", (None,)), ("distances", (-5.0, None)),
-        ("t_th", ("1",)), ("t_th", (1e-3, None))])
+        ("t_th", ("1",)), ("t_th", (1e-3, None)), ("distances", (True,)),
+        ("distances", (50.0, np.bool_(True))), ("t_th", (False, 1e-3))])
     def test_values_must_be_real_numbers(self, field, values):
         # a ConfigError before any chunk, not a TypeError from validate's
         # distance checks or from math.isfinite; a distance that is not a
@@ -307,6 +311,65 @@ class TestSweepSpec:
 
     def test_clean_spec(self):
         assert _spec().check() == []
+
+    @pytest.mark.parametrize("field", ["distances", "t_th", "weathers", "modes"])
+    @pytest.mark.parametrize("kind", [list, np.array, None])
+    def test_lists_must_be_tuples(self, field, kind):
+        # one message per field, not numpy's ambiguous truth value or a
+        # TypeError; the field is checked no further
+        value = None if kind is None else kind(getattr(_spec(t_th=(1e-3,)), field))
+        spec = _spec(**{field: value})
+        message = f"sweep.{field}: must be a tuple, got {type(value).__name__}"
+        assert spec.check() == [message]
+        with pytest.raises(ConfigError) as err:
+            run_sweep(ScenarioConfig(), spec, "dor" if field == "t_th" else "prp")
+        assert str(err.value).startswith(message)
+
+    @pytest.mark.parametrize("field, values, unknown", [
+        ("modes", (["la"],), "unknown mode ['la']"),
+        ("modes", (MODE_LA, {"la": 1}), "unknown mode {'la': 1}"),
+        ("weathers", ("clear", ["clear"]), "unknown weather ['clear']"),
+        ("weathers", (np.array(["clear", "rain"]),), "unknown weather array(['clear', 'rain']"),
+    ])
+    def test_names_must_be_strings(self, field, values, unknown):
+        # an unhashable or array name is unknown, not a TypeError
+        problems = _spec(**{field: values}).check()
+        assert len(problems) == 1 and problems[0].startswith(f"sweep.{field}: {unknown}")
+        with pytest.raises(ConfigError, match=f"sweep.{field}: unknown"):
+            run_sweep(ScenarioConfig(), _spec(**{field: values}), "prp")
+
+
+# Any value of a sweep's inputs: ints, floats, bools, strings, None, numpy
+# scalars and arrays, and lists and tuples of them.  Ints stay within
+# [-300, 300], or a few 64-bit edges, so that a sweep that runs is small.
+_SCALARS = st.one_of(
+    st.integers(-300, 300), st.sampled_from([2**63, 2**64, -2**64]), st.floats(),
+    st.booleans(), st.none(), st.text(max_size=3), st.sampled_from(WEATHER_KINDS + MODES),
+    st.integers(-300, 300).map(np.int64), st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64), st.booleans().map(np.bool_),
+    arrays(np.float64, st.integers(0, 3), elements=st.floats(0.0, 300.0)))
+_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3),
+                    st.lists(_SCALARS, max_size=3).map(tuple))
+# the sweep's fields, the config's own float fields and the worker count
+_INPUTS = (tuple(f.name for f in dataclasses.fields(SweepSpec))
+           + tuple(f.name for f in dataclasses.fields(ScenarioConfig) if f.type == "float")
+           + ("n_workers",))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.dictionaries(st.sampled_from(_INPUTS), _VALUES, min_size=1, max_size=3),
+       st.sampled_from(["prp", "dor"]))
+def test_any_inputs_give_rows_or_config_error(inputs, metric):
+    spec_fields = {f.name for f in dataclasses.fields(SweepSpec)}
+    spec = _spec(**{"n_trials": 100, "t_th": (1e-3,) if metric == "dor" else (),
+                    **{k: v for k, v in inputs.items() if k in spec_fields}})
+    config = dataclasses.replace(ScenarioConfig(), **{
+        k: v for k, v in inputs.items() if k not in spec_fields and k != "n_workers"})
+    try:
+        rows = run_sweep(config, spec, metric, n_workers=inputs.get("n_workers", 1))
+    except ConfigError:
+        return
+    assert rows and all(math.isfinite(row.estimate.value) for row in rows)
 
 
 class TestChunkCounts:
@@ -843,7 +906,7 @@ class TestRunSweep:
         with pytest.raises(ConfigError, match="delay thresholds"):
             run_sweep(ScenarioConfig(), _spec(t_th=(0.0, 1e-3)), "dor")
 
-    @pytest.mark.parametrize("workers", [0, -3, 2.5])
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, True, "2", None])
     def test_worker_count_must_be_positive(self, workers):
         with pytest.raises(ConfigError, match="n_workers"):
             run_sweep(ScenarioConfig(), _spec(), "prp", n_workers=workers)

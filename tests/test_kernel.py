@@ -15,8 +15,7 @@ from rfvlc import metrics
 from rfvlc.engine import trial_rng
 from rfvlc.metrics import _draw, _lane_terms, _merged, simulate_chunks, simulate_trials
 from rfvlc.scenario import (EXCLUSION_RADIUS_M, LANE_SAME, LANES,
-                            draw_deployment, exclusion_disc, outside_exclusion, rsu_links,
-                            rsu_paths)
+                            draw_deployment, exclusion_disc, outside_exclusion, rsu_paths)
 from rfvlc.vlc_channel import path_gain, sees, seen_gain
 
 # lambda * rho = 1e-2: ~20 interferers per trial; rain makes the optical
@@ -139,8 +138,14 @@ def _scalar_reference(config, weather, seed, n):
 def _lit_points(config, deployment):
     """Lane points the RSU sees, per lane, from the public gain, whatever
     the distance's exclusion disc."""
-    return np.array([(rsu_links(config, lane, deployment.coord[part])[1] > 0).sum()
+    return np.array([(_rsu_gain(config, lane, deployment.coord[part]) > 0).sum()
                      for lane, part in zip(LANES, deployment.lanes)])
+
+
+def _rsu_gain(config, lane, coord):
+    """The Lambertian LOS gain from lane points at coord to the RSU."""
+    d2, _, cos_phi, cos_psi = rsu_paths(config, lane, coord)
+    return path_gain(d2, cos_phi, cos_psi, config.vlc)
 
 
 def _lane_points(deployment):
@@ -479,11 +484,11 @@ def _headlamp_axes(config, lane, coord):
 @pytest.mark.parametrize("tilt_deg", [0.0, 45.0, 90.0])
 @pytest.mark.parametrize("lane", LANES)
 def test_rsu_paths_match_los_cosines_on_headlamp_axes(lane, tilt_deg, fov):
-    # rsu_paths and rsu_links give, byte for byte, what _los_cosines and
-    # _los_gain give on per-point headlamp axes.  Both lanes run off the
-    # axes, and the desired vehicle sits 0.5 m from the perpendicular
-    # lane, so the exclusion disc cuts both.  The lane points are 0.0,
-    # -0.0, +-L, points across the disc and uniform ones.
+    # rsu_paths, and path_gain of its paths, give, byte for byte, what
+    # _los_cosines and _los_gain give on per-point headlamp axes.  Both
+    # lanes run off the axes, and the desired vehicle sits 0.5 m from the
+    # perpendicular lane, so the exclusion disc cuts both.  The lane
+    # points are 0.0, -0.0, +-L, points across the disc and uniform ones.
     config = dataclasses.replace(_with_rsu(OFF_AXIS, tilt_deg, fov), distance_r=4.0)
     L = config.geometry.lane_half_length
     centre, _ = exclusion_disc(config, lane)
@@ -502,12 +507,12 @@ def test_rsu_paths_match_los_cosines_on_headlamp_axes(lane, tilt_deg, fov):
         assert a.tobytes() == b.tobytes()
     assert sees(*got[2:], config.vlc).tobytes() == seen.tobytes()
     gain = _los_gain(*offsets, axis, rx_axis, config.vlc)
-    d_link, gain_link = rsu_links(config, lane, coord)
-    assert d_link.tobytes() == d.tobytes() and gain_link.tobytes() == gain.tobytes()
-    # one point at a time, as the desired link calls it
+    assert _rsu_gain(config, lane, coord).tobytes() == gain.tobytes()
+    # one point at a time, as scalar callers pass it
     for k in range(13):
-        one = rsu_links(config, lane, float(coord[k]))
-        assert np.array(one).tobytes() == np.array([d[k], gain[k]]).tobytes()
+        one = rsu_paths(config, lane, float(coord[k]))
+        assert np.array(one).tobytes() == np.array([d2[k], d[k], cos_phi[k], cos_psi[k]]).tobytes()
+        assert _rsu_gain(config, lane, float(coord[k])) == gain[k]
     # the RSU sees some points and misses others (0.0 at least)
     assert seen.any() and not seen.all()
 
@@ -515,7 +520,8 @@ def test_rsu_paths_match_los_cosines_on_headlamp_axes(lane, tilt_deg, fov):
 def _reference_link(config, weathers):
     """The desired link's (s_vlc[W], n_vlc, s_rf_mean, n_rf) at config's
     distance, one distance and one weather at a time in scalar calls."""
-    d3d, gain = map(float, rsu_links(config, LANE_SAME, config.distance_r))
+    d3d = float(rsu_paths(config, LANE_SAME, config.distance_r)[1])
+    gain = float(_rsu_gain(config, LANE_SAME, config.distance_r))
     wfac = [attenuation_factor(WEATHER_ATTENUATION_DB_PER_KM[weather], d3d)
             for weather in weathers]
     return (vlc_rx_electrical_power(gain, np.array(wfac), config.vlc),
@@ -526,19 +532,38 @@ def _reference_link(config, weathers):
 @pytest.mark.parametrize("config", [ScenarioConfig(), OFF_AXIS, _dense(FADING_NAKAGAMI),
                                     MOSTLY_LIT],
                          ids=["default", "off_axis", "nakagami", "mostly_lit"])
-def test_desired_links_match_the_scalar_calls(config):
-    # the share's distances in one call, against each distance alone;
+def test_desired_links_are_lane_point_terms(config):
+    # the share's distances in one call: the RSU does not see 0 m, and
     # 1000 m lies beyond the lane's half length
     distances = (0.0, 2.5, 5.0, 10.0, 30.0, 77.7, 150.0, 250.0, 300.0, 1000.0)
     distances += tuple(np.random.default_rng(7).uniform(0.0, 1000.0, 200).tolist())
     links = metrics.desired_links(config, distances, ALL_WEATHERS)
     assert len(links) == len(distances)
+    # the desired vehicle is lane point distance_r of LANE_SAME: its powers
+    # are, bit for bit, the terms of lane points at the distances with unit
+    # fades, placed at random among random points over three term windows
+    rng = np.random.default_rng(SEED)
+    L = config.geometry.lane_half_length
+    coord = rng.uniform(-L, L, 5 * metrics._WINDOW // 2)
+    at = rng.permutation(len(coord))[:len(distances)]
+    coord[at] = distances
+    assert len(set((at // metrics._WINDOW).tolist())) >= 2
+    n = len(coord)
+    drawn = metrics._Lanes(np.ones(1), np.zeros(n, np.int32), coord, np.ones(n),
+                           (slice(0, n), slice(n, n)))
+    terms = _lane_terms(drawn, config, ALL_WEATHERS)
+    p_vlc = np.zeros((len(ALL_WEATHERS), n))
+    p_vlc[:, terms.lit] = terms.p_vlc
+    assert np.array([link.s_rf_mean for link in links]).tobytes() == terms.p_rf[at].tobytes()
+    assert np.hstack([link.s_vlc for link in links]).tobytes() == p_vlc[:, at].tobytes()
+    # and they are the scalar calls' powers, one distance at a time
     for distance, link in zip(distances, links):
         s_vlc, n_vlc, s_rf_mean, n_rf = _reference_link(config.with_distance(distance),
                                                         ALL_WEATHERS)
         assert link.s_vlc.shape == (len(ALL_WEATHERS), 1)
-        assert np.array_equal(link.s_vlc[:, 0], s_vlc)
-        assert (link.n_vlc, link.s_rf_mean, link.n_rf) == (n_vlc, s_rf_mean, n_rf)
+        np.testing.assert_allclose(link.s_vlc[:, 0], s_vlc, rtol=1e-12, atol=0)
+        assert link.s_rf_mean == pytest.approx(s_rf_mean, rel=1e-12, abs=0)
+        assert (link.n_vlc, link.n_rf) == (n_vlc, n_rf)
         assert all(type(x) is float for x in (link.n_vlc, link.s_rf_mean, link.n_rf))
 
 

@@ -19,7 +19,8 @@ from rfvlc import (InvalidArgumentError, MODE_LA, MODE_NON_LA, MODE_PURE_RF,
                    vlc_cutoff_distance, vlc_noise_power, vlc_rx_electrical_power,
                    vlc_snr)
 from rfvlc.estimate import proportion_estimates
-from rfvlc.scenario import LANE_SAME, LANES, outside_exclusion, rsu_links
+from rfvlc.scenario import LANE_SAME, LANES, outside_exclusion, rsu_paths
+from rfvlc.vlc_channel import path_gain
 
 NO_INTERFERENCE = dataclasses.replace(ScenarioConfig(), lambda_density=0.0)
 # Both decode thresholds at 0 dB: a link decodes iff its SINR >= 1.
@@ -33,7 +34,7 @@ ALL_WEATHERS = WEATHER_KINDS
 
 def _desired_distance(config):
     # the desired vehicle is lane point distance_r of the same lane
-    return float(rsu_links(config, LANE_SAME, config.distance_r)[0])
+    return float(rsu_paths(config, LANE_SAME, config.distance_r)[1])
 
 
 def _rf_prp_without_interference(config):
@@ -329,7 +330,8 @@ def prp_vlc_bracket(config, weather):
     coord = -L + (np.arange(_BRACKET_GRID) + 0.5) * (2.0 * L / _BRACKET_GRID)
     powers = []
     for lane in LANES:
-        d, gain = rsu_links(config, lane, coord)
+        d2, d, cos_phi, cos_psi = rsu_paths(config, lane, coord)
+        gain = path_gain(d2, cos_phi, cos_psi, config.vlc)
         gain = np.where(outside_exclusion(config, lane, coord), gain, 0.0)
         wfac = attenuation_factor(WEATHER_ATTENUATION_DB_PER_KM[weather], d)
         powers.append(vlc_rx_electrical_power(gain, wfac, config.vlc))

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from rfvlc import (WEATHER_ATTENUATION_DB_PER_KM, WEATHER_KINDS,
+from rfvlc import (WEATHER_ATTENUATION_DB_PER_KM, WEATHER_KINDS, ConfigError,
                    InvalidArgumentError, ScenarioConfig, SweepSpec, VlcParams,
                    attenuation_factor, draw_deployment, rf_mean_rx_power, rf_noise_power,
-                   validate, vlc_noise_power, vlc_rx_electrical_power)
+                   run_sweep, validate, vlc_noise_power, vlc_rx_electrical_power)
 from rfvlc import scenario
 from rfvlc.scenario import (_POWER_HEADROOM, EXCLUSION_RADIUS_M, LANE_SAME, LANES,
                             _derived_problems, outside_exclusion, rsu_paths)
@@ -97,6 +97,25 @@ class TestValidate:
     def test_bad_beta_ov(self):
         bad = dataclasses.replace(ScenarioConfig(), beta_ov=1.2)
         assert any("beta_ov" in v for v in validate(bad))
+
+    @pytest.mark.parametrize("field, value", [
+        ("rho_access", "0.1"), ("rho_access", None), ("beta_ov", True),
+        ("lambda_density", np.bool_(False)), ("payload_h", [1024.0]),
+        ("sinr_threshold_rf_db", np.array(5.0))])
+    def test_floats_must_be_real_numbers(self, field, value):
+        # reported alone, before a range check compares the value
+        bad = dataclasses.replace(ScenarioConfig(), **{field: value})
+        assert validate(bad) == [f"{field}: must be a real number"]
+        with pytest.raises(ConfigError, match=f"^{field}: must be a real number$"):
+            run_sweep(bad, SweepSpec(distances=(50.0,), weathers=("clear",), modes=("la",),
+                                     n_trials=100, master_seed=1), "prp")
+
+    def test_section_floats_must_be_real_numbers(self):
+        cfg = ScenarioConfig()
+        bad = dataclasses.replace(cfg, vlc=dataclasses.replace(cfg.vlc, fov="60"),
+                                  geometry=dataclasses.replace(cfg.geometry, tx_height=None))
+        assert validate(bad) == ["geometry.tx_height: must be a real number",
+                                 "vlc.fov: must be a real number"]
 
     def test_bad_distance(self):
         bad = dataclasses.replace(ScenarioConfig(), distance_r=-5.0)
